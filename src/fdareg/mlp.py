@@ -13,20 +13,17 @@ in parallel (batched linear algebra) and the best final loss wins.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import fpca as _fpca
-from .cv import derive_seed, make_folds
-from .errors import FdaregError, TrainingError, ValidationError
+from .errors import TrainingError, ValidationError
 
 #: Gradient-norm convergence tolerance, relative to (1 + loss).
 GRAD_TOL = 1e-8
 MAX_ITER = 500
 
-#: Default meta-parameter grids for cross-validated training.
+#: Default meta-parameter grids, cross-validated by ``selection.run_experiment``.
 HIDDEN_GRID = (1, 2, 3, 4, 5, 6)
 DECAY_GRID = tuple(10.0**e for e in range(-5, 1))
 
@@ -272,104 +269,3 @@ def train(
     if not np.isfinite(loss[best]):
         raise TrainingError("all restarts diverged")
     return unpack(params[best], hidden, dim, decay)
-
-
-@dataclass(frozen=True)
-class MetaSelection:
-    """Winner of the joint (hidden units, decay, components) grid search."""
-
-    hidden: int
-    decay: float
-    n_components: int
-    cv_score: float
-    cv_table: dict = field(repr=False, default_factory=dict)
-    notes: tuple[str, ...] = ()
-
-
-def select_meta(
-    X: np.ndarray,
-    y: np.ndarray,
-    hidden_grid: tuple[int, ...] = HIDDEN_GRID,
-    decay_grid: tuple[float, ...] = DECAY_GRID,
-    component_grid: tuple[int, ...] = tuple(range(1, 19)),
-    pca_standardize: bool = False,
-    folds: int = 4,
-    fold_seed: int | None = None,
-    restart_seed: int = 0,
-    restarts: int = 12,
-    max_iter: int = MAX_ITER,
-    prepare: Callable | None = None,
-) -> MetaSelection:
-    """Joint k-fold selection of hidden count, weight decay and PCA size.
-
-    Inside each fold the principal components (and the optional per-column
-    standardization) are fitted on that fold's training part only; scores
-    are always whitened before reaching the network, matching how the
-    trained models are used. The grid winner minimizes the mean per-sample
-    validation SSE; exact ties break lexicographically on
-    (hidden, decay, components). Cells that fail (e.g. whitening over a
-    degenerate component) are skipped and reported in ``notes``.
-
-    ``prepare(train_idx, val_idx)`` may replace the default row slicing,
-    e.g. to run fold-internal imputation before the PCA.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    plan = make_folds(X.shape[0], folds, fold_seed)
-    if prepare is None:
-        prepare = lambda tr, va: (X[tr], X[va])  # noqa: E731
-
-    max_comp = max(component_grid)
-    table: dict[tuple[int, float, int], float] = {}
-    notes: list[str] = []
-    for fold_i, (tr, va) in enumerate(plan):
-        X_tr, X_va = prepare(tr, va)
-        y_tr, y_va = y[tr], y[va]
-        if pca_standardize:
-            std = _fpca.Standardizer().fit(X_tr)
-            X_tr, X_va = std.transform(X_tr), std.transform(X_va)
-        cap = min(max_comp, min(X_tr.shape) - 1, X_tr.shape[1])
-        model = _fpca.fit_fpca(X_tr, n_components=cap)
-        for n_comp in component_grid:
-            if n_comp > cap:
-                notes.append(f"fold {fold_i}: {n_comp} components exceed rank {cap}")
-                _accumulate_inf(table, hidden_grid, decay_grid, n_comp)
-                continue
-            try:
-                s_tr = _fpca.scores(model, X_tr, n_comp, whiten=True)
-                s_va = _fpca.scores(model, X_va, n_comp, whiten=True)
-            except FdaregError as exc:
-                notes.append(f"fold {fold_i}, {n_comp} components: {exc}")
-                _accumulate_inf(table, hidden_grid, decay_grid, n_comp)
-                continue
-            for hidden in hidden_grid:
-                for decay in decay_grid:
-                    cell = (hidden, float(decay), n_comp)
-                    seed = derive_seed(
-                        restart_seed,
-                        f"mlp-cv-f{fold_i}-h{hidden}-d{decay:g}-c{n_comp}",
-                    )
-                    net = train(
-                        s_tr, y_tr, hidden, decay,
-                        restarts=restarts, seed=seed, max_iter=max_iter,
-                    )
-                    err = forward(net, s_va) - y_va
-                    table[cell] = table.get(cell, 0.0) + float(err @ err) / va.size
-    if not table:
-        raise TrainingError("empty meta-parameter grid")
-    k = plan.k
-    best_cell = min(sorted(table), key=lambda c: table[c])
-    return MetaSelection(
-        best_cell[0],
-        best_cell[1],
-        best_cell[2],
-        table[best_cell] / k,
-        {c: v / k for c, v in table.items()},
-        tuple(notes),
-    )
-
-
-def _accumulate_inf(table, hidden_grid, decay_grid, n_comp):
-    for hidden in hidden_grid:
-        for decay in decay_grid:
-            table[(hidden, float(decay), n_comp)] = np.inf

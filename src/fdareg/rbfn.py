@@ -11,18 +11,19 @@ every remaining candidate column is orthogonalized against the selected
 ones and the one with the largest regularized error reduction
 ``(w' y)^2 / (w' w + ridge)`` is appended; modified Gram-Schmidt recurrences
 keep the whole selection path cheap, and every truncation of the path is a
-valid model (used by cross-validation to pick the center count).
+valid model. Cross-validation of the width, ridge and center count is
+done by ``selection.run_experiment``: one path per fold scores every center
+count up to the path's length, and a cell must be scored in every fold, so
+a center count beyond a fold's early stop can never win.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .cv import FoldPlan, make_folds
 from .errors import ValidationError
 
 #: Candidates whose orthogonalized energy falls below this are numerically
@@ -33,8 +34,8 @@ TIE_TOL = 1e-12
 
 MAX_CENTERS_CAP = 100
 
-#: Default hyperparameter grids for cross-validated training. The width is
-#: the median pairwise input distance times a swept multiplier.
+#: Default hyperparameter grids, cross-validated by ``selection.run_experiment``.
+#: The width is the median pairwise input distance times a swept multiplier.
 WIDTH_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 RIDGE_GRID = tuple(10.0**e for e in range(-6, 1))
 
@@ -47,7 +48,6 @@ class RbfnModel:
     width: float
     weights: np.ndarray  # (k,)
     ridge: float = 0.0
-    metric: str = "l2"  # provenance label for reports
 
     def __post_init__(self):
         if self.width <= 0:
@@ -105,7 +105,6 @@ class RbfnPath:
     objective: np.ndarray  # (k + 1,)
     width: float
     ridge: float
-    metric: str = "l2"
 
     @property
     def max_size(self) -> int:
@@ -122,7 +121,7 @@ class RbfnPath:
 
     def model(self, k: int) -> RbfnModel:
         centers = self.inputs[self.selected[:k]].copy()
-        return RbfnModel(centers, self.width, self.weights(k), self.ridge, self.metric)
+        return RbfnModel(centers, self.width, self.weights(k), self.ridge)
 
     def predictions(self, X: np.ndarray, sizes: np.ndarray | None = None) -> np.ndarray:
         """Predictions of every truncation: (len(X), len(sizes)) matrix."""
@@ -141,7 +140,6 @@ def train_ols(
     width: float,
     ridge: float = 0.0,
     max_centers: int = MAX_CENTERS_CAP,
-    metric: str = "l2",
     candidate_idx: np.ndarray | None = None,
 ) -> RbfnPath:
     """Grow a network by regularized orthogonal forward selection.
@@ -164,7 +162,8 @@ def train_ols(
     -------
     RbfnPath
         The whole path, so every truncation (1..k centers) can be
-        evaluated without retraining.
+        evaluated without retraining. The path is shorter than
+        ``max_centers`` when no candidate with usable energy is left.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -197,14 +196,11 @@ def train_ols(
         proj = W.T @ y
         usable = available & (energy > ENERGY_TOL * base_energy)
         if not np.any(usable):
-            # path.max_size records where the early stop happened
-            warnings.warn(
-                "forward selection stopped early: no candidate with usable "
-                "energy left",
-                stacklevel=2,
-            )
-            break
-        reduction = np.where(usable, proj**2 / (energy + ridge), -np.inf)
+            break  # path.max_size records where the early stop happened
+        # selected columns are zeroed, so the criterion is formed on usable
+        # columns only (with ridge 0 it would be 0/0 on the others)
+        reduction = np.full(n_cand, -np.inf)
+        reduction[usable] = proj[usable] ** 2 / (energy[usable] + ridge)
         best = int(np.flatnonzero(reduction >= reduction.max() - TIE_TOL)[0])
 
         w_best = W[:, best].copy()
@@ -234,124 +230,4 @@ def train_ols(
         objective=np.array(objective),
         width=width,
         ridge=ridge,
-        metric=metric,
     )
-
-
-@dataclass(frozen=True)
-class CenterSelection:
-    """Cross-validated center count with the mean CV error curve."""
-
-    n_centers: int
-    cv_curve: np.ndarray  # mean per-sample validation SSE per center count
-    folds: int
-    seed: int | None
-
-
-def cv_error_curve(
-    X: np.ndarray,
-    y: np.ndarray,
-    width: float,
-    ridge: float,
-    max_centers: int,
-    plan: FoldPlan,
-    metric: str = "l2",
-) -> np.ndarray:
-    """Mean per-sample validation SSE for every path truncation.
-
-    Trains one path per fold and evaluates all center counts on the held
-    fold, so the cost stays linear in the cap.
-    """
-    curves = np.zeros(max_centers)
-    counts = np.zeros(max_centers)
-    for train_idx, val_idx in plan:
-        cap = min(max_centers, train_idx.size)
-        with warnings.catch_warnings():
-            # early stops are routine during width/ridge sweeps; short paths
-            # simply leave the tail of the curve unfilled
-            warnings.filterwarnings("ignore", message="forward selection stopped early")
-            path = train_ols(X[train_idx], y[train_idx], width, ridge, cap, metric)
-        preds = path.predictions(X[val_idx])
-        sse = np.sum((preds - y[val_idx][:, None]) ** 2, axis=0) / val_idx.size
-        curves[: path.max_size] += sse
-        counts[: path.max_size] += 1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        curve = curves / counts
-    curve[counts == 0] = np.inf
-    return curve
-
-
-def select_centers(
-    X: np.ndarray,
-    y: np.ndarray,
-    width: float,
-    ridge: float = 0.0,
-    max_centers: int = MAX_CENTERS_CAP,
-    folds: int = 4,
-    seed: int | None = None,
-    metric: str = "l2",
-) -> CenterSelection:
-    """Pick the center count minimizing mean k-fold validation error.
-
-    Ties break toward fewer centers. Fold assignment is seeded, so the
-    choice is deterministic per seed.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    plan = make_folds(X.shape[0], folds, seed)
-    cap = min(max_centers, min(t.size for t, _ in plan))
-    curve = cv_error_curve(X, y, width, ridge, cap, plan, metric)
-    best = int(np.argmin(curve)) + 1  # argmin returns the first (smallest) min
-    return CenterSelection(best, curve, folds, seed)
-
-
-@dataclass(frozen=True)
-class RbfnFit:
-    """Cross-validated RBFN: final model plus the selected hyperparameters."""
-
-    model: RbfnModel
-    width_multiplier: float
-    ridge: float
-    n_centers: int
-    cv_score: float
-    cv_table: dict = field(default_factory=dict, repr=False)
-
-
-def fit_rbfn(
-    X: np.ndarray,
-    y: np.ndarray,
-    width_multipliers: tuple[float, ...] = WIDTH_MULTIPLIERS,
-    ridges: tuple[float, ...] = RIDGE_GRID,
-    max_centers: int = MAX_CENTERS_CAP,
-    folds: int = 4,
-    seed: int | None = None,
-    metric: str = "l2",
-) -> RbfnFit:
-    """Joint k-fold selection of width multiplier, ridge and center count,
-    then a refit of the winner on all the data.
-
-    The grid winner is the cell with minimal mean validation error; exact
-    ties break lexicographically on (multiplier, ridge, centers).
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    plan = make_folds(X.shape[0], folds, seed)
-    cap = min(max_centers, X.shape[0], min(t.size for t, _ in plan))
-
-    base_width = median_width(X)
-    table: dict[tuple[float, float, int], float] = {}
-    best_cell, best_score = None, np.inf
-    for mult in width_multipliers:
-        for ridge in ridges:
-            curve = cv_error_curve(X, y, mult * base_width, ridge, cap, plan, metric)
-            for kc in range(1, cap + 1):
-                score = float(curve[kc - 1])
-                table[(mult, ridge, kc)] = score
-                if score < best_score:
-                    best_cell, best_score = (mult, ridge, kc), score
-    if best_cell is None:
-        raise ValidationError("empty hyperparameter grid")
-
-    mult, ridge, kc = best_cell
-    path = train_ols(X, y, mult * base_width, ridge, min(kc, X.shape[0]), metric)
-    return RbfnFit(path.model(min(kc, path.max_size)), mult, ridge, kc, best_score, table)

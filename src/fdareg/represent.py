@@ -19,8 +19,10 @@ from .basis import Basis, BSplineBasis, FourierBasis, GramFactor
 from .errors import (
     BasisMismatchError,
     DegenerateLooError,
+    FdaregError,
     SelectionError,
     UnidentifiableCoefficientsError,
+    ValidationError,
 )
 from .fdata import SampledFunction
 
@@ -190,13 +192,13 @@ def make_basis(
     if kind == "bspline":
         n_interior = dimension - order
         if n_interior < 0:
-            raise ValueError(
+            raise ValidationError(
                 f"dimension {dimension} below spline order {order}"
             )
         return BSplineBasis.uniform(a, b, n_interior, order)
     if kind == "fourier":
         return FourierBasis(a, b, dimension)
-    raise ValueError(f"unknown basis kind {kind!r}")
+    raise ValidationError(f"unknown basis kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -224,9 +226,10 @@ def select_basis_size(
     """Choose the basis dimension minimizing the summed leave-one-out score.
 
     Every candidate dimension is scored as the total of per-function LOO
-    scores; candidates for which any function fails (unidentifiable
-    coefficients, degenerate LOO) are skipped and reported. Ties break
-    toward the smaller dimension.
+    scores; candidates for which any function fails with a toolkit error
+    (out-of-range dimension, unidentifiable coefficients, degenerate LOO)
+    are skipped and reported. Any other exception is a bug and propagates.
+    Ties break toward the smaller dimension.
 
     Raises
     ------
@@ -245,7 +248,7 @@ def select_basis_size(
         try:
             b = make_basis(kind, domain, q, order)
             scores[q] = sum(loo_score(f, b) for f in functions)
-        except Exception as exc:  # noqa: BLE001 - per-candidate feasibility probe
+        except FdaregError as exc:  # per-candidate feasibility probe
             skipped[q] = f"{type(exc).__name__}: {exc}"
     if not scores:
         raise SelectionError(

@@ -7,6 +7,12 @@ its hyperparameter grids. :func:`run_experiment` cross-validates every grid
 cell on the training set only, refits the winner, and evaluates once on the
 test set, which stays sealed until that point.
 
+It is the one cross-validation engine of the toolkit, and its rule is that
+a cell must be scored in every fold. A cell can miss a fold when an RBFN
+selection path stops before its center count or when a fold's preprocessing
+fails; such a cell scores ``inf``, can never win, and is counted in one note
+on the report.
+
 Data-dependent preprocessing (imputation, column standardization, PCA and
 whitening statistics) is refitted inside every fold. Per-function steps
 (basis projection, centering, derivatives, expert scaling) use no
@@ -339,7 +345,6 @@ class _FittedPreproc:
         if spec.pca.kind != "none":
             cap = min(max_comp, min(X.shape) - 1)
             self.pca = fpca_mod.fit_fpca(X, n_components=cap)
-        self.train_X = X
 
     def transform(self, values, mask, n_comp: int | None, is_fit_data=False):
         X = values
@@ -363,6 +368,11 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     """Cross-validate all grid cells on the training set, refit the winner,
     and report the test RMSE.
 
+    A cell must be scored in every fold: its CV score is the mean of its
+    ``plan.k`` per-fold validation errors, and a cell that some fold did
+    not score is excluded (scored ``inf``) and counted in a note. Exact
+    ties break toward the smallest cell tuple.
+
     The test set is sealed on entry and only unlocked after the winning
     model has been refitted on the full training set; selection never
     touches it. Reports are deterministic given the spec's seed.
@@ -382,48 +392,49 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     comp_grid = spec.pca.grid(spec.model) if spec.pca.kind != "none" else (None,)
     max_comp = max(c for c in comp_grid if c is not None) if spec.pca.kind != "none" else None
 
-    # cell: (k_impute, n_comp, *model_params); scores accumulate fold means
-    table: dict[tuple, float] = {}
-
-    if spec.model == "mean":
-        for tr, va in plan:
-            mean = float(np.mean(y[tr]))
-            table[()] = table.get((), 0.0) + float(np.sum((y[va] - mean) ** 2)) / va.size
-    else:
-        for fold_i, (tr, va) in enumerate(plan):
-            for k_imp in impute_grid:
-                mask_tr = stage.train_mask[tr] if stage.train_mask is not None else None
-                mask_va = stage.train_mask[va] if stage.train_mask is not None else None
+    # cell: (k_impute, n_comp, *model_params) -> (summed fold errors, folds scored)
+    table: dict[tuple, tuple[float, int]] = {}
+    for fold_i, (tr, va) in enumerate(plan):
+        for k_imp in impute_grid:
+            mask_tr = stage.train_mask[tr] if stage.train_mask is not None else None
+            mask_va = stage.train_mask[va] if stage.train_mask is not None else None
+            try:
+                pre = _FittedPreproc(
+                    spec, k_imp, stage.train_values[tr], mask_tr, max_comp
+                )
+            except FdaregError as exc:
+                notes.append(f"fold {fold_i}, impute k={k_imp}: {exc}")
+                continue
+            for n_comp in comp_grid:
                 try:
-                    pre = _FittedPreproc(
-                        spec, k_imp, stage.train_values[tr], mask_tr, max_comp
+                    X_tr = pre.transform(
+                        stage.train_values[tr], mask_tr, n_comp, is_fit_data=True
                     )
+                    X_va = pre.transform(stage.train_values[va], mask_va, n_comp)
                 except FdaregError as exc:
-                    notes.append(f"fold {fold_i}, impute k={k_imp}: {exc}")
-                    continue
-                for n_comp in comp_grid:
-                    try:
-                        X_tr = pre.transform(
-                            stage.train_values[tr], mask_tr, n_comp, is_fit_data=True
-                        )
-                        X_va = pre.transform(stage.train_values[va], mask_va, n_comp)
-                    except FdaregError as exc:
-                        notes.append(
-                            f"fold {fold_i}, impute k={k_imp}, comps={n_comp}: {exc}"
-                        )
-                        continue
-                    _score_model_cells(
-                        spec, X_tr, y[tr], X_va, y[va], k_imp, n_comp, fold_i, table
+                    notes.append(
+                        f"fold {fold_i}, impute k={k_imp}, comps={n_comp}: {exc}"
                     )
+                    continue
+                _score_model_cells(
+                    spec, X_tr, y[tr], X_va, y[va], k_imp, n_comp, fold_i, table
+                )
 
-    if not table:
-        raise ConfigError(f"experiment {spec.name}: every grid cell failed")
-    for cell in table:
-        table[cell] /= plan.k
-    best_cell = min(sorted(table, key=_cell_sort_key), key=lambda c: table[c])
-    cv_score = float(table[best_cell])
+    scores = {
+        cell: total / plan.k if folds == plan.k else np.inf
+        for cell, (total, folds) in table.items()
+    }
+    partial = sum(1 for _, folds in table.values() if folds < plan.k)
+    if partial:
+        notes.append(f"{partial} cells not scored in every fold were excluded")
+    if partial == len(table):
+        raise ConfigError(
+            f"experiment {spec.name}: no grid cell was scored in every fold"
+        )
+    best_cell = min(sorted(scores, key=_cell_sort_key), key=lambda c: scores[c])
+    cv_score = float(scores[best_cell])
 
-    selected, predictor = _fit_final(spec, stage, best_cell, y, notes)
+    selected, predictor = _fit_final(spec, stage, best_cell, y)
 
     test_ds = sealed.unlock()
     test_values, test_mask = stage.features(test_ds)
@@ -445,9 +456,20 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     )
 
 
+def _add_fold_score(table: dict, cell: tuple, error: float) -> None:
+    """Add one fold's validation error of ``cell`` to the fold table."""
+    total, folds = table.get(cell, (0.0, 0))
+    table[cell] = (total + error, folds + 1)
+
+
 def _score_model_cells(spec, X_tr, y_tr, X_va, y_va, k_imp, n_comp, fold_i, table):
     """Evaluate every model-hyperparameter cell on one fold."""
-    if spec.model == "rbfn":
+    if spec.model == "mean":
+        mean = float(np.mean(y_tr))
+        _add_fold_score(
+            table, (k_imp, n_comp), float(np.sum((y_va - mean) ** 2)) / y_va.size
+        )
+    elif spec.model == "rbfn":
         base_width = rbfn_mod.median_width(X_tr)
         cap = min(spec.rbfn.max_centers, X_tr.shape[0])
         for mult in spec.rbfn.width_multipliers:
@@ -459,7 +481,7 @@ def _score_model_cells(spec, X_tr, y_tr, X_va, y_va, k_imp, n_comp, fold_i, tabl
                 sse = np.sum((preds - y_va[:, None]) ** 2, axis=0) / y_va.size
                 for i in range(path.max_size):
                     cell = (k_imp, n_comp, mult, float(ridge), i + 1)
-                    table[cell] = table.get(cell, 0.0) + float(sse[i])
+                    _add_fold_score(table, cell, float(sse[i]))
     else:  # mlp
         for hidden in spec.mlp.hidden_grid:
             for decay in spec.mlp.decay_grid:
@@ -473,10 +495,10 @@ def _score_model_cells(spec, X_tr, y_tr, X_va, y_va, k_imp, n_comp, fold_i, tabl
                     max_iter=spec.mlp.cv_max_iter,
                 )
                 err = mlp_mod.forward(net, X_va) - y_va
-                table[cell] = table.get(cell, 0.0) + float(err @ err) / y_va.size
+                _add_fold_score(table, cell, float(err @ err) / y_va.size)
 
 
-def _fit_final(spec, stage, cell, y, notes):
+def _fit_final(spec, stage, cell, y):
     """Refit the winning cell on the full training set.
 
     Returns the selected-parameter dict and a ``predict(values, mask)``

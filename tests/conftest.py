@@ -60,6 +60,14 @@ def synthetic_dataset(rng, n=40, m=30, domain=(0.0, 1.0), noise=0.01):
     return fdata.Dataset(funcs, targets, domain)
 
 
+def vector_dataset(X, y):
+    """Rows of ``X`` as curves sampled on a common grid, so the raw
+    representation hands the model exactly these vectors."""
+    grid = np.linspace(0.0, 1.0, X.shape[1])
+    funcs = [fdata.SampledFunction(grid, row, id=i) for i, row in enumerate(X)]
+    return fdata.Dataset(funcs, y, (0.0, 1.0))
+
+
 @pytest.fixture
 def small_bspline():
     return basis.BSplineBasis.uniform(0.0, 1.0, 5, 4)

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from fdareg import mlp
+from conftest import vector_dataset
+from fdareg import fdata, mlp
 from fdareg.errors import ValidationError
+from fdareg.selection import (
+    ExperimentSpec,
+    MlpSettings,
+    PcaSpec,
+    RbfnSettings,
+    RepresentationSpec,
+    run_experiment,
+)
 
 
 def finite_difference_grad(params, X, y, hidden, decay, eps=1e-5):
@@ -139,36 +148,36 @@ class TestTrain:
 
 
 class TestSelectMeta:
+    """PCA size, hidden units and decay are chosen by ``run_experiment``."""
+
     def test_degenerate_grid_single_cell(self, rng):
-        X = rng.normal(size=(24, 5))
-        y = X[:, 0] + 0.1 * rng.normal(size=24)
-        sel = mlp.select_meta(
-            X, y, hidden_grid=(2,), decay_grid=(1e-3,), component_grid=(2,),
-            folds=3, fold_seed=0, restarts=3, max_iter=80,
+        X = rng.normal(size=(30, 5))
+        y = X[:, 0] + 0.1 * rng.normal(size=30)
+        train, test = fdata.split(vector_dataset(X, y), 6, shuffle=False)
+        spec = ExperimentSpec(
+            "one-mlp", "mlp", RepresentationSpec("raw"),
+            pca=PcaSpec("classical", n_components=2, whiten=True),
+            mlp=MlpSettings(hidden_grid=(2,), decay_grid=(1e-3,), restarts=3,
+                            cv_restarts=3, max_iter=80, cv_max_iter=80),
+            folds=3,
         )
-        assert (sel.hidden, sel.decay, sel.n_components) == (2, 1e-3, 2)
+        report = run_experiment(spec, train, test)
+        assert report.selected == {"n_components": 2, "hidden": 2, "decay": 1e-3}
 
     def test_deterministic(self, rng):
-        X = rng.normal(size=(24, 4))
+        X = rng.normal(size=(30, 4))
         y = X[:, 0] - X[:, 1]
-        kwargs = dict(
-            hidden_grid=(1, 2), decay_grid=(1e-4, 1e-2), component_grid=(1, 2, 3),
-            folds=3, fold_seed=5, restart_seed=9, restarts=3, max_iter=60,
+        train, test = fdata.split(vector_dataset(X, y), 6, shuffle=False)
+        spec = ExperimentSpec(
+            "det-mlp", "mlp", RepresentationSpec("raw"),
+            pca=PcaSpec("classical", n_components="cv", component_grid=(1, 2, 3),
+                        whiten=True),
+            mlp=MlpSettings(hidden_grid=(1, 2), decay_grid=(1e-4, 1e-2), restarts=3,
+                            cv_restarts=3, max_iter=60, cv_max_iter=60),
+            folds=3,
+            seed=9,
         )
-        a = mlp.select_meta(X, y, **kwargs)
-        b = mlp.select_meta(X, y, **kwargs)
-        assert (a.hidden, a.decay, a.n_components) == (b.hidden, b.decay, b.n_components)
-        assert a.cv_table == b.cv_table
-
-    def test_selects_informative_components(self, rng):
-        # target depends on two strong directions; CV should not pick 1 comp
-        n = 48
-        basis_dirs = np.linalg.qr(rng.normal(size=(6, 6)))[0]
-        scores = rng.normal(size=(n, 2)) * [3.0, 2.0]
-        X = scores @ basis_dirs[:2] + 0.01 * rng.normal(size=(n, 6))
-        y = scores[:, 0] * scores[:, 1]
-        sel = mlp.select_meta(
-            X, y, hidden_grid=(3,), decay_grid=(1e-4,), component_grid=(1, 2),
-            folds=4, fold_seed=1, restarts=4, max_iter=150,
-        )
-        assert sel.n_components == 2
+        a = run_experiment(spec, train, test)
+        b = run_experiment(spec, train, test)
+        assert a.selected == b.selected
+        assert (a.cv_score, a.test_rmse, a.notes) == (b.cv_score, b.test_rmse, b.notes)

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from fdareg import rbfn
+from conftest import vector_dataset
+from fdareg import fdata, rbfn
 from fdareg.errors import ValidationError
+from fdareg.selection import (
+    ExperimentSpec,
+    RbfnSettings,
+    RepresentationSpec,
+    run_experiment,
+)
 
 
 def brute_force_greedy(F, y, ridge, steps):
@@ -119,6 +126,15 @@ class TestTrainOls:
         with pytest.raises(ValidationError):
             rbfn.train_ols(X, np.zeros(5), 1.0, 0.0, max_centers=6)
 
+    def test_early_stop_shortens_path(self, rng):
+        # every point twice: once one twin is selected the other has no
+        # energy left, so the path stops after the distinct points
+        X = np.repeat(rng.normal(size=(4, 2)), 2, axis=0)
+        y = rng.normal(size=8)
+        path = rbfn.train_ols(X, y, 1.0, ridge=0.0, max_centers=8)
+        assert path.max_size == 4
+        assert len(set(map(tuple, X[path.selected]))) == 4
+
     def test_truncation_weights_consistent(self, rng):
         # model(k) must reproduce a fresh training run capped at k
         X = rng.normal(size=(20, 2))
@@ -130,28 +146,32 @@ class TestTrainOls:
 
 
 class TestSelectCenters:
-    def test_u_shaped_cv_curve(self, rng):
-        # smooth target + noise: too few centers underfit, too many overfit
-        n = 80
-        X = np.sort(rng.uniform(-3, 3, n))[:, None]
-        y = np.sin(X[:, 0]) + 0.4 * rng.normal(size=n)
-        sel = rbfn.select_centers(X, y, width=1.0, ridge=0.0, max_centers=55, seed=3)
-        assert 1 < sel.n_centers < 55
-        assert sel.cv_curve[sel.n_centers - 1] <= sel.cv_curve.min() + 1e-12
+    """Width, ridge and center count are chosen by ``run_experiment``."""
 
     def test_single_candidate_path(self, rng):
-        X = rng.normal(size=(12, 2))
-        y = rng.normal(size=12)
-        sel = rbfn.select_centers(X, y, width=1.0, max_centers=1, seed=0)
-        assert sel.n_centers == 1
+        X = rng.normal(size=(16, 2))
+        y = rng.normal(size=16)
+        train, test = fdata.split(vector_dataset(X, y), 4, shuffle=False)
+        spec = ExperimentSpec(
+            "one-rbfn", "rbfn", RepresentationSpec("raw"),
+            rbfn=RbfnSettings(width_multipliers=(1.0,), ridges=(1e-3,), max_centers=1),
+        )
+        report = run_experiment(spec, train, test)
+        assert report.selected == {"width_multiplier": 1.0, "ridge": 1e-3, "n_centers": 1}
 
     def test_deterministic_per_seed(self, rng):
-        X = rng.normal(size=(24, 2))
-        y = rng.normal(size=24)
-        a = rbfn.select_centers(X, y, 1.0, 1e-3, max_centers=12, seed=9)
-        b = rbfn.select_centers(X, y, 1.0, 1e-3, max_centers=12, seed=9)
-        assert a.n_centers == b.n_centers
-        np.testing.assert_array_equal(a.cv_curve, b.cv_curve)
+        X = rng.normal(size=(28, 2))
+        y = rng.normal(size=28)
+        train, test = fdata.split(vector_dataset(X, y), 4, shuffle=False)
+        spec = ExperimentSpec(
+            "det-rbfn", "rbfn", RepresentationSpec("raw"),
+            rbfn=RbfnSettings(width_multipliers=(1.0,), ridges=(1e-3,), max_centers=12),
+            seed=9,
+        )
+        a = run_experiment(spec, train, test)
+        b = run_experiment(spec, train, test)
+        assert a.selected == b.selected
+        assert (a.cv_score, a.test_rmse, a.notes) == (b.cv_score, b.test_rmse, b.notes)
 
 
 class TestFitRbfn:
@@ -159,11 +179,13 @@ class TestFitRbfn:
         n = 60
         X = rng.uniform(-2, 2, size=(n, 2))
         y = np.exp(-np.sum(X**2, axis=1)) * 3.0 + 0.05 * rng.normal(size=n)
-        fit = rbfn.fit_rbfn(
-            X, y, width_multipliers=(0.5, 1.0, 2.0),
-            ridges=(1e-6, 1e-3), max_centers=30, seed=5,
-        )
         test_X = rng.uniform(-2, 2, size=(40, 2))
         test_y = np.exp(-np.sum(test_X**2, axis=1)) * 3.0
-        resid = rbfn.predict(fit.model, test_X) - test_y
-        assert np.sqrt(np.mean(resid**2)) < 0.2
+        spec = ExperimentSpec(
+            "bump", "rbfn", RepresentationSpec("raw"),
+            rbfn=RbfnSettings(width_multipliers=(0.5, 1.0, 2.0), ridges=(1e-6, 1e-3),
+                              max_centers=30),
+            seed=5,
+        )
+        report = run_experiment(spec, vector_dataset(X, y), vector_dataset(test_X, test_y))
+        assert report.test_rmse < 0.2

@@ -146,6 +146,27 @@ class TestSelectBasisSize:
         assert 20 in sel.skipped  # square design: degenerate LOO
         assert sel.dimension in (8, 19)
 
+    def test_dimension_below_order_skipped(self, rng):
+        ds = synthetic_dataset(rng, n=4, m=20)
+        sel = represent.select_basis_size(
+            ds.functions, ds.domain, "bspline", 4, candidates=[3, 8]
+        )
+        assert sel.skipped[3].startswith("ValidationError")
+        assert sel.dimension == 8
+
+    def test_unexpected_error_propagates(self, rng, monkeypatch):
+        # only toolkit errors mark a candidate infeasible; anything else is
+        # a bug and must not be reported as a skipped candidate
+        def broken(f, b):
+            raise RuntimeError("bug in the LOO score")
+
+        monkeypatch.setattr(represent, "loo_score", broken)
+        ds = synthetic_dataset(rng, n=4, m=20)
+        with pytest.raises(RuntimeError, match="bug in the LOO score"):
+            represent.select_basis_size(
+                ds.functions, ds.domain, "bspline", 4, candidates=[8]
+            )
+
     def test_all_infeasible_raises(self, rng):
         ds = synthetic_dataset(rng, n=3, m=10)
         with pytest.raises(SelectionError):

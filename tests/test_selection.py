@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import synthetic_dataset
+from conftest import synthetic_dataset, vector_dataset
 from fdareg import fdata
-from fdareg.cv import make_folds, rmse
+from fdareg import rbfn as rbfn_mod
+from fdareg.cv import derive_seed, make_folds, rmse
 from fdareg.errors import ConfigError
 from fdareg.selection import (
     ExperimentSpec,
@@ -196,12 +197,101 @@ class TestRunExperiment:
         assert a.test_rmse == b.test_rmse
         assert a.selected == b.selected
         assert a.cv_score == b.cv_score
+        assert a.notes == b.notes
 
     def test_mean_baseline(self, data):
         train, test = data
         report = run_experiment(ExperimentSpec("mean", "mean"), train, test)
         expected = rmse(np.full(len(test), train.targets.mean()), test.targets)
         assert report.test_rmse == pytest.approx(expected)
+
+    def test_rbfn_interior_center_count(self, rng):
+        # smooth target + noise: too few centers underfit, too many overfit
+        n = 80
+        t = rng.uniform(-3, 3, n)
+        X = np.outer(t, np.ones(3)) / np.sqrt(3)  # Euclidean distance = |t - t'|
+        y = np.sin(t) + 0.4 * rng.normal(size=n)
+        train, test = fdata.split(vector_dataset(X, y), 20, shuffle=False)
+        spec = ExperimentSpec(
+            "noisy", "rbfn", RepresentationSpec("raw"),
+            rbfn=RbfnSettings(width_multipliers=(1.0,), ridges=(0.0,), max_centers=40),
+            seed=3,
+        )
+        report = run_experiment(spec, train, test)
+        assert 1 < report.selected["n_centers"] < 40
+        assert np.isfinite(report.cv_score)
+
+    def test_mlp_selects_informative_components(self, rng):
+        # target depends on two strong directions; CV should not pick 1 comp
+        n = 60
+        basis_dirs = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        scores = rng.normal(size=(n, 2)) * [3.0, 2.0]
+        X = scores @ basis_dirs[:2] + 0.01 * rng.normal(size=(n, 6))
+        y = scores[:, 0] * scores[:, 1]
+        train, test = fdata.split(vector_dataset(X, y), 12, shuffle=False)
+        spec = ExperimentSpec(
+            "informative", "mlp", RepresentationSpec("raw"),
+            pca=PcaSpec("classical", n_components="cv", component_grid=(1, 2),
+                        whiten=True),
+            mlp=MlpSettings(hidden_grid=(3,), decay_grid=(1e-4,), restarts=4,
+                            cv_restarts=4, max_iter=150, cv_max_iter=150),
+            seed=1,
+        )
+        report = run_experiment(spec, train, test)
+        assert report.selected["n_components"] == 2
+
+
+class TestFoldTable:
+    """Oracle for the CV rule: a cell must be scored in every fold."""
+
+    LENGTHS = (8, 3, 3, 3)  # RBFN path length per fold
+
+    def test_partial_cell_never_wins(self, data, monkeypatch):
+        train, test = data
+        ridge = 1e-3
+        spec = ExperimentSpec(
+            "partial", "rbfn", RepresentationSpec("raw"),
+            rbfn=RbfnSettings(width_multipliers=(1.0,), ridges=(ridge,), max_centers=8),
+            seed=3,
+        )
+        real_train_ols = rbfn_mod.train_ols
+        lengths = []
+
+        def fixed_length(X, y, width, ridge, max_centers, **kwargs):
+            # one path per fold in plan order, then the final refit
+            fold = len(lengths)
+            length = self.LENGTHS[fold] if fold < len(self.LENGTHS) else max_centers
+            lengths.append(length)
+            return real_train_ols(X, y, width, ridge, length, **kwargs)
+
+        monkeypatch.setattr(rbfn_mod, "train_ols", fixed_length)
+        report = run_experiment(spec, train, test)
+        assert len(lengths) == len(self.LENGTHS) + 1
+
+        # the fold table by hand: center count -> validation MSE per fold
+        X, y = train.matrix(), train.targets
+        plan = make_folds(len(train), spec.folds, derive_seed(spec.seed, "folds"))
+        errors: dict[int, list[float]] = {}
+        for (tr, va), length in zip(plan, self.LENGTHS):
+            width = rbfn_mod.median_width(X[tr])
+            path = real_train_ols(X[tr], y[tr], width, ridge, length)
+            for kc in range(1, path.max_size + 1):
+                err = rbfn_mod.predict(path.model(kc), X[va]) - y[va]
+                errors.setdefault(kc, []).append(float(err @ err) / va.size)
+        full = {kc: sum(e) / plan.k for kc, e in errors.items() if len(e) == plan.k}
+        partial = {kc: e[0] for kc, e in errors.items() if len(e) < plan.k}
+        assert sorted(full) == [1, 2, 3] and sorted(partial) == [4, 5, 6, 7, 8]
+
+        # a partial cell's single-fold score beats every full cell, and
+        # dividing every cell's sum by k would pick a partial cell
+        assert min(partial.values()) < min(full.values())
+        summed = {kc: sum(e) / plan.k for kc, e in errors.items()}
+        assert min(summed, key=summed.get) in partial
+
+        expected = min(full, key=full.get)
+        assert report.selected["n_centers"] == expected
+        assert report.cv_score == pytest.approx(full[expected], rel=1e-12)
+        assert report.notes == ("5 cells not scored in every fold were excluded",)
 
 
 @pytest.fixture(scope="module")
