@@ -390,23 +390,3 @@ class FourierBasis(_BasisBase):
 
 Basis = BSplineBasis | FourierBasis
 
-
-def eval_basis(basis: Basis, x) -> np.ndarray:
-    """Evaluate every basis function at ``x`` (vector of length ``q``)."""
-    return basis.evaluate(x)
-
-
-def gram(basis: Basis, quad_points: int | None = None) -> GramFactor:
-    """Gram matrix of the basis with its Cholesky factor attached.
-
-    B-spline Gram matrices come from fixed-node Gauss-Legendre quadrature
-    applied per knot interval (``quad_points`` nodes per interval, default
-    the spline order, which is already exact); the Fourier Gram matrix is
-    the identity analytically.
-    """
-    return basis.gram_factor(quad_points)
-
-
-def derivative_basis(basis: Basis, s: int) -> tuple[Basis, np.ndarray]:
-    """Derivative basis and the coefficient map alpha -> alpha' for d^s/dx^s."""
-    return basis.derivative_basis(s)

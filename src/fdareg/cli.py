@@ -91,12 +91,10 @@ def cmd_represent(args) -> int:
     basis = represent.make_basis(args.basis, dataset.domain, dimension, args.order)
     gram = basis.gram_factor(args.quad_points)
 
-    reps = [represent.fit(f, basis, gram) for f in dataset.functions]
+    alpha, sse = represent.fit_dataset(dataset.functions, basis)
+    beta = alpha @ gram.chol.T
     header = ",".join(f"c{k}" for k in range(dimension))
-    for name, mat in (
-        ("alpha", np.array([r.alpha for r in reps])),
-        ("beta", np.array([r.beta for r in reps])),
-    ):
+    for name, mat in (("alpha", alpha), ("beta", beta)):
         rows = [f"id,{header}"]
         rows += [
             f"{f.id}," + ",".join(f"{v:.12g}" for v in row)
@@ -107,8 +105,8 @@ def cmd_represent(args) -> int:
     # reconstructions at the sample abscissas, reloadable as a dataset
     recon = fdata.Dataset(
         [
-            fdata.SampledFunction(f.x, r(f.x), id=f.id)
-            for f, r in zip(dataset.functions, reps)
+            fdata.SampledFunction(f.x, basis.evaluate(f.x) @ a, id=f.id)
+            for f, a in zip(dataset.functions, alpha)
         ],
         dataset.targets,
         dataset.domain,
@@ -120,11 +118,11 @@ def cmd_represent(args) -> int:
         "order": args.order,
         "dimension": dimension,
         "n_functions": len(dataset),
-        "mean_sse": float(np.mean([r.sse for r in reps])),
+        "mean_sse": float(np.mean(sse)),
     }
     _write_manifest(outdir, {"command": "represent", "args": _args_dict(args), **summary})
     if args.emit_curves:
-        _emit_curves(dataset, reps, outdir, args)
+        _emit_curves(dataset, alpha, basis, gram, outdir, args)
     print(
         f"represented {len(dataset)} functions on a {args.basis} basis "
         f"(order {args.order}, dimension {dimension}); outputs in {outdir}"
@@ -132,7 +130,7 @@ def cmd_represent(args) -> int:
     return 0
 
 
-def _emit_curves(dataset, reps, outdir: Path, args) -> None:
+def _emit_curves(dataset, alpha, basis, gram, outdir: Path, args) -> None:
     """Plot-ready (x, y) curve files: samples, fits, derivatives, variance."""
     a, b = dataset.domain
     grid = np.linspace(a, b, 400)
@@ -143,33 +141,21 @@ def _emit_curves(dataset, reps, outdir: Path, args) -> None:
         lines += [",".join(f"{v:.10g}" for v in row) for row in rows]
         _atomic_write(outdir / name, "\n".join(lines) + "\n")
 
-    for i in range(n_show):
-        f, r = dataset.functions[i], reps[i]
-        curve_file(
-            f"curve_samples_{i}.csv", ["x", "y"], np.column_stack([f.x, f.y])
-        )
-        curve_file(
-            f"curve_fit_{i}.csv", ["x", "y"], np.column_stack([grid, r(grid)])
-        )
+    for i, f in enumerate(dataset.functions[:n_show]):
+        curve_file(f"curve_samples_{i}.csv", ["x", "y"], np.column_stack([f.x, f.y]))
+    for kind, name in (("none", "fit"), ("center-reduce", "center_reduce"),
+                       ("deriv1", "deriv1"), ("deriv2", "deriv2")):
         try:
-            centered = transforms.center_reduce(r)
-            curve_file(
-                f"curve_center_reduce_{i}.csv",
-                ["x", "y"],
-                np.column_stack([grid, centered(grid)]),
-            )
+            coefs, on, _ = transforms.transform_dataset(alpha[:n_show], basis, gram, kind)
         except FdaregError:
-            pass
-        for s in (1, 2):
-            try:
-                d = transforms.derive(r, s)
-            except FdaregError:
-                break
+            continue  # a constant shown function, or a derivative the basis lacks
+        values = on.evaluate(grid) @ coefs.T
+        for i in range(n_show):
             curve_file(
-                f"curve_deriv{s}_{i}.csv", ["x", "y"], np.column_stack([grid, d(grid)])
+                f"curve_{name}_{i}.csv", ["x", "y"], np.column_stack([grid, values[:, i]])
             )
 
-    betas = np.array([r.beta for r in reps])
+    betas = alpha @ gram.chol.T
     model = fpca.fit_fpca(betas)
     ratio = model.explained_variance_ratio()
     curve_file(
@@ -177,7 +163,7 @@ def _emit_curves(dataset, reps, outdir: Path, args) -> None:
         ["component", "explained_variance_pct"],
         np.column_stack([np.arange(1, ratio.size + 1), 100.0 * ratio]),
     )
-    means = np.array([transforms.functional_stats(r).mu for r in reps])
+    _, means, _, _ = transforms.row_stats(alpha, basis, gram)
     first_scores = fpca.scores(model, betas, n_components=1)[:, 0]
     curve_file(
         "curve_pc1_vs_mean.csv",

@@ -15,32 +15,11 @@ centering/reduction without any function representation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ImputationError, IncomparableSampleError, ScalingError, ValidationError
 from .fdata import Dataset
-
-
-@dataclass(frozen=True)
-class MaskedVector:
-    """A p-vector on the common grid plus the set of observed indices."""
-
-    values: np.ndarray
-    mask: np.ndarray  # True where observed
-
-    def __post_init__(self):
-        if self.values.shape != self.mask.shape or self.values.ndim != 1:
-            raise ValidationError("values and mask must be 1-d with equal length")
-        if not np.any(self.mask):
-            raise ValidationError("a masked vector needs at least one observed entry")
-        self.values.setflags(write=False)
-        self.mask.setflags(write=False)
-
-    @property
-    def observed(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
 
 
 def masked_matrix_from_dataset(dataset: Dataset, grid: np.ndarray, atol: float = 1e-9):
@@ -119,9 +98,8 @@ class KnnImputer:
         shared = self.mask_ & m[None, :]
         counts = shared.sum(axis=1)
         diff = np.where(shared, self.values_ - x[None, :], 0.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            d = np.einsum("ij,ij->i", diff, diff) / counts
-        d[counts == 0] = np.inf
+        d = np.full(counts.shape, np.inf)  # no shared coordinate: incomparable
+        np.divide(np.einsum("ij,ij->i", diff, diff), counts, out=d, where=counts > 0)
         if skip is not None:
             d[skip] = np.inf
         return d
@@ -174,32 +152,33 @@ def knn_impute(values: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
     return imp.transform(values, mask, is_fit_data=True)
 
 
-def expert_scale(mv: MaskedVector) -> MaskedVector:
-    """Center and normalize observed entries over the observed index set.
-
-    Observed entries become ``(x_i - mean) / sqrt(sum (x_j - mean)^2)``
-    with both statistics over ``nm(x)``; the mask is unchanged and missing
-    entries stay untouched. Raises :class:`ScalingError` when fewer than 2
-    entries are observed or the observed values are constant.
-    """
-    obs = mv.observed
-    if obs.size < 2:
-        raise ScalingError("expert scaling needs at least 2 observed entries")
-    x = mv.values[obs]
-    mean = float(np.mean(x))
-    dev = x - mean
-    denom = float(np.sqrt(dev @ dev))
-    if denom < 1e-12 * max(1.0, float(np.max(np.abs(x)))):
-        raise ScalingError("observed values are constant; scaling is undefined")
-    out = np.array(mv.values, dtype=float)
-    out[obs] = dev / denom
-    return MaskedVector(out, np.array(mv.mask))
-
-
 def expert_scale_matrix(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise expert scaling of a masked matrix."""
+    """Center and normalize every row over its own observed entries.
+
+    Observed entries of row ``x`` become
+    ``(x_i - mean) / sqrt(sum (x_j - mean)^2)`` with both statistics over
+    ``nm(x)``; missing entries stay untouched. Raises :class:`ScalingError`
+    naming the first row with fewer than 2 observed entries or constant
+    observed values.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    counts = mask.sum(axis=1)
+    short = np.flatnonzero(counts < 2)
+    if short.size:
+        raise ScalingError(
+            f"row {int(short[0])}: expert scaling needs at least 2 observed entries"
+        )
+    observed = np.where(mask, values, 0.0)
+    mean = observed.sum(axis=1) / counts
+    dev = np.where(mask, values - mean[:, None], 0.0)
+    denom = np.sqrt(np.einsum("ij,ij->i", dev, dev))
+    # unobserved entries read 0 here, which never beats the floor of 1
+    scale = np.maximum(1.0, np.max(np.abs(observed), axis=1))
+    flat = np.flatnonzero(denom < 1e-12 * scale)
+    if flat.size:
+        raise ScalingError(
+            f"row {int(flat[0])}: observed values are constant; scaling is undefined"
+        )
     out = np.array(values, dtype=float)
-    for i in range(out.shape[0]):
-        mv = expert_scale(MaskedVector(out[i].copy(), np.asarray(mask[i], dtype=bool)))
-        out[i] = mv.values
+    out[mask] = (dev / denom[:, None])[mask]
     return out

@@ -3,8 +3,15 @@
 The fit minimizes ``sum_j (y_j - sum_k alpha_k phi_k(x_j))^2`` through an
 orthogonal (QR) decomposition of the design matrix, which also yields the
 smoother-matrix diagonal needed for the closed-form leave-one-out score.
-Scaled coordinates ``beta = U alpha`` make canonical dot products equal L2
-inner products of the reconstructed functions.
+
+The numerical path works on whole datasets: :func:`fit_dataset` and
+:func:`loo_scores` group the functions by identical abscissa array and run
+one pivoted QR per group, so spectra sharing one grid cost one
+factorization, and return an ``(n, q)`` coefficient matrix or ``n`` scores.
+:func:`fit`, :func:`loo_score` and :func:`hat_diagonal` are one-function
+views of the same code. Scaled coordinates ``beta = U alpha`` make
+canonical dot products equal L2 inner products of the reconstructed
+functions.
 """
 
 from __future__ import annotations
@@ -60,10 +67,13 @@ class Representation:
         return self.basis.evaluate(x) @ self.alpha
 
 
-def _qr_solve(design: np.ndarray, y: np.ndarray):
-    """Pivoted-QR least squares with identifiability checks.
+def _qr_solve(design: np.ndarray, Y: np.ndarray):
+    """Pivoted-QR least squares of a block of curves sharing one design.
 
-    Returns ``(alpha, fitted, sse, hat_diag)``. Raises
+    ``Y`` is ``(m, n)``: one column per curve sampled at the design's rows.
+    Returns ``(alpha, resid, hat_diag)`` with ``alpha`` ``(q, n)``, the
+    residuals ``resid`` ``(m, n)`` and the design's hat diagonal
+    ``rowsum(Q^2)`` ``(m,)``. Raises
     :class:`UnidentifiableCoefficientsError` naming the basis indices whose
     coefficients cannot be estimated when the design is rank-deficient or
     its triangular factor's condition estimate exceeds ``COND_THRESHOLD``.
@@ -87,14 +97,77 @@ def _qr_solve(design: np.ndarray, y: np.ndarray):
             f"unidentifiable basis indices: {sorted(int(i) for i in bad)}",
             indices=sorted(int(i) for i in bad),
         )
-    z = qmat.T @ y
-    alpha = np.empty(q)
-    alpha[piv] = scipy.linalg.solve_triangular(rmat, z)
-    fitted = design @ alpha
-    resid = y - fitted
-    sse = float(resid @ resid)
+    alpha = np.empty((q, Y.shape[1]))
+    alpha[piv] = scipy.linalg.solve_triangular(rmat, qmat.T @ Y)
     hat_diag = np.einsum("ij,ij->i", qmat, qmat)
-    return alpha, fitted, sse, hat_diag
+    return alpha, Y - design @ alpha, hat_diag
+
+
+def _group_fits(functions: Sequence[SampledFunction], basis: Basis):
+    """One QR per distinct sampling grid: yields ``(indices, fit)`` for the
+    functions sharing one abscissa array, ``fit`` the :func:`_qr_solve`
+    output for their samples."""
+    groups: dict[bytes, list[int]] = {}
+    for i, f in enumerate(functions):
+        groups.setdefault(f.x.tobytes(), []).append(i)
+    for idx in groups.values():
+        Y = np.column_stack([functions[i].y for i in idx])
+        yield idx, _qr_solve(basis.evaluate(functions[idx[0]].x), Y)
+
+
+def fit_dataset(
+    functions: Sequence[SampledFunction], basis: Basis
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project every sampled function onto a basis by least squares.
+
+    Functions sampled at identical abscissas share one pivoted QR.
+
+    Returns
+    -------
+    alpha : ndarray, shape (n, q)
+        Row ``i`` holds the coordinates of ``functions[i]``.
+    sse : ndarray, shape (n,)
+        Residual sums of squares.
+
+    Raises
+    ------
+    UnidentifiableCoefficientsError
+        Rank-deficient or ill-conditioned design on some grid, e.g. a
+        B-spline with no samples in its support.
+    """
+    alpha = np.empty((len(functions), basis.dimension))
+    sse = np.empty(len(functions))
+    for idx, (a, resid, _) in _group_fits(functions, basis):
+        alpha[idx] = a.T
+        sse[idx] = np.einsum("ij,ij->j", resid, resid)
+    return alpha, sse
+
+
+def loo_scores(functions: Sequence[SampledFunction], basis: Basis) -> np.ndarray:
+    """Closed-form leave-one-out mean squared reconstruction error of every
+    function, shape ``(n,)``.
+
+    Equals the naive score from ``m`` refits each omitting one point, but
+    costs one fit per distinct grid:
+    ``(1/m) sum_i ((y_i - g(x_i)) / (1 - S_ii))^2`` with ``S`` the smoother
+    matrix, whose diagonal depends on the grid only.
+
+    Raises
+    ------
+    DegenerateLooError
+        Some ``S_ii`` reaches 1 (interpolating regime, e.g. ``q = m``).
+    UnidentifiableCoefficientsError
+        As in :func:`fit_dataset`.
+    """
+    scores = np.empty(len(functions))
+    for idx, (_, resid, hat) in _group_fits(functions, basis):
+        if np.any(hat >= 1.0 - 1e-12):
+            raise DegenerateLooError(
+                "hat diagonal reaches 1: leave-one-out undefined (interpolating fit)"
+            )
+        ratio = resid / (1.0 - hat)[:, None]
+        scores[idx] = np.mean(ratio**2, axis=0)
+    return scores
 
 
 def fit(
@@ -102,22 +175,11 @@ def fit(
     basis: Basis,
     gram: GramFactor | None = None,
 ) -> Representation:
-    """Project a sampled function onto a basis by least squares.
+    """Project one sampled function onto a basis: a one-row
+    :func:`fit_dataset`.
 
-    Parameters
-    ----------
-    f : SampledFunction
-        Samples ``(x_j, y_j)``; needs at least as many points as basis
-        functions, with every basis function's support covered.
-    basis : BSplineBasis or FourierBasis
-    gram : GramFactor, optional
-        Reused if given; computed (and cached) from the basis otherwise.
-
-    Returns
-    -------
-    Representation
-        Coordinates minimizing the residual sum of squares, with scaled
-        coordinates ``beta = U alpha`` attached.
+    ``gram`` is reused if given and computed (and cached) from the basis
+    otherwise; the result carries ``beta = U alpha``.
 
     Raises
     ------
@@ -127,9 +189,8 @@ def fit(
     """
     if gram is None:
         gram = basis.gram_factor()
-    design = basis.evaluate(f.x)
-    alpha, _, sse, _ = _qr_solve(design, f.y)
-    return Representation(basis, gram, alpha, gram.chol @ alpha, sse)
+    alpha, sse = fit_dataset([f], basis)
+    return Representation(basis, gram, alpha[0], gram.chol @ alpha[0], float(sse[0]))
 
 
 def hat_diagonal(f: SampledFunction, basis: Basis) -> np.ndarray:
@@ -137,31 +198,12 @@ def hat_diagonal(f: SampledFunction, basis: Basis) -> np.ndarray:
 
     Entries lie in [0, 1] and sum to ``q`` for a full-column-rank design.
     """
-    design = basis.evaluate(f.x)
-    _, _, _, hat = _qr_solve(design, f.y)
-    return hat
+    return _qr_solve(basis.evaluate(f.x), f.y[:, None])[2]
 
 
 def loo_score(f: SampledFunction, basis: Basis) -> float:
-    """Closed-form leave-one-out mean squared reconstruction error.
-
-    Equals the naive score from ``m`` refits each omitting one point, but
-    costs one fit: ``(1/m) sum_i ((y_i - g(x_i)) / (1 - S_ii))^2`` with
-    ``S`` the smoother matrix.
-
-    Raises
-    ------
-    DegenerateLooError
-        Some ``S_ii`` reaches 1 (interpolating regime, e.g. ``q = m``).
-    """
-    design = basis.evaluate(f.x)
-    _, fitted, _, hat = _qr_solve(design, f.y)
-    if np.any(hat >= 1.0 - 1e-12):
-        raise DegenerateLooError(
-            "hat diagonal reaches 1: leave-one-out undefined (interpolating fit)"
-        )
-    ratio = (f.y - fitted) / (1.0 - hat)
-    return float(np.mean(ratio**2))
+    """Leave-one-out score of one function: a one-row :func:`loo_scores`."""
+    return float(loo_scores([f], basis)[0])
 
 
 def _default_candidates(kind: str, order: int, min_m: int) -> list[int]:
@@ -225,10 +267,10 @@ def select_basis_size(
 ) -> BasisSelection:
     """Choose the basis dimension minimizing the summed leave-one-out score.
 
-    Every candidate dimension is scored as the total of per-function LOO
-    scores; candidates for which any function fails with a toolkit error
-    (out-of-range dimension, unidentifiable coefficients, degenerate LOO)
-    are skipped and reported. Any other exception is a bug and propagates.
+    Every candidate dimension is scored as the total of the per-function
+    LOO scores of :func:`loo_scores`; candidates for which any function
+    fails with a toolkit error (out-of-range dimension, unidentifiable
+    coefficients, degenerate LOO) are skipped and reported. Any other exception is a bug and propagates.
     Ties break toward the smaller dimension.
 
     Raises
@@ -247,7 +289,7 @@ def select_basis_size(
     for q in candidates:
         try:
             b = make_basis(kind, domain, q, order)
-            scores[q] = sum(loo_score(f, b) for f in functions)
+            scores[q] = float(np.sum(loo_scores(functions, b)))
         except FdaregError as exc:  # per-candidate feasibility probe
             skipped[q] = f"{type(exc).__name__}: {exc}"
     if not scores:
@@ -264,11 +306,6 @@ def _check_same_basis(r1: Representation, r2: Representation) -> None:
         raise BasisMismatchError(
             f"representations live on different bases: {r1.basis!r} vs {r2.basis!r}"
         )
-
-
-def to_beta(r: Representation) -> np.ndarray:
-    """Scaled coordinates beta = U alpha."""
-    return r.beta
 
 
 def inner(r1: Representation, r2: Representation) -> float:

@@ -16,9 +16,12 @@ on the report.
 Data-dependent preprocessing (imputation, column standardization, PCA and
 whitening statistics) is refitted inside every fold. Per-function steps
 (basis projection, centering, derivatives, expert scaling) use no
-cross-sample information, so they are computed once up front; basis-size
-selection by leave-one-out never sees a target and is also done once, on
-the training functions.
+cross-sample information, so they are computed once up front, on whole
+coefficient or value matrices: one pivoted QR per distinct sampling grid
+gives the ``(n, q)`` coefficient matrix, and each transform maps it to
+another. Basis-size selection by leave-one-out never sees a target and is
+also done once, on the training functions, with one QR per grid and
+candidate size.
 """
 
 from __future__ import annotations
@@ -304,9 +307,11 @@ class _Stage1:
             self.info["n_coefficients"] = int(self.train_values.shape[1])
 
     def _functional_features(self, dataset: Dataset) -> np.ndarray:
-        reps = [rep_mod.fit(f, self.basis, self.gram) for f in dataset.functions]
-        reps = tr_mod.transform_dataset(reps, self.spec.transform.kind)
-        return np.array([r.beta for r in reps])
+        alpha, _ = rep_mod.fit_dataset(dataset.functions, self.basis)
+        alpha, _, gram = tr_mod.transform_dataset(
+            alpha, self.basis, self.gram, self.spec.transform.kind
+        )
+        return alpha @ gram.chol.T
 
     def features(self, dataset: Dataset):
         """Features of a new dataset (same recipe, no refitting)."""

@@ -1,16 +1,18 @@
-"""Functional transforms on coordinate vectors: centering, reduction,
-derivatives, and the (semi-)metrics built from them.
+"""Functional transforms on coordinate matrices: centering, reduction and
+derivatives.
 
 Everything here is elementary algebra in the represented function space, so
-each transform works directly on coordinates. The per-function mean is an
-inner product with the constant one function (whose coordinates are known in
-closed form for both basis families), norms come from the scaled beta
-coordinates.
+each transform works directly on coordinates. :func:`transform_dataset`
+takes the ``(n, q)`` coefficient matrix of a dataset, one function per row:
+the per-function mean is an inner product with the constant one function
+(whose coordinates are known in closed form for both basis families), norms
+come from the scaled beta rows, and a derivative is one product with the
+basis's coefficient map; :func:`row_stats` gives the row-wise statistics.
+:func:`functional_stats`, :func:`center_reduce` and :func:`derive` are
+one-function views of the same code.
 
-Derivative semi-metrics compare derivatives of both arguments, i.e. centers
-are stored in derivative space; distances between a function and a center
-then reduce to Euclidean distances of transformed beta vectors, which kills
-level shifts exactly.
+The derivative semi-metric of the pipeline is the Euclidean distance of the
+derivatives' beta rows, which kills level shifts exactly.
 """
 
 from __future__ import annotations
@@ -19,12 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import derivative_basis
-from .errors import BasisMismatchError, ConstantFunctionError
+from .basis import Basis, GramFactor
+from .errors import ConstantFunctionError
 from .represent import Representation
-
-#: Supported semi-metric kinds.
-_KINDS = ("l2", "deriv")
 
 
 @dataclass(frozen=True)
@@ -41,58 +40,83 @@ class FunctionalScaler:
     sigma: float
 
 
-@dataclass(frozen=True)
-class SemiMetricSpec:
-    """Distance flavor for functional inputs: plain L2 or derivative-based."""
+def row_stats(alpha: np.ndarray, basis: Basis, gram: GramFactor):
+    """Centering/reduction statistics of every row of a coefficient matrix.
 
-    kind: str = "l2"
-    order: int = 0
+    Returns ``(volume, mu, sigma, beta)``: the domain volume, the row-wise
+    domain-averages and reduction scales of :class:`FunctionalScaler`, and
+    the ``(n, q)`` scaled coordinates ``beta = alpha U^T``.
+    """
+    a, b = basis.domain
+    volume = b - a
+    beta_one = gram.chol @ basis.constant_coefficients()
+    beta = alpha @ gram.chol.T
+    mu = (beta @ beta_one) / volume
+    sigma = np.linalg.norm(beta - np.outer(mu, beta_one), axis=1) / volume
+    return volume, mu, sigma, beta
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown semi-metric kind {self.kind!r}")
-        if self.kind == "deriv" and self.order < 1:
-            raise ValueError("derivative semi-metric needs order >= 1")
-        if self.kind == "l2" and self.order != 0:
-            raise ValueError("l2 metric takes no derivative order")
+
+def _center_reduce_rows(alpha: np.ndarray, basis: Basis, gram: GramFactor) -> np.ndarray:
+    volume, mu, sigma, beta = row_stats(alpha, basis, gram)
+    norm = np.linalg.norm(beta, axis=1)
+    flat = np.flatnonzero(sigma * volume < 1e-12 * np.maximum(norm, 1.0))
+    if flat.size:
+        raise ConstantFunctionError(
+            f"function in row {int(flat[0])} is constant: reduction is undefined"
+        )
+    return (alpha - np.outer(mu, basis.constant_coefficients())) / sigma[:, None]
+
+
+def _derive_rows(alpha: np.ndarray, basis: Basis, s: int):
+    new_basis, mapping = basis.derivative_basis(s)
+    return alpha @ mapping.T, new_basis, new_basis.gram_factor()
+
+
+def transform_dataset(
+    alpha: np.ndarray, basis: Basis, gram: GramFactor, kind: str
+) -> tuple[np.ndarray, Basis, GramFactor]:
+    """Apply a named per-function transform to a coefficient matrix.
+
+    ``alpha`` is ``(n, q)`` on ``basis`` with Gram factor ``gram``; ``kind``
+    is one of ``none``, ``center-reduce``, ``deriv1``, ``deriv2``. Returns
+    the transformed ``(alpha, basis, gram)``. Centering/reduction keeps the
+    basis and its Gram factor; the s-th derivative lives on the derivative
+    basis, whose own (default) Gram factor is returned.
+
+    Raises
+    ------
+    ConstantFunctionError
+        ``center-reduce`` of a row whose centered function is numerically
+        zero (no shape left to scale); the message names the first such row.
+    """
+    if kind == "none":
+        return alpha, basis, gram
+    if kind == "center-reduce":
+        return _center_reduce_rows(alpha, basis, gram), basis, gram
+    if kind.startswith("deriv"):
+        s = int(kind[len("deriv") :])
+        return _derive_rows(alpha, basis, s) if s else (alpha, basis, gram)
+    raise ValueError(f"unknown transform {kind!r}")
+
+
+def _view(alpha: np.ndarray, basis: Basis, gram: GramFactor) -> Representation:
+    """The one-row coefficient matrix ``alpha`` as a representation."""
+    return Representation(basis, gram, alpha[0], gram.chol @ alpha[0])
 
 
 def functional_stats(r: Representation) -> FunctionalScaler:
     """Mean and reduction scale of a represented function."""
-    a, b = r.basis.domain
-    volume = b - a
-    beta_one = r.gram.chol @ r.basis.constant_coefficients()
-    mu = float(r.beta @ beta_one) / volume
-    centered = r.beta - mu * beta_one
-    sigma = float(np.linalg.norm(centered)) / volume
-    return FunctionalScaler(volume, mu, sigma)
-
-
-def center(r: Representation) -> Representation:
-    """Subtract the function's domain-average."""
-    stats = functional_stats(r)
-    ones = r.basis.constant_coefficients()
-    alpha = r.alpha - stats.mu * ones
-    return Representation(r.basis, r.gram, alpha, r.gram.chol @ alpha)
+    volume, mu, sigma, _ = row_stats(r.alpha[None, :], r.basis, r.gram)
+    return FunctionalScaler(volume, float(mu[0]), float(sigma[0]))
 
 
 def center_reduce(r: Representation) -> Representation:
     """Center then scale so the result has L2 norm equal to the domain volume.
 
-    Computed entirely on coordinates. Raises
-    :class:`ConstantFunctionError` when the centered function is
-    numerically zero (no shape left to scale).
+    A one-row ``transform_dataset(..., "center-reduce")``; raises
+    :class:`ConstantFunctionError` for a constant function.
     """
-    stats = functional_stats(r)
-    norm = float(np.linalg.norm(r.beta))
-    centered_norm = stats.sigma * stats.volume
-    if centered_norm < 1e-12 * max(norm, 1.0):
-        raise ConstantFunctionError(
-            "function is constant: reduction is undefined"
-        )
-    ones = r.basis.constant_coefficients()
-    alpha = (r.alpha - stats.mu * ones) / stats.sigma
-    return Representation(r.basis, r.gram, alpha, r.gram.chol @ alpha)
+    return _view(_center_reduce_rows(r.alpha[None, :], r.basis, r.gram), r.basis, r.gram)
 
 
 def derive(r: Representation, s: int) -> Representation:
@@ -104,35 +128,4 @@ def derive(r: Representation, s: int) -> Representation:
     """
     if s == 0:
         return r
-    new_basis, mapping = derivative_basis(r.basis, s)
-    gram = new_basis.gram_factor()
-    alpha = mapping @ r.alpha
-    return Representation(new_basis, gram, alpha, gram.chol @ alpha)
-
-
-def distance(r1: Representation, r2: Representation, spec: SemiMetricSpec) -> float:
-    """Distance between two represented functions under a (semi-)metric.
-
-    ``l2`` is the L2 distance via beta coordinates; ``deriv(s)`` compares
-    s-th derivatives, a semi-metric that ignores level shifts (for s >= 1).
-    """
-    if r1.basis != r2.basis:
-        raise BasisMismatchError("semi-metric arguments live on different bases")
-    if spec.kind == "deriv":
-        r1, r2 = derive(r1, spec.order), derive(r2, spec.order)
-    return float(np.linalg.norm(r1.beta - r2.beta))
-
-
-def transform_dataset(reps: list[Representation], kind: str) -> list[Representation]:
-    """Apply a named per-function transform to a list of representations.
-
-    ``kind`` is one of ``none``, ``center-reduce``, ``deriv1``, ``deriv2``.
-    """
-    if kind == "none":
-        return list(reps)
-    if kind == "center-reduce":
-        return [center_reduce(r) for r in reps]
-    if kind.startswith("deriv"):
-        s = int(kind[len("deriv") :])
-        return [derive(r, s) for r in reps]
-    raise ValueError(f"unknown transform {kind!r}")
+    return _view(*_derive_rows(r.alpha[None, :], r.basis, s))

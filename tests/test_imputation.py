@@ -126,46 +126,56 @@ class TestKnnImpute:
 
 
 class TestExpertScale:
+    # one-row matrices unless the test is about rows
     def test_two_point_example(self):
-        mv = imputation.MaskedVector(
-            np.array([1.0, 0.0, 3.0]), np.array([True, False, True])
-        )
-        out = imputation.expert_scale(mv)
-        np.testing.assert_allclose(
-            out.values[[0, 2]], [-1 / np.sqrt(2), 1 / np.sqrt(2)]
-        )
-        np.testing.assert_array_equal(out.mask, mv.mask)
+        values = np.array([[1.0, 7.0, 3.0]])
+        mask = np.array([[True, False, True]])
+        out = imputation.expert_scale_matrix(values, mask)
+        np.testing.assert_allclose(out[0, [0, 2]], [-1 / np.sqrt(2), 1 / np.sqrt(2)])
+        assert out[0, 1] == 7.0  # the hole is left untouched
 
     def test_zero_mean_unit_deviation(self, rng):
-        values = rng.normal(size=9)
-        mask = np.array([True] * 6 + [False] * 3)
-        out = imputation.expert_scale(imputation.MaskedVector(values, mask))
-        obs = out.values[mask]
+        values = rng.normal(size=(1, 9))
+        mask = np.array([[True] * 6 + [False] * 3])
+        out = imputation.expert_scale_matrix(values, mask)
+        obs = out[mask]
         assert np.mean(obs) == pytest.approx(0.0, abs=1e-12)
         assert np.sum(obs**2) == pytest.approx(1.0)
+        np.testing.assert_array_equal(out[~mask], values[~mask])
 
     def test_affine_invariance(self, rng):
-        values = rng.normal(size=8)
-        mask = rng.uniform(size=8) > 0.3
-        mask[:2] = True
-        base = imputation.expert_scale(imputation.MaskedVector(values, mask))
+        values = rng.normal(size=(1, 8))
+        mask = rng.uniform(size=(1, 8)) > 0.3
+        mask[0, :2] = True
+        base = imputation.expert_scale_matrix(values, mask)
         for a, b in ((2.0, 5.0), (-3.0, 1.0)):
-            out = imputation.expert_scale(
-                imputation.MaskedVector(a * values + b, mask)
-            )
-            np.testing.assert_allclose(
-                out.values[mask], np.sign(a) * base.values[mask], atol=1e-12
-            )
+            out = imputation.expert_scale_matrix(a * values + b, mask)
+            np.testing.assert_allclose(out[mask], np.sign(a) * base[mask], atol=1e-12)
 
-    def test_constant_observed_errors(self):
-        mv = imputation.MaskedVector(np.array([2.0, 2.0, 0.0]), np.array([True, True, False]))
-        with pytest.raises(ScalingError):
-            imputation.expert_scale(mv)
+    def test_rows_match_per_row_reference(self, rng):
+        values = rng.normal(size=(12, 7))
+        mask = rng.uniform(size=values.shape) > 0.3
+        mask[:, :2] = True
+        out = imputation.expert_scale_matrix(values, mask)
+        for i in range(values.shape[0]):
+            dev = values[i, mask[i]] - np.mean(values[i, mask[i]])
+            np.testing.assert_allclose(
+                out[i, mask[i]], dev / np.sqrt(dev @ dev), rtol=1e-12, atol=1e-15
+            )
+        np.testing.assert_array_equal(out[~mask], values[~mask])
+
+    def test_constant_observed_errors(self, rng):
+        values = rng.normal(size=(3, 3))
+        values[1] = [2.0, 2.0, 0.0]
+        mask = np.array([[True, True, True], [True, True, False], [True, False, True]])
+        with pytest.raises(ScalingError, match="row 1"):
+            imputation.expert_scale_matrix(values, mask)
 
     def test_single_observation_errors(self):
-        mv = imputation.MaskedVector(np.array([2.0, 1.0]), np.array([True, False]))
-        with pytest.raises(ScalingError):
-            imputation.expert_scale(mv)
+        values = np.array([[1.0, 3.0], [2.0, 1.0]])
+        mask = np.array([[True, True], [True, False]])
+        with pytest.raises(ScalingError, match="row 1"):
+            imputation.expert_scale_matrix(values, mask)
 
 
 class TestMaskedMatrixFromDataset:

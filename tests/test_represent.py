@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import quadrature_integral, random_spline_function, synthetic_dataset
+from conftest import (
+    mixed_grid_functions,
+    quadrature_integral,
+    random_spline_function,
+    synthetic_dataset,
+)
 from fdareg import basis, fdata, represent
 from fdareg.errors import (
     BasisMismatchError,
@@ -116,6 +123,74 @@ class TestLooScore:
         assert big > small
 
 
+class TestDatasetPath:
+    """The batched path against its one-function views and the naive oracle,
+    on curves sharing one grid mixed with holed curves on grids of their own."""
+
+    def test_loo_scores_match_per_curve_and_naive(self, rng):
+        fns = mixed_grid_functions(rng)
+        for q in (6, 10, 14):
+            b = basis.BSplineBasis.uniform(0.0, 1.0, q - 4, 4)
+            batched = represent.loo_scores(fns, b)
+            per_curve = [represent.loo_score(f, b) for f in fns]
+            np.testing.assert_allclose(batched, per_curve, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(
+                batched, [naive_loo(f, b) for f in fns], rtol=1e-10, atol=0
+            )
+
+    def test_fit_dataset_matches_per_curve_fit(self, rng):
+        fns = mixed_grid_functions(rng)
+        b = basis.BSplineBasis.uniform(0.0, 1.0, 6, 4)
+        alpha, sse = represent.fit_dataset(fns, b)
+        assert alpha.shape == (len(fns), b.dimension)
+        for i, f in enumerate(fns):
+            r = represent.fit(f, b)
+            np.testing.assert_allclose(alpha[i], r.alpha, rtol=1e-12, atol=1e-12)
+            assert sse[i] == pytest.approx(r.sse, rel=1e-10)
+
+    def test_one_qr_per_distinct_grid(self, rng, monkeypatch):
+        fns = mixed_grid_functions(rng, n_shared=6, n_holed=3)
+        calls = []
+        solve = represent._qr_solve
+
+        def counted(design, Y):
+            calls.append(Y.shape[1])  # curves sharing this QR
+            return solve(design, Y)
+
+        monkeypatch.setattr(represent, "_qr_solve", counted)
+        represent.loo_scores(fns, basis.BSplineBasis.uniform(0.0, 1.0, 4, 4))
+        assert sorted(calls) == [1, 1, 1, 6]
+
+    def test_uncovered_support_in_one_group_skips_candidate(self, rng):
+        # a group whose grid has a gap leaves some fine B-splines without
+        # samples: that candidate is skipped, the coarse one still scored
+        gap = np.concatenate([np.linspace(0.0, 0.45, 30), np.linspace(0.6, 1.0, 30)])
+        fns = mixed_grid_functions(rng, n_holed=0, m=60) + [
+            fdata.SampledFunction(gap, np.sin(3 * gap) + 0.01 * rng.normal(size=60))
+            for _ in range(2)
+        ]
+        sel = represent.select_basis_size(
+            fns, (0.0, 1.0), "bspline", 4, candidates=[8, 40]
+        )
+        assert sel.skipped[40].startswith("UnidentifiableCoefficientsError")
+        assert sel.dimension == 8
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_shared=st.integers(0, 5),
+        n_holed=st.integers(0, 4),
+        q=st.integers(5, 12),
+    )
+    def test_batched_loo_equals_per_curve_property(self, seed, n_shared, n_holed, q):
+        rng = np.random.default_rng(seed)
+        fns = mixed_grid_functions(rng, n_shared=n_shared, n_holed=n_holed)
+        b = basis.BSplineBasis.uniform(0.0, 1.0, q - 4, 4)
+        batched = represent.loo_scores(fns, b)
+        per_curve = [represent.loo_score(f, b) for f in fns]
+        np.testing.assert_allclose(batched, per_curve, rtol=1e-10, atol=0)
+
+
 class TestSelectBasisSize:
     def test_single_candidate(self, rng):
         ds = synthetic_dataset(rng, n=5, m=25)
@@ -157,10 +232,10 @@ class TestSelectBasisSize:
     def test_unexpected_error_propagates(self, rng, monkeypatch):
         # only toolkit errors mark a candidate infeasible; anything else is
         # a bug and must not be reported as a skipped candidate
-        def broken(f, b):
+        def broken(functions, b):
             raise RuntimeError("bug in the LOO score")
 
-        monkeypatch.setattr(represent, "loo_score", broken)
+        monkeypatch.setattr(represent, "loo_scores", broken)
         ds = synthetic_dataset(rng, n=4, m=20)
         with pytest.raises(RuntimeError, match="bug in the LOO score"):
             represent.select_basis_size(
@@ -229,3 +304,5 @@ class TestBetaGeometry:
         r2 = represent.fit(f, other)
         with pytest.raises(BasisMismatchError):
             represent.inner(r1, r2)
+        with pytest.raises(BasisMismatchError):
+            represent.dist(r1, r2)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import quadrature_integral, random_spline_function
+from conftest import mixed_grid_functions, quadrature_integral, random_spline_function
 from fdareg import basis, fdata, represent, transforms
-from fdareg.errors import BasisMismatchError, ConstantFunctionError
+from fdareg.errors import ConstantFunctionError
 
 
 @pytest.fixture
@@ -32,8 +32,7 @@ class TestCenterReduce:
         x = np.linspace(0, 1, 30)
         f = fdata.SampledFunction(x, np.full(30, 2.0))
         r = represent.fit(f, small_bspline)
-        centered = transforms.center(r)
-        assert np.linalg.norm(centered.beta) < 1e-10
+        assert transforms.functional_stats(r).sigma < 1e-10  # centered norm
         with pytest.raises(ConstantFunctionError):
             transforms.center_reduce(r)
 
@@ -101,57 +100,8 @@ class TestDerive:
 
 
 class TestDistance:
-    def test_self_distance_zero(self, rep):
-        for spec in (
-            transforms.SemiMetricSpec("l2"),
-            transforms.SemiMetricSpec("deriv", 1),
-            transforms.SemiMetricSpec("deriv", 2),
-        ):
-            assert transforms.distance(rep, rep, spec) == 0.0
-
-    def test_deriv_metric_kills_level_shift(self, rep):
-        ones = rep.basis.constant_coefficients()
-        alpha = rep.alpha + 5.0 * ones
-        shifted = represent.Representation(
-            rep.basis, rep.gram, alpha, rep.gram.chol @ alpha
-        )
-        d = transforms.distance(rep, shifted, transforms.SemiMetricSpec("deriv", 1))
-        assert d < 1e-9
-        l2 = transforms.distance(rep, shifted, transforms.SemiMetricSpec("l2"))
-        assert l2 > 1.0
-
-    def test_l2_matches_quadrature(self, rng, small_bspline):
-        f1, _ = random_spline_function(rng, small_bspline, noise=0.05)
-        f2, _ = random_spline_function(rng, small_bspline, noise=0.05)
-        r1 = represent.fit(f1, small_bspline)
-        r2 = represent.fit(f2, small_bspline)
-        ref = np.sqrt(
-            quadrature_integral(
-                lambda xs: (r1(xs) - r2(xs)) ** 2, small_bspline.knots.edges
-            )
-        )
-        d = transforms.distance(r1, r2, transforms.SemiMetricSpec("l2"))
-        assert d == pytest.approx(ref, rel=1e-8)
-
-    def test_symmetry(self, rng, small_bspline):
-        f1, _ = random_spline_function(rng, small_bspline)
-        f2, _ = random_spline_function(rng, small_bspline)
-        r1, r2 = represent.fit(f1, small_bspline), represent.fit(f2, small_bspline)
-        for spec in (transforms.SemiMetricSpec("l2"), transforms.SemiMetricSpec("deriv", 1)):
-            assert transforms.distance(r1, r2, spec) == pytest.approx(
-                transforms.distance(r2, r1, spec)
-            )
-
-    def test_basis_mismatch(self, rng, small_bspline):
-        other = basis.BSplineBasis.uniform(0.0, 1.0, 7, 4)
-        f1, _ = random_spline_function(rng, small_bspline)
-        f2, _ = random_spline_function(rng, other)
-        with pytest.raises(BasisMismatchError):
-            transforms.distance(
-                represent.fit(f1, small_bspline),
-                represent.fit(f2, other),
-                transforms.SemiMetricSpec("l2"),
-            )
+    """The pipeline compares functions by the Euclidean distance of their
+    transformed beta rows, which is the L2 distance while beta = U alpha."""
 
     def test_transform_outputs_stay_consistent(self, rep):
         # beta = U alpha must hold after every transform
@@ -162,4 +112,54 @@ class TestDistance:
         ):
             np.testing.assert_allclose(
                 out.beta, out.gram.chol @ out.alpha, atol=1e-12 * max(1, np.abs(out.beta).max())
+            )
+
+
+class TestTransformDataset:
+    """The matrix transforms against their one-row views."""
+
+    @pytest.mark.parametrize("b", [
+        basis.BSplineBasis.uniform(0.0, 1.0, 6, 4),
+        basis.FourierBasis(0.0, 1.0, 9),
+    ], ids=["bspline", "fourier"])
+    def test_matrix_equals_per_row(self, rng, b):
+        fns = mixed_grid_functions(rng)
+        gram = b.gram_factor(7)  # the pipeline's quad_points Gram factor
+        alpha, _ = represent.fit_dataset(fns, b)
+        reps = [represent.fit(f, b, gram) for f in fns]
+        for kind, one_row in (
+            ("none", lambda r: r),
+            ("center-reduce", transforms.center_reduce),
+            ("deriv1", lambda r: transforms.derive(r, 1)),
+            ("deriv2", lambda r: transforms.derive(r, 2)),
+        ):
+            out, out_basis, out_gram = transforms.transform_dataset(alpha, b, gram, kind)
+            rows = [one_row(r) for r in reps]
+            assert all(r.basis == out_basis and r.gram is out_gram for r in rows)
+            np.testing.assert_allclose(
+                out, [r.alpha for r in rows], rtol=1e-12, atol=1e-12 * np.abs(out).max()
+            )
+            beta = out @ out_gram.chol.T
+            np.testing.assert_allclose(
+                beta, [r.beta for r in rows], rtol=1e-12, atol=1e-12 * np.abs(beta).max()
+            )
+
+    def test_row_stats_equal_per_row(self, rng, small_bspline):
+        fns = mixed_grid_functions(rng)
+        gram = small_bspline.gram_factor()
+        alpha, _ = represent.fit_dataset(fns, small_bspline)
+        volume, mu, sigma, _ = transforms.row_stats(alpha, small_bspline, gram)
+        for i, f in enumerate(fns):
+            stats = transforms.functional_stats(represent.fit(f, small_bspline))
+            assert volume == stats.volume
+            assert mu[i] == pytest.approx(stats.mu, rel=1e-12, abs=1e-14)
+            assert sigma[i] == pytest.approx(stats.sigma, rel=1e-12)
+
+    def test_constant_row_named(self, rng, small_bspline):
+        fns = mixed_grid_functions(rng, n_holed=0)
+        alpha, _ = represent.fit_dataset(fns, small_bspline)
+        alpha[2] = 4.0  # constant function: all-ones coordinates times 4
+        with pytest.raises(ConstantFunctionError, match="row 2"):
+            transforms.transform_dataset(
+                alpha, small_bspline, small_bspline.gram_factor(), "center-reduce"
             )
