@@ -11,10 +11,15 @@ every remaining candidate column is orthogonalized against the selected
 ones and the one with the largest regularized error reduction
 ``(w' y)^2 / (w' w + ridge)`` is appended; modified Gram-Schmidt recurrences
 keep the whole selection path cheap, and every truncation of the path is a
-valid model. Cross-validation of the width, ridge and center count is
-done by ``selection.run_experiment``: one path per fold scores every center
-count up to the path's length, and a cell must be scored in every fold, so
-a center count beyond a fold's early stop can never win.
+valid model. The Gram-Schmidt factors ``A`` (unit upper triangular) and the
+orthogonal-space weights ``g`` give the k-center weights as
+``A[:k, :k]^-1 g[:k]``, so the predictions of all truncations at once are
+``cumsum((D A^-1) * g, axis=1)`` for the design ``D`` on the selected
+centers: one triangular solve scores the whole path. Cross-validation of
+the width, ridge and center count is done by ``selection.run_experiment``:
+one path per fold scores every center count up to the path's length, and a
+cell must be scored in every fold, so a center count beyond a fold's early
+stop can never win.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import ValidationError
@@ -94,8 +100,13 @@ class RbfnPath:
 
     ``objective`` is the regularized training error after 0, 1, ... steps;
     it is non-increasing by construction. ``gs_coefs`` holds the
-    Gram-Schmidt factors (unit upper triangular over the selection order)
-    used to back-substitute original-space weights.
+    Gram-Schmidt factors ``A`` (unit upper triangular over the selection
+    order) and ``ortho_weights`` the orthogonal-space weights ``g``. The
+    design ``D`` on the selected centers factors as ``D = W A`` on the
+    training inputs, and since ``A^-1`` is upper triangular too,
+    ``D[:, :k] A[:k, :k]^-1 = (D A^-1)[:, :k]``. The k-center weights are
+    therefore ``A[:k, :k]^-1 g[:k]`` and the k-center predictions on any
+    inputs are the k-th partial sum of the columns of ``(D A^-1) * g``.
     """
 
     inputs: np.ndarray  # (n, d) candidate pool = training inputs
@@ -111,27 +122,27 @@ class RbfnPath:
         return int(self.selected.size)
 
     def weights(self, k: int) -> np.ndarray:
-        """Output weights of the k-center truncation (back-substitution)."""
+        """Output weights of the k-center truncation: ``A[:k, :k]^-1 g[:k]``."""
         if not 1 <= k <= self.max_size:
             raise ValidationError(f"path holds {self.max_size} centers, asked {k}")
-        theta = np.zeros(k)
-        for i in range(k - 1, -1, -1):
-            theta[i] = self.ortho_weights[i] - self.gs_coefs[i, i + 1 : k] @ theta[i + 1 : k]
-        return theta
+        return scipy.linalg.solve_triangular(
+            self.gs_coefs[:k, :k], self.ortho_weights[:k], unit_diagonal=True
+        )
 
     def model(self, k: int) -> RbfnModel:
         centers = self.inputs[self.selected[:k]].copy()
         return RbfnModel(centers, self.width, self.weights(k), self.ridge)
 
-    def predictions(self, X: np.ndarray, sizes: np.ndarray | None = None) -> np.ndarray:
-        """Predictions of every truncation: (len(X), len(sizes)) matrix."""
-        if sizes is None:
-            sizes = np.arange(1, self.max_size + 1)
+    def predictions(self, X: np.ndarray) -> np.ndarray:
+        """Predictions of every truncation: a (len(X), max_size) matrix whose
+        column k - 1 is the k-center model's output,
+        ``cumsum((D A^-1) * g, axis=1)``."""
         design = design_matrix(X, self.inputs[self.selected], self.width)
-        out = np.empty((np.atleast_2d(X).shape[0], len(sizes)))
-        for i, k in enumerate(sizes):
-            out[:, i] = design[:, :k] @ self.weights(int(k))
-        return out
+        # (D A^-1)^T = A^-T D^T: one solve for every truncation
+        ortho = scipy.linalg.solve_triangular(
+            self.gs_coefs, design.T, trans="T", unit_diagonal=True
+        )
+        return np.cumsum(ortho.T * self.ortho_weights, axis=1)
 
 
 def train_ols(

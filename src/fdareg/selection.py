@@ -14,7 +14,10 @@ fails; such a cell scores ``inf``, can never win, and is counted in one note
 on the report.
 
 Data-dependent preprocessing (imputation, column standardization, PCA and
-whitening statistics) is refitted inside every fold. Per-function steps
+whitening statistics) is refitted inside every fold, once per fold and
+imputation k: the fold's training and validation rows are imputed and
+standardized once, and every PCA size of the grid takes its scores from
+those two matrices. Per-function steps
 (basis projection, centering, derivatives, expert scaling) use no
 cross-sample information, so they are computed once up front, on whole
 coefficient or value matrices: one pivoted QR per distinct sampling grid
@@ -329,7 +332,13 @@ class _Stage1:
 
 
 class _FittedPreproc:
-    """Fold-level data-dependent chain: impute -> standardize -> PCA."""
+    """Fold-level data-dependent chain: impute -> standardize -> PCA.
+
+    Fitted once per (fold, k), it keeps the imputed and standardized
+    training matrix ``train_X``; ``prepare`` imputes and standardizes new
+    rows once, and ``project`` slices the PCA scores of either matrix for
+    one component count, so the PCA-size grid reuses both.
+    """
 
     def __init__(self, spec: ExperimentSpec, k_impute: int,
                  values: np.ndarray, mask: np.ndarray | None, max_comp: int | None):
@@ -346,23 +355,26 @@ class _FittedPreproc:
         if spec.pca.kind == "classical" and spec.pca.standardize:
             self.standardizer = fpca_mod.Standardizer().fit(X)
             X = self.standardizer.transform(X)
+        self.train_X = X
         self.pca = None
         if spec.pca.kind != "none":
             cap = min(max_comp, min(X.shape) - 1)
             self.pca = fpca_mod.fit_fpca(X, n_components=cap)
 
-    def transform(self, values, mask, n_comp: int | None, is_fit_data=False):
+    def prepare(self, values, mask):
+        """Impute and standardize new rows (donors are the fitted rows)."""
         X = values
         if self.imputer is not None:
-            if isinstance(self.imputer, imp_mod.KnnImputer):
-                X = self.imputer.transform(values, mask, is_fit_data=is_fit_data)
-            else:
-                X = self.imputer.transform(values, mask)
+            X = self.imputer.transform(values, mask)
         if self.standardizer is not None:
             X = self.standardizer.transform(X)
-        if self.pca is not None:
-            X = fpca_mod.scores(self.pca, X, n_comp, whiten=self.spec.pca.whiten)
         return X
+
+    def project(self, X, n_comp: int | None):
+        """PCA scores of prepared rows on ``n_comp`` components."""
+        if self.pca is None:
+            return X
+        return fpca_mod.scores(self.pca, X, n_comp, whiten=self.spec.pca.whiten)
 
 
 def _cell_sort_key(cell: tuple) -> tuple:
@@ -407,15 +419,14 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
                 pre = _FittedPreproc(
                     spec, k_imp, stage.train_values[tr], mask_tr, max_comp
                 )
+                va_X = pre.prepare(stage.train_values[va], mask_va)
             except FdaregError as exc:
                 notes.append(f"fold {fold_i}, impute k={k_imp}: {exc}")
                 continue
             for n_comp in comp_grid:
                 try:
-                    X_tr = pre.transform(
-                        stage.train_values[tr], mask_tr, n_comp, is_fit_data=True
-                    )
-                    X_va = pre.transform(stage.train_values[va], mask_va, n_comp)
+                    X_tr = pre.project(pre.train_X, n_comp)
+                    X_va = pre.project(va_X, n_comp)
                 except FdaregError as exc:
                     notes.append(
                         f"fold {fold_i}, impute k={k_imp}, comps={n_comp}: {exc}"
@@ -439,7 +450,7 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     best_cell = min(sorted(scores, key=_cell_sort_key), key=lambda c: scores[c])
     cv_score = float(scores[best_cell])
 
-    selected, predictor = _fit_final(spec, stage, best_cell, y)
+    selected, predictor = _fit_final(spec, stage, best_cell, y, notes)
 
     test_ds = sealed.unlock()
     test_values, test_mask = stage.features(test_ds)
@@ -503,11 +514,13 @@ def _score_model_cells(spec, X_tr, y_tr, X_va, y_va, k_imp, n_comp, fold_i, tabl
                 _add_fold_score(table, cell, float(err @ err) / y_va.size)
 
 
-def _fit_final(spec, stage, cell, y):
+def _fit_final(spec, stage, cell, y, notes):
     """Refit the winning cell on the full training set.
 
     Returns the selected-parameter dict and a ``predict(values, mask)``
-    closure for test-time use.
+    closure for test-time use. When the full-data RBFN path stops before
+    the selected center count, the refit uses every center it holds and a
+    note in ``notes`` names both counts.
     """
     if spec.model == "mean":
         mean = float(np.mean(y))
@@ -516,9 +529,8 @@ def _fit_final(spec, stage, cell, y):
         )
 
     k_imp, n_comp = cell[0], cell[1]
-    max_comp = n_comp
-    pre = _FittedPreproc(spec, k_imp or 1, stage.train_values, stage.train_mask, max_comp)
-    X = pre.transform(stage.train_values, stage.train_mask, n_comp, is_fit_data=True)
+    pre = _FittedPreproc(spec, k_imp or 1, stage.train_values, stage.train_mask, n_comp)
+    X = pre.project(pre.train_X, n_comp)
 
     selected: dict = {}
     if stage.train_mask is not None and spec.impute.kind == "knn":
@@ -530,13 +542,18 @@ def _fit_final(spec, stage, cell, y):
         mult, ridge, kc = cell[2], cell[3], cell[4]
         width = mult * rbfn_mod.median_width(X)
         path = rbfn_mod.train_ols(X, y, width, ridge, min(kc, X.shape[0]))
+        if path.max_size < kc:
+            notes.append(
+                f"final refit: the full-data path stopped at {path.max_size} "
+                f"of the selected {kc} centers"
+            )
         model = path.model(min(kc, path.max_size))
         selected.update(
             width_multiplier=mult, ridge=ridge, n_centers=model.n_centers
         )
 
         def predictor(values, mask):
-            X_new = pre.transform(values, mask, n_comp)
+            X_new = pre.project(pre.prepare(values, mask), n_comp)
             return rbfn_mod.predict(model, X_new)
 
     else:
@@ -549,7 +566,7 @@ def _fit_final(spec, stage, cell, y):
         selected.update(hidden=hidden, decay=decay)
 
         def predictor(values, mask):
-            X_new = pre.transform(values, mask, n_comp)
+            X_new = pre.project(pre.prepare(values, mask), n_comp)
             return mlp_mod.forward(model, X_new)
 
     return selected, predictor

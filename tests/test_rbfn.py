@@ -145,6 +145,79 @@ class TestTrainOls:
         np.testing.assert_allclose(path.weights(7), fresh.weights(7), atol=1e-10)
 
 
+def back_substituted_weights(path, k):
+    """Reference for ``RbfnPath.weights``: the row-by-row back-substitution
+    through the Gram-Schmidt factors that the triangular solve replaced."""
+    theta = np.zeros(k)
+    for i in range(k - 1, -1, -1):
+        theta[i] = path.ortho_weights[i] - path.gs_coefs[i, i + 1 : k] @ theta[i + 1 : k]
+    return theta
+
+
+class TestPathPredictions:
+    """Oracles for scoring every truncation of a path at once."""
+
+    # float64 rounding through a triangular solve of at most 20 factors
+    RTOL = 1e-10
+
+    def _assert_columns_match_models(self, path, X):
+        preds = path.predictions(X)
+        assert preds.shape == (X.shape[0], path.max_size)
+        for k in range(1, path.max_size + 1):
+            expected = rbfn.predict(path.model(k), X)
+            scale = np.abs(expected).max()
+            np.testing.assert_allclose(
+                preds[:, k - 1], expected, rtol=self.RTOL, atol=self.RTOL * scale
+            )
+
+    def test_columns_equal_truncated_models_early_stop(self, rng):
+        X = np.repeat(rng.normal(size=(6, 2)), 2, axis=0)
+        y = rng.normal(size=12)
+        path = rbfn.train_ols(X, y, 1.0, ridge=0.0, max_centers=12)
+        assert path.max_size == 6  # stopped early
+        self._assert_columns_match_models(path, rng.normal(size=(9, 2)))
+
+    def test_columns_equal_truncated_models_candidate_subset(self, rng):
+        X = rng.normal(size=(25, 3))
+        y = rng.normal(size=25)
+        pool = rng.choice(25, size=12, replace=False)
+        path = rbfn.train_ols(X, y, 1.3, 1e-3, max_centers=10, candidate_idx=pool)
+        assert set(path.selected.tolist()) <= set(pool.tolist())
+        self._assert_columns_match_models(path, rng.normal(size=(15, 3)))
+
+    def test_ridge_zero_weights_equal_least_squares(self, rng):
+        X = rng.normal(size=(30, 2))
+        y = rng.normal(size=30)
+        # a well-conditioned design (condition number below 100)
+        path = rbfn.train_ols(X, y, 0.8, ridge=0.0, max_centers=8)
+        for k in range(1, path.max_size + 1):
+            design = rbfn.design_matrix(X, X[path.selected[:k]], path.width)
+            expected = np.linalg.lstsq(design, y, rcond=None)[0]
+            np.testing.assert_allclose(
+                path.weights(k), expected,
+                rtol=self.RTOL, atol=self.RTOL * np.abs(expected).max(),
+            )
+
+    def test_weights_equal_back_substitution(self, rng):
+        X = rng.normal(size=(40, 3))
+        y = rng.normal(size=40)
+        for ridge in (0.0, 1e-6, 1e-1):
+            path = rbfn.train_ols(X, y, 1.0, ridge, max_centers=20)
+            for k in range(1, path.max_size + 1):
+                expected = back_substituted_weights(path, k)
+                np.testing.assert_allclose(
+                    path.weights(k), expected,
+                    rtol=self.RTOL, atol=self.RTOL * np.abs(expected).max(),
+                )
+
+    def test_weights_out_of_range(self, rng):
+        X = rng.normal(size=(10, 2))
+        path = rbfn.train_ols(X, rng.normal(size=10), 1.0, 1e-3, max_centers=4)
+        for k in (0, 5):
+            with pytest.raises(ValidationError):
+                path.weights(k)
+
+
 class TestSelectCenters:
     """Width, ridge and center count are chosen by ``run_experiment``."""
 

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import synthetic_dataset, vector_dataset
 from fdareg import fdata
+from fdareg import imputation as imp_mod
 from fdareg import rbfn as rbfn_mod
 from fdareg.cv import derive_seed, make_folds, rmse
 from fdareg.errors import ConfigError
@@ -294,6 +295,35 @@ class TestFoldTable:
         assert report.notes == ("5 cells not scored in every fold were excluded",)
 
 
+class TestFinalRefit:
+    def test_short_final_path_is_noted(self, data, monkeypatch):
+        train, test = data
+        spec = ExperimentSpec(
+            "short-final", "rbfn", RepresentationSpec("raw"),
+            rbfn=RbfnSettings(width_multipliers=(1.0,), ridges=(1e-3,), max_centers=8),
+            seed=3,
+        )
+        real_train_ols = rbfn_mod.train_ols
+        requested = []
+
+        def short_final(X, y, width, ridge, max_centers, **kwargs):
+            # the folds get their full paths; the final refit stops after 1
+            requested.append(max_centers)
+            length = 1 if len(requested) > spec.folds else max_centers
+            return real_train_ols(X, y, width, ridge, length, **kwargs)
+
+        monkeypatch.setattr(rbfn_mod, "train_ols", short_final)
+        report = run_experiment(spec, train, test)
+        assert len(requested) == spec.folds + 1
+        chosen = requested[-1]
+        assert chosen > 1
+        assert report.selected["n_centers"] == 1
+        assert report.notes == (
+            f"final refit: the full-data path stopped at 1 of the selected "
+            f"{chosen} centers",
+        )
+
+
 @pytest.fixture(scope="module")
 def holed():
     rng = np.random.default_rng(424)
@@ -341,3 +371,33 @@ class TestImputationRoutes:
         )
         report = run_experiment(spec, train, test)
         assert np.isfinite(report.test_rmse)
+
+    def test_knn_preprocessing_once_per_fold_and_k(self, holed, monkeypatch):
+        train, test = holed
+        spec = ExperimentSpec(
+            "knn-cache", "rbfn",
+            representation=RepresentationSpec("raw"),
+            pca=PcaSpec("classical", standardize=True, n_components="cv",
+                        component_grid=(2, 3, 4)),
+            impute=ImputeSpec("knn", k="cv", k_grid=(1, 4)),
+            rbfn=SMALL_RBFN,
+            seed=5,
+        )
+        real_transform = imp_mod.KnnImputer.transform
+        calls = []
+
+        def counted(self, values, mask, is_fit_data=False):
+            calls.append(is_fit_data)
+            return real_transform(self, values, mask, is_fit_data)
+
+        monkeypatch.setattr(imp_mod.KnnImputer, "transform", counted)
+        a = run_experiment(spec, train, test)
+        # per (fold, k): the training rows and the validation rows once each;
+        # the final refit: the training rows, then the test rows
+        per_fold_k = spec.folds * len(spec.impute.k_grid)
+        assert len(calls) == 2 * per_fold_k + 2
+        assert calls.count(True) == per_fold_k + 1
+        b = run_experiment(spec, train, test)
+        assert (a.selected, a.cv_score, a.test_rmse, a.notes) == (
+            b.selected, b.cv_score, b.test_rmse, b.notes
+        )
