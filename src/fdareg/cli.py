@@ -145,14 +145,18 @@ def _emit_curves(dataset, alpha, basis, gram, outdir: Path, args) -> None:
         curve_file(f"curve_samples_{i}.csv", ["x", "y"], np.column_stack([f.x, f.y]))
     for kind, name in (("none", "fit"), ("center-reduce", "center_reduce"),
                        ("deriv1", "deriv1"), ("deriv2", "deriv2")):
+        shown = np.arange(n_show)
+        if kind == "center-reduce":
+            # a constant function has no reduced curve; the others still do
+            shown = shown[~transforms.constant_rows(alpha[shown], basis, gram)]
         try:
-            coefs, on, _ = transforms.transform_dataset(alpha[:n_show], basis, gram, kind)
+            coefs, on, _ = transforms.transform_dataset(alpha[shown], basis, gram, kind)
         except FdaregError:
-            continue  # a constant shown function, or a derivative the basis lacks
+            continue  # a derivative the basis lacks
         values = on.evaluate(grid) @ coefs.T
-        for i in range(n_show):
+        for col, i in enumerate(shown):
             curve_file(
-                f"curve_{name}_{i}.csv", ["x", "y"], np.column_stack([grid, values[:, i]])
+                f"curve_{name}_{i}.csv", ["x", "y"], np.column_stack([grid, values[:, col]])
             )
 
     betas = alpha @ gram.chol.T

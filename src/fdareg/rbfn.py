@@ -15,7 +15,20 @@ valid model. The Gram-Schmidt factors ``A`` (unit upper triangular) and the
 orthogonal-space weights ``g`` give the k-center weights as
 ``A[:k, :k]^-1 g[:k]``, so the predictions of all truncations at once are
 ``cumsum((D A^-1) * g, axis=1)`` for the design ``D`` on the selected
-centers: one triangular solve scores the whole path. Cross-validation of
+centers: one triangular solve scores the whole path.
+
+The ridge enters only the criterion and the orthogonal-space weights, so
+:func:`train_ols_paths` grows the paths of a whole ridge grid in lockstep
+on one shared design matrix: each step forms the energies, projections,
+criteria, tie-breaks and Gram-Schmidt coefficients of every live path with
+one batched call apiece, and each path deflates its own copy of the
+candidate columns with one in-place BLAS rank-1 update (``dger``). Its
+fused multiply-adds round differently from ``W -= outer(w, c)``, so the
+numbers move at float level only. A path leaves the batch at the step
+where it has no usable column left. :func:`train_ols` is the one-ridge
+view. Every step recomputes the energies and projections from the deflated
+columns; the O(M) recurrences for them change the numbers the selections
+are made on. Cross-validation of
 the width, ridge and center count is done by ``selection.run_experiment``:
 one path per fold scores every center count up to the path's length, and a
 cell must be scored in every fold, so a center count beyond a fold's early
@@ -24,10 +37,12 @@ stop can never win.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dger
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import ValidationError
@@ -155,15 +170,43 @@ def train_ols(
 ) -> RbfnPath:
     """Grow a network by regularized orthogonal forward selection.
 
+    The one-ridge view of :func:`train_ols_paths`; see there for the
+    parameters and the checks.
+    """
+    return train_ols_paths(X, y, width, (ridge,), max_centers, candidate_idx)[0]
+
+
+def train_ols_paths(
+    X: np.ndarray,
+    y: np.ndarray,
+    width: float,
+    ridges: Sequence[float],
+    max_centers: int = MAX_CENTERS_CAP,
+    candidate_idx: np.ndarray | None = None,
+) -> list[RbfnPath]:
+    """Grow one regularized orthogonal forward-selection path per ridge.
+
+    The ridge enters only the selection criterion and the orthogonal-space
+    weights, so every path starts from one shared design matrix and the
+    paths grow in lockstep: each step forms the energies, projections,
+    criteria, tie-breaks and Gram-Schmidt coefficients of all live paths
+    with one batched numpy call apiece. Each path then deflates its own
+    copy of the candidate columns in place with one BLAS rank-1 update
+    (``dger``); its fused multiply-adds round differently from
+    ``W -= outer(w, c)``, so results drift from that form at float level
+    only. A path leaves the batch at the step where it has no usable
+    column left.
+
     Parameters
     ----------
     X, y : (n, d) inputs and (n,) targets; the inputs double as the
         candidate center pool.
     width : float
         Gaussian width (one global scale for all centers).
-    ridge : float
-        Regularization strength added to each candidate's energy in the
-        selection criterion and in the orthogonal-space weights.
+    ridges : sequence of float
+        One path per entry, in this order: the regularization strength
+        added to each candidate's energy in the selection criterion and in
+        the orthogonal-space weights. Must be non-empty and >= 0.
     max_centers : int
         Cap on the path length; must not exceed the candidate count.
     candidate_idx : array of int, optional
@@ -171,9 +214,9 @@ def train_ols(
 
     Returns
     -------
-    RbfnPath
-        The whole path, so every truncation (1..k centers) can be
-        evaluated without retraining. The path is shorter than
+    list of RbfnPath
+        One whole path per ridge, so every truncation (1..k centers) can be
+        evaluated without retraining. A path is shorter than
         ``max_centers`` when no candidate with usable energy is left.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -181,6 +224,11 @@ def train_ols(
     n = X.shape[0]
     if y.shape != (n,):
         raise ValidationError("targets must be one scalar per input")
+    ridges = np.asarray(ridges, dtype=float)
+    if ridges.ndim != 1 or ridges.size == 0:
+        raise ValidationError("ridges must be a non-empty sequence of numbers")
+    if np.any(ridges < 0):
+        raise ValidationError("ridge must be >= 0")
     candidate_idx = (
         np.arange(n) if candidate_idx is None else np.asarray(candidate_idx, dtype=int)
     )
@@ -189,56 +237,76 @@ def train_ols(
         raise ValidationError(
             f"max_centers {max_centers} exceeds the candidate count {n_cand}"
         )
-    if ridge < 0:
-        raise ValidationError("ridge must be >= 0")
 
     F = design_matrix(X, X[candidate_idx], width)
-    base_energy = np.einsum("ij,ij->j", F, F)
-    W = F.copy()  # candidate columns, deflated in place as centers are picked
-    available = np.ones(n_cand, dtype=bool)
+    energy_floor = ENERGY_TOL * np.einsum("ij,ij->j", F, F)
+    n_paths = ridges.size
+    # batch row -> path; W holds every live path's candidate columns,
+    # deflated in place as centers are picked
+    live = np.arange(n_paths)
+    W = np.repeat(F[None], n_paths, axis=0)
+    available = np.ones((n_paths, n_cand), dtype=bool)
 
-    selected: list[int] = []
-    coef_rows = np.zeros((max_centers, n_cand))  # step -> GS coefs per candidate
-    ortho_weights = np.zeros(max_centers)
-    objective = [float(y @ y)]
+    lengths = np.full(n_paths, max_centers)
+    selected = np.zeros((n_paths, max_centers), dtype=int)
+    coef_rows = np.zeros((n_paths, max_centers, n_cand))  # step -> GS coefs
+    ortho_weights = np.zeros((n_paths, max_centers))
+    objective = np.empty((n_paths, max_centers + 1))
+    objective[:, 0] = y @ y
 
     for step in range(max_centers):
-        energy = np.einsum("ij,ij->j", W, W)
-        proj = W.T @ y
-        usable = available & (energy > ENERGY_TOL * base_energy)
-        if not np.any(usable):
-            break  # path.max_size records where the early stop happened
+        energy = np.einsum("rij,rij->rj", W, W)
+        proj = np.matmul(y, W)
+        usable = available & (energy > energy_floor)
+        done = ~usable.any(axis=1)
+        if done.any():
+            # path.max_size records where the early stop happened
+            lengths[live[done]] = step
+            keep = ~done
+            live, W, available = live[keep], W[keep], available[keep]
+            energy, proj, usable = energy[keep], proj[keep], usable[keep]
+            if not live.size:
+                break
+        rows = np.arange(live.size)
         # selected columns are zeroed, so the criterion is formed on usable
         # columns only (with ridge 0 it would be 0/0 on the others)
-        reduction = np.full(n_cand, -np.inf)
-        reduction[usable] = proj[usable] ** 2 / (energy[usable] + ridge)
-        best = int(np.flatnonzero(reduction >= reduction.max() - TIE_TOL)[0])
+        denom = energy + ridges[live, None]
+        reduction = np.divide(
+            proj**2, denom, out=np.full(denom.shape, -np.inf), where=usable
+        )
+        best = np.argmax(
+            reduction >= reduction.max(axis=1, keepdims=True) - TIE_TOL, axis=1
+        )
 
-        w_best = W[:, best].copy()
-        e_best = energy[best]
-        ortho_weights[step] = proj[best] / (e_best + ridge)
-        objective.append(objective[-1] - proj[best] ** 2 / (e_best + ridge))
-        selected.append(best)
-        available[best] = False
+        w_best = W[rows, :, best]
+        p_best, d_best = proj[rows, best], denom[rows, best]
+        ortho_weights[live, step] = p_best / d_best
+        objective[live, step + 1] = objective[live, step] - p_best**2 / d_best
+        selected[live, step] = best
+        available[rows, best] = False
 
         # Deflate every column along the new orthogonal direction. The
         # coefficient of a column here equals its Gram-Schmidt factor
         # against w_best (earlier deflations are orthogonal to w_best).
-        coefs = (w_best @ W) / e_best
-        coef_rows[step] = coefs
-        W -= np.outer(w_best, coefs)
-        W[:, best] = 0.0
+        coefs = np.matmul(w_best[:, None, :], W)[:, 0, :] / energy[rows, best, None]
+        coef_rows[live, step] = coefs
+        for r in rows:
+            # W[r].T is the Fortran-ordered view BLAS updates in place
+            dger(-1.0, coefs[r], w_best[r], a=W[r].T, overwrite_a=True)
+        W[rows, :, best] = 0.0
 
-    k = len(selected)
-    sel = np.array(selected, dtype=int)
-    gs = coef_rows[:k][:, sel]
-    gs = np.triu(gs, 1) + np.eye(k)
-    return RbfnPath(
-        inputs=X.copy(),
-        selected=candidate_idx[sel],
-        gs_coefs=gs,
-        ortho_weights=ortho_weights[:k].copy(),
-        objective=np.array(objective),
-        width=width,
-        ridge=ridge,
-    )
+    inputs = X.copy()
+    paths = []
+    for p, k in enumerate(lengths):
+        sel = selected[p, :k]
+        gs = np.triu(coef_rows[p, :k][:, sel], 1) + np.eye(k)
+        paths.append(RbfnPath(
+            inputs=inputs,
+            selected=candidate_idx[sel],
+            gs_coefs=gs,
+            ortho_weights=ortho_weights[p, :k].copy(),
+            objective=objective[p, : k + 1].copy(),
+            width=width,
+            ridge=float(ridges[p]),
+        ))
+    return paths

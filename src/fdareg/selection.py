@@ -489,10 +489,10 @@ def _score_model_cells(spec, X_tr, y_tr, X_va, y_va, k_imp, n_comp, fold_i, tabl
         base_width = rbfn_mod.median_width(X_tr)
         cap = min(spec.rbfn.max_centers, X_tr.shape[0])
         for mult in spec.rbfn.width_multipliers:
-            for ridge in spec.rbfn.ridges:
-                path = rbfn_mod.train_ols(
-                    X_tr, y_tr, mult * base_width, ridge, cap
-                )
+            paths = rbfn_mod.train_ols_paths(
+                X_tr, y_tr, mult * base_width, spec.rbfn.ridges, cap
+            )
+            for ridge, path in zip(spec.rbfn.ridges, paths):
                 preds = path.predictions(X_va)
                 sse = np.sum((preds - y_va[:, None]) ** 2, axis=0) / y_va.size
                 for i in range(path.max_size):
@@ -541,7 +541,7 @@ def _fit_final(spec, stage, cell, y, notes):
     if spec.model == "rbfn":
         mult, ridge, kc = cell[2], cell[3], cell[4]
         width = mult * rbfn_mod.median_width(X)
-        path = rbfn_mod.train_ols(X, y, width, ridge, min(kc, X.shape[0]))
+        [path] = rbfn_mod.train_ols_paths(X, y, width, (ridge,), min(kc, X.shape[0]))
         if path.max_size < kc:
             notes.append(
                 f"final refit: the full-data path stopped at {path.max_size} "

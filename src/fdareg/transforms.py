@@ -7,7 +7,8 @@ takes the ``(n, q)`` coefficient matrix of a dataset, one function per row:
 the per-function mean is an inner product with the constant one function
 (whose coordinates are known in closed form for both basis families), norms
 come from the scaled beta rows, and a derivative is one product with the
-basis's coefficient map; :func:`row_stats` gives the row-wise statistics.
+basis's coefficient map; :func:`row_stats` gives the row-wise statistics
+and :func:`constant_rows` the rows that cannot be reduced.
 :func:`functional_stats`, :func:`center_reduce` and :func:`derive` are
 one-function views of the same code.
 
@@ -56,14 +57,20 @@ def row_stats(alpha: np.ndarray, basis: Basis, gram: GramFactor):
     return volume, mu, sigma, beta
 
 
+def constant_rows(alpha: np.ndarray, basis: Basis, gram: GramFactor) -> np.ndarray:
+    """Boolean mask of the rows whose centered function is numerically
+    zero: no shape is left to scale, so their reduction is undefined."""
+    volume, _, sigma, beta = row_stats(alpha, basis, gram)
+    return sigma * volume < 1e-12 * np.maximum(np.linalg.norm(beta, axis=1), 1.0)
+
+
 def _center_reduce_rows(alpha: np.ndarray, basis: Basis, gram: GramFactor) -> np.ndarray:
-    volume, mu, sigma, beta = row_stats(alpha, basis, gram)
-    norm = np.linalg.norm(beta, axis=1)
-    flat = np.flatnonzero(sigma * volume < 1e-12 * np.maximum(norm, 1.0))
+    flat = np.flatnonzero(constant_rows(alpha, basis, gram))
     if flat.size:
         raise ConstantFunctionError(
             f"function in row {int(flat[0])} is constant: reduction is undefined"
         )
+    _, mu, sigma, _ = row_stats(alpha, basis, gram)
     return (alpha - np.outer(mu, basis.constant_coefficients())) / sigma[:, None]
 
 

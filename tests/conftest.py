@@ -5,8 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fdareg import basis, fdata
+
+# every run draws the same examples and writes no example database
+settings.register_profile("fdareg", derandomize=True, database=None)
+settings.load_profile("fdareg")
 
 TECATOR_ENV = "FDAREG_TECATOR"
 

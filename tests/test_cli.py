@@ -75,6 +75,29 @@ def test_represent_outputs(pairs_file, tmp_path):
         assert np.max(np.abs(fr.y - fo.y)) < 0.2
 
 
+def test_emit_curves_skips_only_constant_curves(tmp_path):
+    # the first shown curve is constant, so it alone has no center-reduce file
+    rng = np.random.default_rng(5)
+    ds = synthetic_dataset(rng, n=8, m=26, noise=0.005)
+    flat = fdata.SampledFunction(ds.functions[0].x, np.full(26, 2.5), id=0)
+    data = tmp_path / "flat.pairs"
+    fdata.save_generic_pairs(
+        fdata.Dataset([flat, *ds.functions[1:]], ds.targets, ds.domain), data
+    )
+    out = tmp_path / "rep-flat"
+    rc = cli.main([
+        "represent", "--data", str(data), "--format", "generic-pairs",
+        "--basis", "bspline", "--order", "4", "--dimension", "8",
+        "--out", str(out), "--emit-curves", "--curve-functions", "2",
+    ])
+    assert rc == 0
+    assert not (out / "curve_center_reduce_0.csv").exists()
+    assert (out / "curve_center_reduce_1.csv").exists()
+    for name in ("fit", "deriv1", "deriv2"):
+        assert (out / f"curve_{name}_0.csv").exists()
+        assert (out / f"curve_{name}_1.csv").exists()
+
+
 def test_represent_loo_selection(pairs_file, tmp_path):
     out = tmp_path / "rep-loo"
     rc = cli.main([

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import vector_dataset
 from fdareg import fdata, rbfn
@@ -38,6 +40,56 @@ def brute_force_greedy(F, y, ridge, steps):
             break
         selected.append(best_j)
     return selected
+
+
+def reference_train_ols(X, y, width, ridge, max_centers, candidate_idx=None):
+    """Reference for ``train_ols_paths``: one ridge at a time, with the
+    numpy ``W -= outer(w, c)`` deflation that the lockstep BLAS rank-1
+    update replaced. Returns the path and, per step, the share of its
+    original energy that the selected column kept."""
+    n = X.shape[0]
+    candidate_idx = np.arange(n) if candidate_idx is None else np.asarray(candidate_idx)
+    n_cand = candidate_idx.size
+    F = rbfn.design_matrix(X, X[candidate_idx], width)
+    base_energy = np.einsum("ij,ij->j", F, F)
+    W = F.copy()
+    available = np.ones(n_cand, dtype=bool)
+    selected, kept = [], []
+    coef_rows = np.zeros((max_centers, n_cand))
+    ortho_weights = np.zeros(max_centers)
+    objective = [float(y @ y)]
+    for step in range(max_centers):
+        energy = np.einsum("ij,ij->j", W, W)
+        proj = W.T @ y
+        usable = available & (energy > rbfn.ENERGY_TOL * base_energy)
+        if not np.any(usable):
+            break
+        reduction = np.full(n_cand, -np.inf)
+        reduction[usable] = proj[usable] ** 2 / (energy[usable] + ridge)
+        best = int(np.flatnonzero(reduction >= reduction.max() - rbfn.TIE_TOL)[0])
+        w_best = W[:, best].copy()
+        e_best = energy[best]
+        ortho_weights[step] = proj[best] / (e_best + ridge)
+        objective.append(objective[-1] - proj[best] ** 2 / (e_best + ridge))
+        selected.append(best)
+        kept.append(e_best / base_energy[best])
+        available[best] = False
+        coefs = (w_best @ W) / e_best
+        coef_rows[step] = coefs
+        W -= np.outer(w_best, coefs)
+        W[:, best] = 0.0
+    k = len(selected)
+    sel = np.array(selected, dtype=int)
+    path = rbfn.RbfnPath(
+        inputs=X.copy(),
+        selected=candidate_idx[sel],
+        gs_coefs=np.triu(coef_rows[:k][:, sel], 1) + np.eye(k),
+        ortho_weights=ortho_weights[:k],
+        objective=np.array(objective),
+        width=width,
+        ridge=ridge,
+    )
+    return path, np.array(kept)
 
 
 class TestPredict:
@@ -143,6 +195,107 @@ class TestTrainOls:
         fresh = rbfn.train_ols(X, y, 1.2, 1e-2, max_centers=7)
         np.testing.assert_array_equal(path.selected[:7], fresh.selected)
         np.testing.assert_allclose(path.weights(7), fresh.weights(7), atol=1e-10)
+
+
+class TestTrainOlsPaths:
+    """Oracles for growing every ridge's path in lockstep."""
+
+    RIDGES = (0.0, 1e-6, 1e-3, 1.0)
+    RTOL = 1e-9
+    # Rounding differences between two correct implementations grow like
+    # eps over the share of its energy a selected column kept. Once that
+    # share falls below this floor they can reach 1e-5, so the numbers are
+    # compared on the steps before; the selections on the whole path.
+    KEPT_FLOOR = 1e-8
+
+    def _assert_matches_reference(self, X, y, width, ridges, max_centers, pool=None):
+        paths = rbfn.train_ols_paths(X, y, width, ridges, max_centers, pool)
+        assert len(paths) == len(ridges)
+        for ridge, path in zip(ridges, paths):
+            ref, kept = reference_train_ols(X, y, width, ridge, max_centers, pool)
+            assert path.ridge == ridge
+            np.testing.assert_array_equal(path.selected, ref.selected)
+            below = np.flatnonzero(kept < self.KEPT_FLOOR)
+            k = int(below[0]) if below.size else kept.size
+            for got, want in (
+                (path.gs_coefs[:k, :k], ref.gs_coefs[:k, :k]),
+                (path.ortho_weights[:k], ref.ortho_weights[:k]),
+                (path.objective[: k + 1], ref.objective[: k + 1]),
+            ):
+                np.testing.assert_allclose(
+                    got, want, rtol=self.RTOL, atol=self.RTOL * np.abs(want).max()
+                )
+        return paths
+
+    def test_matches_reference_per_ridge(self, rng):
+        X = rng.normal(size=(30, 2))
+        y = rng.normal(size=30)
+        paths = self._assert_matches_reference(
+            X, y, rbfn.median_width(X), self.RIDGES, max_centers=20
+        )
+        assert all(p.max_size == 20 for p in paths)
+
+    def test_some_ridges_stop_early_while_others_go_on(self):
+        # a wide width: columns run out of energy after a few steps, at a
+        # step that depends on the ridge
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(30, 2))
+        y = rng.normal(size=30)
+        width = 8.0 * rbfn.median_width(X)
+        paths = self._assert_matches_reference(X, y, width, self.RIDGES, max_centers=7)
+        assert [p.max_size for p in paths] == [7, 6, 6, 7]
+
+    def test_matches_reference_candidate_subset(self, rng):
+        X = rng.normal(size=(25, 3))
+        y = rng.normal(size=25)
+        pool = rng.choice(25, size=12, replace=False)
+        paths = self._assert_matches_reference(
+            X, y, 1.3, self.RIDGES, max_centers=10, pool=pool
+        )
+        for p in paths:
+            assert set(p.selected.tolist()) <= set(pool.tolist())
+
+    def test_permuted_ridges_give_the_same_paths(self, rng):
+        X = rng.normal(size=(30, 2))
+        y = rng.normal(size=30)
+        width = 8.0 * rbfn.median_width(X)  # paths of different lengths
+        order = (3, 0, 2, 1)
+        paths = rbfn.train_ols_paths(X, y, width, self.RIDGES, max_centers=10)
+        permuted = rbfn.train_ols_paths(
+            X, y, width, [self.RIDGES[i] for i in order], max_centers=10
+        )
+        for i, path in zip(order, permuted):
+            for field in ("selected", "gs_coefs", "ortho_weights", "objective"):
+                np.testing.assert_array_equal(
+                    getattr(path, field), getattr(paths[i], field)
+                )
+
+    @pytest.mark.parametrize(
+        "ridges, max_centers",
+        [((1e-3, -1e-6), 5), ((), 5), ((1e-3,), 11)],
+        ids=["negative-ridge", "no-ridge", "cap-above-candidates"],
+    )
+    def test_invalid_arguments(self, rng, ridges, max_centers):
+        X = rng.normal(size=(10, 2))
+        with pytest.raises(ValidationError):
+            rbfn.train_ols_paths(X, rng.normal(size=10), 1.0, ridges, max_centers)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 14),
+        d=st.integers(1, 3),
+        width_mult=st.floats(0.25, 4.0),
+        ridges=st.permutations(RIDGES).flatmap(
+            lambda r: st.integers(1, len(r)).map(lambda k: tuple(r[:k]))
+        ),
+    )
+    def test_batched_equals_reference_property(self, seed, n, d, width_mult, ridges):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-3.0, 3.0, size=(n, d))
+        y = rng.uniform(-3.0, 3.0, size=n)
+        width = width_mult * rbfn.median_width(X)
+        self._assert_matches_reference(X, y, width, ridges, max_centers=n)
 
 
 def back_substituted_weights(path, k):

@@ -255,17 +255,17 @@ class TestFoldTable:
             rbfn=RbfnSettings(width_multipliers=(1.0,), ridges=(ridge,), max_centers=8),
             seed=3,
         )
-        real_train_ols = rbfn_mod.train_ols
+        real_train_ols_paths = rbfn_mod.train_ols_paths
         lengths = []
 
-        def fixed_length(X, y, width, ridge, max_centers, **kwargs):
-            # one path per fold in plan order, then the final refit
+        def fixed_length(X, y, width, ridges, max_centers, **kwargs):
+            # one call per fold in plan order, then the final refit
             fold = len(lengths)
             length = self.LENGTHS[fold] if fold < len(self.LENGTHS) else max_centers
             lengths.append(length)
-            return real_train_ols(X, y, width, ridge, length, **kwargs)
+            return real_train_ols_paths(X, y, width, ridges, length, **kwargs)
 
-        monkeypatch.setattr(rbfn_mod, "train_ols", fixed_length)
+        monkeypatch.setattr(rbfn_mod, "train_ols_paths", fixed_length)
         report = run_experiment(spec, train, test)
         assert len(lengths) == len(self.LENGTHS) + 1
 
@@ -275,7 +275,7 @@ class TestFoldTable:
         errors: dict[int, list[float]] = {}
         for (tr, va), length in zip(plan, self.LENGTHS):
             width = rbfn_mod.median_width(X[tr])
-            path = real_train_ols(X[tr], y[tr], width, ridge, length)
+            [path] = real_train_ols_paths(X[tr], y[tr], width, (ridge,), length)
             for kc in range(1, path.max_size + 1):
                 err = rbfn_mod.predict(path.model(kc), X[va]) - y[va]
                 errors.setdefault(kc, []).append(float(err @ err) / va.size)
@@ -303,16 +303,16 @@ class TestFinalRefit:
             rbfn=RbfnSettings(width_multipliers=(1.0,), ridges=(1e-3,), max_centers=8),
             seed=3,
         )
-        real_train_ols = rbfn_mod.train_ols
+        real_train_ols_paths = rbfn_mod.train_ols_paths
         requested = []
 
-        def short_final(X, y, width, ridge, max_centers, **kwargs):
+        def short_final(X, y, width, ridges, max_centers, **kwargs):
             # the folds get their full paths; the final refit stops after 1
             requested.append(max_centers)
             length = 1 if len(requested) > spec.folds else max_centers
-            return real_train_ols(X, y, width, ridge, length, **kwargs)
+            return real_train_ols_paths(X, y, width, ridges, length, **kwargs)
 
-        monkeypatch.setattr(rbfn_mod, "train_ols", short_final)
+        monkeypatch.setattr(rbfn_mod, "train_ols_paths", short_final)
         report = run_experiment(spec, train, test)
         assert len(requested) == spec.folds + 1
         chosen = requested[-1]
