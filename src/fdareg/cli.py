@@ -176,56 +176,80 @@ def _emit_curves(dataset, alpha, basis, gram, outdir: Path, args) -> None:
     )
 
 
-def _report_lines(reports, title: str) -> str:
-    width = max(len(r.name) for r in reports) + 2
+def _report_lines(rows, title: str) -> str:
+    width = max(len(name) for name, _, _ in rows) + 2
     lines = [title, ""]
     lines.append(f"{'experiment':<{width}}{'test-rmse':>10}  selected")
-    for r in reports:
-        lines.append(f"{r.name:<{width}}{r.test_rmse:>10.4f}  {r.selected_as_text()}")
+    for name, report, failure in rows:
+        if report is None:
+            lines.append(f"{name:<{width}}{'failed':>10}  {failure}")
+        else:
+            lines.append(
+                f"{name:<{width}}{report.test_rmse:>10.4f}  {report.selected_as_text()}"
+            )
     return "\n".join(lines) + "\n"
 
 
-def _results_csv(reports) -> str:
+def _results_csv(rows) -> str:
     lines = ["experiment,selected-params,test-rmse,wall-time"]
-    for r in reports:
-        sel = r.selected_as_text().replace(",", ";")
-        lines.append(f"{r.name},{sel},{r.test_rmse:.6f},{r.wall_time:.3f}")
+    for name, report, failure in rows:
+        if report is None:
+            lines.append(f"{name},failed: {failure.replace(',', ';')},,")
+            continue
+        sel = report.selected_as_text().replace(",", ";")
+        lines.append(f"{name},{sel},{report.test_rmse:.6f},{report.wall_time:.3f}")
     return "\n".join(lines) + "\n"
 
 
 def _run_rows(specs, train, test, outdir: Path, manifest: dict, title: str) -> int:
-    reports = []
+    """Run every row, writing its JSON as it finishes, then the table files
+    and the manifest. A row that fails with a toolkit error is recorded
+    (error type and message) and the next row runs; the exit status is 1
+    if any row failed."""
+    rows = []  # (name, report or None, failure text or None)
     for spec in specs:
         print(f"running {spec.name} ...", flush=True)
         t0 = time.perf_counter()
-        report = run_experiment(spec, train, test)
-        print(
-            f"  {spec.name}: test RMSE {report.test_rmse:.4f} "
-            f"({time.perf_counter() - t0:.1f}s; {report.selected_as_text()})",
-            flush=True,
-        )
-        reports.append(report)
-        row_payload = {
-            "name": report.name,
-            "model": report.model,
-            "test_rmse": report.test_rmse,
-            "cv_score": report.cv_score,
-            "selected": report.selected,
-            "info": report.info,
-            "notes": list(report.notes),
-            "seed": report.seed,
-        }
+        try:
+            report = run_experiment(spec, train, test)
+        except FdaregError as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+            print(f"error: {spec.name}: {failure}", file=sys.stderr, flush=True)
+            rows.append((spec.name, None, failure))
+            row_payload = {
+                "name": spec.name,
+                "model": spec.model,
+                "error": {"type": type(exc).__name__, "message": str(exc)},
+                "seed": spec.seed,
+            }
+        else:
+            print(
+                f"  {spec.name}: test RMSE {report.test_rmse:.4f} "
+                f"({time.perf_counter() - t0:.1f}s; {report.selected_as_text()})",
+                flush=True,
+            )
+            rows.append((spec.name, report, None))
+            row_payload = {
+                "name": report.name,
+                "model": report.model,
+                "test_rmse": report.test_rmse,
+                "cv_score": report.cv_score,
+                "selected": report.selected,
+                "info": report.info,
+                "notes": list(report.notes),
+                "seed": report.seed,
+            }
         _atomic_write(
-            outdir / f"row_{report.name}.json",
+            outdir / f"row_{spec.name}.json",
             json.dumps(row_payload, indent=2, sort_keys=True) + "\n",
         )
-    _atomic_write(outdir / "report.txt", _report_lines(reports, title))
-    _atomic_write(outdir / "results.csv", _results_csv(reports))
+    _atomic_write(outdir / "report.txt", _report_lines(rows, title))
+    _atomic_write(outdir / "results.csv", _results_csv(rows))
     manifest["rows"] = [spec.name for spec in specs]
     manifest["specs"] = [spec.to_dict() for spec in specs]
     _write_manifest(outdir, manifest)
     print((outdir / "report.txt").read_text(), end="")
-    return 0
+    return 1 if any(report is None for _, report, _ in rows) else 0
 
 
 def _prepare_split(args, dataset, master_seed: int):

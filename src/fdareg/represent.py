@@ -5,9 +5,12 @@ orthogonal (QR) decomposition of the design matrix, which also yields the
 smoother-matrix diagonal needed for the closed-form leave-one-out score.
 
 The numerical path works on whole datasets: :func:`fit_dataset` and
-:func:`loo_scores` group the functions by identical abscissa array and run
-one pivoted QR per group, so spectra sharing one grid cost one
-factorization, and return an ``(n, q)`` coefficient matrix or ``n`` scores.
+:func:`loo_scores` evaluate the basis once, on the union of the dataset's
+abscissas, group the functions by identical abscissa array, slice each
+group's design rows from that one evaluation and run one pivoted QR per
+group, so spectra sharing one grid cost one factorization and holed curves
+cost no extra basis evaluation. They return an ``(n, q)`` coefficient
+matrix or ``n`` scores.
 :func:`fit`, :func:`loo_score` and :func:`hat_diagonal` are one-function
 views of the same code. Scaled coordinates ``beta = U alpha`` make
 canonical dot products equal L2 inner products of the reconstructed
@@ -106,13 +109,24 @@ def _qr_solve(design: np.ndarray, Y: np.ndarray):
 def _group_fits(functions: Sequence[SampledFunction], basis: Basis):
     """One QR per distinct sampling grid: yields ``(indices, fit)`` for the
     functions sharing one abscissa array, ``fit`` the :func:`_qr_solve`
-    output for their samples."""
+    output for their samples.
+
+    The basis is evaluated once, on the union of all abscissas, and each
+    grid's design rows are sliced from it. Both bases compute a design row
+    from its own point only, so the slice equals ``basis.evaluate(x)``
+    bit for bit, and the domain check covers every point through the union.
+    """
     groups: dict[bytes, list[int]] = {}
     for i, f in enumerate(functions):
         groups.setdefault(f.x.tobytes(), []).append(i)
-    for idx in groups.values():
+    if not groups:
+        return
+    grids = [functions[idx[0]].x for idx in groups.values()]
+    union = np.unique(np.concatenate(grids))
+    design = basis.evaluate(union)
+    for idx, x in zip(groups.values(), grids):
         Y = np.column_stack([functions[i].y for i in idx])
-        yield idx, _qr_solve(basis.evaluate(functions[idx[0]].x), Y)
+        yield idx, _qr_solve(design[np.searchsorted(union, x)], Y)
 
 
 def fit_dataset(
@@ -120,7 +134,8 @@ def fit_dataset(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project every sampled function onto a basis by least squares.
 
-    Functions sampled at identical abscissas share one pivoted QR.
+    The basis is evaluated once, on the union of all abscissas; functions
+    sampled at identical abscissas share one pivoted QR.
 
     Returns
     -------
@@ -148,7 +163,7 @@ def loo_scores(functions: Sequence[SampledFunction], basis: Basis) -> np.ndarray
     function, shape ``(n,)``.
 
     Equals the naive score from ``m`` refits each omitting one point, but
-    costs one fit per distinct grid:
+    costs one basis evaluation per dataset and one fit per distinct grid:
     ``(1/m) sum_i ((y_i - g(x_i)) / (1 - S_ii))^2`` with ``S`` the smoother
     matrix, whose diagonal depends on the grid only.
 

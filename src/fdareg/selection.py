@@ -20,11 +20,12 @@ standardized once, and every PCA size of the grid takes its scores from
 those two matrices. Per-function steps
 (basis projection, centering, derivatives, expert scaling) use no
 cross-sample information, so they are computed once up front, on whole
-coefficient or value matrices: one pivoted QR per distinct sampling grid
-gives the ``(n, q)`` coefficient matrix, and each transform maps it to
+coefficient or value matrices: one basis evaluation per dataset, on the
+union of its sampling abscissas, and one pivoted QR per distinct sampling
+grid give the ``(n, q)`` coefficient matrix, and each transform maps it to
 another. Basis-size selection by leave-one-out never sees a target and is
-also done once, on the training functions, with one QR per grid and
-candidate size.
+also done once, on the training functions, with one basis evaluation per
+candidate size and one QR per grid and candidate size.
 """
 
 from __future__ import annotations
@@ -358,7 +359,8 @@ class _FittedPreproc:
         self.train_X = X
         self.pca = None
         if spec.pca.kind != "none":
-            cap = min(max_comp, min(X.shape) - 1)
+            # a centered (n, q) matrix has rank at most min(n - 1, q)
+            cap = min(max_comp, X.shape[0] - 1, X.shape[1])
             self.pca = fpca_mod.fit_fpca(X, n_components=cap)
 
     def prepare(self, values, mask):

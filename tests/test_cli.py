@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_dataset
-from fdareg import cli, fdata
+from fdareg import cli, fdata, suites
+from fdareg.errors import ConfigError
+from fdareg.selection import ExperimentSpec
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +148,51 @@ def test_experiment_rerun_byte_identical_report(pairs_file, tmp_path):
         (outs[0] / "row_cli-rbfn.json").read_bytes()
         == (outs[1] / "row_cli-rbfn.json").read_bytes()
     )
+
+
+def test_failing_row_does_not_stop_the_suite(pairs_file, tmp_path, monkeypatch, capsys):
+    names = ("first", "broken", "third")
+
+    def three_rows(seed=0):
+        return [
+            ExperimentSpec.from_dict(dict(SMALL_SPEC, name=name, seed=seed))
+            for name in names
+        ]
+
+    real_run = cli.run_experiment
+
+    def run_or_fail(spec, train, test):
+        if spec.name == "broken":
+            raise ConfigError("no grid cell was scored in every fold")
+        return real_run(spec, train, test)
+
+    monkeypatch.setitem(suites.SUITE_BUILDERS, "three-rows", three_rows)
+    monkeypatch.setattr(cli, "run_experiment", run_or_fail)
+    out = tmp_path / "suite"
+    rc = cli.main([
+        "suite", "--table", "three-rows",
+        "--data", str(pairs_file), "--format", "generic-pairs",
+        "--test-size", "9", "--out", str(out),
+    ])
+    assert rc == 1
+    assert "broken: ConfigError" in capsys.readouterr().err
+    for name in ("first", "third"):
+        row = json.loads((out / f"row_{name}.json").read_text())
+        assert np.isfinite(row["test_rmse"]) and "error" not in row
+    failed = json.loads((out / "row_broken.json").read_text())
+    assert failed["error"] == {
+        "type": "ConfigError", "message": "no grid cell was scored in every fold"
+    }
+    assert "test_rmse" not in failed
+    report = (out / "report.txt").read_text().splitlines()
+    [line] = [text for text in report if text.startswith("broken")]
+    assert "failed" in line and "ConfigError: no grid cell" in line
+    assert sum(text.startswith(("first", "third")) for text in report) == 2
+    results = (out / "results.csv").read_text().splitlines()
+    assert len(results) == 4
+    assert results[2].startswith("broken,failed: ConfigError")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["rows"] == list(names)
 
 
 def test_config_error_exit_status(pairs_file, tmp_path, capsys):

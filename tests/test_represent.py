@@ -13,6 +13,7 @@ from fdareg import basis, fdata, represent
 from fdareg.errors import (
     BasisMismatchError,
     DegenerateLooError,
+    DomainError,
     SelectionError,
     UnidentifiableCoefficientsError,
 )
@@ -189,6 +190,59 @@ class TestDatasetPath:
         batched = represent.loo_scores(fns, b)
         per_curve = [represent.loo_score(f, b) for f in fns]
         np.testing.assert_allclose(batched, per_curve, rtol=1e-10, atol=0)
+
+
+MIXED_GRID_BASES = (
+    basis.BSplineBasis.uniform(0.0, 1.0, 6, 4),
+    basis.BSplineBasis.uniform(0.0, 1.0, 6, 5),
+    basis.FourierBasis(0.0, 1.0, 9),
+)
+
+
+class TestUnionEvaluation:
+    """One basis evaluation per dataset, on the union of the abscissas; each
+    grid's design rows are sliced from it."""
+
+    @pytest.mark.parametrize("b", MIXED_GRID_BASES, ids=repr)
+    def test_sliced_design_equals_per_grid_evaluation(self, rng, monkeypatch, b):
+        fns = mixed_grid_functions(rng)
+        monkeypatch.setattr(represent, "_qr_solve", lambda design, Y: design)
+        groups = list(represent._group_fits(fns, b))
+        assert len(groups) == 5  # the shared grid and four holed grids
+        for idx, design in groups:
+            x = fns[idx[0]].x
+            assert all(np.array_equal(fns[i].x, x) for i in idx)
+            assert np.array_equal(design, b.evaluate(x))
+
+    @pytest.mark.parametrize("b", MIXED_GRID_BASES, ids=repr)
+    def test_one_evaluation_per_call(self, rng, monkeypatch, b):
+        fns = mixed_grid_functions(rng)
+        points = []
+        evaluate = type(b).evaluate
+
+        def counted(self, x):
+            points.append(np.size(x))
+            return evaluate(self, x)
+
+        monkeypatch.setattr(type(b), "evaluate", counted)
+        represent.loo_scores(fns, b)
+        union = np.unique(np.concatenate([f.x for f in fns]))
+        assert points == [union.size]
+        represent.fit_dataset(fns, b)
+        assert points == [union.size] * 2
+
+    def test_empty_function_list(self, small_bspline):
+        alpha, sse = represent.fit_dataset([], small_bspline)
+        assert alpha.shape == (0, small_bspline.dimension) and sse.shape == (0,)
+        assert represent.loo_scores([], small_bspline).shape == (0,)
+
+    def test_out_of_domain_abscissa_raises(self, rng, small_bspline):
+        x = np.linspace(0.0, 1.25, 40)
+        fns = mixed_grid_functions(rng) + [fdata.SampledFunction(x, np.sin(x))]
+        with pytest.raises(DomainError, match="outside"):
+            represent.fit_dataset(fns, small_bspline)
+        with pytest.raises(DomainError, match="outside"):
+            represent.loo_scores(fns, small_bspline)
 
 
 class TestSelectBasisSize:

@@ -200,6 +200,24 @@ class TestRunExperiment:
         assert a.cv_score == b.cv_score
         assert a.notes == b.notes
 
+    @pytest.mark.parametrize("grid", [(17, 18), (18,)])
+    def test_fpca_scores_every_component_of_the_basis(self, data, grid):
+        # a centered (n, q) coefficient matrix supports min(n - 1, q)
+        # components: with q = 18 and 33-34 training curves per fold, the
+        # 18th FPCA component is scored in every fold, without a fold note
+        train, test = data
+        spec = ExperimentSpec(
+            "fpca-full-rank", "rbfn",
+            representation=RepresentationSpec("bspline", order=4, dimension=18),
+            pca=PcaSpec("functional", n_components="cv", component_grid=grid),
+            rbfn=SMALL_RBFN,
+            seed=5,
+        )
+        report = run_experiment(spec, train, test)
+        assert report.info["basis"]["dimension"] == 18
+        assert report.notes == ()
+        assert report.selected["n_components"] in grid
+
     def test_mean_baseline(self, data):
         train, test = data
         report = run_experiment(ExperimentSpec("mean", "mean"), train, test)
