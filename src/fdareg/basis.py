@@ -111,10 +111,6 @@ class GramFactor:
     def __setattr__(self, name, value):
         raise AttributeError("GramFactor is immutable")
 
-    @property
-    def dimension(self) -> int:
-        return self.phi.shape[0]
-
 
 # Gram factors are cached per basis parameters; population is cheap but
 # guarded so concurrent first uses do not race.
@@ -143,16 +139,15 @@ class _BasisBase:
             bad = pts[(pts < a) | (pts > b)][0]
             raise DomainError(f"evaluation point {bad} outside [{a}, {b}]")
 
-    def gram_factor(self, quad_points: int | None = None) -> GramFactor:
-        key = self.key + (quad_points,)
-        hit = _GRAM_CACHE.get(key)
+    def gram_factor(self) -> GramFactor:
+        hit = _GRAM_CACHE.get(self.key)
         if hit is not None:
             return hit
-        factor = GramFactor(self._gram_matrix(quad_points))
+        factor = GramFactor(self._gram_matrix())
         with _GRAM_LOCK:
-            return _GRAM_CACHE.setdefault(key, factor)
+            return _GRAM_CACHE.setdefault(self.key, factor)
 
-    def _gram_matrix(self, quad_points: int | None) -> np.ndarray:
+    def _gram_matrix(self) -> np.ndarray:
         raise NotImplementedError
 
     def __eq__(self, other) -> bool:
@@ -245,13 +240,10 @@ class BSplineBasis(_BasisBase):
         # coordinates on a clamped B-spline basis.
         return np.ones(self.dimension)
 
-    def _gram_matrix(self, quad_points: int | None) -> np.ndarray:
+    def _gram_matrix(self) -> np.ndarray:
         # Gauss-Legendre per knot interval. With nu nodes the rule is exact
         # for products of two degree-(nu-1) polynomial pieces.
-        m = self.order if quad_points is None else int(quad_points)
-        if m < 1:
-            raise ValidationError("quad_points must be >= 1")
-        nodes, weights = np.polynomial.legendre.leggauss(m)
+        nodes, weights = np.polynomial.legendre.leggauss(self.order)
         edges = self.knots.edges
         mid = 0.5 * (edges[1:] + edges[:-1])
         half = 0.5 * (edges[1:] - edges[:-1])
@@ -360,7 +352,7 @@ class FourierBasis(_BasisBase):
         coef[0] = np.sqrt(self.period)
         return coef
 
-    def _gram_matrix(self, quad_points: int | None) -> np.ndarray:
+    def _gram_matrix(self) -> np.ndarray:
         return np.eye(self.dimension)
 
     def derivative_basis(self, s: int) -> tuple["FourierBasis", np.ndarray]:

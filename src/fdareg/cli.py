@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import fdata, fpca, represent, suites, transforms
 from .cv import derive_seed
-from .errors import FdaregError
+from .errors import ConfigError, FdaregError
 from .selection import ExperimentSpec, run_experiment
 
 
@@ -87,9 +87,9 @@ def cmd_represent(args) -> int:
         loo_lines += [f"{q},skipped:{reason}" for q, reason in sorted(sel.skipped.items())]
         _atomic_write(outdir / "loo_report.csv", "\n".join(loo_lines) + "\n")
     else:
-        dimension = int(args.dimension)
+        dimension = args.dimension
     basis = represent.make_basis(args.basis, dataset.domain, dimension, args.order)
-    gram = basis.gram_factor(args.quad_points)
+    gram = basis.gram_factor()
 
     alpha, sse = represent.fit_dataset(dataset.functions, basis)
     beta = alpha @ gram.chol.T
@@ -264,7 +264,10 @@ def _prepare_split(args, dataset, master_seed: int):
 
 
 def cmd_experiment(args) -> int:
-    raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"spec file {args.spec} is not valid JSON: {exc}") from None
     spec = ExperimentSpec.from_dict(raw)
     if args.seed is not None:
         spec = ExperimentSpec.from_dict({**spec.to_dict(), "seed": args.seed})
@@ -306,6 +309,13 @@ def cmd_suite(args) -> int:
     return _run_rows(specs, train, test, outdir, manifest, title)
 
 
+def _dimension(text: str) -> int | str:
+    """``--dimension``: ``loo`` or a positive basis size."""
+    if text == "loo" or (text.isdigit() and int(text) > 0):
+        return text if text == "loo" else int(text)
+    raise argparse.ArgumentTypeError(f"expected 'loo' or a positive integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fdareg",
@@ -319,10 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default="bspline", choices=["bspline", "fourier"])
     p.add_argument("--order", type=int, default=4, help="spline order")
     p.add_argument(
-        "--dimension", default="loo",
+        "--dimension", default="loo", type=_dimension,
         help="basis size, or 'loo' to select it by leave-one-out",
     )
-    p.add_argument("--quad-points", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--emit-curves", action="store_true", help="write plot-ready curve files")
     p.add_argument("--curve-functions", type=int, default=5)

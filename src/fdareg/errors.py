@@ -45,10 +45,6 @@ class SelectionError(FdaregError):
     """No candidate in a selection grid was feasible."""
 
 
-class BasisMismatchError(FdaregError):
-    """Two representations do not live on the same basis."""
-
-
 class ConstantFunctionError(FdaregError):
     """Functional reduction is undefined for a (numerically) constant function."""
 

@@ -8,7 +8,6 @@ Sampling may be irregular and may differ between observations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -21,14 +20,6 @@ TECATOR_DOMAIN = (850.0, 1050.0)
 TECATOR_CHANNELS = 100
 #: Columns after the absorbances in a tecator-grid row: water, fat, protein.
 _TECATOR_TARGET_COLUMN = 1  # fat
-
-
-@dataclass(frozen=True)
-class SamplePoint:
-    """One (abscissa, value) observation of a sampled function."""
-
-    x: float
-    y: float
 
 
 class SampledFunction:
@@ -64,10 +55,6 @@ class SampledFunction:
 
     def __len__(self) -> int:
         return self.x.size
-
-    @property
-    def points(self) -> tuple[SamplePoint, ...]:
-        return tuple(SamplePoint(float(a), float(b)) for a, b in zip(self.x, self.y))
 
     def __repr__(self) -> str:
         return f"SampledFunction(id={self.id}, m={len(self)})"
@@ -108,9 +95,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.functions)
-
-    def ids(self) -> tuple[int, ...]:
-        return tuple(f.id for f in self.functions)
 
     def subset(self, indices: Iterable[int]) -> "Dataset":
         idx = list(indices)
@@ -255,11 +239,11 @@ def drop_random(f: SampledFunction, fraction: float, seed: int) -> SampledFuncti
     order.
     """
     if not 0.0 <= fraction < 1.0:
-        raise ValueError(f"fraction must be in [0, 1), got {fraction}")
+        raise ValidationError(f"fraction must be in [0, 1), got {fraction}")
     m = len(f)
     n_drop = int(math.floor(fraction * m + 0.5))
     if m - n_drop < 1:
-        raise ValueError("dropping would leave an empty function")
+        raise ValidationError("dropping would leave an empty function")
     if n_drop == 0:
         return f
     rng = np.random.default_rng(seed)
@@ -297,7 +281,7 @@ def split(
     """
     n = len(dataset)
     if not 0 <= test_size < n:
-        raise ValueError(f"test_size must be in [0, {n}), got {test_size}")
+        raise ValidationError(f"test_size must be in [0, {n}), got {test_size}")
     if shuffle:
         order = np.random.default_rng(seed).permutation(n)
     else:

@@ -15,11 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .basis import Basis, GramFactor
 from .errors import FdaregError, ValidationError
-from .represent import Representation
 
 
 class DegenerateComponentError(FdaregError):
@@ -33,14 +30,13 @@ class FpcaModel:
     ``components`` holds orthonormal row vectors ordered by non-increasing
     ``eigenvalues`` (variances, computed with 1/(n-1)). The sign convention
     makes each component's largest-magnitude entry positive, so scores are
-    reproducible across runs. ``whiten`` is only a default for score
-    emission; one fit serves whitened and unwhitened uses.
+    reproducible across runs. One fit serves whitened and unwhitened
+    scores.
     """
 
     mean: np.ndarray  # (q,)
     components: np.ndarray  # (k, q)
     eigenvalues: np.ndarray  # (k,)
-    whiten: bool = False
 
     def __post_init__(self):
         self.mean.setflags(write=False)
@@ -105,7 +101,7 @@ def scores(
     model: FpcaModel,
     beta: np.ndarray,
     n_components: int | None = None,
-    whiten: bool | None = None,
+    whiten: bool = False,
 ) -> np.ndarray:
     """Project coordinate vectors onto the principal directions.
 
@@ -118,8 +114,6 @@ def scores(
     DegenerateComponentError
         Whitening requested over a component with variance below 1e-12.
     """
-    if whiten is None:
-        whiten = model.whiten
     k = model.n_components if n_components is None else int(n_components)
     if not 1 <= k <= model.n_components:
         raise ValidationError(f"model holds {model.n_components} components, asked {k}")
@@ -133,28 +127,6 @@ def scores(
             )
         out = out / np.sqrt(lam)
     return out
-
-
-def reconstruct(model: FpcaModel, score_vectors: np.ndarray) -> np.ndarray:
-    """Map (unwhitened) scores back to coordinate vectors."""
-    k = score_vectors.shape[-1]
-    return model.mean + score_vectors @ model.components[:k]
-
-
-def principal_function(
-    model: FpcaModel, j: int, basis: Basis, gram: GramFactor
-) -> Representation:
-    """The j-th principal function as a Representation on the fit's basis.
-
-    The principal vector tau lives in beta space; solving ``U alpha = tau``
-    recovers its coordinates on the basis, giving an orthonormal family of
-    functions in L2.
-    """
-    if not 0 <= j < model.n_components:
-        raise ValidationError(f"component {j} out of range")
-    tau = model.components[j]
-    alpha = scipy.linalg.solve_triangular(gram.chol, tau)
-    return Representation(basis, gram, alpha, tau.copy())
 
 
 class Standardizer:

@@ -22,7 +22,7 @@ from .errors import ImputationError, IncomparableSampleError, ScalingError, Vali
 from .fdata import Dataset
 
 
-def masked_matrix_from_dataset(dataset: Dataset, grid: np.ndarray, atol: float = 1e-9):
+def masked_matrix_from_dataset(dataset: Dataset, grid: np.ndarray):
     """Map a (possibly holed) dataset onto grid-aligned value/mask matrices.
 
     Every sample abscissa must coincide with a grid point (the holes
@@ -38,7 +38,7 @@ def masked_matrix_from_dataset(dataset: Dataset, grid: np.ndarray, atol: float =
         idx = np.clip(idx, 0, p - 1)
         left = np.clip(idx - 1, 0, p - 1)
         idx = np.where(np.abs(grid[left] - f.x) < np.abs(grid[idx] - f.x), left, idx)
-        if not np.allclose(grid[idx], f.x, atol=atol, rtol=0):
+        if not np.allclose(grid[idx], f.x, atol=1e-9, rtol=0):
             raise ValidationError(
                 f"function {f.id} has samples off the common grid"
             )
@@ -139,17 +139,6 @@ class KnnImputer:
                 use = donors[: self.k]
                 out[i, j] = float(np.mean(self.values_[use, j]))
         return out
-
-
-def mean_impute(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """One-shot mean imputation of a dataset (fit and fill the same data)."""
-    return MeanImputer().fit(values, mask).transform(values, mask)
-
-
-def knn_impute(values: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
-    """One-shot k-NN imputation of a dataset (donors are its own rows)."""
-    imp = KnnImputer(k).fit(values, mask)
-    return imp.transform(values, mask, is_fit_data=True)
 
 
 def expert_scale_matrix(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

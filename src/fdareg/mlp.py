@@ -44,10 +44,6 @@ class MlpModel:
         self.output_weights.setflags(write=False)
 
     @property
-    def hidden_count(self) -> int:
-        return self.hidden_weights.shape[0]
-
-    @property
     def input_dim(self) -> int:
         return self.hidden_weights.shape[1]
 
@@ -78,17 +74,6 @@ def _shapes(hidden: int, dim: int) -> tuple[slice, slice, slice, int]:
     )
 
 
-def pack(model: MlpModel) -> np.ndarray:
-    return np.concatenate(
-        [
-            model.hidden_weights.ravel(),
-            model.hidden_biases,
-            model.output_weights,
-            [model.output_bias],
-        ]
-    )
-
-
 def unpack(params: np.ndarray, hidden: int, dim: int, decay: float) -> MlpModel:
     sv, sb, sw, ib0 = _shapes(hidden, dim)
     return MlpModel(
@@ -98,38 +83,6 @@ def unpack(params: np.ndarray, hidden: int, dim: int, decay: float) -> MlpModel:
         float(params[ib0]),
         decay,
     )
-
-
-def loss_and_grad(
-    params: np.ndarray, X: np.ndarray, y: np.ndarray, hidden: int, decay: float
-) -> tuple[float, np.ndarray]:
-    """Regularized loss ``SSE + decay * ||non-bias weights||^2`` and its
-    analytic gradient with respect to the packed parameter vector.
-
-    The decay term covers hidden and output weights but neither bias, so
-    the penalty gradient with respect to any bias is exactly zero.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    n, dim = X.shape
-    sv, sb, sw, ib0 = _shapes(hidden, dim)
-    V = params[sv].reshape(hidden, dim)
-    b = params[sb]
-    w = params[sw]
-    b0 = params[ib0]
-
-    act = np.tanh(X @ V.T + b)  # (n, H)
-    resid = y - (act @ w + b0)
-    sech2 = 1.0 - act**2
-    loss = float(resid @ resid + decay * (V.ravel() @ V.ravel() + w @ w))
-
-    grad = np.empty_like(params)
-    back = resid[:, None] * (w * sech2)  # (n, H), d(SSE)/dz_h factors
-    grad[sv] = (-2.0 * back.T @ X).ravel() + 2.0 * decay * V.ravel()
-    grad[sb] = -2.0 * back.sum(axis=0)
-    grad[sw] = -2.0 * act.T @ resid + 2.0 * decay * w
-    grad[ib0] = -2.0 * resid.sum()
-    return loss, grad
 
 
 def init_params(
@@ -166,6 +119,22 @@ def _batched_loss(params, X, y, hidden, decay):
     return np.einsum("rn,rn->r", resid, resid) + decay * pen, resid, act
 
 
+def _jacobian(params, X, act, hidden):
+    """Jacobian ``(R, n, P)`` of the outputs w.r.t. ``params`` ``(R, P)``,
+    from the hidden activations ``act`` ``(R, n, H)`` at those parameters."""
+    (R, n_params), (n, dim) = params.shape, X.shape
+    sv, sb, sw, ib0 = _shapes(hidden, dim)
+    wsech = params[:, None, sw] * (1.0 - act**2)  # d out / d b_h, (r, n, H)
+    J = np.empty((R, n, n_params))
+    J[:, :, sv] = (wsech[:, :, :, None] * X[None, :, None, :]).reshape(
+        R, n, hidden * dim
+    )
+    J[:, :, sb] = wsech
+    J[:, :, sw] = act
+    J[:, :, ib0] = 1.0
+    return J
+
+
 def train(
     X: np.ndarray,
     y: np.ndarray,
@@ -174,13 +143,12 @@ def train(
     restarts: int = 60,
     seed: int | None = None,
     max_iter: int = MAX_ITER,
-    grad_tol: float = GRAD_TOL,
 ) -> MlpModel:
     """Fit the perceptron from many random initializations.
 
     Each restart runs damped Gauss-Newton on the residual vector
     (data residuals plus sqrt(decay)-scaled weight residuals) until the
-    gradient norm falls below ``grad_tol * (1 + loss)`` or ``max_iter``
+    gradient norm falls below ``GRAD_TOL * (1 + loss)`` or ``max_iter``
     trial steps were taken; steps are only accepted when they strictly
     decrease the regularized loss. The restart with the best final loss
     wins. Restarts whose loss turns non-finite are discarded with a
@@ -195,7 +163,7 @@ def train(
         raise ValidationError("need at least one restart")
     if hidden < 1:
         raise ValidationError("need at least one hidden unit")
-    n, dim = X.shape
+    dim = X.shape[1]
     sv, sb, sw, ib0 = _shapes(hidden, dim)
     n_params = hidden * dim + 2 * hidden + 1
     weight_mask = np.zeros(n_params)
@@ -214,15 +182,7 @@ def train(
         if idx.size == 0:
             break
         p_a, act_a, resid_a = params[idx], act[idx], resid[idx]
-        # Jacobian of the data residuals w.r.t. parameters, per live restart.
-        wsech = p_a[:, None, sw] * (1.0 - act_a**2)  # d out / d b_h, (r, n, H)
-        J = np.empty((idx.size, n, n_params))
-        J[:, :, sv] = (wsech[:, :, :, None] * X[None, :, None, :]).reshape(
-            idx.size, n, hidden * dim
-        )
-        J[:, :, sb] = wsech
-        J[:, :, sw] = act_a
-        J[:, :, ib0] = 1.0
+        J = _jacobian(p_a, X, act_a, hidden)
 
         jtj = np.matmul(J.transpose(0, 2, 1), J)
         jtj += decay * np.diag(weight_mask)[None, :, :]
@@ -230,7 +190,7 @@ def train(
         # full gradient of the loss is -2 * grad_half
 
         gnorm = np.linalg.norm(grad_half, axis=1) * 2.0
-        live = gnorm > grad_tol * (1.0 + np.abs(loss[idx]))
+        live = gnorm > GRAD_TOL * (1.0 + np.abs(loss[idx]))
         active[idx[~live]] = False
         if not np.any(live):
             continue

@@ -10,11 +10,10 @@ abscissas, group the functions by identical abscissa array, slice each
 group's design rows from that one evaluation and run one pivoted QR per
 group, so spectra sharing one grid cost one factorization and holed curves
 cost no extra basis evaluation. They return an ``(n, q)`` coefficient
-matrix or ``n`` scores.
-:func:`fit`, :func:`loo_score` and :func:`hat_diagonal` are one-function
-views of the same code. Scaled coordinates ``beta = U alpha`` make
-canonical dot products equal L2 inner products of the reconstructed
-functions.
+matrix or ``n`` scores; the scaled coordinates ``beta = alpha U^T`` make
+canonical dot products of rows equal L2 inner products of the
+reconstructed functions. :func:`select_basis_size` picks the basis size by
+the summed leave-one-out score.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import scipy.linalg
 
 from .basis import Basis, BSplineBasis, FourierBasis, GramFactor
 from .errors import (
-    BasisMismatchError,
     DegenerateLooError,
     FdaregError,
     SelectionError,
@@ -43,12 +41,10 @@ COND_THRESHOLD = 1e8
 
 @dataclass(frozen=True)
 class Representation:
-    """A function's coordinates on a basis.
+    """A function's coordinates on a basis, as :func:`fit` returns them.
 
     ``alpha`` are the raw coordinates, ``beta = U alpha`` the scaled ones.
-    ``sse`` is the residual sum of squares of the least-squares fit; it is
-    ``None`` for representations produced by coordinate transforms, which
-    no longer correspond to a fitted sample list.
+    ``sse`` is the residual sum of squares of the least-squares fit.
     """
 
     basis: Basis
@@ -185,6 +181,7 @@ def loo_scores(functions: Sequence[SampledFunction], basis: Basis) -> np.ndarray
     return scores
 
 
+# Kept only because the benchmark's tracer patches this name; delete with that target.
 def fit(
     f: SampledFunction,
     basis: Basis,
@@ -208,14 +205,7 @@ def fit(
     return Representation(basis, gram, alpha[0], gram.chol @ alpha[0], float(sse[0]))
 
 
-def hat_diagonal(f: SampledFunction, basis: Basis) -> np.ndarray:
-    """Diagonal of the smoother matrix mapping observed to fitted values.
-
-    Entries lie in [0, 1] and sum to ``q`` for a full-column-rank design.
-    """
-    return _qr_solve(basis.evaluate(f.x), f.y[:, None])[2]
-
-
+# Kept only because the benchmark's tracer patches this name; delete with that target.
 def loo_score(f: SampledFunction, basis: Basis) -> float:
     """Leave-one-out score of one function: a one-row :func:`loo_scores`."""
     return float(loo_scores([f], basis)[0])
@@ -269,9 +259,6 @@ class BasisSelection:
     scores: dict[int, float]  # candidate dimension -> total LOO
     skipped: dict[int, str] = field(default_factory=dict)  # dimension -> reason
 
-    def make(self) -> Basis:
-        return make_basis(self.kind, self.domain, self.dimension, self.order)
-
 
 def select_basis_size(
     functions: Sequence[SampledFunction],
@@ -315,21 +302,3 @@ def select_basis_size(
     best = min(sorted(scores), key=lambda q: scores[q])
     return BasisSelection(best, kind, order, tuple(domain), scores, skipped)
 
-
-def _check_same_basis(r1: Representation, r2: Representation) -> None:
-    if r1.basis != r2.basis:
-        raise BasisMismatchError(
-            f"representations live on different bases: {r1.basis!r} vs {r2.basis!r}"
-        )
-
-
-def inner(r1: Representation, r2: Representation) -> float:
-    """L2 inner product of the reconstructed functions, via beta vectors."""
-    _check_same_basis(r1, r2)
-    return float(r1.beta @ r2.beta)
-
-
-def dist(r1: Representation, r2: Representation) -> float:
-    """L2 distance of the reconstructed functions, via beta vectors."""
-    _check_same_basis(r1, r2)
-    return float(np.linalg.norm(r1.beta - r2.beta))

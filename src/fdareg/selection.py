@@ -31,7 +31,7 @@ candidate size and one QR per grid and candidate size.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,15 +41,11 @@ from . import mlp as mlp_mod
 from . import rbfn as rbfn_mod
 from . import represent as rep_mod
 from . import transforms as tr_mod
-from .cv import FoldPlan, derive_seed, make_folds, rmse
+from .cv import derive_seed, make_folds, rmse
 from .errors import ConfigError, FdaregError
 from .fdata import Dataset
 
-# re-exported: the fold plan is part of this module's public surface
 __all__ = [
-    "FoldPlan",
-    "make_folds",
-    "rmse",
     "ExperimentSpec",
     "ExperimentReport",
     "SealedTestSet",
@@ -92,7 +88,6 @@ class RepresentationSpec:
     kind: str = "raw"  # raw | bspline | fourier
     order: int = 4  # spline order (bspline only)
     dimension: int | str = "loo"  # basis size, or "loo" to select it
-    quad_points: int | None = None
 
     def validate(self):
         if self.kind not in ("raw", "bspline", "fourier"):
@@ -226,9 +221,11 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentSpec":
+        """Build a spec from :meth:`to_dict` output; unknown keys raise ConfigError."""
         def tup(value):
             return tuple(value) if isinstance(value, list) else value
 
+        _check_keys("spec", raw, cls)
         kwargs = dict(raw)
         for key, sub in (
             ("representation", RepresentationSpec),
@@ -239,9 +236,15 @@ class ExperimentSpec:
             ("mlp", MlpSettings),
         ):
             if key in kwargs and isinstance(kwargs[key], dict):
-                fields = {k: tup(v) for k, v in kwargs[key].items()}
-                kwargs[key] = sub(**fields)
+                _check_keys(f"spec section {key!r}", kwargs[key], sub)
+                kwargs[key] = sub(**{k: tup(v) for k, v in kwargs[key].items()})
         return cls(**kwargs)
+
+
+def _check_keys(where: str, raw: dict, cls) -> None:
+    unknown = [key for key in raw if key not in {f.name for f in fields(cls)}]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
 
 
 @dataclass
@@ -300,7 +303,7 @@ class _Stage1:
             else:
                 dimension = int(rep.dimension)
             self.basis = rep_mod.make_basis(rep.kind, train.domain, dimension, rep.order)
-            self.gram = self.basis.gram_factor(rep.quad_points)
+            self.gram = self.basis.gram_factor()
             self.info["basis"] = {
                 "kind": rep.kind,
                 "order": rep.order,
@@ -359,9 +362,8 @@ class _FittedPreproc:
         self.train_X = X
         self.pca = None
         if spec.pca.kind != "none":
-            # a centered (n, q) matrix has rank at most min(n - 1, q)
-            cap = min(max_comp, X.shape[0] - 1, X.shape[1])
-            self.pca = fpca_mod.fit_fpca(X, n_components=cap)
+            # run_experiment keeps max_comp within every fold matrix's rank
+            self.pca = fpca_mod.fit_fpca(X, n_components=max_comp)
 
     def prepare(self, values, mask):
         """Impute and standardize new rows (donors are the fitted rows)."""
@@ -390,7 +392,8 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     A cell must be scored in every fold: its CV score is the mean of its
     ``plan.k`` per-fold validation errors, and a cell that some fold did
     not score is excluded (scored ``inf``) and counted in a note. Exact
-    ties break toward the smallest cell tuple.
+    ties break toward the smallest cell tuple. PCA sizes no fold can fit
+    are dropped before the folds run, with one note.
 
     The test set is sealed on entry and only unlocked after the winning
     model has been refitted on the full training set; selection never
@@ -408,8 +411,19 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     plan = make_folds(n, spec.folds, derive_seed(spec.seed, "folds"))
 
     impute_grid = spec.impute.grid()
-    comp_grid = spec.pca.grid(spec.model) if spec.pca.kind != "none" else (None,)
-    max_comp = max(c for c in comp_grid if c is not None) if spec.pca.kind != "none" else None
+    comp_grid, max_comp = (None,), None
+    if spec.pca.kind != "none":
+        # a centered fold matrix has rank at most min(n - 1, q)
+        bound = min(min(tr.size for tr, _ in plan) - 1, stage.train_values.shape[1])
+        requested = spec.pca.grid(spec.model)
+        comp_grid = tuple(c for c in requested if c <= bound)
+        if not comp_grid:
+            raise ConfigError(f"experiment {spec.name}: PCA sizes {list(requested)} all "
+                              f"exceed {bound}, the most components every fold can fit")
+        if comp_grid != requested:
+            notes.append(f"PCA sizes {[c for c in requested if c > bound]} exceed {bound}, "
+                         "the most components every fold can fit, and were dropped")
+        max_comp = max(comp_grid)
 
     # cell: (k_impute, n_comp, *model_params) -> (summed fold errors, folds scored)
     table: dict[tuple, tuple[float, int]] = {}

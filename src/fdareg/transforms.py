@@ -3,14 +3,13 @@ derivatives.
 
 Everything here is elementary algebra in the represented function space, so
 each transform works directly on coordinates. :func:`transform_dataset`
-takes the ``(n, q)`` coefficient matrix of a dataset, one function per row:
-the per-function mean is an inner product with the constant one function
-(whose coordinates are known in closed form for both basis families), norms
-come from the scaled beta rows, and a derivative is one product with the
-basis's coefficient map; :func:`row_stats` gives the row-wise statistics
-and :func:`constant_rows` the rows that cannot be reduced.
-:func:`functional_stats`, :func:`center_reduce` and :func:`derive` are
-one-function views of the same code.
+takes the ``(n, q)`` coefficient matrix of a dataset, one function per row,
+and treats every row on its own: the per-function mean is an inner product
+with the constant one function (whose coordinates are known in closed form
+for both basis families), norms come from the scaled beta rows, and a
+derivative is one product with the basis's coefficient map.
+:func:`row_stats` gives the row-wise statistics and :func:`constant_rows`
+the rows that cannot be reduced.
 
 The derivative semi-metric of the pipeline is the Euclidean distance of the
 derivatives' beta rows, which kills level shifts exactly.
@@ -18,35 +17,20 @@ derivatives' beta rows, which kills level shifts exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import Basis, GramFactor
 from .errors import ConstantFunctionError
-from .represent import Representation
-
-
-@dataclass(frozen=True)
-class FunctionalScaler:
-    """Per-function centering/reduction statistics.
-
-    ``mu`` is the function's domain-average, ``sigma = ||g - mu|| / volume``
-    the reduction scale; the reduced function has L2 norm equal to the
-    domain volume.
-    """
-
-    volume: float
-    mu: float
-    sigma: float
 
 
 def row_stats(alpha: np.ndarray, basis: Basis, gram: GramFactor):
     """Centering/reduction statistics of every row of a coefficient matrix.
 
     Returns ``(volume, mu, sigma, beta)``: the domain volume, the row-wise
-    domain-averages and reduction scales of :class:`FunctionalScaler`, and
-    the ``(n, q)`` scaled coordinates ``beta = alpha U^T``.
+    domain-averages ``mu`` and reduction scales
+    ``sigma = ||g - mu|| / volume``, and the ``(n, q)`` scaled coordinates
+    ``beta = alpha U^T``. A centered row divided by its ``sigma`` has L2
+    norm equal to the domain volume.
     """
     a, b = basis.domain
     volume = b - a
@@ -64,21 +48,6 @@ def constant_rows(alpha: np.ndarray, basis: Basis, gram: GramFactor) -> np.ndarr
     return sigma * volume < 1e-12 * np.maximum(np.linalg.norm(beta, axis=1), 1.0)
 
 
-def _center_reduce_rows(alpha: np.ndarray, basis: Basis, gram: GramFactor) -> np.ndarray:
-    flat = np.flatnonzero(constant_rows(alpha, basis, gram))
-    if flat.size:
-        raise ConstantFunctionError(
-            f"function in row {int(flat[0])} is constant: reduction is undefined"
-        )
-    _, mu, sigma, _ = row_stats(alpha, basis, gram)
-    return (alpha - np.outer(mu, basis.constant_coefficients())) / sigma[:, None]
-
-
-def _derive_rows(alpha: np.ndarray, basis: Basis, s: int):
-    new_basis, mapping = basis.derivative_basis(s)
-    return alpha @ mapping.T, new_basis, new_basis.gram_factor()
-
-
 def transform_dataset(
     alpha: np.ndarray, basis: Basis, gram: GramFactor, kind: str
 ) -> tuple[np.ndarray, Basis, GramFactor]:
@@ -88,7 +57,7 @@ def transform_dataset(
     is one of ``none``, ``center-reduce``, ``deriv1``, ``deriv2``. Returns
     the transformed ``(alpha, basis, gram)``. Centering/reduction keeps the
     basis and its Gram factor; the s-th derivative lives on the derivative
-    basis, whose own (default) Gram factor is returned.
+    basis, whose own Gram factor is returned.
 
     Raises
     ------
@@ -99,40 +68,16 @@ def transform_dataset(
     if kind == "none":
         return alpha, basis, gram
     if kind == "center-reduce":
-        return _center_reduce_rows(alpha, basis, gram), basis, gram
+        flat = np.flatnonzero(constant_rows(alpha, basis, gram))
+        if flat.size:
+            raise ConstantFunctionError(
+                f"function in row {int(flat[0])} is constant: reduction is undefined"
+            )
+        _, mu, sigma, _ = row_stats(alpha, basis, gram)
+        ones = basis.constant_coefficients()
+        return (alpha - np.outer(mu, ones)) / sigma[:, None], basis, gram
     if kind.startswith("deriv"):
-        s = int(kind[len("deriv") :])
-        return _derive_rows(alpha, basis, s) if s else (alpha, basis, gram)
+        new_basis, mapping = basis.derivative_basis(int(kind[len("deriv") :]))
+        return alpha @ mapping.T, new_basis, new_basis.gram_factor()
     raise ValueError(f"unknown transform {kind!r}")
 
-
-def _view(alpha: np.ndarray, basis: Basis, gram: GramFactor) -> Representation:
-    """The one-row coefficient matrix ``alpha`` as a representation."""
-    return Representation(basis, gram, alpha[0], gram.chol @ alpha[0])
-
-
-def functional_stats(r: Representation) -> FunctionalScaler:
-    """Mean and reduction scale of a represented function."""
-    volume, mu, sigma, _ = row_stats(r.alpha[None, :], r.basis, r.gram)
-    return FunctionalScaler(volume, float(mu[0]), float(sigma[0]))
-
-
-def center_reduce(r: Representation) -> Representation:
-    """Center then scale so the result has L2 norm equal to the domain volume.
-
-    A one-row ``transform_dataset(..., "center-reduce")``; raises
-    :class:`ConstantFunctionError` for a constant function.
-    """
-    return _view(_center_reduce_rows(r.alpha[None, :], r.basis, r.gram), r.basis, r.gram)
-
-
-def derive(r: Representation, s: int) -> Representation:
-    """Representation of the s-th derivative on its own basis.
-
-    B-spline coefficients map through the finite-difference recurrence onto
-    the order-(nu - s) basis over the same knots; the new basis gets its own
-    Gram factor and beta vector.
-    """
-    if s == 0:
-        return r
-    return _view(*_derive_rows(r.alpha[None, :], r.basis, s))

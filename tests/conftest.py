@@ -1,4 +1,5 @@
-"""Shared fixtures: synthetic functional data and the opt-in Tecator file."""
+"""Shared fixtures and helpers: synthetic functional data, the opt-in Tecator
+file, and the private numerics of the package that several test files check."""
 
 import os
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fdareg import basis, fdata
+from fdareg import basis, fdata, mlp, represent
 
 # every run draws the same examples and writes no example database
 settings.register_profile("fdareg", derandomize=True, database=None)
@@ -91,31 +92,23 @@ def small_bspline():
     return basis.BSplineBasis.uniform(0.0, 1.0, 5, 4)
 
 
-def quadrature_grid(edges, total_points=10000):
-    """Dense quadrature grid (~total_points nodes) with Simpson weights,
-    panels aligned to the given edges.
-
-    Piecewise-polynomial integrands are smooth inside every panel, so the
-    10^4-point budget gives far more accuracy than the oracle tolerances.
-    """
-    edges = np.asarray(edges, dtype=float)
-    per = max(int(total_points / (edges.size - 1)) | 1, 5)  # odd count per panel
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x = np.linspace(lo, hi, per)
-        h = x[1] - x[0]
-        w = np.full(per, 2.0)
-        w[1::2] = 4.0
-        w[[0, -1]] = 1.0
-        xs.append(x)
-        ws.append(w * h / 3.0)
-    return np.concatenate(xs), np.concatenate(ws)
+def hat_diagonal(f, b):
+    """Smoother-matrix diagonal of ``b``'s design at ``f``'s abscissas, as
+    the leave-one-out score of ``represent.loo_scores`` uses it."""
+    return represent._qr_solve(b.evaluate(f.x), f.y[:, None])[2]
 
 
-def quadrature_integral(fn, edges, total_points=10000):
-    """Composite Simpson integral on the aligned dense grid."""
-    xs, ws = quadrature_grid(edges, total_points)
-    return float(fn(xs) @ ws)
+def trainer_gradient(params, X, y, hidden, decay):
+    """The loss gradient ``mlp.train`` steps on, ``-2 (J^T r - decay mask p)``:
+    ``J`` its Jacobian of the outputs, ``r`` the data residuals and ``mask``
+    the non-bias weights that the decay covers."""
+    sv, _, sw, _ = mlp._shapes(hidden, X.shape[1])
+    mask = np.zeros(params.size)
+    mask[sv] = 1.0
+    mask[sw] = 1.0
+    _, resid, act = mlp._batched_loss(params[None], X, y, hidden, decay)
+    J = mlp._jacobian(params[None], X, act, hidden)[0]
+    return -2.0 * (J.T @ resid[0] - decay * mask * params)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

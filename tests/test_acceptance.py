@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 from conftest import (
-    quadrature_grid,
-    quadrature_integral,
+    hat_diagonal,
     random_spline_function,
     requires_tecator,
     synthetic_dataset,
     tecator_path,
+    trainer_gradient,
 )
 from fdareg import basis, cli, fdata, fpca, imputation, mlp, rbfn, represent, transforms
 from fdareg.cv import derive_seed
@@ -35,6 +35,13 @@ from fdareg.suites import (
     table3_specs,
     table4_specs,
     table5_specs,
+)
+from oracles import (
+    brute_force_greedy,
+    central_difference_grad,
+    dense_grid_pca,
+    naive_loo,
+    quadrature_integral,
 )
 
 _invariant_times: dict[str, float] = {}
@@ -68,19 +75,12 @@ class TestOracleEquivalences:
             m = int(rng.integers(q + 3, 31))
             f, _ = random_spline_function(rng, b, noise=0.3, m=m)
             try:
-                if represent.hat_diagonal(f, b).max() > 0.99:
+                if hat_diagonal(f, b).max() > 0.99:
                     continue
-                fast = represent.loo_score(f, b)
+                [fast] = represent.loo_scores([f], b)
             except (UnidentifiableCoefficientsError, DegenerateLooError):
                 continue
-            design = b.evaluate(f.x)
-            naive = 0.0
-            for i in range(m):
-                keep = np.arange(m) != i
-                coef, *_ = np.linalg.lstsq(design[keep], f.y[keep], rcond=None)
-                naive += (f.y[i] - design[i] @ coef) ** 2
-            naive /= m
-            assert fast == pytest.approx(naive, rel=1e-10)
+            assert fast == pytest.approx(naive_loo(f, b), rel=1e-10)
             done += 1
         assert time.perf_counter() - t0 < 5.0
 
@@ -91,14 +91,17 @@ class TestOracleEquivalences:
             b = basis.BSplineBasis.uniform(0.0, 2.0, int(rng.integers(3, 9)), order)
             f1, _ = random_spline_function(rng, b, noise=0.05)
             f2, _ = random_spline_function(rng, b, noise=0.05)
-            r1, r2 = represent.fit(f1, b), represent.fit(f2, b)
+            alpha, _ = represent.fit_dataset([f1, f2], b)
+            beta = alpha @ b.gram_factor().chol.T
+            g1 = lambda xs: b.evaluate(xs) @ alpha[0]  # noqa: E731
+            g2 = lambda xs: b.evaluate(xs) @ alpha[1]  # noqa: E731
             edges = b.knots.edges
-            ref_inner = quadrature_integral(lambda xs: r1(xs) * r2(xs), edges)
+            ref_inner = quadrature_integral(lambda xs: g1(xs) * g2(xs), edges)
             ref_dist = np.sqrt(
-                quadrature_integral(lambda xs: (r1(xs) - r2(xs)) ** 2, edges)
+                quadrature_integral(lambda xs: (g1(xs) - g2(xs)) ** 2, edges)
             )
-            assert represent.inner(r1, r2) == pytest.approx(ref_inner, rel=1e-8)
-            assert represent.dist(r1, r2) == pytest.approx(ref_dist, rel=1e-8)
+            assert beta[0] @ beta[1] == pytest.approx(ref_inner, rel=1e-8)
+            assert np.linalg.norm(beta[0] - beta[1]) == pytest.approx(ref_dist, rel=1e-8)
 
     def test_fpca_equals_dense_grid_pca(self):
         rng = np.random.default_rng(103)
@@ -106,19 +109,11 @@ class TestOracleEquivalences:
             order = int(rng.integers(3, 6))
             b = basis.BSplineBasis.uniform(0.0, 1.0, int(rng.integers(3, 7)), order)
             n = int(rng.integers(10, 25))
-            reps = []
-            for _ in range(n):
-                f, _ = random_spline_function(rng, b, noise=0.0)
-                reps.append(represent.fit(f, b))
-            betas = np.array([r.beta for r in reps])
+            fns = [random_spline_function(rng, b, noise=0.0)[0] for _ in range(n)]
+            alpha, _ = represent.fit_dataset(fns, b)
+            betas = alpha @ b.gram_factor().chol.T
             model = fpca.fit_fpca(betas, n_components=3)
-
-            xs, w = quadrature_grid(b.knots.edges)
-            G = np.array([r(xs) for r in reps]) * np.sqrt(w)
-            Gc = G - G.mean(axis=0)
-            _, svals, vt = np.linalg.svd(Gc, full_matrices=False)
-            ref_scores = Gc @ vt[:3].T
-            ref_eval = svals[:3] ** 2 / (n - 1)
+            ref_scores, ref_eval = dense_grid_pca(b, alpha, 3)
 
             ours = fpca.scores(model, betas)[:, :3]
             for j in range(3):
@@ -140,11 +135,13 @@ class TestOracleEquivalences:
             coefs = rng.normal(size=order)  # degree < order: in span
             poly = np.polynomial.Polynomial(coefs)
             x = np.linspace(0.0, 1.0, 3 * b.dimension)
-            r = represent.fit(fdata.SampledFunction(x, poly(x)), b)
+            alpha, _ = represent.fit_dataset([fdata.SampledFunction(x, poly(x))], b)
             for s in range(1, s_max + 1):
-                d = transforms.derive(r, s)
+                d, on, _ = transforms.transform_dataset(
+                    alpha, b, b.gram_factor(), f"deriv{s}"
+                )
                 np.testing.assert_allclose(
-                    d(grid), poly.deriv(s)(grid), atol=1e-9
+                    on.evaluate(grid) @ d[0], poly.deriv(s)(grid), atol=1e-9
                 )
 
     def test_ols_selection_equals_brute_force(self):
@@ -159,35 +156,15 @@ class TestOracleEquivalences:
             ridge = float(rng.choice([0.0, 1e-4, 1e-1]))
 
             F = rbfn.design_matrix(X, X[pool], width)
-            expected = []
-            for _ in range(5):
-                best_j, best_red = None, -np.inf
-                for j in range(5):
-                    if j in expected:
-                        continue
-                    if expected:
-                        S = F[:, expected]
-                        w = F[:, j] - S @ np.linalg.lstsq(S, F[:, j], rcond=None)[0]
-                    else:
-                        w = F[:, j]
-                    energy = w @ w
-                    if energy <= 1e-12 * (F[:, j] @ F[:, j]):
-                        continue
-                    red = (w @ y) ** 2 / (energy + ridge)
-                    if red > best_red + 1e-12:
-                        best_red, best_j = red, j
-                if best_j is None:
-                    break
-                expected.append(best_j)
-
-            path = rbfn.train_ols(
-                X, y, width, ridge, max_centers=len(expected), candidate_idx=pool
+            expected = brute_force_greedy(F, y, ridge, steps=5)
+            [path] = rbfn.train_ols_paths(
+                X, y, width, (ridge,), max_centers=len(expected), candidate_idx=pool
             )
             np.testing.assert_array_equal(path.selected, expected)
 
     def test_mlp_gradients_equal_finite_differences(self):
+        # the gradient train steps on against central differences of its loss
         rng = np.random.default_rng(106)
-        eps = 1e-5
         for _ in range(20):
             hidden = int(rng.integers(1, 5))
             dim = int(rng.integers(1, 6))
@@ -196,16 +173,10 @@ class TestOracleEquivalences:
             X = rng.normal(size=(n, dim))
             y = rng.normal(size=n)
             params = rng.normal(size=hidden * dim + 2 * hidden + 1) * 0.8
-            _, grad = mlp.loss_and_grad(params, X, y, hidden, decay)
-            fd = np.zeros_like(params)
-            for i in range(params.size):
-                up, down = params.copy(), params.copy()
-                up[i] += eps
-                down[i] -= eps
-                fd[i] = (
-                    mlp.loss_and_grad(up, X, y, hidden, decay)[0]
-                    - mlp.loss_and_grad(down, X, y, hidden, decay)[0]
-                ) / (2 * eps)
+            grad = trainer_gradient(params, X, y, hidden, decay)
+            fd = central_difference_grad(
+                lambda p: mlp._batched_loss(p[None], X, y, hidden, decay)[0][0], params
+            )
             scale = np.maximum(np.abs(fd), 1e-3 * max(1.0, np.abs(fd).max()))
             assert np.max(np.abs(grad - fd) / scale) < 1e-6
 
@@ -232,7 +203,7 @@ class TestInvariantSuites:
                 order = int(rng.integers(2, 6))
                 b = basis.BSplineBasis.uniform(0.0, 1.0, int(rng.integers(2, 8)), order)
                 f, _ = random_spline_function(rng, b, noise=0.2)
-                hat = represent.hat_diagonal(f, b)
+                hat = hat_diagonal(f, b)
                 assert np.sum(hat) == pytest.approx(b.dimension, abs=1e-8)
                 assert np.all(hat > -1e-10) and np.all(hat < 1 + 1e-10)
 
@@ -242,7 +213,7 @@ class TestInvariantSuites:
             for ridge in (0.0, 1e-4, 1e-1, 1.0):
                 X = rng.normal(size=(40, 3))
                 y = rng.normal(size=40)
-                path = rbfn.train_ols(X, y, 1.0, ridge, max_centers=35)
+                [path] = rbfn.train_ols_paths(X, y, 1.0, (ridge,), max_centers=35)
                 assert np.all(np.diff(path.objective) <= 1e-10)
 
     def test_deriv_metric_level_shift_invariance(self):
@@ -250,23 +221,21 @@ class TestInvariantSuites:
         with _timed("level-shift"):
             b = basis.BSplineBasis.uniform(0.0, 1.0, 8, 5)
             gram = b.gram_factor()
-            reps = []
-            for _ in range(12):
-                f, _ = random_spline_function(rng, b, noise=0.02)
-                reps.append(represent.fit(f, b))
-            X = np.array([transforms.derive(r, 1).beta for r in reps])
+
+            def deriv_betas(alpha):
+                d, _, d_gram = transforms.transform_dataset(alpha, b, gram, "deriv1")
+                return d @ d_gram.chol.T
+
+            fns = [random_spline_function(rng, b, noise=0.02)[0] for _ in range(12)]
+            alpha, _ = represent.fit_dataset(fns, b)
+            X = deriv_betas(alpha)
             y = rng.normal(size=12)
-            path = rbfn.train_ols(X, y, rbfn.median_width(X), 1e-3, max_centers=8)
+            [path] = rbfn.train_ols_paths(X, y, rbfn.median_width(X), (1e-3,), max_centers=8)
             model = path.model(8)
 
             ones = b.constant_coefficients()
-            shifted = []
-            for r in reps:
-                alpha = r.alpha + rng.normal() * 5.0 * ones
-                shifted.append(
-                    represent.Representation(b, gram, alpha, gram.chol @ alpha)
-                )
-            X_shift = np.array([transforms.derive(r, 1).beta for r in shifted])
+            shifts = np.array([rng.normal() for _ in range(12)])
+            X_shift = deriv_betas(alpha + 5.0 * np.outer(shifts, ones))
             np.testing.assert_allclose(
                 rbfn.predict(model, X_shift), rbfn.predict(model, X), atol=1e-9
             )
@@ -299,9 +268,10 @@ class TestInvariantSuites:
                 V = rng.normal(size=(15, 10))
                 M = rng.uniform(size=V.shape) > 0.25
                 M[0] = True
+                knn = imputation.KnnImputer(3).fit(V, M)
                 for out in (
-                    imputation.mean_impute(V, M),
-                    imputation.knn_impute(V, M, k=3),
+                    imputation.MeanImputer().fit(V, M).transform(V, M),
+                    knn.transform(V, M, is_fit_data=True),
                 ):
                     np.testing.assert_array_equal(out[M], V[M])
                 scaled = imputation.expert_scale_matrix(V, M)

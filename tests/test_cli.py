@@ -214,3 +214,58 @@ def test_missing_data_file(tmp_path, capsys):
         "--out", str(tmp_path / "x"),
     ])
     assert rc == 1
+
+
+def _assert_named_error(rc, err, *fragments):
+    assert rc == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+BAD_SPECS = {
+    "unknown-key": (json.dumps(dict(SMALL_SPEC, fold_count=3)), "'fold_count'"),
+    "unknown-nested-key": (
+        json.dumps(dict(SMALL_SPEC, representation={"kind": "bspline", "quad_points": 8})),
+        "'quad_points' in spec section 'representation'",
+    ),
+    "malformed-json": ('{"name": "cli-rbfn", ', "not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_bad_spec_is_a_named_error(case, pairs_file, tmp_path, capsys):
+    text, fragment = BAD_SPECS[case]
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(text)
+    rc = cli.main([
+        "experiment", "--spec", str(spec_file),
+        "--data", str(pairs_file), "--format", "generic-pairs",
+        "--test-size", "9", "--out", str(tmp_path / "out"),
+    ])
+    _assert_named_error(rc, capsys.readouterr().err, fragment)
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["suite", "--table", "table1", "--test-size", "500"], "test_size"),
+    (["suite", "--table", "table1", "--drop-fraction", "1.5"], "fraction"),
+    (["make-holes", "--drop-fraction", "-0.2"], "fraction"),
+], ids=["suite-test-size", "suite-drop-fraction", "make-holes-drop-fraction"])
+def test_bad_argument_is_a_named_error(argv, fragment, pairs_file, tmp_path, capsys):
+    rc = cli.main([
+        *argv, "--data", str(pairs_file), "--format", "generic-pairs",
+        "--out", str(tmp_path / "out"),
+    ])
+    _assert_named_error(rc, capsys.readouterr().err, fragment)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_bad_dimension_is_a_usage_error(value, pairs_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main([
+            "represent", "--data", str(pairs_file), "--format", "generic-pairs",
+            "--dimension", value, "--out", str(tmp_path / "out"),
+        ])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --dimension" in err and "Traceback" not in err

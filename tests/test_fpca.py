@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_spline_function
-from fdareg import basis, fpca, represent
+from fdareg import basis, fdata, fpca, represent, transforms
 from fdareg.errors import ValidationError
 from fdareg.fpca import DegenerateComponentError
+from oracles import dense_grid_pca, quadrature_integral
 
 
-def spline_betas(rng, b, n, smooth_rank=None):
-    """Representations of n random in-span functions; returns (betas, reps)."""
-    reps = []
-    for _ in range(n):
-        f, _ = random_spline_function(rng, b, noise=0.0)
-        reps.append(represent.fit(f, b))
-    return np.array([r.beta for r in reps]), reps
+def spline_betas(rng, b, n):
+    """Coordinates of n random in-span functions: ``(betas, alpha)``."""
+    fns = [random_spline_function(rng, b, noise=0.0)[0] for _ in range(n)]
+    alpha, _ = represent.fit_dataset(fns, b)
+    return alpha @ b.gram_factor().chol.T, alpha
 
 
 class TestFitFpca:
@@ -55,21 +55,13 @@ class TestFitFpca:
         # oracle: plain SVD-based PCA of the reconstructed functions sampled
         # on a 10^4-point dense grid, rows scaled by sqrt(quadrature weight)
         # so Euclidean dot products equal L2 inner products
-        from conftest import quadrature_grid
-
         for _ in range(20):
             order = int(rng.integers(3, 6))
             b = basis.BSplineBasis.uniform(0.0, 1.0, int(rng.integers(3, 7)), order)
             n = int(rng.integers(10, 25))
-            betas, reps = spline_betas(rng, b, n)
+            betas, alpha = spline_betas(rng, b, n)
             model = fpca.fit_fpca(betas, n_components=3)
-
-            xs, w = quadrature_grid(b.knots.edges)
-            G = np.array([r(xs) for r in reps]) * np.sqrt(w)
-            Gc = G - G.mean(axis=0)
-            _, svals, vt = np.linalg.svd(Gc, full_matrices=False)
-            ref_eval = svals**2 / (n - 1)
-            ref_scores = Gc @ vt[:3].T
+            ref_scores, ref_eval = dense_grid_pca(b, alpha, 3)
 
             ours = fpca.scores(model, betas)[:, :3]
             for j in range(3):
@@ -108,7 +100,7 @@ class TestScores:
         q = betas.shape[1]
         model = fpca.fit_fpca(betas, n_components=q)
         s = fpca.scores(model, betas)
-        back = fpca.reconstruct(model, s)
+        back = model.mean + s @ model.components
         np.testing.assert_allclose(back, betas, atol=1e-9)
 
     def test_truncation_error_equals_discarded_eigenvalues(self, rng, small_bspline):
@@ -129,37 +121,36 @@ class TestScores:
 
 class TestPrincipalFunctions:
     def test_orthonormal_in_l2(self, rng, small_bspline):
+        # the principal vectors tau live in beta space; U alpha = tau gives
+        # the principal functions' coordinates, orthonormal by quadrature
         betas, _ = spline_betas(rng, small_bspline, 30)
         model = fpca.fit_fpca(betas, n_components=3)
         gram = small_bspline.gram_factor()
-        pfs = [
-            fpca.principal_function(model, j, small_bspline, gram) for j in range(3)
-        ]
+        alphas = scipy.linalg.solve_triangular(gram.chol, model.components.T).T
+        edges = small_bspline.knots.edges
         for i in range(3):
             for j in range(3):
-                expected = 1.0 if i == j else 0.0
-                assert represent.inner(pfs[i], pfs[j]) == pytest.approx(
-                    expected, abs=1e-8
+                inner = quadrature_integral(
+                    lambda xs: (small_bspline.evaluate(xs) @ alphas[i])
+                    * (small_bspline.evaluate(xs) @ alphas[j]),
+                    edges,
                 )
+                assert inner == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
 
     def test_first_component_tracks_function_means(self, rng, small_bspline):
         # functions differing mostly by level: PC1 scores ~ collinear with means
-        from fdareg import fdata, transforms
-
         x = np.linspace(0, 1, 50)
-        reps = []
+        fns = []
         for i in range(25):
             level = rng.normal() * 3.0
             wiggle = 0.05 * rng.normal() * np.sin(2 * np.pi * x)
-            reps.append(
-                represent.fit(
-                    fdata.SampledFunction(x, level + wiggle), small_bspline
-                )
-            )
-        betas = np.array([r.beta for r in reps])
+            fns.append(fdata.SampledFunction(x, level + wiggle))
+        alpha, _ = represent.fit_dataset(fns, small_bspline)
+        gram = small_bspline.gram_factor()
+        betas = alpha @ gram.chol.T
         model = fpca.fit_fpca(betas, n_components=2)
         s1 = fpca.scores(model, betas)[:, 0]
-        means = np.array([transforms.functional_stats(r).mu for r in reps])
+        _, means, _, _ = transforms.row_stats(alpha, small_bspline, gram)
         corr = np.corrcoef(s1, means)[0, 1]
         assert abs(corr) > 0.999
 

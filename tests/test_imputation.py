@@ -14,10 +14,22 @@ def masked(values, mask):
     return np.asarray(values, dtype=float), np.asarray(mask, dtype=bool)
 
 
+def mean_impute(values, mask):
+    """Fill and fit the same data, as one fold's training rows are."""
+    return imputation.MeanImputer().fit(values, mask).transform(values, mask)
+
+
+def knn_impute(values, mask, k):
+    """Impute a matrix whose own rows are the donors, as one fold's
+    training rows are."""
+    imp = imputation.KnnImputer(k).fit(values, mask)
+    return imp.transform(values, mask, is_fit_data=True)
+
+
 class TestMeanImpute:
     def test_no_missing_is_identity(self, rng):
         V = rng.normal(size=(6, 4))
-        out = imputation.mean_impute(V, np.ones_like(V, dtype=bool))
+        out = mean_impute(V, np.ones_like(V, dtype=bool))
         np.testing.assert_array_equal(out, V)
 
     def test_column_mean(self):
@@ -25,20 +37,20 @@ class TestMeanImpute:
             [[1.0, 9.0], [3.0, 9.0], [0.0, 9.0]],
             [[True, True], [True, True], [False, True]],
         )
-        out = imputation.mean_impute(V, M)
+        out = mean_impute(V, M)
         assert out[2, 0] == pytest.approx(2.0)  # mean of {1, 3}
 
     def test_observed_entries_untouched(self, rng):
         V = rng.normal(size=(10, 7))
         M = rng.uniform(size=V.shape) > 0.3
         M[:, 0] = True  # keep every column observed somewhere
-        out = imputation.mean_impute(V, M)
+        out = mean_impute(V, M)
         np.testing.assert_array_equal(out[M], V[M])
 
     def test_fully_missing_column(self):
         V, M = masked([[1.0, 0.0], [2.0, 0.0]], [[True, False], [True, False]])
         with pytest.raises(ImputationError):
-            imputation.mean_impute(V, M)
+            mean_impute(V, M)
 
     def test_train_statistics_apply_to_new_rows(self):
         V, M = masked([[2.0, 4.0], [4.0, 8.0]], [[True, True], [True, True]])
@@ -55,7 +67,7 @@ class TestKnnImpute:
             [[1.0, 2.0, 0.0], [1.0, 2.0, 7.5]],
             [[True, True, False], [True, True, True]],
         )
-        out = imputation.knn_impute(V, M, k=1)
+        out = knn_impute(V, M, k=1)
         assert out[0, 2] == pytest.approx(7.5)
 
     def test_distance_zero_on_shared(self):
@@ -84,7 +96,7 @@ class TestKnnImpute:
             ],
             [[True, True, False], [True, True, True], [True, True, True]],
         )
-        out = imputation.knn_impute(V, M, k=1)
+        out = knn_impute(V, M, k=1)
         assert out[0, 2] == pytest.approx(30.0)
 
     def test_fewer_donors_than_k_warns(self):
@@ -93,7 +105,7 @@ class TestKnnImpute:
             [[True, False], [True, True], [True, False]],
         )
         with pytest.warns(UserWarning, match="donors"):
-            out = imputation.knn_impute(V, M, k=4)
+            out = knn_impute(V, M, k=4)
         assert out[0, 1] == pytest.approx(5.0)
 
     def test_incomparable_sample(self):
@@ -102,7 +114,7 @@ class TestKnnImpute:
             [[True, False], [False, True]],
         )
         with pytest.raises(IncomparableSampleError):
-            imputation.knn_impute(V, M, k=1)
+            knn_impute(V, M, k=1)
 
     def test_ties_break_by_donor_index(self):
         # two donors equidistant: lower index donates
@@ -114,14 +126,14 @@ class TestKnnImpute:
             ],
             [[True, True, False], [True, True, True], [True, True, True]],
         )
-        out = imputation.knn_impute(V, M, k=1)
+        out = knn_impute(V, M, k=1)
         assert out[0, 2] == pytest.approx(10.0)
 
     def test_observed_entries_untouched(self, rng):
         V = rng.normal(size=(12, 6))
         M = rng.uniform(size=V.shape) > 0.2
         M[0] = True
-        out = imputation.knn_impute(V, M, k=3)
+        out = knn_impute(V, M, k=3)
         np.testing.assert_array_equal(out[M], V[M])
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import vector_dataset
+from conftest import trainer_gradient, vector_dataset
 from fdareg import fdata, mlp
 from fdareg.errors import ValidationError
 from fdareg.selection import (
@@ -12,19 +12,14 @@ from fdareg.selection import (
     RepresentationSpec,
     run_experiment,
 )
+from oracles import central_difference_grad
 
 
-def finite_difference_grad(params, X, y, hidden, decay, eps=1e-5):
-    # eps balances truncation (~eps^2) against rounding (~eps_mach/eps)
-    grad = np.zeros_like(params)
-    for i in range(params.size):
-        up, down = params.copy(), params.copy()
-        up[i] += eps
-        down[i] -= eps
-        lu, _ = mlp.loss_and_grad(up, X, y, hidden, decay)
-        ld, _ = mlp.loss_and_grad(down, X, y, hidden, decay)
-        grad[i] = (lu - ld) / (2 * eps)
-    return grad
+def regularized_loss(model, X, y):
+    """The loss ``mlp.train`` minimizes, from the model's outputs."""
+    resid = mlp.forward(model, X) - y
+    weights = np.concatenate([model.hidden_weights.ravel(), model.output_weights])
+    return float(resid @ resid + model.decay * weights @ weights)
 
 
 class TestForward:
@@ -61,7 +56,9 @@ class TestForward:
 
 class TestGradients:
     def test_matches_central_differences(self, rng):
-        # 20 random configurations, every parameter, 1e-6 relative
+        # the gradient train steps on, -2 (J^T r - decay mask p), against
+        # central differences of its loss: 20 random configurations, every
+        # parameter, 1e-6 relative
         for _ in range(20):
             hidden = int(rng.integers(1, 5))
             dim = int(rng.integers(1, 6))
@@ -70,25 +67,34 @@ class TestGradients:
             X = rng.normal(size=(n, dim))
             y = rng.normal(size=n)
             params = rng.normal(size=hidden * dim + 2 * hidden + 1) * 0.8
-            _, grad = mlp.loss_and_grad(params, X, y, hidden, decay)
-            fd = finite_difference_grad(params, X, y, hidden, decay)
+            grad = trainer_gradient(params, X, y, hidden, decay)
+            fd = central_difference_grad(
+                lambda p: mlp._batched_loss(p[None], X, y, hidden, decay)[0][0], params
+            )
             # entries below the FD noise floor are compared on the
             # gradient's own scale
             scale = np.maximum(np.abs(fd), 1e-3 * max(1.0, np.abs(fd).max()))
             assert np.max(np.abs(grad - fd) / scale) < 1e-6
 
     def test_decay_excludes_biases(self, rng):
+        # the penalty is decay * ||non-bias weights||^2: moving the biases
+        # leaves it unchanged
         hidden, dim = 3, 2
         X = rng.normal(size=(6, dim))
         y = rng.normal(size=6)
-        params = rng.normal(size=hidden * dim + 2 * hidden + 1)
-        _, g_with = mlp.loss_and_grad(params, X, y, hidden, 10.0)
-        _, g_without = mlp.loss_and_grad(params, X, y, hidden, 0.0)
-        penalty_grad = g_with - g_without
+        params = rng.normal(size=(1, hidden * dim + 2 * hidden + 1))
         sv, sb, sw, ib0 = mlp._shapes(hidden, dim)
-        np.testing.assert_allclose(penalty_grad[sb], 0.0, atol=1e-12)
-        assert penalty_grad[ib0] == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(penalty_grad[sv], 2 * 10.0 * params[sv], atol=1e-10)
+        moved = params.copy()
+        moved[0, sb] += rng.normal(size=hidden)
+        moved[0, ib0] += 1.5
+
+        def penalty(p):
+            with_decay = mlp._batched_loss(p, X, y, hidden, 10.0)[0]
+            return with_decay - mlp._batched_loss(p, X, y, hidden, 0.0)[0]
+
+        expected = 10.0 * (params[0, sv] @ params[0, sv] + params[0, sw] @ params[0, sw])
+        assert penalty(params)[0] == pytest.approx(expected, rel=1e-10)
+        assert penalty(moved)[0] == pytest.approx(expected, rel=1e-10)
 
 
 class TestTrain:
@@ -114,16 +120,12 @@ class TestTrain:
         X = rng.normal(size=(25, 2))
         y = np.sin(X[:, 0]) * np.cos(X[:, 1])
 
-        def final_loss(model):
-            p = mlp.pack(model)
-            return mlp.loss_and_grad(p, X, y, model.hidden_count, model.decay)[0]
-
         best = mlp.train(X, y, hidden=3, decay=1e-4, restarts=10, seed=7, max_iter=150)
-        best_loss = final_loss(best)
+        best_loss = regularized_loss(best, X, y)
         # pick a few alternative restart counts; the 10-restart winner can
         # never lose to the 1-restart run with the same seed stream
         single = mlp.train(X, y, hidden=3, decay=1e-4, restarts=1, seed=7, max_iter=150)
-        assert best_loss <= final_loss(single) + 1e-9
+        assert best_loss <= regularized_loss(single, X, y) + 1e-9
 
     def test_deterministic_given_seed(self, rng):
         X = rng.normal(size=(20, 2))
@@ -139,11 +141,9 @@ class TestTrain:
         X = rng.normal(size=(15, 2))
         y = rng.normal(size=15)
         init = mlp.init_params(3, 2, 2, 4)
-        init_losses = [
-            mlp.loss_and_grad(p, X, y, 2, 1e-3)[0] for p in init
-        ]
+        init_losses = mlp._batched_loss(init, X, y, 2, 1e-3)[0]
         model = mlp.train(X, y, hidden=2, decay=1e-3, restarts=4, seed=3, max_iter=200)
-        final = mlp.loss_and_grad(mlp.pack(model), X, y, 2, 1e-3)[0]
+        final = regularized_loss(model, X, y)
         assert final <= min(init_losses) + 1e-9
 
 

@@ -12,84 +12,7 @@ from fdareg.selection import (
     RepresentationSpec,
     run_experiment,
 )
-
-
-def brute_force_greedy(F, y, ridge, steps):
-    """Oracle for the selection order: at each step orthogonalize every
-    remaining candidate against the span of the selected columns (via
-    lstsq residuals) and pick the best regularized error reduction."""
-    n, M = F.shape
-    selected = []
-    for _ in range(steps):
-        best_j, best_red = None, -np.inf
-        for j in range(M):
-            if j in selected:
-                continue
-            if selected:
-                S = F[:, selected]
-                w = F[:, j] - S @ np.linalg.lstsq(S, F[:, j], rcond=None)[0]
-            else:
-                w = F[:, j]
-            energy = w @ w
-            if energy <= 1e-12 * (F[:, j] @ F[:, j]):
-                continue
-            red = (w @ y) ** 2 / (energy + ridge)
-            if red > best_red + 1e-12:
-                best_red, best_j = red, j
-        if best_j is None:
-            break
-        selected.append(best_j)
-    return selected
-
-
-def reference_train_ols(X, y, width, ridge, max_centers, candidate_idx=None):
-    """Reference for ``train_ols_paths``: one ridge at a time, with the
-    numpy ``W -= outer(w, c)`` deflation that the lockstep BLAS rank-1
-    update replaced. Returns the path and, per step, the share of its
-    original energy that the selected column kept."""
-    n = X.shape[0]
-    candidate_idx = np.arange(n) if candidate_idx is None else np.asarray(candidate_idx)
-    n_cand = candidate_idx.size
-    F = rbfn.design_matrix(X, X[candidate_idx], width)
-    base_energy = np.einsum("ij,ij->j", F, F)
-    W = F.copy()
-    available = np.ones(n_cand, dtype=bool)
-    selected, kept = [], []
-    coef_rows = np.zeros((max_centers, n_cand))
-    ortho_weights = np.zeros(max_centers)
-    objective = [float(y @ y)]
-    for step in range(max_centers):
-        energy = np.einsum("ij,ij->j", W, W)
-        proj = W.T @ y
-        usable = available & (energy > rbfn.ENERGY_TOL * base_energy)
-        if not np.any(usable):
-            break
-        reduction = np.full(n_cand, -np.inf)
-        reduction[usable] = proj[usable] ** 2 / (energy[usable] + ridge)
-        best = int(np.flatnonzero(reduction >= reduction.max() - rbfn.TIE_TOL)[0])
-        w_best = W[:, best].copy()
-        e_best = energy[best]
-        ortho_weights[step] = proj[best] / (e_best + ridge)
-        objective.append(objective[-1] - proj[best] ** 2 / (e_best + ridge))
-        selected.append(best)
-        kept.append(e_best / base_energy[best])
-        available[best] = False
-        coefs = (w_best @ W) / e_best
-        coef_rows[step] = coefs
-        W -= np.outer(w_best, coefs)
-        W[:, best] = 0.0
-    k = len(selected)
-    sel = np.array(selected, dtype=int)
-    path = rbfn.RbfnPath(
-        inputs=X.copy(),
-        selected=candidate_idx[sel],
-        gs_coefs=np.triu(coef_rows[:k][:, sel], 1) + np.eye(k),
-        ortho_weights=ortho_weights[:k],
-        objective=np.array(objective),
-        width=width,
-        ridge=ridge,
-    )
-    return path, np.array(kept)
+from oracles import back_substituted_weights, brute_force_greedy, reference_train_ols
 
 
 class TestPredict:
@@ -142,8 +65,8 @@ class TestTrainOls:
             F = rbfn.design_matrix(X, X[pool], width)
             expected = brute_force_greedy(F, y, ridge, steps=5)
 
-            path = rbfn.train_ols(
-                X, y, width, ridge, max_centers=len(expected), candidate_idx=pool
+            [path] = rbfn.train_ols_paths(
+                X, y, width, (ridge,), max_centers=len(expected), candidate_idx=pool
             )
             np.testing.assert_array_equal(path.selected, expected)
 
@@ -296,15 +219,6 @@ class TestTrainOlsPaths:
         y = rng.uniform(-3.0, 3.0, size=n)
         width = width_mult * rbfn.median_width(X)
         self._assert_matches_reference(X, y, width, ridges, max_centers=n)
-
-
-def back_substituted_weights(path, k):
-    """Reference for ``RbfnPath.weights``: the row-by-row back-substitution
-    through the Gram-Schmidt factors that the triangular solve replaced."""
-    theta = np.zeros(k)
-    for i in range(k - 1, -1, -1):
-        theta[i] = path.ortho_weights[i] - path.gs_coefs[i, i + 1 : k] @ theta[i + 1 : k]
-    return theta
 
 
 class TestPathPredictions:

@@ -4,59 +4,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    hat_diagonal,
     mixed_grid_functions,
-    quadrature_integral,
     random_spline_function,
     synthetic_dataset,
 )
 from fdareg import basis, fdata, represent
 from fdareg.errors import (
-    BasisMismatchError,
     DegenerateLooError,
     DomainError,
     SelectionError,
     UnidentifiableCoefficientsError,
 )
-
-
-def naive_loo(f, b):
-    """Oracle: m refits, each omitting one point (plain lstsq, no QR path)."""
-    design = b.evaluate(f.x)
-    m = len(f)
-    total = 0.0
-    for i in range(m):
-        keep = np.arange(m) != i
-        coef, *_ = np.linalg.lstsq(design[keep], f.y[keep], rcond=None)
-        total += (f.y[i] - design[i] @ coef) ** 2
-    return total / m
+from oracles import naive_loo, quadrature_integral
 
 
 class TestFit:
     def test_in_span_function_recovered(self, rng, small_bspline):
         f, alpha = random_spline_function(rng, small_bspline)
-        r = represent.fit(f, small_bspline)
-        np.testing.assert_allclose(r.alpha, alpha, atol=1e-10)
-        assert r.sse <= 1e-18 * float(f.y @ f.y)
-        np.testing.assert_allclose(r(f.x), f.y, atol=1e-10)
+        fitted, sse = represent.fit_dataset([f], small_bspline)
+        np.testing.assert_allclose(fitted[0], alpha, atol=1e-10)
+        assert sse[0] <= 1e-18 * float(f.y @ f.y)
+        np.testing.assert_allclose(small_bspline.evaluate(f.x) @ fitted[0], f.y, atol=1e-10)
 
     def test_constant_samples_give_constant_coefficients(self, small_bspline):
         x = np.linspace(0, 1, 25)
         f = fdata.SampledFunction(x, np.full(25, 3.25))
-        r = represent.fit(f, small_bspline)
-        np.testing.assert_allclose(r.alpha, 3.25, atol=1e-12)
+        alpha, _ = represent.fit_dataset([f], small_bspline)
+        np.testing.assert_allclose(alpha, 3.25, atol=1e-12)
 
     def test_beta_consistency(self, rng, small_bspline):
+        # fit, the one-row view the benchmark traces, carries beta = U alpha
+        # and equals the row of the matrix fit
         f, _ = random_spline_function(rng, small_bspline, noise=0.1)
         r = represent.fit(f, small_bspline)
+        alpha, sse = represent.fit_dataset([f], small_bspline)
+        np.testing.assert_array_equal(r.alpha, alpha[0])
+        assert r.sse == sse[0]
         np.testing.assert_allclose(
             r.beta, r.gram.chol @ r.alpha, atol=1e-12 * np.abs(r.beta).max()
         )
 
     def test_residual_orthogonality(self, rng, small_bspline):
         f, _ = random_spline_function(rng, small_bspline, noise=0.5)
-        r = represent.fit(f, small_bspline)
+        alpha, _ = represent.fit_dataset([f], small_bspline)
         design = small_bspline.evaluate(f.x)
-        resid = f.y - design @ r.alpha
+        resid = f.y - design @ alpha[0]
         assert np.max(np.abs(design.T @ resid)) < 1e-9 * np.linalg.norm(f.y)
 
     def test_uncovered_support_names_indices(self):
@@ -65,13 +58,13 @@ class TestFit:
         x = np.linspace(0.0, 0.3, 40)
         f = fdata.SampledFunction(x, np.sin(x))
         with pytest.raises(UnidentifiableCoefficientsError) as exc_info:
-            represent.fit(f, b)
+            represent.fit_dataset([f], b)
         assert b.dimension - 1 in exc_info.value.indices
 
     def test_too_few_points(self, small_bspline):
         f = fdata.SampledFunction([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
         with pytest.raises(UnidentifiableCoefficientsError):
-            represent.fit(f, small_bspline)
+            represent.fit_dataset([f], small_bspline)
 
 
 class TestHatDiagonal:
@@ -79,7 +72,7 @@ class TestHatDiagonal:
         for _ in range(5):
             b = basis.BSplineBasis.uniform(0.0, 1.0, int(rng.integers(2, 6)), 4)
             f, _ = random_spline_function(rng, b, noise=0.3)
-            hat = represent.hat_diagonal(f, b)
+            hat = hat_diagonal(f, b)
             assert np.all(hat >= -1e-10) and np.all(hat <= 1 + 1e-10)
             assert np.sum(hat) == pytest.approx(b.dimension, abs=1e-8)
 
@@ -96,9 +89,9 @@ class TestLooScore:
             m = int(rng.integers(q + 3, 31))
             f, _ = random_spline_function(rng, b, noise=0.3, m=m)
             try:
-                if represent.hat_diagonal(f, b).max() > 0.99:
+                if hat_diagonal(f, b).max() > 0.99:
                     continue  # near-interpolating draw: both paths lose precision
-                fast = represent.loo_score(f, b)
+                [fast] = represent.loo_scores([f], b)
             except (UnidentifiableCoefficientsError, DegenerateLooError):
                 continue
             naive = naive_loo(f, b)
@@ -110,7 +103,7 @@ class TestLooScore:
         x = np.linspace(0.0, 1.0, b.dimension)
         f = fdata.SampledFunction(x, np.sin(x))
         with pytest.raises(DegenerateLooError):
-            represent.loo_score(f, b)
+            represent.loo_scores([f], b)
 
     def test_overfitting_increases_loo(self, rng):
         # truth lives on a small basis; pure-noise extra dimensions hurt LOO
@@ -119,21 +112,26 @@ class TestLooScore:
         alpha = rng.normal(size=truth.dimension)
         y = truth.evaluate(x) @ alpha + 0.05 * rng.normal(size=120)
         f = fdata.SampledFunction(x, y)
-        small = represent.loo_score(f, truth)
-        big = represent.loo_score(f, basis.BSplineBasis.uniform(0.0, 1.0, 30, 4))
+        [small] = represent.loo_scores([f], truth)
+        [big] = represent.loo_scores([f], basis.BSplineBasis.uniform(0.0, 1.0, 30, 4))
         assert big > small
+
+    def test_one_row_view(self, rng, small_bspline):
+        # loo_score, the one-row view the benchmark traces
+        f, _ = random_spline_function(rng, small_bspline, noise=0.3)
+        assert represent.loo_score(f, small_bspline) == represent.loo_scores([f], small_bspline)[0]
 
 
 class TestDatasetPath:
-    """The batched path against its one-function views and the naive oracle,
-    on curves sharing one grid mixed with holed curves on grids of their own."""
+    """The batched path against its one-row slices and the naive oracle, on
+    curves sharing one grid mixed with holed curves on grids of their own."""
 
     def test_loo_scores_match_per_curve_and_naive(self, rng):
         fns = mixed_grid_functions(rng)
         for q in (6, 10, 14):
             b = basis.BSplineBasis.uniform(0.0, 1.0, q - 4, 4)
             batched = represent.loo_scores(fns, b)
-            per_curve = [represent.loo_score(f, b) for f in fns]
+            per_curve = [represent.loo_scores([f], b)[0] for f in fns]
             np.testing.assert_allclose(batched, per_curve, rtol=1e-10, atol=0)
             np.testing.assert_allclose(
                 batched, [naive_loo(f, b) for f in fns], rtol=1e-10, atol=0
@@ -145,9 +143,9 @@ class TestDatasetPath:
         alpha, sse = represent.fit_dataset(fns, b)
         assert alpha.shape == (len(fns), b.dimension)
         for i, f in enumerate(fns):
-            r = represent.fit(f, b)
-            np.testing.assert_allclose(alpha[i], r.alpha, rtol=1e-12, atol=1e-12)
-            assert sse[i] == pytest.approx(r.sse, rel=1e-10)
+            row, row_sse = represent.fit_dataset([f], b)
+            np.testing.assert_allclose(alpha[i], row[0], rtol=1e-12, atol=1e-12)
+            assert sse[i] == pytest.approx(row_sse[0], rel=1e-10)
 
     def test_one_qr_per_distinct_grid(self, rng, monkeypatch):
         fns = mixed_grid_functions(rng, n_shared=6, n_holed=3)
@@ -188,7 +186,7 @@ class TestDatasetPath:
         fns = mixed_grid_functions(rng, n_shared=n_shared, n_holed=n_holed)
         b = basis.BSplineBasis.uniform(0.0, 1.0, q - 4, 4)
         batched = represent.loo_scores(fns, b)
-        per_curve = [represent.loo_score(f, b) for f in fns]
+        per_curve = [represent.loo_scores([f], b)[0] for f in fns]
         np.testing.assert_allclose(batched, per_curve, rtol=1e-10, atol=0)
 
 
@@ -312,51 +310,47 @@ class TestSelectBasisSize:
 
 
 class TestBetaGeometry:
+    """Canonical dot products of beta rows are L2 inner products."""
+
     def _pair(self, rng, b):
         f1, _ = random_spline_function(rng, b, noise=0.05)
         f2, _ = random_spline_function(rng, b, noise=0.05)
-        return represent.fit(f1, b), represent.fit(f2, b)
+        alpha, _ = represent.fit_dataset([f1, f2], b)
+        return alpha, alpha @ b.gram_factor().chol.T
 
     def test_dist_self_zero(self, rng, small_bspline):
-        r, _ = self._pair(rng, small_bspline)
-        assert represent.dist(r, r) == 0.0
+        # a curve listed twice shares one QR: identical beta rows
+        f, _ = random_spline_function(rng, small_bspline, noise=0.05)
+        alpha, _ = represent.fit_dataset([f, f], small_bspline)
+        beta = alpha @ small_bspline.gram_factor().chol.T
+        assert np.linalg.norm(beta[0] - beta[1]) == 0.0
 
     def test_inner_matches_quadrature(self, rng):
         # 10^4-point composite (Simpson) quadrature oracle, 50 random pairs
         for trial in range(50):
             order = int(rng.integers(2, 6))
             b = basis.BSplineBasis.uniform(0.0, 2.0, int(rng.integers(3, 9)), order)
-            r1, r2 = self._pair(rng, b)
+            alpha, beta = self._pair(rng, b)
             edges = b.knots.edges
-            g1 = lambda xs: b.evaluate(xs) @ r1.alpha  # noqa: E731
-            g2 = lambda xs: b.evaluate(xs) @ r2.alpha  # noqa: E731
+            g1 = lambda xs: b.evaluate(xs) @ alpha[0]  # noqa: E731
+            g2 = lambda xs: b.evaluate(xs) @ alpha[1]  # noqa: E731
             ref_inner = quadrature_integral(lambda xs: g1(xs) * g2(xs), edges)
             ref_dist = np.sqrt(
                 quadrature_integral(lambda xs: (g1(xs) - g2(xs)) ** 2, edges)
             )
-            assert represent.inner(r1, r2) == pytest.approx(ref_inner, rel=1e-8)
-            assert represent.dist(r1, r2) == pytest.approx(ref_dist, rel=1e-8)
+            assert beta[0] @ beta[1] == pytest.approx(ref_inner, rel=1e-8)
+            assert np.linalg.norm(beta[0] - beta[1]) == pytest.approx(ref_dist, rel=1e-8)
 
     def test_fourier_beta_equals_alpha(self, rng):
         fb = basis.FourierBasis(0.0, 1.0, 7)
         x = np.linspace(0, 1, 40)
         f = fdata.SampledFunction(x, np.sin(2 * np.pi * x) + 1.0)
-        r = represent.fit(f, fb)
-        np.testing.assert_array_equal(r.beta, r.alpha)
+        alpha, _ = represent.fit_dataset([f], fb)
+        np.testing.assert_array_equal(alpha @ fb.gram_factor().chol.T, alpha)
 
     def test_linearity_of_beta(self, rng, small_bspline):
-        r1, r2 = self._pair(rng, small_bspline)
+        alpha, beta = self._pair(rng, small_bspline)
         lam, mu = 2.5, -1.25
-        combo_alpha = lam * r1.alpha + mu * r2.alpha
+        combo_alpha = lam * alpha[0] + mu * alpha[1]
         combo_beta = small_bspline.gram_factor().chol @ combo_alpha
-        np.testing.assert_allclose(combo_beta, lam * r1.beta + mu * r2.beta, atol=1e-12)
-
-    def test_basis_mismatch(self, rng, small_bspline):
-        other = basis.BSplineBasis.uniform(0.0, 1.0, 6, 4)
-        r1, _ = self._pair(rng, small_bspline)
-        f, _ = random_spline_function(rng, other)
-        r2 = represent.fit(f, other)
-        with pytest.raises(BasisMismatchError):
-            represent.inner(r1, r2)
-        with pytest.raises(BasisMismatchError):
-            represent.dist(r1, r2)
+        np.testing.assert_allclose(combo_beta, lam * beta[0] + mu * beta[1], atol=1e-12)

@@ -218,6 +218,41 @@ class TestRunExperiment:
         assert report.notes == ()
         assert report.selected["n_components"] in grid
 
+    def test_pca_sizes_above_the_fold_rank_are_dropped_with_one_note(self, data):
+        # q = 18 bounds every fold matrix's rank: sizes 19 and 20 are
+        # dropped up front and the rest selects as the grid without them
+        train, test = data
+
+        def run(grid):
+            spec = ExperimentSpec(
+                "fpca-trim", "rbfn",
+                representation=RepresentationSpec("bspline", order=4, dimension=18),
+                pca=PcaSpec("functional", n_components="cv", component_grid=grid),
+                rbfn=SMALL_RBFN,
+                seed=5,
+            )
+            return run_experiment(spec, train, test)
+
+        crossing, within = run((17, 18, 19, 20)), run((17, 18))
+        assert crossing.notes == (
+            "PCA sizes [19, 20] exceed 18, the most components every fold can fit, "
+            "and were dropped",
+        ) + within.notes
+        assert (crossing.selected, crossing.cv_score, crossing.test_rmse) == (
+            within.selected, within.cv_score, within.test_rmse
+        )
+
+    def test_fixed_pca_size_above_the_loo_dimension_is_a_config_error(self, data):
+        train, test = data
+        spec = ExperimentSpec(
+            "fpca-too-large", "rbfn",
+            representation=RepresentationSpec("bspline", order=4, dimension="loo"),
+            pca=PcaSpec("functional", n_components=40),
+            rbfn=SMALL_RBFN,
+        )
+        with pytest.raises(ConfigError, match=r"fpca-too-large: PCA sizes \[40\] all exceed"):
+            run_experiment(spec, train, test)
+
     def test_mean_baseline(self, data):
         train, test = data
         report = run_experiment(ExperimentSpec("mean", "mean"), train, test)
