@@ -74,18 +74,24 @@ class MeanImputer:
 
 
 class KnnImputer:
-    """Nearest-donor imputation under the missing-aware distance.
+    """Nearest-donor imputation under the missing-aware distance, for a
+    grid of neighbor counts ``ks`` at once.
 
     Donors come from the fitted data; for each hole the k nearest donors
     observing that coordinate contribute their unweighted mean. Distance
     ties break toward the lower donor index. When fewer than k donors
     qualify, all qualifying ones are used with a warning.
+
+    A row's donor ordering does not depend on k, so :meth:`transform`
+    orders each row's donors once and fills its holes for every k of the
+    grid from that one ordering: a cross-validation fold imputes its rows
+    once for the whole k grid.
     """
 
-    def __init__(self, k: int):
-        if k < 1:
+    def __init__(self, ks):
+        self.ks = tuple(int(k) for k in ks)
+        if not self.ks or min(self.ks) < 1:
             raise ValidationError("k must be >= 1")
-        self.k = int(k)
         self.values_ = None
         self.mask_ = None
 
@@ -107,37 +113,56 @@ class KnnImputer:
     def transform(
         self, values: np.ndarray, mask: np.ndarray, is_fit_data: bool = False
     ) -> np.ndarray:
-        """Fill holes row by row.
+        """Fill holes row by row, for every k of the grid.
 
-        With ``is_fit_data=True`` row i never donates to itself (used when
+        Returns an ``(n, len(ks), p)`` array: ``out[:, c]`` is ``values``
+        with its holes filled from the ``ks[c]`` nearest donors. With
+        ``is_fit_data=True`` row i never donates to itself (used when
         imputing the very matrix the imputer was fitted on).
+
+        Each hole gathers its first ``max(ks)`` observing donors into one
+        row of a contiguous block, and the fill for k is ``np.mean`` over
+        the first k columns, the same sum in the same order as the mean of
+        those k donors alone.
         """
-        out = np.array(values, dtype=float)
+        values = np.asarray(values, dtype=float)
         mask = np.asarray(mask, dtype=bool)
-        for i in range(out.shape[0]):
+        out = np.repeat(values[:, None, :], len(self.ks), axis=1)
+        max_k = max(self.ks)
+        for i in range(values.shape[0]):
             holes = np.flatnonzero(~mask[i])
             if holes.size == 0:
                 continue
-            d = self._distances(out[i], mask[i], skip=i if is_fit_data else None)
+            d = self._distances(values[i], mask[i], skip=i if is_fit_data else None)
             if not np.any(np.isfinite(d)):
                 raise IncomparableSampleError(
                     f"sample {i} shares no observed coordinate with any donor"
                 )
             order = np.lexsort((np.arange(d.size), d))  # distance, then index
-            for j in holes:
-                donors = order[self.mask_[order[:], j] & np.isfinite(d[order])]
-                if donors.size == 0:
+            order = order[np.isfinite(d[order])]
+            observes = self.mask_[order[None, :], holes[:, None]]  # (holes, donors)
+            counts = observes.sum(axis=1)
+            # per hole, the positions in `order` of its first max_k observing
+            # donors; a short list runs on into donors that do not observe it
+            first = np.argsort(~observes, axis=1, kind="stable")[:, :max_k]
+            # C order, so that each row's mean is numpy's pairwise sum of
+            # its leading k entries, as for those k values alone
+            block = np.ascontiguousarray(self.values_[order[first], holes[:, None]])
+            for c, k in enumerate(self.ks):
+                out[i, c, holes] = np.mean(block[:, :k], axis=-1)
+            for h in np.flatnonzero(counts < max_k):
+                if counts[h] == 0:
                     raise ImputationError(
-                        f"no donor observes coordinate {j} for sample {i}"
+                        f"no donor observes coordinate {holes[h]} for sample {i}"
                     )
-                if donors.size < self.k:
-                    warnings.warn(
-                        f"only {donors.size} donors observe coordinate {j} "
-                        f"for sample {i}; using all of them",
-                        stacklevel=2,
-                    )
-                use = donors[: self.k]
-                out[i, j] = float(np.mean(self.values_[use, j]))
+                for c, k in enumerate(self.ks):
+                    if counts[h] < k:
+                        warnings.warn(
+                            f"only {counts[h]} donors observe coordinate {holes[h]} "
+                            f"for sample {i}; using all of them",
+                            stacklevel=2,
+                        )
+                        out[i, c, holes[h]] = np.mean(block[h, : counts[h]])
         return out
 
 

@@ -176,7 +176,9 @@ def train(
     active = ~diverged
     mu = np.full(restarts, 1e-2)
 
-    eye = np.eye(n_params)
+    decay_diag = decay * np.diag(weight_mask)
+    decay_mask = decay * weight_mask
+    diagonal = np.arange(n_params)
     for _ in range(max_iter):
         idx = np.flatnonzero(active)
         if idx.size == 0:
@@ -185,8 +187,8 @@ def train(
         J = _jacobian(p_a, X, act_a, hidden)
 
         jtj = np.matmul(J.transpose(0, 2, 1), J)
-        jtj += decay * np.diag(weight_mask)[None, :, :]
-        grad_half = np.einsum("rnp,rn->rp", J, resid_a) - decay * weight_mask * p_a
+        jtj += decay_diag
+        grad_half = np.einsum("rnp,rn->rp", J, resid_a) - decay_mask * p_a
         # full gradient of the loss is -2 * grad_half
 
         gnorm = np.linalg.norm(grad_half, axis=1) * 2.0
@@ -196,12 +198,14 @@ def train(
             continue
         idx, jtj, grad_half, p_a = idx[live], jtj[live], grad_half[live], p_a[live]
 
-        A = jtj + mu[idx][:, None, None] * eye[None, :, :]
+        # damp to jtj + mu * I in place: off the diagonal mu * I adds only
+        # 0.0, and jtj holds no -0.0 there once the decay term is added
+        jtj[:, diagonal, diagonal] += mu[idx][:, None]
         try:
-            step = np.linalg.solve(A, grad_half[:, :, None])[:, :, 0]
+            step = np.linalg.solve(jtj, grad_half[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             step = np.stack(
-                [np.linalg.lstsq(a, g, rcond=None)[0] for a, g in zip(A, grad_half)]
+                [np.linalg.lstsq(a, g, rcond=None)[0] for a, g in zip(jtj, grad_half)]
             )
 
         trial = p_a + step

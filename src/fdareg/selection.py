@@ -14,10 +14,11 @@ fails; such a cell scores ``inf``, can never win, and is counted in one note
 on the report.
 
 Data-dependent preprocessing (imputation, column standardization, PCA and
-whitening statistics) is refitted inside every fold, once per fold and
-imputation k: the fold's training and validation rows are imputed and
-standardized once, and every PCA size of the grid takes its scores from
-those two matrices. Per-function steps
+whitening statistics) is refitted inside every fold. Imputation runs once
+per fold: the fold's training and validation rows are imputed once for the
+whole k grid, k-NN ordering each row's donors a single time. Standardization
+and PCA are fitted once per (fold, k), and every PCA size of the grid takes
+its scores from the two standardized matrices. Per-function steps
 (basis projection, centering, derivatives, expert scaling) use no
 cross-sample information, so they are computed once up front, on whole
 coefficient or value matrices: one basis evaluation per dataset, on the
@@ -31,7 +32,7 @@ candidate size and one QR per grid and candidate size.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -221,7 +222,11 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentSpec":
-        """Build a spec from :meth:`to_dict` output; unknown keys raise ConfigError."""
+        """Build a spec from :meth:`to_dict` output.
+
+        An unknown key, a missing required key or a section that is not
+        an object raises :class:`ConfigError` naming the key.
+        """
         def tup(value):
             return tuple(value) if isinstance(value, list) else value
 
@@ -235,16 +240,23 @@ class ExperimentSpec:
             ("rbfn", RbfnSettings),
             ("mlp", MlpSettings),
         ):
-            if key in kwargs and isinstance(kwargs[key], dict):
+            if key in kwargs:
                 _check_keys(f"spec section {key!r}", kwargs[key], sub)
                 kwargs[key] = sub(**{k: tup(v) for k, v in kwargs[key].items()})
         return cls(**kwargs)
 
 
-def _check_keys(where: str, raw: dict, cls) -> None:
+def _check_keys(where: str, raw, cls) -> None:
+    """Raise ConfigError unless ``raw`` is an object that holds every
+    required field of ``cls`` and no other key."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, not {type(raw).__name__}")
     unknown = [key for key in raw if key not in {f.name for f in fields(cls)}]
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+    if missing:
+        raise ConfigError(f"missing required key {missing[0]!r} in {where}")
 
 
 @dataclass
@@ -335,26 +347,48 @@ class _Stage1:
         return dataset.matrix(), None
 
 
-class _FittedPreproc:
-    """Fold-level data-dependent chain: impute -> standardize -> PCA.
+class _Imputation:
+    """A fold's imputer, fitted once on the fold's training rows.
 
-    Fitted once per (fold, k), it keeps the imputed and standardized
-    training matrix ``train_X``; ``prepare`` imputes and standardizes new
-    rows once, and ``project`` slices the PCA scores of either matrix for
-    one component count, so the PCA-size grid reuses both.
+    ``fill`` returns one filled matrix per entry of ``ks``, the imputation
+    grid. k-NN orders each row's donors once and fills its holes for every
+    k from that one ordering, so a fold imputes its training and validation
+    rows once for the whole k grid. Without an imputer the rows pass
+    through as they are.
     """
 
-    def __init__(self, spec: ExperimentSpec, k_impute: int,
-                 values: np.ndarray, mask: np.ndarray | None, max_comp: int | None):
-        self.spec = spec
+    def __init__(self, spec: ExperimentSpec, ks: tuple[int, ...],
+                 values: np.ndarray, mask: np.ndarray | None):
+        self.ks = ks
         self.imputer = None
-        X = values
         if spec.impute.kind == "mean":
             self.imputer = imp_mod.MeanImputer().fit(values, mask)
-            X = self.imputer.transform(values, mask)
         elif spec.impute.kind == "knn":
-            self.imputer = imp_mod.KnnImputer(k_impute).fit(values, mask)
-            X = self.imputer.transform(values, mask, is_fit_data=True)
+            self.imputer = imp_mod.KnnImputer(ks).fit(values, mask)
+
+    def fill(self, values, mask, is_fit_data: bool = False) -> list[np.ndarray]:
+        """One matrix per k; ``is_fit_data`` for the fitted rows themselves."""
+        if isinstance(self.imputer, imp_mod.KnnImputer):
+            filled = self.imputer.transform(values, mask, is_fit_data)
+            return [np.ascontiguousarray(filled[:, c]) for c in range(len(self.ks))]
+        if self.imputer is not None:
+            return [self.imputer.transform(values, mask)]
+        return [values] * len(self.ks)
+
+
+class _FittedPreproc:
+    """Fold-level statistics of imputed rows: standardize -> PCA.
+
+    Fitted once per (fold, k) on the fold's imputed training rows (the
+    imputation itself runs once per fold, see :class:`_Imputation`), it
+    keeps the standardized training matrix ``train_X``; ``prepare``
+    standardizes new imputed rows once, and ``project`` slices the PCA
+    scores of either matrix for one component count, so the PCA-size grid
+    reuses both.
+    """
+
+    def __init__(self, spec: ExperimentSpec, X: np.ndarray, max_comp: int | None):
+        self.spec = spec
         self.standardizer = None
         if spec.pca.kind == "classical" and spec.pca.standardize:
             self.standardizer = fpca_mod.Standardizer().fit(X)
@@ -365,11 +399,8 @@ class _FittedPreproc:
             # run_experiment keeps max_comp within every fold matrix's rank
             self.pca = fpca_mod.fit_fpca(X, n_components=max_comp)
 
-    def prepare(self, values, mask):
-        """Impute and standardize new rows (donors are the fitted rows)."""
-        X = values
-        if self.imputer is not None:
-            X = self.imputer.transform(values, mask)
+    def prepare(self, X):
+        """Standardize new imputed rows with the fitted statistics."""
         if self.standardizer is not None:
             X = self.standardizer.transform(X)
         return X
@@ -379,6 +410,42 @@ class _FittedPreproc:
         if self.pca is None:
             return X
         return fpca_mod.scores(self.pca, X, n_comp, whiten=self.spec.pca.whiten)
+
+
+def _fold_inputs(spec, stage, tr, va, comp_grid, max_comp, fold_i, notes):
+    """Yield ``(k_imp, n_comp, X_tr, X_va)``, the model inputs of one fold
+    for every imputation and PCA-size cell.
+
+    The fold's training and validation rows are imputed once for the whole
+    k grid; the standardizer and PCA are fitted once per k, and every PCA
+    size slices its scores from them. A cell whose preprocessing fails is
+    skipped with a note in ``notes``; a failed imputation notes every k.
+    """
+    impute_grid = spec.impute.grid()
+    values, mask = stage.train_values, stage.train_mask
+    mask_tr = mask[tr] if mask is not None else None
+    mask_va = mask[va] if mask is not None else None
+    try:
+        imputation = _Imputation(spec, impute_grid, values[tr], mask_tr)
+        filled_tr = imputation.fill(values[tr], mask_tr, is_fit_data=True)
+        filled_va = imputation.fill(values[va], mask_va)
+    except FdaregError as exc:
+        notes.extend(f"fold {fold_i}, impute k={k_imp}: {exc}" for k_imp in impute_grid)
+        return
+    for k_imp, X_tr, X_va in zip(impute_grid, filled_tr, filled_va):
+        try:
+            pre = _FittedPreproc(spec, X_tr, max_comp)
+            X_va = pre.prepare(X_va)
+        except FdaregError as exc:
+            notes.append(f"fold {fold_i}, impute k={k_imp}: {exc}")
+            continue
+        for n_comp in comp_grid:
+            try:
+                scores = pre.project(pre.train_X, n_comp), pre.project(X_va, n_comp)
+            except FdaregError as exc:
+                notes.append(f"fold {fold_i}, impute k={k_imp}, comps={n_comp}: {exc}")
+                continue
+            yield (k_imp, n_comp, *scores)
 
 
 def _cell_sort_key(cell: tuple) -> tuple:
@@ -410,7 +477,6 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     notes: list[str] = []
     plan = make_folds(n, spec.folds, derive_seed(spec.seed, "folds"))
 
-    impute_grid = spec.impute.grid()
     comp_grid, max_comp = (None,), None
     if spec.pca.kind != "none":
         # a centered fold matrix has rank at most min(n - 1, q)
@@ -428,29 +494,10 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     # cell: (k_impute, n_comp, *model_params) -> (summed fold errors, folds scored)
     table: dict[tuple, tuple[float, int]] = {}
     for fold_i, (tr, va) in enumerate(plan):
-        for k_imp in impute_grid:
-            mask_tr = stage.train_mask[tr] if stage.train_mask is not None else None
-            mask_va = stage.train_mask[va] if stage.train_mask is not None else None
-            try:
-                pre = _FittedPreproc(
-                    spec, k_imp, stage.train_values[tr], mask_tr, max_comp
-                )
-                va_X = pre.prepare(stage.train_values[va], mask_va)
-            except FdaregError as exc:
-                notes.append(f"fold {fold_i}, impute k={k_imp}: {exc}")
-                continue
-            for n_comp in comp_grid:
-                try:
-                    X_tr = pre.project(pre.train_X, n_comp)
-                    X_va = pre.project(va_X, n_comp)
-                except FdaregError as exc:
-                    notes.append(
-                        f"fold {fold_i}, impute k={k_imp}, comps={n_comp}: {exc}"
-                    )
-                    continue
-                _score_model_cells(
-                    spec, X_tr, y[tr], X_va, y[va], k_imp, n_comp, fold_i, table
-                )
+        for k_imp, n_comp, X_tr, X_va in _fold_inputs(
+            spec, stage, tr, va, comp_grid, max_comp, fold_i, notes
+        ):
+            _score_model_cells(spec, X_tr, y[tr], X_va, y[va], k_imp, n_comp, fold_i, table)
 
     scores = {
         cell: total / plan.k if folds == plan.k else np.inf
@@ -545,7 +592,9 @@ def _fit_final(spec, stage, cell, y, notes):
         )
 
     k_imp, n_comp = cell[0], cell[1]
-    pre = _FittedPreproc(spec, k_imp or 1, stage.train_values, stage.train_mask, n_comp)
+    imputation = _Imputation(spec, (k_imp,), stage.train_values, stage.train_mask)
+    [X] = imputation.fill(stage.train_values, stage.train_mask, is_fit_data=True)
+    pre = _FittedPreproc(spec, X, n_comp)
     X = pre.project(pre.train_X, n_comp)
 
     selected: dict = {}
@@ -567,11 +616,7 @@ def _fit_final(spec, stage, cell, y, notes):
         selected.update(
             width_multiplier=mult, ridge=ridge, n_centers=model.n_centers
         )
-
-        def predictor(values, mask):
-            X_new = pre.project(pre.prepare(values, mask), n_comp)
-            return rbfn_mod.predict(model, X_new)
-
+        evaluate = rbfn_mod.predict
     else:
         hidden, decay = cell[2], cell[3]
         seed = derive_seed(spec.seed, "mlp-final")
@@ -580,9 +625,10 @@ def _fit_final(spec, stage, cell, y, notes):
             restarts=spec.mlp.restarts, seed=seed, max_iter=spec.mlp.max_iter,
         )
         selected.update(hidden=hidden, decay=decay)
+        evaluate = mlp_mod.forward
 
-        def predictor(values, mask):
-            X_new = pre.project(pre.prepare(values, mask), n_comp)
-            return mlp_mod.forward(model, X_new)
+    def predictor(values, mask):
+        [X_new] = imputation.fill(values, mask)
+        return evaluate(model, pre.project(pre.prepare(X_new), n_comp))
 
     return selected, predictor

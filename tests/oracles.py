@@ -23,6 +23,9 @@ Each oracle is the slow, direct form of a fast path in ``fdareg``:
   reference for ``RbfnPath.weights``.
 - :func:`central_difference_grad`: central differences of a scalar loss;
   the reference for the gradient ``mlp.train`` steps on.
+- :func:`knn_fill_per_hole`: one k at a time, every hole picking its own
+  donors from the row's ordering; the reference for the k-grid fill of
+  ``imputation.KnnImputer.transform``.
 """
 
 import numpy as np
@@ -196,3 +199,22 @@ def central_difference_grad(loss, params, eps=1e-5):
         down[i] -= eps
         grad[i] = (loss(up) - loss(down)) / (2 * eps)
     return grad
+
+
+def knn_fill_per_hole(imputer, values, mask, k, is_fit_data=False):
+    """Reference for ``KnnImputer.transform``: the per-hole loop for one
+    ``k``, with the donors of each hole listed and averaged on their own.
+    Uses the fitted donors and the distance of ``imputer``; returns the
+    ``(n, p)`` filled matrix and does not warn on short donor lists."""
+    out = np.array(values, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    for i in range(out.shape[0]):
+        holes = np.flatnonzero(~mask[i])
+        if holes.size == 0:
+            continue
+        d = imputer._distances(out[i], mask[i], skip=i if is_fit_data else None)
+        order = np.lexsort((np.arange(d.size), d))  # distance, then index
+        for j in holes:
+            donors = order[imputer.mask_[order, j] & np.isfinite(d[order])]
+            out[i, j] = float(np.mean(imputer.values_[donors[:k], j]))
+    return out

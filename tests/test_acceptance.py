@@ -268,10 +268,10 @@ class TestInvariantSuites:
                 V = rng.normal(size=(15, 10))
                 M = rng.uniform(size=V.shape) > 0.25
                 M[0] = True
-                knn = imputation.KnnImputer(3).fit(V, M)
+                knn = imputation.KnnImputer((3,)).fit(V, M)
                 for out in (
                     imputation.MeanImputer().fit(V, M).transform(V, M),
-                    knn.transform(V, M, is_fit_data=True),
+                    knn.transform(V, M, is_fit_data=True)[:, 0],
                 ):
                     np.testing.assert_array_equal(out[M], V[M])
                 scaled = imputation.expert_scale_matrix(V, M)

@@ -230,6 +230,10 @@ BAD_SPECS = {
         "'quad_points' in spec section 'representation'",
     ),
     "malformed-json": ('{"name": "cli-rbfn", ', "not valid JSON"),
+    "missing-required-key": (json.dumps({"model": "rbfn"}), "missing required key 'name'"),
+    "section-not-object": (
+        json.dumps(dict(SMALL_SPEC, pca=5)), "spec section 'pca' must be an object"
+    ),
 }
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from fdareg.errors import (
     ScalingError,
     ValidationError,
 )
+from oracles import knn_fill_per_hole
 
 
 def masked(values, mask):
@@ -22,8 +25,28 @@ def mean_impute(values, mask):
 def knn_impute(values, mask, k):
     """Impute a matrix whose own rows are the donors, as one fold's
     training rows are."""
-    imp = imputation.KnnImputer(k).fit(values, mask)
-    return imp.transform(values, mask, is_fit_data=True)
+    imp = imputation.KnnImputer((k,)).fit(values, mask)
+    return imp.transform(values, mask, is_fit_data=True)[:, 0]
+
+
+K_GRID = (1, 2, 4, 8, 16)
+
+
+def holed_matrix(rng, n, p, missing):
+    """Random values with a share ``missing`` of holes; the first two
+    columns stay observed, so every pair of rows is comparable."""
+    values = rng.normal(size=(n, p))
+    mask = rng.uniform(size=values.shape) >= missing
+    mask[:, :2] = True
+    return values, mask
+
+
+def assert_equals_per_hole_loop(imp, values, mask, is_fit_data):
+    out = imp.transform(values, mask, is_fit_data)
+    assert out.shape == (values.shape[0], len(imp.ks), values.shape[1])
+    for c, k in enumerate(imp.ks):
+        ref = knn_fill_per_hole(imp, values, mask, k, is_fit_data)
+        assert np.array_equal(out[:, c], ref), f"k={k}"
 
 
 class TestMeanImpute:
@@ -71,7 +94,7 @@ class TestKnnImpute:
         assert out[0, 2] == pytest.approx(7.5)
 
     def test_distance_zero_on_shared(self):
-        imp = imputation.KnnImputer(1).fit(*masked([[1.0, 2.0]], [[True, True]]))
+        imp = imputation.KnnImputer((1,)).fit(*masked([[1.0, 2.0]], [[True, True]]))
         d = imp._distances(np.array([1.0, 2.0]), np.array([True, True]), skip=None)
         assert d[0] == 0.0
 
@@ -80,7 +103,7 @@ class TestKnnImpute:
         donors_v, donors_m = masked(
             [[0.0, 0.0, 0.0, 0.0]], [[True, True, True, False]]
         )
-        imp = imputation.KnnImputer(1).fit(donors_v, donors_m)
+        imp = imputation.KnnImputer((1,)).fit(donors_v, donors_m)
         x = np.array([2.0, 2.0, 0.0, 1.0])
         m = np.array([True, True, False, True])
         d = imp._distances(x, m, skip=None)
@@ -135,6 +158,84 @@ class TestKnnImpute:
         M[0] = True
         out = knn_impute(V, M, k=3)
         np.testing.assert_array_equal(out[M], V[M])
+
+
+class TestKnnGrid:
+    """One donor ordering per row fills every k of the grid, bit for bit as
+    the per-hole, per-k loop of ``oracles.knn_fill_per_hole``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fit_data_equals_per_hole_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        V, M = holed_matrix(rng, 60, 30, 0.3)
+        imp = imputation.KnnImputer(K_GRID).fit(V, M)
+        assert_equals_per_hole_loop(imp, V, M, is_fit_data=True)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_new_rows_equal_per_hole_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        imp = imputation.KnnImputer(K_GRID).fit(*holed_matrix(rng, 60, 30, 0.3))
+        assert_equals_per_hole_loop(imp, *holed_matrix(rng, 20, 30, 0.3), is_fit_data=False)
+
+    def test_exact_ties_go_to_the_lower_donor_index(self, rng):
+        # values on a coarse lattice tie often; rows 10, 20 and 30 are the
+        # same donor on row 0's observed coordinates and differ in its holes
+        V, M = holed_matrix(rng, 50, 12, 0.3)
+        V = np.round(V, 0)
+        M[[10, 20, 30]] = True
+        V[[20, 30]] = V[10]
+        V[20, ~M[0]] += 1.0
+        V[30, ~M[0]] += 2.0
+        V[0, M[0]] = V[10, M[0]]
+        imp = imputation.KnnImputer(K_GRID).fit(V, M)
+        assert_equals_per_hole_loop(imp, V, M, is_fit_data=True)
+        assert_equals_per_hole_loop(imp, V[:5], M[:5], is_fit_data=False)
+        out = imp.transform(V, M, is_fit_data=True)
+        np.testing.assert_array_equal(out[0, 0, ~M[0]], V[10, ~M[0]])
+        np.testing.assert_array_equal(
+            out[0, 1, ~M[0]], (V[10, ~M[0]] + V[20, ~M[0]]) / 2
+        )
+
+    @pytest.mark.parametrize("is_fit_data", [True, False])
+    def test_short_donor_list_equals_per_hole_loop(self, rng, is_fit_data):
+        # coordinate 5 is observed by 4 donors only: fewer than max(k) = 16
+        V, M = holed_matrix(rng, 40, 10, 0.2)
+        M[:, 5] = False
+        M[[3, 11, 17, 29], 5] = True
+        imp = imputation.KnnImputer(K_GRID).fit(V, M)
+        rows = slice(None) if is_fit_data else slice(0, 8)
+        with pytest.warns(UserWarning, match="donors observe coordinate 5"):
+            assert_equals_per_hole_loop(imp, V[rows], M[rows], is_fit_data)
+
+    def test_short_donor_list_warns_once_per_row_hole_and_k(self):
+        # coordinate 1 is observed by rows 0 and 1 only, so rows 2-5 each
+        # have 2 donors for it: one warning per row for k = 4 and k = 8
+        V = np.arange(12.0).reshape(6, 2)
+        M = np.ones_like(V, dtype=bool)
+        M[2:, 1] = False
+        imp = imputation.KnnImputer((1, 2, 4, 8)).fit(V, M)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            imp.transform(V, M, is_fit_data=True)
+        assert [str(w.message) for w in caught] == [
+            f"only 2 donors observe coordinate 1 for sample {i}; using all of them"
+            for i in range(2, 6)
+            for _ in (4, 8)
+        ]
+
+    @pytest.mark.parametrize("is_fit_data", [True, False])
+    def test_unobserved_coordinate_raises(self, is_fit_data):
+        V, M = masked(
+            [[1.0, 0.0, 3.0], [2.0, 0.0, 4.0], [0.5, 0.0, 2.0]],
+            [[True, False, True], [True, False, True], [True, False, True]],
+        )
+        imp = imputation.KnnImputer(K_GRID).fit(V, M)
+        with pytest.raises(ImputationError, match="no donor observes coordinate 1 for sample 0"):
+            imp.transform(V, M, is_fit_data)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValidationError):
+            imputation.KnnImputer((1, 0))
 
 
 class TestExpertScale:

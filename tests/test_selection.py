@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_dataset, vector_dataset
-from fdareg import fdata
+from fdareg import fdata, selection
+from fdareg import fpca as fpca_mod
 from fdareg import imputation as imp_mod
 from fdareg import rbfn as rbfn_mod
 from fdareg.cv import derive_seed, make_folds, rmse
@@ -437,20 +438,65 @@ class TestImputationRoutes:
             seed=5,
         )
         real_transform = imp_mod.KnnImputer.transform
-        calls = []
+        real_fit = fpca_mod.Standardizer.fit
+        calls, fits = [], []
 
         def counted(self, values, mask, is_fit_data=False):
             calls.append(is_fit_data)
             return real_transform(self, values, mask, is_fit_data)
 
+        def counted_fit(self, X):
+            fits.append(X.shape)
+            return real_fit(self, X)
+
         monkeypatch.setattr(imp_mod.KnnImputer, "transform", counted)
+        monkeypatch.setattr(fpca_mod.Standardizer, "fit", counted_fit)
         a = run_experiment(spec, train, test)
-        # per (fold, k): the training rows and the validation rows once each;
-        # the final refit: the training rows, then the test rows
-        per_fold_k = spec.folds * len(spec.impute.k_grid)
-        assert len(calls) == 2 * per_fold_k + 2
-        assert calls.count(True) == per_fold_k + 1
+        # imputation, per fold: the training rows and the validation rows
+        # once each for the whole k grid; the final refit: the training
+        # rows, then the test rows
+        assert len(calls) == 2 * spec.folds + 2
+        assert calls.count(True) == spec.folds + 1
+        # standardization, per (fold, k), then once for the final refit
+        assert len(fits) == spec.folds * len(spec.impute.k_grid) + 1
         b = run_experiment(spec, train, test)
         assert (a.selected, a.cv_score, a.test_rmse, a.notes) == (
             b.selected, b.cv_score, b.test_rmse, b.notes
         )
+
+    def test_failed_fold_imputation_notes_every_k(self):
+        # coordinate 7 is observed by fold 0's validation curves alone, so
+        # fold 0's training rows have no donor for it, and every other
+        # fold's training rows hold 6 donors for it
+        rng = np.random.default_rng(31)
+        full = synthetic_dataset(rng, n=24, m=12)
+        spec = ExperimentSpec(
+            "knn-fail", "rbfn",
+            representation=RepresentationSpec("raw"),
+            pca=PcaSpec("classical", n_components=2),
+            impute=ImputeSpec("knn", k="cv", k_grid=(1, 2)),
+            rbfn=SMALL_RBFN,
+            seed=5,
+        )
+        plan = make_folds(len(full), spec.folds, derive_seed(spec.seed, "folds"))
+        observers = set(plan.folds[0].tolist())
+        keep = np.arange(12) != 7
+        train = fdata.Dataset(
+            [f if i in observers else fdata.SampledFunction(f.x[keep], f.y[keep], id=f.id)
+             for i, f in enumerate(full.functions)],
+            full.targets, full.domain,
+        )
+        stage = selection._Stage1(spec, train)
+        notes: list[str] = []
+        cells = [
+            [cell[:2] for cell in selection._fold_inputs(
+                spec, stage, tr, va, (2,), 2, fold_i, notes)]
+            for fold_i, (tr, va) in enumerate(plan)
+        ]
+        assert cells == [[], *[[(1, 2), (2, 2)]] * 3]
+        assert notes == [
+            f"fold 0, impute k={k}: no donor observes coordinate 7 for sample 0"
+            for k in (1, 2)
+        ]
+        with pytest.raises(ConfigError, match="no grid cell was scored in every fold"):
+            run_experiment(spec, train, full)
