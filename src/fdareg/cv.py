@@ -12,7 +12,6 @@ class FoldPlan:
     """A partition of sample indices into k folds of near-equal size."""
 
     folds: tuple[np.ndarray, ...]
-    seed: int | None
 
     @property
     def k(self) -> int:
@@ -36,7 +35,7 @@ def make_folds(n: int, k: int, seed: int | None = None) -> FoldPlan:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     order = np.random.default_rng(seed).permutation(n)
-    return FoldPlan(tuple(np.array_split(order, k)), seed)
+    return FoldPlan(tuple(np.array_split(order, k)))
 
 
 def rmse(predictions: np.ndarray, targets: np.ndarray) -> float:

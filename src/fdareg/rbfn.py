@@ -11,11 +11,14 @@ every remaining candidate column is orthogonalized against the selected
 ones and the one with the largest regularized error reduction
 ``(w' y)^2 / (w' w + ridge)`` is appended; modified Gram-Schmidt recurrences
 keep the whole selection path cheap, and every truncation of the path is a
-valid model. The Gram-Schmidt factors ``A`` (unit upper triangular) and the
-orthogonal-space weights ``g`` give the k-center weights as
-``A[:k, :k]^-1 g[:k]``, so the predictions of all truncations at once are
-``cumsum((D A^-1) * g, axis=1)`` for the design ``D`` on the selected
-centers: one triangular solve scores the whole path.
+network of its own (Chen, Cowan & Grant 1991). The Gram-Schmidt factors
+``A`` (unit upper triangular) and the orthogonal-space weights ``g`` give
+the k-center weights as ``A[:k, :k]^-1 g[:k]``, so the predictions of all
+truncations at once are ``cumsum((D A^-1) * g, axis=1)`` for the design
+``D`` on the selected centers: one triangular solve scores the whole path.
+:meth:`RbfnPath.predictions` is the one evaluator of a trained network; the
+cross-validation folds and the final test-set evaluation both read their
+center count's column of it.
 
 The ridge enters only the criterion and the orthogonal-space weights, so
 :func:`train_ols_paths` grows the paths of a whole ridge grid in lockstep
@@ -60,43 +63,10 @@ WIDTH_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 RIDGE_GRID = tuple(10.0**e for e in range(-6, 1))
 
 
-@dataclass(frozen=True)
-class RbfnModel:
-    """Trained network: Gaussian bumps at selected centers, linear output."""
-
-    centers: np.ndarray  # (k, d), rows drawn from the training inputs
-    width: float
-    weights: np.ndarray  # (k,)
-    ridge: float = 0.0
-
-    def __post_init__(self):
-        if self.width <= 0:
-            raise ValidationError("Gaussian width must be positive")
-        self.centers.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    @property
-    def n_centers(self) -> int:
-        return self.centers.shape[0]
-
-
 def design_matrix(X: np.ndarray, centers: np.ndarray, width: float) -> np.ndarray:
     """Gaussian kernel design: exp(-d(x, c)^2 / (2 width^2))."""
     d2 = cdist(np.atleast_2d(X), np.atleast_2d(centers), "sqeuclidean")
     return np.exp(-d2 / (2.0 * width**2))
-
-
-def predict(model: RbfnModel, x: np.ndarray) -> float | np.ndarray:
-    """Network output. Accepts one vector (d,) or a batch (n, d)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if np.atleast_2d(x).shape[1] != model.centers.shape[1]:
-        raise ValidationError(
-            f"input dimension {np.atleast_2d(x).shape[1]} does not match "
-            f"centers of dimension {model.centers.shape[1]}"
-        )
-    out = design_matrix(x, model.centers, model.width) @ model.weights
-    return float(out[0]) if single else out
 
 
 def median_width(X: np.ndarray) -> float:
@@ -110,7 +80,8 @@ def median_width(X: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class RbfnPath:
-    """Forward-selection path; ``model(k)`` materializes any truncation.
+    """Forward-selection path; every truncation is a network, and
+    :meth:`predictions` evaluates them all at once.
 
     ``objective`` is the regularized training error after 0, 1, ... steps;
     it is non-increasing by construction. ``gs_coefs`` holds the
@@ -135,22 +106,11 @@ class RbfnPath:
     def max_size(self) -> int:
         return int(self.selected.size)
 
-    def weights(self, k: int) -> np.ndarray:
-        """Output weights of the k-center truncation: ``A[:k, :k]^-1 g[:k]``."""
-        if not 1 <= k <= self.max_size:
-            raise ValidationError(f"path holds {self.max_size} centers, asked {k}")
-        return scipy.linalg.solve_triangular(
-            self.gs_coefs[:k, :k], self.ortho_weights[:k], unit_diagonal=True
-        )
-
-    def model(self, k: int) -> RbfnModel:
-        centers = self.inputs[self.selected[:k]].copy()
-        return RbfnModel(centers, self.width, self.weights(k), self.ridge)
-
     def predictions(self, X: np.ndarray) -> np.ndarray:
         """Predictions of every truncation: a (len(X), max_size) matrix whose
-        column k - 1 is the k-center model's output,
-        ``cumsum((D A^-1) * g, axis=1)``."""
+        column k - 1 is the k-center network's output,
+        ``cumsum((D A^-1) * g, axis=1)``. The one evaluator of a trained
+        network: cross-validation and the final refit both read it."""
         design = design_matrix(X, self.inputs[self.selected], self.width)
         # (D A^-1)^T = A^-T D^T: one solve for every truncation
         ortho = scipy.linalg.solve_triangular(
@@ -166,14 +126,13 @@ def train_ols(
     width: float,
     ridge: float = 0.0,
     max_centers: int = MAX_CENTERS_CAP,
-    candidate_idx: np.ndarray | None = None,
 ) -> RbfnPath:
     """Grow a network by regularized orthogonal forward selection.
 
     The one-ridge view of :func:`train_ols_paths`; see there for the
     parameters and the checks.
     """
-    return train_ols_paths(X, y, width, (ridge,), max_centers, candidate_idx)[0]
+    return train_ols_paths(X, y, width, (ridge,), max_centers)[0]
 
 
 def train_ols_paths(
@@ -182,7 +141,6 @@ def train_ols_paths(
     width: float,
     ridges: Sequence[float],
     max_centers: int = MAX_CENTERS_CAP,
-    candidate_idx: np.ndarray | None = None,
 ) -> list[RbfnPath]:
     """Grow one regularized orthogonal forward-selection path per ridge.
 
@@ -208,9 +166,7 @@ def train_ols_paths(
         added to each candidate's energy in the selection criterion and in
         the orthogonal-space weights. Must be non-empty and >= 0.
     max_centers : int
-        Cap on the path length; must not exceed the candidate count.
-    candidate_idx : array of int, optional
-        Restrict the center pool to these training rows (defaults to all).
+        Cap on the path length; must not exceed the input count.
 
     Returns
     -------
@@ -229,27 +185,21 @@ def train_ols_paths(
         raise ValidationError("ridges must be a non-empty sequence of numbers")
     if np.any(ridges < 0):
         raise ValidationError("ridge must be >= 0")
-    candidate_idx = (
-        np.arange(n) if candidate_idx is None else np.asarray(candidate_idx, dtype=int)
-    )
-    n_cand = candidate_idx.size
-    if max_centers > n_cand:
-        raise ValidationError(
-            f"max_centers {max_centers} exceeds the candidate count {n_cand}"
-        )
+    if max_centers > n:
+        raise ValidationError(f"max_centers {max_centers} exceeds the input count {n}")
 
-    F = design_matrix(X, X[candidate_idx], width)
+    F = design_matrix(X, X, width)
     energy_floor = ENERGY_TOL * np.einsum("ij,ij->j", F, F)
     n_paths = ridges.size
     # batch row -> path; W holds every live path's candidate columns,
     # deflated in place as centers are picked
     live = np.arange(n_paths)
     W = np.repeat(F[None], n_paths, axis=0)
-    available = np.ones((n_paths, n_cand), dtype=bool)
+    available = np.ones((n_paths, n), dtype=bool)
 
     lengths = np.full(n_paths, max_centers)
     selected = np.zeros((n_paths, max_centers), dtype=int)
-    coef_rows = np.zeros((n_paths, max_centers, n_cand))  # step -> GS coefs
+    coef_rows = np.zeros((n_paths, max_centers, n))  # step -> GS coefs
     ortho_weights = np.zeros((n_paths, max_centers))
     objective = np.empty((n_paths, max_centers + 1))
     objective[:, 0] = y @ y
@@ -302,7 +252,7 @@ def train_ols_paths(
         gs = np.triu(coef_rows[p, :k][:, sel], 1) + np.eye(k)
         paths.append(RbfnPath(
             inputs=inputs,
-            selected=candidate_idx[sel],
+            selected=sel.copy(),
             gs_coefs=gs,
             ortho_weights=ortho_weights[p, :k].copy(),
             objective=objective[p, : k + 1].copy(),

@@ -253,9 +253,6 @@ class BasisSelection:
     """Outcome of dimension selection by total leave-one-out score."""
 
     dimension: int
-    kind: str
-    order: int
-    domain: tuple[float, float]
     scores: dict[int, float]  # candidate dimension -> total LOO
     skipped: dict[int, str] = field(default_factory=dict)  # dimension -> reason
 
@@ -300,5 +297,5 @@ def select_basis_size(
             f"first failure: {next(iter(skipped.values()))}"
         )
     best = min(sorted(scores), key=lambda q: scores[q])
-    return BasisSelection(best, kind, order, tuple(domain), scores, skipped)
+    return BasisSelection(best, scores, skipped)
 

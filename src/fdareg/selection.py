@@ -127,7 +127,7 @@ class PcaSpec:
     component_grid: tuple[int, ...] | None = None  # grid when n_components == "cv"
     whiten: bool = False
 
-    def validate(self, representation: RepresentationSpec, model: str):
+    def validate(self, representation: RepresentationSpec):
         if self.kind not in ("none", "classical", "functional"):
             raise ConfigError(f"unknown pca kind {self.kind!r}")
         if self.kind == "none":
@@ -207,7 +207,7 @@ class ExperimentSpec:
             raise ConfigError(f"unknown model {self.model!r}")
         self.representation.validate()
         self.transform.validate(self.representation)
-        self.pca.validate(self.representation, self.model)
+        self.pca.validate(self.representation)
         self.impute.validate(self.representation)
         if self.model == "mlp":
             if self.pca.kind == "none":
@@ -287,25 +287,11 @@ class _Stage1:
     def __init__(self, spec: ExperimentSpec, train: Dataset):
         self.spec = spec
         self.info: dict = {}
+        self.basis = None
+        # the raw grid route of imputation and expert scaling keeps a mask
+        self.masked = spec.impute.kind != "none" or spec.impute.expert_scale
         rep = spec.representation
-        if rep.kind == "raw":
-            self.basis = None
-            if spec.impute.kind != "none" or spec.impute.expert_scale:
-                # holed functions share no complete grid; the canonical grid
-                # is the union of observed abscissas (holes only delete
-                # points, they never move them)
-                self.grid = np.unique(
-                    np.concatenate([f.x for f in train.functions])
-                )
-                values, mask = imp_mod.masked_matrix_from_dataset(train, self.grid)
-                if spec.impute.expert_scale:
-                    values = imp_mod.expert_scale_matrix(values, mask)
-                self.train_values, self.train_mask = values, mask
-            else:
-                self.grid = train.common_grid()
-                self.train_values = train.matrix()
-                self.train_mask = None
-        else:
+        if rep.kind != "raw":
             if rep.dimension == "loo":
                 sel = rep_mod.select_basis_size(
                     train.functions, train.domain, rep.kind, rep.order
@@ -321,8 +307,15 @@ class _Stage1:
                 "order": rep.order,
                 "dimension": dimension,
             }
-            self.train_values = self._functional_features(train)
-            self.train_mask = None
+        elif self.masked:
+            # holed functions share no complete grid; the canonical grid
+            # is the union of observed abscissas (holes only delete
+            # points, they never move them)
+            self.grid = np.unique(np.concatenate([f.x for f in train.functions]))
+        else:
+            self.grid = train.common_grid()
+        self.train_values, self.train_mask = self.features(train)
+        if self.basis is not None:
             self.info["n_coefficients"] = int(self.train_values.shape[1])
 
     def _functional_features(self, dataset: Dataset) -> np.ndarray:
@@ -333,10 +326,12 @@ class _Stage1:
         return alpha @ gram.chol.T
 
     def features(self, dataset: Dataset):
-        """Features of a new dataset (same recipe, no refitting)."""
+        """Features ``(values, mask)`` of a dataset, by the recipe fixed on
+        the training set (no refitting); ``mask`` is None unless
+        ``masked``."""
         if self.basis is not None:
             return self._functional_features(dataset), None
-        if self.train_mask is not None:
+        if self.masked:
             values, mask = imp_mod.masked_matrix_from_dataset(dataset, self.grid)
             if self.spec.impute.expert_scale:
                 values = imp_mod.expert_scale_matrix(values, mask)
@@ -460,7 +455,9 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     ``plan.k`` per-fold validation errors, and a cell that some fold did
     not score is excluded (scored ``inf``) and counted in a note. Exact
     ties break toward the smallest cell tuple. PCA sizes no fold can fit
-    are dropped before the folds run, with one note.
+    are dropped before the folds run, with one note. When no cell is
+    scored in every fold, the ``ConfigError`` counts the per-fold failure
+    notes and quotes the first.
 
     The test set is sealed on entry and only unlocked after the winning
     model has been refitted on the full training set; selection never
@@ -493,11 +490,13 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
 
     # cell: (k_impute, n_comp, *model_params) -> (summed fold errors, folds scored)
     table: dict[tuple, tuple[float, int]] = {}
+    notes_before_folds = len(notes)
     for fold_i, (tr, va) in enumerate(plan):
         for k_imp, n_comp, X_tr, X_va in _fold_inputs(
             spec, stage, tr, va, comp_grid, max_comp, fold_i, notes
         ):
             _score_model_cells(spec, X_tr, y[tr], X_va, y[va], k_imp, n_comp, fold_i, table)
+    fold_failures = notes[notes_before_folds:]
 
     scores = {
         cell: total / plan.k if folds == plan.k else np.inf
@@ -507,8 +506,10 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     if partial:
         notes.append(f"{partial} cells not scored in every fold were excluded")
     if partial == len(table):
+        cause = (f"; {len(fold_failures)} fold failures, first: {fold_failures[0]}"
+                 if fold_failures else "")
         raise ConfigError(
-            f"experiment {spec.name}: no grid cell was scored in every fold"
+            f"experiment {spec.name}: no grid cell was scored in every fold{cause}"
         )
     best_cell = min(sorted(scores, key=_cell_sort_key), key=lambda c: scores[c])
     cv_score = float(scores[best_cell])
@@ -581,9 +582,12 @@ def _fit_final(spec, stage, cell, y, notes):
     """Refit the winning cell on the full training set.
 
     Returns the selected-parameter dict and a ``predict(values, mask)``
-    closure for test-time use. When the full-data RBFN path stops before
-    the selected center count, the refit uses every center it holds and a
-    note in ``notes`` names both counts.
+    closure for test-time use; the model is trained here, before the
+    caller unlocks the test set. An RBFN winner is evaluated as in
+    cross-validation, by the column of its center count in
+    ``RbfnPath.predictions``. When the full-data path stops before the
+    selected center count, the refit uses every center it holds and a note
+    in ``notes`` names both counts.
     """
     if spec.model == "mean":
         mean = float(np.mean(y))
@@ -612,11 +616,11 @@ def _fit_final(spec, stage, cell, y, notes):
                 f"final refit: the full-data path stopped at {path.max_size} "
                 f"of the selected {kc} centers"
             )
-        model = path.model(min(kc, path.max_size))
-        selected.update(
-            width_multiplier=mult, ridge=ridge, n_centers=model.n_centers
-        )
-        evaluate = rbfn_mod.predict
+        n_centers = min(kc, path.max_size)
+        selected.update(width_multiplier=mult, ridge=ridge, n_centers=n_centers)
+
+        def evaluate(X_new):
+            return path.predictions(X_new)[:, n_centers - 1]
     else:
         hidden, decay = cell[2], cell[3]
         seed = derive_seed(spec.seed, "mlp-final")
@@ -625,10 +629,12 @@ def _fit_final(spec, stage, cell, y, notes):
             restarts=spec.mlp.restarts, seed=seed, max_iter=spec.mlp.max_iter,
         )
         selected.update(hidden=hidden, decay=decay)
-        evaluate = mlp_mod.forward
+
+        def evaluate(X_new):
+            return mlp_mod.forward(model, X_new)
 
     def predictor(values, mask):
         [X_new] = imputation.fill(values, mask)
-        return evaluate(model, pre.project(pre.prepare(X_new), n_comp))
+        return evaluate(pre.project(pre.prepare(X_new), n_comp))
 
     return selected, predictor

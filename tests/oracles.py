@@ -19,8 +19,11 @@ Each oracle is the slow, direct form of a fast path in ``fdareg``:
 - :func:`reference_train_ols`: one ridge at a time with the numpy
   ``W -= outer(w, c)`` deflation; the reference for the lockstep paths of
   ``rbfn.train_ols_paths``.
-- :func:`back_substituted_weights`: row-by-row back-substitution; the
-  reference for ``RbfnPath.weights``.
+- :func:`truncated_network`: the k-center network of a path built on its
+  own, Gaussian bumps at the first k selected inputs with weights
+  ``A[:k, :k]^-1 g[:k]`` from row-by-row back-substitution
+  (:func:`back_substituted_weights`); the reference for each column of
+  ``RbfnPath.predictions``.
 - :func:`central_difference_grad`: central differences of a scalar loss;
   the reference for the gradient ``mlp.train`` steps on.
 - :func:`knn_fill_per_hole`: one k at a time, every hole picking its own
@@ -128,15 +131,13 @@ def brute_force_greedy(F, y, ridge, steps):
     return selected
 
 
-def reference_train_ols(X, y, width, ridge, max_centers, candidate_idx=None):
+def reference_train_ols(X, y, width, ridge, max_centers):
     """Reference for ``train_ols_paths``: one ridge at a time, with the
     numpy ``W -= outer(w, c)`` deflation that the lockstep BLAS rank-1
     update replaced. Returns the path and, per step, the share of its
     original energy that the selected column kept."""
-    n = X.shape[0]
-    candidate_idx = np.arange(n) if candidate_idx is None else np.asarray(candidate_idx)
-    n_cand = candidate_idx.size
-    F = rbfn.design_matrix(X, X[candidate_idx], width)
+    n_cand = X.shape[0]
+    F = rbfn.design_matrix(X, X, width)
     base_energy = np.einsum("ij,ij->j", F, F)
     W = F.copy()
     available = np.ones(n_cand, dtype=bool)
@@ -168,7 +169,7 @@ def reference_train_ols(X, y, width, ridge, max_centers, candidate_idx=None):
     sel = np.array(selected, dtype=int)
     path = rbfn.RbfnPath(
         inputs=X.copy(),
-        selected=candidate_idx[sel],
+        selected=sel,
         gs_coefs=np.triu(coef_rows[:k][:, sel], 1) + np.eye(k),
         ortho_weights=ortho_weights[:k],
         objective=np.array(objective),
@@ -179,12 +180,23 @@ def reference_train_ols(X, y, width, ridge, max_centers, candidate_idx=None):
 
 
 def back_substituted_weights(path, k):
-    """Reference for ``RbfnPath.weights``: the row-by-row back-substitution
-    through the Gram-Schmidt factors that the triangular solve replaced."""
+    """Output weights of the k-center truncation of ``path``,
+    ``A[:k, :k]^-1 g[:k]``, by row-by-row back-substitution through the
+    Gram-Schmidt factors."""
     theta = np.zeros(k)
     for i in range(k - 1, -1, -1):
         theta[i] = path.ortho_weights[i] - path.gs_coefs[i, i + 1 : k] @ theta[i + 1 : k]
     return theta
+
+
+def truncated_network(path, k, X):
+    """Reference for column ``k - 1`` of ``RbfnPath.predictions``: the
+    k-center network built on its own, Gaussian bumps of the path's width
+    at ``inputs[selected[:k]]`` with the back-substituted weights,
+    evaluated on the rows of ``X``."""
+    centers = path.inputs[path.selected[:k]]
+    d2 = np.sum((np.atleast_2d(X)[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
+    return np.exp(-d2 / (2.0 * path.width**2)) @ back_substituted_weights(path, k)
 
 
 def central_difference_grad(loss, params, eps=1e-5):

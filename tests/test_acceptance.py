@@ -150,16 +150,13 @@ class TestOracleEquivalences:
             n = int(rng.integers(8, 21))
             d = int(rng.integers(1, 4))
             X = rng.normal(size=(n, d))
-            pool = np.arange(5)
             y = rng.normal(size=n)
             width = 0.5 + rng.uniform()
             ridge = float(rng.choice([0.0, 1e-4, 1e-1]))
 
-            F = rbfn.design_matrix(X, X[pool], width)
+            F = rbfn.design_matrix(X, X, width)
             expected = brute_force_greedy(F, y, ridge, steps=5)
-            [path] = rbfn.train_ols_paths(
-                X, y, width, (ridge,), max_centers=len(expected), candidate_idx=pool
-            )
+            [path] = rbfn.train_ols_paths(X, y, width, (ridge,), max_centers=len(expected))
             np.testing.assert_array_equal(path.selected, expected)
 
     def test_mlp_gradients_equal_finite_differences(self):
@@ -231,13 +228,12 @@ class TestInvariantSuites:
             X = deriv_betas(alpha)
             y = rng.normal(size=12)
             [path] = rbfn.train_ols_paths(X, y, rbfn.median_width(X), (1e-3,), max_centers=8)
-            model = path.model(8)
 
             ones = b.constant_coefficients()
             shifts = np.array([rng.normal() for _ in range(12)])
             X_shift = deriv_betas(alpha + 5.0 * np.outer(shifts, ones))
             np.testing.assert_allclose(
-                rbfn.predict(model, X_shift), rbfn.predict(model, X), atol=1e-9
+                path.predictions(X_shift), path.predictions(X), atol=1e-9
             )
 
     def test_test_set_isolation(self):

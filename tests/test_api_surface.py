@@ -6,9 +6,16 @@ from the benchmark scripts ``perfbench/*.py``. A reference is a name, an
 attribute or an import; in the benchmark scripts also a string constant,
 which is how the benchmark's tracer names the attributes it patches. A
 definition that only the tests reach belongs in the tests.
+
+The benchmark's tracer patches the functions its ``layers.targets()`` names,
+by attribute, when it starts; a second guard checks that they all still
+exist, because the benchmark's own tests are not part of this suite.
 """
 
 import ast
+import importlib
+import inspect
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,3 +73,23 @@ def test_every_public_definition_is_used_outside_the_tests():
         if name not in used and qualified not in ALLOWED
     )
     assert not unused, f"public definitions only the tests reach: {unused}"
+
+
+def test_every_bench_trace_target_is_a_function(monkeypatch):
+    # import the benchmark's layer table read-only: no bytecode written
+    # next to it, and its modules dropped from sys.modules afterwards
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    bench_modules = ("layers", "tracer")
+    for name in bench_modules:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    try:
+        targets = importlib.import_module("layers").targets()
+    finally:
+        for name in bench_modules:
+            sys.modules.pop(name, None)
+    missing = sorted(
+        f"{t.owner.__name__}.{t.attr}" for t in targets
+        if not inspect.isfunction(getattr(t.owner, t.attr, None))
+    )
+    assert not missing, f"trace targets the program no longer defines: {missing}"

@@ -12,62 +12,73 @@ from fdareg.selection import (
     RepresentationSpec,
     run_experiment,
 )
-from oracles import back_substituted_weights, brute_force_greedy, reference_train_ols
+from oracles import brute_force_greedy, reference_train_ols, truncated_network
+
+
+def one_path(X, y, width, ridge, max_centers):
+    """The path of a single ridge."""
+    [path] = rbfn.train_ols_paths(X, y, width, (ridge,), max_centers)
+    return path
 
 
 class TestPredict:
-    def test_single_center_at_itself(self):
-        model = rbfn.RbfnModel(np.array([[1.0, 2.0]]), 0.5, np.array([3.5]))
-        assert rbfn.predict(model, np.array([1.0, 2.0])) == pytest.approx(3.5)
+    """Properties of the networks ``RbfnPath.predictions`` evaluates."""
+
+    def test_single_center_at_itself(self, rng):
+        # the one-center network at its own center outputs its weight g[0]
+        X = rng.normal(size=(10, 2))
+        path = one_path(X, rng.normal(size=10), 0.5, 0.0, max_centers=1)
+        center = path.inputs[path.selected]
+        assert path.predictions(center)[0, 0] == pytest.approx(path.ortho_weights[0])
 
     def test_zero_weights(self, rng):
-        model = rbfn.RbfnModel(rng.normal(size=(4, 3)), 1.0, np.zeros(4))
-        X = rng.normal(size=(10, 3))
-        np.testing.assert_array_equal(rbfn.predict(model, X), 0.0)
+        # zero targets give zero weights, so every truncation predicts zero
+        X = rng.normal(size=(12, 3))
+        path = one_path(X, np.zeros(12), 1.0, 1e-3, max_centers=4)
+        np.testing.assert_array_equal(path.predictions(rng.normal(size=(10, 3))), 0.0)
 
     def test_far_input_decays(self, rng):
-        centers = rng.normal(size=(5, 2))
-        weights = rng.normal(size=5)
-        model = rbfn.RbfnModel(centers, 1.0, weights)
-        far = centers[0] + 20.0 * np.array([1.0, 0.0]) + 5.0
-        out = abs(rbfn.predict(model, far))
-        assert out < 1e-6 * np.abs(weights).max()
+        X = rng.normal(size=(15, 2))
+        path = one_path(X, rng.normal(size=15), 1.0, 1e-3, max_centers=5)
+        far = X[0] + 20.0 * np.array([1.0, 0.0]) + 5.0
+        out = np.abs(path.predictions(far[None]))
+        assert out.max() < 1e-6 * np.abs(path.ortho_weights).max()
 
     def test_permutation_invariance(self, rng):
-        centers = rng.normal(size=(6, 3))
-        weights = rng.normal(size=6)
-        model = rbfn.RbfnModel(centers, 0.8, weights)
-        perm = rng.permutation(6)
-        permuted = rbfn.RbfnModel(centers[perm], 0.8, weights[perm])
+        # permuting the training rows permutes the candidate pool only: the
+        # same centers are picked and the networks predict the same
         X = rng.normal(size=(20, 3))
+        y = rng.normal(size=20)
+        perm = rng.permutation(20)
+        path = one_path(X, y, 0.8, 1e-3, max_centers=8)
+        permuted = one_path(X[perm], y[perm], 0.8, 1e-3, max_centers=8)
+        np.testing.assert_array_equal(perm[permuted.selected], path.selected)
+        X_new = rng.normal(size=(15, 3))
         np.testing.assert_allclose(
-            rbfn.predict(model, X), rbfn.predict(permuted, X), atol=1e-12
+            permuted.predictions(X_new), path.predictions(X_new), atol=1e-12
         )
 
     def test_dimension_mismatch(self, rng):
-        model = rbfn.RbfnModel(rng.normal(size=(3, 4)), 1.0, np.ones(3))
-        with pytest.raises(ValidationError):
-            rbfn.predict(model, np.ones(5))
+        path = one_path(rng.normal(size=(8, 4)), rng.normal(size=8), 1.0, 0.0, 3)
+        with pytest.raises(ValueError):
+            path.predictions(np.ones((2, 5)))
 
 
 class TestTrainOls:
     def test_matches_brute_force_greedy(self, rng):
-        # 20 instances, n <= 20, 5 candidate centers, every step compared
+        # 20 instances, n <= 20, every input a candidate, 5 steps compared
         for trial in range(20):
             n = int(rng.integers(8, 21))
             d = int(rng.integers(1, 4))
             X = rng.normal(size=(n, d))
-            pool = np.arange(5)
             y = rng.normal(size=n)
             width = 0.5 + rng.uniform()
             ridge = float(rng.choice([0.0, 1e-4, 1e-1]))
 
-            F = rbfn.design_matrix(X, X[pool], width)
+            F = rbfn.design_matrix(X, X, width)
             expected = brute_force_greedy(F, y, ridge, steps=5)
 
-            [path] = rbfn.train_ols_paths(
-                X, y, width, (ridge,), max_centers=len(expected), candidate_idx=pool
-            )
+            path = one_path(X, y, width, ridge, max_centers=len(expected))
             np.testing.assert_array_equal(path.selected, expected)
 
     def test_interpolation_limit(self, rng):
@@ -75,49 +86,49 @@ class TestTrainOls:
         X = rng.normal(size=(n, 2))
         y = rng.normal(size=n)
         width = rbfn.median_width(X)
-        path = rbfn.train_ols(X, y, width, ridge=0.0, max_centers=n)
-        model = path.model(path.max_size)
-        resid = rbfn.predict(model, X) - y
+        path = one_path(X, y, width, 0.0, max_centers=n)
+        resid = path.predictions(X)[:, -1] - y
         assert float(resid @ resid) <= 1e-8 * float(y @ y)
 
     def test_objective_monotone(self, rng):
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
         for ridge in (0.0, 1e-3, 1.0):
-            path = rbfn.train_ols(X, y, 1.0, ridge, max_centers=25)
+            path = one_path(X, y, 1.0, ridge, max_centers=25)
             assert np.all(np.diff(path.objective) <= 1e-10)
 
     def test_centers_distinct_training_points(self, rng):
         X = rng.normal(size=(25, 2))
         y = rng.normal(size=25)
-        path = rbfn.train_ols(X, y, 1.0, 1e-3, max_centers=15)
+        path = one_path(X, y, 1.0, 1e-3, max_centers=15)
         assert len(set(path.selected.tolist())) == path.max_size
-        model = path.model(10)
-        for c in model.centers:
-            assert any(np.array_equal(c, x) for x in X)
+        np.testing.assert_array_equal(path.inputs, X)
 
     def test_max_centers_exceeds_n(self, rng):
         X = rng.normal(size=(5, 2))
         with pytest.raises(ValidationError):
-            rbfn.train_ols(X, np.zeros(5), 1.0, 0.0, max_centers=6)
+            one_path(X, np.zeros(5), 1.0, 0.0, max_centers=6)
 
     def test_early_stop_shortens_path(self, rng):
         # every point twice: once one twin is selected the other has no
         # energy left, so the path stops after the distinct points
         X = np.repeat(rng.normal(size=(4, 2)), 2, axis=0)
         y = rng.normal(size=8)
-        path = rbfn.train_ols(X, y, 1.0, ridge=0.0, max_centers=8)
+        path = one_path(X, y, 1.0, 0.0, max_centers=8)
         assert path.max_size == 4
         assert len(set(map(tuple, X[path.selected]))) == 4
 
     def test_truncation_weights_consistent(self, rng):
-        # model(k) must reproduce a fresh training run capped at k
+        # the 7-center truncation must reproduce a fresh training run capped at 7
         X = rng.normal(size=(20, 2))
         y = rng.normal(size=20)
-        path = rbfn.train_ols(X, y, 1.2, 1e-2, max_centers=15)
-        fresh = rbfn.train_ols(X, y, 1.2, 1e-2, max_centers=7)
+        path = one_path(X, y, 1.2, 1e-2, max_centers=15)
+        fresh = one_path(X, y, 1.2, 1e-2, max_centers=7)
         np.testing.assert_array_equal(path.selected[:7], fresh.selected)
-        np.testing.assert_allclose(path.weights(7), fresh.weights(7), atol=1e-10)
+        X_new = rng.normal(size=(10, 2))
+        np.testing.assert_allclose(
+            path.predictions(X_new)[:, :7], fresh.predictions(X_new), atol=1e-10
+        )
 
 
 class TestTrainOlsPaths:
@@ -131,11 +142,11 @@ class TestTrainOlsPaths:
     # compared on the steps before; the selections on the whole path.
     KEPT_FLOOR = 1e-8
 
-    def _assert_matches_reference(self, X, y, width, ridges, max_centers, pool=None):
-        paths = rbfn.train_ols_paths(X, y, width, ridges, max_centers, pool)
+    def _assert_matches_reference(self, X, y, width, ridges, max_centers):
+        paths = rbfn.train_ols_paths(X, y, width, ridges, max_centers)
         assert len(paths) == len(ridges)
         for ridge, path in zip(ridges, paths):
-            ref, kept = reference_train_ols(X, y, width, ridge, max_centers, pool)
+            ref, kept = reference_train_ols(X, y, width, ridge, max_centers)
             assert path.ridge == ridge
             np.testing.assert_array_equal(path.selected, ref.selected)
             below = np.flatnonzero(kept < self.KEPT_FLOOR)
@@ -167,16 +178,6 @@ class TestTrainOlsPaths:
         width = 8.0 * rbfn.median_width(X)
         paths = self._assert_matches_reference(X, y, width, self.RIDGES, max_centers=7)
         assert [p.max_size for p in paths] == [7, 6, 6, 7]
-
-    def test_matches_reference_candidate_subset(self, rng):
-        X = rng.normal(size=(25, 3))
-        y = rng.normal(size=25)
-        pool = rng.choice(25, size=12, replace=False)
-        paths = self._assert_matches_reference(
-            X, y, 1.3, self.RIDGES, max_centers=10, pool=pool
-        )
-        for p in paths:
-            assert set(p.selected.tolist()) <= set(pool.tolist())
 
     def test_permuted_ridges_give_the_same_paths(self, rng):
         X = rng.normal(size=(30, 2))
@@ -222,16 +223,17 @@ class TestTrainOlsPaths:
 
 
 class TestPathPredictions:
-    """Oracles for scoring every truncation of a path at once."""
+    """Oracles for scoring every truncation of a path at once: column
+    k - 1 of ``predictions`` is the k-center network built on its own."""
 
     # float64 rounding through a triangular solve of at most 20 factors
     RTOL = 1e-10
 
-    def _assert_columns_match_models(self, path, X):
+    def _assert_columns_match_networks(self, path, X):
         preds = path.predictions(X)
         assert preds.shape == (X.shape[0], path.max_size)
         for k in range(1, path.max_size + 1):
-            expected = rbfn.predict(path.model(k), X)
+            expected = truncated_network(path, k, X)
             scale = np.abs(expected).max()
             np.testing.assert_allclose(
                 preds[:, k - 1], expected, rtol=self.RTOL, atol=self.RTOL * scale
@@ -240,49 +242,39 @@ class TestPathPredictions:
     def test_columns_equal_truncated_models_early_stop(self, rng):
         X = np.repeat(rng.normal(size=(6, 2)), 2, axis=0)
         y = rng.normal(size=12)
-        path = rbfn.train_ols(X, y, 1.0, ridge=0.0, max_centers=12)
+        path = one_path(X, y, 1.0, 0.0, max_centers=12)
         assert path.max_size == 6  # stopped early
-        self._assert_columns_match_models(path, rng.normal(size=(9, 2)))
-
-    def test_columns_equal_truncated_models_candidate_subset(self, rng):
-        X = rng.normal(size=(25, 3))
-        y = rng.normal(size=25)
-        pool = rng.choice(25, size=12, replace=False)
-        path = rbfn.train_ols(X, y, 1.3, 1e-3, max_centers=10, candidate_idx=pool)
-        assert set(path.selected.tolist()) <= set(pool.tolist())
-        self._assert_columns_match_models(path, rng.normal(size=(15, 3)))
+        self._assert_columns_match_networks(path, rng.normal(size=(9, 2)))
 
     def test_ridge_zero_weights_equal_least_squares(self, rng):
+        # with ridge 0 each truncation is the least-squares fit on its centers
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
         # a well-conditioned design (condition number below 100)
-        path = rbfn.train_ols(X, y, 0.8, ridge=0.0, max_centers=8)
+        path = one_path(X, y, 0.8, 0.0, max_centers=8)
+        X_new = rng.normal(size=(12, 2))
+        preds = path.predictions(X_new)
         for k in range(1, path.max_size + 1):
-            design = rbfn.design_matrix(X, X[path.selected[:k]], path.width)
-            expected = np.linalg.lstsq(design, y, rcond=None)[0]
+            centers = X[path.selected[:k]]
+            weights = np.linalg.lstsq(
+                rbfn.design_matrix(X, centers, path.width), y, rcond=None
+            )[0]
+            expected = rbfn.design_matrix(X_new, centers, path.width) @ weights
             np.testing.assert_allclose(
-                path.weights(k), expected,
+                preds[:, k - 1], expected,
                 rtol=self.RTOL, atol=self.RTOL * np.abs(expected).max(),
             )
 
     def test_weights_equal_back_substitution(self, rng):
+        # every ridge, every truncation: predictions equal the network whose
+        # weights are back-substituted through the Gram-Schmidt factors
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
         for ridge in (0.0, 1e-6, 1e-1):
-            path = rbfn.train_ols(X, y, 1.0, ridge, max_centers=20)
-            for k in range(1, path.max_size + 1):
-                expected = back_substituted_weights(path, k)
-                np.testing.assert_allclose(
-                    path.weights(k), expected,
-                    rtol=self.RTOL, atol=self.RTOL * np.abs(expected).max(),
-                )
-
-    def test_weights_out_of_range(self, rng):
-        X = rng.normal(size=(10, 2))
-        path = rbfn.train_ols(X, rng.normal(size=10), 1.0, 1e-3, max_centers=4)
-        for k in (0, 5):
-            with pytest.raises(ValidationError):
-                path.weights(k)
+            path = one_path(X, y, 1.0, ridge, max_centers=20)
+            self._assert_columns_match_networks(path, rng.normal(size=(25, 3)))
+            # on the training inputs the design factors as W A
+            self._assert_columns_match_networks(path, X)
 
 
 class TestSelectCenters:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import synthetic_dataset, vector_dataset
 from fdareg import fdata, selection
 from fdareg import fpca as fpca_mod
 from fdareg import imputation as imp_mod
+from fdareg import mlp as mlp_mod
 from fdareg import rbfn as rbfn_mod
 from fdareg.cv import derive_seed, make_folds, rmse
 from fdareg.errors import ConfigError
@@ -20,6 +23,7 @@ from fdareg.selection import (
     TransformSpec,
     run_experiment,
 )
+from oracles import truncated_network
 
 SMALL_RBFN = RbfnSettings(
     width_multipliers=(0.5, 1.0, 2.0), ridges=(1e-4, 1e-1), max_centers=20
@@ -86,6 +90,52 @@ class TestSealedTestSet:
         assert sealed.peek_attempts == 1
         assert sealed.unlock() == "payload"
         assert sealed.peek() == "payload"
+
+    @pytest.mark.parametrize("model", ["rbfn", "mlp"])
+    def test_unlock_follows_final_training_and_precedes_one_prediction(
+        self, data, monkeypatch, model
+    ):
+        train, test = data
+        calls = []
+
+        def record(owner, name, label):
+            real = getattr(owner, name)
+
+            def logged(*args, **kwargs):
+                calls.append(label)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, logged)
+
+        record(SealedTestSet, "unlock", "unlock")
+        if model == "rbfn":
+            spec = ExperimentSpec(
+                "seal-rbfn", "rbfn", RepresentationSpec("raw"),
+                rbfn=RbfnSettings(width_multipliers=(1.0,), ridges=(1e-3,), max_centers=6),
+                seed=2,
+            )
+            record(rbfn_mod, "train_ols_paths", "train")
+            record(rbfn_mod.RbfnPath, "predictions", "predict")
+        else:
+            spec = ExperimentSpec(
+                "seal-mlp", "mlp",
+                representation=RepresentationSpec("bspline", order=4, dimension=8),
+                pca=PcaSpec("functional", n_components=2, whiten=True),
+                mlp=MlpSettings(hidden_grid=(1,), decay_grid=(1e-3,), restarts=2,
+                                cv_restarts=2, max_iter=30, cv_max_iter=30),
+                seed=2,
+            )
+            record(mlp_mod, "train", "train")
+            record(mlp_mod, "forward", "predict")
+        report = run_experiment(spec, train, test)
+
+        assert np.isfinite(report.test_rmse)
+        assert calls.count("unlock") == 1
+        unlock = calls.index("unlock")
+        # CV: one training per fold; then the final refit, then the unlock
+        assert calls[:unlock].count("train") == spec.folds + 1
+        assert calls[unlock - 1] == "train"
+        assert calls[unlock + 1:] == ["predict"]
 
 
 class TestSpecValidation:
@@ -331,7 +381,7 @@ class TestFoldTable:
             width = rbfn_mod.median_width(X[tr])
             [path] = real_train_ols_paths(X[tr], y[tr], width, (ridge,), length)
             for kc in range(1, path.max_size + 1):
-                err = rbfn_mod.predict(path.model(kc), X[va]) - y[va]
+                err = truncated_network(path, kc, X[va]) - y[va]
                 errors.setdefault(kc, []).append(float(err @ err) / va.size)
         full = {kc: sum(e) / plan.k for kc, e in errors.items() if len(e) == plan.k}
         partial = {kc: e[0] for kc, e in errors.items() if len(e) < plan.k}
@@ -498,5 +548,7 @@ class TestImputationRoutes:
             f"fold 0, impute k={k}: no donor observes coordinate 7 for sample 0"
             for k in (1, 2)
         ]
-        with pytest.raises(ConfigError, match="no grid cell was scored in every fold"):
+        cause = ("no grid cell was scored in every fold; 2 fold failures, first: "
+                 "fold 0, impute k=1: no donor observes coordinate 7 for sample 0")
+        with pytest.raises(ConfigError, match=re.escape(cause)):
             run_experiment(spec, train, full)
