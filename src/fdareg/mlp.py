@@ -6,13 +6,15 @@ coordinate vectors; its first layer is the coordinate image of a functional
 neuron (an inner product with a weight function plus bias, passed through a
 sigmoid). Training minimizes the sum of squared errors plus a weight-decay
 penalty on all non-bias weights, using Levenberg-style damped Gauss-Newton:
-accepted steps never increase the regularized loss. Many random restarts run
-in parallel (batched linear algebra) and the best final loss wins.
+accepted steps never increase the regularized loss. As in textbook
+Levenberg-Marquardt, the Gauss-Newton system of a restart is rebuilt only
+after an accepted step; a rejected step only raises the damping. Many
+random restarts run in parallel (batched linear algebra) and the best final
+loss wins.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,9 +152,17 @@ def train(
     (data residuals plus sqrt(decay)-scaled weight residuals) until the
     gradient norm falls below ``GRAD_TOL * (1 + loss)`` or ``max_iter``
     trial steps were taken; steps are only accepted when they strictly
-    decrease the regularized loss. The restart with the best final loss
-    wins. Restarts whose loss turns non-finite are discarded with a
-    warning; if every restart diverges a :class:`TrainingError` is raised.
+    decrease the regularized loss. The Gauss-Newton system of a restart
+    (``J^T J`` plus the decay, and ``J^T r``) is built at its start and
+    rebuilt only after an accepted step: a rejected step leaves the
+    parameters where they were, so the next trial only doubles the
+    damping and solves the cached system again. The restart with the best
+    final loss wins.
+
+    Raises :class:`ValidationError` for a non-finite ``X`` or ``y``, and
+    :class:`TrainingError` when a restart starts at a non-finite loss (an
+    overflow); no later loss can turn non-finite, because a trial step
+    with a non-finite loss is rejected.
 
     All restarts advance together through batched linear algebra, so the
     wall cost is far below ``restarts`` sequential runs.
@@ -163,6 +173,8 @@ def train(
         raise ValidationError("need at least one restart")
     if hidden < 1:
         raise ValidationError("need at least one hidden unit")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValidationError("training inputs and targets must be finite")
     dim = X.shape[1]
     sv, sb, sw, ib0 = _shapes(hidden, dim)
     n_params = hidden * dim + 2 * hidden + 1
@@ -172,9 +184,18 @@ def train(
 
     params = init_params(seed, hidden, dim, restarts)
     loss, resid, act = _batched_loss(params, X, y, hidden, decay)
-    diverged = ~np.isfinite(loss)
-    active = ~diverged
+    n_bad = int(np.sum(~np.isfinite(loss)))
+    if n_bad:
+        raise TrainingError(
+            f"{n_bad} of {restarts} restart(s) start at a non-finite loss"
+        )
+    active = np.ones(restarts, dtype=bool)
     mu = np.full(restarts, 1e-2)
+    # per restart, J^T J + decay * diag(mask) before damping and J^T r minus
+    # the decay gradient, valid while the restart is not stale
+    jtj = np.empty((restarts, n_params, n_params))
+    grad_half = np.empty((restarts, n_params))  # the loss gradient is -2 * grad_half
+    stale = np.ones(restarts, dtype=bool)
 
     decay_diag = decay * np.diag(weight_mask)
     decay_mask = decay * weight_mask
@@ -183,32 +204,36 @@ def train(
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        p_a, act_a, resid_a = params[idx], act[idx], resid[idx]
-        J = _jacobian(p_a, X, act_a, hidden)
+        # a restart that is not stale passed the convergence test last
+        # iteration with the same loss and gradient
+        new = idx[stale[idx]]
+        if new.size:
+            p_n = params[new]
+            J = _jacobian(p_n, X, act[new], hidden)
+            jtj_n = np.matmul(J.transpose(0, 2, 1), J)
+            jtj_n += decay_diag
+            grad_n = np.einsum("rnp,rn->rp", J, resid[new]) - decay_mask * p_n
+            jtj[new], grad_half[new], stale[new] = jtj_n, grad_n, False
+            gnorm = np.linalg.norm(grad_n, axis=1) * 2.0
+            live = gnorm > GRAD_TOL * (1.0 + np.abs(loss[new]))
+            active[new[~live]] = False
+            idx = idx[active[idx]]
+            if idx.size == 0:
+                continue
 
-        jtj = np.matmul(J.transpose(0, 2, 1), J)
-        jtj += decay_diag
-        grad_half = np.einsum("rnp,rn->rp", J, resid_a) - decay_mask * p_a
-        # full gradient of the loss is -2 * grad_half
-
-        gnorm = np.linalg.norm(grad_half, axis=1) * 2.0
-        live = gnorm > GRAD_TOL * (1.0 + np.abs(loss[idx]))
-        active[idx[~live]] = False
-        if not np.any(live):
-            continue
-        idx, jtj, grad_half, p_a = idx[live], jtj[live], grad_half[live], p_a[live]
-
-        # damp to jtj + mu * I in place: off the diagonal mu * I adds only
-        # 0.0, and jtj holds no -0.0 there once the decay term is added
-        jtj[:, diagonal, diagonal] += mu[idx][:, None]
+        # damp to jtj + mu * I: off the diagonal mu * I adds only 0.0, and
+        # jtj holds no -0.0 there once the decay term is added
+        damped = jtj[idx]
+        damped[:, diagonal, diagonal] += mu[idx][:, None]
+        g = grad_half[idx]
         try:
-            step = np.linalg.solve(jtj, grad_half[:, :, None])[:, :, 0]
+            step = np.linalg.solve(damped, g[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             step = np.stack(
-                [np.linalg.lstsq(a, g, rcond=None)[0] for a, g in zip(jtj, grad_half)]
+                [np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(damped, g)]
             )
 
-        trial = p_a + step
+        trial = params[idx] + step
         trial_loss, trial_resid, trial_act = _batched_loss(trial, X, y, hidden, decay)
         improved = np.isfinite(trial_loss) & (trial_loss < loss[idx])
 
@@ -218,18 +243,10 @@ def train(
         act[up] = trial_act[improved]
         loss[up] = trial_loss[improved]
         mu[up] = np.maximum(mu[up] / 3.0, 1e-14)
+        stale[up] = True
         down = idx[~improved]
         mu[down] *= 2.0
         # damping this large means no further progress is possible
         active[idx[mu[idx] > 1e12]] = False
 
-    if np.any(diverged):
-        warnings.warn(
-            f"{int(np.sum(diverged))} restart(s) diverged and were discarded",
-            stacklevel=2,
-        )
-    loss = np.where(diverged | ~np.isfinite(loss), np.inf, loss)
-    best = int(np.argmin(loss))
-    if not np.isfinite(loss[best]):
-        raise TrainingError("all restarts diverged")
-    return unpack(params[best], hidden, dim, decay)
+    return unpack(params[int(np.argmin(loss))], hidden, dim, decay)

@@ -29,11 +29,15 @@ Each oracle is the slow, direct form of a fast path in ``fdareg``:
 - :func:`knn_fill_per_hole`: one k at a time, every hole picking its own
   donors from the row's ordering; the reference for the k-grid fill of
   ``imputation.KnnImputer.transform``.
+- :func:`reference_lm_train`: damped Gauss-Newton that rebuilds the
+  Jacobian, ``J^T J`` and ``J^T r`` of every active restart on every
+  iteration; the reference for ``mlp.train``, which rebuilds them only
+  after an accepted step.
 """
 
 import numpy as np
 
-from fdareg import rbfn
+from fdareg import mlp, rbfn
 
 
 def naive_loo(f, basis):
@@ -230,3 +234,73 @@ def knn_fill_per_hole(imputer, values, mask, k, is_fit_data=False):
             donors = order[imputer.mask_[order, j] & np.isfinite(d[order])]
             out[i, j] = float(np.mean(imputer.values_[donors[:k], j]))
     return out
+
+
+def reference_lm_train(X, y, hidden, decay, restarts=60, seed=None, max_iter=mlp.MAX_ITER):
+    """Reference for ``mlp.train``: the loop that rebuilds the Gauss-Newton
+    system of every active restart on every iteration, rejected steps
+    included. Returns ``(model, accepted, jacobian_rows)``: the trained
+    model, the number of accepted steps over all restarts and the number
+    of restart rows passed to ``mlp._jacobian``. For finite inputs with
+    finite initial losses, the only ones ``mlp.train`` accepts."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    dim = X.shape[1]
+    sv, sb, sw, ib0 = mlp._shapes(hidden, dim)
+    n_params = hidden * dim + 2 * hidden + 1
+    weight_mask = np.zeros(n_params)
+    weight_mask[sv] = 1.0
+    weight_mask[sw] = 1.0
+    accepted = jacobian_rows = 0
+
+    params = mlp.init_params(seed, hidden, dim, restarts)
+    loss, resid, act = mlp._batched_loss(params, X, y, hidden, decay)
+    active = np.isfinite(loss)
+    mu = np.full(restarts, 1e-2)
+
+    decay_diag = decay * np.diag(weight_mask)
+    decay_mask = decay * weight_mask
+    diagonal = np.arange(n_params)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        p_a, act_a, resid_a = params[idx], act[idx], resid[idx]
+        J = mlp._jacobian(p_a, X, act_a, hidden)
+        jacobian_rows += idx.size
+
+        jtj = np.matmul(J.transpose(0, 2, 1), J)
+        jtj += decay_diag
+        grad_half = np.einsum("rnp,rn->rp", J, resid_a) - decay_mask * p_a
+
+        gnorm = np.linalg.norm(grad_half, axis=1) * 2.0
+        live = gnorm > mlp.GRAD_TOL * (1.0 + np.abs(loss[idx]))
+        active[idx[~live]] = False
+        if not np.any(live):
+            continue
+        idx, jtj, grad_half, p_a = idx[live], jtj[live], grad_half[live], p_a[live]
+
+        jtj[:, diagonal, diagonal] += mu[idx][:, None]
+        try:
+            step = np.linalg.solve(jtj, grad_half[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            step = np.stack(
+                [np.linalg.lstsq(a, g, rcond=None)[0] for a, g in zip(jtj, grad_half)]
+            )
+
+        trial = p_a + step
+        trial_loss, trial_resid, trial_act = mlp._batched_loss(trial, X, y, hidden, decay)
+        improved = np.isfinite(trial_loss) & (trial_loss < loss[idx])
+
+        up = idx[improved]
+        accepted += up.size
+        params[up] = trial[improved]
+        resid[up] = trial_resid[improved]
+        act[up] = trial_act[improved]
+        loss[up] = trial_loss[improved]
+        mu[up] = np.maximum(mu[up] / 3.0, 1e-14)
+        down = idx[~improved]
+        mu[down] *= 2.0
+        active[idx[mu[idx] > 1e12]] = False
+
+    return mlp.unpack(params[int(np.argmin(loss))], hidden, dim, decay), accepted, jacobian_rows

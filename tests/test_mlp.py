@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import trainer_gradient, vector_dataset
 from fdareg import fdata, mlp
-from fdareg.errors import ValidationError
+from fdareg.errors import TrainingError, ValidationError
 from fdareg.selection import (
     ExperimentSpec,
     MlpSettings,
@@ -12,7 +14,14 @@ from fdareg.selection import (
     RepresentationSpec,
     run_experiment,
 )
-from oracles import central_difference_grad
+from oracles import central_difference_grad, reference_lm_train
+
+MODEL_FIELDS = ("hidden_weights", "hidden_biases", "output_weights", "output_bias")
+
+
+def assert_same_model(a, b):
+    for field in MODEL_FIELDS:
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 def regularized_loss(model, X, y):
@@ -145,6 +154,91 @@ class TestTrain:
         model = mlp.train(X, y, hidden=2, decay=1e-3, restarts=4, seed=3, max_iter=200)
         final = regularized_loss(model, X, y)
         assert final <= min(init_losses) + 1e-9
+
+    def test_equals_reference_trainer(self, rng):
+        # caching the Gauss-Newton system of restarts whose last step was
+        # rejected reproduces the trainer that rebuilds it every iteration
+        # bit for bit; every restart count, max_iter and input scale is
+        # crossed, and hidden sizes and decays cycle through the cases
+        decays = (0.0, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+        cases = itertools.product((1, 8, 60), (1, 20, 150), (False, True))
+        for i, (restarts, max_iter, badly_scaled) in enumerate(cases):
+            hidden, decay = 1 + i % 6, decays[i % len(decays)]
+            dim = int(rng.integers(1, 5))
+            X = rng.normal(size=(24, dim))
+            if badly_scaled:
+                X *= 10.0 ** rng.uniform(-3, 3, size=dim)
+            y = np.tanh(X[:, 0] / np.std(X[:, 0])) + 0.1 * rng.normal(size=24)
+            seed = int(rng.integers(2**31))
+            model = mlp.train(X, y, hidden, decay, restarts, seed, max_iter)
+            expected, _, _ = reference_lm_train(X, y, hidden, decay, restarts, seed, max_iter)
+            assert_same_model(model, expected)
+
+    def test_lstsq_fallback_equals_reference(self, monkeypatch):
+        # a duplicated and an all-zero input column with no decay make the
+        # damped system exactly singular once mu has shrunk: the batched
+        # solve raises and every live restart is solved by lstsq
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=30)
+        X = np.column_stack([10.0 * x, 10.0 * x, np.zeros(30)])
+        y = np.sin(x) + 0.1 * rng.normal(size=30)
+        lstsq = np.linalg.lstsq
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        for seed in range(3):
+            expected, _, _ = reference_lm_train(X, y, 2, 0.0, restarts=8, seed=seed,
+                                                max_iter=150)
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "lstsq", spy)
+                model = mlp.train(X, y, 2, 0.0, restarts=8, seed=seed, max_iter=150)
+            assert_same_model(model, expected)
+        assert calls
+
+    def test_rebuilds_system_only_after_accepted_steps(self, rng, monkeypatch):
+        # the Jacobian is built once per restart at the start and once after
+        # each accepted step; every restart converges before max_iter, so
+        # no accepted step is left unbuilt at the end
+        X = rng.normal(size=(30, 3))
+        y = np.sin(X[:, 0]) + 0.1 * rng.normal(size=30)
+        expected, accepted, reference_rows = reference_lm_train(
+            X, y, 2, 1e-3, restarts=8, seed=5, max_iter=500
+        )
+        jacobian = mlp._jacobian
+        rows = []
+
+        def spy(params, *args):
+            rows.append(params.shape[0])
+            return jacobian(params, *args)
+
+        monkeypatch.setattr(mlp, "_jacobian", spy)
+        model = mlp.train(X, y, 2, 1e-3, restarts=8, seed=5, max_iter=500)
+        assert_same_model(model, expected)
+        assert sum(rows) == 8 + accepted
+        assert sum(rows) < reference_rows
+
+    def test_non_finite_inputs_rejected(self, rng):
+        X = rng.normal(size=(10, 2))
+        y = rng.normal(size=10)
+        X_bad = X.copy()
+        X_bad[3, 1] = np.nan
+        y_bad = y.copy()
+        y_bad[0] = np.inf
+        with pytest.raises(ValidationError, match="finite"):
+            mlp.train(X_bad, y, 2, 1e-3, restarts=2, seed=0)
+        with pytest.raises(ValidationError, match="finite"):
+            mlp.train(X, y_bad, 2, 1e-3, restarts=2, seed=0)
+
+    def test_non_finite_initial_loss_raises(self, rng):
+        # finite targets whose squares overflow: every restart starts at an
+        # infinite loss
+        X = rng.normal(size=(10, 2))
+        y = np.full(10, 1e200)
+        with pytest.raises(TrainingError, match="3 of 3 restart"):
+            mlp.train(X, y, 2, 1e-3, restarts=3, seed=0)
 
 
 class TestSelectMeta:
