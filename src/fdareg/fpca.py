@@ -2,9 +2,9 @@
 
 Applied to scaled beta coordinates this is functional PCA: the principal
 vectors map back to orthonormal principal functions through the inverse
-Cholesky factor. Applied to raw grid vectors (optionally standardized per
-column first) the very same code is classical PCA, so both preprocessing
-flavors share one implementation.
+Cholesky factor. Applied to raw grid vectors, standardized per column
+first, the very same code is classical PCA, so both preprocessing flavors
+share one implementation.
 
 Coordinates are centered internally but never reduced to unit variance:
 a represented function is one entity, not unrelated per-coordinate scales.

@@ -8,10 +8,13 @@ cell on the training set only, refits the winner, and evaluates once on the
 test set, which stays sealed until that point.
 
 It is the one cross-validation engine of the toolkit, and its rule is that
-a cell must be scored in every fold. A cell can miss a fold when an RBFN
-selection path stops before its center count or when a fold's preprocessing
-fails; such a cell scores ``inf``, can never win, and is counted in one note
-on the report.
+a cell must be scored in every fold. A cell misses a fold when an RBFN
+selection path stops before its center count, or when a fold's
+preprocessing or training call fails (noted with the fold and the cell);
+such a cell scores ``inf``, can never win, and is counted in one note on
+the report. One trainer runs every training call, in the folds and in the
+final refit: one RBFN width multiplier (an OLS path per ridge) or one MLP
+``(hidden, decay)``, with one prediction column per grid cell it trains.
 
 Data-dependent preprocessing (imputation, column standardization, PCA and
 whitening statistics) is refitted inside every fold. Imputation runs once
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -121,8 +125,7 @@ class TransformSpec:
 
 @dataclass(frozen=True)
 class PcaSpec:
-    kind: str = "none"  # none | classical | functional
-    standardize: bool = False  # z-score columns first (classical convention)
+    kind: str = "none"  # none | classical (z-scored columns) | functional
     n_components: int | str | None = None  # int, or "cv"
     component_grid: tuple[int, ...] | None = None  # grid when n_components == "cv"
     whiten: bool = False
@@ -151,8 +154,7 @@ class PcaSpec:
 @dataclass(frozen=True)
 class ImputeSpec:
     kind: str = "none"  # none | mean | knn
-    k: int | str = "cv"  # neighbor count, or "cv"
-    k_grid: tuple[int, ...] = (1, 2, 4, 8, 16)
+    k_grid: tuple[int, ...] = (1, 2, 4, 8, 16)  # neighbor counts chosen by CV
     expert_scale: bool = False
 
     def validate(self, representation: RepresentationSpec):
@@ -165,9 +167,7 @@ class ImputeSpec:
             )
 
     def grid(self) -> tuple[int, ...]:
-        if self.kind != "knn":
-            return (0,)  # single pass-through cell
-        return tuple(self.k_grid) if self.k == "cv" else (int(self.k),)
+        return tuple(self.k_grid) if self.kind == "knn" else (0,)  # 0: pass-through
 
 
 @dataclass(frozen=True)
@@ -187,12 +187,16 @@ class MlpSettings:
     cv_max_iter: int = 150  # optimizer budget per CV cell
 
 
+#: Per model family, the names of a grid cell's model parameters, in cell order.
+_PARAMS = {"rbfn": ("width_multiplier", "ridge", "n_centers"), "mlp": ("hidden", "decay")}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One benchmark row: preprocessing chain, model family and grids."""
 
     name: str
-    model: str  # rbfn | mlp | mean
+    model: str  # rbfn | mlp: the family whose grid is cross-validated
     representation: RepresentationSpec = RepresentationSpec()
     transform: TransformSpec = TransformSpec()
     pca: PcaSpec = PcaSpec()
@@ -203,7 +207,7 @@ class ExperimentSpec:
     seed: int = 0
 
     def validate(self):
-        if self.model not in ("rbfn", "mlp", "mean"):
+        if self.model not in _PARAMS:
             raise ConfigError(f"unknown model {self.model!r}")
         self.representation.validate()
         self.transform.validate(self.representation)
@@ -372,7 +376,8 @@ class _Imputation:
 
 
 class _FittedPreproc:
-    """Fold-level statistics of imputed rows: standardize -> PCA.
+    """Fold-level statistics of imputed rows: standardize -> PCA, where
+    classical PCA z-scores its columns first and functional PCA does not.
 
     Fitted once per (fold, k) on the fold's imputed training rows (the
     imputation itself runs once per fold, see :class:`_Imputation`), it
@@ -384,21 +389,17 @@ class _FittedPreproc:
 
     def __init__(self, spec: ExperimentSpec, X: np.ndarray, max_comp: int | None):
         self.spec = spec
-        self.standardizer = None
-        if spec.pca.kind == "classical" and spec.pca.standardize:
-            self.standardizer = fpca_mod.Standardizer().fit(X)
-            X = self.standardizer.transform(X)
-        self.train_X = X
+        classical = spec.pca.kind == "classical"
+        self.standardizer = fpca_mod.Standardizer().fit(X) if classical else None
+        self.train_X = self.prepare(X)
         self.pca = None
         if spec.pca.kind != "none":
             # run_experiment keeps max_comp within every fold matrix's rank
-            self.pca = fpca_mod.fit_fpca(X, n_components=max_comp)
+            self.pca = fpca_mod.fit_fpca(self.train_X, n_components=max_comp)
 
     def prepare(self, X):
         """Standardize new imputed rows with the fitted statistics."""
-        if self.standardizer is not None:
-            X = self.standardizer.transform(X)
-        return X
+        return X if self.standardizer is None else self.standardizer.transform(X)
 
     def project(self, X, n_comp: int | None):
         """PCA scores of prepared rows on ``n_comp`` components."""
@@ -455,7 +456,8 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     ``plan.k`` per-fold validation errors, and a cell that some fold did
     not score is excluded (scored ``inf``) and counted in a note. Exact
     ties break toward the smallest cell tuple. PCA sizes no fold can fit
-    are dropped before the folds run, with one note. When no cell is
+    are dropped before the folds run, with one note; when none fits, the
+    largest size every fold can fit replaces them. When no cell is
     scored in every fold, the ``ConfigError`` counts the per-fold failure
     notes and quotes the first.
 
@@ -479,13 +481,15 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
         # a centered fold matrix has rank at most min(n - 1, q)
         bound = min(min(tr.size for tr, _ in plan) - 1, stage.train_values.shape[1])
         requested = spec.pca.grid(spec.model)
-        comp_grid = tuple(c for c in requested if c <= bound)
-        if not comp_grid:
+        if bound < 1:
             raise ConfigError(f"experiment {spec.name}: PCA sizes {list(requested)} all "
                               f"exceed {bound}, the most components every fold can fit")
+        comp_grid = tuple(c for c in requested if c <= bound)
         if comp_grid != requested:
+            fate = "and were dropped" if comp_grid else f"so {bound} is used"
             notes.append(f"PCA sizes {[c for c in requested if c > bound]} exceed {bound}, "
-                         "the most components every fold can fit, and were dropped")
+                         f"the most components every fold can fit, {fate}")
+        comp_grid = comp_grid or (bound,)
         max_comp = max(comp_grid)
 
     # cell: (k_impute, n_comp, *model_params) -> (summed fold errors, folds scored)
@@ -495,7 +499,8 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
         for k_imp, n_comp, X_tr, X_va in _fold_inputs(
             spec, stage, tr, va, comp_grid, max_comp, fold_i, notes
         ):
-            _score_model_cells(spec, X_tr, y[tr], X_va, y[va], k_imp, n_comp, fold_i, table)
+            _score_model_cells(spec, X_tr, y[tr], X_va, y[va], fold_i, k_imp, n_comp,
+                               table, notes)
     fold_failures = notes[notes_before_folds:]
 
     scores = {
@@ -536,105 +541,99 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     )
 
 
-def _add_fold_score(table: dict, cell: tuple, error: float) -> None:
-    """Add one fold's validation error of ``cell`` to the fold table."""
-    total, folds = table.get(cell, (0.0, 0))
-    table[cell] = (total + error, folds + 1)
+class _TrainingSet:
+    """Training rows; the RBFN base width is computed once for every call."""
+
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        self.X, self.y = X, y
+
+    @cached_property
+    def base_width(self) -> float:
+        return rbfn_mod.median_width(self.X)
 
 
-def _score_model_cells(spec, X_tr, y_tr, X_va, y_va, k_imp, n_comp, fold_i, table):
-    """Evaluate every model-hyperparameter cell on one fold."""
-    if spec.model == "mean":
-        mean = float(np.mean(y_tr))
-        _add_fold_score(
-            table, (k_imp, n_comp), float(np.sum((y_va - mean) ** 2)) / y_va.size
-        )
-    elif spec.model == "rbfn":
-        base_width = rbfn_mod.median_width(X_tr)
-        cap = min(spec.rbfn.max_centers, X_tr.shape[0])
-        for mult in spec.rbfn.width_multipliers:
-            paths = rbfn_mod.train_ols_paths(
-                X_tr, y_tr, mult * base_width, spec.rbfn.ridges, cap
-            )
-            for ridge, path in zip(spec.rbfn.ridges, paths):
-                preds = path.predictions(X_va)
-                sse = np.sum((preds - y_va[:, None]) ** 2, axis=0) / y_va.size
-                for i in range(path.max_size):
-                    cell = (k_imp, n_comp, mult, float(ridge), i + 1)
-                    _add_fold_score(table, cell, float(sse[i]))
-    else:  # mlp
-        for hidden in spec.mlp.hidden_grid:
-            for decay in spec.mlp.decay_grid:
-                cell = (k_imp, n_comp, hidden, float(decay))
-                seed = derive_seed(
-                    spec.seed, f"mlp-cv-f{fold_i}-i{k_imp}-c{n_comp}-h{hidden}-d{decay:g}"
-                )
-                net = mlp_mod.train(
-                    X_tr, y_tr, hidden, decay,
-                    restarts=spec.mlp.cv_restarts, seed=seed,
-                    max_iter=spec.mlp.cv_max_iter,
-                )
-                err = mlp_mod.forward(net, X_va) - y_va
-                _add_fold_score(table, cell, float(err @ err) / y_va.size)
+def _train(spec, rows: _TrainingSet, call: tuple, seed_key: str, final: bool):
+    """Run one training call; return ``(cells, predict)`` pairs whose
+    ``predict(X_new)`` gives one column per model-parameter tuple in ``cells``.
+
+    An RBFN call ``(mult, ridges, cap)`` grows one OLS path per ridge, with a
+    cell per center count on it. An MLP call ``(hidden, decay)`` is one cell,
+    trained with the refit's budget if ``final``; ``seed_key`` seeds it, with
+    the cell appended in cross-validation.
+    """
+    if spec.model == "rbfn":
+        mult, ridges, cap = call
+        paths = rbfn_mod.train_ols_paths(rows.X, rows.y, mult * rows.base_width, ridges,
+                                         min(cap, rows.X.shape[0]))
+        return [([(mult, float(ridge), k) for k in range(1, path.max_size + 1)],
+                 path.predictions) for ridge, path in zip(ridges, paths)]
+    hidden, decay = call
+    m = spec.mlp
+    restarts, max_iter = (m.restarts, m.max_iter) if final else (m.cv_restarts, m.cv_max_iter)
+    seed_key = seed_key if final else f"{seed_key}-h{hidden}-d{decay:g}"
+    net = mlp_mod.train(rows.X, rows.y, hidden, decay, restarts=restarts,
+                        seed=derive_seed(spec.seed, seed_key), max_iter=max_iter)
+    return [([(hidden, float(decay))], lambda X_new: mlp_mod.forward(net, X_new)[:, None])]
+
+
+def _score_model_cells(spec, X_tr, y_tr, X_va, y_va, fold_i, k_imp, n_comp, table, notes):
+    """Run every training call of the model grid on one fold's inputs and
+    add each cell's validation MSE to the fold table; a call that fails is
+    noted, and its cells miss the fold."""
+    if spec.model == "rbfn":
+        r = spec.rbfn
+        calls = [((m, r.ridges, r.max_centers), f"width_multiplier={m:g}")
+                 for m in r.width_multipliers]
+    else:
+        calls = [((h, d), f"hidden={h}, decay={d:g}")
+                 for h in spec.mlp.hidden_grid for d in spec.mlp.decay_grid]
+    rows = _TrainingSet(X_tr, y_tr)
+    for call, label in calls:
+        try:
+            trained = _train(spec, rows, call, f"mlp-cv-f{fold_i}-i{k_imp}-c{n_comp}",
+                             final=False)
+        except FdaregError as exc:
+            notes.append(f"fold {fold_i}, impute k={k_imp}, comps={n_comp}, {label}: {exc}")
+            continue
+        for cells, predict in trained:
+            mse = np.sum((predict(X_va) - y_va[:, None]) ** 2, axis=0) / y_va.size
+            for cell, error in zip(cells, mse):
+                key = (k_imp, n_comp, *cell)
+                total, folds = table.get(key, (0.0, 0))
+                table[key] = (total + float(error), folds + 1)
 
 
 def _fit_final(spec, stage, cell, y, notes):
-    """Refit the winning cell on the full training set.
+    """Refit the winning cell on the full training set before the caller
+    unlocks the test set; return the selected-parameter dict and a
+    ``predict(values, mask)`` closure for the test rows.
 
-    Returns the selected-parameter dict and a ``predict(values, mask)``
-    closure for test-time use; the model is trained here, before the
-    caller unlocks the test set. An RBFN winner is evaluated as in
-    cross-validation, by the column of its center count in
-    ``RbfnPath.predictions``. When the full-data path stops before the
-    selected center count, the refit uses every center it holds and a note
-    in ``notes`` names both counts.
+    :func:`_train` runs the winner's single call, RBFN ``(mult, (ridge,),
+    n_centers)`` or MLP ``(hidden, decay)``, with the refit's budget, and the
+    refit model is its last column. When the full-data RBFN path stops short
+    of the selected center count, a note in ``notes`` names both counts.
     """
-    if spec.model == "mean":
-        mean = float(np.mean(y))
-        return {"train_mean": mean}, lambda values, mask: np.full(
-            np.atleast_2d(values).shape[0], mean
-        )
-
-    k_imp, n_comp = cell[0], cell[1]
+    k_imp, n_comp, *params = cell
     imputation = _Imputation(spec, (k_imp,), stage.train_values, stage.train_mask)
     [X] = imputation.fill(stage.train_values, stage.train_mask, is_fit_data=True)
     pre = _FittedPreproc(spec, X, n_comp)
     X = pre.project(pre.train_X, n_comp)
 
+    call = (params[0], (params[1],), params[2]) if spec.model == "rbfn" else tuple(params)
+    [(cells, predict)] = _train(spec, _TrainingSet(X, y), call, "mlp-final", final=True)
+    if cells[-1][-1] != params[-1]:  # only an RBFN path can stop short
+        notes.append(f"final refit: the full-data path stopped at {cells[-1][-1]} "
+                     f"of the selected {params[-1]} centers")
+
     selected: dict = {}
-    if stage.train_mask is not None and spec.impute.kind == "knn":
+    if spec.impute.kind == "knn":
         selected["impute_k"] = k_imp
     if n_comp is not None:
         selected["n_components"] = n_comp
-
-    if spec.model == "rbfn":
-        mult, ridge, kc = cell[2], cell[3], cell[4]
-        width = mult * rbfn_mod.median_width(X)
-        [path] = rbfn_mod.train_ols_paths(X, y, width, (ridge,), min(kc, X.shape[0]))
-        if path.max_size < kc:
-            notes.append(
-                f"final refit: the full-data path stopped at {path.max_size} "
-                f"of the selected {kc} centers"
-            )
-        n_centers = min(kc, path.max_size)
-        selected.update(width_multiplier=mult, ridge=ridge, n_centers=n_centers)
-
-        def evaluate(X_new):
-            return path.predictions(X_new)[:, n_centers - 1]
-    else:
-        hidden, decay = cell[2], cell[3]
-        seed = derive_seed(spec.seed, "mlp-final")
-        model = mlp_mod.train(
-            X, y, hidden, decay,
-            restarts=spec.mlp.restarts, seed=seed, max_iter=spec.mlp.max_iter,
-        )
-        selected.update(hidden=hidden, decay=decay)
-
-        def evaluate(X_new):
-            return mlp_mod.forward(model, X_new)
+    selected.update(zip(_PARAMS[spec.model], cells[-1]))
 
     def predictor(values, mask):
         [X_new] = imputation.fill(values, mask)
-        return evaluate(pre.project(pre.prepare(X_new), n_comp))
+        return predict(pre.project(pre.prepare(X_new), n_comp))[:, -1]
 
     return selected, predictor

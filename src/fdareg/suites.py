@@ -36,17 +36,17 @@ def table1_specs(seed: int = 0) -> list[ExperimentSpec]:
         ExperimentSpec("table1-exp01-raw", "rbfn", RAW, seed=seed),
         ExperimentSpec(
             "table1-exp02-pca20", "rbfn", RAW,
-            pca=PcaSpec("classical", standardize=True, n_components=20),
+            pca=PcaSpec("classical", n_components=20),
             seed=seed,
         ),
         ExperimentSpec(
             "table1-exp03-pca-cv", "rbfn", RAW,
-            pca=PcaSpec("classical", standardize=True, n_components="cv"),
+            pca=PcaSpec("classical", n_components="cv"),
             seed=seed,
         ),
         ExperimentSpec(
             "table1-exp04-pca-cv-whiten", "rbfn", RAW,
-            pca=PcaSpec("classical", standardize=True, n_components="cv", whiten=True),
+            pca=PcaSpec("classical", n_components="cv", whiten=True),
             seed=seed,
         ),
         ExperimentSpec("table1-exp05-bspline4", "rbfn", _bspline(4), seed=seed),
@@ -85,7 +85,7 @@ def table2_specs(seed: int = 0) -> list[ExperimentSpec]:
     return [
         ExperimentSpec(
             "table2-exp1-pca", "mlp", RAW,
-            pca=PcaSpec("classical", standardize=True, **pca_cv),
+            pca=PcaSpec("classical", **pca_cv),
             mlp=_MLP_T2, seed=seed,
         ),
         ExperimentSpec(
@@ -154,14 +154,14 @@ def table4_specs(seed: int = 0) -> list[ExperimentSpec]:
     return [
         ExperimentSpec(
             "table4-exp1-mean-impute", "mlp", RAW,
-            pca=PcaSpec("classical", standardize=True, **pca_cv),
+            pca=PcaSpec("classical", **pca_cv),
             impute=ImputeSpec("mean"),
             mlp=_MLP_T45, seed=seed,
         ),
         ExperimentSpec(
             "table4-exp2-knn-impute", "mlp", RAW,
-            pca=PcaSpec("classical", standardize=True, **pca_cv),
-            impute=ImputeSpec("knn", k="cv"),
+            pca=PcaSpec("classical", **pca_cv),
+            impute=ImputeSpec("knn"),
             mlp=_MLP_T45, seed=seed,
         ),
     ]
@@ -173,14 +173,14 @@ def table5_specs(seed: int = 0) -> list[ExperimentSpec]:
     return [
         ExperimentSpec(
             "table5-exp1-expert-mean-impute", "mlp", RAW,
-            pca=PcaSpec("classical", standardize=True, **pca_cv),
+            pca=PcaSpec("classical", **pca_cv),
             impute=ImputeSpec("mean", expert_scale=True),
             mlp=_MLP_T45, seed=seed,
         ),
         ExperimentSpec(
             "table5-exp2-expert-knn-impute", "mlp", RAW,
-            pca=PcaSpec("classical", standardize=True, **pca_cv),
-            impute=ImputeSpec("knn", k="cv", expert_scale=True),
+            pca=PcaSpec("classical", **pca_cv),
+            impute=ImputeSpec("knn", expert_scale=True),
             mlp=_MLP_T45, seed=seed,
         ),
     ]

@@ -9,7 +9,7 @@ definition that only the tests reach belongs in the tests.
 
 The benchmark's tracer patches the functions its ``layers.targets()`` names,
 by attribute, when it starts; a second guard checks that they all still
-exist, because the benchmark's own tests are not part of this suite.
+exist.
 """
 
 import ast

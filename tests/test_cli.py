@@ -234,6 +234,19 @@ BAD_SPECS = {
     "section-not-object": (
         json.dumps(dict(SMALL_SPEC, pca=5)), "spec section 'pca' must be an object"
     ),
+    # no such settings: a fixed k is a one-entry k_grid, classical PCA always
+    # z-scores its columns, and the models are rbfn and mlp
+    "removed-impute-k": (
+        json.dumps(dict(SMALL_SPEC, representation={"kind": "raw"},
+                        impute={"kind": "knn", "k": 4})),
+        "unknown key 'k' in spec section 'impute'",
+    ),
+    "removed-pca-standardize": (
+        json.dumps(dict(SMALL_SPEC, representation={"kind": "raw"},
+                        pca={"kind": "classical", "standardize": True, "n_components": 3})),
+        "unknown key 'standardize' in spec section 'pca'",
+    ),
+    "removed-mean-model": (json.dumps(dict(SMALL_SPEC, model="mean")), "unknown model 'mean'"),
 }
 
 

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from fdareg import imputation as imp_mod
 from fdareg import mlp as mlp_mod
 from fdareg import rbfn as rbfn_mod
 from fdareg.cv import derive_seed, make_folds, rmse
-from fdareg.errors import ConfigError
+from fdareg.errors import ConfigError, TrainingError
 from fdareg.selection import (
     ExperimentSpec,
     ImputeSpec,
@@ -293,22 +294,27 @@ class TestRunExperiment:
             within.selected, within.cv_score, within.test_rmse
         )
 
-    def test_fixed_pca_size_above_the_loo_dimension_is_a_config_error(self, data):
+    def test_fixed_pca_size_above_the_fold_bound_is_capped(self, data):
         train, test = data
-        spec = ExperimentSpec(
-            "fpca-too-large", "rbfn",
-            representation=RepresentationSpec("bspline", order=4, dimension="loo"),
-            pca=PcaSpec("functional", n_components=40),
-            rbfn=SMALL_RBFN,
-        )
-        with pytest.raises(ConfigError, match=r"fpca-too-large: PCA sizes \[40\] all exceed"):
-            run_experiment(spec, train, test)
 
-    def test_mean_baseline(self, data):
-        train, test = data
-        report = run_experiment(ExperimentSpec("mean", "mean"), train, test)
-        expected = rmse(np.full(len(test), train.targets.mean()), test.targets)
-        assert report.test_rmse == pytest.approx(expected)
+        def run(n_components):
+            spec = ExperimentSpec(
+                "fpca-too-large", "rbfn",
+                representation=RepresentationSpec("bspline", order=4, dimension=18),
+                pca=PcaSpec("functional", n_components=n_components),
+                rbfn=SMALL_RBFN,
+            )
+            return run_experiment(spec, train, test)
+
+        capped, at_bound = run(40), run(18)
+        assert capped.selected["n_components"] == 18
+        assert capped.notes == (
+            "PCA sizes [40] exceed 18, the most components every fold can fit, "
+            "so 18 is used",
+        ) + at_bound.notes
+        assert (capped.selected, capped.cv_score, capped.test_rmse) == (
+            at_bound.selected, at_bound.cv_score, at_bound.test_rmse
+        )
 
     def test_rbfn_interior_center_count(self, rng):
         # smooth target + noise: too few centers underfit, too many overfit
@@ -399,6 +405,58 @@ class TestFoldTable:
         assert report.notes == ("5 cells not scored in every fold were excluded",)
 
 
+class TestFailingTrainingCall:
+    """A CV training call that raises leaves its cells unscored in that fold
+    and is named in a note; the row goes on."""
+
+    MLP = MlpSettings(hidden_grid=(1, 2), decay_grid=(1e-3,), restarts=3,
+                      cv_restarts=3, max_iter=60, cv_max_iter=60)
+
+    def spec(self, mlp=MLP):
+        return ExperimentSpec(
+            "failing-call", "mlp", RepresentationSpec("raw"),
+            pca=PcaSpec("classical", n_components=2, whiten=True),
+            mlp=mlp, folds=3, seed=1,
+        )
+
+    def test_overflowing_targets_name_the_fold_and_the_cell(self, rng):
+        X = rng.normal(size=(30, 4))
+        y = 1e160 * (1.0 + rng.random(30))
+        train, test = vector_dataset(X, y), vector_dataset(X[:5], y[:5])
+        cause = ("no grid cell was scored in every fold; 3 fold failures, first: "
+                 "fold 0, impute k=0, comps=2, hidden=2, decay=0.001: "
+                 "3 of 3 restart(s) start at a non-finite loss")
+        with pytest.raises(ConfigError, match=re.escape(cause)):
+            run_experiment(self.spec(replace(self.MLP, hidden_grid=(2,))), train, test)
+
+    def test_failing_cell_is_excluded_and_noted(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(36, 4))
+        y = np.tanh(X[:, 0] - X[:, 1]) + 0.05 * rng.normal(size=36)
+        train, test = fdata.split(vector_dataset(X, y), 6, shuffle=False)
+        assert run_experiment(self.spec(), train, test).selected["hidden"] == 1
+
+        real_train = mlp_mod.train
+        failed = []
+
+        def fail_first_hidden_1(X, y, hidden, decay, **kwargs):
+            # hidden = 1 fails in fold 0 and trains in the other folds
+            if hidden == 1 and not failed:
+                failed.append(hidden)
+                raise TrainingError("1 of 3 restart(s) start at a non-finite loss")
+            return real_train(X, y, hidden, decay, **kwargs)
+
+        monkeypatch.setattr(mlp_mod, "train", fail_first_hidden_1)
+        report = run_experiment(self.spec(), train, test)
+        assert report.selected["hidden"] == 2
+        assert np.isfinite(report.cv_score) and np.isfinite(report.test_rmse)
+        assert report.notes == (
+            "fold 0, impute k=0, comps=2, hidden=1, decay=0.001: "
+            "1 of 3 restart(s) start at a non-finite loss",
+            "1 cells not scored in every fold were excluded",
+        )
+
+
 class TestFinalRefit:
     def test_short_final_path_is_noted(self, data, monkeypatch):
         train, test = data
@@ -443,7 +501,7 @@ class TestImputationRoutes:
         spec = ExperimentSpec(
             "mean-imp", "mlp",
             representation=RepresentationSpec("raw"),
-            pca=PcaSpec("classical", standardize=True, n_components="cv",
+            pca=PcaSpec("classical", n_components="cv",
                         component_grid=(2, 3), whiten=True),
             impute=ImputeSpec("mean"),
             mlp=SMALL_MLP,
@@ -457,8 +515,8 @@ class TestImputationRoutes:
         spec = ExperimentSpec(
             "knn-imp", "mlp",
             representation=RepresentationSpec("raw"),
-            pca=PcaSpec("classical", standardize=True, n_components=3, whiten=True),
-            impute=ImputeSpec("knn", k="cv", k_grid=(1, 4)),
+            pca=PcaSpec("classical", n_components=3, whiten=True),
+            impute=ImputeSpec("knn", k_grid=(1, 4)),
             mlp=SMALL_MLP,
             seed=5,
         )
@@ -481,9 +539,9 @@ class TestImputationRoutes:
         spec = ExperimentSpec(
             "knn-cache", "rbfn",
             representation=RepresentationSpec("raw"),
-            pca=PcaSpec("classical", standardize=True, n_components="cv",
+            pca=PcaSpec("classical", n_components="cv",
                         component_grid=(2, 3, 4)),
-            impute=ImputeSpec("knn", k="cv", k_grid=(1, 4)),
+            impute=ImputeSpec("knn", k_grid=(1, 4)),
             rbfn=SMALL_RBFN,
             seed=5,
         )
@@ -524,7 +582,7 @@ class TestImputationRoutes:
             "knn-fail", "rbfn",
             representation=RepresentationSpec("raw"),
             pca=PcaSpec("classical", n_components=2),
-            impute=ImputeSpec("knn", k="cv", k_grid=(1, 2)),
+            impute=ImputeSpec("knn", k_grid=(1, 2)),
             rbfn=SMALL_RBFN,
             seed=5,
         )
