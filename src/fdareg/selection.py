@@ -17,11 +17,13 @@ final refit: one RBFN width multiplier (an OLS path per ridge) or one MLP
 ``(hidden, decay)``, with one prediction column per grid cell it trains.
 
 Data-dependent preprocessing (imputation, column standardization, PCA and
-whitening statistics) is refitted inside every fold. Imputation runs once
-per fold: the fold's training and validation rows are imputed once for the
-whole k grid, k-NN ordering each row's donors a single time. Standardization
-and PCA are fitted once per (fold, k), and every PCA size of the grid takes
-its scores from the two standardized matrices. Per-function steps
+whitening statistics) is one chain, refitted inside every fold and once more
+for the final refit. A fold fits it on its training rows for the whole k
+grid: the training and validation rows are imputed once, k-NN ordering each
+row's donors a single time, standardization and PCA are fitted once per k,
+and every PCA size of the grid takes its scores from the two standardized
+matrices. The final refit fits the same chain for the winning k alone; a
+k's fill does not depend on the other ks of the grid. Per-function steps
 (basis projection, centering, derivatives, expert scaling) use no
 cross-sample information, so they are computed once up front, on whole
 coefficient or value matrices: one basis evaluation per dataset, on the
@@ -97,8 +99,12 @@ class RepresentationSpec:
     def validate(self):
         if self.kind not in ("raw", "bspline", "fourier"):
             raise ConfigError(f"unknown representation kind {self.kind!r}")
-        if self.kind == "bspline" and self.order < 1:
-            raise ConfigError("spline order must be >= 1")
+        if self.kind == "bspline" and not _positive_int(self.order):
+            raise ConfigError("representation.order must be a positive integer, "
+                              f"not {self.order!r}")
+        if self.dimension != "loo" and not _positive_int(self.dimension):
+            raise ConfigError("representation.dimension must be 'loo' or a positive "
+                              f"integer, not {self.dimension!r}")
 
 
 @dataclass(frozen=True)
@@ -139,8 +145,12 @@ class PcaSpec:
             raise ConfigError("functional PCA needs a basis representation")
         if self.kind == "classical" and representation.kind != "raw":
             raise ConfigError("classical PCA applies to raw grid vectors")
-        if self.n_components is None:
-            raise ConfigError("pca needs n_components (an integer or 'cv')")
+        if self.n_components != "cv" and not _positive_int(self.n_components):
+            raise ConfigError("pca.n_components must be 'cv' or a positive integer, "
+                              f"not {self.n_components!r}")
+        if not all(map(_positive_int, self.component_grid or ())):
+            raise ConfigError("pca.component_grid must hold positive integers, "
+                              f"not {list(self.component_grid)}")
 
     def grid(self, model: str) -> tuple[int, ...]:
         if self.n_components == "cv":
@@ -165,6 +175,9 @@ class ImputeSpec:
                 "imputation and expert scaling are non-functional: they need "
                 "the raw grid representation"
             )
+        if self.kind == "knn" and not all(map(_positive_int, self.k_grid)):
+            raise ConfigError("impute.k_grid must hold positive integers, "
+                              f"not {list(self.k_grid)}")
 
     def grid(self) -> tuple[int, ...]:
         return tuple(self.k_grid) if self.kind == "knn" else (0,)  # 0: pass-through
@@ -218,8 +231,20 @@ class ExperimentSpec:
                 raise ConfigError("the MLP pipeline requires a PCA stage")
             if not self.pca.whiten:
                 raise ConfigError("MLP inputs must be whitened PCA scores")
-        if self.folds < 2:
-            raise ConfigError("cross-validation needs at least 2 folds")
+        if not _positive_int(self.folds) or self.folds < 2:
+            raise ConfigError(f"folds must be an integer of at least 2, not {self.folds!r}")
+        # a repeated value would score its cells twice in one fold
+        for key, values in (
+            ("impute.k_grid", self.impute.k_grid),
+            ("pca.component_grid", self.pca.component_grid or ()),
+            ("rbfn.width_multipliers", self.rbfn.width_multipliers),
+            ("rbfn.ridges", self.rbfn.ridges),
+            ("mlp.hidden_grid", self.mlp.hidden_grid),
+            ("mlp.decay_grid", self.mlp.decay_grid),
+        ):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{key} repeats the value {repeated[0]!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -248,6 +273,10 @@ class ExperimentSpec:
                 _check_keys(f"spec section {key!r}", kwargs[key], sub)
                 kwargs[key] = sub(**{k: tup(v) for k, v in kwargs[key].items()})
         return cls(**kwargs)
+
+
+def _positive_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value > 0
 
 
 def _check_keys(where: str, raw, cls) -> None:
@@ -346,106 +375,90 @@ class _Stage1:
         return dataset.matrix(), None
 
 
-class _Imputation:
-    """A fold's imputer, fitted once on the fold's training rows.
+class _Preprocessing:
+    """Imputation -> standardization -> PCA, fitted once on a set of training
+    rows for the imputation grid ``ks`` and up to ``max_comp`` components.
 
-    ``fill`` returns one filled matrix per entry of ``ks``, the imputation
-    grid. k-NN orders each row's donors once and fills its holes for every
-    k from that one ordering, so a fold imputes its training and validation
-    rows once for the whole k grid. Without an imputer the rows pass
-    through as they are.
+    The rows are imputed once for the whole k grid (k-NN orders each row's
+    donors a single time); the standardizer (classical PCA only) and the PCA
+    are then fitted once per k. ``train[i]`` holds the standardized training
+    rows for ``ks[i]``, ``prepare`` imputes and standardizes new rows for
+    every k, and ``project`` slices the PCA scores of either for one
+    component count, so every PCA size of the grid reuses them. Without an
+    imputer the rows pass through as they are; ``n_comp = 0`` means no PCA.
     """
 
     def __init__(self, spec: ExperimentSpec, ks: tuple[int, ...],
-                 values: np.ndarray, mask: np.ndarray | None):
-        self.ks = ks
+                 values: np.ndarray, mask: np.ndarray | None, max_comp: int):
+        self.whiten = spec.pca.whiten
         self.imputer = None
         if spec.impute.kind == "mean":
             self.imputer = imp_mod.MeanImputer().fit(values, mask)
         elif spec.impute.kind == "knn":
             self.imputer = imp_mod.KnnImputer(ks).fit(values, mask)
+        filled = self._impute(values, mask, is_fit_data=True)
+        classical = spec.pca.kind == "classical"
+        self.standardizers = [fpca_mod.Standardizer().fit(X) if classical else None
+                              for X in filled]
+        self.train = self._standardize(filled)
+        # run_experiment keeps max_comp within every fold matrix's rank
+        self.pcas = [fpca_mod.fit_fpca(X, n_components=max_comp) if max_comp else None
+                     for X in self.train]
 
-    def fill(self, values, mask, is_fit_data: bool = False) -> list[np.ndarray]:
-        """One matrix per k; ``is_fit_data`` for the fitted rows themselves."""
+    def _impute(self, values, mask, is_fit_data=False) -> list[np.ndarray]:
         if isinstance(self.imputer, imp_mod.KnnImputer):
             filled = self.imputer.transform(values, mask, is_fit_data)
-            return [np.ascontiguousarray(filled[:, c]) for c in range(len(self.ks))]
-        if self.imputer is not None:
-            return [self.imputer.transform(values, mask)]
-        return [values] * len(self.ks)
+            return [np.ascontiguousarray(filled[:, c]) for c in range(filled.shape[1])]
+        # without k-NN the grid is the single pass-through k = 0
+        return [values if self.imputer is None else self.imputer.transform(values, mask)]
 
+    def _standardize(self, filled: list[np.ndarray]) -> list[np.ndarray]:
+        return [X if std is None else std.transform(X)
+                for std, X in zip(self.standardizers, filled)]
 
-class _FittedPreproc:
-    """Fold-level statistics of imputed rows: standardize -> PCA, where
-    classical PCA z-scores its columns first and functional PCA does not.
+    def prepare(self, values, mask) -> list[np.ndarray]:
+        """Impute and standardize new rows, one matrix per k."""
+        return self._standardize(self._impute(values, mask))
 
-    Fitted once per (fold, k) on the fold's imputed training rows (the
-    imputation itself runs once per fold, see :class:`_Imputation`), it
-    keeps the standardized training matrix ``train_X``; ``prepare``
-    standardizes new imputed rows once, and ``project`` slices the PCA
-    scores of either matrix for one component count, so the PCA-size grid
-    reuses both.
-    """
-
-    def __init__(self, spec: ExperimentSpec, X: np.ndarray, max_comp: int | None):
-        self.spec = spec
-        classical = spec.pca.kind == "classical"
-        self.standardizer = fpca_mod.Standardizer().fit(X) if classical else None
-        self.train_X = self.prepare(X)
-        self.pca = None
-        if spec.pca.kind != "none":
-            # run_experiment keeps max_comp within every fold matrix's rank
-            self.pca = fpca_mod.fit_fpca(self.train_X, n_components=max_comp)
-
-    def prepare(self, X):
-        """Standardize new imputed rows with the fitted statistics."""
-        return X if self.standardizer is None else self.standardizer.transform(X)
-
-    def project(self, X, n_comp: int | None):
-        """PCA scores of prepared rows on ``n_comp`` components."""
-        if self.pca is None:
+    def project(self, i: int, X: np.ndarray, n_comp: int) -> np.ndarray:
+        """PCA scores of rows prepared for ``ks[i]`` on ``n_comp`` components."""
+        if not n_comp:
             return X
-        return fpca_mod.scores(self.pca, X, n_comp, whiten=self.spec.pca.whiten)
+        return fpca_mod.scores(self.pcas[i], X, n_comp, whiten=self.whiten)
 
 
-def _fold_inputs(spec, stage, tr, va, comp_grid, max_comp, fold_i, notes):
+def _fold_note(fold_i: int, exc, k_imp=0, n_comp=0, call="") -> str:
+    """A fold failure note: the fold, then the imputation k on k-NN rows and
+    the PCA size on PCA rows (0 on the others), then the training call."""
+    parts = [f"fold {fold_i}", k_imp and f"impute k={k_imp}",
+             n_comp and f"comps={n_comp}", call]
+    return ", ".join(p for p in parts if p) + f": {exc}"
+
+
+def _fold_inputs(spec, stage, tr, va, comp_grid, fold_i, notes):
     """Yield ``(k_imp, n_comp, X_tr, X_va)``, the model inputs of one fold
     for every imputation and PCA-size cell.
 
-    The fold's training and validation rows are imputed once for the whole
-    k grid; the standardizer and PCA are fitted once per k, and every PCA
-    size slices its scores from them. A cell whose preprocessing fails is
-    skipped with a note in ``notes``; a failed imputation notes every k.
+    One :class:`_Preprocessing` serves the whole fold. A failed
+    preprocessing fit notes every k; a failed projection notes its cell.
     """
-    impute_grid = spec.impute.grid()
+    ks = spec.impute.grid()
     values, mask = stage.train_values, stage.train_mask
-    mask_tr = mask[tr] if mask is not None else None
-    mask_va = mask[va] if mask is not None else None
     try:
-        imputation = _Imputation(spec, impute_grid, values[tr], mask_tr)
-        filled_tr = imputation.fill(values[tr], mask_tr, is_fit_data=True)
-        filled_va = imputation.fill(values[va], mask_va)
+        pre = _Preprocessing(spec, ks, values[tr], None if mask is None else mask[tr],
+                             max(comp_grid))
+        X_va = pre.prepare(values[va], None if mask is None else mask[va])
     except FdaregError as exc:
-        notes.extend(f"fold {fold_i}, impute k={k_imp}: {exc}" for k_imp in impute_grid)
+        notes.extend(_fold_note(fold_i, exc, k_imp) for k_imp in ks)
         return
-    for k_imp, X_tr, X_va in zip(impute_grid, filled_tr, filled_va):
-        try:
-            pre = _FittedPreproc(spec, X_tr, max_comp)
-            X_va = pre.prepare(X_va)
-        except FdaregError as exc:
-            notes.append(f"fold {fold_i}, impute k={k_imp}: {exc}")
-            continue
+    for i, k_imp in enumerate(ks):
         for n_comp in comp_grid:
             try:
-                scores = pre.project(pre.train_X, n_comp), pre.project(X_va, n_comp)
+                scores = pre.project(i, pre.train[i], n_comp), pre.project(i, X_va[i], n_comp)
             except FdaregError as exc:
-                notes.append(f"fold {fold_i}, impute k={k_imp}, comps={n_comp}: {exc}")
+                notes.append(_fold_note(fold_i, exc, k_imp, n_comp))
                 continue
             yield (k_imp, n_comp, *scores)
-
-
-def _cell_sort_key(cell: tuple) -> tuple:
-    return tuple(-1 if v is None else v for v in cell)
 
 
 def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> ExperimentReport:
@@ -474,9 +487,12 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     y = train.targets
     n = len(train)
     notes: list[str] = []
+    if spec.folds > n:
+        raise ConfigError(f"experiment {spec.name}: folds={spec.folds} exceeds the "
+                          f"{n} training rows")
     plan = make_folds(n, spec.folds, derive_seed(spec.seed, "folds"))
 
-    comp_grid, max_comp = (None,), None
+    comp_grid = (0,)  # 0: no PCA
     if spec.pca.kind != "none":
         # a centered fold matrix has rank at most min(n - 1, q)
         bound = min(min(tr.size for tr, _ in plan) - 1, stage.train_values.shape[1])
@@ -490,14 +506,13 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
             notes.append(f"PCA sizes {[c for c in requested if c > bound]} exceed {bound}, "
                          f"the most components every fold can fit, {fate}")
         comp_grid = comp_grid or (bound,)
-        max_comp = max(comp_grid)
 
     # cell: (k_impute, n_comp, *model_params) -> (summed fold errors, folds scored)
     table: dict[tuple, tuple[float, int]] = {}
     notes_before_folds = len(notes)
     for fold_i, (tr, va) in enumerate(plan):
         for k_imp, n_comp, X_tr, X_va in _fold_inputs(
-            spec, stage, tr, va, comp_grid, max_comp, fold_i, notes
+            spec, stage, tr, va, comp_grid, fold_i, notes
         ):
             _score_model_cells(spec, X_tr, y[tr], X_va, y[va], fold_i, k_imp, n_comp,
                                table, notes)
@@ -516,7 +531,7 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
         raise ConfigError(
             f"experiment {spec.name}: no grid cell was scored in every fold{cause}"
         )
-    best_cell = min(sorted(scores, key=_cell_sort_key), key=lambda c: scores[c])
+    best_cell = min(sorted(scores), key=lambda c: scores[c])
     cv_score = float(scores[best_cell])
 
     selected, predictor = _fit_final(spec, stage, best_cell, y, notes)
@@ -593,7 +608,7 @@ def _score_model_cells(spec, X_tr, y_tr, X_va, y_va, fold_i, k_imp, n_comp, tabl
             trained = _train(spec, rows, call, f"mlp-cv-f{fold_i}-i{k_imp}-c{n_comp}",
                              final=False)
         except FdaregError as exc:
-            notes.append(f"fold {fold_i}, impute k={k_imp}, comps={n_comp}, {label}: {exc}")
+            notes.append(_fold_note(fold_i, exc, k_imp, n_comp, label))
             continue
         for cells, predict in trained:
             mse = np.sum((predict(X_va) - y_va[:, None]) ** 2, axis=0) / y_va.size
@@ -614,10 +629,8 @@ def _fit_final(spec, stage, cell, y, notes):
     of the selected center count, a note in ``notes`` names both counts.
     """
     k_imp, n_comp, *params = cell
-    imputation = _Imputation(spec, (k_imp,), stage.train_values, stage.train_mask)
-    [X] = imputation.fill(stage.train_values, stage.train_mask, is_fit_data=True)
-    pre = _FittedPreproc(spec, X, n_comp)
-    X = pre.project(pre.train_X, n_comp)
+    pre = _Preprocessing(spec, (k_imp,), stage.train_values, stage.train_mask, n_comp)
+    X = pre.project(0, pre.train[0], n_comp)
 
     call = (params[0], (params[1],), params[2]) if spec.model == "rbfn" else tuple(params)
     [(cells, predict)] = _train(spec, _TrainingSet(X, y), call, "mlp-final", final=True)
@@ -628,12 +641,9 @@ def _fit_final(spec, stage, cell, y, notes):
     selected: dict = {}
     if spec.impute.kind == "knn":
         selected["impute_k"] = k_imp
-    if n_comp is not None:
+    if spec.pca.kind != "none":
         selected["n_components"] = n_comp
     selected.update(zip(_PARAMS[spec.model], cells[-1]))
 
-    def predictor(values, mask):
-        [X_new] = imputation.fill(values, mask)
-        return predict(pre.project(pre.prepare(X_new), n_comp))[:, -1]
-
-    return selected, predictor
+    return selected, lambda values, mask: predict(
+        pre.project(0, pre.prepare(values, mask)[0], n_comp))[:, -1]

@@ -247,6 +247,31 @@ BAD_SPECS = {
         "unknown key 'standardize' in spec section 'pca'",
     ),
     "removed-mean-model": (json.dumps(dict(SMALL_SPEC, model="mean")), "unknown model 'mean'"),
+    # mistyped values: each names its key instead of ending in a traceback
+    "dimension-not-a-number": (
+        json.dumps(dict(SMALL_SPEC, representation={"kind": "bspline", "dimension": "abc"})),
+        "representation.dimension must be 'loo' or a positive integer, not 'abc'",
+    ),
+    "dimension-list": (
+        json.dumps(dict(SMALL_SPEC, representation={"kind": "bspline", "dimension": [3]})),
+        "representation.dimension must be 'loo' or a positive integer, not (3,)",
+    ),
+    "order-not-a-number": (
+        json.dumps(dict(SMALL_SPEC, representation={"kind": "bspline", "order": "x"})),
+        "representation.order must be a positive integer, not 'x'",
+    ),
+    "n-components-not-a-number": (
+        json.dumps(dict(SMALL_SPEC, representation={"kind": "raw"},
+                        pca={"kind": "classical", "n_components": "x"})),
+        "pca.n_components must be 'cv' or a positive integer, not 'x'",
+    ),
+    "folds-exceed-training-rows": (
+        json.dumps(dict(SMALL_SPEC, folds=500)), "folds=500 exceeds the 27 training rows",
+    ),
+    "repeated-ridge": (
+        json.dumps(dict(SMALL_SPEC, rbfn={"ridges": [1e-6, 1e-6, 1e-3]})),
+        "rbfn.ridges repeats the value 1e-06",
+    ),
 }
 
 

@@ -168,6 +168,52 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             spec.validate()
 
+    @pytest.mark.parametrize("section, field, values", [
+        ("impute", "k_grid", (1, 4, 1)),
+        ("pca", "component_grid", (5, 5, 10)),
+        ("rbfn", "width_multipliers", (0.5, 1.0, 0.5)),
+        ("rbfn", "ridges", (1e-6, 1e-6, 1e-3)),
+        ("mlp", "hidden_grid", (2, 2)),
+        ("mlp", "decay_grid", (1e-3, 0.001)),
+    ])
+    def test_repeated_grid_value_is_a_config_error(self, section, field, values):
+        # a repeated value would add its cells twice to one fold, so a cell
+        # scored in half the folds would reach the full fold count
+        spec = ExperimentSpec(
+            "repeat", "mlp", RepresentationSpec("raw"),
+            pca=PcaSpec("classical", n_components="cv", whiten=True),
+            impute=ImputeSpec("knn"),
+        )
+        spec.validate()
+        spec = replace(spec, **{section: replace(getattr(spec, section), **{field: values})})
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{field} repeats the value")):
+            spec.validate()
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("representation", "dimension", "abc"),
+        ("representation", "dimension", (3,)),
+        ("representation", "dimension", 0),
+        ("pca", "n_components", "x"),
+        ("pca", "n_components", None),
+        ("pca", "n_components", 2.5),
+        ("pca", "component_grid", (0, 2)),
+        ("impute", "k_grid", (0, 1)),
+    ])
+    def test_mistyped_value_is_a_config_error(self, section, field, value):
+        spec = ExperimentSpec(
+            "typo", "rbfn", RepresentationSpec("raw"),
+            pca=PcaSpec("classical", n_components=2), impute=ImputeSpec("knn"),
+        )
+        spec.validate()
+        spec = replace(spec, **{section: replace(getattr(spec, section), **{field: value})})
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{field} must ")):
+            spec.validate()
+
+    @pytest.mark.parametrize("folds", [1, "4", 2.0, True])
+    def test_folds_must_be_an_integer_of_at_least_2(self, folds):
+        with pytest.raises(ConfigError, match="folds must be an integer"):
+            ExperimentSpec("folds", "rbfn", folds=folds).validate()
+
     def test_roundtrip_dict(self):
         spec = ExperimentSpec(
             "row", "rbfn",
@@ -424,7 +470,7 @@ class TestFailingTrainingCall:
         y = 1e160 * (1.0 + rng.random(30))
         train, test = vector_dataset(X, y), vector_dataset(X[:5], y[:5])
         cause = ("no grid cell was scored in every fold; 3 fold failures, first: "
-                 "fold 0, impute k=0, comps=2, hidden=2, decay=0.001: "
+                 "fold 0, comps=2, hidden=2, decay=0.001: "
                  "3 of 3 restart(s) start at a non-finite loss")
         with pytest.raises(ConfigError, match=re.escape(cause)):
             run_experiment(self.spec(replace(self.MLP, hidden_grid=(2,))), train, test)
@@ -451,10 +497,32 @@ class TestFailingTrainingCall:
         assert report.selected["hidden"] == 2
         assert np.isfinite(report.cv_score) and np.isfinite(report.test_rmse)
         assert report.notes == (
-            "fold 0, impute k=0, comps=2, hidden=1, decay=0.001: "
+            "fold 0, comps=2, hidden=1, decay=0.001: "
             "1 of 3 restart(s) start at a non-finite loss",
             "1 cells not scored in every fold were excluded",
         )
+
+    def test_failing_call_without_pca_names_only_the_call(self, data, monkeypatch):
+        train, test = data
+        spec = ExperimentSpec("failing-rbfn", "rbfn", RepresentationSpec("raw"),
+                              rbfn=SMALL_RBFN, seed=2)
+        real_train_ols_paths = rbfn_mod.train_ols_paths
+        calls = []
+
+        def fail_first(X, y, width, ridges, max_centers, **kwargs):
+            # fold 0's first call, width multiplier 0.5, fails
+            calls.append(width)
+            if len(calls) == 1:
+                raise TrainingError("no center could be added")
+            return real_train_ols_paths(X, y, width, ridges, max_centers, **kwargs)
+
+        monkeypatch.setattr(rbfn_mod, "train_ols_paths", fail_first)
+        report = run_experiment(spec, train, test)
+        assert report.selected["width_multiplier"] != 0.5
+        assert report.notes[0] == "fold 0, width_multiplier=0.5: no center could be added"
+        assert re.fullmatch(r"\d+ cells not scored in every fold were excluded",
+                            report.notes[1])
+        assert len(report.notes) == 2
 
 
 class TestFinalRefit:
@@ -572,6 +640,36 @@ class TestImputationRoutes:
             b.selected, b.cv_score, b.test_rmse, b.notes
         )
 
+    @pytest.mark.parametrize("impute, pca", [
+        (ImputeSpec("knn", k_grid=(1, 2, 4)), PcaSpec("classical", n_components=4, whiten=True)),
+        (ImputeSpec("knn", k_grid=(1, 2, 4)), PcaSpec("none")),
+    ], ids=["pca", "no-pca"])
+    def test_one_k_chain_equals_its_grid_column(self, holed, impute, pca):
+        # the final refit fits the chain for the winning k alone; it must
+        # give the numbers the folds' chain gave that k within the grid
+        train, test = holed
+        spec = ExperimentSpec("chain", "rbfn", RepresentationSpec("raw"),
+                              pca=pca, impute=impute, rbfn=SMALL_RBFN)
+        stage = selection._Stage1(spec, train)
+        values, mask = stage.train_values, stage.train_mask
+        new_values, new_mask = stage.features(test)
+        ks = impute.grid()
+        max_comp = 4 if pca.kind != "none" else 0
+        grid = selection._Preprocessing(spec, ks, values, mask, max_comp)
+        grid_new = grid.prepare(new_values, new_mask)
+        assert len(grid.train) == len(grid_new) == len(ks)
+        for i, k in enumerate(ks):
+            alone = selection._Preprocessing(spec, (k,), values, mask, max_comp)
+            [alone_new] = alone.prepare(new_values, new_mask)
+            for n_comp in ((2, 4) if max_comp else (0,)):
+                for got, want in ((alone.project(0, alone.train[0], n_comp),
+                                   grid.project(i, grid.train[i], n_comp)),
+                                  (alone.project(0, alone_new, n_comp),
+                                   grid.project(i, grid_new[i], n_comp))):
+                    assert got.shape == want.shape
+                    assert not np.isnan(got).any()
+                    np.testing.assert_array_equal(got, want)
+
     def test_failed_fold_imputation_notes_every_k(self):
         # coordinate 7 is observed by fold 0's validation curves alone, so
         # fold 0's training rows have no donor for it, and every other
@@ -598,7 +696,7 @@ class TestImputationRoutes:
         notes: list[str] = []
         cells = [
             [cell[:2] for cell in selection._fold_inputs(
-                spec, stage, tr, va, (2,), 2, fold_i, notes)]
+                spec, stage, tr, va, (2,), fold_i, notes)]
             for fold_i, (tr, va) in enumerate(plan)
         ]
         assert cells == [[], *[[(1, 2), (2, 2)]] * 3]
