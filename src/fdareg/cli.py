@@ -271,6 +271,7 @@ def cmd_experiment(args) -> int:
     spec = ExperimentSpec.from_dict(raw)
     if args.seed is not None:
         spec = ExperimentSpec.from_dict({**spec.to_dict(), "seed": args.seed})
+    spec.validate()  # before its seed derives the split's
     dataset = _load(args)
     train, test = _prepare_split(args, dataset, spec.seed)
     outdir = Path(args.out)

@@ -43,8 +43,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import dger
+from scipy.linalg.lapack import dtrtrs
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import ValidationError
@@ -112,10 +112,12 @@ class RbfnPath:
         ``cumsum((D A^-1) * g, axis=1)``. The one evaluator of a trained
         network: cross-validation and the final refit both read it."""
         design = design_matrix(X, self.inputs[self.selected], self.width)
-        # (D A^-1)^T = A^-T D^T: one solve for every truncation
-        ortho = scipy.linalg.solve_triangular(
-            self.gs_coefs, design.T, trans="T", unit_diagonal=True
-        )
+        # (D A^-1)^T = A^-T D^T: one solve for every truncation. LAPACK's
+        # trtrs is called as scipy's solve_triangular calls it for this
+        # C-ordered A (A^T lower, no transpose), so the bits are the same.
+        ortho, info = dtrtrs(self.gs_coefs.T, design.T, lower=1, trans=0, unitdiag=1)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal trtrs")
         return np.cumsum(ortho.T * self.ortho_weights, axis=1)
 
 

@@ -233,6 +233,17 @@ class ExperimentSpec:
                 raise ConfigError("MLP inputs must be whitened PCA scores")
         if not _positive_int(self.folds) or self.folds < 2:
             raise ConfigError(f"folds must be an integer of at least 2, not {self.folds!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, not {self.seed!r}")
+        for key, value in (
+            ("rbfn.max_centers", self.rbfn.max_centers),
+            ("mlp.restarts", self.mlp.restarts),
+            ("mlp.cv_restarts", self.mlp.cv_restarts),
+            ("mlp.max_iter", self.mlp.max_iter),
+            ("mlp.cv_max_iter", self.mlp.cv_max_iter),
+        ):
+            if not _positive_int(value):
+                raise ConfigError(f"{key} must be a positive integer, not {value!r}")
         # a repeated value would score its cells twice in one fold
         for key, values in (
             ("impute.k_grid", self.impute.k_grid),
@@ -275,8 +286,12 @@ class ExperimentSpec:
         return cls(**kwargs)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _positive_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value > 0
+    return _is_int(value) and value > 0
 
 
 def _check_keys(where: str, raw, cls) -> None:

@@ -66,15 +66,18 @@ def synthetic_dataset(rng, n=40, m=30, domain=(0.0, 1.0), noise=0.01):
     return fdata.Dataset(funcs, targets, domain)
 
 
-def mixed_grid_functions(rng, n_shared=5, n_holed=4, m=40):
-    """Smooth noisy curves on [0, 1]: ``n_shared`` on one common grid, then
+def mixed_grid_functions(rng, n_shared=5, n_holed=4, m=40, gap=False):
+    """Smooth noisy curves on ``m`` points of [0, 1], without those in
+    (0.35, 0.65) when ``gap``: ``n_shared`` on that common grid, then
     ``n_holed`` with 10 % of their points dropped, each on its own grid."""
     grid = np.linspace(0.0, 1.0, m)
+    if gap:
+        grid = grid[(grid <= 0.35) | (grid >= 0.65)]
     funcs = []
     for i in range(n_shared + n_holed):
         c1, c2, level = rng.normal(size=3)
         y = c1 * np.sin(2 * np.pi * grid) + c2 * grid**2 + level
-        f = fdata.SampledFunction(grid, y + 0.05 * rng.normal(size=m), id=i)
+        f = fdata.SampledFunction(grid, y + 0.05 * rng.normal(size=grid.size), id=i)
         funcs.append(f if i < n_shared else fdata.drop_random(f, 0.1, seed=i))
     return funcs
 

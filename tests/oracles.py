@@ -5,6 +5,10 @@ Each oracle is the slow, direct form of a fast path in ``fdareg``:
 - :func:`naive_loo`: ``m`` least-squares refits, each omitting one point;
   the reference for the closed-form leave-one-out score of
   ``represent.loo_scores``.
+- :func:`reference_qr_solve`: one grid's least squares through
+  ``scipy.linalg.qr`` and ``scipy.linalg.solve_triangular``; the reference,
+  bit for bit, for ``represent._qr_solve``, which calls the same LAPACK
+  routines directly.
 - :func:`quadrature_grid` and :func:`quadrature_integral`: composite
   Simpson quadrature on a dense grid aligned to the knots; the reference
   for L2 inner products, distances and means computed from beta
@@ -24,6 +28,9 @@ Each oracle is the slow, direct form of a fast path in ``fdareg``:
   ``A[:k, :k]^-1 g[:k]`` from row-by-row back-substitution
   (:func:`back_substituted_weights`); the reference for each column of
   ``RbfnPath.predictions``.
+- :func:`reference_predictions`: every truncation's predictions through
+  ``scipy.linalg.solve_triangular``; the reference, bit for bit, for
+  ``RbfnPath.predictions``, which calls LAPACK's ``trtrs`` directly.
 - :func:`central_difference_grad`: central differences of a scalar loss;
   the reference for the gradient ``mlp.train`` steps on.
 - :func:`knn_fill_per_hole`: one k at a time, every hole picking its own
@@ -36,8 +43,11 @@ Each oracle is the slow, direct form of a fast path in ``fdareg``:
 """
 
 import numpy as np
+import scipy.linalg
 
 from fdareg import mlp, rbfn
+from fdareg.errors import UnidentifiableCoefficientsError
+from fdareg.represent import COND_THRESHOLD
 
 
 def naive_loo(f, basis):
@@ -51,6 +61,33 @@ def naive_loo(f, basis):
         coef, *_ = np.linalg.lstsq(design[keep], f.y[keep], rcond=None)
         total += (f.y[i] - design[i] @ coef) ** 2
     return total / m
+
+
+def reference_qr_solve(design, Y):
+    """``(alpha, resid, hat_diag)`` of ``represent._qr_solve`` through the
+    scipy wrappers: pivoted economic QR, then a triangular solve. Raises the
+    same :class:`UnidentifiableCoefficientsError`, with the same indices."""
+    m, q = design.shape
+    qmat, rmat, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(rmat))
+    if m < q or diag[0] == 0.0:
+        bad = piv[m:] if diag.size and diag[0] > 0 else np.arange(q)
+        raise UnidentifiableCoefficientsError(
+            f"design matrix has {m} rows for {q} coefficients; "
+            f"unidentifiable basis indices: {sorted(int(i) for i in bad)}",
+            indices=sorted(int(i) for i in bad),
+        )
+    bad = piv[diag < diag[0] / COND_THRESHOLD]
+    if bad.size:
+        raise UnidentifiableCoefficientsError(
+            "some basis functions have too few samples in their support; "
+            f"unidentifiable basis indices: {sorted(int(i) for i in bad)}",
+            indices=sorted(int(i) for i in bad),
+        )
+    alpha = np.empty((q, Y.shape[1]))
+    alpha[piv] = scipy.linalg.solve_triangular(rmat, qmat.T @ Y)
+    hat_diag = np.einsum("ij,ij->i", qmat, qmat)
+    return alpha, Y - design @ alpha, hat_diag
 
 
 def quadrature_grid(edges, total_points=10000):
@@ -201,6 +238,16 @@ def truncated_network(path, k, X):
     centers = path.inputs[path.selected[:k]]
     d2 = np.sum((np.atleast_2d(X)[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
     return np.exp(-d2 / (2.0 * path.width**2)) @ back_substituted_weights(path, k)
+
+
+def reference_predictions(path, X):
+    """``RbfnPath.predictions`` through ``scipy.linalg.solve_triangular``:
+    ``cumsum((D A^-1) * g, axis=1)`` with ``(D A^-1)^T = A^-T D^T``."""
+    design = rbfn.design_matrix(X, path.inputs[path.selected], path.width)
+    ortho = scipy.linalg.solve_triangular(
+        path.gs_coefs, design.T, trans="T", unit_diagonal=True
+    )
+    return np.cumsum(ortho.T * path.ortho_weights, axis=1)
 
 
 def central_difference_grad(loss, params, eps=1e-5):

@@ -272,6 +272,34 @@ BAD_SPECS = {
         json.dumps(dict(SMALL_SPEC, rbfn={"ridges": [1e-6, 1e-6, 1e-3]})),
         "rbfn.ridges repeats the value 1e-06",
     ),
+    "seed-not-a-number": (
+        json.dumps(dict(SMALL_SPEC, seed="x")),
+        "seed must be a non-negative integer, not 'x'",
+    ),
+    "seed-negative": (
+        json.dumps(dict(SMALL_SPEC, seed=-1)),
+        "seed must be a non-negative integer, not -1",
+    ),
+    "max-centers-not-a-number": (
+        json.dumps(dict(SMALL_SPEC, rbfn={"max_centers": "x"})),
+        "rbfn.max_centers must be a positive integer, not 'x'",
+    ),
+    "restarts-not-a-number": (
+        json.dumps(dict(SMALL_SPEC, mlp={"restarts": "x"})),
+        "mlp.restarts must be a positive integer, not 'x'",
+    ),
+    "cv-restarts-zero": (
+        json.dumps(dict(SMALL_SPEC, mlp={"cv_restarts": 0})),
+        "mlp.cv_restarts must be a positive integer, not 0",
+    ),
+    "max-iter-fraction": (
+        json.dumps(dict(SMALL_SPEC, mlp={"max_iter": 2.5})),
+        "mlp.max_iter must be a positive integer, not 2.5",
+    ),
+    "cv-max-iter-zero": (
+        json.dumps(dict(SMALL_SPEC, mlp={"cv_max_iter": 0})),
+        "mlp.cv_max_iter must be a positive integer, not 0",
+    ),
 }
 
 

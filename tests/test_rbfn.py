@@ -12,7 +12,12 @@ from fdareg.selection import (
     RepresentationSpec,
     run_experiment,
 )
-from oracles import brute_force_greedy, reference_train_ols, truncated_network
+from oracles import (
+    brute_force_greedy,
+    reference_predictions,
+    reference_train_ols,
+    truncated_network,
+)
 
 
 def one_path(X, y, width, ridge, max_centers):
@@ -275,6 +280,19 @@ class TestPathPredictions:
             self._assert_columns_match_networks(path, rng.normal(size=(25, 3)))
             # on the training inputs the design factors as W A
             self._assert_columns_match_networks(path, X)
+
+    def test_equals_scipy_solve_triangular(self, rng):
+        # the direct trtrs call gives the bits of scipy's solve_triangular,
+        # for one-center paths too (a 1 x 1 factor is C- and F-ordered)
+        X = rng.normal(size=(40, 3))
+        y = rng.normal(size=40)
+        for ridge in (0.0, 1e-6, 1e-1):
+            for max_centers in (1, 2, 20):
+                path = one_path(X, y, 1.0, ridge, max_centers=max_centers)
+                for X_new in (rng.normal(size=(25, 3)), X, X[:1]):
+                    assert np.array_equal(
+                        path.predictions(X_new), reference_predictions(path, X_new)
+                    )
 
 
 class TestSelectCenters:

@@ -16,7 +16,7 @@ from fdareg.errors import (
     SelectionError,
     UnidentifiableCoefficientsError,
 )
-from oracles import naive_loo, quadrature_integral
+from oracles import naive_loo, quadrature_integral, reference_qr_solve
 
 
 class TestFit:
@@ -243,7 +243,96 @@ class TestUnionEvaluation:
             represent.loo_scores(fns, small_bspline)
 
 
+def _basis(kind, q):
+    if kind == "fourier":
+        return basis.FourierBasis(0.0, 1.0, q)
+    order = int(kind[-1])
+    return basis.BSplineBasis.uniform(0.0, 1.0, q - order, order)
+
+
+class TestDirectLapack:
+    """``_qr_solve`` calls geqp3, orgqr and trtrs directly; it equals the
+    scipy wrappers it replaced (``oracles.reference_qr_solve``) bit for bit,
+    errors and their indices included."""
+
+    @staticmethod
+    def _assert_same(design, Y):
+        """Compare one grid's solve with the reference; return which branch
+        both took."""
+        try:
+            expected = reference_qr_solve(design, Y)
+        except UnidentifiableCoefficientsError as exc:
+            with pytest.raises(UnidentifiableCoefficientsError) as got:
+                represent._qr_solve(design, Y)
+            assert got.value.indices == exc.indices
+            assert str(got.value) == str(exc)
+            return "error"
+        for fast, slow in zip(represent._qr_solve(design, Y), expected):
+            assert np.array_equal(fast, slow)
+        return "solved"
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["bspline3", "bspline4", "bspline5", "fourier"]),
+        q=st.integers(5, 30),
+        m=st.integers(12, 80),
+        n_shared=st.integers(0, 4),
+        n_holed=st.integers(1, 4),
+        gap=st.booleans(),
+    )
+    def test_equals_scipy_wrappers_property(self, seed, kind, q, m, n_shared, n_holed, gap):
+        rng = np.random.default_rng(seed)
+        grids = represent._Grids(mixed_grid_functions(rng, n_shared, n_holed, m, gap))
+        design = _basis(kind, q).evaluate(grids.union)
+        for _, rows, Y in grids.blocks:
+            self._assert_same(design[rows], Y)
+
+    @pytest.mark.parametrize("kind", ["bspline4", "fourier"])
+    def test_fewer_rows_than_coefficients(self, kind):
+        x = np.linspace(0.0, 1.0, 7)
+        Y = np.column_stack([np.sin(x), np.cos(x)])
+        assert self._assert_same(_basis(kind, 11).evaluate(x), Y) == "error"
+
+    def test_uncovered_support(self, rng):
+        x = np.linspace(0.0, 0.3, 40)
+        Y = np.sin(x)[:, None] + 0.01 * rng.normal(size=(40, 3))
+        assert self._assert_same(_basis("bspline4", 12).evaluate(x), Y) == "error"
+
+    @pytest.mark.parametrize("kind", ["bspline3", "bspline5", "fourier"])
+    def test_holed_dataset_solved(self, rng, kind):
+        grids = represent._Grids(mixed_grid_functions(rng, 3, 4, m=60))
+        design = _basis(kind, 11).evaluate(grids.union)
+        for _, rows, Y in grids.blocks:
+            assert self._assert_same(design[rows], Y) == "solved"
+
+
 class TestSelectBasisSize:
+    def test_grouped_once_for_all_candidates(self, rng, monkeypatch):
+        # every candidate reuses one grouping of the curves by grid, and
+        # scores as a fresh grouping would
+        built = []
+
+        class Counted(represent._Grids):
+            def __init__(self, functions):
+                built.append(len(functions))
+                super().__init__(functions)
+
+        fns = mixed_grid_functions(rng)
+        candidates = [6, 8, 10, 12]
+        fresh = {
+            q: float(np.sum(represent.loo_scores(fns, _basis("bspline4", q))))
+            for q in candidates
+        }
+        monkeypatch.setattr(represent, "_Grids", Counted)
+        sel = represent.select_basis_size(fns, (0.0, 1.0), "bspline", 4, candidates)
+        assert built == [len(fns)]
+        assert sel.scores == fresh
+
+    def test_empty_function_list_raises(self):
+        with pytest.raises(SelectionError, match="no functions"):
+            represent.select_basis_size([], (0.0, 1.0))
+
     def test_single_candidate(self, rng):
         ds = synthetic_dataset(rng, n=5, m=25)
         sel = represent.select_basis_size(
