@@ -317,6 +317,13 @@ def _dimension(text: str) -> int | str:
     raise argparse.ArgumentTypeError(f"expected 'loo' or a positive integer, got {text!r}")
 
 
+def _count(text: str) -> int:
+    """``--seed`` and ``--curve-functions``: a non-negative integer."""
+    if text.isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fdareg",
@@ -335,13 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--emit-curves", action="store_true", help="write plot-ready curve files")
-    p.add_argument("--curve-functions", type=int, default=5)
+    p.add_argument("--curve-functions", type=_count, default=5)
     p.set_defaults(func=cmd_represent)
 
     p = sub.add_parser("make-holes", help="punch random holes into every function")
     _split_args(p)
     p.add_argument("--drop-fraction", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out", required=True, help="output file (generic-pairs)")
     p.set_defaults(func=cmd_make_holes)
 
@@ -356,10 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
         _split_args(p)
         if extra:
             p.add_argument("--spec", required=True, help="experiment spec (JSON)")
-            p.add_argument("--seed", type=int, default=None, help="override spec seed")
+            p.add_argument("--seed", type=_count, default=None, help="override spec seed")
         else:
             p.add_argument("--table", required=True, choices=sorted(suites.SUITE_BUILDERS))
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_count, default=0)
         p.add_argument("--test-size", type=int, default=43)
         p.add_argument("--split", default="fixed", choices=["fixed", "random"])
         p.add_argument(

@@ -1,41 +1,24 @@
-"""k-fold plans and scoring helpers shared by every model family."""
+"""k-fold splits and scoring helpers shared by every model family."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """A partition of sample indices into k folds of near-equal size."""
-
-    folds: tuple[np.ndarray, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.folds)
-
-    def __iter__(self):
-        """Yield (train_indices, validation_indices) per fold."""
-        all_idx = np.concatenate(self.folds)
-        for i, val in enumerate(self.folds):
-            train = np.concatenate([f for j, f in enumerate(self.folds) if j != i]) \
-                if self.k > 1 else all_idx[:0]
-            yield train, val
-
-
-def make_folds(n: int, k: int, seed: int | None = None) -> FoldPlan:
+def make_folds(
+    n: int, k: int, seed: int | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Seeded shuffle then contiguous chunking into k folds.
 
-    Fold sizes differ by at most one; the same seed reproduces the same
-    plan. Raises ``ValueError`` for ``k > n`` or ``k < 1``.
+    Returns one ``(train_indices, validation_indices)`` pair per fold; each
+    training set joins the other folds in fold order. Fold sizes differ by
+    at most one; the same seed reproduces the same pairs. Raises
+    ``ValueError`` unless ``2 <= k <= n``.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    order = np.random.default_rng(seed).permutation(n)
-    return FoldPlan(tuple(np.array_split(order, k)))
+    if not 2 <= k <= n:
+        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    return [(np.concatenate(folds[:i] + folds[i + 1:]), val) for i, val in enumerate(folds)]
 
 
 def rmse(predictions: np.ndarray, targets: np.ndarray) -> float:

@@ -19,7 +19,9 @@ return an ``(n, q)`` coefficient matrix or ``n`` scores; the scaled
 coordinates ``beta = alpha U^T`` make canonical dot products of rows equal
 L2 inner products of the reconstructed functions. :func:`select_basis_size`
 picks the basis size by the summed leave-one-out score, grouping the
-functions once for every candidate size.
+functions once for every candidate size. There is no per-function API: one
+curve is a one-element list, and ``fit`` and ``loo_score`` are only other
+names of :func:`fit_dataset` and :func:`loo_scores`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import dgeqp3, dorgqr, dtrtrs
 
-from .basis import Basis, BSplineBasis, FourierBasis, GramFactor
+from .basis import Basis, BSplineBasis, FourierBasis
 from .errors import (
     DegenerateLooError,
     FdaregError,
@@ -44,33 +46,6 @@ from .fdata import SampledFunction
 #: Candidates whose triangular factor is worse-conditioned than this are
 #: treated as unidentifiable (coefficients numerically unstable).
 COND_THRESHOLD = 1e8
-
-
-@dataclass(frozen=True)
-class Representation:
-    """A function's coordinates on a basis, as :func:`fit` returns them.
-
-    ``alpha`` are the raw coordinates, ``beta = U alpha`` the scaled ones.
-    ``sse`` is the residual sum of squares of the least-squares fit.
-    """
-
-    basis: Basis
-    gram: GramFactor
-    alpha: np.ndarray
-    beta: np.ndarray
-    sse: float | None = None
-
-    def __post_init__(self):
-        self.alpha.setflags(write=False)
-        self.beta.setflags(write=False)
-
-    @property
-    def dimension(self) -> int:
-        return self.alpha.size
-
-    def __call__(self, x) -> np.ndarray:
-        """Evaluate the reconstructed function."""
-        return self.basis.evaluate(x) @ self.alpha
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,34 +240,10 @@ def loo_scores(
     return scores
 
 
-# Kept only because the benchmark's tracer patches this name; delete with that target.
-def fit(
-    f: SampledFunction,
-    basis: Basis,
-    gram: GramFactor | None = None,
-) -> Representation:
-    """Project one sampled function onto a basis: a one-row
-    :func:`fit_dataset`.
-
-    ``gram`` is reused if given and computed (and cached) from the basis
-    otherwise; the result carries ``beta = U alpha``.
-
-    Raises
-    ------
-    UnidentifiableCoefficientsError
-        Rank-deficient or ill-conditioned design, e.g. a B-spline with no
-        samples in its support.
-    """
-    if gram is None:
-        gram = basis.gram_factor()
-    alpha, sse = fit_dataset([f], basis)
-    return Representation(basis, gram, alpha[0], gram.chol @ alpha[0], float(sse[0]))
-
-
-# Kept only because the benchmark's tracer patches this name; delete with that target.
-def loo_score(f: SampledFunction, basis: Basis) -> float:
-    """Leave-one-out score of one function: a one-row :func:`loo_scores`."""
-    return float(loo_scores([f], basis)[0])
+# Trace names of the benchmark's ``perfbench/layers.py``: nothing calls them,
+# and they go when those targets go.
+fit = fit_dataset
+loo_score = loo_scores
 
 
 def _default_candidates(kind: str, order: int, min_m: int) -> list[int]:

@@ -244,6 +244,19 @@ class ExperimentSpec:
         ):
             if not _positive_int(value):
                 raise ConfigError(f"{key} must be a positive integer, not {value!r}")
+        for key, values, valid, what in (
+            ("rbfn.width_multipliers", self.rbfn.width_multipliers, _positive_number,
+             "positive finite numbers"),
+            ("rbfn.ridges", self.rbfn.ridges, _non_negative_number, "non-negative finite numbers"),
+            ("mlp.hidden_grid", self.mlp.hidden_grid, _positive_int, "positive integers"),
+            ("mlp.decay_grid", self.mlp.decay_grid, _non_negative_number,
+             "non-negative finite numbers"),
+        ):
+            if not isinstance(values, (tuple, list)) or not values:
+                raise ConfigError(f"{key} must be a non-empty list, not {values!r}")
+            bad = [v for v in values if not valid(v)]
+            if bad:
+                raise ConfigError(f"{key} must hold {what}, not {bad[0]!r}")
         # a repeated value would score its cells twice in one fold
         for key, values in (
             ("impute.k_grid", self.impute.k_grid),
@@ -292,6 +305,15 @@ def _is_int(value) -> bool:
 
 def _positive_int(value) -> bool:
     return _is_int(value) and value > 0
+
+
+def _non_negative_number(value) -> bool:
+    finite = _is_int(value) or (isinstance(value, (float, np.floating)) and np.isfinite(value))
+    return finite and value >= 0
+
+
+def _positive_number(value) -> bool:
+    return _non_negative_number(value) and value > 0
 
 
 def _check_keys(where: str, raw, cls) -> None:
@@ -481,7 +503,7 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     and report the test RMSE.
 
     A cell must be scored in every fold: its CV score is the mean of its
-    ``plan.k`` per-fold validation errors, and a cell that some fold did
+    ``len(plan)`` per-fold validation errors, and a cell that some fold did
     not score is excluded (scored ``inf``) and counted in a note. Exact
     ties break toward the smallest cell tuple. PCA sizes no fold can fit
     are dropped before the folds run, with one note; when none fits, the
@@ -534,10 +556,10 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     fold_failures = notes[notes_before_folds:]
 
     scores = {
-        cell: total / plan.k if folds == plan.k else np.inf
+        cell: total / len(plan) if folds == len(plan) else np.inf
         for cell, (total, folds) in table.items()
     }
-    partial = sum(1 for _, folds in table.values() if folds < plan.k)
+    partial = sum(1 for _, folds in table.values() if folds < len(plan))
     if partial:
         notes.append(f"{partial} cells not scored in every fold were excluded")
     if partial == len(table):

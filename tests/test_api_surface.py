@@ -9,7 +9,11 @@ definition that only the tests reach belongs in the tests.
 
 The benchmark's tracer patches the functions its ``layers.targets()`` names,
 by attribute, when it starts; a second guard checks that they all still
-exist.
+exist. Some of them (``represent.fit``, ``represent.loo_score`` and
+``rbfn.train_ols``) are module-level aliases of the batched functions that
+nothing in the pipeline calls, kept only as those trace names. ``layers.py``
+also reads ``max_centers`` of ``rbfn.train_ols`` and ``restarts`` of
+``mlp.train`` by name, so the guard checks those parameters too.
 """
 
 import ast
@@ -17,6 +21,8 @@ import importlib
 import inspect
 import sys
 from pathlib import Path
+
+from fdareg import mlp, rbfn
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fdareg"
@@ -93,3 +99,6 @@ def test_every_bench_trace_target_is_a_function(monkeypatch):
         if not inspect.isfunction(getattr(t.owner, t.attr, None))
     )
     assert not missing, f"trace targets the program no longer defines: {missing}"
+    # the per-layer counters bind these arguments by name
+    assert "max_centers" in inspect.signature(rbfn.train_ols).parameters
+    assert "restarts" in inspect.signature(mlp.train).parameters

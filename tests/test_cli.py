@@ -300,6 +300,23 @@ BAD_SPECS = {
         json.dumps(dict(SMALL_SPEC, mlp={"cv_max_iter": 0})),
         "mlp.cv_max_iter must be a positive integer, not 0",
     ),
+    # model grids: each value is checked before any training sees it
+    "width-multiplier-zero": (
+        json.dumps(dict(SMALL_SPEC, rbfn={"width_multipliers": [1.0, 0.0]})),
+        "rbfn.width_multipliers must hold positive finite numbers, not 0.0",
+    ),
+    "ridges-empty": (
+        json.dumps(dict(SMALL_SPEC, rbfn={"ridges": []})),
+        "rbfn.ridges must be a non-empty list, not ()",
+    ),
+    "hidden-grid-not-a-number": (
+        json.dumps(dict(SMALL_SPEC, mlp={"hidden_grid": ["x"]})),
+        "mlp.hidden_grid must hold positive integers, not 'x'",
+    ),
+    "decay-grid-negative": (
+        json.dumps(dict(SMALL_SPEC, mlp={"decay_grid": [-1.0]})),
+        "mlp.decay_grid must hold non-negative finite numbers, not -1.0",
+    ),
 }
 
 
@@ -339,3 +356,21 @@ def test_bad_dimension_is_a_usage_error(value, pairs_file, tmp_path, capsys):
     assert exc_info.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument --dimension" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["make-holes", "--seed", "-1"], "--seed"),
+    (["suite", "--table", "table1", "--seed", "-1"], "--seed"),
+    (["experiment", "--spec", "spec.json", "--seed", "-1"], "--seed"),
+    (["represent", "--emit-curves", "--curve-functions", "-1"], "--curve-functions"),
+], ids=["make-holes-seed", "suite-seed", "experiment-seed", "represent-curve-functions"])
+def test_negative_count_is_a_usage_error(argv, flag, pairs_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main([
+            *argv, "--data", str(pairs_file), "--format", "generic-pairs",
+            "--out", str(tmp_path / "out"),
+        ])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: expected a non-negative integer, got '-1'" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()

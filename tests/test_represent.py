@@ -34,15 +34,16 @@ class TestFit:
         np.testing.assert_allclose(alpha, 3.25, atol=1e-12)
 
     def test_beta_consistency(self, rng, small_bspline):
-        # fit, the one-row view the benchmark traces, carries beta = U alpha
-        # and equals the row of the matrix fit
-        f, _ = random_spline_function(rng, small_bspline, noise=0.1)
-        r = represent.fit(f, small_bspline)
-        alpha, sse = represent.fit_dataset([f], small_bspline)
-        np.testing.assert_array_equal(r.alpha, alpha[0])
-        assert r.sse == sse[0]
+        # the scaled coordinates beta = alpha U^T of fit_dataset rows: row i
+        # is U alpha_i, and dot products of rows are the Gram inner products
+        fns = [random_spline_function(rng, small_bspline, noise=0.1)[0] for _ in range(4)]
+        alpha, _ = represent.fit_dataset(fns, small_bspline)
+        gram = small_bspline.gram_factor()
+        beta = alpha @ gram.chol.T
+        for a, b in zip(alpha, beta):
+            np.testing.assert_allclose(b, gram.chol @ a, atol=1e-12 * np.abs(beta).max())
         np.testing.assert_allclose(
-            r.beta, r.gram.chol @ r.alpha, atol=1e-12 * np.abs(r.beta).max()
+            beta @ beta.T, alpha @ gram.phi @ alpha.T, atol=1e-12 * np.abs(beta).max() ** 2
         )
 
     def test_residual_orthogonality(self, rng, small_bspline):
@@ -115,11 +116,6 @@ class TestLooScore:
         [small] = represent.loo_scores([f], truth)
         [big] = represent.loo_scores([f], basis.BSplineBasis.uniform(0.0, 1.0, 30, 4))
         assert big > small
-
-    def test_one_row_view(self, rng, small_bspline):
-        # loo_score, the one-row view the benchmark traces
-        f, _ = random_spline_function(rng, small_bspline, noise=0.3)
-        assert represent.loo_score(f, small_bspline) == represent.loo_scores([f], small_bspline)[0]
 
 
 class TestDatasetPath:

@@ -41,31 +41,44 @@ def data():
     return fdata.split(ds, 15, shuffle=False)
 
 
+def _assert_partition(pairs, n):
+    """The validation sets partition range(n); each train set is the rest."""
+    together = np.sort(np.concatenate([va for _, va in pairs]))
+    np.testing.assert_array_equal(together, np.arange(n))
+    for tr, va in pairs:
+        np.testing.assert_array_equal(np.sort(tr), np.setdiff1d(np.arange(n), va))
+
+
 class TestMakeFolds:
     def test_four_folds_of_43(self):
-        plan = make_folds(172, 4, seed=0)
-        assert [f.size for f in plan.folds] == [43, 43, 43, 43]
-        together = np.sort(np.concatenate(plan.folds))
-        np.testing.assert_array_equal(together, np.arange(172))
+        pairs = make_folds(172, 4, seed=0)
+        assert [va.size for _, va in pairs] == [43, 43, 43, 43]
+        _assert_partition(pairs, 172)
 
     def test_near_equal_sizes(self):
-        plan = make_folds(10, 3, seed=1)
-        sizes = sorted(f.size for f in plan.folds)
-        assert max(sizes) - min(sizes) <= 1
+        pairs = make_folds(10, 3, seed=1)
+        assert [va.size for _, va in pairs] == [4, 3, 3]
+        _assert_partition(pairs, 10)
 
     def test_leave_one_out(self):
-        plan = make_folds(5, 5, seed=2)
-        assert all(f.size == 1 for f in plan.folds)
+        pairs = make_folds(5, 5, seed=2)
+        assert all(va.size == 1 and tr.size == 4 for tr, va in pairs)
+        _assert_partition(pairs, 5)
 
     def test_same_seed_same_plan(self):
         a = make_folds(20, 4, seed=9)
         b = make_folds(20, 4, seed=9)
-        for fa, fb in zip(a.folds, b.folds):
-            np.testing.assert_array_equal(fa, fb)
+        for (tra, vaa), (trb, vab) in zip(a, b, strict=True):
+            np.testing.assert_array_equal(tra, trb)
+            np.testing.assert_array_equal(vaa, vab)
 
     def test_k_larger_than_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="2 <= k <= n"):
             make_folds(3, 4)
+
+    def test_one_fold_is_no_split(self):
+        with pytest.raises(ValueError, match="2 <= k <= n"):
+            make_folds(10, 1)
 
 
 class TestRmse:
@@ -435,14 +448,14 @@ class TestFoldTable:
             for kc in range(1, path.max_size + 1):
                 err = truncated_network(path, kc, X[va]) - y[va]
                 errors.setdefault(kc, []).append(float(err @ err) / va.size)
-        full = {kc: sum(e) / plan.k for kc, e in errors.items() if len(e) == plan.k}
-        partial = {kc: e[0] for kc, e in errors.items() if len(e) < plan.k}
+        full = {kc: sum(e) / len(plan) for kc, e in errors.items() if len(e) == len(plan)}
+        partial = {kc: e[0] for kc, e in errors.items() if len(e) < len(plan)}
         assert sorted(full) == [1, 2, 3] and sorted(partial) == [4, 5, 6, 7, 8]
 
         # a partial cell's single-fold score beats every full cell, and
         # dividing every cell's sum by k would pick a partial cell
         assert min(partial.values()) < min(full.values())
-        summed = {kc: sum(e) / plan.k for kc, e in errors.items()}
+        summed = {kc: sum(e) / len(plan) for kc, e in errors.items()}
         assert min(summed, key=summed.get) in partial
 
         expected = min(full, key=full.get)
@@ -685,7 +698,7 @@ class TestImputationRoutes:
             seed=5,
         )
         plan = make_folds(len(full), spec.folds, derive_seed(spec.seed, "folds"))
-        observers = set(plan.folds[0].tolist())
+        observers = set(plan[0][1].tolist())
         keep = np.arange(12) != 7
         train = fdata.Dataset(
             [f if i in observers else fdata.SampledFunction(f.x[keep], f.y[keep], id=f.id)
