@@ -247,8 +247,8 @@ def drop_random(f: SampledFunction, fraction: float, seed: int) -> SampledFuncti
     if n_drop == 0:
         return f
     rng = np.random.default_rng(seed)
-    dropped = rng.choice(m, size=n_drop, replace=False)
-    keep = np.setdiff1d(np.arange(m), dropped)
+    keep = np.ones(m, dtype=bool)
+    keep[rng.choice(m, size=n_drop, replace=False)] = False
     return SampledFunction(f.x[keep], f.y[keep], id=f.id)
 
 

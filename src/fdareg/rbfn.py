@@ -6,6 +6,21 @@ grid vectors); Euclidean distance between them realizes the wanted
 functional (semi-)metric because any derivative or centering transform has
 already been applied to the coordinates upstream.
 
+The network sees its inputs only through squared distances, and
+:func:`sq_distances` forms them in numpy, one coordinate at a time in index
+order. That gives the bits of ``scipy.spatial.distance.cdist(X, C,
+"sqeuclidean")``, and the square roots of the strict upper triangle of the
+training rows' own matrix are the bits of ``pdist``; ``scipy.spatial`` is
+not imported because its import (it loads ``scipy.special`` too) took
+longer than a whole run's distances. The numpy loop is slower per call than
+``cdist``, so the caller forms one matrix per row set against the training
+inputs and shares it: the training rows' ``(n, n)`` matrix gives
+:func:`median_width` and the design of every width
+(:func:`train_ols_paths`), and the ``(m, n)`` matrix of validation or test
+rows serves :meth:`RbfnPath.predictions` of every width and ridge. A path
+slices the columns of its selected centers; each entry's sum depends on its
+two rows alone, so the slice has the bits of the centers' own matrix.
+
 Training greedily recruits centers from the training inputs. At each step
 every remaining candidate column is orthogonalized against the selected
 ones and the one with the largest regularized error reduction
@@ -47,7 +62,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dtrtrs
-from scipy.spatial.distance import cdist, pdist
 
 from .errors import ValidationError
 
@@ -65,18 +79,31 @@ WIDTH_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 RIDGE_GRID = tuple(10.0**e for e in range(-6, 1))
 
 
-def design_matrix(X: np.ndarray, centers: np.ndarray, width: float) -> np.ndarray:
+def sq_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances ``(len(X), len(C))`` between the rows of
+    ``X`` and ``C``, summed one coordinate at a time in index order."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    if X.shape[1] != C.shape[1]:
+        raise ValidationError(f"inputs have {X.shape[1]} coordinates, centers {C.shape[1]}")
+    d2 = (X[:, 0, None] - C[None, :, 0]) ** 2
+    for j in range(1, X.shape[1]):
+        d2 += (X[:, j, None] - C[None, :, j]) ** 2
+    return d2
+
+
+def design_matrix(sq_dists: np.ndarray, width: float) -> np.ndarray:
     """Gaussian kernel design: exp(-d(x, c)^2 / (2 width^2))."""
-    d2 = cdist(np.atleast_2d(X), np.atleast_2d(centers), "sqeuclidean")
-    return np.exp(-d2 / (2.0 * width**2))
+    return np.exp(-sq_dists / (2.0 * width**2))
 
 
-def median_width(X: np.ndarray) -> float:
-    """Median pairwise distance among inputs, the global width heuristic."""
-    X = np.atleast_2d(X)
-    if X.shape[0] < 2:
+def median_width(sq_dists: np.ndarray) -> float:
+    """Median pairwise distance among the inputs whose ``(n, n)`` squared
+    distance matrix is given, the global width heuristic."""
+    n = sq_dists.shape[0]
+    if n < 2:
         return 1.0
-    d = np.median(pdist(X))
+    d = np.median(np.sqrt(sq_dists[np.triu_indices(n, 1)]))
     return float(d) if d > 0 else 1.0
 
 
@@ -96,8 +123,8 @@ class RbfnPath:
     inputs are the k-th partial sum of the columns of ``(D A^-1) * g``.
     """
 
-    inputs: np.ndarray  # (n, d) candidate pool = training inputs
-    selected: np.ndarray  # selection order, indices into inputs
+    n_inputs: int  # candidate pool = the training inputs
+    selected: np.ndarray  # selection order, indices into the inputs
     gs_coefs: np.ndarray  # (k, k)
     ortho_weights: np.ndarray  # (k,)
     objective: np.ndarray  # (k + 1,)
@@ -108,12 +135,18 @@ class RbfnPath:
     def max_size(self) -> int:
         return int(self.selected.size)
 
-    def predictions(self, X: np.ndarray) -> np.ndarray:
-        """Predictions of every truncation: a (len(X), max_size) matrix whose
-        column k - 1 is the k-center network's output,
-        ``cumsum((D A^-1) * g, axis=1)``. The one evaluator of a trained
-        network: cross-validation and the final refit both read it."""
-        design = design_matrix(X, self.inputs[self.selected], self.width)
+    def predictions(self, sq_dists: np.ndarray) -> np.ndarray:
+        """Predictions of every truncation on the rows whose squared distances
+        to the ``n_inputs`` training inputs are ``sq_dists`` (:func:`sq_distances`):
+        a (len(sq_dists), max_size) matrix whose column k - 1 is the k-center
+        network's output, ``cumsum((D A^-1) * g, axis=1)``. The one evaluator
+        of a trained network: cross-validation and the final refit both read
+        it."""
+        sq_dists = np.atleast_2d(sq_dists)
+        if sq_dists.shape[1] != self.n_inputs:
+            raise ValidationError(f"distances to {sq_dists.shape[1]} inputs given, "
+                                  f"the path was trained on {self.n_inputs}")
+        design = design_matrix(sq_dists[:, self.selected], self.width)
         # (D A^-1)^T = A^-T D^T: one solve for every truncation. LAPACK's
         # trtrs is called as scipy's solve_triangular calls it for this
         # C-ordered A (A^T lower, no transpose), so the bits are the same.
@@ -124,7 +157,7 @@ class RbfnPath:
 
 
 def train_ols_paths(
-    X: np.ndarray,
+    sq_dists: np.ndarray,
     y: np.ndarray,
     width: float,
     ridges: Sequence[float],
@@ -145,7 +178,8 @@ def train_ols_paths(
 
     Parameters
     ----------
-    X, y : (n, d) inputs and (n,) targets; the inputs double as the
+    sq_dists, y : (n, n) squared distances among the training inputs
+        (:func:`sq_distances`) and (n,) targets; the inputs double as the
         candidate center pool.
     width : float
         Gaussian width (one global scale for all centers).
@@ -163,9 +197,11 @@ def train_ols_paths(
         evaluated without retraining. A path is shorter than
         ``max_centers`` when no candidate with usable energy is left.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    sq_dists = np.asarray(sq_dists, dtype=float)
+    n = sq_dists.shape[0]
+    if sq_dists.shape != (n, n):
+        raise ValidationError("training distances must be a square matrix")
     y = np.asarray(y, dtype=float)
-    n = X.shape[0]
     if y.shape != (n,):
         raise ValidationError("targets must be one scalar per input")
     ridges = np.asarray(ridges, dtype=float)
@@ -176,7 +212,7 @@ def train_ols_paths(
     if max_centers > n:
         raise ValidationError(f"max_centers {max_centers} exceeds the input count {n}")
 
-    F = design_matrix(X, X, width)
+    F = design_matrix(sq_dists, width)
     energy_floor = ENERGY_TOL * np.einsum("ij,ij->j", F, F)
     n_paths = ridges.size
     # batch row -> path; W holds every live path's candidate columns,
@@ -233,13 +269,12 @@ def train_ols_paths(
             dger(-1.0, coefs[r], w_best[r], a=W[r].T, overwrite_a=True)
         W[rows, :, best] = 0.0
 
-    inputs = X.copy()
     paths = []
     for p, k in enumerate(lengths):
         sel = selected[p, :k]
         gs = np.triu(coef_rows[p, :k][:, sel], 1) + np.eye(k)
         paths.append(RbfnPath(
-            inputs=inputs,
+            n_inputs=n,
             selected=sel.copy(),
             gs_coefs=gs,
             ortho_weights=ortho_weights[p, :k].copy(),

@@ -15,6 +15,10 @@ such a cell scores ``inf``, can never win, and is counted in one note on
 the report. One trainer runs every training call, in the folds and in the
 final refit: one RBFN width multiplier (an OLS path per ridge) or one MLP
 ``(hidden, decay)``, with one prediction column per grid cell it trains.
+The RBFN calls of one set of training rows share two squared-distance
+matrices: the training rows' own, which gives the base width and every
+width's design, and the validation (or test) rows' to them, which every
+path of every width slices by its selected centers.
 
 Data-dependent preprocessing (imputation, column standardization, PCA and
 whitening statistics) is one chain, refitted inside every fold and once more
@@ -151,6 +155,10 @@ class PcaSpec:
         if not all(map(_positive_int, self.component_grid or ())):
             raise ConfigError("pca.component_grid must hold positive integers, "
                               f"not {list(self.component_grid)}")
+        empty = self.component_grid is not None and not len(self.component_grid)
+        if empty and self.n_components == "cv":
+            raise ConfigError("pca.component_grid must not be empty when "
+                              "pca.n_components is 'cv'")
 
     def grid(self, model: str) -> tuple[int, ...]:
         if self.n_components == "cv":
@@ -175,7 +183,11 @@ class ImputeSpec:
                 "imputation and expert scaling are non-functional: they need "
                 "the raw grid representation"
             )
-        if self.kind == "knn" and not all(map(_positive_int, self.k_grid)):
+        if self.kind != "knn":
+            return
+        if not len(self.k_grid):
+            raise ConfigError("impute.k_grid must not be empty for k-NN imputation")
+        if not all(map(_positive_int, self.k_grid)):
             raise ConfigError("impute.k_grid must hold positive integers, "
                               f"not {list(self.k_grid)}")
 
@@ -593,20 +605,36 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     )
 
 
-class _TrainingSet:
-    """Training rows; the RBFN base width is computed once for every call."""
+class _Rows:
+    """Model inputs ``X`` of a row set. Their squared distances to the
+    training inputs ``X_train`` are formed on first use (RBFN models only)
+    and shared by every width and path."""
+
+    def __init__(self, X: np.ndarray, X_train: np.ndarray):
+        self.X, self.X_train = X, X_train
+
+    @cached_property
+    def sq_dists(self) -> np.ndarray:
+        return rbfn_mod.sq_distances(self.X, self.X_train)
+
+
+class _TrainingSet(_Rows):
+    """Training rows and targets; the RBFN base width comes from their own
+    distance matrix, once for every call."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
-        self.X, self.y = X, y
+        super().__init__(X, X)
+        self.y = y
 
     @cached_property
     def base_width(self) -> float:
-        return rbfn_mod.median_width(self.X)
+        return rbfn_mod.median_width(self.sq_dists)
 
 
 def _train(spec, rows: _TrainingSet, call: tuple, seed_key: str, final: bool):
     """Run one training call; return ``(cells, predict)`` pairs whose
-    ``predict(X_new)`` gives one column per model-parameter tuple in ``cells``.
+    ``predict(new)`` gives one column per model-parameter tuple in ``cells``
+    on the :class:`_Rows` ``new``.
 
     An RBFN call ``(mult, ridges, cap)`` grows one OLS path per ridge, with a
     cell per center count on it. An MLP call ``(hidden, decay)`` is one cell,
@@ -615,17 +643,18 @@ def _train(spec, rows: _TrainingSet, call: tuple, seed_key: str, final: bool):
     """
     if spec.model == "rbfn":
         mult, ridges, cap = call
-        paths = rbfn_mod.train_ols_paths(rows.X, rows.y, mult * rows.base_width, ridges,
-                                         min(cap, rows.X.shape[0]))
+        paths = rbfn_mod.train_ols_paths(rows.sq_dists, rows.y, mult * rows.base_width,
+                                         ridges, min(cap, rows.X.shape[0]))
         return [([(mult, float(ridge), k) for k in range(1, path.max_size + 1)],
-                 path.predictions) for ridge, path in zip(ridges, paths)]
+                 lambda new, path=path: path.predictions(new.sq_dists))
+                for ridge, path in zip(ridges, paths)]
     hidden, decay = call
     m = spec.mlp
     restarts, max_iter = (m.restarts, m.max_iter) if final else (m.cv_restarts, m.cv_max_iter)
     seed_key = seed_key if final else f"{seed_key}-h{hidden}-d{decay:g}"
     net = mlp_mod.train(rows.X, rows.y, hidden, decay, restarts=restarts,
                         seed=derive_seed(spec.seed, seed_key), max_iter=max_iter)
-    return [([(hidden, float(decay))], lambda X_new: mlp_mod.forward(net, X_new)[:, None])]
+    return [([(hidden, float(decay))], lambda new: mlp_mod.forward(net, new.X)[:, None])]
 
 
 def _score_model_cells(spec, X_tr, y_tr, X_va, y_va, fold_i, k_imp, n_comp, table, notes):
@@ -640,6 +669,7 @@ def _score_model_cells(spec, X_tr, y_tr, X_va, y_va, fold_i, k_imp, n_comp, tabl
         calls = [((h, d), f"hidden={h}, decay={d:g}")
                  for h in spec.mlp.hidden_grid for d in spec.mlp.decay_grid]
     rows = _TrainingSet(X_tr, y_tr)
+    validation = _Rows(X_va, X_tr)
     for call, label in calls:
         try:
             trained = _train(spec, rows, call, f"mlp-cv-f{fold_i}-i{k_imp}-c{n_comp}",
@@ -648,7 +678,7 @@ def _score_model_cells(spec, X_tr, y_tr, X_va, y_va, fold_i, k_imp, n_comp, tabl
             notes.append(_fold_note(fold_i, exc, k_imp, n_comp, label))
             continue
         for cells, predict in trained:
-            mse = np.sum((predict(X_va) - y_va[:, None]) ** 2, axis=0) / y_va.size
+            mse = np.sum((predict(validation) - y_va[:, None]) ** 2, axis=0) / y_va.size
             for cell, error in zip(cells, mse):
                 key = (k_imp, n_comp, *cell)
                 total, folds = table.get(key, (0.0, 0))
@@ -683,4 +713,4 @@ def _fit_final(spec, stage, cell, y, notes):
     selected.update(zip(_PARAMS[spec.model], cells[-1]))
 
     return selected, lambda values, mask: predict(
-        pre.project(0, pre.prepare(values, mask)[0], n_comp))[:, -1]
+        _Rows(pre.project(0, pre.prepare(values, mask)[0], n_comp), X))[:, -1]

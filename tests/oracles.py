@@ -17,6 +17,10 @@ Each oracle is the slow, direct form of a fast path in ``fdareg``:
   quadrature with any node count; the reference for ``gram_factor``.
 - :func:`dense_grid_pca`: plain SVD PCA of curves sampled on the dense
   grid; the reference for functional PCA on beta coordinates.
+- :func:`cdist_design`: a Gaussian design through
+  ``scipy.spatial.distance.cdist``; the reference for the designs that
+  ``rbfn`` builds from its own numpy distances, and the design every other
+  RBFN oracle starts from.
 - :func:`brute_force_greedy`: forward selection that orthogonalizes every
   candidate by least squares at every step; the reference for the
   selection order of ``rbfn.train_ols_paths``.
@@ -29,8 +33,9 @@ Each oracle is the slow, direct form of a fast path in ``fdareg``:
   (:func:`back_substituted_weights`); the reference for each column of
   ``RbfnPath.predictions``.
 - :func:`reference_predictions`: every truncation's predictions through
-  ``scipy.linalg.solve_triangular``; the reference, bit for bit, for
-  ``RbfnPath.predictions``, which calls LAPACK's ``trtrs`` directly.
+  ``cdist`` and ``scipy.linalg.solve_triangular``; the reference, bit for
+  bit, for ``RbfnPath.predictions``, which slices the columns of a shared
+  numpy distance matrix and calls LAPACK's ``trtrs`` directly.
 - :func:`central_difference_grad`: central differences of a scalar loss;
   the reference for the gradient ``mlp.train`` steps on.
 - :func:`knn_fill_per_hole`: one k at a time, every hole picking its own
@@ -44,6 +49,7 @@ Each oracle is the slow, direct form of a fast path in ``fdareg``:
 
 import numpy as np
 import scipy.linalg
+from scipy.spatial.distance import cdist
 
 from fdareg import mlp, rbfn
 from fdareg.errors import UnidentifiableCoefficientsError
@@ -144,6 +150,13 @@ def dense_grid_pca(basis, alpha, k):
     return Gc @ vt[:k].T, svals[:k] ** 2 / (alpha.shape[0] - 1)
 
 
+def cdist_design(X, C, width):
+    """Gaussian design ``exp(-d(x, c)^2 / (2 width^2))`` with the squared
+    distances from ``scipy.spatial.distance.cdist``."""
+    d2 = cdist(np.atleast_2d(X), np.atleast_2d(C), "sqeuclidean")
+    return np.exp(-d2 / (2.0 * width**2))
+
+
 def brute_force_greedy(F, y, ridge, steps):
     """Selection order by brute force: at each step orthogonalize every
     remaining candidate against the span of the selected columns (via
@@ -178,7 +191,7 @@ def reference_train_ols(X, y, width, ridge, max_centers):
     update replaced. Returns the path and, per step, the share of its
     original energy that the selected column kept."""
     n_cand = X.shape[0]
-    F = rbfn.design_matrix(X, X, width)
+    F = cdist_design(X, X, width)
     base_energy = np.einsum("ij,ij->j", F, F)
     W = F.copy()
     available = np.ones(n_cand, dtype=bool)
@@ -209,7 +222,7 @@ def reference_train_ols(X, y, width, ridge, max_centers):
     k = len(selected)
     sel = np.array(selected, dtype=int)
     path = rbfn.RbfnPath(
-        inputs=X.copy(),
+        n_inputs=n_cand,
         selected=sel,
         gs_coefs=np.triu(coef_rows[:k][:, sel], 1) + np.eye(k),
         ortho_weights=ortho_weights[:k],
@@ -230,20 +243,22 @@ def back_substituted_weights(path, k):
     return theta
 
 
-def truncated_network(path, k, X):
+def truncated_network(path, inputs, k, X):
     """Reference for column ``k - 1`` of ``RbfnPath.predictions``: the
     k-center network built on its own, Gaussian bumps of the path's width
-    at ``inputs[selected[:k]]`` with the back-substituted weights,
-    evaluated on the rows of ``X``."""
-    centers = path.inputs[path.selected[:k]]
+    at ``inputs[selected[:k]]`` (``inputs`` being the path's training
+    inputs) with the back-substituted weights, evaluated on the rows of
+    ``X``."""
+    centers = inputs[path.selected[:k]]
     d2 = np.sum((np.atleast_2d(X)[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
     return np.exp(-d2 / (2.0 * path.width**2)) @ back_substituted_weights(path, k)
 
 
-def reference_predictions(path, X):
-    """``RbfnPath.predictions`` through ``scipy.linalg.solve_triangular``:
+def reference_predictions(path, inputs, X):
+    """``RbfnPath.predictions`` on the rows of ``X`` for a path trained on
+    ``inputs``, through ``cdist`` and ``scipy.linalg.solve_triangular``:
     ``cumsum((D A^-1) * g, axis=1)`` with ``(D A^-1)^T = A^-T D^T``."""
-    design = rbfn.design_matrix(X, path.inputs[path.selected], path.width)
+    design = cdist_design(X, inputs[path.selected], path.width)
     ortho = scipy.linalg.solve_triangular(
         path.gs_coefs, design.T, trans="T", unit_diagonal=True
     )

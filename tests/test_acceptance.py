@@ -38,6 +38,7 @@ from fdareg.suites import (
 )
 from oracles import (
     brute_force_greedy,
+    cdist_design,
     central_difference_grad,
     dense_grid_pca,
     naive_loo,
@@ -154,9 +155,10 @@ class TestOracleEquivalences:
             width = 0.5 + rng.uniform()
             ridge = float(rng.choice([0.0, 1e-4, 1e-1]))
 
-            F = rbfn.design_matrix(X, X, width)
+            F = cdist_design(X, X, width)
             expected = brute_force_greedy(F, y, ridge, steps=5)
-            [path] = rbfn.train_ols_paths(X, y, width, (ridge,), max_centers=len(expected))
+            [path] = rbfn.train_ols_paths(rbfn.sq_distances(X, X), y, width, (ridge,),
+                                          max_centers=len(expected))
             np.testing.assert_array_equal(path.selected, expected)
 
     def test_mlp_gradients_equal_finite_differences(self):
@@ -210,7 +212,8 @@ class TestInvariantSuites:
             for ridge in (0.0, 1e-4, 1e-1, 1.0):
                 X = rng.normal(size=(40, 3))
                 y = rng.normal(size=40)
-                [path] = rbfn.train_ols_paths(X, y, 1.0, (ridge,), max_centers=35)
+                [path] = rbfn.train_ols_paths(rbfn.sq_distances(X, X), y, 1.0, (ridge,),
+                                              max_centers=35)
                 assert np.all(np.diff(path.objective) <= 1e-10)
 
     def test_deriv_metric_level_shift_invariance(self):
@@ -227,13 +230,14 @@ class TestInvariantSuites:
             alpha, _ = represent.fit_dataset(fns, b)
             X = deriv_betas(alpha)
             y = rng.normal(size=12)
-            [path] = rbfn.train_ols_paths(X, y, rbfn.median_width(X), (1e-3,), max_centers=8)
+            D = rbfn.sq_distances(X, X)
+            [path] = rbfn.train_ols_paths(D, y, rbfn.median_width(D), (1e-3,), max_centers=8)
 
             ones = b.constant_coefficients()
             shifts = np.array([rng.normal() for _ in range(12)])
             X_shift = deriv_betas(alpha + 5.0 * np.outer(shifts, ones))
             np.testing.assert_allclose(
-                path.predictions(X_shift), path.predictions(X), atol=1e-9
+                path.predictions(rbfn.sq_distances(X_shift, X)), path.predictions(D), atol=1e-9
             )
 
     def test_test_set_isolation(self):

@@ -14,11 +14,18 @@ exist. Some of them (``represent.fit``, ``represent.loo_score`` and
 nothing in the pipeline calls, kept only as those trace names. ``layers.py``
 also reads ``max_centers`` of ``rbfn.train_ols`` and ``restarts`` of
 ``mlp.train`` by name, so the guard checks those parameters too.
+
+A third guard keeps heavy scipy subpackages the pipeline does not need out
+of a fresh process's imports: ``scipy.spatial`` (and the ``scipy.special``
+it loads) cost about 0.1 s and 9 MB at every start, more than the RBFN's
+own distance computations.
 """
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -102,3 +109,15 @@ def test_every_bench_trace_target_is_a_function(monkeypatch):
     # the per-layer counters bind these arguments by name
     assert "max_centers" in inspect.signature(rbfn.train_ols).parameters
     assert "restarts" in inspect.signature(mlp.train).parameters
+
+
+def test_pipeline_imports_leave_out_scipy_spatial_and_special():
+    probe = (
+        "import sys\n"
+        "import fdareg.selection, fdareg.cli\n"
+        "print(' '.join(m for m in ('scipy.spatial', 'scipy.special') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == []

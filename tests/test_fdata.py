@@ -124,6 +124,17 @@ class TestDropRandom:
         assert set(out.x).issubset(set(f.x))
         assert np.all(np.diff(out.x) > 0)
 
+    def test_drops_exactly_the_drawn_indices(self, rng):
+        # the points removed are the generator's draws without replacement,
+        # whatever the order of the draws
+        for seed in range(5):
+            f = fdata.SampledFunction(np.sort(rng.uniform(0, 1, 100)), rng.normal(size=100))
+            drawn = np.random.default_rng(seed).choice(100, size=10, replace=False)
+            keep = np.setdiff1d(np.arange(100), drawn)
+            out = fdata.drop_random(f, 0.1, seed=seed)
+            np.testing.assert_array_equal(out.x, f.x[keep])
+            np.testing.assert_array_equal(out.y, f.y[keep])
+
     def test_invalid_fraction(self):
         f = fdata.SampledFunction([0.0, 1.0], [0.0, 0.0])
         for frac in (-0.1, 1.0, 1.5):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist
 
 from conftest import vector_dataset
 from fdareg import fdata, rbfn
@@ -14,6 +15,7 @@ from fdareg.selection import (
 )
 from oracles import (
     brute_force_greedy,
+    cdist_design,
     reference_predictions,
     reference_train_ols,
     truncated_network,
@@ -21,9 +23,55 @@ from oracles import (
 
 
 def one_path(X, y, width, ridge, max_centers):
-    """The path of a single ridge."""
-    [path] = rbfn.train_ols_paths(X, y, width, (ridge,), max_centers)
+    """The path of a single ridge trained on the inputs ``X``."""
+    [path] = rbfn.train_ols_paths(rbfn.sq_distances(X, X), y, width, (ridge,), max_centers)
     return path
+
+
+def predict(path, X, X_new):
+    """Every truncation's predictions on ``X_new`` of a path trained on ``X``."""
+    return path.predictions(rbfn.sq_distances(X_new, X))
+
+
+def width_of(X):
+    """The median-distance width of the inputs ``X``."""
+    return rbfn.median_width(rbfn.sq_distances(X, X))
+
+
+class TestDistances:
+    """The numpy distances equal scipy's, bit for bit."""
+
+    SHAPES = [(1, 1, 1), (2, 2, 3), (7, 5, 8), (20, 13, 9), (30, 30, 39), (43, 129, 18)]
+
+    @pytest.mark.parametrize("n, m, d", SHAPES)
+    def test_equal_cdist_sqeuclidean(self, rng, n, m, d):
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0, size=d)
+        C = rng.normal(size=(m, d)) * rng.uniform(0.1, 100.0, size=d)
+        C[0] = X[0]  # a duplicate row: distance exactly 0
+        for A, B in ((X, C), (C, X), (X, X)):
+            assert np.array_equal(rbfn.sq_distances(A, B), cdist(A, B, "sqeuclidean"))
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (2, 12), (3, 8), (25, 10), (60, 39)])
+    def test_median_width_equals_median_pdist(self, rng, n, d):
+        X = rng.normal(size=(n, d))
+        for rows in (X, np.vstack([X, X[:1]])):  # with and without a duplicate row
+            assert rbfn.median_width(rbfn.sq_distances(rows, rows)) == np.median(pdist(rows))
+
+    def test_design_equals_cdist_design(self, rng):
+        X, C = rng.normal(size=(17, 11)), rng.normal(size=(6, 11))
+        assert np.array_equal(
+            rbfn.design_matrix(rbfn.sq_distances(X, C), 0.7), cdist_design(X, C, 0.7)
+        )
+
+    def test_degenerate_widths(self, rng):
+        # one input, or all inputs equal, give the unit width
+        X = rng.normal(size=(1, 4))
+        assert width_of(X) == 1.0
+        assert width_of(np.repeat(X, 5, axis=0)) == 1.0
+
+    def test_coordinate_mismatch(self, rng):
+        with pytest.raises(ValidationError):
+            rbfn.sq_distances(np.ones((2, 3)), np.ones((4, 2)))
 
 
 class TestPredict:
@@ -33,20 +81,20 @@ class TestPredict:
         # the one-center network at its own center outputs its weight g[0]
         X = rng.normal(size=(10, 2))
         path = one_path(X, rng.normal(size=10), 0.5, 0.0, max_centers=1)
-        center = path.inputs[path.selected]
-        assert path.predictions(center)[0, 0] == pytest.approx(path.ortho_weights[0])
+        center = X[path.selected]
+        assert predict(path, X, center)[0, 0] == pytest.approx(path.ortho_weights[0])
 
     def test_zero_weights(self, rng):
         # zero targets give zero weights, so every truncation predicts zero
         X = rng.normal(size=(12, 3))
         path = one_path(X, np.zeros(12), 1.0, 1e-3, max_centers=4)
-        np.testing.assert_array_equal(path.predictions(rng.normal(size=(10, 3))), 0.0)
+        np.testing.assert_array_equal(predict(path, X, rng.normal(size=(10, 3))), 0.0)
 
     def test_far_input_decays(self, rng):
         X = rng.normal(size=(15, 2))
         path = one_path(X, rng.normal(size=15), 1.0, 1e-3, max_centers=5)
         far = X[0] + 20.0 * np.array([1.0, 0.0]) + 5.0
-        out = np.abs(path.predictions(far[None]))
+        out = np.abs(predict(path, X, far[None]))
         assert out.max() < 1e-6 * np.abs(path.ortho_weights).max()
 
     def test_permutation_invariance(self, rng):
@@ -60,13 +108,17 @@ class TestPredict:
         np.testing.assert_array_equal(perm[permuted.selected], path.selected)
         X_new = rng.normal(size=(15, 3))
         np.testing.assert_allclose(
-            permuted.predictions(X_new), path.predictions(X_new), atol=1e-12
+            predict(permuted, X[perm], X_new), predict(path, X, X_new), atol=1e-12
         )
 
     def test_dimension_mismatch(self, rng):
-        path = one_path(rng.normal(size=(8, 4)), rng.normal(size=8), 1.0, 0.0, 3)
-        with pytest.raises(ValueError):
-            path.predictions(np.ones((2, 5)))
+        # distances to another number of inputs than the path was trained on
+        X = rng.normal(size=(8, 4))
+        path = one_path(X, rng.normal(size=8), 1.0, 0.0, 3)
+        with pytest.raises(ValidationError):
+            path.predictions(rbfn.sq_distances(np.ones((2, 4)), X[:7]))
+        with pytest.raises(ValidationError):
+            predict(path, X, np.ones((2, 5)))
 
 
 class TestTrainOls:
@@ -80,7 +132,7 @@ class TestTrainOls:
             width = 0.5 + rng.uniform()
             ridge = float(rng.choice([0.0, 1e-4, 1e-1]))
 
-            F = rbfn.design_matrix(X, X, width)
+            F = cdist_design(X, X, width)
             expected = brute_force_greedy(F, y, ridge, steps=5)
 
             path = one_path(X, y, width, ridge, max_centers=len(expected))
@@ -90,9 +142,9 @@ class TestTrainOls:
         n = 12
         X = rng.normal(size=(n, 2))
         y = rng.normal(size=n)
-        width = rbfn.median_width(X)
+        width = width_of(X)
         path = one_path(X, y, width, 0.0, max_centers=n)
-        resid = path.predictions(X)[:, -1] - y
+        resid = predict(path, X, X)[:, -1] - y
         assert float(resid @ resid) <= 1e-8 * float(y @ y)
 
     def test_objective_monotone(self, rng):
@@ -107,7 +159,7 @@ class TestTrainOls:
         y = rng.normal(size=25)
         path = one_path(X, y, 1.0, 1e-3, max_centers=15)
         assert len(set(path.selected.tolist())) == path.max_size
-        np.testing.assert_array_equal(path.inputs, X)
+        assert path.n_inputs == 25
 
     def test_max_centers_exceeds_n(self, rng):
         X = rng.normal(size=(5, 2))
@@ -132,7 +184,7 @@ class TestTrainOls:
         np.testing.assert_array_equal(path.selected[:7], fresh.selected)
         X_new = rng.normal(size=(10, 2))
         np.testing.assert_allclose(
-            path.predictions(X_new)[:, :7], fresh.predictions(X_new), atol=1e-10
+            predict(path, X, X_new)[:, :7], predict(fresh, X, X_new), atol=1e-10
         )
 
 
@@ -148,7 +200,7 @@ class TestTrainOlsPaths:
     KEPT_FLOOR = 1e-8
 
     def _assert_matches_reference(self, X, y, width, ridges, max_centers):
-        paths = rbfn.train_ols_paths(X, y, width, ridges, max_centers)
+        paths = rbfn.train_ols_paths(rbfn.sq_distances(X, X), y, width, ridges, max_centers)
         assert len(paths) == len(ridges)
         for ridge, path in zip(ridges, paths):
             ref, kept = reference_train_ols(X, y, width, ridge, max_centers)
@@ -170,7 +222,7 @@ class TestTrainOlsPaths:
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
         paths = self._assert_matches_reference(
-            X, y, rbfn.median_width(X), self.RIDGES, max_centers=20
+            X, y, width_of(X), self.RIDGES, max_centers=20
         )
         assert all(p.max_size == 20 for p in paths)
 
@@ -180,18 +232,19 @@ class TestTrainOlsPaths:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
-        width = 8.0 * rbfn.median_width(X)
+        width = 8.0 * width_of(X)
         paths = self._assert_matches_reference(X, y, width, self.RIDGES, max_centers=7)
         assert [p.max_size for p in paths] == [7, 6, 6, 7]
 
     def test_permuted_ridges_give_the_same_paths(self, rng):
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
-        width = 8.0 * rbfn.median_width(X)  # paths of different lengths
+        width = 8.0 * width_of(X)  # paths of different lengths
         order = (3, 0, 2, 1)
-        paths = rbfn.train_ols_paths(X, y, width, self.RIDGES, max_centers=10)
+        D = rbfn.sq_distances(X, X)
+        paths = rbfn.train_ols_paths(D, y, width, self.RIDGES, max_centers=10)
         permuted = rbfn.train_ols_paths(
-            X, y, width, [self.RIDGES[i] for i in order], max_centers=10
+            D, y, width, [self.RIDGES[i] for i in order], max_centers=10
         )
         for i, path in zip(order, permuted):
             for field in ("selected", "gs_coefs", "ortho_weights", "objective"):
@@ -200,14 +253,15 @@ class TestTrainOlsPaths:
                 )
 
     @pytest.mark.parametrize(
-        "ridges, max_centers",
-        [((1e-3, -1e-6), 5), ((), 5), ((1e-3,), 11)],
-        ids=["negative-ridge", "no-ridge", "cap-above-candidates"],
+        "ridges, max_centers, n_rows",
+        [((1e-3, -1e-6), 5, 10), ((), 5, 10), ((1e-3,), 11, 10), ((1e-3,), 5, 9)],
+        ids=["negative-ridge", "no-ridge", "cap-above-candidates", "non-square-distances"],
     )
-    def test_invalid_arguments(self, rng, ridges, max_centers):
+    def test_invalid_arguments(self, rng, ridges, max_centers, n_rows):
         X = rng.normal(size=(10, 2))
+        D = rbfn.sq_distances(X[:n_rows], X)
         with pytest.raises(ValidationError):
-            rbfn.train_ols_paths(X, rng.normal(size=10), 1.0, ridges, max_centers)
+            rbfn.train_ols_paths(D, rng.normal(size=n_rows), 1.0, ridges, max_centers)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -223,7 +277,7 @@ class TestTrainOlsPaths:
         rng = np.random.default_rng(seed)
         X = rng.uniform(-3.0, 3.0, size=(n, d))
         y = rng.uniform(-3.0, 3.0, size=n)
-        width = width_mult * rbfn.median_width(X)
+        width = width_mult * width_of(X)
         self._assert_matches_reference(X, y, width, ridges, max_centers=n)
 
 
@@ -234,11 +288,11 @@ class TestPathPredictions:
     # float64 rounding through a triangular solve of at most 20 factors
     RTOL = 1e-10
 
-    def _assert_columns_match_networks(self, path, X):
-        preds = path.predictions(X)
+    def _assert_columns_match_networks(self, path, inputs, X):
+        preds = predict(path, inputs, X)
         assert preds.shape == (X.shape[0], path.max_size)
         for k in range(1, path.max_size + 1):
-            expected = truncated_network(path, k, X)
+            expected = truncated_network(path, inputs, k, X)
             scale = np.abs(expected).max()
             np.testing.assert_allclose(
                 preds[:, k - 1], expected, rtol=self.RTOL, atol=self.RTOL * scale
@@ -249,7 +303,7 @@ class TestPathPredictions:
         y = rng.normal(size=12)
         path = one_path(X, y, 1.0, 0.0, max_centers=12)
         assert path.max_size == 6  # stopped early
-        self._assert_columns_match_networks(path, rng.normal(size=(9, 2)))
+        self._assert_columns_match_networks(path, X, rng.normal(size=(9, 2)))
 
     def test_ridge_zero_weights_equal_least_squares(self, rng):
         # with ridge 0 each truncation is the least-squares fit on its centers
@@ -258,13 +312,11 @@ class TestPathPredictions:
         # a well-conditioned design (condition number below 100)
         path = one_path(X, y, 0.8, 0.0, max_centers=8)
         X_new = rng.normal(size=(12, 2))
-        preds = path.predictions(X_new)
+        preds = predict(path, X, X_new)
         for k in range(1, path.max_size + 1):
             centers = X[path.selected[:k]]
-            weights = np.linalg.lstsq(
-                rbfn.design_matrix(X, centers, path.width), y, rcond=None
-            )[0]
-            expected = rbfn.design_matrix(X_new, centers, path.width) @ weights
+            weights = np.linalg.lstsq(cdist_design(X, centers, path.width), y, rcond=None)[0]
+            expected = cdist_design(X_new, centers, path.width) @ weights
             np.testing.assert_allclose(
                 preds[:, k - 1], expected,
                 rtol=self.RTOL, atol=self.RTOL * np.abs(expected).max(),
@@ -277,13 +329,15 @@ class TestPathPredictions:
         y = rng.normal(size=40)
         for ridge in (0.0, 1e-6, 1e-1):
             path = one_path(X, y, 1.0, ridge, max_centers=20)
-            self._assert_columns_match_networks(path, rng.normal(size=(25, 3)))
+            self._assert_columns_match_networks(path, X, rng.normal(size=(25, 3)))
             # on the training inputs the design factors as W A
-            self._assert_columns_match_networks(path, X)
+            self._assert_columns_match_networks(path, X, X)
 
     def test_equals_scipy_solve_triangular(self, rng):
-        # the direct trtrs call gives the bits of scipy's solve_triangular,
-        # for one-center paths too (a 1 x 1 factor is C- and F-ordered)
+        # the column slice of the shared numpy distances and the direct trtrs
+        # call give the bits of cdist on the centers and scipy's
+        # solve_triangular, for one-center paths too (a 1 x 1 factor is C-
+        # and F-ordered)
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
         for ridge in (0.0, 1e-6, 1e-1):
@@ -291,7 +345,7 @@ class TestPathPredictions:
                 path = one_path(X, y, 1.0, ridge, max_centers=max_centers)
                 for X_new in (rng.normal(size=(25, 3)), X, X[:1]):
                     assert np.array_equal(
-                        path.predictions(X_new), reference_predictions(path, X_new)
+                        predict(path, X, X_new), reference_predictions(path, X, X_new)
                     )
 
 

@@ -222,6 +222,22 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match=re.escape(f"{section}.{field} must ")):
             spec.validate()
 
+    @pytest.mark.parametrize("section, field", [
+        ("pca", "component_grid"),
+        ("impute", "k_grid"),
+    ])
+    def test_empty_grid_is_a_config_error(self, section, field):
+        # an empty grid would leave nothing to cross-validate: no PCA size
+        # (the fold bound was fitted instead) or no k-NN cell at all
+        spec = ExperimentSpec(
+            "empty", "rbfn", RepresentationSpec("raw"),
+            pca=PcaSpec("classical", n_components="cv"), impute=ImputeSpec("knn"),
+        )
+        spec.validate()
+        spec = replace(spec, **{section: replace(getattr(spec, section), **{field: ()})})
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{field} must not be empty")):
+            spec.validate()
+
     @pytest.mark.parametrize("folds", [1, "4", 2.0, True])
     def test_folds_must_be_an_integer_of_at_least_2(self, folds):
         with pytest.raises(ConfigError, match="folds must be an integer"):
@@ -427,12 +443,12 @@ class TestFoldTable:
         real_train_ols_paths = rbfn_mod.train_ols_paths
         lengths = []
 
-        def fixed_length(X, y, width, ridges, max_centers, **kwargs):
+        def fixed_length(sq_dists, y, width, ridges, max_centers, **kwargs):
             # one call per fold in plan order, then the final refit
             fold = len(lengths)
             length = self.LENGTHS[fold] if fold < len(self.LENGTHS) else max_centers
             lengths.append(length)
-            return real_train_ols_paths(X, y, width, ridges, length, **kwargs)
+            return real_train_ols_paths(sq_dists, y, width, ridges, length, **kwargs)
 
         monkeypatch.setattr(rbfn_mod, "train_ols_paths", fixed_length)
         report = run_experiment(spec, train, test)
@@ -443,10 +459,11 @@ class TestFoldTable:
         plan = make_folds(len(train), spec.folds, derive_seed(spec.seed, "folds"))
         errors: dict[int, list[float]] = {}
         for (tr, va), length in zip(plan, self.LENGTHS):
-            width = rbfn_mod.median_width(X[tr])
-            [path] = real_train_ols_paths(X[tr], y[tr], width, (ridge,), length)
+            D = rbfn_mod.sq_distances(X[tr], X[tr])
+            width = rbfn_mod.median_width(D)
+            [path] = real_train_ols_paths(D, y[tr], width, (ridge,), length)
             for kc in range(1, path.max_size + 1):
-                err = truncated_network(path, kc, X[va]) - y[va]
+                err = truncated_network(path, X[tr], kc, X[va]) - y[va]
                 errors.setdefault(kc, []).append(float(err @ err) / va.size)
         full = {kc: sum(e) / len(plan) for kc, e in errors.items() if len(e) == len(plan)}
         partial = {kc: e[0] for kc, e in errors.items() if len(e) < len(plan)}
@@ -522,12 +539,12 @@ class TestFailingTrainingCall:
         real_train_ols_paths = rbfn_mod.train_ols_paths
         calls = []
 
-        def fail_first(X, y, width, ridges, max_centers, **kwargs):
+        def fail_first(sq_dists, y, width, ridges, max_centers, **kwargs):
             # fold 0's first call, width multiplier 0.5, fails
             calls.append(width)
             if len(calls) == 1:
                 raise TrainingError("no center could be added")
-            return real_train_ols_paths(X, y, width, ridges, max_centers, **kwargs)
+            return real_train_ols_paths(sq_dists, y, width, ridges, max_centers, **kwargs)
 
         monkeypatch.setattr(rbfn_mod, "train_ols_paths", fail_first)
         report = run_experiment(spec, train, test)
@@ -549,11 +566,11 @@ class TestFinalRefit:
         real_train_ols_paths = rbfn_mod.train_ols_paths
         requested = []
 
-        def short_final(X, y, width, ridges, max_centers, **kwargs):
+        def short_final(sq_dists, y, width, ridges, max_centers, **kwargs):
             # the folds get their full paths; the final refit stops after 1
             requested.append(max_centers)
             length = 1 if len(requested) > spec.folds else max_centers
-            return real_train_ols_paths(X, y, width, ridges, length, **kwargs)
+            return real_train_ols_paths(sq_dists, y, width, ridges, length, **kwargs)
 
         monkeypatch.setattr(rbfn_mod, "train_ols_paths", short_final)
         report = run_experiment(spec, train, test)
