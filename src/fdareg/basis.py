@@ -11,7 +11,6 @@ spans every spline on [a, b] and endpoint evaluation is exact.
 
 from __future__ import annotations
 
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -112,10 +111,8 @@ class GramFactor:
         raise AttributeError("GramFactor is immutable")
 
 
-# Gram factors are cached per basis parameters; population is cheap but
-# guarded so concurrent first uses do not race.
+# Gram factors are cached per basis parameters for the life of the process.
 _GRAM_CACHE: dict[tuple, GramFactor] = {}
-_GRAM_LOCK = threading.Lock()
 
 
 class _BasisBase:
@@ -143,9 +140,7 @@ class _BasisBase:
         hit = _GRAM_CACHE.get(self.key)
         if hit is not None:
             return hit
-        factor = GramFactor(self._gram_matrix())
-        with _GRAM_LOCK:
-            return _GRAM_CACHE.setdefault(self.key, factor)
+        return _GRAM_CACHE.setdefault(self.key, GramFactor(self._gram_matrix()))
 
     def _gram_matrix(self) -> np.ndarray:
         raise NotImplementedError

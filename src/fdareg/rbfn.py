@@ -42,16 +42,20 @@ criteria, tie-breaks and Gram-Schmidt coefficients of every live path with
 one batched call apiece, and each path deflates its own copy of the
 candidate columns with one in-place BLAS rank-1 update (``dger``). Its
 fused multiply-adds round differently from ``W -= outer(w, c)``, so the
-numbers move at float level only. A path leaves the batch at the step
-where it has no usable column left. Every step recomputes the energies and
-projections from the deflated columns; the O(M) recurrences for them change
-the numbers the selections are made on. Cross-validation of the width,
-ridge and center count is done by ``selection.run_experiment``: one call
-per fold and width grows the paths of every ridge, each path scores every
-center count up to its length, and a cell must be scored in every fold, so
-a center count beyond a fold's early stop can never win. There is no
-one-ridge trainer: one ridge is a one-element grid, and ``train_ols`` is
-only another name of :func:`train_ols_paths`.
+numbers move at float level only. ``dger`` and the ``trtrs`` of
+:meth:`RbfnPath.predictions` come from :mod:`fdareg._lapack`, which loads
+scipy's compiled BLAS and LAPACK modules without importing
+``scipy.linalg``, whose package init would double the start-up time. A
+path leaves the batch at the step where it has no usable column left.
+Every step recomputes the energies and projections from the deflated
+columns; the O(M) recurrences for them change the numbers the selections
+are made on. Cross-validation of the width, ridge and center count is
+done by ``selection.run_experiment``: one call per fold and width grows the
+paths of every ridge, each path scores every center count up to its
+length, and a cell must be scored in every fold, so a center count beyond
+a fold's early stop can never win. There is no one-ridge trainer: one
+ridge is a one-element grid, and ``train_ols`` is only another name of
+:func:`train_ols_paths`.
 """
 
 from __future__ import annotations
@@ -60,9 +64,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dger
-from scipy.linalg.lapack import dtrtrs
 
+from ._lapack import check_info, dger, dtrtrs
 from .errors import ValidationError
 
 #: Candidates whose orthogonalized energy falls below this are numerically
@@ -148,11 +151,11 @@ class RbfnPath:
                                   f"the path was trained on {self.n_inputs}")
         design = design_matrix(sq_dists[:, self.selected], self.width)
         # (D A^-1)^T = A^-T D^T: one solve for every truncation. LAPACK's
-        # trtrs is called as scipy's solve_triangular calls it for this
-        # C-ordered A (A^T lower, no transpose), so the bits are the same.
+        # trtrs (the object scipy.linalg.lapack exposes, see fdareg._lapack)
+        # is called as scipy's solve_triangular calls it for this C-ordered
+        # A (A^T lower, no transpose), so the bits are the same.
         ortho, info = dtrtrs(self.gs_coefs.T, design.T, lower=1, trans=0, unitdiag=1)
-        if info < 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal trtrs")
+        check_info("trtrs", info)
         return np.cumsum(ortho.T * self.ortho_weights, axis=1)
 
 

@@ -14,7 +14,10 @@ factorization and holed curves cost no extra basis evaluation. The QR and
 the triangular solve call LAPACK's ``geqp3``, ``orgqr`` and ``trtrs``
 directly, as the scipy wrappers do but without their per-call workspace
 queries and input scans, so each grid costs what LAPACK costs and the
-results are those of the wrappers bit for bit (see ``_qr_solve``). They
+results are those of the wrappers bit for bit (see ``_qr_solve``). The
+routines come from :mod:`fdareg._lapack`, which loads scipy's compiled
+LAPACK module without importing ``scipy.linalg``, whose package init
+would double the start-up time. They
 return an ``(n, q)`` coefficient matrix or ``n`` scores; the scaled
 coordinates ``beta = alpha U^T`` make canonical dot products of rows equal
 L2 inner products of the reconstructed functions. :func:`select_basis_size`
@@ -31,8 +34,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3, dorgqr, dtrtrs
 
+from ._lapack import check_info, dgeqp3, dorgqr, dtrtrs
 from .basis import Basis, BSplineBasis, FourierBasis
 from .errors import (
     DegenerateLooError,
@@ -54,7 +57,7 @@ def _geqp3_lwork(m: int, q: int) -> int:
     size ``scipy.linalg.qr`` queries before every factorization. It depends
     on the shape only, so it is queried once per shape."""
     *_, work, info = dgeqp3(np.zeros((m, q), order="F"), lwork=-1)
-    _check_info("geqp3", info)
+    check_info("geqp3", info)
     return int(work[0].real)
 
 
@@ -62,18 +65,8 @@ def _geqp3_lwork(m: int, q: int) -> int:
 def _orgqr_lwork(m: int, q: int) -> int:
     """As :func:`_geqp3_lwork`, for forming the ``(m, q)`` ``Q`` factor."""
     _, work, info = dorgqr(np.zeros((m, q), order="F"), np.zeros(q), lwork=-1)
-    _check_info("orgqr", info)
+    check_info("orgqr", info)
     return int(work[0].real)
-
-
-def _check_info(routine: str, info: int) -> None:
-    """Raise on a LAPACK ``info`` code as scipy's wrappers do."""
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal {routine}")
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"singular matrix: resolution failed at diagonal {info - 1}"
-        )
 
 
 def _qr_solve(design: np.ndarray, Y: np.ndarray):
@@ -90,17 +83,18 @@ def _qr_solve(design: np.ndarray, Y: np.ndarray):
     LAPACK is called directly: ``geqp3`` factors, ``orgqr`` forms the
     economic ``Q`` and ``trtrs`` solves ``R alpha = Q^T Y``. These are the
     routines ``scipy.linalg.qr(mode="economic", pivoting=True)`` and
-    ``scipy.linalg.solve_triangular`` call, with the same workspace sizes,
-    memory layouts and argument orientation (``R`` C-ordered, so ``trtrs``
-    gets ``R^T`` with ``lower=1, trans=1``), so the outputs are the same bit
-    for bit. The wrappers' finiteness scans are left out: a
+    ``scipy.linalg.solve_triangular`` call (:mod:`fdareg._lapack` loads the
+    very objects ``scipy.linalg.lapack`` exposes), with the same workspace
+    sizes, memory layouts and argument orientation (``R`` C-ordered, so
+    ``trtrs`` gets ``R^T`` with ``lower=1, trans=1``), so the outputs are the
+    same bit for bit. The wrappers' finiteness scans are left out: a
     :class:`SampledFunction` holds finite samples only and the bases are
     finite on their domain. ``Q`` is formed only once the checks pass, so a
     rank-deficient design costs one factorization.
     """
     m, q = design.shape
     qr, piv, tau, _, info = dgeqp3(design, lwork=_geqp3_lwork(m, q))
-    _check_info("geqp3", info)
+    check_info("geqp3", info)
     piv -= 1  # LAPACK's pivots are 1-based
     diag = np.abs(qr.diagonal())
     # Column-pivoted QR has non-increasing |R_kk|; diag[0]/diag[k] estimates
@@ -124,9 +118,9 @@ def _qr_solve(design: np.ndarray, Y: np.ndarray):
     # need not be zeroed as scipy's triu does.
     rmat = np.ascontiguousarray(qr[:q])
     qmat, _, info = dorgqr(qr, tau, lwork=_orgqr_lwork(m, q), overwrite_a=1)
-    _check_info("orgqr", info)
+    check_info("orgqr", info)
     x, info = dtrtrs(rmat.T, qmat.T @ Y, lower=1, trans=1, overwrite_b=1)
-    _check_info("trtrs", info)
+    check_info("trtrs", info)
     alpha = np.empty((q, Y.shape[1]))
     alpha[piv] = x
     hat_diag = np.einsum("ij,ij->i", qmat, qmat)
