@@ -4,6 +4,8 @@ A basis of dimension ``q`` spans a subspace of L2([a, b]). The Gram matrix
 ``phi[k, l] = <phi_k, phi_l>`` and its Cholesky factor ``U`` (``phi = U^T U``)
 turn coordinate vectors ``alpha`` into scaled coordinates ``beta = U alpha``
 whose canonical dot products equal L2 inner products of the functions.
+``basis.gram_factor()`` returns ``U`` itself, a read-only upper triangular
+array cached per basis parameters; ``basis._gram_matrix()`` gives ``phi``.
 
 B-splines use the clamped (repeated-boundary) knot convention, so the basis
 spans every spline on [a, b] and endpoint evaluation is exact.
@@ -18,117 +20,33 @@ import numpy as np
 from .errors import DomainError, RankDeficiencyError, UnsupportedOrderError, ValidationError
 
 
-class KnotVector:
-    """Breakpoints of a spline space: order ``nu`` and interior knots.
+def _cholesky_factor(phi: np.ndarray) -> np.ndarray:
+    """Read-only upper Cholesky factor ``U`` of a Gram matrix, ``phi = U^T U``.
 
-    The augmented (clamped) sequence repeats each boundary ``nu`` times:
-    ``[a]*nu + interior + [b]*nu``. The spanned spline space has dimension
-    ``len(interior) + nu``.
+    ``phi`` must be symmetric positive definite.
     """
-
-    __slots__ = ("a", "b", "order", "interior")
-
-    def __init__(self, a: float, b: float, interior: Sequence[float], order: int):
-        a, b = float(a), float(b)
-        interior = np.asarray(interior, dtype=float)
-        if a >= b:
-            raise ValidationError(f"empty domain [{a}, {b}]")
-        if order < 1:
-            raise ValidationError(f"spline order must be >= 1, got {order}")
-        if interior.size:
-            if not np.all(np.diff(interior) > 0):
-                raise ValidationError("interior knots must be strictly increasing")
-            if interior[0] <= a or interior[-1] >= b:
-                raise ValidationError("interior knots must lie strictly inside (a, b)")
-        interior.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "order", int(order))
-        object.__setattr__(self, "interior", interior)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KnotVector is immutable")
-
-    @classmethod
-    def uniform(cls, a: float, b: float, n_interior: int, order: int) -> "KnotVector":
-        """Regular knot placement t_k = a + k (b - a) / (l + 1)."""
-        if n_interior < 0:
-            raise ValidationError("n_interior must be >= 0")
-        ks = np.arange(1, n_interior + 1)
-        return cls(a, b, a + ks * (b - a) / (n_interior + 1), order)
-
-    @property
-    def augmented(self) -> np.ndarray:
-        return np.concatenate(
-            [np.full(self.order, self.a), self.interior, np.full(self.order, self.b)]
-        )
-
-    @property
-    def edges(self) -> np.ndarray:
-        """Distinct interval boundaries a, t_1, ..., t_l, b."""
-        return np.concatenate([[self.a], self.interior, [self.b]])
-
-    @property
-    def key(self) -> tuple:
-        return (self.a, self.b, self.order, tuple(self.interior.tolist()))
-
-    def __repr__(self) -> str:
-        return (
-            f"KnotVector([{self.a}, {self.b}], order={self.order}, "
-            f"interior={self.interior.size})"
-        )
-
-
-class GramFactor:
-    """Gram matrix ``phi`` of a basis and its Cholesky factor ``U = chol``.
-
-    ``phi`` must be symmetric positive definite; ``U`` is upper triangular
-    with ``phi = U^T U``.
-    """
-
-    __slots__ = ("phi", "chol")
-
-    def __init__(self, phi: np.ndarray):
-        phi = np.asarray(phi, dtype=float)
-        scale = np.max(np.abs(phi))
-        if scale == 0 or np.max(np.abs(phi - phi.T)) > 1e-12 * scale:
-            raise ValidationError("Gram matrix is not symmetric to 1e-12 relative")
-        try:
-            lower = np.linalg.cholesky(phi)
-        except np.linalg.LinAlgError:
-            raise RankDeficiencyError(
-                "Gram matrix is not positive definite: the function system "
-                "is redundant (not a free system)"
-            ) from None
-        chol = lower.T.copy()
-        phi = phi.copy()
-        phi.setflags(write=False)
-        chol.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "chol", chol)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GramFactor is immutable")
+    phi = np.asarray(phi, dtype=float)
+    scale = np.max(np.abs(phi))
+    if scale == 0 or np.max(np.abs(phi - phi.T)) > 1e-12 * scale:
+        raise ValidationError("Gram matrix is not symmetric to 1e-12 relative")
+    try:
+        lower = np.linalg.cholesky(phi)
+    except np.linalg.LinAlgError:
+        raise RankDeficiencyError(
+            "Gram matrix is not positive definite: the function system "
+            "is redundant (not a free system)"
+        ) from None
+    chol = lower.T.copy()
+    chol.setflags(write=False)
+    return chol
 
 
 # Gram factors are cached per basis parameters for the life of the process.
-_GRAM_CACHE: dict[tuple, GramFactor] = {}
+_GRAM_CACHE: dict[tuple, np.ndarray] = {}
 
 
 class _BasisBase:
     """Shared plumbing: domain checks, Gram caching, equality by parameters."""
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        raise NotImplementedError
-
-    @property
-    def dimension(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def key(self) -> tuple:
-        raise NotImplementedError
 
     def _check_domain(self, pts: np.ndarray) -> None:
         a, b = self.domain
@@ -136,14 +54,12 @@ class _BasisBase:
             bad = pts[(pts < a) | (pts > b)][0]
             raise DomainError(f"evaluation point {bad} outside [{a}, {b}]")
 
-    def gram_factor(self) -> GramFactor:
+    def gram_factor(self) -> np.ndarray:
+        """The read-only upper Cholesky factor ``U`` of the Gram matrix."""
         hit = _GRAM_CACHE.get(self.key)
         if hit is not None:
             return hit
-        return _GRAM_CACHE.setdefault(self.key, GramFactor(self._gram_matrix()))
-
-    def _gram_matrix(self) -> np.ndarray:
-        raise NotImplementedError
+        return _GRAM_CACHE.setdefault(self.key, _cholesky_factor(self._gram_matrix()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, _BasisBase) and self.key == other.key
@@ -153,43 +69,66 @@ class _BasisBase:
 
 
 class BSplineBasis(_BasisBase):
-    """B-splines of order ``nu`` on a knot vector (degree ``nu - 1``).
+    """B-splines of order ``nu`` on the interior knots of [a, b] (degree
+    ``nu - 1``).
 
-    Evaluation uses the standard stable triangular recurrence on the
-    clamped knot sequence; at any point at most ``nu`` functions are
-    nonzero and they sum to one.
+    The augmented (clamped) knot sequence repeats each boundary ``nu``
+    times: ``[a]*nu + interior + [b]*nu``, so the basis spans every spline
+    on [a, b], of dimension ``len(interior) + nu``. Evaluation uses the
+    standard stable triangular recurrence on that sequence; at any point at
+    most ``nu`` functions are nonzero and they sum to one.
     """
 
-    __slots__ = ("knots", "_t")
+    __slots__ = ("a", "b", "order", "interior", "augmented")
 
-    def __init__(self, knots: KnotVector):
-        object.__setattr__(self, "knots", knots)
-        t = knots.augmented
-        t.setflags(write=False)
-        object.__setattr__(self, "_t", t)
+    def __init__(self, a: float, b: float, interior: Sequence[float], order: int):
+        a, b, order = float(a), float(b), int(order)
+        interior = np.array(interior, dtype=float)  # a copy: the caller's array stays writable
+        if a >= b:
+            raise ValidationError(f"empty domain [{a}, {b}]")
+        if order < 1:
+            raise ValidationError(f"spline order must be >= 1, got {order}")
+        if interior.size:
+            if not np.all(np.diff(interior) > 0):
+                raise ValidationError("interior knots must be strictly increasing")
+            if interior[0] <= a or interior[-1] >= b:
+                raise ValidationError("interior knots must lie strictly inside (a, b)")
+        augmented = np.concatenate([np.full(order, a), interior, np.full(order, b)])
+        interior.setflags(write=False)
+        augmented.setflags(write=False)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "interior", interior)
+        object.__setattr__(self, "augmented", augmented)
 
     def __setattr__(self, name, value):
         raise AttributeError("BSplineBasis is immutable")
 
     @classmethod
     def uniform(cls, a: float, b: float, n_interior: int, order: int) -> "BSplineBasis":
-        return cls(KnotVector.uniform(a, b, n_interior, order))
+        """Regular knot placement t_k = a + k (b - a) / (l + 1)."""
+        if n_interior < 0:
+            raise ValidationError("n_interior must be >= 0")
+        ks = np.arange(1, n_interior + 1)
+        return cls(a, b, a + ks * (b - a) / (n_interior + 1), order)
 
     @property
-    def order(self) -> int:
-        return self.knots.order
+    def edges(self) -> np.ndarray:
+        """Distinct interval boundaries a, t_1, ..., t_l, b."""
+        return np.concatenate([[self.a], self.interior, [self.b]])
 
     @property
     def domain(self) -> tuple[float, float]:
-        return (self.knots.a, self.knots.b)
+        return (self.a, self.b)
 
     @property
     def dimension(self) -> int:
-        return self.knots.interior.size + self.knots.order
+        return self.interior.size + self.order
 
     @property
     def key(self) -> tuple:
-        return ("bspline",) + self.knots.key
+        return ("bspline", self.a, self.b, self.order, tuple(self.interior.tolist()))
 
     def evaluate(self, x) -> np.ndarray:
         """Evaluate all basis functions.
@@ -203,7 +142,7 @@ class BSplineBasis(_BasisBase):
         pts = np.atleast_1d(x)
         self._check_domain(pts)
 
-        t = self._t
+        t = self.augmented
         k = self.order
         p = k - 1
         q = self.dimension
@@ -239,7 +178,7 @@ class BSplineBasis(_BasisBase):
         # Gauss-Legendre per knot interval. With nu nodes the rule is exact
         # for products of two degree-(nu-1) polynomial pieces.
         nodes, weights = np.polynomial.legendre.leggauss(self.order)
-        edges = self.knots.edges
+        edges = self.edges
         mid = 0.5 * (edges[1:] + edges[:-1])
         half = 0.5 * (edges[1:] - edges[:-1])
         xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
@@ -268,12 +207,10 @@ class BSplineBasis(_BasisBase):
         return basis, mapping
 
     def _derivative_step(self) -> tuple[np.ndarray, "BSplineBasis"]:
-        t = self._t
+        t = self.augmented
         p = self.order - 1
         q = self.dimension
-        lower = BSplineBasis(
-            KnotVector(self.knots.a, self.knots.b, self.knots.interior, self.order - 1)
-        )
+        lower = BSplineBasis(self.a, self.b, self.interior, self.order - 1)
         step = np.zeros((q - 1, q))
         span = t[p + 1 : q + p] - t[1:q]  # t[i+p+1] - t[i+1], i = 0..q-2
         coef = p / span

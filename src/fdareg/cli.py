@@ -89,10 +89,8 @@ def cmd_represent(args) -> int:
     else:
         dimension = args.dimension
     basis = represent.make_basis(args.basis, dataset.domain, dimension, args.order)
-    gram = basis.gram_factor()
-
     alpha, sse = represent.fit_dataset(dataset.functions, basis)
-    beta = alpha @ gram.chol.T
+    beta = alpha @ basis.gram_factor().T
     header = ",".join(f"c{k}" for k in range(dimension))
     for name, mat in (("alpha", alpha), ("beta", beta)):
         rows = [f"id,{header}"]
@@ -122,7 +120,7 @@ def cmd_represent(args) -> int:
     }
     _write_manifest(outdir, {"command": "represent", "args": _args_dict(args), **summary})
     if args.emit_curves:
-        _emit_curves(dataset, alpha, basis, gram, outdir, args)
+        _emit_curves(dataset, alpha, basis, outdir, args)
     print(
         f"represented {len(dataset)} functions on a {args.basis} basis "
         f"(order {args.order}, dimension {dimension}); outputs in {outdir}"
@@ -130,7 +128,7 @@ def cmd_represent(args) -> int:
     return 0
 
 
-def _emit_curves(dataset, alpha, basis, gram, outdir: Path, args) -> None:
+def _emit_curves(dataset, alpha, basis, outdir: Path, args) -> None:
     """Plot-ready (x, y) curve files: samples, fits, derivatives, variance."""
     a, b = dataset.domain
     grid = np.linspace(a, b, 400)
@@ -148,9 +146,9 @@ def _emit_curves(dataset, alpha, basis, gram, outdir: Path, args) -> None:
         shown = np.arange(n_show)
         if kind == "center-reduce":
             # a constant function has no reduced curve; the others still do
-            shown = shown[~transforms.constant_rows(alpha[shown], basis, gram)]
+            shown = shown[~transforms.constant_rows(alpha[shown], basis)]
         try:
-            coefs, on, _ = transforms.transform_dataset(alpha[shown], basis, gram, kind)
+            coefs, on = transforms.transform_dataset(alpha[shown], basis, kind)
         except FdaregError:
             continue  # a derivative the basis lacks
         values = on.evaluate(grid) @ coefs.T
@@ -159,7 +157,7 @@ def _emit_curves(dataset, alpha, basis, gram, outdir: Path, args) -> None:
                 f"curve_{name}_{i}.csv", ["x", "y"], np.column_stack([grid, values[:, col]])
             )
 
-    betas = alpha @ gram.chol.T
+    betas = alpha @ basis.gram_factor().T
     model = fpca.fit_fpca(betas)
     ratio = model.explained_variance_ratio()
     curve_file(
@@ -167,7 +165,7 @@ def _emit_curves(dataset, alpha, basis, gram, outdir: Path, args) -> None:
         ["component", "explained_variance_pct"],
         np.column_stack([np.arange(1, ratio.size + 1), 100.0 * ratio]),
     )
-    _, means, _, _ = transforms.row_stats(alpha, basis, gram)
+    _, means, _, _ = transforms.row_stats(alpha, basis)
     first_scores = fpca.scores(model, betas, n_components=1)[:, 0]
     curve_file(
         "curve_pc1_vs_mean.csv",

@@ -234,6 +234,10 @@ class ExperimentSpec:
     def validate(self):
         if self.model not in _PARAMS:
             raise ConfigError(f"unknown model {self.model!r}")
+        for key, value in (("pca.whiten", self.pca.whiten),
+                           ("impute.expert_scale", self.impute.expert_scale)):
+            if not isinstance(value, (bool, np.bool_)):
+                raise ConfigError(f"{key} must be true or false, not {value!r}")
         self.representation.validate()
         self.transform.validate(self.representation)
         self.pca.validate(self.representation)
@@ -383,7 +387,6 @@ class _Stage1:
             else:
                 dimension = int(rep.dimension)
             self.basis = rep_mod.make_basis(rep.kind, train.domain, dimension, rep.order)
-            self.gram = self.basis.gram_factor()
             self.info["basis"] = {
                 "kind": rep.kind,
                 "order": rep.order,
@@ -402,10 +405,8 @@ class _Stage1:
 
     def _functional_features(self, dataset: Dataset) -> np.ndarray:
         alpha, _ = rep_mod.fit_dataset(dataset.functions, self.basis)
-        alpha, _, gram = tr_mod.transform_dataset(
-            alpha, self.basis, self.gram, self.spec.transform.kind
-        )
-        return alpha @ gram.chol.T
+        alpha, basis = tr_mod.transform_dataset(alpha, self.basis, self.spec.transform.kind)
+        return alpha @ basis.gram_factor().T
 
     def features(self, dataset: Dataset):
         """Features ``(values, mask)`` of a dataset, by the recipe fixed on
@@ -419,7 +420,7 @@ class _Stage1:
                 values = imp_mod.expert_scale_matrix(values, mask)
             return values, mask
         grid = dataset.common_grid()
-        if grid.size != self.grid.size or not np.allclose(grid, self.grid):
+        if grid.size != self.grid.size or not np.allclose(grid, self.grid, atol=1e-9, rtol=0):
             raise ConfigError("test data is not sampled on the training grid")
         return dataset.matrix(), None
 
@@ -525,10 +526,13 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
 
     The test set is sealed on entry and only unlocked after the winning
     model has been refitted on the full training set; selection never
-    touches it. Reports are deterministic given the spec's seed.
+    touches it. An empty test set has no RMSE and is a ``ConfigError``.
+    Reports are deterministic given the spec's seed.
     """
     t0 = time.perf_counter()
     spec.validate()
+    if not len(test):
+        raise ConfigError(f"experiment {spec.name}: the test set is empty")
     sealed = SealedTestSet(test)
     del test
 

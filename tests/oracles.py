@@ -127,7 +127,7 @@ def gauss_legendre_gram(basis, nodes):
     """Gram matrix of a B-spline basis by ``nodes``-point Gauss-Legendre
     quadrature on every knot interval."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    edges = basis.knots.edges
+    edges = basis.edges
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     xs = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -143,7 +143,7 @@ def dense_grid_pca(basis, alpha, k):
 
     Returns the first ``k`` scores ``(n, k)`` and covariance eigenvalues.
     """
-    xs, w = quadrature_grid(basis.knots.edges)
+    xs, w = quadrature_grid(basis.edges)
     G = (alpha @ basis.evaluate(xs).T) * np.sqrt(w)
     Gc = G - G.mean(axis=0)
     _, svals, vt = np.linalg.svd(Gc, full_matrices=False)

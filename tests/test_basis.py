@@ -12,20 +12,26 @@ from fdareg.errors import (
 from oracles import gauss_legendre_gram
 
 
-class TestKnotVector:
+class TestBSplineKnots:
     def test_uniform_placement(self):
-        kv = basis.KnotVector.uniform(0.0, 10.0, 4, 4)
-        np.testing.assert_allclose(kv.interior, [2.0, 4.0, 6.0, 8.0])
-        assert kv.augmented[0] == 0.0 and kv.augmented[-1] == 10.0
-        assert np.sum(kv.augmented == 0.0) == 4  # clamped
+        b = basis.BSplineBasis.uniform(0.0, 10.0, 4, 4)
+        np.testing.assert_allclose(b.interior, [2.0, 4.0, 6.0, 8.0])
+        assert b.augmented[0] == 0.0 and b.augmented[-1] == 10.0
+        assert np.sum(b.augmented == 0.0) == 4  # clamped
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            basis.KnotVector(0.0, 1.0, [0.5, 0.4], 4)
+            basis.BSplineBasis(0.0, 1.0, [0.5, 0.4], 4)
         with pytest.raises(ValidationError):
-            basis.KnotVector(0.0, 1.0, [1.5], 4)
+            basis.BSplineBasis(0.0, 1.0, [1.5], 4)
         with pytest.raises(ValidationError):
-            basis.KnotVector(1.0, 0.0, [], 4)
+            basis.BSplineBasis(1.0, 0.0, [], 4)
+
+    def test_knots_are_a_read_only_copy(self):
+        knots = np.array([0.25, 0.5, 0.75])
+        b = basis.BSplineBasis(0.0, 1.0, knots, 4)
+        assert knots.flags.writeable and not b.interior.flags.writeable
+        assert not b.augmented.flags.writeable
 
 
 class TestBSplineEvaluation:
@@ -54,7 +60,7 @@ class TestBSplineEvaluation:
 
     def test_local_support_exact_zero(self, rng):
         b = basis.BSplineBasis.uniform(0.0, 1.0, 10, 4)
-        t = b.knots.augmented
+        t = b.augmented
         x = rng.uniform(0.0, 1.0, 500)
         design = b.evaluate(x)
         for k in range(b.dimension):
@@ -66,7 +72,7 @@ class TestBSplineEvaluation:
             b = basis.BSplineBasis.uniform(-1.0, 2.0, 6, order)
             x = rng.uniform(-1.0, 2.0, 200)
             ours = b.evaluate(x)
-            ref = BSpline.design_matrix(x, b.knots.augmented, order - 1).toarray()
+            ref = BSpline.design_matrix(x, b.augmented, order - 1).toarray()
             np.testing.assert_allclose(ours, ref, atol=1e-13)
 
     def test_domain_error(self):
@@ -86,45 +92,49 @@ class TestGram:
     def test_order1_gram_is_h_identity(self):
         # piecewise-constant B-splines on uniform knots: phi = h * I
         b = basis.BSplineBasis.uniform(0.0, 1.0, 9, 1)
-        g = b.gram_factor()
-        np.testing.assert_allclose(g.phi, 0.1 * np.eye(10), atol=1e-15)
+        np.testing.assert_allclose(b._gram_matrix(), 0.1 * np.eye(10), atol=1e-15)
 
     def test_fourier_gram_identity(self):
         fb = basis.FourierBasis(0.0, 2.0, 9)
-        g = fb.gram_factor()
-        np.testing.assert_array_equal(g.phi, np.eye(9))
+        np.testing.assert_array_equal(fb._gram_matrix(), np.eye(9))
+        np.testing.assert_array_equal(fb.gram_factor(), np.eye(9))
 
     def test_quadrature_already_exact(self):
         # doubling the node count changes nothing beyond rounding
         b = basis.BSplineBasis.uniform(0.0, 1.0, 8, 4)
-        phi1 = b.gram_factor().phi
+        phi1 = b._gram_matrix()
         phi2 = gauss_legendre_gram(b, 8)
         assert np.max(np.abs(phi1 - phi2)) < 1e-12
 
     def test_gram_vs_fine_quadrature(self):
         b = basis.BSplineBasis.uniform(0.0, 3.0, 6, 5)
-        phi = b.gram_factor().phi
+        phi = b._gram_matrix()
         fine = gauss_legendre_gram(b, 50)
         rel = np.max(np.abs(phi - fine)) / np.max(np.abs(phi))
         assert rel < 1e-10
 
     def test_cholesky_shape(self):
         b = basis.BSplineBasis.uniform(0.0, 1.0, 4, 4)
-        g = b.gram_factor()
-        assert np.allclose(g.chol, np.triu(g.chol))
-        np.testing.assert_allclose(g.chol.T @ g.chol, g.phi, atol=1e-14)
+        chol = b.gram_factor()
+        assert np.allclose(chol, np.triu(chol))
+        np.testing.assert_allclose(chol.T @ chol, b._gram_matrix(), atol=1e-14)
+        # the factor is shared: read-only, and the same object on every call
+        assert not chol.flags.writeable
+        with pytest.raises(ValueError):
+            chol[0, 0] = 0.0
+        assert b.gram_factor() is chol
 
     def test_redundant_system_raises(self):
         # a numerically rank-deficient Gram matrix must be rejected
         phi = np.ones((3, 3))
         with pytest.raises(RankDeficiencyError):
-            basis.GramFactor(phi)
+            basis._cholesky_factor(phi)
 
     def test_asymmetric_rejected(self):
         phi = np.eye(3)
         phi[0, 1] = 1e-6
         with pytest.raises(ValidationError):
-            basis.GramFactor(phi)
+            basis._cholesky_factor(phi)
 
 
 class TestFourierEvaluation:
@@ -153,7 +163,7 @@ class TestDerivativeBasis:
         # g(x) = x on an order-2 (hat) basis has derivative coefficients 1
         b = basis.BSplineBasis.uniform(0.0, 1.0, 4, 2)
         lower, mapping = b.derivative_basis(1)
-        greville = b.knots.augmented[1 : b.dimension + 1]  # order-2 Greville points
+        greville = b.augmented[1 : b.dimension + 1]  # order-2 Greville points
         np.testing.assert_allclose(mapping @ greville, 1.0)
         assert lower.order == 1
 
@@ -161,7 +171,7 @@ class TestDerivativeBasis:
         b = basis.BSplineBasis.uniform(850.0, 1050.0, 26, 6)
         lower, mapping = b.derivative_basis(2)
         assert lower.order == 4
-        np.testing.assert_array_equal(lower.knots.interior, b.knots.interior)
+        np.testing.assert_array_equal(lower.interior, b.interior)
         assert mapping.shape == (b.dimension - 2, b.dimension)
 
     def test_unsupported_order(self):

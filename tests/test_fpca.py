@@ -13,7 +13,7 @@ def spline_betas(rng, b, n):
     """Coordinates of n random in-span functions: ``(betas, alpha)``."""
     fns = [random_spline_function(rng, b, noise=0.0)[0] for _ in range(n)]
     alpha, _ = represent.fit_dataset(fns, b)
-    return alpha @ b.gram_factor().chol.T, alpha
+    return alpha @ b.gram_factor().T, alpha
 
 
 class TestFitFpca:
@@ -125,9 +125,9 @@ class TestPrincipalFunctions:
         # the principal functions' coordinates, orthonormal by quadrature
         betas, _ = spline_betas(rng, small_bspline, 30)
         model = fpca.fit_fpca(betas, n_components=3)
-        gram = small_bspline.gram_factor()
-        alphas = scipy.linalg.solve_triangular(gram.chol, model.components.T).T
-        edges = small_bspline.knots.edges
+        alphas = scipy.linalg.solve_triangular(small_bspline.gram_factor(),
+                                               model.components.T).T
+        edges = small_bspline.edges
         for i in range(3):
             for j in range(3):
                 inner = quadrature_integral(
@@ -146,11 +146,10 @@ class TestPrincipalFunctions:
             wiggle = 0.05 * rng.normal() * np.sin(2 * np.pi * x)
             fns.append(fdata.SampledFunction(x, level + wiggle))
         alpha, _ = represent.fit_dataset(fns, small_bspline)
-        gram = small_bspline.gram_factor()
-        betas = alpha @ gram.chol.T
+        betas = alpha @ small_bspline.gram_factor().T
         model = fpca.fit_fpca(betas, n_components=2)
         s1 = fpca.scores(model, betas)[:, 0]
-        _, means, _, _ = transforms.row_stats(alpha, small_bspline, gram)
+        _, means, _, _ = transforms.row_stats(alpha, small_bspline)
         corr = np.corrcoef(s1, means)[0, 1]
         assert abs(corr) > 0.999
 

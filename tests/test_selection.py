@@ -11,7 +11,7 @@ from fdareg import imputation as imp_mod
 from fdareg import mlp as mlp_mod
 from fdareg import rbfn as rbfn_mod
 from fdareg.cv import derive_seed, make_folds, rmse
-from fdareg.errors import ConfigError, TrainingError
+from fdareg.errors import ConfigError, TrainingError, ValidationError
 from fdareg.selection import (
     ExperimentSpec,
     ImputeSpec,
@@ -211,6 +211,8 @@ class TestSpecValidation:
         ("pca", "n_components", 2.5),
         ("pca", "component_grid", (0, 2)),
         ("impute", "k_grid", (0, 1)),
+        ("pca", "whiten", "no"),
+        ("impute", "expert_scale", "false"),
     ])
     def test_mistyped_value_is_a_config_error(self, section, field, value):
         spec = ExperimentSpec(
@@ -738,3 +740,36 @@ class TestImputationRoutes:
                  "fold 0, impute k=1: no donor observes coordinate 7 for sample 0")
         with pytest.raises(ConfigError, match=re.escape(cause)):
             run_experiment(spec, train, full)
+
+
+class TestDataChecks:
+    @pytest.mark.parametrize("representation", [
+        RepresentationSpec("raw"), RepresentationSpec("bspline", order=4, dimension=8),
+    ], ids=["raw", "bspline"])
+    def test_empty_test_set_is_a_config_error(self, data, representation):
+        # a raw row would read the first test curve's grid, a B-spline row
+        # would report the RMSE of no prediction
+        train, _ = data
+        _, empty = fdata.split(train, 0, shuffle=False)
+        spec = ExperimentSpec("empty-test", "rbfn", representation, rbfn=SMALL_RBFN)
+        with pytest.raises(ConfigError, match="experiment empty-test: the test set is empty"):
+            run_experiment(spec, train, empty)
+
+    def test_test_grid_off_the_training_grid_is_a_config_error(self):
+        # 5e-3 nm is within np.allclose's default rtol on [850, 1050] nm;
+        # the raw route must hold the masked route's 1e-9 absolute bound
+        rng = np.random.default_rng(12)
+        train, test = fdata.split(synthetic_dataset(rng, n=30, m=20, domain=(850.0, 1050.0)),
+                                  8, shuffle=False)
+        shift = np.r_[0.0, np.full(18, 5e-3), 0.0]
+        test = fdata.Dataset([fdata.SampledFunction(f.x + shift, f.y, id=f.id)
+                              for f in test.functions], test.targets, test.domain)
+        spec = ExperimentSpec("shifted", "rbfn", RepresentationSpec("raw"), rbfn=SMALL_RBFN)
+        with pytest.raises(ConfigError, match="test data is not sampled on the training grid"):
+            run_experiment(spec, train, test)
+
+    def test_raw_route_without_imputation_needs_a_common_grid(self, holed):
+        train, test = holed
+        spec = ExperimentSpec("holed-raw", "rbfn", RepresentationSpec("raw"), rbfn=SMALL_RBFN)
+        with pytest.raises(ValidationError, match="functions are not sampled on a common grid"):
+            run_experiment(spec, train, test)
