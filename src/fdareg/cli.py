@@ -77,10 +77,9 @@ def cmd_represent(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    grids = fdata.Grids(dataset.functions)
     if args.dimension == "loo":
-        sel = represent.select_basis_size(
-            dataset.functions, dataset.domain, args.basis, args.order
-        )
+        sel = represent.select_basis_size(grids, dataset.domain, args.basis, args.order)
         dimension = sel.dimension
         loo_lines = ["dimension,total_loo"]
         loo_lines += [f"{q},{sel.scores[q]:.12g}" for q in sorted(sel.scores)]
@@ -89,7 +88,7 @@ def cmd_represent(args) -> int:
     else:
         dimension = args.dimension
     basis = represent.make_basis(args.basis, dataset.domain, dimension, args.order)
-    alpha, sse = represent.fit_dataset(dataset.functions, basis)
+    alpha, sse = represent.fit_dataset(grids, basis)
     beta = alpha @ basis.gram_factor().T
     header = ",".join(f"c{k}" for k in range(dimension))
     for name, mat in (("alpha", alpha), ("beta", beta)):
@@ -100,12 +99,12 @@ def cmd_represent(args) -> int:
         ]
         _atomic_write(outdir / f"{name}.csv", "\n".join(rows) + "\n")
 
-    # reconstructions at the sample abscissas, reloadable as a dataset
+    # reconstructions at the sample abscissas, reloadable as a dataset; the
+    # design rows of every curve are sliced from one evaluation on the union
+    design = basis.evaluate(grids.union)
+    fitted = {i: design[rows] @ alpha[i] for idx, rows, _ in grids.blocks for i in idx}
     recon = fdata.Dataset(
-        [
-            fdata.SampledFunction(f.x, basis.evaluate(f.x) @ a, id=f.id)
-            for f, a in zip(dataset.functions, alpha)
-        ],
+        [fdata.SampledFunction(f.x, fitted[i], id=f.id) for i, f in enumerate(dataset.functions)],
         dataset.targets,
         dataset.domain,
     )
@@ -250,8 +249,12 @@ def _run_rows(specs, train, test, outdir: Path, manifest: dict, title: str) -> i
     return 1 if any(report is None for _, report, _ in rows) else 0
 
 
-def _prepare_split(args, dataset, master_seed: int):
-    if args.drop_fraction > 0:
+def _prepare_split(args, dataset, master_seed: int, holed: bool = False):
+    """Punch holes, then split. ``--drop-fraction`` resolves to 0.1 on the
+    holed tables and to 0 elsewhere unless given."""
+    if args.drop_fraction is None:
+        args.drop_fraction = 0.1 if holed else 0.0
+    if args.drop_fraction:
         dataset = fdata.make_holes(
             dataset, args.drop_fraction, derive_seed(master_seed, "holes")
         )
@@ -285,12 +288,9 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    builder = suites.SUITE_BUILDERS[args.table]
-    if args.table in suites.HOLED_TABLES and args.drop_fraction == 0.0:
-        args.drop_fraction = 0.1
-    specs = builder(seed=args.seed)
+    specs = suites.SUITE_BUILDERS[args.table](seed=args.seed)
     dataset = _load(args)
-    train, test = _prepare_split(args, dataset, args.seed)
+    train, test = _prepare_split(args, dataset, args.seed, args.table in suites.HOLED_TABLES)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -368,8 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--test-size", type=int, default=43)
         p.add_argument("--split", default="fixed", choices=["fixed", "random"])
         p.add_argument(
-            "--drop-fraction", type=float, default=0.0,
-            help="hole fraction applied before splitting (tables 3-5 default to 0.1)",
+            "--drop-fraction", type=float, default=None,
+            help="hole fraction applied before splitting (default 0.1 on tables 3-5, "
+            "else 0)",
         )
         p.add_argument("--out", required=True, help="output directory")
         p.set_defaults(func=fn)

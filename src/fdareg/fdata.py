@@ -1,8 +1,10 @@
-"""Sampled functional datasets: loading, hole punching and train/test splits.
+"""Sampled functional datasets: loading, hole punching, train/test splits
+and the grouping of curves by sampling grid.
 
 A dataset holds ``n`` observations, each a list of ``(x, y)`` sample pairs on
 a common domain ``[a, b]`` plus one scalar regression target per observation.
 Sampling may be irregular and may differ between observations.
+:class:`Grids` is the one mapping of the functions onto sampling grids.
 """
 
 from __future__ import annotations
@@ -102,24 +104,66 @@ class Dataset:
             [self.functions[i] for i in idx], self.targets[idx], self.domain
         )
 
-    def common_grid(self) -> np.ndarray:
-        """Shared abscissa grid, if every function is sampled identically.
+    def matrix(self, grid: np.ndarray | None = None) -> np.ndarray:
+        """Stack values into an ``(n, p)`` matrix on ``grid`` (by default the
+        union of all abscissas). Raises :class:`ValidationError` when some
+        function has a sample off the grid or misses a grid point."""
+        grids = Grids(self.functions)
+        values, mask = grids.on(grids.union if grid is None else grid)
+        short = np.flatnonzero(~mask.all(axis=1))
+        if short.size:
+            raise ValidationError("functions are not sampled on a common grid: function "
+                                  f"{self.functions[short[0]].id} misses a grid point")
+        return values
 
-        Raises :class:`ValidationError` when sampling differs between
-        functions (then there is no vector view of the data).
-        """
-        grid = self.functions[0].x
-        for f in self.functions[1:]:
-            if len(f) != grid.size or not np.array_equal(f.x, grid):
+
+class Grids:
+    """Functions grouped by sampling grid, built once per dataset and reused
+    for every basis fitted to them and every grid they are read on.
+
+    ``union`` is the sorted union of all abscissas. ``blocks`` holds, for
+    each distinct abscissa array in order of first appearance, the indices
+    of the functions sampled there, the grid's row indices into ``union``
+    and the ``(m, n)`` matrix of their samples, one column per function.
+    """
+
+    def __init__(self, functions: Sequence[SampledFunction]):
+        groups: dict[bytes, list[int]] = {}
+        for i, f in enumerate(functions):
+            groups.setdefault(f.x.tobytes(), []).append(i)
+        grids = [functions[idx[0]].x for idx in groups.values()]
+        self.ids = [f.id for f in functions]
+        self.union = np.unique(np.concatenate(grids)) if grids else np.empty(0)
+        self.blocks = [
+            (idx, np.searchsorted(self.union, x), np.column_stack([functions[i].y for i in idx]))
+            for idx, x in zip(groups.values(), grids)
+        ]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def on(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(n, p)`` values and boolean mask of observed entries on a
+        ``p``-point grid (holes read 0). Each abscissa maps to its nearest
+        grid point, which must lie within 1e-9 of it (holes only delete
+        points, they never move them); otherwise :class:`ValidationError`
+        names the first function with a sample off the grid."""
+        grid = np.asarray(grid, dtype=float)
+        n, p, x = len(self), grid.size, self.union
+        if not p and n:
+            raise ValidationError(f"function {self.ids[0]} has samples off the common grid")
+        idx = np.clip(np.searchsorted(grid, x), 0, p - 1)
+        left = np.clip(idx - 1, 0, p - 1)
+        idx = np.where(np.abs(grid[left] - x) < np.abs(grid[idx] - x), left, idx)
+        off = np.abs(grid[idx] - x) > 1e-9
+        values, mask = np.zeros((n, p)), np.zeros((n, p), dtype=bool)
+        for rows_of, rows, Y in self.blocks:
+            if off[rows].any():
                 raise ValidationError(
-                    "functions are not sampled on a common grid"
-                )
-        return grid
-
-    def matrix(self) -> np.ndarray:
-        """Stack values into an (n, p) matrix; requires a common grid."""
-        self.common_grid()
-        return np.array([f.y for f in self.functions])
+                    f"function {self.ids[rows_of[0]]} has samples off the common grid")
+            values[np.ix_(rows_of, idx[rows])] = Y.T
+            mask[np.ix_(rows_of, idx[rows])] = True
+        return values, mask
 
 
 def _parse_row(token_row: list[str], lineno: int) -> np.ndarray:

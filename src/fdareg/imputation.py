@@ -1,8 +1,10 @@
 """Non-functional missing-data baselines on a common grid.
 
-Vectors live on a fixed p-point grid with a boolean mask of observed
-entries. Mean imputation fills a hole with the column mean over observed
-values; k-NN imputation ranks donor samples by the missing-aware distance
+Pure matrix code: vectors live on a fixed p-point grid with a boolean mask
+of observed entries (:meth:`fdareg.fdata.Grids.on` maps sampled functions
+onto such a grid). Mean imputation fills a hole with the column mean over
+observed values; k-NN imputation ranks donor samples by the missing-aware
+distance
 
     d(x, y) = (1 / |nm(x) & nm(y)|) * sum_{j in nm(x) & nm(y)} (x_j - y_j)^2
 
@@ -19,32 +21,6 @@ import warnings
 import numpy as np
 
 from .errors import ImputationError, IncomparableSampleError, ScalingError, ValidationError
-from .fdata import Dataset
-
-
-def masked_matrix_from_dataset(dataset: Dataset, grid: np.ndarray):
-    """Map a (possibly holed) dataset onto grid-aligned value/mask matrices.
-
-    Every sample abscissa must coincide with a grid point (the holes
-    benchmark only removes points, it never moves them).
-    """
-    grid = np.asarray(grid, dtype=float)
-    p = grid.size
-    n = len(dataset)
-    values = np.zeros((n, p))
-    mask = np.zeros((n, p), dtype=bool)
-    for i, f in enumerate(dataset.functions):
-        idx = np.searchsorted(grid, f.x)
-        idx = np.clip(idx, 0, p - 1)
-        left = np.clip(idx - 1, 0, p - 1)
-        idx = np.where(np.abs(grid[left] - f.x) < np.abs(grid[idx] - f.x), left, idx)
-        if not np.allclose(grid[idx], f.x, atol=1e-9, rtol=0):
-            raise ValidationError(
-                f"function {f.id} has samples off the common grid"
-            )
-        values[i, idx] = f.y
-        mask[i, idx] = True
-    return values, mask
 
 
 class MeanImputer:

@@ -5,26 +5,26 @@ orthogonal (QR) decomposition of the design matrix, which also yields the
 smoother-matrix diagonal needed for the closed-form leave-one-out score.
 
 The numerical path works on whole datasets. The functions are grouped by
-identical abscissa array once (``_Grids``): the union of all abscissas,
-and per distinct grid its functions, its rows in the union and its sample
-matrix. :func:`fit_dataset` and :func:`loo_scores` then evaluate the basis
-once, on that union, slice each grid's design rows from the one evaluation
-and run one pivoted QR per grid, so spectra sharing one grid cost one
-factorization and holed curves cost no extra basis evaluation. The QR and
-the triangular solve call LAPACK's ``geqp3``, ``orgqr`` and ``trtrs``
-directly, as the scipy wrappers do but without their per-call workspace
-queries and input scans, so each grid costs what LAPACK costs and the
-results are those of the wrappers bit for bit (see ``_qr_solve``). The
-routines come from :mod:`fdareg._lapack`, which loads scipy's compiled
-LAPACK module without importing ``scipy.linalg``, whose package init
-would double the start-up time. They
-return an ``(n, q)`` coefficient matrix or ``n`` scores; the scaled
-coordinates ``beta = alpha U^T`` make canonical dot products of rows equal
-L2 inner products of the reconstructed functions. :func:`select_basis_size`
-picks the basis size by the summed leave-one-out score, grouping the
-functions once for every candidate size. There is no per-function API: one
-curve is a one-element list, and ``fit`` and ``loo_score`` are only other
-names of :func:`fit_dataset` and :func:`loo_scores`.
+identical abscissa array once (:class:`fdareg.fdata.Grids`): the union of
+all abscissas, and per distinct grid its functions, its rows in the union
+and its sample matrix. :func:`fit_dataset` and :func:`loo_scores` then
+evaluate the basis once, on that union, slice each grid's design rows from
+the one evaluation and run one pivoted QR per grid, so spectra sharing one
+grid cost one factorization and holed curves cost no extra basis
+evaluation. The QR and the triangular solve call LAPACK's ``geqp3``,
+``orgqr`` and ``trtrs`` directly, as the scipy wrappers do but without
+their per-call workspace queries and input scans, so each grid costs what
+LAPACK costs and the results are those of the wrappers bit for bit (see
+``_qr_solve``). The routines come from :mod:`fdareg._lapack`, which loads
+scipy's compiled LAPACK module without importing ``scipy.linalg``, whose
+package init would double the start-up time. They return an ``(n, q)``
+coefficient matrix or ``n`` scores; the scaled coordinates ``beta = alpha
+U^T`` make canonical dot products of rows equal L2 inner products of the
+reconstructed functions. :func:`select_basis_size` picks the basis size by
+the summed leave-one-out score, grouping the functions once for every
+candidate size (or taking the caller's grouping). There is no per-function
+API: one curve is a one-element list, and ``fit`` and ``loo_score`` are
+only other names of :func:`fit_dataset` and :func:`loo_scores`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import (
     UnidentifiableCoefficientsError,
     ValidationError,
 )
-from .fdata import SampledFunction
+from .fdata import Grids, SampledFunction
 
 #: Candidates whose triangular factor is worse-conditioned than this are
 #: treated as unidentifiable (coefficients numerically unstable).
@@ -127,37 +127,12 @@ def _qr_solve(design: np.ndarray, Y: np.ndarray):
     return alpha, Y - design @ alpha, hat_diag
 
 
-class _Grids:
-    """A dataset's functions grouped by sampling grid, built once and reused
-    for every basis fitted to them.
-
-    ``union`` is the sorted union of all abscissas. ``blocks`` holds, for
-    each distinct abscissa array in order of first appearance, the indices
-    of the functions sampled there, the grid's row indices into ``union``
-    and the ``(m, n)`` matrix of their samples, one column per function.
-    """
-
-    def __init__(self, functions: Sequence[SampledFunction]):
-        groups: dict[bytes, list[int]] = {}
-        for i, f in enumerate(functions):
-            groups.setdefault(f.x.tobytes(), []).append(i)
-        grids = [functions[idx[0]].x for idx in groups.values()]
-        self.size = len(functions)
-        self.union = np.unique(np.concatenate(grids)) if grids else np.empty(0)
-        self.blocks = [
-            (idx, np.searchsorted(self.union, x), np.column_stack([functions[i].y for i in idx]))
-            for idx, x in zip(groups.values(), grids)
-        ]
-
-    def __len__(self) -> int:
-        return self.size
-
-
-def _group_fits(functions: Sequence[SampledFunction] | _Grids, basis: Basis):
+def _group_fits(functions: Sequence[SampledFunction] | Grids, basis: Basis):
     """One QR per distinct sampling grid: yields ``(indices, fit)`` for the
     functions sharing one abscissa array, ``fit`` the :func:`_qr_solve`
-    output for their samples. ``functions`` may be a :class:`_Grids`
-    grouping already built, so that several bases share one grouping.
+    output for their samples. ``functions`` may be a
+    :class:`~fdareg.fdata.Grids` grouping already built, so that several
+    bases share one grouping.
 
     The basis is evaluated once, on the union of all abscissas, and each
     grid's design rows are sliced from it. Both bases compute a design row
@@ -166,7 +141,7 @@ def _group_fits(functions: Sequence[SampledFunction] | _Grids, basis: Basis):
     The grids are fitted one at a time, so a caller that stops at the
     first failing grid factors no further grid.
     """
-    grids = functions if isinstance(functions, _Grids) else _Grids(functions)
+    grids = functions if isinstance(functions, Grids) else Grids(functions)
     if not grids.blocks:
         return
     design = basis.evaluate(grids.union)
@@ -175,7 +150,7 @@ def _group_fits(functions: Sequence[SampledFunction] | _Grids, basis: Basis):
 
 
 def fit_dataset(
-    functions: Sequence[SampledFunction], basis: Basis
+    functions: Sequence[SampledFunction] | Grids, basis: Basis
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project every sampled function onto a basis by least squares.
 
@@ -204,7 +179,7 @@ def fit_dataset(
 
 
 def loo_scores(
-    functions: Sequence[SampledFunction] | _Grids, basis: Basis
+    functions: Sequence[SampledFunction] | Grids, basis: Basis
 ) -> np.ndarray:
     """Closed-form leave-one-out mean squared reconstruction error of every
     function, shape ``(n,)``.
@@ -213,8 +188,9 @@ def loo_scores(
     costs one basis evaluation per dataset and one fit per distinct grid:
     ``(1/m) sum_i ((y_i - g(x_i)) / (1 - S_ii))^2`` with ``S`` the smoother
     matrix, whose diagonal depends on the grid only. The functions are
-    grouped by grid here unless they come as a :class:`_Grids` grouping,
-    as :func:`select_basis_size` passes them to score every candidate.
+    grouped by grid here unless they come as a :class:`~fdareg.fdata.Grids`
+    grouping, as :func:`select_basis_size` passes them to score every
+    candidate.
 
     Raises
     ------
@@ -287,7 +263,7 @@ class BasisSelection:
 
 
 def select_basis_size(
-    functions: Sequence[SampledFunction],
+    functions: Sequence[SampledFunction] | Grids,
     domain: tuple[float, float],
     kind: str = "bspline",
     order: int = 4,
@@ -301,7 +277,8 @@ def select_basis_size(
     coefficients, degenerate LOO) are skipped and reported. Any other exception is a bug and propagates.
     Ties break toward the smaller dimension.
 
-    The functions are grouped by sampling grid once, and every candidate
+    The functions are grouped by sampling grid once, unless they come as a
+    :class:`~fdareg.fdata.Grids` grouping already, and every candidate
     reuses that grouping.
 
     Raises
@@ -309,15 +286,15 @@ def select_basis_size(
     SelectionError
         No functions, or all candidates infeasible.
     """
-    if not functions:
+    grids = functions if isinstance(functions, Grids) else Grids(functions)
+    if not len(grids):
         raise SelectionError("no functions to select a basis size for")
-    min_m = min(len(f) for f in functions)
+    min_m = min(rows.size for _, rows, _ in grids.blocks)
     if candidates is None:
         candidates = _default_candidates(kind, order, min_m)
     if not candidates:
         raise SelectionError("empty candidate grid")
 
-    grids = _Grids(functions)
     scores: dict[int, float] = {}
     skipped: dict[int, str] = {}
     for q in candidates:

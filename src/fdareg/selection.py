@@ -30,12 +30,15 @@ matrices. The final refit fits the same chain for the winning k alone; a
 k's fill does not depend on the other ks of the grid. Per-function steps
 (basis projection, centering, derivatives, expert scaling) use no
 cross-sample information, so they are computed once up front, on whole
-coefficient or value matrices: one basis evaluation per dataset, on the
-union of its sampling abscissas, and one pivoted QR per distinct sampling
-grid give the ``(n, q)`` coefficient matrix, and each transform maps it to
-another. Basis-size selection by leave-one-out never sees a target and is
-also done once, on the training functions, with one basis evaluation per
-candidate size and one QR per grid and candidate size.
+coefficient or value matrices, from one grouping of each dataset's curves
+by sampling grid (:class:`~fdareg.fdata.Grids`). The basis route evaluates
+the basis once, on the union of the abscissas, and runs one pivoted QR per
+distinct grid for the ``(n, q)`` coefficient matrix, which each transform
+maps to another. The grid route reads the values on the union of the
+training abscissas, with a mask for imputation and expert scaling and
+complete otherwise. Basis-size selection by leave-one-out never sees a
+target and is also done once, on the training grouping, with one basis
+evaluation per candidate size and one QR per grid and candidate size.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from . import represent as rep_mod
 from . import transforms as tr_mod
 from .cv import derive_seed, make_folds, rmse
 from .errors import ConfigError, FdaregError
-from .fdata import Dataset
+from .fdata import Dataset, Grids
 
 __all__ = [
     "ExperimentSpec",
@@ -376,12 +379,11 @@ class _Stage1:
         self.basis = None
         # the raw grid route of imputation and expert scaling keeps a mask
         self.masked = spec.impute.kind != "none" or spec.impute.expert_scale
+        grids = Grids(train.functions)
         rep = spec.representation
         if rep.kind != "raw":
             if rep.dimension == "loo":
-                sel = rep_mod.select_basis_size(
-                    train.functions, train.domain, rep.kind, rep.order
-                )
+                sel = rep_mod.select_basis_size(grids, train.domain, rep.kind, rep.order)
                 dimension = sel.dimension
                 self.info["loo_scores"] = {int(k): float(v) for k, v in sel.scores.items()}
             else:
@@ -392,37 +394,30 @@ class _Stage1:
                 "order": rep.order,
                 "dimension": dimension,
             }
-        elif self.masked:
-            # holed functions share no complete grid; the canonical grid
-            # is the union of observed abscissas (holes only delete
-            # points, they never move them)
-            self.grid = np.unique(np.concatenate([f.x for f in train.functions]))
         else:
-            self.grid = train.common_grid()
-        self.train_values, self.train_mask = self.features(train)
+            # holed functions share no complete grid; the canonical grid is
+            # the union of the training abscissas (holes only delete points,
+            # they never move them)
+            self.grid = grids.union
+        self.train_values, self.train_mask = self.features(train, grids)
         if self.basis is not None:
             self.info["n_coefficients"] = int(self.train_values.shape[1])
 
-    def _functional_features(self, dataset: Dataset) -> np.ndarray:
-        alpha, _ = rep_mod.fit_dataset(dataset.functions, self.basis)
-        alpha, basis = tr_mod.transform_dataset(alpha, self.basis, self.spec.transform.kind)
-        return alpha @ basis.gram_factor().T
-
-    def features(self, dataset: Dataset):
+    def features(self, dataset: Dataset, grids: Grids | None = None):
         """Features ``(values, mask)`` of a dataset, by the recipe fixed on
-        the training set (no refitting); ``mask`` is None unless
-        ``masked``."""
-        if self.basis is not None:
-            return self._functional_features(dataset), None
-        if self.masked:
-            values, mask = imp_mod.masked_matrix_from_dataset(dataset, self.grid)
+        the training set (no refitting), from its grouping ``grids`` if
+        already built; ``mask`` is None unless ``masked``."""
+        if self.basis is None and not self.masked:
+            return dataset.matrix(self.grid), None
+        grids = Grids(dataset.functions) if grids is None else grids
+        if self.basis is None:
+            values, mask = grids.on(self.grid)
             if self.spec.impute.expert_scale:
                 values = imp_mod.expert_scale_matrix(values, mask)
             return values, mask
-        grid = dataset.common_grid()
-        if grid.size != self.grid.size or not np.allclose(grid, self.grid, atol=1e-9, rtol=0):
-            raise ConfigError("test data is not sampled on the training grid")
-        return dataset.matrix(), None
+        alpha, _ = rep_mod.fit_dataset(grids, self.basis)
+        alpha, basis = tr_mod.transform_dataset(alpha, self.basis, self.spec.transform.kind)
+        return alpha @ basis.gram_factor().T, None
 
 
 class _Preprocessing:

@@ -47,7 +47,11 @@ def row_stats(alpha: np.ndarray, basis: Basis):
 def constant_rows(alpha: np.ndarray, basis: Basis) -> np.ndarray:
     """Boolean mask of the rows whose centered function is numerically
     zero: no shape is left to scale, so their reduction is undefined."""
-    volume, _, sigma, beta = row_stats(alpha, basis)
+    return _constant(*row_stats(alpha, basis))
+
+
+def _constant(volume, mu, sigma, beta) -> np.ndarray:
+    """:func:`constant_rows` from the :func:`row_stats` output."""
     return sigma * volume < 1e-12 * np.maximum(np.linalg.norm(beta, axis=1), 1.0)
 
 
@@ -68,12 +72,13 @@ def transform_dataset(alpha: np.ndarray, basis: Basis, kind: str) -> tuple[np.nd
     if kind == "none":
         return alpha, basis
     if kind == "center-reduce":
-        flat = np.flatnonzero(constant_rows(alpha, basis))
+        stats = row_stats(alpha, basis)
+        flat = np.flatnonzero(_constant(*stats))
         if flat.size:
             raise ConstantFunctionError(
                 f"function in row {int(flat[0])} is constant: reduction is undefined"
             )
-        _, mu, sigma, _ = row_stats(alpha, basis)
+        _, mu, sigma, _ = stats
         ones = basis.constant_coefficients()
         return (alpha - np.outer(mu, ones)) / sigma[:, None], basis
     if kind.startswith("deriv"):

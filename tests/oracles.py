@@ -41,6 +41,9 @@ Each oracle is the slow, direct form of a fast path in ``fdareg``:
 - :func:`knn_fill_per_hole`: one k at a time, every hole picking its own
   donors from the row's ordering; the reference for the k-grid fill of
   ``imputation.KnnImputer.transform``.
+- :func:`grid_mapping_per_curve`: one ``searchsorted`` and one tolerance
+  check per curve; the reference for ``fdata.Grids.on``, which maps the
+  union of all abscissas once.
 - :func:`reference_lm_train`: damped Gauss-Newton that rebuilds the
   Jacobian, ``J^T J`` and ``J^T r`` of every active restart on every
   iteration; the reference for ``mlp.train``, which rebuilds them only
@@ -52,7 +55,7 @@ import scipy.linalg
 from scipy.spatial.distance import cdist
 
 from fdareg import mlp, rbfn
-from fdareg.errors import UnidentifiableCoefficientsError
+from fdareg.errors import UnidentifiableCoefficientsError, ValidationError
 from fdareg.represent import COND_THRESHOLD
 
 
@@ -296,6 +299,27 @@ def knn_fill_per_hole(imputer, values, mask, k, is_fit_data=False):
             donors = order[imputer.mask_[order, j] & np.isfinite(d[order])]
             out[i, j] = float(np.mean(imputer.values_[donors[:k], j]))
     return out
+
+
+def grid_mapping_per_curve(dataset, grid):
+    """Map a (possibly holed) dataset onto grid-aligned value/mask matrices,
+    one curve at a time: each abscissa goes to its nearest grid point, which
+    must lie within 1e-9 of it."""
+    grid = np.asarray(grid, dtype=float)
+    p = grid.size
+    n = len(dataset)
+    values = np.zeros((n, p))
+    mask = np.zeros((n, p), dtype=bool)
+    for i, f in enumerate(dataset.functions):
+        idx = np.searchsorted(grid, f.x)
+        idx = np.clip(idx, 0, p - 1)
+        left = np.clip(idx - 1, 0, p - 1)
+        idx = np.where(np.abs(grid[left] - f.x) < np.abs(grid[idx] - f.x), left, idx)
+        if not np.allclose(grid[idx], f.x, atol=1e-9, rtol=0):
+            raise ValidationError(f"function {f.id} has samples off the common grid")
+        values[i, idx] = f.y
+        mask[i, idx] = True
+    return values, mask
 
 
 def reference_lm_train(X, y, hidden, decay, restarts=60, seed=None, max_iter=mlp.MAX_ITER):

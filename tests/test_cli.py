@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_dataset
-from fdareg import cli, fdata, suites
+from fdareg import cli, fdata, represent, suites
 from fdareg.errors import ConfigError
 from fdareg.selection import ExperimentSpec
 
@@ -75,6 +75,28 @@ def test_represent_outputs(pairs_file, tmp_path):
         np.testing.assert_array_equal(fr.x, fo.x)
         # spline fit should track the (low-noise) samples closely
         assert np.max(np.abs(fr.y - fo.y)) < 0.2
+
+
+def test_holed_reconstruction_equals_per_curve_evaluation(pairs_file, tmp_path):
+    # one basis evaluation on the union gives each curve's fitted values
+    # bit for bit as evaluating the basis at its own abscissas
+    holed = tmp_path / "holed.pairs"
+    assert cli.main([
+        "make-holes", "--data", str(pairs_file), "--format", "generic-pairs",
+        "--drop-fraction", "0.1", "--seed", "3", "--out", str(holed),
+    ]) == 0
+    out = tmp_path / "rep-holed"
+    assert cli.main([
+        "represent", "--data", str(holed), "--format", "generic-pairs",
+        "--basis", "fourier", "--dimension", "9", "--out", str(out),
+    ]) == 0
+    data = fdata.load_dataset(holed, "generic-pairs")
+    basis = represent.make_basis("fourier", data.domain, 9)
+    alpha, _ = represent.fit_dataset(data.functions, basis)
+    recon = fdata.load_dataset(out / "reconstruction.pairs", "generic-pairs")
+    for f, fr, a in zip(data.functions, recon.functions, alpha):
+        np.testing.assert_array_equal(fr.x, f.x)
+        np.testing.assert_array_equal(fr.y, basis.evaluate(f.x) @ a)
 
 
 def test_emit_curves_skips_only_constant_curves(tmp_path):
@@ -193,6 +215,41 @@ def test_failing_row_does_not_stop_the_suite(pairs_file, tmp_path, monkeypatch, 
     assert results[2].startswith("broken,failed: ConfigError")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["rows"] == list(names)
+
+
+@pytest.mark.parametrize("table, argv, fraction", [
+    ("holed-rows", [], 0.1),
+    ("holed-rows", ["--drop-fraction", "0"], 0.0),
+    ("complete-rows", [], 0.0),
+    ("complete-rows", ["--drop-fraction", "0.2"], 0.2),
+], ids=["holed-default", "holed-explicit-zero", "complete-default", "complete-explicit"])
+def test_drop_fraction_default_and_explicit(table, argv, fraction, pairs_file, tmp_path,
+                                            monkeypatch):
+    # an explicit --drop-fraction wins, 0 included; without it the holed
+    # tables punch 10 % holes and the others none
+    def one_row(seed=0):
+        return [ExperimentSpec.from_dict(dict(SMALL_SPEC, seed=seed))]
+
+    lengths = []
+
+    def record_lengths(spec, train, test):
+        lengths.extend(len(f) for f in train.functions)
+        raise ConfigError("not run")
+
+    monkeypatch.setitem(suites.SUITE_BUILDERS, "holed-rows", one_row)
+    monkeypatch.setitem(suites.SUITE_BUILDERS, "complete-rows", one_row)
+    monkeypatch.setattr(suites, "HOLED_TABLES", (*suites.HOLED_TABLES, "holed-rows"))
+    monkeypatch.setattr(cli, "run_experiment", record_lengths)
+    out = tmp_path / "suite"
+    cli.main([
+        "suite", "--table", table, *argv,
+        "--data", str(pairs_file), "--format", "generic-pairs",
+        "--test-size", "9", "--out", str(out),
+    ])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["args"]["drop_fraction"] == fraction
+    assert f"drop-fraction={fraction}" in (out / "report.txt").read_text()
+    assert set(lengths) == {26 - round(26 * fraction)}
 
 
 def test_config_error_exit_status(pairs_file, tmp_path, capsys):
@@ -336,8 +393,10 @@ def test_bad_spec_is_a_named_error(case, pairs_file, tmp_path, capsys):
 @pytest.mark.parametrize("argv, fragment", [
     (["suite", "--table", "table1", "--test-size", "500"], "test_size"),
     (["suite", "--table", "table1", "--drop-fraction", "1.5"], "fraction"),
+    (["suite", "--table", "table1", "--drop-fraction", "-0.2"], "fraction"),
     (["make-holes", "--drop-fraction", "-0.2"], "fraction"),
-], ids=["suite-test-size", "suite-drop-fraction", "make-holes-drop-fraction"])
+], ids=["suite-test-size", "suite-drop-fraction", "suite-negative-drop-fraction",
+        "make-holes-drop-fraction"])
 def test_bad_argument_is_a_named_error(argv, fragment, pairs_file, tmp_path, capsys):
     rc = cli.main([
         *argv, "--data", str(pairs_file), "--format", "generic-pairs",

@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdareg import fdata
 from fdareg.errors import ParseError, ValidationError
+from oracles import grid_mapping_per_curve
 
 
 def write_tecator_like(path, n=8, seed=0):
@@ -140,6 +145,88 @@ class TestDropRandom:
         for frac in (-0.1, 1.0, 1.5):
             with pytest.raises(ValidationError):
                 fdata.drop_random(f, frac, seed=0)
+
+
+class TestGrids:
+    def test_roundtrip_with_holes(self, rng):
+        grid = np.linspace(0.0, 10.0, 21)
+        fns = []
+        for i in range(5):
+            f = fdata.SampledFunction(grid, rng.normal(size=21), id=i)
+            fns.append(fdata.drop_random(f, 0.2, seed=i))
+        values, mask = fdata.Grids(fns).on(grid)
+        assert mask.sum(axis=1).tolist() == [17] * 5
+        for i, f in enumerate(fns):
+            np.testing.assert_array_equal(values[i, mask[i]], f.y)
+
+    def test_off_grid_sample_rejected(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        on_grid = fdata.SampledFunction([0.0, 0.5], [1.0, 2.0], id=4)
+        off_grid = fdata.SampledFunction([0.0, 0.3], [1.0, 2.0], id=7)
+        with pytest.raises(ValidationError, match="function 7 has samples off the common grid"):
+            fdata.Grids([on_grid, off_grid, off_grid]).on(grid)
+        with pytest.raises(ValidationError, match="function 4 has samples off the common grid"):
+            fdata.Grids([on_grid]).on(np.empty(0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 7),
+        p=st.integers(1, 25),
+        drop=st.sampled_from([0.0, 0.1, 0.4]),
+        shift=st.sampled_from([0.0, 5e-10, 1e-9, 2e-9, 0.25, -3.0]),
+    )
+    def test_on_equals_per_curve_reference(self, seed, n, p, drop, shift):
+        # holed curves, some sharing an abscissa array, abscissas jittered by
+        # up to 1e-10; one curve may have a sample moved by ``shift``
+        rng = np.random.default_rng(seed)
+        grid = np.cumsum(rng.uniform(0.5, 1.5, p))
+        fns = []
+        for i, fid in enumerate(rng.permutation(n) + 10):
+            if fns and rng.random() < 0.3:
+                x = fns[rng.integers(len(fns))].x
+            else:
+                keep = rng.random(p) >= drop
+                keep[rng.integers(p)] = True
+                x = grid[keep] + rng.uniform(-1e-10, 1e-10, keep.sum())
+            if shift and i == n // 2:
+                x = x.copy()
+                x[0 if shift < 0 else rng.integers(x.size)] += shift
+            fns.append(fdata.SampledFunction(x, rng.normal(size=x.size), id=fid))
+        dataset = fdata.Dataset(fns, np.zeros(n), (grid[0] - 4.0, grid[-1] + 1.0))
+        try:
+            expected = grid_mapping_per_curve(dataset, grid)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                fdata.Grids(fns).on(grid)
+            return
+        values, mask = fdata.Grids(fns).on(grid)
+        np.testing.assert_array_equal(values, expected[0])
+        np.testing.assert_array_equal(mask, expected[1])
+
+
+class TestMatrix:
+    def test_default_grid_is_the_union(self, rng):
+        grid = np.linspace(0.0, 1.0, 9)
+        Y = rng.normal(size=(3, 9))
+        ds = fdata.Dataset([fdata.SampledFunction(grid, y, id=i) for i, y in enumerate(Y)],
+                           np.zeros(3), (0.0, 1.0))
+        np.testing.assert_array_equal(ds.matrix(), Y)
+        np.testing.assert_array_equal(ds.matrix(grid + 1e-10), Y)
+
+    def test_missing_grid_point_names_the_function(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        fns = [fdata.SampledFunction(grid, np.zeros(5), id=3),
+               fdata.SampledFunction(grid[1:], np.zeros(4), id=8)]
+        ds = fdata.Dataset(fns, np.zeros(2), (0.0, 1.0))
+        with pytest.raises(ValidationError,
+                           match="not sampled on a common grid: function 8 misses a grid point"):
+            ds.matrix()
+
+    def test_empty_dataset_is_0_by_0(self):
+        fns = [fdata.SampledFunction([0.0, 1.0], [i, i], id=i) for i in range(4)]
+        _, empty = fdata.split(fdata.Dataset(fns, np.zeros(4), (0.0, 1.0)), 0)
+        assert empty.matrix().shape == (0, 0)
 
 
 def ids(dataset):

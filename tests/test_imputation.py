@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fdareg import fdata, imputation
+from fdareg import imputation
 from fdareg.errors import (
     ImputationError,
     IncomparableSampleError,
@@ -289,24 +289,3 @@ class TestExpertScale:
         mask = np.array([[True, True], [True, False]])
         with pytest.raises(ScalingError, match="row 1"):
             imputation.expert_scale_matrix(values, mask)
-
-
-class TestMaskedMatrixFromDataset:
-    def test_roundtrip_with_holes(self, rng):
-        grid = np.linspace(0.0, 10.0, 21)
-        fns = []
-        for i in range(5):
-            f = fdata.SampledFunction(grid, rng.normal(size=21), id=i)
-            fns.append(fdata.drop_random(f, 0.2, seed=i))
-        ds = fdata.Dataset(fns, np.zeros(5), (0.0, 10.0))
-        values, mask = imputation.masked_matrix_from_dataset(ds, grid)
-        assert mask.sum(axis=1).tolist() == [17] * 5
-        for i, f in enumerate(ds.functions):
-            np.testing.assert_array_equal(values[i, mask[i]], f.y)
-
-    def test_off_grid_sample_rejected(self):
-        grid = np.linspace(0.0, 1.0, 5)
-        f = fdata.SampledFunction([0.0, 0.3], [1.0, 2.0])
-        ds = fdata.Dataset([f], [0.0], (0.0, 1.0))
-        with pytest.raises(ValidationError):
-            imputation.masked_matrix_from_dataset(ds, grid)

@@ -280,7 +280,7 @@ class TestDirectLapack:
     )
     def test_equals_scipy_wrappers_property(self, seed, kind, q, m, n_shared, n_holed, gap):
         rng = np.random.default_rng(seed)
-        grids = represent._Grids(mixed_grid_functions(rng, n_shared, n_holed, m, gap))
+        grids = fdata.Grids(mixed_grid_functions(rng, n_shared, n_holed, m, gap))
         design = _basis(kind, q).evaluate(grids.union)
         for _, rows, Y in grids.blocks:
             self._assert_same(design[rows], Y)
@@ -298,7 +298,7 @@ class TestDirectLapack:
 
     @pytest.mark.parametrize("kind", ["bspline3", "bspline5", "fourier"])
     def test_holed_dataset_solved(self, rng, kind):
-        grids = represent._Grids(mixed_grid_functions(rng, 3, 4, m=60))
+        grids = fdata.Grids(mixed_grid_functions(rng, 3, 4, m=60))
         design = _basis(kind, 11).evaluate(grids.union)
         for _, rows, Y in grids.blocks:
             assert self._assert_same(design[rows], Y) == "solved"
@@ -310,7 +310,7 @@ class TestSelectBasisSize:
         # scores as a fresh grouping would
         built = []
 
-        class Counted(represent._Grids):
+        class Counted(fdata.Grids):
             def __init__(self, functions):
                 built.append(len(functions))
                 super().__init__(functions)
@@ -321,9 +321,13 @@ class TestSelectBasisSize:
             q: float(np.sum(represent.loo_scores(fns, _basis("bspline4", q))))
             for q in candidates
         }
-        monkeypatch.setattr(represent, "_Grids", Counted)
+        monkeypatch.setattr(represent, "Grids", Counted)
         sel = represent.select_basis_size(fns, (0.0, 1.0), "bspline", 4, candidates)
         assert built == [len(fns)]
+        assert sel.scores == fresh
+        # a grouping the caller built is used as it is
+        sel = represent.select_basis_size(Counted(fns), (0.0, 1.0), "bspline", 4, candidates)
+        assert built == [len(fns)] * 2
         assert sel.scores == fresh
 
     def test_empty_function_list_raises(self):

@@ -10,6 +10,7 @@ from fdareg import fpca as fpca_mod
 from fdareg import imputation as imp_mod
 from fdareg import mlp as mlp_mod
 from fdareg import rbfn as rbfn_mod
+from fdareg import represent as rep_mod
 from fdareg.cv import derive_seed, make_folds, rmse
 from fdareg.errors import ConfigError, TrainingError, ValidationError
 from fdareg.selection import (
@@ -755,18 +756,45 @@ class TestDataChecks:
         with pytest.raises(ConfigError, match="experiment empty-test: the test set is empty"):
             run_experiment(spec, train, empty)
 
-    def test_test_grid_off_the_training_grid_is_a_config_error(self):
+    @pytest.mark.parametrize("impute", [ImputeSpec(), ImputeSpec("knn", k_grid=(1, 2))],
+                             ids=["raw", "knn"])
+    def test_test_grid_off_the_training_grid_is_a_named_validation_error(self, impute):
         # 5e-3 nm is within np.allclose's default rtol on [850, 1050] nm;
-        # the raw route must hold the masked route's 1e-9 absolute bound
+        # both grid routes hold the 1e-9 absolute bound and name the curve
         rng = np.random.default_rng(12)
         train, test = fdata.split(synthetic_dataset(rng, n=30, m=20, domain=(850.0, 1050.0)),
                                   8, shuffle=False)
         shift = np.r_[0.0, np.full(18, 5e-3), 0.0]
         test = fdata.Dataset([fdata.SampledFunction(f.x + shift, f.y, id=f.id)
                               for f in test.functions], test.targets, test.domain)
-        spec = ExperimentSpec("shifted", "rbfn", RepresentationSpec("raw"), rbfn=SMALL_RBFN)
-        with pytest.raises(ConfigError, match="test data is not sampled on the training grid"):
+        spec = ExperimentSpec("shifted", "rbfn", RepresentationSpec("raw"), impute=impute,
+                              rbfn=SMALL_RBFN)
+        with pytest.raises(ValidationError,
+                           match="function 22 has samples off the common grid"):
             run_experiment(spec, train, test)
+
+    @pytest.mark.parametrize("representation, impute", [
+        (RepresentationSpec("bspline", order=4), ImputeSpec()),
+        (RepresentationSpec("raw"), ImputeSpec("mean")),
+    ], ids=["bspline-loo", "raw-mean"])
+    def test_each_dataset_is_grouped_by_grid_once(self, holed, monkeypatch,
+                                                   representation, impute):
+        # basis-size selection, the training fit and the grid route all
+        # reuse the one grouping of the training curves
+        built = []
+
+        class Counted(fdata.Grids):
+            def __init__(self, functions):
+                built.append(len(functions))
+                super().__init__(functions)
+
+        for module in (fdata, selection, rep_mod):
+            monkeypatch.setattr(module, "Grids", Counted)
+        train, test = holed
+        spec = ExperimentSpec("grouped", "rbfn", representation, impute=impute,
+                              rbfn=SMALL_RBFN)
+        run_experiment(spec, train, test)
+        assert built == [len(train), len(test)]
 
     def test_raw_route_without_imputation_needs_a_common_grid(self, holed):
         train, test = holed
