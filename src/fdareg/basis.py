@@ -46,7 +46,7 @@ _GRAM_CACHE: dict[tuple, np.ndarray] = {}
 
 
 class _BasisBase:
-    """Shared plumbing: domain checks, Gram caching, equality by parameters."""
+    """Shared plumbing: domain checks and Gram caching by parameters."""
 
     def _check_domain(self, pts: np.ndarray) -> None:
         a, b = self.domain
@@ -60,12 +60,6 @@ class _BasisBase:
         if hit is not None:
             return hit
         return _GRAM_CACHE.setdefault(self.key, _cholesky_factor(self._gram_matrix()))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _BasisBase) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
 
 class BSplineBasis(_BasisBase):
@@ -131,15 +125,11 @@ class BSplineBasis(_BasisBase):
         return ("bspline", self.a, self.b, self.order, tuple(self.interior.tolist()))
 
     def evaluate(self, x) -> np.ndarray:
-        """Evaluate all basis functions.
-
-        Returns the design row ``(phi_1(x), ..., phi_q(x))`` for scalar
-        ``x``, or the ``(len(x), q)`` design matrix for an array. Entries
-        outside a function's knot span are exactly zero.
+        """Evaluate all basis functions: the ``(len(x), q)`` design matrix
+        of the points ``x`` (a scalar is one point). Entries outside a
+        function's knot span are exactly zero.
         """
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        pts = np.atleast_1d(x)
+        pts = np.atleast_1d(np.asarray(x, dtype=float))
         self._check_domain(pts)
 
         t = self.augmented
@@ -167,7 +157,7 @@ class BSplineBasis(_BasisBase):
         rows = np.arange(n)[:, None]
         cols = mu[:, None] + np.arange(-p, 1)[None, :]
         design[rows, cols] = values
-        return design[0] if scalar else design
+        return design
 
     def constant_coefficients(self) -> np.ndarray:
         # Partition of unity: the constant one function has all-ones
@@ -263,9 +253,9 @@ class FourierBasis(_BasisBase):
         return ("fourier", self.a, self.b, self._dimension)
 
     def evaluate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        pts = np.atleast_1d(x)
+        """The ``(len(x), q)`` design matrix of the points ``x`` (a scalar
+        is one point)."""
+        pts = np.atleast_1d(np.asarray(x, dtype=float))
         self._check_domain(pts)
         P = self.period
         q = self.dimension
@@ -277,7 +267,7 @@ class FourierBasis(_BasisBase):
             j = (col + 1) // 2
             angle = 2.0 * np.pi * j * u / P
             design[:, col] = amp * (np.sin(angle) if col % 2 == 1 else np.cos(angle))
-        return design[0] if scalar else design
+        return design
 
     def constant_coefficients(self) -> np.ndarray:
         coef = np.zeros(self.dimension)

@@ -140,12 +140,13 @@ def _emit_curves(dataset, alpha, basis, outdir: Path, args) -> None:
 
     for i, f in enumerate(dataset.functions[:n_show]):
         curve_file(f"curve_samples_{i}.csv", ["x", "y"], np.column_stack([f.x, f.y]))
+    means, _, constant = transforms.row_stats(alpha, basis)
     for kind, name in (("none", "fit"), ("center-reduce", "center_reduce"),
                        ("deriv1", "deriv1"), ("deriv2", "deriv2")):
         shown = np.arange(n_show)
         if kind == "center-reduce":
             # a constant function has no reduced curve; the others still do
-            shown = shown[~transforms.constant_rows(alpha[shown], basis)]
+            shown = shown[~constant[shown]]
         try:
             coefs, on = transforms.transform_dataset(alpha[shown], basis, kind)
         except FdaregError:
@@ -164,7 +165,6 @@ def _emit_curves(dataset, alpha, basis, outdir: Path, args) -> None:
         ["component", "explained_variance_pct"],
         np.column_stack([np.arange(1, ratio.size + 1), 100.0 * ratio]),
     )
-    _, means, _, _ = transforms.row_stats(alpha, basis)
     first_scores = fpca.scores(model, betas, n_components=1)[:, 0]
     curve_file(
         "curve_pc1_vs_mean.csv",

@@ -106,15 +106,9 @@ class Dataset:
 
     def matrix(self, grid: np.ndarray | None = None) -> np.ndarray:
         """Stack values into an ``(n, p)`` matrix on ``grid`` (by default the
-        union of all abscissas). Raises :class:`ValidationError` when some
-        function has a sample off the grid or misses a grid point."""
+        union of all abscissas), as :meth:`Grids.matrix`."""
         grids = Grids(self.functions)
-        values, mask = grids.on(grids.union if grid is None else grid)
-        short = np.flatnonzero(~mask.all(axis=1))
-        if short.size:
-            raise ValidationError("functions are not sampled on a common grid: function "
-                                  f"{self.functions[short[0]].id} misses a grid point")
-        return values
+        return grids.matrix(grids.union if grid is None else grid)
 
 
 class Grids:
@@ -165,6 +159,17 @@ class Grids:
             mask[np.ix_(rows_of, idx[rows])] = True
         return values, mask
 
+    def matrix(self, grid: np.ndarray) -> np.ndarray:
+        """``(n, p)`` values on a ``p``-point grid every function is sampled
+        at. Raises :class:`ValidationError` as :meth:`on` does, and when
+        some function misses a grid point."""
+        values, mask = self.on(grid)
+        short = np.flatnonzero(~mask.all(axis=1))
+        if short.size:
+            raise ValidationError("functions are not sampled on a common grid: function "
+                                  f"{self.ids[short[0]]} misses a grid point")
+        return values
+
 
 def _parse_row(token_row: list[str], lineno: int) -> np.ndarray:
     try:
@@ -211,7 +216,8 @@ def load_dataset(path: str | Path, format: str = "tecator-grid") -> Dataset:
     Raises
     ------
     ParseError
-        Malformed row (named by line number) or empty file.
+        Malformed row (named by line number), empty file, or a
+        generic-pairs file with a domain row only.
     ValidationError
         Non-monotone abscissas or samples outside the domain.
     """
@@ -254,6 +260,8 @@ def load_dataset(path: str | Path, format: str = "tecator-grid") -> Dataset:
             xy = values[1:].reshape(-1, 2)
             functions.append(SampledFunction(xy[:, 0], xy[:, 1], id=i))
             targets.append(values[0])
+        if not functions:
+            raise ParseError(f"{path}: file contains a domain row but no function rows")
         if domain is None:
             domain = (
                 min(f.x[0] for f in functions),

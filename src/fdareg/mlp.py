@@ -50,19 +50,16 @@ class MlpModel:
         return self.hidden_weights.shape[1]
 
 
-def forward(model: MlpModel, x: np.ndarray) -> float | np.ndarray:
-    """Network output for one vector (d,) or a batch (n, d)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    if X.shape[1] != model.input_dim:
+def forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Network outputs ``(n,)`` for a batch of inputs ``(n, d)``."""
+    X = np.asarray(X, dtype=float)
+    if X.shape[1:] != (model.input_dim,):
         raise ValidationError(
-            f"input dimension {X.shape[1]} does not match model dimension "
+            f"inputs of shape {X.shape} are not rows of the model dimension "
             f"{model.input_dim}"
         )
     act = np.tanh(X @ model.hidden_weights.T + model.hidden_biases)
-    out = act @ model.output_weights + model.output_bias
-    return float(out[0]) if single else out
+    return act @ model.output_weights + model.output_bias
 
 
 def _shapes(hidden: int, dim: int) -> tuple[slice, slice, slice, int]:

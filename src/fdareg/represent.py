@@ -4,27 +4,28 @@ The fit minimizes ``sum_j (y_j - sum_k alpha_k phi_k(x_j))^2`` through an
 orthogonal (QR) decomposition of the design matrix, which also yields the
 smoother-matrix diagonal needed for the closed-form leave-one-out score.
 
-The numerical path works on whole datasets. The functions are grouped by
-identical abscissa array once (:class:`fdareg.fdata.Grids`): the union of
-all abscissas, and per distinct grid its functions, its rows in the union
-and its sample matrix. :func:`fit_dataset` and :func:`loo_scores` then
-evaluate the basis once, on that union, slice each grid's design rows from
-the one evaluation and run one pivoted QR per grid, so spectra sharing one
-grid cost one factorization and holed curves cost no extra basis
-evaluation. The QR and the triangular solve call LAPACK's ``geqp3``,
-``orgqr`` and ``trtrs`` directly, as the scipy wrappers do but without
-their per-call workspace queries and input scans, so each grid costs what
-LAPACK costs and the results are those of the wrappers bit for bit (see
-``_qr_solve``). The routines come from :mod:`fdareg._lapack`, which loads
-scipy's compiled LAPACK module without importing ``scipy.linalg``, whose
-package init would double the start-up time. They return an ``(n, q)``
-coefficient matrix or ``n`` scores; the scaled coordinates ``beta = alpha
-U^T`` make canonical dot products of rows equal L2 inner products of the
-reconstructed functions. :func:`select_basis_size` picks the basis size by
-the summed leave-one-out score, grouping the functions once for every
-candidate size (or taking the caller's grouping). There is no per-function
-API: one curve is a one-element list, and ``fit`` and ``loo_score`` are
-only other names of :func:`fit_dataset` and :func:`loo_scores`.
+The numerical path works on whole datasets. Every entry point takes the
+functions grouped by identical abscissa array (:class:`fdareg.fdata.Grids`,
+built once per dataset by the caller): the union of all abscissas, and per
+distinct grid its functions, its rows in the union and its sample matrix.
+:func:`fit_dataset` and :func:`loo_scores` evaluate the basis once, on that
+union, slice each grid's design rows from the one evaluation and run one
+pivoted QR per grid, so spectra sharing one grid cost one factorization and
+holed curves cost no extra basis evaluation. The QR and the triangular
+solve call LAPACK's ``geqp3``, ``orgqr`` and ``trtrs`` directly, as the
+scipy wrappers do but without their per-call workspace queries and input
+scans, so each grid costs what LAPACK costs and the results are those of
+the wrappers bit for bit (see ``_qr_solve``). The routines come from
+:mod:`fdareg._lapack`, which loads scipy's compiled LAPACK module without
+importing ``scipy.linalg``, whose package init would double the start-up
+time. They return an ``(n, q)`` coefficient matrix or ``n`` scores; the
+scaled coordinates ``beta = alpha U^T`` make canonical dot products of rows
+equal L2 inner products of the reconstructed functions.
+:func:`select_basis_size` picks the basis size by the summed leave-one-out
+score, every candidate size reusing the one grouping. There is no
+per-function API: one curve is a one-curve grouping, and ``fit`` and
+``loo_score`` are only other names of :func:`fit_dataset` and
+:func:`loo_scores`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
     UnidentifiableCoefficientsError,
     ValidationError,
 )
-from .fdata import Grids, SampledFunction
+from .fdata import Grids
 
 #: Candidates whose triangular factor is worse-conditioned than this are
 #: treated as unidentifiable (coefficients numerically unstable).
@@ -127,12 +128,10 @@ def _qr_solve(design: np.ndarray, Y: np.ndarray):
     return alpha, Y - design @ alpha, hat_diag
 
 
-def _group_fits(functions: Sequence[SampledFunction] | Grids, basis: Basis):
+def _group_fits(grids: Grids, basis: Basis):
     """One QR per distinct sampling grid: yields ``(indices, fit)`` for the
     functions sharing one abscissa array, ``fit`` the :func:`_qr_solve`
-    output for their samples. ``functions`` may be a
-    :class:`~fdareg.fdata.Grids` grouping already built, so that several
-    bases share one grouping.
+    output for their samples.
 
     The basis is evaluated once, on the union of all abscissas, and each
     grid's design rows are sliced from it. Both bases compute a design row
@@ -141,7 +140,6 @@ def _group_fits(functions: Sequence[SampledFunction] | Grids, basis: Basis):
     The grids are fitted one at a time, so a caller that stops at the
     first failing grid factors no further grid.
     """
-    grids = functions if isinstance(functions, Grids) else Grids(functions)
     if not grids.blocks:
         return
     design = basis.evaluate(grids.union)
@@ -149,9 +147,7 @@ def _group_fits(functions: Sequence[SampledFunction] | Grids, basis: Basis):
         yield idx, _qr_solve(design[rows], Y)
 
 
-def fit_dataset(
-    functions: Sequence[SampledFunction] | Grids, basis: Basis
-) -> tuple[np.ndarray, np.ndarray]:
+def fit_dataset(grids: Grids, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
     """Project every sampled function onto a basis by least squares.
 
     The basis is evaluated once, on the union of all abscissas; functions
@@ -160,7 +156,7 @@ def fit_dataset(
     Returns
     -------
     alpha : ndarray, shape (n, q)
-        Row ``i`` holds the coordinates of ``functions[i]``.
+        Row ``i`` holds the coordinates of the ``i``-th grouped function.
     sse : ndarray, shape (n,)
         Residual sums of squares.
 
@@ -170,27 +166,22 @@ def fit_dataset(
         Rank-deficient or ill-conditioned design on some grid, e.g. a
         B-spline with no samples in its support.
     """
-    alpha = np.empty((len(functions), basis.dimension))
-    sse = np.empty(len(functions))
-    for idx, (a, resid, _) in _group_fits(functions, basis):
+    alpha = np.empty((len(grids), basis.dimension))
+    sse = np.empty(len(grids))
+    for idx, (a, resid, _) in _group_fits(grids, basis):
         alpha[idx] = a.T
         sse[idx] = np.einsum("ij,ij->j", resid, resid)
     return alpha, sse
 
 
-def loo_scores(
-    functions: Sequence[SampledFunction] | Grids, basis: Basis
-) -> np.ndarray:
+def loo_scores(grids: Grids, basis: Basis) -> np.ndarray:
     """Closed-form leave-one-out mean squared reconstruction error of every
     function, shape ``(n,)``.
 
     Equals the naive score from ``m`` refits each omitting one point, but
     costs one basis evaluation per dataset and one fit per distinct grid:
     ``(1/m) sum_i ((y_i - g(x_i)) / (1 - S_ii))^2`` with ``S`` the smoother
-    matrix, whose diagonal depends on the grid only. The functions are
-    grouped by grid here unless they come as a :class:`~fdareg.fdata.Grids`
-    grouping, as :func:`select_basis_size` passes them to score every
-    candidate.
+    matrix, whose diagonal depends on the grid only.
 
     Raises
     ------
@@ -199,8 +190,8 @@ def loo_scores(
     UnidentifiableCoefficientsError
         As in :func:`fit_dataset`.
     """
-    scores = np.empty(len(functions))
-    for idx, (_, resid, hat) in _group_fits(functions, basis):
+    scores = np.empty(len(grids))
+    for idx, (_, resid, hat) in _group_fits(grids, basis):
         if np.any(hat >= 1.0 - 1e-12):
             raise DegenerateLooError(
                 "hat diagonal reaches 1: leave-one-out undefined (interpolating fit)"
@@ -263,7 +254,7 @@ class BasisSelection:
 
 
 def select_basis_size(
-    functions: Sequence[SampledFunction] | Grids,
+    grids: Grids,
     domain: tuple[float, float],
     kind: str = "bspline",
     order: int = 4,
@@ -277,16 +268,13 @@ def select_basis_size(
     coefficients, degenerate LOO) are skipped and reported. Any other exception is a bug and propagates.
     Ties break toward the smaller dimension.
 
-    The functions are grouped by sampling grid once, unless they come as a
-    :class:`~fdareg.fdata.Grids` grouping already, and every candidate
-    reuses that grouping.
+    Every candidate reuses the one grouping ``grids``.
 
     Raises
     ------
     SelectionError
         No functions, or all candidates infeasible.
     """
-    grids = functions if isinstance(functions, Grids) else Grids(functions)
     if not len(grids):
         raise SelectionError("no functions to select a basis size for")
     min_m = min(rows.size for _, rows, _ in grids.blocks)

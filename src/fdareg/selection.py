@@ -31,14 +31,16 @@ k's fill does not depend on the other ks of the grid. Per-function steps
 (basis projection, centering, derivatives, expert scaling) use no
 cross-sample information, so they are computed once up front, on whole
 coefficient or value matrices, from one grouping of each dataset's curves
-by sampling grid (:class:`~fdareg.fdata.Grids`). The basis route evaluates
-the basis once, on the union of the abscissas, and runs one pivoted QR per
-distinct grid for the ``(n, q)`` coefficient matrix, which each transform
-maps to another. The grid route reads the values on the union of the
-training abscissas, with a mask for imputation and expert scaling and
-complete otherwise. Basis-size selection by leave-one-out never sees a
-target and is also done once, on the training grouping, with one basis
-evaluation per candidate size and one QR per grid and candidate size.
+by sampling grid (:class:`~fdareg.fdata.Grids`), the one input of every
+route: the training set is grouped once up front and the test set once
+after it is unlocked. The basis route evaluates the basis once, on the
+union of the abscissas, and runs one pivoted QR per distinct grid for the
+``(n, q)`` coefficient matrix, which each transform maps to another. The
+grid route reads the grouping's values on the union of the training
+abscissas, with a mask for imputation and expert scaling and complete
+otherwise. Basis-size selection by leave-one-out never sees a target and
+is also done once, on the training grouping, with one basis evaluation per
+candidate size and one QR per grid and candidate size.
 """
 
 from __future__ import annotations
@@ -399,17 +401,16 @@ class _Stage1:
             # the union of the training abscissas (holes only delete points,
             # they never move them)
             self.grid = grids.union
-        self.train_values, self.train_mask = self.features(train, grids)
+        self.train_values, self.train_mask = self.features(grids)
         if self.basis is not None:
             self.info["n_coefficients"] = int(self.train_values.shape[1])
 
-    def features(self, dataset: Dataset, grids: Grids | None = None):
-        """Features ``(values, mask)`` of a dataset, by the recipe fixed on
-        the training set (no refitting), from its grouping ``grids`` if
-        already built; ``mask`` is None unless ``masked``."""
+    def features(self, grids: Grids):
+        """Features ``(values, mask)`` of a dataset's grouping by sampling
+        grid, by the recipe fixed on the training set (no refitting);
+        ``mask`` is None unless ``masked``."""
         if self.basis is None and not self.masked:
-            return dataset.matrix(self.grid), None
-        grids = Grids(dataset.functions) if grids is None else grids
+            return grids.matrix(self.grid), None
         if self.basis is None:
             values, mask = grids.on(self.grid)
             if self.spec.impute.expert_scale:
@@ -585,7 +586,7 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     selected, predictor = _fit_final(spec, stage, best_cell, y, notes)
 
     test_ds = sealed.unlock()
-    test_values, test_mask = stage.features(test_ds)
+    test_values, test_mask = stage.features(Grids(test_ds.functions))
     preds = predictor(test_values, test_mask)
     test_rmse = rmse(preds, test_ds.targets)
 

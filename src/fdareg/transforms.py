@@ -10,8 +10,8 @@ for both basis families), norms come from the scaled beta rows
 ``alpha U^T``, where ``U = basis.gram_factor()`` is the upper Cholesky
 factor of the basis's Gram matrix, and a derivative is one product with the
 basis's coefficient map.
-:func:`row_stats` gives the row-wise statistics and :func:`constant_rows`
-the rows that cannot be reduced.
+:func:`row_stats` gives the row-wise statistics and the mask of the rows
+that cannot be reduced.
 
 The derivative semi-metric of the pipeline is the Euclidean distance of the
 derivatives' beta rows, which kills level shifts exactly.
@@ -28,11 +28,13 @@ from .errors import ConstantFunctionError
 def row_stats(alpha: np.ndarray, basis: Basis):
     """Centering/reduction statistics of every row of a coefficient matrix.
 
-    Returns ``(volume, mu, sigma, beta)``: the domain volume, the row-wise
-    domain-averages ``mu`` and reduction scales
-    ``sigma = ||g - mu|| / volume``, and the ``(n, q)`` scaled coordinates
-    ``beta = alpha U^T`` with ``U = basis.gram_factor()``. A centered row
-    divided by its ``sigma`` has L2 norm equal to the domain volume.
+    Returns ``(mu, sigma, constant)``: the row-wise domain-averages ``mu``,
+    the reduction scales ``sigma = ||g - mu|| / volume``, and the boolean
+    mask of the rows whose centered function is numerically zero: no shape
+    is left to scale, so their reduction is undefined. A centered row
+    divided by its ``sigma`` has L2 norm equal to the domain volume. The
+    norms are those of the scaled coordinates ``beta = alpha U^T`` with
+    ``U = basis.gram_factor()``.
     """
     a, b = basis.domain
     volume = b - a
@@ -41,18 +43,8 @@ def row_stats(alpha: np.ndarray, basis: Basis):
     beta = alpha @ chol.T
     mu = (beta @ beta_one) / volume
     sigma = np.linalg.norm(beta - np.outer(mu, beta_one), axis=1) / volume
-    return volume, mu, sigma, beta
-
-
-def constant_rows(alpha: np.ndarray, basis: Basis) -> np.ndarray:
-    """Boolean mask of the rows whose centered function is numerically
-    zero: no shape is left to scale, so their reduction is undefined."""
-    return _constant(*row_stats(alpha, basis))
-
-
-def _constant(volume, mu, sigma, beta) -> np.ndarray:
-    """:func:`constant_rows` from the :func:`row_stats` output."""
-    return sigma * volume < 1e-12 * np.maximum(np.linalg.norm(beta, axis=1), 1.0)
+    constant = sigma * volume < 1e-12 * np.maximum(np.linalg.norm(beta, axis=1), 1.0)
+    return mu, sigma, constant
 
 
 def transform_dataset(alpha: np.ndarray, basis: Basis, kind: str) -> tuple[np.ndarray, Basis]:
@@ -72,13 +64,12 @@ def transform_dataset(alpha: np.ndarray, basis: Basis, kind: str) -> tuple[np.nd
     if kind == "none":
         return alpha, basis
     if kind == "center-reduce":
-        stats = row_stats(alpha, basis)
-        flat = np.flatnonzero(_constant(*stats))
+        mu, sigma, constant = row_stats(alpha, basis)
+        flat = np.flatnonzero(constant)
         if flat.size:
             raise ConstantFunctionError(
                 f"function in row {int(flat[0])} is constant: reduction is undefined"
             )
-        _, mu, sigma, _ = stats
         ones = basis.constant_coefficients()
         return (alpha - np.outer(mu, ones)) / sigma[:, None], basis
     if kind.startswith("deriv"):

@@ -78,7 +78,7 @@ class TestOracleEquivalences:
             try:
                 if hat_diagonal(f, b).max() > 0.99:
                     continue
-                [fast] = represent.loo_scores([f], b)
+                [fast] = represent.loo_scores(fdata.Grids([f]), b)
             except (UnidentifiableCoefficientsError, DegenerateLooError):
                 continue
             assert fast == pytest.approx(naive_loo(f, b), rel=1e-10)
@@ -92,7 +92,7 @@ class TestOracleEquivalences:
             b = basis.BSplineBasis.uniform(0.0, 2.0, int(rng.integers(3, 9)), order)
             f1, _ = random_spline_function(rng, b, noise=0.05)
             f2, _ = random_spline_function(rng, b, noise=0.05)
-            alpha, _ = represent.fit_dataset([f1, f2], b)
+            alpha, _ = represent.fit_dataset(fdata.Grids([f1, f2]), b)
             beta = alpha @ b.gram_factor().T
             g1 = lambda xs: b.evaluate(xs) @ alpha[0]  # noqa: E731
             g2 = lambda xs: b.evaluate(xs) @ alpha[1]  # noqa: E731
@@ -111,7 +111,7 @@ class TestOracleEquivalences:
             b = basis.BSplineBasis.uniform(0.0, 1.0, int(rng.integers(3, 7)), order)
             n = int(rng.integers(10, 25))
             fns = [random_spline_function(rng, b, noise=0.0)[0] for _ in range(n)]
-            alpha, _ = represent.fit_dataset(fns, b)
+            alpha, _ = represent.fit_dataset(fdata.Grids(fns), b)
             betas = alpha @ b.gram_factor().T
             model = fpca.fit_fpca(betas, n_components=3)
             ref_scores, ref_eval = dense_grid_pca(b, alpha, 3)
@@ -136,7 +136,7 @@ class TestOracleEquivalences:
             coefs = rng.normal(size=order)  # degree < order: in span
             poly = np.polynomial.Polynomial(coefs)
             x = np.linspace(0.0, 1.0, 3 * b.dimension)
-            alpha, _ = represent.fit_dataset([fdata.SampledFunction(x, poly(x))], b)
+            alpha, _ = represent.fit_dataset(fdata.Grids([fdata.SampledFunction(x, poly(x))]), b)
             for s in range(1, s_max + 1):
                 d, on = transforms.transform_dataset(alpha, b, f"deriv{s}")
                 np.testing.assert_allclose(
@@ -224,7 +224,7 @@ class TestInvariantSuites:
                 return d @ on.gram_factor().T
 
             fns = [random_spline_function(rng, b, noise=0.02)[0] for _ in range(12)]
-            alpha, _ = represent.fit_dataset(fns, b)
+            alpha, _ = represent.fit_dataset(fdata.Grids(fns), b)
             X = deriv_betas(alpha)
             y = rng.normal(size=12)
             D = rbfn.sq_distances(X, X)
@@ -425,7 +425,7 @@ class TestPaperNumbers:
         for functions, per_order in expectations:
             for order, target in per_order.items():
                 sel = represent.select_basis_size(
-                    functions, train.domain, "bspline", order
+                    fdata.Grids(functions), train.domain, "bspline", order
                 )
                 assert abs(sel.dimension - target) <= 8, (
                     f"order {order}: selected {sel.dimension}, paper {target}"

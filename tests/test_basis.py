@@ -44,8 +44,7 @@ class TestBSplineEvaluation:
 
     def test_endpoints(self):
         b = basis.BSplineBasis.uniform(0.0, 1.0, 5, 4)
-        row_a = b.evaluate(0.0)
-        row_b = b.evaluate(1.0)
+        row_a, row_b = b.evaluate([0.0, 1.0])
         assert row_a[0] == pytest.approx(1.0)
         assert row_b[-1] == pytest.approx(1.0)
         assert np.all(row_a[1:] == 0) or row_a[1:].max() < 1e-15
@@ -84,7 +83,7 @@ class TestBSplineEvaluation:
 
     def test_scalar_and_array_shapes(self):
         b = basis.BSplineBasis.uniform(0.0, 1.0, 3, 4)
-        assert b.evaluate(0.3).shape == (b.dimension,)
+        assert b.evaluate(0.3).shape == (1, b.dimension)
         assert b.evaluate(np.linspace(0, 1, 7)).shape == (7, b.dimension)
 
 

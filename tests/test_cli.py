@@ -92,7 +92,7 @@ def test_holed_reconstruction_equals_per_curve_evaluation(pairs_file, tmp_path):
     ]) == 0
     data = fdata.load_dataset(holed, "generic-pairs")
     basis = represent.make_basis("fourier", data.domain, 9)
-    alpha, _ = represent.fit_dataset(data.functions, basis)
+    alpha, _ = represent.fit_dataset(fdata.Grids(data.functions), basis)
     recon = fdata.load_dataset(out / "reconstruction.pairs", "generic-pairs")
     for f, fr, a in zip(data.functions, recon.functions, alpha):
         np.testing.assert_array_equal(fr.x, f.x)
@@ -403,6 +403,16 @@ def test_bad_argument_is_a_named_error(argv, fragment, pairs_file, tmp_path, cap
         "--out", str(tmp_path / "out"),
     ])
     _assert_named_error(rc, capsys.readouterr().err, fragment)
+
+
+def test_domain_row_alone_is_a_named_error(tmp_path, capsys):
+    data = tmp_path / "domain-only.pairs"
+    data.write_text("domain 0 1\n")
+    out = tmp_path / "out"
+    rc = cli.main(["represent", "--data", str(data), "--format", "generic-pairs",
+                   "--dimension", "5", "--out", str(out)])
+    _assert_named_error(rc, capsys.readouterr().err, "domain-only.pairs", "no function rows")
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])

@@ -53,6 +53,12 @@ class TestLoadDataset:
         with pytest.raises(ParseError):
             fdata.load_dataset(p, "tecator-grid")
 
+    def test_domain_row_alone_is_parse_error(self, tmp_path):
+        p = tmp_path / "domain-only.pairs"
+        p.write_text("domain 0 1\n")
+        with pytest.raises(ParseError, match="domain-only.pairs: .*no function rows"):
+            fdata.load_dataset(p, "generic-pairs")
+
     def test_malformed_row_names_line(self, tmp_path):
         path = write_tecator_like(tmp_path / "tec.txt", n=2)
         lines = path.read_text().splitlines()

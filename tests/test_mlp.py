@@ -34,7 +34,7 @@ def regularized_loss(model, X, y):
 class TestForward:
     def test_zero_network(self):
         model = mlp.MlpModel(np.zeros((2, 3)), np.zeros(2), np.zeros(2), 0.0)
-        assert mlp.forward(model, np.ones(3)) == 0.0
+        np.testing.assert_array_equal(mlp.forward(model, np.ones((1, 3))), [0.0])
 
     def test_zero_hidden_weights_constant_output(self, rng):
         b = rng.normal(size=3)

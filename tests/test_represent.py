@@ -22,7 +22,7 @@ from oracles import naive_loo, quadrature_integral, reference_qr_solve
 class TestFit:
     def test_in_span_function_recovered(self, rng, small_bspline):
         f, alpha = random_spline_function(rng, small_bspline)
-        fitted, sse = represent.fit_dataset([f], small_bspline)
+        fitted, sse = represent.fit_dataset(fdata.Grids([f]), small_bspline)
         np.testing.assert_allclose(fitted[0], alpha, atol=1e-10)
         assert sse[0] <= 1e-18 * float(f.y @ f.y)
         np.testing.assert_allclose(small_bspline.evaluate(f.x) @ fitted[0], f.y, atol=1e-10)
@@ -30,14 +30,14 @@ class TestFit:
     def test_constant_samples_give_constant_coefficients(self, small_bspline):
         x = np.linspace(0, 1, 25)
         f = fdata.SampledFunction(x, np.full(25, 3.25))
-        alpha, _ = represent.fit_dataset([f], small_bspline)
+        alpha, _ = represent.fit_dataset(fdata.Grids([f]), small_bspline)
         np.testing.assert_allclose(alpha, 3.25, atol=1e-12)
 
     def test_beta_consistency(self, rng, small_bspline):
         # the scaled coordinates beta = alpha U^T of fit_dataset rows: row i
         # is U alpha_i, and dot products of rows are the Gram inner products
         fns = [random_spline_function(rng, small_bspline, noise=0.1)[0] for _ in range(4)]
-        alpha, _ = represent.fit_dataset(fns, small_bspline)
+        alpha, _ = represent.fit_dataset(fdata.Grids(fns), small_bspline)
         chol = small_bspline.gram_factor()
         beta = alpha @ chol.T
         for a, b in zip(alpha, beta):
@@ -49,7 +49,7 @@ class TestFit:
 
     def test_residual_orthogonality(self, rng, small_bspline):
         f, _ = random_spline_function(rng, small_bspline, noise=0.5)
-        alpha, _ = represent.fit_dataset([f], small_bspline)
+        alpha, _ = represent.fit_dataset(fdata.Grids([f]), small_bspline)
         design = small_bspline.evaluate(f.x)
         resid = f.y - design @ alpha[0]
         assert np.max(np.abs(design.T @ resid)) < 1e-9 * np.linalg.norm(f.y)
@@ -60,13 +60,13 @@ class TestFit:
         x = np.linspace(0.0, 0.3, 40)
         f = fdata.SampledFunction(x, np.sin(x))
         with pytest.raises(UnidentifiableCoefficientsError) as exc_info:
-            represent.fit_dataset([f], b)
+            represent.fit_dataset(fdata.Grids([f]), b)
         assert b.dimension - 1 in exc_info.value.indices
 
     def test_too_few_points(self, small_bspline):
         f = fdata.SampledFunction([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
         with pytest.raises(UnidentifiableCoefficientsError):
-            represent.fit_dataset([f], small_bspline)
+            represent.fit_dataset(fdata.Grids([f]), small_bspline)
 
 
 class TestHatDiagonal:
@@ -93,7 +93,7 @@ class TestLooScore:
             try:
                 if hat_diagonal(f, b).max() > 0.99:
                     continue  # near-interpolating draw: both paths lose precision
-                [fast] = represent.loo_scores([f], b)
+                [fast] = represent.loo_scores(fdata.Grids([f]), b)
             except (UnidentifiableCoefficientsError, DegenerateLooError):
                 continue
             naive = naive_loo(f, b)
@@ -105,7 +105,7 @@ class TestLooScore:
         x = np.linspace(0.0, 1.0, b.dimension)
         f = fdata.SampledFunction(x, np.sin(x))
         with pytest.raises(DegenerateLooError):
-            represent.loo_scores([f], b)
+            represent.loo_scores(fdata.Grids([f]), b)
 
     def test_overfitting_increases_loo(self, rng):
         # truth lives on a small basis; pure-noise extra dimensions hurt LOO
@@ -114,8 +114,8 @@ class TestLooScore:
         alpha = rng.normal(size=truth.dimension)
         y = truth.evaluate(x) @ alpha + 0.05 * rng.normal(size=120)
         f = fdata.SampledFunction(x, y)
-        [small] = represent.loo_scores([f], truth)
-        [big] = represent.loo_scores([f], basis.BSplineBasis.uniform(0.0, 1.0, 30, 4))
+        [small] = represent.loo_scores(fdata.Grids([f]), truth)
+        [big] = represent.loo_scores(fdata.Grids([f]), basis.BSplineBasis.uniform(0.0, 1.0, 30, 4))
         assert big > small
 
 
@@ -127,8 +127,8 @@ class TestDatasetPath:
         fns = mixed_grid_functions(rng)
         for q in (6, 10, 14):
             b = basis.BSplineBasis.uniform(0.0, 1.0, q - 4, 4)
-            batched = represent.loo_scores(fns, b)
-            per_curve = [represent.loo_scores([f], b)[0] for f in fns]
+            batched = represent.loo_scores(fdata.Grids(fns), b)
+            per_curve = [represent.loo_scores(fdata.Grids([f]), b)[0] for f in fns]
             np.testing.assert_allclose(batched, per_curve, rtol=1e-10, atol=0)
             np.testing.assert_allclose(
                 batched, [naive_loo(f, b) for f in fns], rtol=1e-10, atol=0
@@ -137,10 +137,10 @@ class TestDatasetPath:
     def test_fit_dataset_matches_per_curve_fit(self, rng):
         fns = mixed_grid_functions(rng)
         b = basis.BSplineBasis.uniform(0.0, 1.0, 6, 4)
-        alpha, sse = represent.fit_dataset(fns, b)
+        alpha, sse = represent.fit_dataset(fdata.Grids(fns), b)
         assert alpha.shape == (len(fns), b.dimension)
         for i, f in enumerate(fns):
-            row, row_sse = represent.fit_dataset([f], b)
+            row, row_sse = represent.fit_dataset(fdata.Grids([f]), b)
             np.testing.assert_allclose(alpha[i], row[0], rtol=1e-12, atol=1e-12)
             assert sse[i] == pytest.approx(row_sse[0], rel=1e-10)
 
@@ -154,7 +154,7 @@ class TestDatasetPath:
             return solve(design, Y)
 
         monkeypatch.setattr(represent, "_qr_solve", counted)
-        represent.loo_scores(fns, basis.BSplineBasis.uniform(0.0, 1.0, 4, 4))
+        represent.loo_scores(fdata.Grids(fns), basis.BSplineBasis.uniform(0.0, 1.0, 4, 4))
         assert sorted(calls) == [1, 1, 1, 6]
 
     def test_uncovered_support_in_one_group_skips_candidate(self, rng):
@@ -166,7 +166,7 @@ class TestDatasetPath:
             for _ in range(2)
         ]
         sel = represent.select_basis_size(
-            fns, (0.0, 1.0), "bspline", 4, candidates=[8, 40]
+            fdata.Grids(fns), (0.0, 1.0), "bspline", 4, candidates=[8, 40]
         )
         assert sel.skipped[40].startswith("UnidentifiableCoefficientsError")
         assert sel.dimension == 8
@@ -182,8 +182,8 @@ class TestDatasetPath:
         rng = np.random.default_rng(seed)
         fns = mixed_grid_functions(rng, n_shared=n_shared, n_holed=n_holed)
         b = basis.BSplineBasis.uniform(0.0, 1.0, q - 4, 4)
-        batched = represent.loo_scores(fns, b)
-        per_curve = [represent.loo_scores([f], b)[0] for f in fns]
+        batched = represent.loo_scores(fdata.Grids(fns), b)
+        per_curve = [represent.loo_scores(fdata.Grids([f]), b)[0] for f in fns]
         np.testing.assert_allclose(batched, per_curve, rtol=1e-10, atol=0)
 
 
@@ -202,7 +202,7 @@ class TestUnionEvaluation:
     def test_sliced_design_equals_per_grid_evaluation(self, rng, monkeypatch, b):
         fns = mixed_grid_functions(rng)
         monkeypatch.setattr(represent, "_qr_solve", lambda design, Y: design)
-        groups = list(represent._group_fits(fns, b))
+        groups = list(represent._group_fits(fdata.Grids(fns), b))
         assert len(groups) == 5  # the shared grid and four holed grids
         for idx, design in groups:
             x = fns[idx[0]].x
@@ -220,24 +220,24 @@ class TestUnionEvaluation:
             return evaluate(self, x)
 
         monkeypatch.setattr(type(b), "evaluate", counted)
-        represent.loo_scores(fns, b)
+        represent.loo_scores(fdata.Grids(fns), b)
         union = np.unique(np.concatenate([f.x for f in fns]))
         assert points == [union.size]
-        represent.fit_dataset(fns, b)
+        represent.fit_dataset(fdata.Grids(fns), b)
         assert points == [union.size] * 2
 
     def test_empty_function_list(self, small_bspline):
-        alpha, sse = represent.fit_dataset([], small_bspline)
+        alpha, sse = represent.fit_dataset(fdata.Grids([]), small_bspline)
         assert alpha.shape == (0, small_bspline.dimension) and sse.shape == (0,)
-        assert represent.loo_scores([], small_bspline).shape == (0,)
+        assert represent.loo_scores(fdata.Grids([]), small_bspline).shape == (0,)
 
     def test_out_of_domain_abscissa_raises(self, rng, small_bspline):
         x = np.linspace(0.0, 1.25, 40)
         fns = mixed_grid_functions(rng) + [fdata.SampledFunction(x, np.sin(x))]
         with pytest.raises(DomainError, match="outside"):
-            represent.fit_dataset(fns, small_bspline)
+            represent.fit_dataset(fdata.Grids(fns), small_bspline)
         with pytest.raises(DomainError, match="outside"):
-            represent.loo_scores(fns, small_bspline)
+            represent.loo_scores(fdata.Grids(fns), small_bspline)
 
 
 def _basis(kind, q):
@@ -306,38 +306,31 @@ class TestDirectLapack:
 
 class TestSelectBasisSize:
     def test_grouped_once_for_all_candidates(self, rng, monkeypatch):
-        # every candidate reuses one grouping of the curves by grid, and
-        # scores as a fresh grouping would
-        built = []
-
-        class Counted(fdata.Grids):
-            def __init__(self, functions):
-                built.append(len(functions))
-                super().__init__(functions)
-
+        # every candidate reuses the grouping passed in, builds no other,
+        # and scores as a fresh grouping would
         fns = mixed_grid_functions(rng)
         candidates = [6, 8, 10, 12]
         fresh = {
-            q: float(np.sum(represent.loo_scores(fns, _basis("bspline4", q))))
+            q: float(np.sum(represent.loo_scores(fdata.Grids(fns), _basis("bspline4", q))))
             for q in candidates
         }
-        monkeypatch.setattr(represent, "Grids", Counted)
-        sel = represent.select_basis_size(fns, (0.0, 1.0), "bspline", 4, candidates)
-        assert built == [len(fns)]
-        assert sel.scores == fresh
-        # a grouping the caller built is used as it is
-        sel = represent.select_basis_size(Counted(fns), (0.0, 1.0), "bspline", 4, candidates)
-        assert built == [len(fns)] * 2
+        grids = fdata.Grids(fns)
+
+        def no_grouping(self, functions):
+            raise AssertionError("a second grouping was built")
+
+        monkeypatch.setattr(fdata.Grids, "__init__", no_grouping)
+        sel = represent.select_basis_size(grids, (0.0, 1.0), "bspline", 4, candidates)
         assert sel.scores == fresh
 
     def test_empty_function_list_raises(self):
         with pytest.raises(SelectionError, match="no functions"):
-            represent.select_basis_size([], (0.0, 1.0))
+            represent.select_basis_size(fdata.Grids([]), (0.0, 1.0))
 
     def test_single_candidate(self, rng):
         ds = synthetic_dataset(rng, n=5, m=25)
         sel = represent.select_basis_size(
-            ds.functions, ds.domain, "bspline", 4, candidates=[10]
+            fdata.Grids(ds.functions), ds.domain, "bspline", 4, candidates=[10]
         )
         assert sel.dimension == 10
 
@@ -350,14 +343,14 @@ class TestSelectBasisSize:
             f, _ = random_spline_function(rng, truth, noise=0.05, m=60)
             fns.append(fdata.SampledFunction(f.x, f.y, id=i))
         sel = represent.select_basis_size(
-            fns, (0.0, 1.0), "bspline", 4, candidates=[6, 8, 12, 20, 40]
+            fdata.Grids(fns), (0.0, 1.0), "bspline", 4, candidates=[6, 8, 12, 20, 40]
         )
         assert sel.dimension in (6, 8, 12)
 
     def test_infeasible_candidates_skipped_and_reported(self, rng):
         ds = synthetic_dataset(rng, n=4, m=20)
         sel = represent.select_basis_size(
-            ds.functions, ds.domain, "bspline", 4, candidates=[8, 19, 20, 64]
+            fdata.Grids(ds.functions), ds.domain, "bspline", 4, candidates=[8, 19, 20, 64]
         )
         assert 64 in sel.skipped  # more coefficients than samples
         assert 20 in sel.skipped  # square design: degenerate LOO
@@ -366,7 +359,7 @@ class TestSelectBasisSize:
     def test_dimension_below_order_skipped(self, rng):
         ds = synthetic_dataset(rng, n=4, m=20)
         sel = represent.select_basis_size(
-            ds.functions, ds.domain, "bspline", 4, candidates=[3, 8]
+            fdata.Grids(ds.functions), ds.domain, "bspline", 4, candidates=[3, 8]
         )
         assert sel.skipped[3].startswith("ValidationError")
         assert sel.dimension == 8
@@ -381,14 +374,14 @@ class TestSelectBasisSize:
         ds = synthetic_dataset(rng, n=4, m=20)
         with pytest.raises(RuntimeError, match="bug in the LOO score"):
             represent.select_basis_size(
-                ds.functions, ds.domain, "bspline", 4, candidates=[8]
+                fdata.Grids(ds.functions), ds.domain, "bspline", 4, candidates=[8]
             )
 
     def test_all_infeasible_raises(self, rng):
         ds = synthetic_dataset(rng, n=3, m=10)
         with pytest.raises(SelectionError):
             represent.select_basis_size(
-                ds.functions, ds.domain, "bspline", 4, candidates=[50, 60]
+                fdata.Grids(ds.functions), ds.domain, "bspline", 4, candidates=[50, 60]
             )
 
     def test_default_grid_spans_paper_sizes(self):
@@ -405,13 +398,13 @@ class TestBetaGeometry:
     def _pair(self, rng, b):
         f1, _ = random_spline_function(rng, b, noise=0.05)
         f2, _ = random_spline_function(rng, b, noise=0.05)
-        alpha, _ = represent.fit_dataset([f1, f2], b)
+        alpha, _ = represent.fit_dataset(fdata.Grids([f1, f2]), b)
         return alpha, alpha @ b.gram_factor().T
 
     def test_dist_self_zero(self, rng, small_bspline):
         # a curve listed twice shares one QR: identical beta rows
         f, _ = random_spline_function(rng, small_bspline, noise=0.05)
-        alpha, _ = represent.fit_dataset([f, f], small_bspline)
+        alpha, _ = represent.fit_dataset(fdata.Grids([f, f]), small_bspline)
         beta = alpha @ small_bspline.gram_factor().T
         assert np.linalg.norm(beta[0] - beta[1]) == 0.0
 
@@ -435,7 +428,7 @@ class TestBetaGeometry:
         fb = basis.FourierBasis(0.0, 1.0, 7)
         x = np.linspace(0, 1, 40)
         f = fdata.SampledFunction(x, np.sin(2 * np.pi * x) + 1.0)
-        alpha, _ = represent.fit_dataset([f], fb)
+        alpha, _ = represent.fit_dataset(fdata.Grids([f]), fb)
         np.testing.assert_array_equal(alpha @ fb.gram_factor().T, alpha)
 
     def test_linearity_of_beta(self, rng, small_bspline):

@@ -685,7 +685,7 @@ class TestImputationRoutes:
                               pca=pca, impute=impute, rbfn=SMALL_RBFN)
         stage = selection._Stage1(spec, train)
         values, mask = stage.train_values, stage.train_mask
-        new_values, new_mask = stage.features(test)
+        new_values, new_mask = stage.features(fdata.Grids(test.functions))
         ks = impute.grid()
         max_comp = 4 if pca.kind != "none" else 0
         grid = selection._Preprocessing(spec, ks, values, mask, max_comp)
@@ -773,14 +773,16 @@ class TestDataChecks:
                            match="function 22 has samples off the common grid"):
             run_experiment(spec, train, test)
 
-    @pytest.mark.parametrize("representation, impute", [
-        (RepresentationSpec("bspline", order=4), ImputeSpec()),
-        (RepresentationSpec("raw"), ImputeSpec("mean")),
-    ], ids=["bspline-loo", "raw-mean"])
-    def test_each_dataset_is_grouped_by_grid_once(self, holed, monkeypatch,
-                                                   representation, impute):
-        # basis-size selection, the training fit and the grid route all
-        # reuse the one grouping of the training curves
+    @pytest.mark.parametrize("representation, impute, dataset", [
+        (RepresentationSpec("bspline", order=4), ImputeSpec(), "holed"),
+        (RepresentationSpec("raw"), ImputeSpec("mean"), "holed"),
+        (RepresentationSpec("raw"), ImputeSpec(), "data"),
+    ], ids=["bspline-loo", "raw-mean", "raw"])
+    def test_each_dataset_is_grouped_by_grid_once(self, request, monkeypatch,
+                                                   representation, impute, dataset):
+        # basis-size selection, the training fit and the grid routes, with
+        # and without a mask, all reuse the one grouping of the training
+        # curves
         built = []
 
         class Counted(fdata.Grids):
@@ -790,7 +792,7 @@ class TestDataChecks:
 
         for module in (fdata, selection, rep_mod):
             monkeypatch.setattr(module, "Grids", Counted)
-        train, test = holed
+        train, test = request.getfixturevalue(dataset)
         spec = ExperimentSpec("grouped", "rbfn", representation, impute=impute,
                               rbfn=SMALL_RBFN)
         run_experiment(spec, train, test)

@@ -11,19 +11,15 @@ from oracles import quadrature_integral
 def alpha(rng, small_bspline):
     """Coordinates of one noisy in-span function, a one-row matrix."""
     f, _ = random_spline_function(rng, small_bspline, noise=0.02)
-    return represent.fit_dataset([f], small_bspline)[0]
-
-
-def stats(alpha, b):
-    """Row-wise ``(volume, mu, sigma)``."""
-    return transforms.row_stats(alpha, b)[:3]
+    return represent.fit_dataset(fdata.Grids([f]), small_bspline)[0]
 
 
 class TestCenterReduce:
     def test_centered_mean_zero(self, alpha, small_bspline):
         out, _ = transforms.transform_dataset(alpha, small_bspline, "center-reduce")
-        mu = stats(out, small_bspline)[1]
-        assert abs(mu[0]) < 1e-10 * max(1.0, abs(stats(alpha, small_bspline)[1][0]))
+        mu, _, _ = transforms.row_stats(out, small_bspline)
+        before, _, _ = transforms.row_stats(alpha, small_bspline)
+        assert abs(mu[0]) < 1e-10 * max(1.0, abs(before[0]))
 
     def test_reduced_norm_equals_volume(self, alpha, small_bspline):
         a, b = small_bspline.domain
@@ -38,9 +34,10 @@ class TestCenterReduce:
     def test_constant_function_errors(self, small_bspline):
         x = np.linspace(0, 1, 30)
         f = fdata.SampledFunction(x, np.full(30, 2.0))
-        alpha, _ = represent.fit_dataset([f], small_bspline)
-        assert stats(alpha, small_bspline)[2][0] < 1e-10  # centered norm
-        assert transforms.constant_rows(alpha, small_bspline)[0]
+        alpha, _ = represent.fit_dataset(fdata.Grids([f]), small_bspline)
+        _, sigma, constant = transforms.row_stats(alpha, small_bspline)
+        assert sigma[0] < 1e-10  # centered norm
+        assert constant[0]
         with pytest.raises(ConstantFunctionError):
             transforms.transform_dataset(alpha, small_bspline, "center-reduce")
 
@@ -54,7 +51,7 @@ class TestCenterReduce:
             np.testing.assert_allclose(out, np.sign(a) * base, atol=1e-10)
 
     def test_mean_via_inner_product_matches_quadrature(self, alpha, small_bspline):
-        mu = stats(alpha, small_bspline)[1][0]
+        [mu], _, _ = transforms.row_stats(alpha, small_bspline)
         a, b = small_bspline.domain
         ref = quadrature_integral(
             lambda xs: small_bspline.evaluate(xs) @ alpha[0], small_bspline.edges
@@ -65,9 +62,10 @@ class TestCenterReduce:
         fb = basis.FourierBasis(0.0, 2.0, 7)
         x = np.linspace(0, 2, 50)
         f = fdata.SampledFunction(x, 3.0 + np.sin(np.pi * x))
-        alpha, _ = represent.fit_dataset([f], fb)
+        alpha, _ = represent.fit_dataset(fdata.Grids([f]), fb)
         out, _ = transforms.transform_dataset(alpha, fb, "center-reduce")
-        assert abs(stats(out, fb)[1][0]) < 1e-10
+        [mu], _, _ = transforms.row_stats(out, fb)
+        assert abs(mu) < 1e-10
 
 
 class TestDerive:
@@ -77,7 +75,7 @@ class TestDerive:
         x = np.linspace(0, 1, 80)
         coefs = rng.normal(size=4)
         poly = np.polynomial.Polynomial(coefs)
-        alpha, _ = represent.fit_dataset([fdata.SampledFunction(x, poly(x))], b)
+        alpha, _ = represent.fit_dataset(fdata.Grids([fdata.SampledFunction(x, poly(x))]), b)
         grid = np.linspace(0, 1, 100)
         for s in (1, 2):
             d, on = transforms.transform_dataset(alpha, b, f"deriv{s}")
@@ -87,26 +85,26 @@ class TestDerive:
     def test_line_second_derivative_zero(self, small_bspline):
         x = np.linspace(0, 1, 40)
         f = fdata.SampledFunction(x, 2.5 * x - 1.0)
-        alpha, _ = represent.fit_dataset([f], small_bspline)
+        alpha, _ = represent.fit_dataset(fdata.Grids([f]), small_bspline)
         d2, on = transforms.transform_dataset(alpha, small_bspline, "deriv2")
         assert np.max(np.abs(on.evaluate(np.linspace(0, 1, 50)) @ d2[0])) < 1e-9
 
     def test_composition(self, rng):
         b = basis.BSplineBasis.uniform(0.0, 1.0, 5, 5)
         f, _ = random_spline_function(rng, b, noise=0.01)
-        alpha, _ = represent.fit_dataset([f], b)
+        alpha, _ = represent.fit_dataset(fdata.Grids([f]), b)
         first, on = transforms.transform_dataset(alpha, b, "deriv1")
         two_steps, two_on = transforms.transform_dataset(first, on, "deriv1")
         one_step, one_on = transforms.transform_dataset(alpha, b, "deriv2")
         np.testing.assert_allclose(two_steps, one_step, atol=1e-10)
-        assert two_on == one_on
+        assert two_on.key == one_on.key
 
     def test_order_zero_is_identity(self, alpha, small_bspline):
         out = transforms.transform_dataset(alpha, small_bspline, "none")
         assert out[0] is alpha and out[1] is small_bspline
         same, on = transforms.transform_dataset(alpha, small_bspline, "deriv0")
         np.testing.assert_array_equal(same, alpha)
-        assert on == small_bspline
+        assert on is small_bspline
 
 
 class TestDistance:
@@ -133,14 +131,14 @@ class TestTransformDataset:
     ], ids=["bspline", "fourier"])
     def test_matrix_equals_per_row(self, rng, b):
         fns = mixed_grid_functions(rng)
-        alpha, _ = represent.fit_dataset(fns, b)
+        alpha, _ = represent.fit_dataset(fdata.Grids(fns), b)
         for kind in ("none", "center-reduce", "deriv1", "deriv2"):
             out, out_basis = transforms.transform_dataset(alpha, b, kind)
             rows = [
                 transforms.transform_dataset(alpha[i : i + 1], b, kind)
                 for i in range(len(fns))
             ]
-            assert all(r[1] == out_basis for r in rows)
+            assert all(r[1].key == out_basis.key for r in rows)
             np.testing.assert_allclose(
                 out, np.vstack([r[0] for r in rows]),
                 rtol=1e-12, atol=1e-12 * np.abs(out).max(),
@@ -148,11 +146,11 @@ class TestTransformDataset:
 
     def test_row_stats_equal_per_row(self, rng, small_bspline):
         fns = mixed_grid_functions(rng)
-        alpha, _ = represent.fit_dataset(fns, small_bspline)
-        volume, mu, sigma = stats(alpha, small_bspline)
+        alpha, _ = represent.fit_dataset(fdata.Grids(fns), small_bspline)
+        mu, sigma, _ = transforms.row_stats(alpha, small_bspline)
         a, b = small_bspline.domain
+        volume = b - a
         edges = small_bspline.edges
-        assert volume == b - a
         for i in range(len(fns)):
             g = lambda xs: small_bspline.evaluate(xs) @ alpha[i]  # noqa: E731
             ref_mu = quadrature_integral(g, edges) / volume
@@ -162,7 +160,7 @@ class TestTransformDataset:
 
     def test_constant_row_named(self, rng, small_bspline):
         fns = mixed_grid_functions(rng, n_holed=0)
-        alpha, _ = represent.fit_dataset(fns, small_bspline)
+        alpha, _ = represent.fit_dataset(fdata.Grids(fns), small_bspline)
         alpha[2] = 4.0  # constant function: all-ones coordinates times 4
         with pytest.raises(ConstantFunctionError, match="row 2"):
             transforms.transform_dataset(alpha, small_bspline, "center-reduce")
