@@ -10,6 +10,7 @@ derives from one ``--seed``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -271,7 +272,7 @@ def cmd_experiment(args) -> int:
         raise ConfigError(f"spec file {args.spec} is not valid JSON: {exc}") from None
     spec = ExperimentSpec.from_dict(raw)
     if args.seed is not None:
-        spec = ExperimentSpec.from_dict({**spec.to_dict(), "seed": args.seed})
+        spec = dataclasses.replace(spec, seed=args.seed)
     spec.validate()  # before its seed derives the split's
     dataset = _load(args)
     train, test = _prepare_split(args, dataset, spec.seed)
@@ -308,11 +309,19 @@ def cmd_suite(args) -> int:
     return _run_rows(specs, train, test, outdir, manifest, title)
 
 
-def _dimension(text: str) -> int | str:
-    """``--dimension``: ``loo`` or a positive basis size."""
-    if text == "loo" or (text.isdigit() and int(text) > 0):
-        return text if text == "loo" else int(text)
-    raise argparse.ArgumentTypeError(f"expected 'loo' or a positive integer, got {text!r}")
+def _positive(*words: str):
+    """The parser of a flag that takes a positive integer or one of
+    ``words``: ``--order`` and ``--dimension``."""
+    expected = " or ".join([*map(repr, words), "a positive integer"])
+
+    def parse(text: str) -> int | str:
+        if text in words:
+            return text
+        if text.isdigit() and int(text) > 0:
+            return int(text)
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
 
 
 def _count(text: str) -> int:
@@ -333,9 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("represent", help="project functions onto a smooth basis")
     _split_args(p)
     p.add_argument("--basis", default="bspline", choices=["bspline", "fourier"])
-    p.add_argument("--order", type=int, default=4, help="spline order")
+    p.add_argument("--order", type=_positive(), default=4, help="spline order")
     p.add_argument(
-        "--dimension", default="loo", type=_dimension,
+        "--dimension", default="loo", type=_positive("loo"),
         help="basis size, or 'loo' to select it by leave-one-out",
     )
     p.add_argument("--out", required=True, help="output directory")

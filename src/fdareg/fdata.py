@@ -82,6 +82,11 @@ class Dataset:
             raise ValidationError(
                 f"{len(functions)} functions but {targets.size} targets"
             )
+        bad = np.flatnonzero(~np.isfinite(targets))
+        if bad.size:
+            raise ValidationError(
+                f"function {functions[bad[0]].id} has a non-finite target {targets[bad[0]]}"
+            )
         for f in functions:
             if f.x[0] < a or f.x[-1] > b:
                 raise ValidationError(
@@ -219,7 +224,8 @@ def load_dataset(path: str | Path, format: str = "tecator-grid") -> Dataset:
         Malformed row (named by line number), empty file, or a
         generic-pairs file with a domain row only.
     ValidationError
-        Non-monotone abscissas or samples outside the domain.
+        Non-monotone abscissas, samples outside the domain, or a target that
+        is not finite.
     """
     path = Path(path)
     if not path.exists():

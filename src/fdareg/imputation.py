@@ -142,16 +142,16 @@ class KnnImputer:
         return out
 
 
-def expert_scale_matrix(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def expert_scale_matrix(values: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     """Center and normalize every row over its own observed entries.
 
     Observed entries of row ``x`` become
     ``(x_i - mean) / sqrt(sum (x_j - mean)^2)`` with both statistics over
-    ``nm(x)``; missing entries stay untouched. Raises :class:`ScalingError`
-    naming the first row with fewer than 2 observed entries or constant
-    observed values.
+    ``nm(x)``; missing entries stay untouched. A ``mask`` of None means
+    every entry is observed. Raises :class:`ScalingError` naming the first
+    row with fewer than 2 observed entries or constant observed values.
     """
-    mask = np.asarray(mask, dtype=bool)
+    mask = np.ones(np.shape(values), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     counts = mask.sum(axis=1)
     short = np.flatnonzero(counts < 2)
     if short.size:

@@ -265,21 +265,30 @@ def select_basis_size(
     Every candidate dimension is scored as the total of the per-function
     LOO scores of :func:`loo_scores`; candidates for which any function
     fails with a toolkit error (out-of-range dimension, unidentifiable
-    coefficients, degenerate LOO) are skipped and reported. Any other exception is a bug and propagates.
-    Ties break toward the smaller dimension.
+    coefficients, degenerate LOO) are skipped and reported. Any other
+    exception is a bug and propagates. Ties break toward the smaller
+    dimension.
 
     Every candidate reuses the one grouping ``grids``.
 
     Raises
     ------
     SelectionError
-        No functions, or all candidates infeasible.
+        No functions, a shortest curve too short for any default candidate
+        (named with its sample count), or all candidates infeasible.
     """
     if not len(grids):
         raise SelectionError("no functions to select a basis size for")
-    min_m = min(rows.size for _, rows, _ in grids.blocks)
+    shortest, rows, _ = min(grids.blocks, key=lambda block: block[1].size)
     if candidates is None:
-        candidates = _default_candidates(kind, order, min_m)
+        candidates = _default_candidates(kind, order, rows.size)
+        if not candidates:
+            rule = (f"order-{order} B-splines need at least {order + 4}" if kind == "bspline"
+                    else "a Fourier basis needs at least 5")
+            raise SelectionError(
+                f"function {grids.ids[shortest[0]]} has {rows.size} samples, too few to "
+                f"select a basis size: {rule} in every curve"
+            )
     if not candidates:
         raise SelectionError("empty candidate grid")
 

@@ -37,10 +37,11 @@ after it is unlocked. The basis route evaluates the basis once, on the
 union of the abscissas, and runs one pivoted QR per distinct grid for the
 ``(n, q)`` coefficient matrix, which each transform maps to another. The
 grid route reads the grouping's values on the union of the training
-abscissas, with a mask for imputation and expert scaling and complete
-otherwise. Basis-size selection by leave-one-out never sees a target and
-is also done once, on the training grouping, with one basis evaluation per
-candidate size and one QR per grid and candidate size.
+abscissas, with a mask when an imputer fills the holes and complete
+otherwise, then expert-scales them if asked. Basis-size selection by
+leave-one-out never sees a target and is also done once, on the training
+grouping, with one basis evaluation per candidate size and one QR per grid
+and candidate size.
 """
 
 from __future__ import annotations
@@ -105,73 +106,25 @@ class RepresentationSpec:
     order: int = 4  # spline order (bspline only)
     dimension: int | str = "loo"  # basis size, or "loo" to select it
 
-    def validate(self):
-        if self.kind not in ("raw", "bspline", "fourier"):
-            raise ConfigError(f"unknown representation kind {self.kind!r}")
-        if self.kind == "bspline" and not _positive_int(self.order):
-            raise ConfigError("representation.order must be a positive integer, "
-                              f"not {self.order!r}")
-        if self.dimension != "loo" and not _positive_int(self.dimension):
-            raise ConfigError("representation.dimension must be 'loo' or a positive "
-                              f"integer, not {self.dimension!r}")
-
 
 @dataclass(frozen=True)
 class TransformSpec:
     kind: str = "none"  # none | center-reduce | deriv1 | deriv2
 
-    @property
-    def deriv_order(self) -> int:
-        return int(self.kind[len("deriv"):]) if self.kind.startswith("deriv") else 0
-
-    def validate(self, representation: RepresentationSpec):
-        if self.kind not in ("none", "center-reduce", "deriv1", "deriv2"):
-            raise ConfigError(f"unknown transform {self.kind!r}")
-        if self.kind == "none":
-            return
-        if representation.kind == "raw":
-            raise ConfigError("functional transforms need a basis representation")
-        if self.deriv_order and representation.kind == "bspline":
-            if representation.order <= self.deriv_order:
-                raise ConfigError(
-                    f"deriv{self.deriv_order} needs spline order > {self.deriv_order}"
-                )
-
 
 @dataclass(frozen=True)
 class PcaSpec:
     kind: str = "none"  # none | classical (z-scored columns) | functional
-    n_components: int | str | None = None  # int, or "cv"
-    component_grid: tuple[int, ...] | None = None  # grid when n_components == "cv"
+    # the sizes CV chooses from, a fixed size being a one-entry grid; None:
+    # 1-20, or 1-18 for the MLP
+    component_grid: tuple[int, ...] | None = None
     whiten: bool = False
 
-    def validate(self, representation: RepresentationSpec):
-        if self.kind not in ("none", "classical", "functional"):
-            raise ConfigError(f"unknown pca kind {self.kind!r}")
-        if self.kind == "none":
-            return
-        if self.kind == "functional" and representation.kind == "raw":
-            raise ConfigError("functional PCA needs a basis representation")
-        if self.kind == "classical" and representation.kind != "raw":
-            raise ConfigError("classical PCA applies to raw grid vectors")
-        if self.n_components != "cv" and not _positive_int(self.n_components):
-            raise ConfigError("pca.n_components must be 'cv' or a positive integer, "
-                              f"not {self.n_components!r}")
-        if not all(map(_positive_int, self.component_grid or ())):
-            raise ConfigError("pca.component_grid must hold positive integers, "
-                              f"not {list(self.component_grid)}")
-        empty = self.component_grid is not None and not len(self.component_grid)
-        if empty and self.n_components == "cv":
-            raise ConfigError("pca.component_grid must not be empty when "
-                              "pca.n_components is 'cv'")
-
     def grid(self, model: str) -> tuple[int, ...]:
-        if self.n_components == "cv":
-            if self.component_grid is not None:
-                return tuple(self.component_grid)
-            # MLP inputs are capped at 18 principal components
-            return tuple(range(1, 19)) if model == "mlp" else tuple(range(1, 21))
-        return (int(self.n_components),)
+        if self.component_grid is not None:
+            return tuple(self.component_grid)
+        # MLP inputs are capped at 18 principal components
+        return tuple(range(1, 19)) if model == "mlp" else tuple(range(1, 21))
 
 
 @dataclass(frozen=True)
@@ -179,22 +132,6 @@ class ImputeSpec:
     kind: str = "none"  # none | mean | knn
     k_grid: tuple[int, ...] = (1, 2, 4, 8, 16)  # neighbor counts chosen by CV
     expert_scale: bool = False
-
-    def validate(self, representation: RepresentationSpec):
-        if self.kind not in ("none", "mean", "knn"):
-            raise ConfigError(f"unknown imputation {self.kind!r}")
-        if (self.kind != "none" or self.expert_scale) and representation.kind != "raw":
-            raise ConfigError(
-                "imputation and expert scaling are non-functional: they need "
-                "the raw grid representation"
-            )
-        if self.kind != "knn":
-            return
-        if not len(self.k_grid):
-            raise ConfigError("impute.k_grid must not be empty for k-NN imputation")
-        if not all(map(_positive_int, self.k_grid)):
-            raise ConfigError("impute.k_grid must hold positive integers, "
-                              f"not {list(self.k_grid)}")
 
     def grid(self) -> tuple[int, ...]:
         return tuple(self.k_grid) if self.kind == "knn" else (0,)  # 0: pass-through
@@ -237,40 +174,52 @@ class ExperimentSpec:
     seed: int = 0
 
     def validate(self):
-        if self.model not in _PARAMS:
-            raise ConfigError(f"unknown model {self.model!r}")
-        for key, value in (("pca.whiten", self.pca.whiten),
-                           ("impute.expert_scale", self.impute.expert_scale)):
-            if not isinstance(value, (bool, np.bool_)):
-                raise ConfigError(f"{key} must be true or false, not {value!r}")
-        self.representation.validate()
-        self.transform.validate(self.representation)
-        self.pca.validate(self.representation)
-        self.impute.validate(self.representation)
-        if self.model == "mlp":
-            if self.pca.kind == "none":
-                raise ConfigError("the MLP pipeline requires a PCA stage")
-            if not self.pca.whiten:
-                raise ConfigError("MLP inputs must be whitened PCA scores")
-        if not _positive_int(self.folds) or self.folds < 2:
-            raise ConfigError(f"folds must be an integer of at least 2, not {self.folds!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, not {self.seed!r}")
-        for key, value in (
-            ("rbfn.max_centers", self.rbfn.max_centers),
-            ("mlp.restarts", self.mlp.restarts),
-            ("mlp.cv_restarts", self.mlp.cv_restarts),
-            ("mlp.max_iter", self.mlp.max_iter),
-            ("mlp.cv_max_iter", self.mlp.cv_max_iter),
+        """Raise :class:`ConfigError` at the first value that breaks a rule.
+
+        The rules are four tables, checked in turn: the choices among named
+        kinds, the single values, the grids and the rules across sections.
+        Every grid must be a non-empty list of valid, distinct values (a
+        repeated value would score its cells twice in one fold), and a grid
+        is checked even when the row does not use it; a
+        ``pca.component_grid`` of None stands for the model's default sizes.
+        """
+        rep, pca, imp, rbfn, mlp = (self.representation, self.pca, self.impute,
+                                    self.rbfn, self.mlp)
+        for label, value, choices in (
+            ("model", self.model, _PARAMS),
+            ("representation kind", rep.kind, ("raw", "bspline", "fourier")),
+            ("transform", self.transform.kind, ("none", "center-reduce", "deriv1", "deriv2")),
+            ("pca kind", pca.kind, ("none", "classical", "functional")),
+            ("imputation", imp.kind, ("none", "mean", "knn")),
         ):
-            if not _positive_int(value):
-                raise ConfigError(f"{key} must be a positive integer, not {value!r}")
+            if not isinstance(value, str) or value not in choices:
+                raise ConfigError(f"unknown {label} {value!r}")
+        for key, value, valid, what in (
+            ("name", self.name, lambda v: isinstance(v, str) and v, "a non-empty string"),
+            ("pca.whiten", pca.whiten, _flag, "true or false"),
+            ("impute.expert_scale", imp.expert_scale, _flag, "true or false"),
+            ("representation.order", rep.order, _positive_int, "a positive integer"),
+            ("representation.dimension", rep.dimension, lambda v: v == "loo" or _positive_int(v),
+             "'loo' or a positive integer"),
+            ("folds", self.folds, lambda v: _is_int(v) and v >= 2, "an integer of at least 2"),
+            ("seed", self.seed, lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+            ("rbfn.max_centers", rbfn.max_centers, _positive_int, "a positive integer"),
+            ("mlp.restarts", mlp.restarts, _positive_int, "a positive integer"),
+            ("mlp.cv_restarts", mlp.cv_restarts, _positive_int, "a positive integer"),
+            ("mlp.max_iter", mlp.max_iter, _positive_int, "a positive integer"),
+            ("mlp.cv_max_iter", mlp.cv_max_iter, _positive_int, "a positive integer"),
+        ):
+            if not valid(value):
+                raise ConfigError(f"{key} must be {what}, not {value!r}")
+        sizes = pca.grid(self.model) if pca.component_grid is None else pca.component_grid
         for key, values, valid, what in (
-            ("rbfn.width_multipliers", self.rbfn.width_multipliers, _positive_number,
+            ("impute.k_grid", imp.k_grid, _positive_int, "positive integers"),
+            ("pca.component_grid", sizes, _positive_int, "positive integers"),
+            ("rbfn.width_multipliers", rbfn.width_multipliers, _positive_number,
              "positive finite numbers"),
-            ("rbfn.ridges", self.rbfn.ridges, _non_negative_number, "non-negative finite numbers"),
-            ("mlp.hidden_grid", self.mlp.hidden_grid, _positive_int, "positive integers"),
-            ("mlp.decay_grid", self.mlp.decay_grid, _non_negative_number,
+            ("rbfn.ridges", rbfn.ridges, _non_negative_number, "non-negative finite numbers"),
+            ("mlp.hidden_grid", mlp.hidden_grid, _positive_int, "positive integers"),
+            ("mlp.decay_grid", mlp.decay_grid, _non_negative_number,
              "non-negative finite numbers"),
         ):
             if not isinstance(values, (tuple, list)) or not values:
@@ -278,18 +227,26 @@ class ExperimentSpec:
             bad = [v for v in values if not valid(v)]
             if bad:
                 raise ConfigError(f"{key} must hold {what}, not {bad[0]!r}")
-        # a repeated value would score its cells twice in one fold
-        for key, values in (
-            ("impute.k_grid", self.impute.k_grid),
-            ("pca.component_grid", self.pca.component_grid or ()),
-            ("rbfn.width_multipliers", self.rbfn.width_multipliers),
-            ("rbfn.ridges", self.rbfn.ridges),
-            ("mlp.hidden_grid", self.mlp.hidden_grid),
-            ("mlp.decay_grid", self.mlp.decay_grid),
-        ):
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ConfigError(f"{key} repeats the value {repeated[0]!r}")
+        raw = rep.kind == "raw"
+        deriv = {"deriv1": 1, "deriv2": 2}.get(self.transform.kind, 0)
+        for broken, message in (
+            (self.transform.kind != "none" and raw,
+             "functional transforms need a basis representation"),
+            (rep.kind == "bspline" and rep.order <= deriv,
+             f"deriv{deriv} needs spline order > {deriv}"),
+            (pca.kind == "functional" and raw, "functional PCA needs a basis representation"),
+            (pca.kind == "classical" and not raw, "classical PCA applies to raw grid vectors"),
+            ((imp.kind != "none" or imp.expert_scale) and not raw,
+             "imputation and expert scaling are non-functional: they need the raw grid "
+             "representation"),
+            (self.model == "mlp" and pca.kind == "none", "the MLP pipeline requires a PCA stage"),
+            (self.model == "mlp" and not pca.whiten, "MLP inputs must be whitened PCA scores"),
+        ):
+            if broken:
+                raise ConfigError(message)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -322,6 +279,10 @@ class ExperimentSpec:
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _flag(value) -> bool:
+    return isinstance(value, (bool, np.bool_))
 
 
 def _positive_int(value) -> bool:
@@ -379,8 +340,6 @@ class _Stage1:
         self.spec = spec
         self.info: dict = {}
         self.basis = None
-        # the raw grid route of imputation and expert scaling keeps a mask
-        self.masked = spec.impute.kind != "none" or spec.impute.expert_scale
         grids = Grids(train.functions)
         rep = spec.representation
         if rep.kind != "raw":
@@ -408,17 +367,18 @@ class _Stage1:
     def features(self, grids: Grids):
         """Features ``(values, mask)`` of a dataset's grouping by sampling
         grid, by the recipe fixed on the training set (no refitting);
-        ``mask`` is None unless ``masked``."""
-        if self.basis is None and not self.masked:
-            return grids.matrix(self.grid), None
-        if self.basis is None:
+        ``mask`` is None unless an imputer is to fill the holes."""
+        if self.basis is not None:
+            alpha, _ = rep_mod.fit_dataset(grids, self.basis)
+            alpha, basis = tr_mod.transform_dataset(alpha, self.basis, self.spec.transform.kind)
+            return alpha @ basis.gram_factor().T, None
+        if self.spec.impute.kind != "none":
             values, mask = grids.on(self.grid)
-            if self.spec.impute.expert_scale:
-                values = imp_mod.expert_scale_matrix(values, mask)
-            return values, mask
-        alpha, _ = rep_mod.fit_dataset(grids, self.basis)
-        alpha, basis = tr_mod.transform_dataset(alpha, self.basis, self.spec.transform.kind)
-        return alpha @ basis.gram_factor().T, None
+        else:
+            values, mask = grids.matrix(self.grid), None
+        if self.spec.impute.expert_scale:
+            values = imp_mod.expert_scale_matrix(values, mask)
+        return values, mask
 
 
 class _Preprocessing:

@@ -3,9 +3,11 @@
 Each builder returns the experiment rows of one results table, in table
 order. Tables 1-2 run on the complete spectra; tables 3-5 expect a dataset
 with randomly punched holes (the CLI applies the hole fraction before
-splitting). Grids follow the toolkit defaults; the MLP rows trim the hidden
-grid and per-cell restart count to keep a full suite run in the
-minutes-to-an-hour range (final refits always use the full 60 restarts).
+splitting). Grids follow the toolkit defaults: a PCA row without a
+``component_grid`` lets CV choose among 1-20 components (1-18 for the MLP),
+and a fixed size such as table 1's 20 is a one-entry grid. The MLP rows
+trim the hidden grid and per-cell restart count to keep a full suite run in
+the minutes-to-an-hour range (final refits always use the full 60 restarts).
 """
 
 from __future__ import annotations
@@ -36,28 +38,28 @@ def table1_specs(seed: int = 0) -> list[ExperimentSpec]:
         ExperimentSpec("table1-exp01-raw", "rbfn", RAW, seed=seed),
         ExperimentSpec(
             "table1-exp02-pca20", "rbfn", RAW,
-            pca=PcaSpec("classical", n_components=20),
+            pca=PcaSpec("classical", component_grid=(20,)),
             seed=seed,
         ),
         ExperimentSpec(
             "table1-exp03-pca-cv", "rbfn", RAW,
-            pca=PcaSpec("classical", n_components="cv"),
+            pca=PcaSpec("classical"),
             seed=seed,
         ),
         ExperimentSpec(
             "table1-exp04-pca-cv-whiten", "rbfn", RAW,
-            pca=PcaSpec("classical", n_components="cv", whiten=True),
+            pca=PcaSpec("classical", whiten=True),
             seed=seed,
         ),
         ExperimentSpec("table1-exp05-bspline4", "rbfn", _bspline(4), seed=seed),
         ExperimentSpec(
             "table1-exp06-fpca20", "rbfn", _bspline(4),
-            pca=PcaSpec("functional", n_components=20),
+            pca=PcaSpec("functional", component_grid=(20,)),
             seed=seed,
         ),
         ExperimentSpec(
             "table1-exp07-fpca-cv-whiten", "rbfn", _bspline(4),
-            pca=PcaSpec("functional", n_components="cv", whiten=True),
+            pca=PcaSpec("functional", whiten=True),
             seed=seed,
         ),
         ExperimentSpec(
@@ -81,34 +83,33 @@ def table1_specs(seed: int = 0) -> list[ExperimentSpec]:
 
 def table2_specs(seed: int = 0) -> list[ExperimentSpec]:
     """MLP rows on complete spectra (experiments 1-5); PCA always whitened."""
-    pca_cv = dict(n_components="cv", whiten=True)
     return [
         ExperimentSpec(
             "table2-exp1-pca", "mlp", RAW,
-            pca=PcaSpec("classical", **pca_cv),
+            pca=PcaSpec("classical", whiten=True),
             mlp=_MLP_T2, seed=seed,
         ),
         ExperimentSpec(
             "table2-exp2-fpca", "mlp", _bspline(4),
-            pca=PcaSpec("functional", **pca_cv),
+            pca=PcaSpec("functional", whiten=True),
             mlp=_MLP_T2, seed=seed,
         ),
         ExperimentSpec(
             "table2-exp3-center-reduce-fpca", "mlp", _bspline(4),
             transform=TransformSpec("center-reduce"),
-            pca=PcaSpec("functional", **pca_cv),
+            pca=PcaSpec("functional", whiten=True),
             mlp=_MLP_T2, seed=seed,
         ),
         ExperimentSpec(
             "table2-exp4-deriv1-fpca", "mlp", _bspline(5),
             transform=TransformSpec("deriv1"),
-            pca=PcaSpec("functional", **pca_cv),
+            pca=PcaSpec("functional", whiten=True),
             mlp=_MLP_T2, seed=seed,
         ),
         ExperimentSpec(
             "table2-exp5-deriv2-fpca", "mlp", _bspline(6),
             transform=TransformSpec("deriv2"),
-            pca=PcaSpec("functional", **pca_cv),
+            pca=PcaSpec("functional", whiten=True),
             mlp=_MLP_T2, seed=seed,
         ),
     ]
@@ -132,17 +133,16 @@ def table3_specs(seed: int = 0) -> list[ExperimentSpec]:
 
 def table3_mlp_specs(seed: int = 0) -> list[ExperimentSpec]:
     """MLP functional rows rerun on the holed spectra (rows 2-3)."""
-    pca_cv = dict(n_components="cv", whiten=True)
     return [
         ExperimentSpec(
             "table3-mlp-exp2-fpca-missing", "mlp", _bspline(4),
-            pca=PcaSpec("functional", **pca_cv),
+            pca=PcaSpec("functional", whiten=True),
             mlp=_MLP_T2, seed=seed,
         ),
         ExperimentSpec(
             "table3-mlp-exp3-center-reduce-fpca-missing", "mlp", _bspline(4),
             transform=TransformSpec("center-reduce"),
-            pca=PcaSpec("functional", **pca_cv),
+            pca=PcaSpec("functional", whiten=True),
             mlp=_MLP_T2, seed=seed,
         ),
     ]
@@ -150,17 +150,16 @@ def table3_mlp_specs(seed: int = 0) -> list[ExperimentSpec]:
 
 def table4_specs(seed: int = 0) -> list[ExperimentSpec]:
     """Classical imputation + PCA + MLP on the holed spectra."""
-    pca_cv = dict(n_components="cv", whiten=True)
     return [
         ExperimentSpec(
             "table4-exp1-mean-impute", "mlp", RAW,
-            pca=PcaSpec("classical", **pca_cv),
+            pca=PcaSpec("classical", whiten=True),
             impute=ImputeSpec("mean"),
             mlp=_MLP_T45, seed=seed,
         ),
         ExperimentSpec(
             "table4-exp2-knn-impute", "mlp", RAW,
-            pca=PcaSpec("classical", **pca_cv),
+            pca=PcaSpec("classical", whiten=True),
             impute=ImputeSpec("knn"),
             mlp=_MLP_T45, seed=seed,
         ),
@@ -169,17 +168,16 @@ def table4_specs(seed: int = 0) -> list[ExperimentSpec]:
 
 def table5_specs(seed: int = 0) -> list[ExperimentSpec]:
     """Expert-scaled imputation + PCA + MLP on the holed spectra."""
-    pca_cv = dict(n_components="cv", whiten=True)
     return [
         ExperimentSpec(
             "table5-exp1-expert-mean-impute", "mlp", RAW,
-            pca=PcaSpec("classical", **pca_cv),
+            pca=PcaSpec("classical", whiten=True),
             impute=ImputeSpec("mean", expert_scale=True),
             mlp=_MLP_T45, seed=seed,
         ),
         ExperimentSpec(
             "table5-exp2-expert-knn-impute", "mlp", RAW,
-            pca=PcaSpec("classical", **pca_cv),
+            pca=PcaSpec("classical", whiten=True),
             impute=ImputeSpec("knn", expert_scale=True),
             mlp=_MLP_T45, seed=seed,
         ),

@@ -300,10 +300,16 @@ BAD_SPECS = {
     ),
     "removed-pca-standardize": (
         json.dumps(dict(SMALL_SPEC, representation={"kind": "raw"},
-                        pca={"kind": "classical", "standardize": True, "n_components": 3})),
+                        pca={"kind": "classical", "standardize": True})),
         "unknown key 'standardize' in spec section 'pca'",
     ),
     "removed-mean-model": (json.dumps(dict(SMALL_SPEC, model="mean")), "unknown model 'mean'"),
+    # a fixed PCA size is a one-entry component_grid
+    "removed-pca-n-components": (
+        json.dumps(dict(SMALL_SPEC, representation={"kind": "raw"},
+                        pca={"kind": "classical", "n_components": 3})),
+        "unknown key 'n_components' in spec section 'pca'",
+    ),
     # mistyped values: each names its key instead of ending in a traceback
     "dimension-not-a-number": (
         json.dumps(dict(SMALL_SPEC, representation={"kind": "bspline", "dimension": "abc"})),
@@ -317,11 +323,11 @@ BAD_SPECS = {
         json.dumps(dict(SMALL_SPEC, representation={"kind": "bspline", "order": "x"})),
         "representation.order must be a positive integer, not 'x'",
     ),
-    "n-components-not-a-number": (
-        json.dumps(dict(SMALL_SPEC, representation={"kind": "raw"},
-                        pca={"kind": "classical", "n_components": "x"})),
-        "pca.n_components must be 'cv' or a positive integer, not 'x'",
+    "model-list": (json.dumps(dict(SMALL_SPEC, model=["rbfn"])), "unknown model ['rbfn']"),
+    "name-not-a-string": (
+        json.dumps(dict(SMALL_SPEC, name=5)), "name must be a non-empty string, not 5",
     ),
+    "name-empty": (json.dumps(dict(SMALL_SPEC, name="")), "name must be a non-empty string"),
     "folds-exceed-training-rows": (
         json.dumps(dict(SMALL_SPEC, folds=500)), "folds=500 exceeds the 27 training rows",
     ),
@@ -374,7 +380,26 @@ BAD_SPECS = {
         json.dumps(dict(SMALL_SPEC, mlp={"decay_grid": [-1.0]})),
         "mlp.decay_grid must hold non-negative finite numbers, not -1.0",
     ),
+    # grids the row does not use are checked too
+    "k-grid-scalar": (
+        json.dumps(dict(SMALL_SPEC, impute={"k_grid": 5})),
+        "impute.k_grid must be a non-empty list, not 5",
+    ),
+    "component-grid-scalar": (
+        json.dumps(dict(SMALL_SPEC, pca={"component_grid": 7})),
+        "pca.component_grid must be a non-empty list, not 7",
+    ),
+    "k-grid-zero": (
+        json.dumps(dict(SMALL_SPEC, impute={"k_grid": [4, 0, -1]})),
+        "impute.k_grid must hold positive integers, not 0",
+    ),
+    "component-grid-fraction": (
+        json.dumps(dict(SMALL_SPEC, pca={"component_grid": [3, 2.5, "x"]})),
+        "pca.component_grid must hold positive integers, not 2.5",
+    ),
 }
+#: The one bad spec that only the data can reveal: it fails as its row runs.
+RUNTIME_SPEC_ERRORS = {"folds-exceed-training-rows"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SPECS))
@@ -388,6 +413,8 @@ def test_bad_spec_is_a_named_error(case, pairs_file, tmp_path, capsys):
         "--test-size", "9", "--out", str(tmp_path / "out"),
     ])
     _assert_named_error(rc, capsys.readouterr().err, fragment)
+    # the spec is checked before any row runs or writes a file
+    assert (tmp_path / "out").exists() == (case in RUNTIME_SPEC_ERRORS)
 
 
 @pytest.mark.parametrize("argv, fragment", [
@@ -425,6 +452,58 @@ def test_bad_dimension_is_a_usage_error(value, pairs_file, tmp_path, capsys):
     assert exc_info.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument --dimension" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_bad_order_is_a_usage_error(value, pairs_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main([
+            "represent", "--data", str(pairs_file), "--format", "generic-pairs",
+            "--order", value, "--out", str(tmp_path / "out"),
+        ])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument --order: expected a positive integer, got '{value}'" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_curves_too_short_for_basis_selection_are_named(tmp_path, capsys):
+    data = tmp_path / "short.pairs"
+    data.write_text("domain 0 1\n1.0 0 1 0.5 2 1 3\n2.0 0 1 1 2\n")
+    rc = cli.main(["represent", "--data", str(data), "--format", "generic-pairs",
+                   "--dimension", "loo", "--out", str(tmp_path / "out")])
+    _assert_named_error(rc, capsys.readouterr().err,
+                        "function 1 has 2 samples, too few to select a basis size: "
+                        "order-4 B-splines need at least 8 in every curve")
+
+
+def test_non_finite_target_is_a_named_error(pairs_file, tmp_path, capsys):
+    # a nan target would give a row of nan scores, which is not JSON
+    lines = pairs_file.read_text().splitlines()
+    first = lines[1].split(" ", 1)
+    lines[1] = f"nan {first[1]}"
+    data = tmp_path / "nan-target.pairs"
+    data.write_text("\n".join(lines) + "\n")
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(SMALL_SPEC))
+    out = tmp_path / "out"
+    rc = cli.main(["experiment", "--spec", str(spec_file), "--data", str(data),
+                   "--format", "generic-pairs", "--test-size", "9", "--out", str(out)])
+    _assert_named_error(rc, capsys.readouterr().err, "function 0 has a non-finite target nan")
+    assert not list(tmp_path.glob("out/row_*.json"))
+
+
+def test_seed_flag_overrides_the_spec_seed(pairs_file, tmp_path):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(SMALL_SPEC))
+    out = tmp_path / "out"
+    rc = cli.main(["experiment", "--spec", str(spec_file), "--data", str(pairs_file),
+                   "--format", "generic-pairs", "--test-size", "9", "--seed", "11",
+                   "--out", str(out)])
+    assert rc == 0
+    assert json.loads((out / "row_cli-rbfn.json").read_text())["seed"] == 11
+    [spec] = json.loads((out / "manifest.json").read_text())["specs"]
+    assert ExperimentSpec.from_dict(spec) == ExperimentSpec.from_dict(dict(SMALL_SPEC, seed=11))
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -102,6 +102,30 @@ class TestLoadDataset:
         with pytest.raises(ValidationError):
             fdata.load_dataset(p, "generic-pairs")
 
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    def test_non_finite_target_names_the_function(self, tmp_path, target):
+        # a nan target would turn every CV score and the test RMSE into nan
+        p = tmp_path / "pairs.txt"
+        p.write_text(f"domain 0 1\n2.0 0 1 1 2\n{target} 0 3 1 4\n")
+        with pytest.raises(ValidationError, match="function 1 has a non-finite target"):
+            fdata.load_dataset(p, "generic-pairs")
+        path = write_tecator_like(tmp_path / "tec.txt", n=3)
+        lines = path.read_text().splitlines()
+        cols = lines[2].split()
+        cols[101] = target  # the fat column
+        lines[2] = " ".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match="function 2 has a non-finite target"):
+            fdata.load_dataset(path, "tecator-grid")
+
+
+class TestDataset:
+    def test_non_finite_target_names_the_first_function(self):
+        functions = [fdata.SampledFunction([0.0, 1.0], [1.0, 2.0], id=i) for i in (4, 5, 6)]
+        with pytest.raises(ValidationError, match=re.escape("function 5 has a non-finite "
+                                                            "target nan")):
+            fdata.Dataset(functions, [1.0, np.nan, np.inf], (0.0, 1.0))
+
 
 class TestDropRandom:
     def test_tecator_fraction(self):

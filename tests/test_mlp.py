@@ -250,7 +250,7 @@ class TestSelectMeta:
         train, test = fdata.split(vector_dataset(X, y), 6, shuffle=False)
         spec = ExperimentSpec(
             "one-mlp", "mlp", RepresentationSpec("raw"),
-            pca=PcaSpec("classical", n_components=2, whiten=True),
+            pca=PcaSpec("classical", component_grid=(2,), whiten=True),
             mlp=MlpSettings(hidden_grid=(2,), decay_grid=(1e-3,), restarts=3,
                             cv_restarts=3, max_iter=80, cv_max_iter=80),
             folds=3,
@@ -264,8 +264,7 @@ class TestSelectMeta:
         train, test = fdata.split(vector_dataset(X, y), 6, shuffle=False)
         spec = ExperimentSpec(
             "det-mlp", "mlp", RepresentationSpec("raw"),
-            pca=PcaSpec("classical", n_components="cv", component_grid=(1, 2, 3),
-                        whiten=True),
+            pca=PcaSpec("classical", component_grid=(1, 2, 3), whiten=True),
             mlp=MlpSettings(hidden_grid=(1, 2), decay_grid=(1e-4, 1e-2), restarts=3,
                             cv_restarts=3, max_iter=60, cv_max_iter=60),
             folds=3,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -383,6 +385,22 @@ class TestSelectBasisSize:
             represent.select_basis_size(
                 fdata.Grids(ds.functions), ds.domain, "bspline", 4, candidates=[50, 60]
             )
+
+    @pytest.mark.parametrize("kind, order, m, rule", [
+        ("bspline", 4, 7, "order-4 B-splines need at least 8"),
+        ("bspline", 6, 9, "order-6 B-splines need at least 10"),
+        ("fourier", 4, 4, "a Fourier basis needs at least 5"),
+    ], ids=["bspline4", "bspline6", "fourier"])
+    def test_curves_too_short_for_the_default_grid(self, kind, order, m, rule):
+        # the shortest curve is named, with its sample count and the rule
+        fns = [fdata.SampledFunction(np.linspace(0.0, 1.0, size), np.ones(size), id=i)
+               for i, size in ((3, 40), (8, m), (9, m))]
+        with pytest.raises(SelectionError, match=re.escape(
+                f"function 8 has {m} samples, too few to select a basis size: {rule} "
+                "in every curve")):
+            represent.select_basis_size(fdata.Grids(fns), (0.0, 1.0), kind, order)
+        # one more sample gives a candidate
+        assert represent._default_candidates(kind, order, m + 1)
 
     def test_default_grid_spans_paper_sizes(self):
         # interior-knot sweep {4, 6, ...} must bracket dimensions ~20..64

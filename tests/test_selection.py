@@ -1,11 +1,14 @@
+import json
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import synthetic_dataset, vector_dataset
-from fdareg import fdata, selection
+from fdareg import fdata, selection, suites
 from fdareg import fpca as fpca_mod
 from fdareg import imputation as imp_mod
 from fdareg import mlp as mlp_mod
@@ -135,7 +138,7 @@ class TestSealedTestSet:
             spec = ExperimentSpec(
                 "seal-mlp", "mlp",
                 representation=RepresentationSpec("bspline", order=4, dimension=8),
-                pca=PcaSpec("functional", n_components=2, whiten=True),
+                pca=PcaSpec("functional", component_grid=(2,), whiten=True),
                 mlp=MlpSettings(hidden_grid=(1,), decay_grid=(1e-3,), restarts=2,
                                 cv_restarts=2, max_iter=30, cv_max_iter=30),
                 seed=2,
@@ -168,7 +171,7 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             spec.validate()
         spec = ExperimentSpec(
-            "bad", "mlp", pca=PcaSpec("classical", n_components="cv", whiten=False)
+            "bad", "mlp", pca=PcaSpec("classical", whiten=False)
         )
         with pytest.raises(ConfigError):
             spec.validate()
@@ -195,7 +198,7 @@ class TestSpecValidation:
         # scored in half the folds would reach the full fold count
         spec = ExperimentSpec(
             "repeat", "mlp", RepresentationSpec("raw"),
-            pca=PcaSpec("classical", n_components="cv", whiten=True),
+            pca=PcaSpec("classical", whiten=True),
             impute=ImputeSpec("knn"),
         )
         spec.validate()
@@ -207,9 +210,9 @@ class TestSpecValidation:
         ("representation", "dimension", "abc"),
         ("representation", "dimension", (3,)),
         ("representation", "dimension", 0),
-        ("pca", "n_components", "x"),
-        ("pca", "n_components", None),
-        ("pca", "n_components", 2.5),
+        ("pca", "component_grid", "x"),
+        ("pca", "component_grid", 7),
+        pytest.param("pca", "component_grid", (2.5,), id="pca-component_grid-2.5"),
         ("pca", "component_grid", (0, 2)),
         ("impute", "k_grid", (0, 1)),
         ("pca", "whiten", "no"),
@@ -218,7 +221,7 @@ class TestSpecValidation:
     def test_mistyped_value_is_a_config_error(self, section, field, value):
         spec = ExperimentSpec(
             "typo", "rbfn", RepresentationSpec("raw"),
-            pca=PcaSpec("classical", n_components=2), impute=ImputeSpec("knn"),
+            pca=PcaSpec("classical", component_grid=(2,)), impute=ImputeSpec("knn"),
         )
         spec.validate()
         spec = replace(spec, **{section: replace(getattr(spec, section), **{field: value})})
@@ -234,11 +237,12 @@ class TestSpecValidation:
         # (the fold bound was fitted instead) or no k-NN cell at all
         spec = ExperimentSpec(
             "empty", "rbfn", RepresentationSpec("raw"),
-            pca=PcaSpec("classical", n_components="cv"), impute=ImputeSpec("knn"),
+            pca=PcaSpec("classical"), impute=ImputeSpec("knn"),
         )
         spec.validate()
         spec = replace(spec, **{section: replace(getattr(spec, section), **{field: ()})})
-        with pytest.raises(ConfigError, match=re.escape(f"{section}.{field} must not be empty")):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{section}.{field} must be a non-empty list, not ()")):
             spec.validate()
 
     @pytest.mark.parametrize("folds", [1, "4", 2.0, True])
@@ -256,6 +260,42 @@ class TestSpecValidation:
         )
         again = ExperimentSpec.from_dict(spec.to_dict())
         assert again == spec
+
+    def test_component_grid_none_means_the_default_sizes(self):
+        assert PcaSpec("classical").grid("rbfn") == tuple(range(1, 21))
+        assert PcaSpec("classical").grid("mlp") == tuple(range(1, 19))
+        assert PcaSpec("classical", component_grid=(20,)).grid("mlp") == (20,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_spec_checks_raise_only_config_errors(self, data):
+        # any one key of a valid spec file set to any JSON value: the spec
+        # is accepted or named as a ConfigError, never a traceback
+        raw = data.draw(st.sampled_from(SUITE_SPECS)).to_dict()
+        paths = [(key,) for key in raw]
+        paths += [(key, sub) for key, section in raw.items() if isinstance(section, dict)
+                  for sub in section]
+        *sections, key = data.draw(st.sampled_from(paths))
+        target = raw[sections[0]] if sections else raw
+        target[key] = data.draw(JSON_VALUES)
+        try:
+            ExperimentSpec.from_dict(json.loads(json.dumps(raw))).validate()
+        except ConfigError:
+            pass
+
+
+#: Every shipped suite row: each is a valid spec.
+SUITE_SPECS = [spec for build in suites.SUITE_BUILDERS.values() for spec in build(seed=0)]
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.floats(), st.text(max_size=8),
+    st.sampled_from(["loo", "raw", "bspline", "knn", "classical", "deriv2", "mlp"]),
+)
+#: A value a spec file can hold: a scalar, a list of scalars or an object.
+JSON_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=4),
+    st.dictionaries(st.text(max_size=6), _JSON_SCALARS, max_size=3),
+)
 
 
 class TestRunExperiment:
@@ -295,7 +335,7 @@ class TestRunExperiment:
         spec = ExperimentSpec(
             "mlp-fpca", "mlp",
             representation=RepresentationSpec("bspline", order=4, dimension=10),
-            pca=PcaSpec("functional", n_components="cv", component_grid=(2, 4), whiten=True),
+            pca=PcaSpec("functional", component_grid=(2, 4), whiten=True),
             mlp=SMALL_MLP,
             seed=5,
         )
@@ -339,7 +379,7 @@ class TestRunExperiment:
         spec = ExperimentSpec(
             "fpca-full-rank", "rbfn",
             representation=RepresentationSpec("bspline", order=4, dimension=18),
-            pca=PcaSpec("functional", n_components="cv", component_grid=grid),
+            pca=PcaSpec("functional", component_grid=grid),
             rbfn=SMALL_RBFN,
             seed=5,
         )
@@ -357,7 +397,7 @@ class TestRunExperiment:
             spec = ExperimentSpec(
                 "fpca-trim", "rbfn",
                 representation=RepresentationSpec("bspline", order=4, dimension=18),
-                pca=PcaSpec("functional", n_components="cv", component_grid=grid),
+                pca=PcaSpec("functional", component_grid=grid),
                 rbfn=SMALL_RBFN,
                 seed=5,
             )
@@ -379,7 +419,7 @@ class TestRunExperiment:
             spec = ExperimentSpec(
                 "fpca-too-large", "rbfn",
                 representation=RepresentationSpec("bspline", order=4, dimension=18),
-                pca=PcaSpec("functional", n_components=n_components),
+                pca=PcaSpec("functional", component_grid=(n_components,)),
                 rbfn=SMALL_RBFN,
             )
             return run_experiment(spec, train, test)
@@ -420,8 +460,7 @@ class TestRunExperiment:
         train, test = fdata.split(vector_dataset(X, y), 12, shuffle=False)
         spec = ExperimentSpec(
             "informative", "mlp", RepresentationSpec("raw"),
-            pca=PcaSpec("classical", n_components="cv", component_grid=(1, 2),
-                        whiten=True),
+            pca=PcaSpec("classical", component_grid=(1, 2), whiten=True),
             mlp=MlpSettings(hidden_grid=(3,), decay_grid=(1e-4,), restarts=4,
                             cv_restarts=4, max_iter=150, cv_max_iter=150),
             seed=1,
@@ -494,7 +533,7 @@ class TestFailingTrainingCall:
     def spec(self, mlp=MLP):
         return ExperimentSpec(
             "failing-call", "mlp", RepresentationSpec("raw"),
-            pca=PcaSpec("classical", n_components=2, whiten=True),
+            pca=PcaSpec("classical", component_grid=(2,), whiten=True),
             mlp=mlp, folds=3, seed=1,
         )
 
@@ -602,8 +641,7 @@ class TestImputationRoutes:
         spec = ExperimentSpec(
             "mean-imp", "mlp",
             representation=RepresentationSpec("raw"),
-            pca=PcaSpec("classical", n_components="cv",
-                        component_grid=(2, 3), whiten=True),
+            pca=PcaSpec("classical", component_grid=(2, 3), whiten=True),
             impute=ImputeSpec("mean"),
             mlp=SMALL_MLP,
             seed=5,
@@ -616,7 +654,7 @@ class TestImputationRoutes:
         spec = ExperimentSpec(
             "knn-imp", "mlp",
             representation=RepresentationSpec("raw"),
-            pca=PcaSpec("classical", n_components=3, whiten=True),
+            pca=PcaSpec("classical", component_grid=(3,), whiten=True),
             impute=ImputeSpec("knn", k_grid=(1, 4)),
             mlp=SMALL_MLP,
             seed=5,
@@ -640,8 +678,7 @@ class TestImputationRoutes:
         spec = ExperimentSpec(
             "knn-cache", "rbfn",
             representation=RepresentationSpec("raw"),
-            pca=PcaSpec("classical", n_components="cv",
-                        component_grid=(2, 3, 4)),
+            pca=PcaSpec("classical", component_grid=(2, 3, 4)),
             impute=ImputeSpec("knn", k_grid=(1, 4)),
             rbfn=SMALL_RBFN,
             seed=5,
@@ -674,7 +711,8 @@ class TestImputationRoutes:
         )
 
     @pytest.mark.parametrize("impute, pca", [
-        (ImputeSpec("knn", k_grid=(1, 2, 4)), PcaSpec("classical", n_components=4, whiten=True)),
+        (ImputeSpec("knn", k_grid=(1, 2, 4)),
+         PcaSpec("classical", component_grid=(4,), whiten=True)),
         (ImputeSpec("knn", k_grid=(1, 2, 4)), PcaSpec("none")),
     ], ids=["pca", "no-pca"])
     def test_one_k_chain_equals_its_grid_column(self, holed, impute, pca):
@@ -712,7 +750,7 @@ class TestImputationRoutes:
         spec = ExperimentSpec(
             "knn-fail", "rbfn",
             representation=RepresentationSpec("raw"),
-            pca=PcaSpec("classical", n_components=2),
+            pca=PcaSpec("classical", component_grid=(2,)),
             impute=ImputeSpec("knn", k_grid=(1, 2)),
             rbfn=SMALL_RBFN,
             seed=5,
@@ -799,7 +837,24 @@ class TestDataChecks:
         assert built == [len(train), len(test)]
 
     def test_raw_route_without_imputation_needs_a_common_grid(self, holed):
+        # expert scaling fills no hole: without an imputer the model would
+        # read every hole as 0
         train, test = holed
-        spec = ExperimentSpec("holed-raw", "rbfn", RepresentationSpec("raw"), rbfn=SMALL_RBFN)
-        with pytest.raises(ValidationError, match="functions are not sampled on a common grid"):
-            run_experiment(spec, train, test)
+        for impute in (ImputeSpec(), ImputeSpec(expert_scale=True)):
+            spec = ExperimentSpec("holed-raw", "rbfn", RepresentationSpec("raw"),
+                                  impute=impute, rbfn=SMALL_RBFN)
+            with pytest.raises(ValidationError,
+                               match="functions are not sampled on a common grid"):
+                run_experiment(spec, train, test)
+
+    def test_expert_scaling_without_imputation_on_complete_curves(self, data):
+        # every entry is observed, so the grid route scales the full rows
+        train, test = data
+        spec = ExperimentSpec("expert-raw", "rbfn", RepresentationSpec("raw"),
+                              impute=ImputeSpec(expert_scale=True), rbfn=SMALL_RBFN)
+        stage = selection._Stage1(spec, train)
+        values, mask = fdata.Grids(train.functions).on(stage.grid)
+        assert mask.all() and stage.train_mask is None
+        np.testing.assert_array_equal(stage.train_values,
+                                      imp_mod.expert_scale_matrix(values, mask))
+        assert np.isfinite(run_experiment(spec, train, test).test_rmse)
