@@ -75,21 +75,21 @@ def cmd_make_holes(args) -> int:
 
 def cmd_represent(args) -> int:
     dataset = _load(args)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     grids = fdata.Grids(dataset.functions)
-    if args.dimension == "loo":
+    sel, dimension = None, args.dimension
+    if dimension == "loo":
         sel = represent.select_basis_size(grids, dataset.domain, args.basis, args.order)
         dimension = sel.dimension
+    basis = represent.make_basis(args.basis, dataset.domain, dimension, args.order)
+    alpha, sse = represent.fit_dataset(grids, basis)
+    # a failed selection or fit leaves no output directory behind
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    if sel is not None:
         loo_lines = ["dimension,total_loo"]
         loo_lines += [f"{q},{sel.scores[q]:.12g}" for q in sorted(sel.scores)]
         loo_lines += [f"{q},skipped:{reason}" for q, reason in sorted(sel.skipped.items())]
         _atomic_write(outdir / "loo_report.csv", "\n".join(loo_lines) + "\n")
-    else:
-        dimension = args.dimension
-    basis = represent.make_basis(args.basis, dataset.domain, dimension, args.order)
-    alpha, sse = represent.fit_dataset(grids, basis)
     beta = alpha @ basis.gram_factor().T
     header = ",".join(f"c{k}" for k in range(dimension))
     for name, mat in (("alpha", alpha), ("beta", beta)):

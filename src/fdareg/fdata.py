@@ -185,12 +185,17 @@ def _parse_row(token_row: list[str], lineno: int) -> np.ndarray:
 
 def _tokenize(path: Path) -> list[tuple[int, list[str]]]:
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            rows.append((lineno, line.replace(",", " ").split()))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                rows.append((lineno, line.replace(",", " ").split()))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except IsADirectoryError:
+        raise ParseError(f"{path}: is a directory, not a data file") from None
     if not rows:
         raise ParseError(f"{path}: file contains no data rows")
     return rows
@@ -221,8 +226,9 @@ def load_dataset(path: str | Path, format: str = "tecator-grid") -> Dataset:
     Raises
     ------
     ParseError
-        Malformed row (named by line number), empty file, or a
-        generic-pairs file with a domain row only.
+        Malformed row (named by line number), empty file, a
+        generic-pairs file with a domain row only, a file that is not UTF-8
+        text, or a directory.
     ValidationError
         Non-monotone abscissas, samples outside the domain, or a target that
         is not finite.

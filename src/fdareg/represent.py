@@ -208,16 +208,18 @@ loo_score = loo_scores
 
 
 def _default_candidates(kind: str, order: int, min_m: int) -> list[int]:
-    """Dimension grid for selection.
+    """Dimension grid for selection, every size below the shortest curve's
+    ``min_m`` samples: the interpolating size q = m has a hat diagonal of 1,
+    which leave-one-out can never score.
 
-    B-splines sweep interior-knot counts {4, 6, ..., min(m - order, 60)};
-    Fourier sweeps odd dimensions (complete sine/cosine pairs) up to the
-    same cap.
+    B-splines sweep interior-knot counts {4, 6, ..., min(m - order - 1,
+    60)}; Fourier sweeps odd dimensions (complete sine/cosine pairs) from 5
+    up to min(m - 1, 61).
     """
     if kind == "bspline":
-        top = min(min_m - order, 60)
+        top = min(min_m - order - 1, 60)
         return [l + order for l in range(4, top + 1, 2)]
-    top = min(min_m, 61)
+    top = min(min_m - 1, 61)
     return list(range(5, top + 1, 2))
 
 
@@ -283,8 +285,8 @@ def select_basis_size(
     if candidates is None:
         candidates = _default_candidates(kind, order, rows.size)
         if not candidates:
-            rule = (f"order-{order} B-splines need at least {order + 4}" if kind == "bspline"
-                    else "a Fourier basis needs at least 5")
+            rule = (f"order-{order} B-splines need at least {order + 5}" if kind == "bspline"
+                    else "a Fourier basis needs at least 6")
             raise SelectionError(
                 f"function {grids.ids[shortest[0]]} has {rows.size} samples, too few to "
                 f"select a basis size: {rule} in every curve"

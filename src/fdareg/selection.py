@@ -5,19 +5,22 @@ represented (raw grid, B-splines, Fourier), which functional transform and
 PCA flavor apply, the imputation route for holed data, the model family and
 its hyperparameter grids. :func:`run_experiment` cross-validates every grid
 cell on the training set only, refits the winner, and evaluates once on the
-test set, which stays sealed until that point.
+test set, whose curves it reads only once the selection is final and whose
+targets only to score the refit (``tests/test_metamorphic.py`` guards both).
 
 It is the one cross-validation engine of the toolkit, and its rule is that
 a cell must be scored in every fold. A cell misses a fold when an RBFN
 selection path stops before its center count, or when a fold's
 preprocessing or training call fails (noted with the fold and the cell);
 such a cell scores ``inf``, can never win, and is counted in one note on
-the report. One trainer runs every training call, in the folds and in the
-final refit: one RBFN width multiplier (an OLS path per ridge) or one MLP
-``(hidden, decay)``, with one prediction column per grid cell it trains.
-The RBFN calls of one set of training rows share two squared-distance
-matrices: the training rows' own, which gives the base width and every
-width's design, and the validation (or test) rows' to them, which every
+the report. One train-and-predict path, :func:`_predict_cells`, serves
+every fold and the final refit, which is its last split: the training rows,
+then the validation rows of a fold or the test rows of the refit. Each of
+its training calls is one RBFN width multiplier (an OLS path per ridge) or
+one MLP ``(hidden, decay)``, with one prediction column per grid cell it
+trains. The RBFN calls of one set of training rows share two
+squared-distance matrices: the training rows' own, which gives the base
+width and every width's design, and the new rows' to them, which every
 path of every width slices by its selected centers.
 
 Data-dependent preprocessing (imputation, column standardization, PCA and
@@ -32,8 +35,8 @@ k's fill does not depend on the other ks of the grid. Per-function steps
 cross-sample information, so they are computed once up front, on whole
 coefficient or value matrices, from one grouping of each dataset's curves
 by sampling grid (:class:`~fdareg.fdata.Grids`), the one input of every
-route: the training set is grouped once up front and the test set once
-after it is unlocked. The basis route evaluates the basis once, on the
+route: the training set is grouped once up front and the test set once,
+just before the refit. The basis route evaluates the basis once, on the
 union of the abscissas, and runs one pivoted QR per distinct grid for the
 ``(n, q)`` coefficient matrix, which each transform maps to another. The
 grid route reads the grouping's values on the union of the training
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -65,39 +67,8 @@ from .fdata import Dataset, Grids
 __all__ = [
     "ExperimentSpec",
     "ExperimentReport",
-    "SealedTestSet",
-    "IsolationError",
     "run_experiment",
 ]
-
-
-class IsolationError(FdaregError):
-    """The sealed test set was touched before final evaluation."""
-
-
-class SealedTestSet:
-    """Holds the test data inaccessible until final evaluation."""
-
-    __slots__ = ("_payload", "_unlocked", "peek_attempts")
-
-    def __init__(self, payload):
-        self._payload = payload
-        self._unlocked = False
-        self.peek_attempts = 0
-
-    @property
-    def unlocked(self) -> bool:
-        return self._unlocked
-
-    def peek(self):
-        if not self._unlocked:
-            self.peek_attempts += 1
-            raise IsolationError("test set accessed before final evaluation")
-        return self._payload
-
-    def unlock(self):
-        self._unlocked = True
-        return self._payload
 
 
 @dataclass(frozen=True)
@@ -433,7 +404,7 @@ class _Preprocessing:
         return fpca_mod.scores(self.pcas[i], X, n_comp, whiten=self.whiten)
 
 
-def _fold_note(fold_i: int, exc, k_imp=0, n_comp=0, call="") -> str:
+def _fold_note(fold_i: int, exc, k_imp: int, n_comp: int, call: str) -> str:
     """A fold failure note: the fold, then the imputation k on k-NN rows and
     the PCA size on PCA rows (0 on the others), then the training call."""
     parts = [f"fold {fold_i}", k_imp and f"impute k={k_imp}",
@@ -441,30 +412,75 @@ def _fold_note(fold_i: int, exc, k_imp=0, n_comp=0, call="") -> str:
     return ", ".join(p for p in parts if p) + f": {exc}"
 
 
-def _fold_inputs(spec, stage, tr, va, comp_grid, fold_i, notes):
-    """Yield ``(k_imp, n_comp, X_tr, X_va)``, the model inputs of one fold
-    for every imputation and PCA-size cell.
+def _predict_cells(spec, ks, comp_grid, calls, train_rows, y, new_rows, seed_key, final,
+                   failed):
+    """Train every call of ``calls`` on the training rows for every
+    imputation k of ``ks`` and PCA size of ``comp_grid``; yield ``(cells,
+    P)`` per trained model, ``P`` holding its predictions on the new rows,
+    one column per full grid cell ``(k_imp, n_comp, *model_params)``.
 
-    One :class:`_Preprocessing` serves the whole fold. A failed
-    preprocessing fit notes every k; a failed projection notes its cell.
+    ``train_rows`` and ``new_rows`` are ``(values, mask)`` features. One
+    :class:`_Preprocessing` serves the whole k grid and the largest size.
+    On RBFN rows, each (k, size) forms the training rows' squared
+    distances, the new rows' distances to them and the base width once for
+    every width. An RBFN call ``(mult, ridges, cap)`` grows one OLS path per
+    ridge, with a cell per center count on it. An MLP call ``(hidden,
+    decay)`` is one cell, trained with the refit's budget if ``final``;
+    ``seed_key`` seeds it, with the (k, size) and the cell appended in
+    cross-validation. Each failure goes to ``failed(exc, k_imp, n_comp,
+    label)``: a preprocessing failure reaches every k, a projection failure
+    its (k, size), and a training failure that call's cells.
     """
-    ks = spec.impute.grid()
-    values, mask = stage.train_values, stage.train_mask
     try:
-        pre = _Preprocessing(spec, ks, values[tr], None if mask is None else mask[tr],
-                             max(comp_grid))
-        X_va = pre.prepare(values[va], None if mask is None else mask[va])
+        pre = _Preprocessing(spec, ks, *train_rows, max(comp_grid))
+        new = pre.prepare(*new_rows)
     except FdaregError as exc:
-        notes.extend(_fold_note(fold_i, exc, k_imp) for k_imp in ks)
+        for k_imp in ks:
+            failed(exc, k_imp, 0, "")
         return
     for i, k_imp in enumerate(ks):
         for n_comp in comp_grid:
             try:
-                scores = pre.project(i, pre.train[i], n_comp), pre.project(i, X_va[i], n_comp)
+                X, X_new = pre.project(i, pre.train[i], n_comp), pre.project(i, new[i], n_comp)
             except FdaregError as exc:
-                notes.append(_fold_note(fold_i, exc, k_imp, n_comp))
+                failed(exc, k_imp, n_comp, "")
                 continue
-            yield (k_imp, n_comp, *scores)
+            if spec.model == "rbfn":
+                D = rbfn_mod.sq_distances(X, X)
+                D_new = rbfn_mod.sq_distances(X_new, X)
+                width = rbfn_mod.median_width(D)
+            for call, label in calls:
+                try:
+                    if spec.model == "rbfn":
+                        mult, ridges, cap = call
+                        trained = rbfn_mod.train_ols_paths(D, y, mult * width, ridges,
+                                                           min(cap, X.shape[0]))
+                    else:
+                        hidden, decay = call
+                        m = spec.mlp
+                        restarts, max_iter = ((m.restarts, m.max_iter) if final
+                                              else (m.cv_restarts, m.cv_max_iter))
+                        key = (seed_key if final else
+                               f"{seed_key}-i{k_imp}-c{n_comp}-h{hidden}-d{decay:g}")
+                        trained = mlp_mod.train(X, y, hidden, decay, restarts=restarts,
+                                                seed=derive_seed(spec.seed, key),
+                                                max_iter=max_iter)
+                except FdaregError as exc:
+                    failed(exc, k_imp, n_comp, label)
+                    continue
+                # one prediction matrix at a time, as the caller consumes them
+                if spec.model == "rbfn":
+                    for ridge, path in zip(ridges, trained):
+                        yield ([(k_imp, n_comp, mult, float(ridge), k)
+                                for k in range(1, path.max_size + 1)],
+                               path.predictions(D_new))
+                else:
+                    yield ([(k_imp, n_comp, hidden, float(decay))],
+                           mlp_mod.forward(trained, X_new)[:, None])
+
+
+def _reraise(exc, *where):
+    raise exc
 
 
 def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> ExperimentReport:
@@ -480,17 +496,19 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     scored in every fold, the ``ConfigError`` counts the per-fold failure
     notes and quotes the first.
 
-    The test set is sealed on entry and only unlocked after the winning
-    model has been refitted on the full training set; selection never
-    touches it. An empty test set has no RMSE and is a ``ConfigError``.
-    Reports are deterministic given the spec's seed.
+    The folds and the final refit run the same :func:`_predict_cells`: each
+    fold predicts its validation rows, and the refit, the winner's single
+    call on the full training set, predicts the test rows. The test curves
+    are read once the selection is final, just before the refit, and
+    neither the selection nor the refit reads their targets
+    (``tests/test_metamorphic.py`` replaces the test set and checks that
+    nothing else moves). An empty test set has no RMSE and is a
+    ``ConfigError``. Reports are deterministic given the spec's seed.
     """
     t0 = time.perf_counter()
     spec.validate()
     if not len(test):
         raise ConfigError(f"experiment {spec.name}: the test set is empty")
-    sealed = SealedTestSet(test)
-    del test
 
     stage = _Stage1(spec, train)
     y = train.targets
@@ -516,15 +534,33 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
                          f"the most components every fold can fit, {fate}")
         comp_grid = comp_grid or (bound,)
 
+    if spec.model == "rbfn":
+        r = spec.rbfn
+        calls = [((m, r.ridges, r.max_centers), f"width_multiplier={m:g}")
+                 for m in r.width_multipliers]
+    else:
+        calls = [((h, d), f"hidden={h}, decay={d:g}")
+                 for h in spec.mlp.hidden_grid for d in spec.mlp.decay_grid]
+    values, mask = stage.train_values, stage.train_mask
+    ks = spec.impute.grid()
+
+    def rows(idx):
+        return values[idx], None if mask is None else mask[idx]
+
     # cell: (k_impute, n_comp, *model_params) -> (summed fold errors, folds scored)
     table: dict[tuple, tuple[float, int]] = {}
     notes_before_folds = len(notes)
     for fold_i, (tr, va) in enumerate(plan):
-        for k_imp, n_comp, X_tr, X_va in _fold_inputs(
-            spec, stage, tr, va, comp_grid, fold_i, notes
-        ):
-            _score_model_cells(spec, X_tr, y[tr], X_va, y[va], fold_i, k_imp, n_comp,
-                               table, notes)
+        def failed(exc, *where, fold_i=fold_i):
+            notes.append(_fold_note(fold_i, exc, *where))
+
+        y_va = y[va]
+        for cells, P in _predict_cells(spec, ks, comp_grid, calls, rows(tr), y[tr], rows(va),
+                                       f"mlp-cv-f{fold_i}", False, failed):
+            mse = np.sum((P - y_va[:, None]) ** 2, axis=0) / y_va.size
+            for cell, error in zip(cells, mse):
+                total, folds = table.get(cell, (0.0, 0))
+                table[cell] = (total + float(error), folds + 1)
     fold_failures = notes[notes_before_folds:]
 
     scores = {
@@ -543,134 +579,31 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     best_cell = min(sorted(scores), key=lambda c: scores[c])
     cv_score = float(scores[best_cell])
 
-    selected, predictor = _fit_final(spec, stage, best_cell, y, notes)
-
-    test_ds = sealed.unlock()
-    test_values, test_mask = stage.features(Grids(test_ds.functions))
-    preds = predictor(test_values, test_mask)
-    test_rmse = rmse(preds, test_ds.targets)
-
-    return ExperimentReport(
-        name=spec.name,
-        model=spec.model,
-        test_rmse=test_rmse,
-        cv_score=cv_score,
-        selected=selected,
-        info=stage.info,
-        n_train=n,
-        n_test=len(test_ds),
-        seed=spec.seed,
-        wall_time=time.perf_counter() - t0,
-        notes=tuple(notes),
-    )
-
-
-class _Rows:
-    """Model inputs ``X`` of a row set. Their squared distances to the
-    training inputs ``X_train`` are formed on first use (RBFN models only)
-    and shared by every width and path."""
-
-    def __init__(self, X: np.ndarray, X_train: np.ndarray):
-        self.X, self.X_train = X, X_train
-
-    @cached_property
-    def sq_dists(self) -> np.ndarray:
-        return rbfn_mod.sq_distances(self.X, self.X_train)
-
-
-class _TrainingSet(_Rows):
-    """Training rows and targets; the RBFN base width comes from their own
-    distance matrix, once for every call."""
-
-    def __init__(self, X: np.ndarray, y: np.ndarray):
-        super().__init__(X, X)
-        self.y = y
-
-    @cached_property
-    def base_width(self) -> float:
-        return rbfn_mod.median_width(self.sq_dists)
-
-
-def _train(spec, rows: _TrainingSet, call: tuple, seed_key: str, final: bool):
-    """Run one training call; return ``(cells, predict)`` pairs whose
-    ``predict(new)`` gives one column per model-parameter tuple in ``cells``
-    on the :class:`_Rows` ``new``.
-
-    An RBFN call ``(mult, ridges, cap)`` grows one OLS path per ridge, with a
-    cell per center count on it. An MLP call ``(hidden, decay)`` is one cell,
-    trained with the refit's budget if ``final``; ``seed_key`` seeds it, with
-    the cell appended in cross-validation.
-    """
-    if spec.model == "rbfn":
-        mult, ridges, cap = call
-        paths = rbfn_mod.train_ols_paths(rows.sq_dists, rows.y, mult * rows.base_width,
-                                         ridges, min(cap, rows.X.shape[0]))
-        return [([(mult, float(ridge), k) for k in range(1, path.max_size + 1)],
-                 lambda new, path=path: path.predictions(new.sq_dists))
-                for ridge, path in zip(ridges, paths)]
-    hidden, decay = call
-    m = spec.mlp
-    restarts, max_iter = (m.restarts, m.max_iter) if final else (m.cv_restarts, m.cv_max_iter)
-    seed_key = seed_key if final else f"{seed_key}-h{hidden}-d{decay:g}"
-    net = mlp_mod.train(rows.X, rows.y, hidden, decay, restarts=restarts,
-                        seed=derive_seed(spec.seed, seed_key), max_iter=max_iter)
-    return [([(hidden, float(decay))], lambda new: mlp_mod.forward(net, new.X)[:, None])]
-
-
-def _score_model_cells(spec, X_tr, y_tr, X_va, y_va, fold_i, k_imp, n_comp, table, notes):
-    """Run every training call of the model grid on one fold's inputs and
-    add each cell's validation MSE to the fold table; a call that fails is
-    noted, and its cells miss the fold."""
-    if spec.model == "rbfn":
-        r = spec.rbfn
-        calls = [((m, r.ridges, r.max_centers), f"width_multiplier={m:g}")
-                 for m in r.width_multipliers]
-    else:
-        calls = [((h, d), f"hidden={h}, decay={d:g}")
-                 for h in spec.mlp.hidden_grid for d in spec.mlp.decay_grid]
-    rows = _TrainingSet(X_tr, y_tr)
-    validation = _Rows(X_va, X_tr)
-    for call, label in calls:
-        try:
-            trained = _train(spec, rows, call, f"mlp-cv-f{fold_i}-i{k_imp}-c{n_comp}",
-                             final=False)
-        except FdaregError as exc:
-            notes.append(_fold_note(fold_i, exc, k_imp, n_comp, label))
-            continue
-        for cells, predict in trained:
-            mse = np.sum((predict(validation) - y_va[:, None]) ** 2, axis=0) / y_va.size
-            for cell, error in zip(cells, mse):
-                key = (k_imp, n_comp, *cell)
-                total, folds = table.get(key, (0.0, 0))
-                table[key] = (total + float(error), folds + 1)
-
-
-def _fit_final(spec, stage, cell, y, notes):
-    """Refit the winning cell on the full training set before the caller
-    unlocks the test set; return the selected-parameter dict and a
-    ``predict(values, mask)`` closure for the test rows.
-
-    :func:`_train` runs the winner's single call, RBFN ``(mult, (ridge,),
-    n_centers)`` or MLP ``(hidden, decay)``, with the refit's budget, and the
-    refit model is its last column. When the full-data RBFN path stops short
-    of the selected center count, a note in ``notes`` names both counts.
-    """
-    k_imp, n_comp, *params = cell
-    pre = _Preprocessing(spec, (k_imp,), stage.train_values, stage.train_mask, n_comp)
-    X = pre.project(0, pre.train[0], n_comp)
-
+    k_imp, n_comp, *params = best_cell
     call = (params[0], (params[1],), params[2]) if spec.model == "rbfn" else tuple(params)
-    [(cells, predict)] = _train(spec, _TrainingSet(X, y), call, "mlp-final", final=True)
+    test_rows = stage.features(Grids(test.functions))
+    [(cells, P)] = _predict_cells(spec, (k_imp,), (n_comp,), [(call, "")], (values, mask), y,
+                                  test_rows, "mlp-final", True, _reraise)
     if cells[-1][-1] != params[-1]:  # only an RBFN path can stop short
         notes.append(f"final refit: the full-data path stopped at {cells[-1][-1]} "
                      f"of the selected {params[-1]} centers")
-
     selected: dict = {}
     if spec.impute.kind == "knn":
         selected["impute_k"] = k_imp
     if spec.pca.kind != "none":
         selected["n_components"] = n_comp
-    selected.update(zip(_PARAMS[spec.model], cells[-1]))
+    selected.update(zip(_PARAMS[spec.model], cells[-1][2:]))
 
-    return selected, lambda values, mask: predict(
-        _Rows(pre.project(0, pre.prepare(values, mask)[0], n_comp), X))[:, -1]
+    return ExperimentReport(
+        name=spec.name,
+        model=spec.model,
+        test_rmse=rmse(P[:, -1], test.targets),
+        cv_score=cv_score,
+        selected=selected,
+        info=stage.info,
+        n_train=n,
+        n_test=len(test),
+        seed=spec.seed,
+        wall_time=time.perf_counter() - t0,
+        notes=tuple(notes),
+    )

@@ -273,6 +273,21 @@ def test_missing_data_file(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("latin-1", "not UTF-8 text"), ("directory", "is a directory, not a data file"),
+])
+def test_unreadable_data_file_is_a_named_error(kind, message, tmp_path, capsys):
+    data = tmp_path / "spectra"
+    if kind == "directory":
+        data.mkdir()
+    else:
+        data.write_bytes("domain 0 1\n1.0 0 1 1 \u00b5\n".encode("latin-1"))
+    rc = cli.main(["make-holes", "--data", str(data), "--format", "generic-pairs",
+                   "--out", str(tmp_path / "holed.pairs")])
+    _assert_named_error(rc, capsys.readouterr().err, f"{data}: {message}")
+    assert not (tmp_path / "holed.pairs").exists()
+
+
 def _assert_named_error(rc, err, *fragments):
     assert rc == 1
     assert err.startswith("error: ") and "Traceback" not in err
@@ -467,6 +482,20 @@ def test_bad_order_is_a_usage_error(value, pairs_file, tmp_path, capsys):
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
+def _curves_file(path, sizes):
+    """A generic-pairs file of noisy sine curves with ``sizes`` samples, at
+    the midpoints of equal cells of the domain (a periodic basis would see
+    samples at both ends as one)."""
+    rng = np.random.default_rng(4)
+    lines = ["domain 0 1"]
+    for size in sizes:
+        x = (np.arange(size) + 0.5) / size
+        y = np.sin(2 * np.pi * x) + 0.1 * rng.normal(size=size)
+        lines.append("1.0 " + " ".join(f"{a:.6f} {b:.6f}" for a, b in zip(x, y)))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def test_curves_too_short_for_basis_selection_are_named(tmp_path, capsys):
     data = tmp_path / "short.pairs"
     data.write_text("domain 0 1\n1.0 0 1 0.5 2 1 3\n2.0 0 1 1 2\n")
@@ -474,7 +503,32 @@ def test_curves_too_short_for_basis_selection_are_named(tmp_path, capsys):
                    "--dimension", "loo", "--out", str(tmp_path / "out")])
     _assert_named_error(rc, capsys.readouterr().err,
                         "function 1 has 2 samples, too few to select a basis size: "
-                        "order-4 B-splines need at least 8 in every curve")
+                        "order-4 B-splines need at least 9 in every curve")
+
+
+@pytest.mark.parametrize("dimension", ["loo", "9"])
+def test_failed_represent_leaves_no_output_directory(dimension, tmp_path, capsys):
+    data = tmp_path / "short.pairs"
+    data.write_text("domain 0 1\n1.0 0 1 0.5 2 1 3\n2.0 0 1 1 2\n")
+    out = tmp_path / "out"
+    rc = cli.main(["represent", "--data", str(data), "--format", "generic-pairs",
+                   "--dimension", dimension, "--out", str(out)])
+    _assert_named_error(rc, capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("basis, sizes", [("bspline", (10, 12)), ("fourier", (7, 12))])
+def test_shortest_selectable_curves_get_a_scored_size(basis, sizes, tmp_path):
+    # the interpolating size q = m, which leave-one-out cannot score, is not
+    # offered: every size offered is scored, none skipped
+    data = _curves_file(tmp_path / "short.pairs", sizes)
+    out = tmp_path / "out"
+    rc = cli.main(["represent", "--data", str(data), "--format", "generic-pairs",
+                   "--basis", basis, "--dimension", "loo", "--out", str(out)])
+    assert rc == 0
+    report = (out / "loo_report.csv").read_text().splitlines()
+    assert report[0] == "dimension,total_loo" and len(report) == 2
+    assert "skipped" not in report[1]
 
 
 def test_non_finite_target_is_a_named_error(pairs_file, tmp_path, capsys):

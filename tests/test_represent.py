@@ -387,9 +387,9 @@ class TestSelectBasisSize:
             )
 
     @pytest.mark.parametrize("kind, order, m, rule", [
-        ("bspline", 4, 7, "order-4 B-splines need at least 8"),
-        ("bspline", 6, 9, "order-6 B-splines need at least 10"),
-        ("fourier", 4, 4, "a Fourier basis needs at least 5"),
+        ("bspline", 4, 8, "order-4 B-splines need at least 9"),
+        ("bspline", 6, 10, "order-6 B-splines need at least 11"),
+        ("fourier", 4, 5, "a Fourier basis needs at least 6"),
     ], ids=["bspline4", "bspline6", "fourier"])
     def test_curves_too_short_for_the_default_grid(self, kind, order, m, rule):
         # the shortest curve is named, with its sample count and the rule
@@ -399,15 +399,24 @@ class TestSelectBasisSize:
                 f"function 8 has {m} samples, too few to select a basis size: {rule} "
                 "in every curve")):
             represent.select_basis_size(fdata.Grids(fns), (0.0, 1.0), kind, order)
-        # one more sample gives a candidate
-        assert represent._default_candidates(kind, order, m + 1)
+        # one more sample gives a candidate below the sample count, which
+        # leave-one-out scores
+        [q] = represent._default_candidates(kind, order, m + 1)
+        # (midpoints: a periodic basis would see samples at both ends as one)
+        fns = [fdata.SampledFunction(x, np.sin(5 * x) + 0.1 * np.cos(17 * x), id=i)
+               for i, x in enumerate(((np.arange(size) + 0.5) / size for size in (m + 1, 40)))]
+        sel = represent.select_basis_size(fdata.Grids(fns), (0.0, 1.0), kind, order)
+        assert q < m + 1 and sel.dimension == q and not sel.skipped
 
     def test_default_grid_spans_paper_sizes(self):
         # interior-knot sweep {4, 6, ...} must bracket dimensions ~20..64
         cands = represent._default_candidates("bspline", 4, 100)
         assert min(cands) == 8 and max(cands) == 64
         cands6 = represent._default_candidates("bspline", 6, 90)
-        assert max(cands6) <= 90 - 6 + 6  # never exceeds sample count
+        assert max(cands6) == 66 < 90  # the cap of 60 interior knots binds
+        for kind in ("bspline", "fourier"):
+            for m in range(5, 80):
+                assert all(q < m for q in represent._default_candidates(kind, 4, m))
 
 
 class TestBetaGeometry:

@@ -19,12 +19,10 @@ from fdareg.errors import ConfigError, TrainingError, ValidationError
 from fdareg.selection import (
     ExperimentSpec,
     ImputeSpec,
-    IsolationError,
     MlpSettings,
     PcaSpec,
     RbfnSettings,
     RepresentationSpec,
-    SealedTestSet,
     TransformSpec,
     run_experiment,
 )
@@ -100,19 +98,13 @@ class TestRmse:
         assert rmse(np.full(20, mean), y_test) == pytest.approx(expected)
 
 
-class TestSealedTestSet:
-    def test_peek_before_unlock_raises(self):
-        sealed = SealedTestSet("payload")
-        with pytest.raises(IsolationError):
-            sealed.peek()
-        assert sealed.peek_attempts == 1
-        assert sealed.unlock() == "payload"
-        assert sealed.peek() == "payload"
-
+class TestTestSetOrder:
     @pytest.mark.parametrize("model", ["rbfn", "mlp"])
-    def test_unlock_follows_final_training_and_precedes_one_prediction(
+    def test_test_set_is_read_after_the_last_cv_call(
         self, data, monkeypatch, model
     ):
+        # the test curves are grouped once the selection is final; then the
+        # refit trains once and predicts once
         train, test = data
         calls = []
 
@@ -120,15 +112,16 @@ class TestSealedTestSet:
             real = getattr(owner, name)
 
             def logged(*args, **kwargs):
-                calls.append(label)
+                calls.append(label(*args) if callable(label) else label)
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, logged)
 
-        record(SealedTestSet, "unlock", "unlock")
+        record(selection, "Grids", lambda functions: "group test"
+               if functions is test.functions else "group train")
         if model == "rbfn":
             spec = ExperimentSpec(
-                "seal-rbfn", "rbfn", RepresentationSpec("raw"),
+                "order-rbfn", "rbfn", RepresentationSpec("raw"),
                 rbfn=RbfnSettings(width_multipliers=(1.0,), ridges=(1e-3,), max_centers=6),
                 seed=2,
             )
@@ -136,7 +129,7 @@ class TestSealedTestSet:
             record(rbfn_mod.RbfnPath, "predictions", "predict")
         else:
             spec = ExperimentSpec(
-                "seal-mlp", "mlp",
+                "order-mlp", "mlp",
                 representation=RepresentationSpec("bspline", order=4, dimension=8),
                 pca=PcaSpec("functional", component_grid=(2,), whiten=True),
                 mlp=MlpSettings(hidden_grid=(1,), decay_grid=(1e-3,), restarts=2,
@@ -148,12 +141,11 @@ class TestSealedTestSet:
         report = run_experiment(spec, train, test)
 
         assert np.isfinite(report.test_rmse)
-        assert calls.count("unlock") == 1
-        unlock = calls.index("unlock")
-        # CV: one training per fold; then the final refit, then the unlock
-        assert calls[:unlock].count("train") == spec.folds + 1
-        assert calls[unlock - 1] == "train"
-        assert calls[unlock + 1:] == ["predict"]
+        assert calls.count("group test") == 1
+        grouped = calls.index("group test")
+        # CV: one training and one prediction per fold
+        assert calls[:grouped] == ["group train"] + ["train", "predict"] * spec.folds
+        assert calls[grouped + 1:] == ["train", "predict"]
 
 
 class TestSpecValidation:
@@ -764,12 +756,18 @@ class TestImputationRoutes:
             full.targets, full.domain,
         )
         stage = selection._Stage1(spec, train)
+        values, mask = stage.train_values, stage.train_mask
+        calls = [((1.0, (1e-3,), 4), "width_multiplier=1")]
         notes: list[str] = []
-        cells = [
-            [cell[:2] for cell in selection._fold_inputs(
-                spec, stage, tr, va, (2,), fold_i, notes)]
-            for fold_i, (tr, va) in enumerate(plan)
-        ]
+        cells = []
+        for fold_i, (tr, va) in enumerate(plan):
+            def failed(exc, *where, fold_i=fold_i):
+                notes.append(selection._fold_note(fold_i, exc, *where))
+
+            cells.append(sorted({cell[:2] for block, _ in selection._predict_cells(
+                spec, (1, 2), (2,), calls, (values[tr], mask[tr]), train.targets[tr],
+                (values[va], mask[va]), f"mlp-cv-f{fold_i}", False, failed)
+                for cell in block}))
         assert cells == [[], *[[(1, 2), (2, 2)]] * 3]
         assert notes == [
             f"fold 0, impute k={k}: no donor observes coordinate 7 for sample 0"
