@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -26,17 +25,6 @@ from .errors import ConfigError, FdaregError
 from .selection import ExperimentSpec, run_experiment
 
 
-def _resolve_data(path: str) -> Path:
-    """Resolve a data path, falling back to $FDAREG_DATA_DIR."""
-    p = Path(path)
-    if p.exists():
-        return p
-    env = os.environ.get("FDAREG_DATA_DIR")
-    if env and (Path(env) / path).exists():
-        return Path(env) / path
-    raise FileNotFoundError(path)
-
-
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(text, encoding="utf-8")
@@ -44,7 +32,7 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _load(args) -> fdata.Dataset:
-    return fdata.load_dataset(_resolve_data(args.data), args.format)
+    return fdata.load_dataset(args.data, args.format)
 
 
 def _split_args(parser: argparse.ArgumentParser) -> None:

@@ -57,6 +57,10 @@ class IncomparableSampleError(ImputationError):
     """A sample shares no observed coordinate with any candidate neighbor."""
 
 
+class DegenerateComponentError(FdaregError):
+    """Whitening requested for a component with (numerically) zero variance."""
+
+
 class ScalingError(FdaregError):
     """Per-sample standardization is undefined (constant observed values)."""
 

@@ -36,11 +36,11 @@ class SampledFunction:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape:
-            raise ValidationError("x and y must be 1-d arrays of equal length")
+            raise ValidationError(f"x and y of function {id} must be 1-d arrays of equal length")
         if x.size < 1:
-            raise ValidationError("a sampled function needs at least one point")
+            raise ValidationError(f"function {id} needs at least one sample")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValidationError("sample coordinates must be finite")
+            raise ValidationError(f"sample coordinates of function {id} must be finite")
         if x.size > 1 and not np.all(np.diff(x) > 0):
             raise ValidationError(
                 f"abscissas of function {id} must be strictly increasing "

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FdaregError, ValidationError
-
-
-class DegenerateComponentError(FdaregError):
-    """Whitening requested for a component with (numerically) zero variance."""
+from .errors import DegenerateComponentError, ValidationError
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,33 @@ class KnnImputer:
         return out
 
 
+def fill(kind: str, ks, values: np.ndarray, mask: np.ndarray | None,
+         new_values: np.ndarray, new_mask: np.ndarray | None) -> list[tuple]:
+    """Fill the holes of training rows and of new rows with an imputer
+    fitted on the training rows, for every neighbor count of ``ks``.
+
+    Returns one ``(train, new)`` pair of matrices per k. ``kind`` "knn"
+    fills from :class:`KnnImputer` (a training row never donates to itself),
+    ordering each row's donors once for the whole grid, and each pair is
+    C-contiguous; "mean" fills the training rows' column means and "none"
+    passes the rows through, each for the single pass-through k of its grid.
+    """
+    if kind == "knn":
+        imputer = KnnImputer(ks).fit(values, mask)
+        train = _per_k(imputer.transform(values, mask, is_fit_data=True))
+        return list(zip(train, _per_k(imputer.transform(new_values, new_mask))))
+    if kind == "mean":
+        imputer = MeanImputer().fit(values, mask)
+        return [(imputer.transform(values, mask), imputer.transform(new_values, new_mask))]
+    return [(values, new_values)]
+
+
+def _per_k(filled: np.ndarray) -> list[np.ndarray]:
+    """The ``(n, p)`` matrix of each k of :meth:`KnnImputer.transform`'s
+    ``(n, len(ks), p)`` output, as a contiguous copy."""
+    return [np.ascontiguousarray(filled[:, c]) for c in range(filled.shape[1])]
+
+
 def expert_scale_matrix(values: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     """Center and normalize every row over its own observed entries.
 

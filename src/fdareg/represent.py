@@ -209,8 +209,8 @@ loo_score = loo_scores
 
 def _default_candidates(kind: str, order: int, min_m: int) -> list[int]:
     """Dimension grid for selection, every size below the shortest curve's
-    ``min_m`` samples: the interpolating size q = m has a hat diagonal of 1,
-    which leave-one-out can never score.
+    ``min_m`` distinct samples: the interpolating size q = m has a hat
+    diagonal of 1, which leave-one-out can never score.
 
     B-splines sweep interior-knot counts {4, 6, ..., min(m - order - 1,
     60)}; Fourier sweeps odd dimensions (complete sine/cosine pairs) from 5
@@ -281,15 +281,23 @@ def select_basis_size(
     """
     if not len(grids):
         raise SelectionError("no functions to select a basis size for")
-    shortest, rows, _ = min(grids.blocks, key=lambda block: block[1].size)
+
+    def distinct(block) -> int:
+        # the periodic Fourier basis sees samples at both ends as one point
+        x = grids.union[block[1]]
+        return x.size - (kind == "fourier" and x[0] == domain[0] and x[-1] == domain[1])
+
+    shortest = min(grids.blocks, key=distinct)
     if candidates is None:
-        candidates = _default_candidates(kind, order, rows.size)
+        m = distinct(shortest)
+        candidates = _default_candidates(kind, order, m)
         if not candidates:
             rule = (f"order-{order} B-splines need at least {order + 5}" if kind == "bspline"
                     else "a Fourier basis needs at least 6")
+            ends = ", counting samples at both ends as one" if m < shortest[1].size else ""
             raise SelectionError(
-                f"function {grids.ids[shortest[0]]} has {rows.size} samples, too few to "
-                f"select a basis size: {rule} in every curve"
+                f"function {grids.ids[shortest[0][0]]} has {shortest[1].size} samples, too few "
+                f"to select a basis size: {rule} in every curve{ends}"
             )
     if not candidates:
         raise SelectionError("empty candidate grid")

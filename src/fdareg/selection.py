@@ -24,13 +24,13 @@ width and every width's design, and the new rows' to them, which every
 path of every width slices by its selected centers.
 
 Data-dependent preprocessing (imputation, column standardization, PCA and
-whitening statistics) is one chain, refitted inside every fold and once more
-for the final refit. A fold fits it on its training rows for the whole k
-grid: the training and validation rows are imputed once, k-NN ordering each
-row's donors a single time, standardization and PCA are fitted once per k,
-and every PCA size of the grid takes its scores from the two standardized
-matrices. The final refit fits the same chain for the winning k alone; a
-k's fill does not depend on the other ks of the grid. Per-function steps
+whitening statistics) is one chain of plain arrays, refitted inside every
+fold and once more for the final refit. A fold fills its training and
+validation rows once for the whole k grid (k-NN orders each row's donors a
+single time) into one pair of matrices per k; each k's training matrix fits
+one standardizer and one PCA, and every PCA size of the grid slices its
+scores of the pair. The final refit runs the same chain for the winning k
+alone, as a k's fill does not depend on the other ks. Per-function steps
 (basis projection, centering, derivatives, expert scaling) use no
 cross-sample information, so they are computed once up front, on whole
 coefficient or value matrices, from one grouping of each dataset's curves
@@ -49,6 +49,7 @@ and candidate size.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -167,6 +168,9 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown {label} {value!r}")
         for key, value, valid, what in (
             ("name", self.name, lambda v: isinstance(v, str) and v, "a non-empty string"),
+            # the name is a file name (row_<name>.json) and a results.csv field
+            ("name", self.name, lambda v: re.fullmatch(r"[A-Za-z0-9_-][A-Za-z0-9._-]*", v),
+             "letters, digits, '.', '_' and '-' with no leading '.'"),
             ("pca.whiten", pca.whiten, _flag, "true or false"),
             ("impute.expert_scale", imp.expert_scale, _flag, "true or false"),
             ("representation.order", rep.order, _positive_int, "a positive integer"),
@@ -352,58 +356,6 @@ class _Stage1:
         return values, mask
 
 
-class _Preprocessing:
-    """Imputation -> standardization -> PCA, fitted once on a set of training
-    rows for the imputation grid ``ks`` and up to ``max_comp`` components.
-
-    The rows are imputed once for the whole k grid (k-NN orders each row's
-    donors a single time); the standardizer (classical PCA only) and the PCA
-    are then fitted once per k. ``train[i]`` holds the standardized training
-    rows for ``ks[i]``, ``prepare`` imputes and standardizes new rows for
-    every k, and ``project`` slices the PCA scores of either for one
-    component count, so every PCA size of the grid reuses them. Without an
-    imputer the rows pass through as they are; ``n_comp = 0`` means no PCA.
-    """
-
-    def __init__(self, spec: ExperimentSpec, ks: tuple[int, ...],
-                 values: np.ndarray, mask: np.ndarray | None, max_comp: int):
-        self.whiten = spec.pca.whiten
-        self.imputer = None
-        if spec.impute.kind == "mean":
-            self.imputer = imp_mod.MeanImputer().fit(values, mask)
-        elif spec.impute.kind == "knn":
-            self.imputer = imp_mod.KnnImputer(ks).fit(values, mask)
-        filled = self._impute(values, mask, is_fit_data=True)
-        classical = spec.pca.kind == "classical"
-        self.standardizers = [fpca_mod.Standardizer().fit(X) if classical else None
-                              for X in filled]
-        self.train = self._standardize(filled)
-        # run_experiment keeps max_comp within every fold matrix's rank
-        self.pcas = [fpca_mod.fit_fpca(X, n_components=max_comp) if max_comp else None
-                     for X in self.train]
-
-    def _impute(self, values, mask, is_fit_data=False) -> list[np.ndarray]:
-        if isinstance(self.imputer, imp_mod.KnnImputer):
-            filled = self.imputer.transform(values, mask, is_fit_data)
-            return [np.ascontiguousarray(filled[:, c]) for c in range(filled.shape[1])]
-        # without k-NN the grid is the single pass-through k = 0
-        return [values if self.imputer is None else self.imputer.transform(values, mask)]
-
-    def _standardize(self, filled: list[np.ndarray]) -> list[np.ndarray]:
-        return [X if std is None else std.transform(X)
-                for std, X in zip(self.standardizers, filled)]
-
-    def prepare(self, values, mask) -> list[np.ndarray]:
-        """Impute and standardize new rows, one matrix per k."""
-        return self._standardize(self._impute(values, mask))
-
-    def project(self, i: int, X: np.ndarray, n_comp: int) -> np.ndarray:
-        """PCA scores of rows prepared for ``ks[i]`` on ``n_comp`` components."""
-        if not n_comp:
-            return X
-        return fpca_mod.scores(self.pcas[i], X, n_comp, whiten=self.whiten)
-
-
 def _fold_note(fold_i: int, exc, k_imp: int, n_comp: int, call: str) -> str:
     """A fold failure note: the fold, then the imputation k on k-NN rows and
     the PCA size on PCA rows (0 on the others), then the training call."""
@@ -419,8 +371,11 @@ def _predict_cells(spec, ks, comp_grid, calls, train_rows, y, new_rows, seed_key
     P)`` per trained model, ``P`` holding its predictions on the new rows,
     one column per full grid cell ``(k_imp, n_comp, *model_params)``.
 
-    ``train_rows`` and ``new_rows`` are ``(values, mask)`` features. One
-    :class:`_Preprocessing` serves the whole k grid and the largest size.
+    ``train_rows`` and ``new_rows`` are ``(values, mask)`` features. Both
+    are filled once for the whole k grid (:func:`~fdareg.imputation.fill`).
+    Then, per k, the training rows fit one standardizer (classical PCA
+    only) and one PCA of ``max(comp_grid)`` components, and every size of
+    the grid slices its scores of both matrices (size 0: no PCA).
     On RBFN rows, each (k, size) forms the training rows' squared
     distances, the new rows' distances to them and the base width once for
     every width. An RBFN call ``(mult, ridges, cap)`` grows one OLS path per
@@ -428,20 +383,26 @@ def _predict_cells(spec, ks, comp_grid, calls, train_rows, y, new_rows, seed_key
     decay)`` is one cell, trained with the refit's budget if ``final``;
     ``seed_key`` seeds it, with the (k, size) and the cell appended in
     cross-validation. Each failure goes to ``failed(exc, k_imp, n_comp,
-    label)``: a preprocessing failure reaches every k, a projection failure
-    its (k, size), and a training failure that call's cells.
+    label)``: a fill failure reaches every k, a projection failure its
+    (k, size), and a training failure that call's cells.
     """
     try:
-        pre = _Preprocessing(spec, ks, *train_rows, max(comp_grid))
-        new = pre.prepare(*new_rows)
+        filled = imp_mod.fill(spec.impute.kind, ks, *train_rows, *new_rows)
     except FdaregError as exc:
         for k_imp in ks:
             failed(exc, k_imp, 0, "")
         return
-    for i, k_imp in enumerate(ks):
+    for k_imp, (train_k, new_k) in zip(ks, filled):
+        if spec.pca.kind == "classical":
+            std = fpca_mod.Standardizer().fit(train_k)
+            train_k, new_k = std.transform(train_k), std.transform(new_k)
+        # run_experiment keeps max(comp_grid) within every fold matrix's rank
+        pca = fpca_mod.fit_fpca(train_k, max(comp_grid)) if spec.pca.kind != "none" else None
         for n_comp in comp_grid:
             try:
-                X, X_new = pre.project(i, pre.train[i], n_comp), pre.project(i, new[i], n_comp)
+                X, X_new = ((train_k, new_k) if pca is None else
+                            [fpca_mod.scores(pca, Z, n_comp, whiten=spec.pca.whiten)
+                             for Z in (train_k, new_k)])
             except FdaregError as exc:
                 failed(exc, k_imp, n_comp, "")
                 continue

@@ -30,7 +30,8 @@ A fourth guard keeps failures named: the package has no bare ``except:``,
 no ``except Exception`` or ``except BaseException``, and no
 ``warnings.warn`` except the short-donor warning of
 ``imputation.KnnImputer.transform``, which is to become a note on the
-report.
+report. A fifth keeps every toolkit error type (``errors.FdaregError`` and
+its subclasses) in ``errors.py``, so one module lists them all.
 """
 
 import ast
@@ -42,6 +43,7 @@ import sys
 from pathlib import Path
 
 from fdareg import mlp, rbfn
+from fdareg.errors import FdaregError
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fdareg"
@@ -130,6 +132,21 @@ def unnamed_failures() -> list[str]:
 def test_failures_are_named_not_swallowed_or_warned():
     found = unnamed_failures()
     assert not found, f"catch-all handlers or stray warnings: {found}"
+
+
+def test_every_toolkit_error_is_defined_in_errors():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            importlib.import_module(f"fdareg.{path.stem}")
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    stray = sorted(f"{cls.__module__}.{cls.__qualname__}" for cls in subclasses(FdaregError)
+                   if cls.__module__.startswith("fdareg") and cls.__module__ != "fdareg.errors")
+    assert not stray, f"toolkit errors defined outside errors.py: {stray}"
 
 
 def test_every_public_definition_is_used_outside_the_tests():

@@ -270,7 +270,8 @@ def test_missing_data_file(tmp_path, capsys):
         "make-holes", "--data", str(tmp_path / "nope.txt"),
         "--out", str(tmp_path / "x"),
     ])
-    assert rc == 1
+    _assert_named_error(rc, capsys.readouterr().err,
+                        f"error: file not found: {tmp_path / 'nope.txt'}")
 
 
 @pytest.mark.parametrize("kind, message", [
@@ -343,6 +344,19 @@ BAD_SPECS = {
         json.dumps(dict(SMALL_SPEC, name=5)), "name must be a non-empty string, not 5",
     ),
     "name-empty": (json.dumps(dict(SMALL_SPEC, name="")), "name must be a non-empty string"),
+    # the name is a file name and a results.csv field
+    "name-with-a-slash": (
+        json.dumps(dict(SMALL_SPEC, name="a/b")),
+        "name must be letters, digits, '.', '_' and '-' with no leading '.', not 'a/b'",
+    ),
+    "name-with-a-comma": (
+        json.dumps(dict(SMALL_SPEC, name="a,b")),
+        "name must be letters, digits, '.', '_' and '-' with no leading '.', not 'a,b'",
+    ),
+    "name-with-a-leading-dot": (
+        json.dumps(dict(SMALL_SPEC, name="..")),
+        "name must be letters, digits, '.', '_' and '-' with no leading '.', not '..'",
+    ),
     "folds-exceed-training-rows": (
         json.dumps(dict(SMALL_SPEC, folds=500)), "folds=500 exceeds the 27 training rows",
     ),
@@ -482,14 +496,15 @@ def test_bad_order_is_a_usage_error(value, pairs_file, tmp_path, capsys):
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
-def _curves_file(path, sizes):
+def _curves_file(path, sizes, ends=False):
     """A generic-pairs file of noisy sine curves with ``sizes`` samples, at
     the midpoints of equal cells of the domain (a periodic basis would see
-    samples at both ends as one)."""
+    samples at both ends as one), or evenly spaced from end to end if
+    ``ends``."""
     rng = np.random.default_rng(4)
     lines = ["domain 0 1"]
     for size in sizes:
-        x = (np.arange(size) + 0.5) / size
+        x = np.linspace(0.0, 1.0, size) if ends else (np.arange(size) + 0.5) / size
         y = np.sin(2 * np.pi * x) + 0.1 * rng.normal(size=size)
         lines.append("1.0 " + " ".join(f"{a:.6f} {b:.6f}" for a, b in zip(x, y)))
     path.write_text("\n".join(lines) + "\n")
@@ -529,6 +544,24 @@ def test_shortest_selectable_curves_get_a_scored_size(basis, sizes, tmp_path):
     report = (out / "loo_report.csv").read_text().splitlines()
     assert report[0] == "dimension,total_loo" and len(report) == 2
     assert "skipped" not in report[1]
+
+
+def test_fourier_sees_samples_at_both_ends_as_one(tmp_path, capsys):
+    # a 6-sample curve from end to end holds 5 distinct points of the
+    # period, too few for size 5; a 7-sample curve gets size 5, scored
+    argv = ["represent", "--format", "generic-pairs", "--basis", "fourier",
+            "--dimension", "loo", "--out", str(tmp_path / "out")]
+    data = _curves_file(tmp_path / "ends.pairs", (6, 12), ends=True)
+    rc = cli.main(argv + ["--data", str(data)])
+    _assert_named_error(rc, capsys.readouterr().err,
+                        "function 0 has 6 samples, too few to select a basis size: a Fourier "
+                        "basis needs at least 6 in every curve, counting samples at both ends "
+                        "as one")
+    assert not (tmp_path / "out").exists()
+    data = _curves_file(tmp_path / "ends.pairs", (7, 12), ends=True)
+    assert cli.main(argv + ["--data", str(data)]) == 0
+    report = (tmp_path / "out" / "loo_report.csv").read_text().splitlines()
+    assert report[1].startswith("5,") and "skipped" not in report[1] and len(report) == 2
 
 
 def test_non_finite_target_is_a_named_error(pairs_file, tmp_path, capsys):

@@ -28,6 +28,14 @@ class TestSampledFunction:
         with pytest.raises(ValidationError):
             fdata.SampledFunction([0.0, 2.0, 1.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("x, y, message", [
+        ([0.0, 1.0], [1.0], "x and y of function 7 must be 1-d arrays of equal length"),
+        ([], [], "function 7 needs at least one sample"),
+    ], ids=["unequal", "empty"])
+    def test_shape_errors_name_the_function(self, x, y, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            fdata.SampledFunction(x, y, id=7)
+
     def test_immutable(self):
         f = fdata.SampledFunction([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(AttributeError):
@@ -117,6 +125,23 @@ class TestLoadDataset:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match="function 2 has a non-finite target"):
             fdata.load_dataset(path, "tecator-grid")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_sample_names_the_function(self, tmp_path, value):
+        path = write_tecator_like(tmp_path / "tec.txt", n=6)
+        lines = path.read_text().splitlines()
+        cols = lines[3].split()
+        cols[40] = value  # an absorbance of the fourth row
+        lines[3] = " ".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError,
+                           match="sample coordinates of function 3 must be finite"):
+            fdata.load_dataset(path, "tecator-grid")
+        p = tmp_path / "pairs.txt"
+        p.write_text(f"domain 0 1\n2.0 0 1 1 2\n1.0 0 3 {value} 4\n")
+        with pytest.raises(ValidationError,
+                           match="sample coordinates of function 1 must be finite"):
+            fdata.load_dataset(p, "generic-pairs")
 
 
 class TestDataset:

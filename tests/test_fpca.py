@@ -4,8 +4,7 @@ import scipy.linalg
 
 from conftest import random_spline_function
 from fdareg import basis, fdata, fpca, represent, transforms
-from fdareg.errors import ValidationError
-from fdareg.fpca import DegenerateComponentError
+from fdareg.errors import DegenerateComponentError, ValidationError
 from oracles import dense_grid_pca, quadrature_integral
 
 

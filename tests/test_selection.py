@@ -426,6 +426,24 @@ class TestRunExperiment:
             at_bound.selected, at_bound.cv_score, at_bound.test_rmse
         )
 
+    def test_a_size_no_fold_can_whiten_is_noted_per_fold(self, rng):
+        # the curves span two shapes, so the third standardized component
+        # of every fold has zero variance: each fold notes its (size 3)
+        # projection, and size 2 is selected
+        grid = np.linspace(0.0, 1.0, 20)
+        coef = rng.normal(size=(40, 2))
+        X = coef @ np.vstack([np.sin(2 * np.pi * grid), grid ** 2])
+        y = coef[:, 0] ** 2 + 0.5 * coef[:, 1]
+        train, test = fdata.split(vector_dataset(X, y), 10, shuffle=False)
+        spec = ExperimentSpec("two-shapes", "rbfn", RepresentationSpec("raw"),
+                              pca=PcaSpec("classical", component_grid=(2, 3), whiten=True),
+                              rbfn=SMALL_RBFN)
+        report = run_experiment(spec, train, test)
+        assert report.selected["n_components"] == 2
+        assert [n for n in report.notes if "comps=" in n] == [
+            f"fold {i}, comps=3: cannot whiten a component with near-zero variance"
+            for i in range(spec.folds)]
+
     def test_rbfn_interior_center_count(self, rng):
         # smooth target + noise: too few centers underfit, too many overfit
         n = 80
@@ -714,24 +732,31 @@ class TestImputationRoutes:
         spec = ExperimentSpec("chain", "rbfn", RepresentationSpec("raw"),
                               pca=pca, impute=impute, rbfn=SMALL_RBFN)
         stage = selection._Stage1(spec, train)
-        values, mask = stage.train_values, stage.train_mask
-        new_values, new_mask = stage.features(fdata.Grids(test.functions))
+        train_rows = stage.train_values, stage.train_mask
+        test_rows = stage.features(fdata.Grids(test.functions))
         ks = impute.grid()
-        max_comp = 4 if pca.kind != "none" else 0
-        grid = selection._Preprocessing(spec, ks, values, mask, max_comp)
-        grid_new = grid.prepare(new_values, new_mask)
-        assert len(grid.train) == len(grid_new) == len(ks)
+        comp_grid = (2, 4) if pca.kind != "none" else (0,)
+        calls = [((1.0, (1e-3,), 4), "width_multiplier=1")]
+
+        def chain(ks):
+            return list(selection._predict_cells(
+                spec, ks, comp_grid, calls, train_rows, train.targets, test_rows,
+                "chain", True, selection._reraise))
+
+        grid_fill = imp_mod.fill("knn", ks, *train_rows, *test_rows)
+        grid = chain(ks)
+        assert len(grid_fill) == len(ks) and len(grid) == len(ks) * len(comp_grid)
         for i, k in enumerate(ks):
-            alone = selection._Preprocessing(spec, (k,), values, mask, max_comp)
-            [alone_new] = alone.prepare(new_values, new_mask)
-            for n_comp in ((2, 4) if max_comp else (0,)):
-                for got, want in ((alone.project(0, alone.train[0], n_comp),
-                                   grid.project(i, grid.train[i], n_comp)),
-                                  (alone.project(0, alone_new, n_comp),
-                                   grid.project(i, grid_new[i], n_comp))):
-                    assert got.shape == want.shape
-                    assert not np.isnan(got).any()
-                    np.testing.assert_array_equal(got, want)
+            [alone_fill] = imp_mod.fill("knn", (k,), *train_rows, *test_rows)
+            for got, want in zip(alone_fill, grid_fill[i]):
+                assert got.flags.c_contiguous and want.flags.c_contiguous
+                np.testing.assert_array_equal(got, want)
+            alone = chain((k,))
+            column = [(cells, P) for cells, P in grid if cells[0][0] == k]
+            assert [cells for cells, _ in alone] == [cells for cells, _ in column]
+            for (_, got), (_, want) in zip(alone, column):
+                assert not np.isnan(got).any()
+                np.testing.assert_array_equal(got, want)
 
     def test_failed_fold_imputation_notes_every_k(self):
         # coordinate 7 is observed by fold 0's validation curves alone, so
