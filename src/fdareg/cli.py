@@ -51,9 +51,14 @@ def _args_dict(args) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
 
+def _punch_holes(dataset, fraction: float, master_seed: int) -> fdata.Dataset:
+    """The holes of ``make-holes --seed s`` and of ``suite --seed s``."""
+    return fdata.make_holes(dataset, fraction, derive_seed(master_seed, "holes"))
+
+
 def cmd_make_holes(args) -> int:
     dataset = _load(args)
-    holed = fdata.make_holes(dataset, args.drop_fraction, args.seed)
+    holed = _punch_holes(dataset, args.drop_fraction, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     fdata.save_generic_pairs(holed, out)
@@ -106,9 +111,9 @@ def cmd_represent(args) -> int:
         "n_functions": len(dataset),
         "mean_sse": float(np.mean(sse)),
     }
-    _write_manifest(outdir, {"command": "represent", "args": _args_dict(args), **summary})
     if args.emit_curves:
-        _emit_curves(dataset, alpha, basis, outdir, args)
+        summary["omitted_curves"] = _emit_curves(dataset, alpha, basis, outdir, args)
+    _write_manifest(outdir, {"command": "represent", "args": _args_dict(args), **summary})
     print(
         f"represented {len(dataset)} functions on a {args.basis} basis "
         f"(order {args.order}, dimension {dimension}); outputs in {outdir}"
@@ -116,8 +121,12 @@ def cmd_represent(args) -> int:
     return 0
 
 
-def _emit_curves(dataset, alpha, basis, outdir: Path, args) -> None:
-    """Plot-ready (x, y) curve files: samples, fits, derivatives, variance."""
+def _emit_curves(dataset, alpha, basis, outdir: Path, args) -> dict[str, str]:
+    """Plot-ready (x, y) curve files: samples, fits, derivatives, variance.
+
+    Returns the curve files left out, by curve kind, with the reason: a
+    derivative the basis lacks, or the constant curves, which have no
+    reduced curve."""
     a, b = dataset.domain
     grid = np.linspace(a, b, 400)
     n_show = min(args.curve_functions, len(dataset))
@@ -130,16 +139,19 @@ def _emit_curves(dataset, alpha, basis, outdir: Path, args) -> None:
     for i, f in enumerate(dataset.functions[:n_show]):
         curve_file(f"curve_samples_{i}.csv", ["x", "y"], np.column_stack([f.x, f.y]))
     means, _, constant = transforms.row_stats(alpha, basis)
+    omitted = {}
     for kind, name in (("none", "fit"), ("center-reduce", "center_reduce"),
                        ("deriv1", "deriv1"), ("deriv2", "deriv2")):
         shown = np.arange(n_show)
-        if kind == "center-reduce":
+        if kind == "center-reduce" and constant[shown].any():
             # a constant function has no reduced curve; the others still do
+            omitted[name] = f"curves {shown[constant[shown]].tolist()} are constant"
             shown = shown[~constant[shown]]
         try:
             coefs, on = transforms.transform_dataset(alpha[shown], basis, kind)
-        except FdaregError:
-            continue  # a derivative the basis lacks
+        except FdaregError as exc:  # a derivative the basis lacks
+            omitted[name] = f"{type(exc).__name__}: {exc}"
+            continue
         values = on.evaluate(grid) @ coefs.T
         for col, i in enumerate(shown):
             curve_file(
@@ -160,6 +172,7 @@ def _emit_curves(dataset, alpha, basis, outdir: Path, args) -> None:
         ["spectrum_mean", "pc1_score"],
         np.column_stack([means, first_scores]),
     )
+    return omitted
 
 
 def _report_lines(rows, title: str) -> str:
@@ -244,9 +257,7 @@ def _prepare_split(args, dataset, master_seed: int, holed: bool = False):
     if args.drop_fraction is None:
         args.drop_fraction = 0.1 if holed else 0.0
     if args.drop_fraction:
-        dataset = fdata.make_holes(
-            dataset, args.drop_fraction, derive_seed(master_seed, "holes")
-        )
+        dataset = _punch_holes(dataset, args.drop_fraction, master_seed)
     shuffle = args.split == "random"
     return fdata.split(
         dataset, args.test_size, seed=derive_seed(master_seed, "split"), shuffle=shuffle
@@ -258,6 +269,10 @@ def cmd_experiment(args) -> int:
         raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"spec file {args.spec} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"spec file {args.spec} is not UTF-8 text ({exc.reason})") from None
+    except IsADirectoryError:
+        raise ConfigError(f"spec file {args.spec} is a directory, not a spec file") from None
     spec = ExperimentSpec.from_dict(raw)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -343,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-holes", help="punch random holes into every function")
     _split_args(p)
     p.add_argument("--drop-fraction", type=float, default=0.1)
-    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--seed", type=_count, default=0,
+                   help="the holes of 'suite --seed' with the same value")
     p.add_argument("--out", required=True, help="output file (generic-pairs)")
     p.set_defaults(func=cmd_make_holes)
 
@@ -384,6 +400,10 @@ def main(argv=None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc}", file=sys.stderr)
+        return 1
+    except (FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
+        # an --out that is a file where a directory must be, or the reverse
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

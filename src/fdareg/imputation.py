@@ -23,32 +23,6 @@ import numpy as np
 from .errors import ImputationError, IncomparableSampleError, ScalingError, ValidationError
 
 
-class MeanImputer:
-    """Column means over the observed entries of the fitted data."""
-
-    def __init__(self):
-        self.column_means_ = None
-
-    def fit(self, values: np.ndarray, mask: np.ndarray) -> "MeanImputer":
-        mask = np.asarray(mask, dtype=bool)
-        counts = mask.sum(axis=0)
-        if np.any(counts == 0):
-            cols = np.flatnonzero(counts == 0)
-            raise ImputationError(
-                f"columns {cols.tolist()} are observed in no sample; "
-                "their mean is undefined"
-            )
-        sums = np.where(mask, values, 0.0).sum(axis=0)
-        self.column_means_ = sums / counts
-        return self
-
-    def transform(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        out = np.array(values, dtype=float)
-        mask = np.asarray(mask, dtype=bool)
-        out[~mask] = np.broadcast_to(self.column_means_, out.shape)[~mask]
-        return out
-
-
 class KnnImputer:
     """Nearest-donor imputation under the missing-aware distance, for a
     grid of neighbor counts ``ks`` at once.
@@ -150,16 +124,23 @@ def fill(kind: str, ks, values: np.ndarray, mask: np.ndarray | None,
     Returns one ``(train, new)`` pair of matrices per k. ``kind`` "knn"
     fills from :class:`KnnImputer` (a training row never donates to itself),
     ordering each row's donors once for the whole grid, and each pair is
-    C-contiguous; "mean" fills the training rows' column means and "none"
-    passes the rows through, each for the single pass-through k of its grid.
+    C-contiguous; "mean" fills the training rows' column means (a column no
+    training row observes is an :class:`ImputationError`) and "none" passes
+    the rows through, each for the single pass-through k of its grid.
     """
     if kind == "knn":
         imputer = KnnImputer(ks).fit(values, mask)
         train = _per_k(imputer.transform(values, mask, is_fit_data=True))
         return list(zip(train, _per_k(imputer.transform(new_values, new_mask))))
     if kind == "mean":
-        imputer = MeanImputer().fit(values, mask)
-        return [(imputer.transform(values, mask), imputer.transform(new_values, new_mask))]
+        counts = mask.sum(axis=0)
+        if np.any(counts == 0):
+            raise ImputationError(
+                f"columns {np.flatnonzero(counts == 0).tolist()} are observed in no sample; "
+                "their mean is undefined"
+            )
+        means = np.where(mask, values, 0.0).sum(axis=0) / counts
+        return [(np.where(mask, values, means), np.where(new_mask, new_values, means))]
     return [(values, new_values)]
 
 

@@ -309,11 +309,13 @@ class ExperimentReport:
 
 class _Stage1:
     """Fold-independent per-sample features for the training set, plus the
-    recipe to compute the same features for new functions."""
+    recipe to compute the same features for new functions; ``notes`` names
+    the basis sizes leave-one-out skipped."""
 
     def __init__(self, spec: ExperimentSpec, train: Dataset):
         self.spec = spec
         self.info: dict = {}
+        self.notes: list[str] = []
         self.basis = None
         grids = Grids(train.functions)
         rep = spec.representation
@@ -322,6 +324,11 @@ class _Stage1:
                 sel = rep_mod.select_basis_size(grids, train.domain, rep.kind, rep.order)
                 dimension = sel.dimension
                 self.info["loo_scores"] = {int(k): float(v) for k, v in sel.scores.items()}
+                if sel.skipped:
+                    self.notes.append(
+                        f"leave-one-out skipped basis sizes {list(sel.skipped)}, the first "
+                        f"with {next(iter(sel.skipped.values()))}"
+                    )
             else:
                 dimension = int(rep.dimension)
             self.basis = rep_mod.make_basis(rep.kind, train.domain, dimension, rep.order)
@@ -474,7 +481,7 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     stage = _Stage1(spec, train)
     y = train.targets
     n = len(train)
-    notes: list[str] = []
+    notes = list(stage.notes)
     if spec.folds > n:
         raise ConfigError(f"experiment {spec.name}: folds={spec.folds} exceeds the "
                           f"{n} training rows")

@@ -28,14 +28,7 @@ from fdareg import basis, cli, fdata, fpca, imputation, mlp, rbfn, represent, tr
 from fdareg.cv import derive_seed
 from fdareg.errors import DegenerateLooError, UnidentifiableCoefficientsError
 from fdareg.selection import run_experiment
-from fdareg.suites import (
-    table1_specs,
-    table2_specs,
-    table3_mlp_specs,
-    table3_specs,
-    table4_specs,
-    table5_specs,
-)
+from fdareg.suites import SUITE_BUILDERS
 from oracles import (
     brute_force_greedy,
     cdist_design,
@@ -267,7 +260,7 @@ class TestInvariantSuites:
                 M[0] = True
                 knn = imputation.KnnImputer((3,)).fit(V, M)
                 for out in (
-                    imputation.MeanImputer().fit(V, M).transform(V, M),
+                    imputation.fill("mean", (0,), V, M, V, M)[0][0],
                     knn.transform(V, M, is_fit_data=True)[:, 0],
                 ):
                     np.testing.assert_array_equal(out[M], V[M])
@@ -346,32 +339,32 @@ def _run_suite(specs, split):
 
 @pytest.fixture(scope="session")
 def table1(tecator_split):
-    return _run_suite(table1_specs(seed=0), tecator_split)
+    return _run_suite(SUITE_BUILDERS["table1"](seed=0), tecator_split)
 
 
 @pytest.fixture(scope="session")
 def table2(tecator_split):
-    return _run_suite(table2_specs(seed=0), tecator_split)
+    return _run_suite(SUITE_BUILDERS["table2"](seed=0), tecator_split)
 
 
 @pytest.fixture(scope="session")
 def table3(tecator_holed_split):
-    return _run_suite(table3_specs(seed=0), tecator_holed_split)
+    return _run_suite(SUITE_BUILDERS["table3"](seed=0), tecator_holed_split)
 
 
 @pytest.fixture(scope="session")
 def table3_mlp(tecator_holed_split):
-    return _run_suite(table3_mlp_specs(seed=0), tecator_holed_split)
+    return _run_suite(SUITE_BUILDERS["table3-mlp"](seed=0), tecator_holed_split)
 
 
 @pytest.fixture(scope="session")
 def table4(tecator_holed_split):
-    return _run_suite(table4_specs(seed=0), tecator_holed_split)
+    return _run_suite(SUITE_BUILDERS["table4"](seed=0), tecator_holed_split)
 
 
 @pytest.fixture(scope="session")
 def table5(tecator_holed_split):
-    return _run_suite(table5_specs(seed=0), tecator_holed_split)
+    return _run_suite(SUITE_BUILDERS["table5"](seed=0), tecator_holed_split)
 
 
 def _rmse_by_index(table):

@@ -50,6 +50,27 @@ def test_make_holes_roundtrip(pairs_file, tmp_path):
     assert all(len(f) == 26 - 5 for f in holed.functions)
 
 
+def test_make_holes_punches_the_holes_of_the_holed_tables(pairs_file, tmp_path, monkeypatch):
+    # make-holes --seed s and suite --seed s on a holed table, each at its
+    # default fraction, drop the same samples
+    holed = tmp_path / "holed.pairs"
+    assert cli.main(["make-holes", "--data", str(pairs_file), "--format", "generic-pairs",
+                     "--seed", "5", "--out", str(holed)]) == 0
+    grids = []
+
+    def record_grids(spec, train, test):
+        grids[:] = [f.x for f in (*train.functions, *test.functions)]
+        raise ConfigError("not run")
+
+    monkeypatch.setattr(cli, "run_experiment", record_grids)
+    cli.main(["suite", "--table", "table3", "--seed", "5", "--data", str(pairs_file),
+              "--format", "generic-pairs", "--test-size", "9", "--out", str(tmp_path / "s")])
+    expected = fdata.load_dataset(holed, "generic-pairs").functions
+    assert len(grids) == len(expected) == 36
+    for x, f in zip(grids, expected):
+        np.testing.assert_array_equal(x, f.x)
+
+
 def test_represent_outputs(pairs_file, tmp_path):
     out = tmp_path / "rep"
     rc = cli.main([
@@ -120,6 +141,29 @@ def test_emit_curves_skips_only_constant_curves(tmp_path):
     for name in ("fit", "deriv1", "deriv2"):
         assert (out / f"curve_{name}_0.csv").exists()
         assert (out / f"curve_{name}_1.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["omitted_curves"] == {"center_reduce": "curves [0] are constant"}
+
+
+@pytest.mark.parametrize("argv, omitted", [
+    (["--basis", "fourier", "--dimension", "6"], {
+        "deriv1": "UnsupportedOrderError: Fourier derivatives need complete sine/cosine "
+                  "pairs (odd dimension)",
+        "deriv2": "UnsupportedOrderError: Fourier derivatives need complete sine/cosine "
+                  "pairs (odd dimension)",
+    }),
+    (["--order", "2", "--dimension", "8"], {
+        "deriv2": "UnsupportedOrderError: order-2 splines support derivatives up to 1",
+    }),
+], ids=["fourier-even-dimension", "bspline-order-2"])
+def test_emit_curves_names_the_derivatives_the_basis_lacks(argv, omitted, pairs_file,
+                                                           tmp_path):
+    out = tmp_path / "rep"
+    assert cli.main(["represent", "--data", str(pairs_file), "--format", "generic-pairs",
+                     *argv, "--out", str(out), "--emit-curves"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["omitted_curves"] == omitted
+    for name in ("fit", "center_reduce", "deriv1", "deriv2"):
+        assert (out / f"curve_{name}_0.csv").exists() == (name not in omitted)
 
 
 def test_represent_loo_selection(pairs_file, tmp_path):
@@ -287,6 +331,45 @@ def test_unreadable_data_file_is_a_named_error(kind, message, tmp_path, capsys):
                    "--out", str(tmp_path / "holed.pairs")])
     _assert_named_error(rc, capsys.readouterr().err, f"{data}: {message}")
     assert not (tmp_path / "holed.pairs").exists()
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("latin-1", "is not UTF-8 text"), ("directory", "is a directory, not a spec file"),
+])
+def test_unreadable_spec_file_is_a_named_error(kind, message, pairs_file, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    if kind == "directory":
+        spec.mkdir()
+    else:
+        spec.write_bytes('{"name": "\u00b5"}'.encode("latin-1"))
+    rc = cli.main(["experiment", "--spec", str(spec), "--data", str(pairs_file),
+                   "--format", "generic-pairs", "--out", str(tmp_path / "out")])
+    _assert_named_error(rc, capsys.readouterr().err, f"spec file {spec} {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["represent", "--dimension", "8"],
+    ["make-holes"],
+    ["experiment", "--spec", "SPEC", "--test-size", "9"],
+    ["suite", "--table", "table1", "--test-size", "9"],
+], ids=["represent", "make-holes", "experiment", "suite"])
+def test_out_of_the_wrong_kind_is_a_named_error(argv, pairs_file, tmp_path, capsys):
+    # an existing file as the output directory (a directory as make-holes'
+    # output file), or a path below a file
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SMALL_SPEC))
+    argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
+    blocker = tmp_path / "file"
+    blocker.write_text("keep me\n")
+    (tmp_path / "dir").mkdir()
+    wrong_kind = tmp_path / "dir" if argv[0] == "make-holes" else blocker
+    for out in (wrong_kind, blocker / "x"):
+        rc = cli.main([*argv, "--data", str(pairs_file), "--format", "generic-pairs",
+                       "--out", str(out)])
+        _assert_named_error(rc, capsys.readouterr().err, f"error: {tmp_path}")
+    assert blocker.read_text() == "keep me\n"
+    assert not any((tmp_path / "dir").iterdir())
 
 
 def _assert_named_error(rc, err, *fragments):

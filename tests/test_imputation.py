@@ -19,7 +19,8 @@ def masked(values, mask):
 
 def mean_impute(values, mask):
     """Fill and fit the same data, as one fold's training rows are."""
-    return imputation.MeanImputer().fit(values, mask).transform(values, mask)
+    [(train, _)] = imputation.fill("mean", (0,), values, mask, values, mask)
+    return train
 
 
 def knn_impute(values, mask, k):
@@ -77,9 +78,8 @@ class TestMeanImpute:
 
     def test_train_statistics_apply_to_new_rows(self):
         V, M = masked([[2.0, 4.0], [4.0, 8.0]], [[True, True], [True, True]])
-        imp = imputation.MeanImputer().fit(V, M)
         new_v, new_m = masked([[0.0, 5.0]], [[False, True]])
-        out = imp.transform(new_v, new_m)
+        [(_, out)] = imputation.fill("mean", (0,), V, M, new_v, new_m)
         assert out[0, 0] == pytest.approx(3.0)
         assert out[0, 1] == pytest.approx(5.0)
 

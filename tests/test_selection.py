@@ -290,6 +290,20 @@ JSON_VALUES = st.one_of(
 )
 
 
+class TestSuiteRows:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 9])
+    def test_every_row_carries_the_run_seed(self, seed):
+        wrong = [f"{table}: {spec.name} (seed {spec.seed})"
+                 for table, build in suites.SUITE_BUILDERS.items()
+                 for spec in build(seed=seed) if spec.seed != seed]
+        assert not wrong
+
+    def test_row_names_are_unique_across_tables(self):
+        # each name is a file name, row_<name>.json, in one output directory
+        names = [spec.name for spec in SUITE_SPECS]
+        assert len(set(names)) == len(names)
+
+
 class TestRunExperiment:
     def test_rbfn_beta_route(self, data):
         train, test = data
@@ -682,6 +696,19 @@ class TestImputationRoutes:
         )
         report = run_experiment(spec, train, test)
         assert np.isfinite(report.test_rmse)
+
+    def test_sizes_leave_one_out_skipped_are_noted(self, holed):
+        # on holed curves the larger sizes interpolate some curve, so LOO
+        # skips them, and the report names them
+        spec = ExperimentSpec("loo-holes", "rbfn", representation=RepresentationSpec("bspline"),
+                              rbfn=SMALL_RBFN, seed=5)
+        report = run_experiment(spec, *holed)
+        assert sorted(report.info["loo_scores"]) == [8, 10]
+        assert report.notes[0] == (
+            "leave-one-out skipped basis sizes [12, 14, 16, 18], the first with "
+            "DegenerateLooError: hat diagonal reaches 1: leave-one-out undefined "
+            "(interpolating fit)"
+        )
 
     def test_knn_preprocessing_once_per_fold_and_k(self, holed, monkeypatch):
         train, test = holed
