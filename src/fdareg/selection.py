@@ -302,10 +302,6 @@ class ExperimentReport:
     wall_time: float
     notes: tuple[str, ...] = ()
 
-    def selected_as_text(self) -> str:
-        return " ".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
-                        for k, v in sorted(self.selected.items()))
-
 
 class _Stage1:
     """Fold-independent per-sample features for the training set, plus the

@@ -117,11 +117,15 @@ class TestGram:
         chol = b.gram_factor()
         assert np.allclose(chol, np.triu(chol))
         np.testing.assert_allclose(chol.T @ chol, b._gram_matrix(), atol=1e-14)
-        # the factor is shared: read-only, and the same object on every call
+        # the factor is read-only, and the same object on every call
         assert not chol.flags.writeable
         with pytest.raises(ValueError):
             chol[0, 0] = 0.0
         assert b.gram_factor() is chol
+        # a second basis with equal parameters computes its own factor
+        twin = basis.BSplineBasis.uniform(0.0, 1.0, 4, 4).gram_factor()
+        np.testing.assert_array_equal(twin, chol)
+        assert twin is not chol
 
     def test_redundant_system_raises(self):
         # a numerically rank-deficient Gram matrix must be rejected

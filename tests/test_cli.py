@@ -145,6 +145,25 @@ def test_emit_curves_skips_only_constant_curves(tmp_path):
     assert manifest["omitted_curves"] == {"center_reduce": "curves [0] are constant"}
 
 
+def test_emit_curves_of_a_single_curve_omit_the_pca_curves(tmp_path, capsys):
+    # PCA needs two curves; the other curve files of one curve are written
+    rng = np.random.default_rng(5)
+    data = tmp_path / "one.pairs"
+    fdata.save_generic_pairs(synthetic_dataset(rng, n=1, m=26, noise=0.005), data)
+    out = tmp_path / "rep-one"
+    assert cli.main([
+        "represent", "--data", str(data), "--format", "generic-pairs",
+        "--dimension", "8", "--out", str(out), "--emit-curves",
+    ]) == 0
+    reason = "ValidationError: PCA needs a 2-d array with at least 2 samples"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["omitted_curves"] == {"pca_variance": reason, "pc1_vs_mean": reason}
+    for name in ("samples", "fit", "center_reduce", "deriv1", "deriv2"):
+        assert (out / f"curve_{name}_0.csv").exists()
+    assert not list(out.glob("curve_p*.csv"))
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv, omitted", [
     (["--basis", "fourier", "--dimension", "6"], {
         "deriv1": "UnsupportedOrderError: Fourier derivatives need complete sine/cosine "
@@ -244,12 +263,14 @@ def test_failing_row_does_not_stop_the_suite(pairs_file, tmp_path, monkeypatch, 
     assert "broken: ConfigError" in capsys.readouterr().err
     for name in ("first", "third"):
         row = json.loads((out / f"row_{name}.json").read_text())
-        assert np.isfinite(row["test_rmse"]) and "error" not in row
+        assert set(row) == {"name", "model", "seed", "test_rmse", "cv_score", "selected",
+                            "info", "notes"}
+        assert np.isfinite(row["test_rmse"])
     failed = json.loads((out / "row_broken.json").read_text())
+    assert set(failed) == {"name", "model", "seed", "error"}
     assert failed["error"] == {
         "type": "ConfigError", "message": "no grid cell was scored in every fold"
     }
-    assert "test_rmse" not in failed
     report = (out / "report.txt").read_text().splitlines()
     [line] = [text for text in report if text.startswith("broken")]
     assert "failed" in line and "ConfigError: no grid cell" in line

@@ -151,6 +151,17 @@ class TestDataset:
                                                             "target nan")):
             fdata.Dataset(functions, [1.0, np.nan, np.inf], (0.0, 1.0))
 
+    @pytest.mark.parametrize("bounds", ["0 nan", "0 inf", "-inf 1", "nan nan"])
+    def test_non_finite_domain_is_rejected(self, bounds, tmp_path):
+        # every loader passes through the constructor, so a domain row with a
+        # non-finite bound is a named error, not a dataset on (0, nan)
+        p = tmp_path / "pairs.txt"
+        p.write_text(f"domain {bounds}\n2.0 0 1 1 2\n1.0 0 3 1 4\n")
+        a, b = (float(v) for v in bounds.split())
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"domain [{a}, {b}] has a non-finite bound")):
+            fdata.load_dataset(p, "generic-pairs")
+
 
 class TestDropRandom:
     def test_tecator_fraction(self):
@@ -194,6 +205,11 @@ class TestDropRandom:
             out = fdata.drop_random(f, 0.1, seed=seed)
             np.testing.assert_array_equal(out.x, f.x[keep])
             np.testing.assert_array_equal(out.y, f.y[keep])
+
+    def test_emptied_function_is_named(self):
+        f = fdata.SampledFunction([0.5], [1.0], id=7)
+        with pytest.raises(ValidationError, match="dropping would leave function 7 empty"):
+            fdata.drop_random(f, 0.5, seed=0)
 
     def test_invalid_fraction(self):
         f = fdata.SampledFunction([0.0, 1.0], [0.0, 0.0])

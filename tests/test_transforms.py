@@ -14,6 +14,13 @@ def alpha(rng, small_bspline):
     return represent.fit_dataset(fdata.Grids([f]), small_bspline)[0]
 
 
+def same_basis(p, q) -> bool:
+    """Two bases of one kind on the same domain with the same functions: a
+    B-spline basis is its knot sequence, a Fourier basis its dimension."""
+    return (type(p) is type(q) and p.domain == q.domain and p.dimension == q.dimension
+            and np.array_equal(getattr(p, "augmented", ()), getattr(q, "augmented", ())))
+
+
 class TestCenterReduce:
     def test_centered_mean_zero(self, alpha, small_bspline):
         out, _ = transforms.transform_dataset(alpha, small_bspline, "center-reduce")
@@ -97,7 +104,7 @@ class TestDerive:
         two_steps, two_on = transforms.transform_dataset(first, on, "deriv1")
         one_step, one_on = transforms.transform_dataset(alpha, b, "deriv2")
         np.testing.assert_allclose(two_steps, one_step, atol=1e-10)
-        assert two_on.key == one_on.key
+        assert same_basis(two_on, one_on)
 
     def test_order_zero_is_identity(self, alpha, small_bspline):
         out = transforms.transform_dataset(alpha, small_bspline, "none")
@@ -138,7 +145,7 @@ class TestTransformDataset:
                 transforms.transform_dataset(alpha[i : i + 1], b, kind)
                 for i in range(len(fns))
             ]
-            assert all(r[1].key == out_basis.key for r in rows)
+            assert all(same_basis(r[1], out_basis) for r in rows)
             np.testing.assert_allclose(
                 out, np.vstack([r[0] for r in rows]),
                 rtol=1e-12, atol=1e-12 * np.abs(out).max(),

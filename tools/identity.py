@@ -16,7 +16,9 @@ that ends in a toolkit error is compared by its error type and message.
 with 10 % holes on the holed tables and the fixed 172/43 split of ``fdareg
 suite``, and compares the row JSONs the command writes byte for byte.
 
-Every row that differs is printed; the exit status is 1 if any differs.
+Every row that differs is printed with the fields that differ (a suite
+row's JSON is compared by top-level key); the exit status is 1 if any row
+differs.
 The benchmark modules are imported without writing bytecode, and BLAS runs
 one thread, as in the benchmark.
 """
@@ -125,8 +127,18 @@ def _finish(process: subprocess.Popen, side: str) -> dict:
     return json.loads(out)
 
 
+def _fields(group: str, row) -> dict:
+    """A row's top-level fields: a suite row's JSON text parsed, a workload
+    row as collected, and a workload row that ended in an error as its one
+    ``error`` field."""
+    if group == "suite":
+        return json.loads(row)
+    return row if isinstance(row, dict) else {"error": row}
+
+
 def compare(base: dict, head: dict) -> list[str]:
-    """One line per row that is missing on a side or differs."""
+    """One entry per row that is missing on a side or differs; a differing
+    row lists only the fields that differ, with both sides' values."""
     lines = []
     for group in ("workloads", "suite"):
         for key in sorted(base[group].keys() | head[group].keys()):
@@ -134,8 +146,15 @@ def compare(base: dict, head: dict) -> list[str]:
                 side = "base" if key not in base[group] else "working tree"
                 lines.append(f"{group}: {key}: missing on the {side}")
             elif base[group][key] != head[group][key]:
-                lines.append(f"{group}: {key}:\n  base: {base[group][key]}\n"
-                             f"  tree: {head[group][key]}")
+                old, new = _fields(group, base[group][key]), _fields(group, head[group][key])
+                fields = [field for field in sorted(old.keys() | new.keys())
+                          if field not in old or field not in new or old[field] != new[field]]
+                if not fields:
+                    lines.append(f"{group}: {key}: equal fields, different JSON text")
+                    continue
+                lines.append(f"{group}: {key}:" + "".join(
+                    f"\n  {field}\n    base: {old.get(field, '(missing)')}"
+                    f"\n    tree: {new.get(field, '(missing)')}" for field in fields))
     return lines
 
 
