@@ -50,10 +50,14 @@ path leaves the batch at the step where it has no usable column left.
 Every step recomputes the energies and projections from the deflated
 columns; the O(M) recurrences for them change the numbers the selections
 are made on. Cross-validation of the width, ridge and center count is
-done by ``selection.run_experiment``: one call per fold and width grows the
-paths of every ridge, each path scores every center count up to its
-length, and a cell must be scored in every fold, so a center count beyond
-a fold's early stop can never win. There is no one-ridge trainer: one
+done by ``selection.run_experiment``. One training call is one width on
+one fold's inputs: it grows the paths of every ridge, and each path scores
+every center count up to its length. A cell must be scored in every fold,
+so a center count beyond a fold's early stop can never win. Fold 0 trains
+every width; each width then runs through the later folds and stops once
+its best partial score over the folds (every center count of every ridge)
+is above the best complete one, a bound that cannot drop the winner
+because fold errors are >= 0. There is no one-ridge trainer: one
 ridge is a one-element grid, and ``train_ols`` is only another name of
 :func:`train_ols_paths`.
 """

@@ -10,18 +10,39 @@ targets only to score the refit (``tests/test_metamorphic.py`` guards both).
 
 It is the one cross-validation engine of the toolkit, and its rule is that
 a cell must be scored in every fold. A cell misses a fold when an RBFN
-selection path stops before its center count, or when a fold's
-preprocessing or training call fails (noted with the fold and the cell);
-such a cell scores ``inf``, can never win, and is counted in one note on
-the report. One train-and-predict path, :func:`_predict_cells`, serves
-every fold and the final refit, which is its last split: the training rows,
-then the validation rows of a fold or the test rows of the refit. Each of
-its training calls is one RBFN width multiplier (an OLS path per ridge) or
-one MLP ``(hidden, decay)``, with one prediction column per grid cell it
-trains. The RBFN calls of one set of training rows share two
-squared-distance matrices: the training rows' own, which gives the base
-width and every width's design, and the new rows' to them, which every
-path of every width slices by its selected centers.
+selection path stops before its center count, when a fold's preprocessing
+or training call fails (noted with the fold and the cell), or when its
+validation error there is not finite (the cells are counted in a note);
+such a cell can never win, and the cells that miss a fold are counted in
+one note on the report. Every split has two steps: :func:`_prepare` fits
+the preprocessing chain on the training rows and prepares the model inputs
+of the training rows and the new rows once per imputation k and PCA size,
+and :func:`_train` trains one call on them. A training call is one RBFN
+width multiplier (an OLS path per ridge) or one MLP ``(hidden, decay)``,
+with one prediction column per grid cell it trains. On RBFN rows the
+prepared inputs are two squared-distance matrices: the training rows' own,
+which gives the base width and every width's design, and the new rows' to
+them, which every path of every width slices by its selected centers. The
+final refit is the last split, with the test rows as its new rows.
+
+The engine skips the trainings that can no longer change the selection.
+Each fold's split is prepared once, up front. Fold 0 trains every call on
+every (k, size). Each call on a (k, size) then runs on its own through
+folds 1 to K - 1, in ascending order of their best fold-0 cell error (ties
+in fold-0 order). Before each fold, a call stops if the least partial score
+of its live cells, those scored in every fold so far, is strictly greater
+than the best complete score so far; a partial score is the sum of the
+cell's fold errors so far over the fold count K, and a call with no live
+cell counts as ``inf``. The bound is exact. A fold error is a finite MSE,
+so it is >= 0, and adding a non-negative float never lowers a sum: a
+stopped call's cells would all end strictly above a score some cell already
+has, so none of them can win or tie. The winner's errors are still summed
+in fold order, and MLP seeds are keyed by the fold and the cell, not by the
+order of training, so the selection, its score and the refit are those of
+training every call in every fold (``fold_major_cv`` in
+``tests/oracles.py``). ``info["pruned_trainings"]`` counts the (call, fold)
+trainings skipped; failure notes keep the fold-major order, and a stopped
+call's cells are not counted as excluded.
 
 Data-dependent preprocessing (imputation, column standardization, PCA and
 whitening statistics) is one chain of plain arrays, refitted inside every
@@ -367,34 +388,27 @@ def _fold_note(fold_i: int, exc, k_imp: int, n_comp: int, call: str) -> str:
     return ", ".join(p for p in parts if p) + f": {exc}"
 
 
-def _predict_cells(spec, ks, comp_grid, calls, train_rows, y, new_rows, seed_key, final,
-                   failed):
-    """Train every call of ``calls`` on the training rows for every
-    imputation k of ``ks`` and PCA size of ``comp_grid``; yield ``(cells,
-    P)`` per trained model, ``P`` holding its predictions on the new rows,
-    one column per full grid cell ``(k_imp, n_comp, *model_params)``.
+def _prepare(spec, ks, comp_grid, train_rows, new_rows, failed) -> dict:
+    """One split's model inputs per ``(k_imp, n_comp)`` of the imputation
+    ks and PCA sizes: ``(X, X_new)`` on MLP rows, and on RBFN rows the
+    training rows' squared distances ``D``, the new rows' distances
+    ``D_new`` to them and the base width, which every width shares.
 
     ``train_rows`` and ``new_rows`` are ``(values, mask)`` features. Both
     are filled once for the whole k grid (:func:`~fdareg.imputation.fill`).
     Then, per k, the training rows fit one standardizer (classical PCA
     only) and one PCA of ``max(comp_grid)`` components, and every size of
-    the grid slices its scores of both matrices (size 0: no PCA).
-    On RBFN rows, each (k, size) forms the training rows' squared
-    distances, the new rows' distances to them and the base width once for
-    every width. An RBFN call ``(mult, ridges, cap)`` grows one OLS path per
-    ridge, with a cell per center count on it. An MLP call ``(hidden,
-    decay)`` is one cell, trained with the refit's budget if ``final``;
-    ``seed_key`` seeds it, with the (k, size) and the cell appended in
-    cross-validation. Each failure goes to ``failed(exc, k_imp, n_comp,
-    label)``: a fill failure reaches every k, a projection failure its
-    (k, size), and a training failure that call's cells.
+    the grid slices its scores of both matrices (size 0: no PCA). Each
+    failure goes to ``failed(exc, k_imp, n_comp, "")`` and leaves its pairs
+    out: a fill failure reaches every k, a projection failure its size.
     """
     try:
         filled = imp_mod.fill(spec.impute.kind, ks, *train_rows, *new_rows)
     except FdaregError as exc:
         for k_imp in ks:
             failed(exc, k_imp, 0, "")
-        return
+        return {}
+    inputs = {}
     for k_imp, (train_k, new_k) in zip(ks, filled):
         if spec.pca.kind == "classical":
             std = fpca_mod.Standardizer().fit(train_k)
@@ -411,36 +425,67 @@ def _predict_cells(spec, ks, comp_grid, calls, train_rows, y, new_rows, seed_key
                 continue
             if spec.model == "rbfn":
                 D = rbfn_mod.sq_distances(X, X)
-                D_new = rbfn_mod.sq_distances(X_new, X)
-                width = rbfn_mod.median_width(D)
-            for call, label in calls:
-                try:
-                    if spec.model == "rbfn":
-                        mult, ridges, cap = call
-                        trained = rbfn_mod.train_ols_paths(D, y, mult * width, ridges,
-                                                           min(cap, X.shape[0]))
-                    else:
-                        hidden, decay = call
-                        m = spec.mlp
-                        restarts, max_iter = ((m.restarts, m.max_iter) if final
-                                              else (m.cv_restarts, m.cv_max_iter))
-                        key = (seed_key if final else
-                               f"{seed_key}-i{k_imp}-c{n_comp}-h{hidden}-d{decay:g}")
-                        trained = mlp_mod.train(X, y, hidden, decay, restarts=restarts,
-                                                seed=derive_seed(spec.seed, key),
-                                                max_iter=max_iter)
-                except FdaregError as exc:
-                    failed(exc, k_imp, n_comp, label)
-                    continue
-                # one prediction matrix at a time, as the caller consumes them
-                if spec.model == "rbfn":
-                    for ridge, path in zip(ridges, trained):
-                        yield ([(k_imp, n_comp, mult, float(ridge), k)
-                                for k in range(1, path.max_size + 1)],
-                               path.predictions(D_new))
-                else:
-                    yield ([(k_imp, n_comp, hidden, float(decay))],
-                           mlp_mod.forward(trained, X_new)[:, None])
+                inputs[k_imp, n_comp] = (D, rbfn_mod.sq_distances(X_new, X),
+                                         rbfn_mod.median_width(D))
+            else:
+                inputs[k_imp, n_comp] = (X, X_new)
+    return inputs
+
+
+def _train(spec, inputs, y, k_imp, n_comp, call, seed_key, final):
+    """Train one call on one ``(k_imp, n_comp)``'s :func:`_prepare` inputs;
+    return one ``(cells, P)`` per trained model, ``P`` holding its
+    predictions on the new rows, one column per full grid cell ``(k_imp,
+    n_comp, *model_params)``.
+
+    An RBFN call ``(mult, ridges, cap)`` grows one OLS path per ridge, with
+    a cell per center count on it. An MLP call ``(hidden, decay)`` is one
+    cell, trained with the refit's budget if ``final``; ``seed_key`` seeds
+    it, with the (k, size) and the cell appended in cross-validation.
+    """
+    if spec.model == "rbfn":
+        D, D_new, width = inputs
+        mult, ridges, cap = call
+        paths = rbfn_mod.train_ols_paths(D, y, mult * width, ridges, min(cap, D.shape[0]))
+        return [([(k_imp, n_comp, mult, float(ridge), k) for k in range(1, path.max_size + 1)],
+                 path.predictions(D_new)) for ridge, path in zip(ridges, paths)]
+    X, X_new = inputs
+    hidden, decay = call
+    m = spec.mlp
+    restarts, max_iter = (m.restarts, m.max_iter) if final else (m.cv_restarts, m.cv_max_iter)
+    key = seed_key if final else f"{seed_key}-i{k_imp}-c{n_comp}-h{hidden}-d{decay:g}"
+    model = mlp_mod.train(X, y, hidden, decay, restarts=restarts,
+                          seed=derive_seed(spec.seed, key), max_iter=max_iter)
+    return [([(k_imp, n_comp, hidden, float(decay))], mlp_mod.forward(model, X_new)[:, None])]
+
+
+def _predict_cells(spec, ks, comp_grid, calls, train_rows, y, new_rows, seed_key, final,
+                   failed):
+    """Both steps on one split: :func:`_prepare` the inputs, then
+    :func:`_train` every call of ``calls`` on every ``(k_imp, n_comp)`` and
+    yield its ``(cells, P)``. A training failure goes to ``failed(exc,
+    k_imp, n_comp, label)`` and leaves that call's cells out."""
+    for (k_imp, n_comp), inputs in _prepare(spec, ks, comp_grid, train_rows, new_rows,
+                                            failed).items():
+        for call, label in calls:
+            try:
+                trained = _train(spec, inputs, y, k_imp, n_comp, call, seed_key, final)
+            except FdaregError as exc:
+                failed(exc, k_imp, n_comp, label)
+                continue
+            yield from trained
+
+
+def _calls(spec) -> list[tuple[tuple, str]]:
+    """The training calls of a row's model grid, ``(call, label)`` each: one
+    per RBFN width multiplier (every ridge and center count on its paths)
+    or per MLP ``(hidden, decay)``."""
+    if spec.model == "rbfn":
+        r = spec.rbfn
+        return [((m, r.ridges, r.max_centers), f"width_multiplier={m:g}")
+                for m in r.width_multipliers]
+    return [((h, d), f"hidden={h}, decay={d:g}")
+            for h in spec.mlp.hidden_grid for d in spec.mlp.decay_grid]
 
 
 def _reraise(exc, *where):
@@ -452,19 +497,30 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     and report the test RMSE.
 
     A cell must be scored in every fold: its CV score is the mean of its
-    ``len(plan)`` per-fold validation errors, and a cell that some fold did
-    not score is excluded (scored ``inf``) and counted in a note. Exact
-    ties break toward the smallest cell tuple. PCA sizes no fold can fit
-    are dropped before the folds run, with one note; when none fits, the
-    largest size every fold can fit replaces them. When no cell is
-    scored in every fold, the ``ConfigError`` counts the per-fold failure
-    notes and quotes the first.
+    ``len(plan)`` per-fold validation errors, summed in fold order, and a
+    cell that some fold did not score (its training failed, its path
+    stopped short, or its error was not finite) cannot win; a call that
+    ran every fold has such cells counted in a note. Exact ties break
+    toward the smallest cell tuple. PCA sizes no fold can fit are dropped
+    before the folds run, with one note; when none fits, the largest size
+    every fold can fit replaces them. When no cell is scored in every
+    fold, the ``ConfigError`` counts the per-fold failure notes and quotes
+    the first.
 
-    The folds and the final refit run the same :func:`_predict_cells`: each
-    fold predicts its validation rows, and the refit, the winner's single
-    call on the full training set, predicts the test rows. The test curves
-    are read once the selection is final, just before the refit, and
-    neither the selection nor the refit reads their targets
+    Fold 0 trains every call; then each call, taken in ascending order of
+    its best fold-0 cell error, runs through the later folds and stops
+    before a fold once the least partial score of its live cells (summed
+    fold errors over ``len(plan)``) is strictly greater than the best
+    complete score. Errors are >= 0 and a float sum never falls when a
+    non-negative term is added, so a stopped call cannot win or tie, and
+    the selection, ``cv_score`` and test RMSE are bit for bit those of
+    training every call in every fold; ``info["pruned_trainings"]``
+    counts the (call, fold) trainings skipped.
+
+    The final refit, the winner's single call on the full training set,
+    predicts the test rows through the same two steps as a fold. The test
+    curves are read once the selection is final, just before the refit,
+    and neither the selection nor the refit reads their targets
     (``tests/test_metamorphic.py`` replaces the test set and checks that
     nothing else moves). An empty test set has no RMSE and is a
     ``ConfigError``. Reports are deterministic given the spec's seed.
@@ -498,49 +554,84 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
                          f"the most components every fold can fit, {fate}")
         comp_grid = comp_grid or (bound,)
 
-    if spec.model == "rbfn":
-        r = spec.rbfn
-        calls = [((m, r.ridges, r.max_centers), f"width_multiplier={m:g}")
-                 for m in r.width_multipliers]
-    else:
-        calls = [((h, d), f"hidden={h}, decay={d:g}")
-                 for h in spec.mlp.hidden_grid for d in spec.mlp.decay_grid]
     values, mask = stage.train_values, stage.train_mask
     ks = spec.impute.grid()
+    calls = _calls(spec)
+    # a unit: one training call on one (k, size), in fold-major order
+    units = [(k_imp, n_comp, call, label) for k_imp in ks for n_comp in comp_grid
+             for call, label in calls]
+    failures = []  # ((fold, unit, training?), note), sorted into fold-major order
+
+    def failed_in(fold):
+        def failed(exc, k_imp, n_comp, label):
+            u = next(u for u, (k, c, _, name) in enumerate(units)
+                     if k == k_imp and n_comp in (0, c) and label in ("", name))
+            failures.append(((fold, u, bool(label)), _fold_note(fold, exc, k_imp, n_comp, label)))
+        return failed
 
     def rows(idx):
         return values[idx], None if mask is None else mask[idx]
 
-    # cell: (k_impute, n_comp, *model_params) -> (summed fold errors, folds scored)
-    table: dict[tuple, tuple[float, int]] = {}
-    notes_before_folds = len(notes)
-    for fold_i, (tr, va) in enumerate(plan):
-        def failed(exc, *where, fold_i=fold_i):
-            notes.append(_fold_note(fold_i, exc, *where))
+    prepared = [_prepare(spec, ks, comp_grid, rows(tr), rows(va), failed_in(fold))
+                for fold, (tr, va) in enumerate(plan)]
+    # per unit: cell -> (summed fold errors, folds scored)
+    tables: list[dict[tuple, tuple[float, int]]] = [{} for _ in units]
+    nonfinite = set()
 
+    def score(u, fold):
+        k_imp, n_comp, call, label = units[u]
+        if (k_imp, n_comp) not in prepared[fold]:  # its preparation failed, noted
+            return
+        tr, va = plan[fold]
+        try:
+            trained = _train(spec, prepared[fold][k_imp, n_comp], y[tr], k_imp, n_comp, call,
+                             f"mlp-cv-f{fold}", False)
+        except FdaregError as exc:
+            failed_in(fold)(exc, k_imp, n_comp, label)
+            return
         y_va = y[va]
-        for cells, P in _predict_cells(spec, ks, comp_grid, calls, rows(tr), y[tr], rows(va),
-                                       f"mlp-cv-f{fold_i}", False, failed):
+        for cells, P in trained:
             mse = np.sum((P - y_va[:, None]) ** 2, axis=0) / y_va.size
             for cell, error in zip(cells, mse):
-                total, folds = table.get(cell, (0.0, 0))
-                table[cell] = (total + float(error), folds + 1)
-    fold_failures = notes[notes_before_folds:]
+                if not np.isfinite(error):
+                    nonfinite.add(cell)
+                    continue
+                total, folds = tables[u].get(cell, (0.0, 0))
+                tables[u][cell] = (total + float(error), folds + 1)
 
-    scores = {
-        cell: total / len(plan) if folds == len(plan) else np.inf
-        for cell, (total, folds) in table.items()
-    }
-    partial = sum(1 for _, folds in table.values() if folds < len(plan))
-    if partial:
-        notes.append(f"{partial} cells not scored in every fold were excluded")
-    if partial == len(table):
+    K = len(plan)
+    for u in range(len(units)):
+        score(u, 0)
+    best, pruned = np.inf, 0
+    for u in sorted(range(len(units)),
+                    key=lambda u: (min((t for t, _ in tables[u].values()), default=np.inf), u)):
+        for fold in range(1, K):
+            # a live cell was scored in every fold so far; its score can only grow
+            live = [total / K for total, folds in tables[u].values() if folds == fold]
+            if min(live, default=np.inf) > best:
+                pruned += K - fold
+                tables[u] = {}  # no cell of it can win, and none counts as excluded
+                break
+            score(u, fold)
+        best = min([best, *(total / K for total, folds in tables[u].values() if folds == K)])
+    fold_failures = [note for _, note in sorted(failures, key=lambda f: f[0])]
+    notes.extend(fold_failures)
+    stage.info["pruned_trainings"] = pruned
+
+    table = {cell: entry for t in tables for cell, entry in t.items()}
+    scores = {cell: total / K for cell, (total, folds) in table.items() if folds == K}
+    if nonfinite:
+        notes.append(f"{len(nonfinite)} cells had a non-finite validation error in some fold "
+                     f"and were not scored in it")
+    if len(scores) < len(table):
+        notes.append(f"{len(table) - len(scores)} cells not scored in every fold were excluded")
+    if not scores:
         cause = (f"; {len(fold_failures)} fold failures, first: {fold_failures[0]}"
                  if fold_failures else "")
         raise ConfigError(
             f"experiment {spec.name}: no grid cell was scored in every fold{cause}"
         )
-    best_cell = min(sorted(scores), key=lambda c: scores[c])
+    best_cell = min(scores, key=lambda c: (scores[c], c))
     cv_score = float(scores[best_cell])
 
     k_imp, n_comp, *params = best_cell

@@ -4,11 +4,19 @@ file, and the private numerics of the package that several test files check."""
 import os
 from pathlib import Path
 
-import numpy as np
-import pytest
-from hypothesis import settings
+# BLAS runs one thread, as in perfbench/run.py and tools/identity.py: these
+# small matrices gain nothing from more, and on a busy host extra threads
+# oversubscribe the cores. OpenBLAS reads the variables when numpy loads it,
+# so they are set before numpy's first import (pytest and hypothesis do not
+# import it, which tests/test_lapack.py checks); a value already set wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from fdareg import basis, fdata, mlp, represent
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+from fdareg import basis, fdata, mlp, represent  # noqa: E402
 
 # every run draws the same examples and writes no example database
 settings.register_profile("fdareg", derandomize=True, database=None)

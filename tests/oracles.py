@@ -48,14 +48,19 @@ Each oracle is the slow, direct form of a fast path in ``fdareg``:
   Jacobian, ``J^T J`` and ``J^T r`` of every active restart on every
   iteration; the reference for ``mlp.train``, which rebuilds them only
   after an accepted step.
+- :func:`fold_major_cv`: every training call in every fold, fold by fold,
+  with nothing pruned; the reference for the cross-validation of
+  ``selection.run_experiment``, which stops a call once it cannot win.
 """
 
 import numpy as np
 import scipy.linalg
 from scipy.spatial.distance import cdist
 
-from fdareg import mlp, rbfn
+from fdareg import mlp, rbfn, selection
+from fdareg.cv import derive_seed, make_folds, rmse
 from fdareg.errors import UnidentifiableCoefficientsError, ValidationError
+from fdareg.fdata import Grids
 from fdareg.represent import COND_THRESHOLD
 
 
@@ -390,3 +395,48 @@ def reference_lm_train(X, y, hidden, decay, restarts=60, seed=None, max_iter=mlp
         active[idx[mu[idx] > 1e12]] = False
 
     return mlp.unpack(params[int(np.argmin(loss))], hidden, dim, decay), accepted, jacobian_rows
+
+
+def fold_major_cv(spec, train, test):
+    """Reference for ``selection.run_experiment``'s cross-validation: each
+    fold trains every call on every imputation k and PCA size in turn, a
+    cell's score is the mean of its fold errors summed in fold order, the
+    lowest score wins with ties broken toward the smallest cell, and the
+    winner is refitted on the whole training set. Returns ``(selected,
+    cv_score, test_rmse)``. For rows whose PCA sizes every fold can fit and
+    whose folds and refit all succeed."""
+    stage = selection._Stage1(spec, train)
+    values, mask = stage.train_values, stage.train_mask
+    y = train.targets
+    plan = make_folds(len(train), spec.folds, derive_seed(spec.seed, "folds"))
+    ks = spec.impute.grid()
+    comp_grid = spec.pca.grid(spec.model) if spec.pca.kind != "none" else (0,)
+
+    def rows(idx):
+        return values[idx], None if mask is None else mask[idx]
+
+    table = {}  # cell -> (summed fold errors, folds scored)
+    for fold_i, (tr, va) in enumerate(plan):
+        for cells, P in selection._predict_cells(
+                spec, ks, comp_grid, selection._calls(spec), rows(tr), y[tr], rows(va),
+                f"mlp-cv-f{fold_i}", False, selection._reraise):
+            mse = np.sum((P - y[va][:, None]) ** 2, axis=0) / va.size
+            for cell, error in zip(cells, mse):
+                total, folds = table.get(cell, (0.0, 0))
+                table[cell] = (total + float(error), folds + 1)
+    scores = {cell: total / len(plan) for cell, (total, folds) in table.items()
+              if folds == len(plan)}
+    best = min(sorted(scores), key=scores.get)
+
+    k_imp, n_comp, *params = best
+    call = (params[0], (params[1],), params[2]) if spec.model == "rbfn" else tuple(params)
+    [(cells, P)] = selection._predict_cells(
+        spec, (k_imp,), (n_comp,), [(call, "")], (values, mask), y,
+        stage.features(Grids(test.functions)), "mlp-final", True, selection._reraise)
+    selected = {}
+    if spec.impute.kind == "knn":
+        selected["impute_k"] = k_imp
+    if spec.pca.kind != "none":
+        selected["n_components"] = n_comp
+    selected.update(zip(selection._PARAMS[spec.model], cells[-1][2:]))
+    return selected, scores[best], rmse(P[:, -1], test.targets)

@@ -53,3 +53,13 @@ def test_info_codes_raise_as_scipys_wrappers_do():
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"^singular matrix: resolution failed at diagonal 1$"):
         _lapack.check_info("trtrs", 2)
+
+
+def test_pytest_and_hypothesis_load_without_numpy():
+    # conftest.py pins BLAS to one thread before its first numpy import;
+    # OpenBLAS reads the pin only if nothing pytest loads first imports numpy
+    probe = ("import sys, pytest, hypothesis, _hypothesis_pytestplugin\n"
+             "print('numpy' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.split() == ["False"]

@@ -26,7 +26,7 @@ from fdareg.selection import (
     TransformSpec,
     run_experiment,
 )
-from oracles import truncated_network
+from oracles import fold_major_cv, truncated_network
 
 SMALL_RBFN = RbfnSettings(
     width_multipliers=(0.5, 1.0, 2.0), ridges=(1e-4, 1e-1), max_centers=20
@@ -547,6 +547,117 @@ class TestFoldTable:
         assert report.notes == ("5 cells not scored in every fold were excluded",)
 
 
+class TestPruning:
+    """A call stops once none of its cells can win: a cell's fold errors are
+    >= 0, so its score never falls below its partial sum over ``len(plan)``,
+    and a call whose best partial score exceeds the best complete score is
+    pruned. The winner, its score and the test RMSE are the unpruned
+    engine's."""
+
+    @pytest.mark.parametrize("row", ["raw-rbfn", "pca-rbfn", "knn-mlp"])
+    def test_pruned_engine_equals_the_fold_major_oracle(self, request, row):
+        rbfn_row = row != "knn-mlp"
+        train, test = request.getfixturevalue("data" if rbfn_row else "holed")
+        spec = {
+            "raw-rbfn": ExperimentSpec("raw-rbfn", "rbfn", RepresentationSpec("raw"),
+                                       rbfn=SMALL_RBFN, seed=2),
+            "pca-rbfn": ExperimentSpec("pca-rbfn", "rbfn", RepresentationSpec("raw"),
+                                       pca=PcaSpec("classical", component_grid=(2, 4, 6)),
+                                       rbfn=SMALL_RBFN, seed=3),
+            "knn-mlp": ExperimentSpec(
+                "knn-mlp", "mlp", RepresentationSpec("raw"),
+                pca=PcaSpec("classical", component_grid=(2, 3), whiten=True),
+                impute=ImputeSpec("knn", k_grid=(1, 4)),
+                mlp=MlpSettings(hidden_grid=(1, 2), decay_grid=(1e-3, 1e-1), restarts=3,
+                                cv_restarts=2, max_iter=40, cv_max_iter=40),
+                seed=5),
+        }[row]
+        report = run_experiment(spec, train, test)
+        selected, cv_score, test_rmse = fold_major_cv(spec, train, test)
+        assert report.selected == selected
+        assert report.cv_score.hex() == cv_score.hex()
+        assert report.test_rmse.hex() == test_rmse.hex()
+        assert report.info["pruned_trainings"] > 0
+
+    @staticmethod
+    def run(monkeypatch, errors):
+        """Run a 4-fold MLP row whose targets are all 0 and whose call
+        ``hidden=h`` predicts the constant ``sqrt(errors[h][fold])``, so its
+        fold errors are exactly ``errors[h]``. Returns the report and the
+        trainings made in order, ``(hidden, fold)`` each, with the refit's
+        fold ``"final"``."""
+        X = np.random.default_rng(8).normal(size=(30, 5))
+        train, test = vector_dataset(X[:24], np.zeros(24)), vector_dataset(X[24:], np.zeros(6))
+        spec = ExperimentSpec(
+            "pruning", "mlp", RepresentationSpec("raw"),
+            pca=PcaSpec("classical", component_grid=(2,), whiten=True),
+            mlp=MlpSettings(hidden_grid=tuple(errors), decay_grid=(1e-3,)), seed=1,
+        )
+        fold_of = {derive_seed(spec.seed, f"mlp-cv-f{fold}-i0-c2-h{h}-d0.001"): fold
+                   for fold in range(spec.folds) for h in errors}
+        fold_of[derive_seed(spec.seed, "mlp-final")] = "final"
+        trainings = []
+
+        def train_call(X, y, hidden, decay, seed, **kwargs):
+            trainings.append((hidden, fold_of[seed]))
+            return trainings[-1]
+
+        def forward(model, X):
+            hidden, fold = model
+            return np.full(X.shape[0], 0.0 if fold == "final" else np.sqrt(errors[hidden][fold]))
+
+        monkeypatch.setattr(mlp_mod, "train", train_call)
+        monkeypatch.setattr(mlp_mod, "forward", forward)
+        return run_experiment(spec, train, test), trainings
+
+    def test_a_call_is_ruled_out_at_a_later_fold(self, monkeypatch):
+        # fold 0 trains every call; then hidden 1 and 2 (fold-0 error 1,
+        # ties in call order) and hidden 3 (9) run in turn. hidden 1
+        # completes with 4 / 4 = 1. hidden 2's partial scores are 1/4 and
+        # 2/4 before folds 1 and 2, then 6/4 > 1: its fold 3 is pruned.
+        # hidden 3 is out before fold 1 (9/4 > 1): its folds 1-3 are pruned.
+        report, trainings = self.run(monkeypatch, {
+            1: (1, 1, 1, 1), 2: (1, 1, 4, 9), 3: (9, 0, 0, 0),
+        })
+        assert trainings == [(1, 0), (2, 0), (3, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
+                             (1, "final")]
+        assert report.info["pruned_trainings"] == 4
+        assert report.selected == {"n_components": 2, "hidden": 1, "decay": 1e-3}
+        assert report.cv_score == 1.0
+        assert report.notes == ()
+
+    def test_a_partial_score_equal_to_the_best_is_not_pruned(self, monkeypatch):
+        # hidden 2 runs first (fold-0 error 1 < 4) and completes with 1;
+        # hidden 1's partial score 4/4 equals it, so hidden 1 runs on, ties
+        # at 1 and wins as the smaller cell
+        report, trainings = self.run(monkeypatch, {1: (4, 0, 0, 0), 2: (1, 1, 1, 1)})
+        assert trainings == [(1, 0), (2, 0), (2, 1), (2, 2), (2, 3), (1, 1), (1, 2), (1, 3),
+                             (1, "final")]
+        assert report.info["pruned_trainings"] == 0
+        assert report.selected["hidden"] == 1
+        assert report.cv_score == 1.0
+
+    def test_a_non_finite_fold_error_leaves_the_cell_unscored(self, monkeypatch):
+        # hidden 1 sorts first and would win on a NaN score; its NaN fold
+        # is not scored, so it misses a fold and is excluded. No bound comes
+        # from it: hidden 2 completes with 1 and rules out hidden 3 before
+        # fold 1 (9/4 > 1), and hidden 4, whose partial score 4/4 lets it
+        # run fold 1, before fold 2, as its NaN there leaves it no live cell
+        report, trainings = self.run(monkeypatch, {
+            1: (1, 1, np.nan, 0), 2: (1, 1, 1, 1), 3: (9, 0, 0, 0), 4: (4, np.nan, 0, 0),
+        })
+        assert trainings == [(1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (1, 2), (1, 3), (2, 1),
+                             (2, 2), (2, 3), (4, 1), (2, "final")]
+        assert report.info["pruned_trainings"] == 3 + 2
+        assert report.selected["hidden"] == 2
+        assert report.cv_score == 1.0
+        assert report.notes == (
+            "2 cells had a non-finite validation error in some fold and were not scored "
+            "in it",
+            "1 cells not scored in every fold were excluded",
+        )
+
+
 class TestFailingTrainingCall:
     """A CV training call that raises leaves its cells unscored in that fold
     and is named in a note; the row goes on."""
@@ -582,7 +693,7 @@ class TestFailingTrainingCall:
         failed = []
 
         def fail_first_hidden_1(X, y, hidden, decay, **kwargs):
-            # hidden = 1 fails in fold 0 and trains in the other folds
+            # hidden = 1 fails in fold 0; a later training would succeed
             if hidden == 1 and not failed:
                 failed.append(hidden)
                 raise TrainingError("1 of 3 restart(s) start at a non-finite loss")
@@ -592,11 +703,14 @@ class TestFailingTrainingCall:
         report = run_experiment(self.spec(), train, test)
         assert report.selected["hidden"] == 2
         assert np.isfinite(report.cv_score) and np.isfinite(report.test_rmse)
+        # hidden = 1 has no cell scored in fold 0, so once hidden = 2 is
+        # complete it cannot win: its folds 1 and 2 are pruned, and a pruned
+        # cell is not counted as excluded
         assert report.notes == (
             "fold 0, comps=2, hidden=1, decay=0.001: "
             "1 of 3 restart(s) start at a non-finite loss",
-            "1 cells not scored in every fold were excluded",
         )
+        assert report.info["pruned_trainings"] == 2
 
     def test_failing_call_without_pca_names_only_the_call(self, data, monkeypatch):
         train, test = data
@@ -615,10 +729,11 @@ class TestFailingTrainingCall:
         monkeypatch.setattr(rbfn_mod, "train_ols_paths", fail_first)
         report = run_experiment(spec, train, test)
         assert report.selected["width_multiplier"] != 0.5
-        assert report.notes[0] == "fold 0, width_multiplier=0.5: no center could be added"
-        assert re.fullmatch(r"\d+ cells not scored in every fold were excluded",
-                            report.notes[1])
-        assert len(report.notes) == 2
+        # width 0.5 has no cell scored in fold 0: once another width is
+        # complete, its folds 1 to 3 are pruned and its cells not counted
+        assert report.notes == ("fold 0, width_multiplier=0.5: no center could be added",)
+        assert report.info["pruned_trainings"] == 3
+        assert len(calls) == 3 + 2 * 3 + 1  # fold 0, the two other widths, the refit
 
 
 class TestFinalRefit:
