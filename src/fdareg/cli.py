@@ -81,6 +81,7 @@ def cmd_represent(args) -> int:
     if sel is not None:
         loo_lines = ["dimension,total_loo"]
         loo_lines += [f"{q},{sel.scores[q]:.12g}" for q in sorted(sel.scores)]
+        loo_lines += [f"{q},pruned" for q in sel.pruned]
         loo_lines += [f"{q},skipped:{reason}" for q, reason in sorted(sel.skipped.items())]
         _atomic_write(outdir / "loo_report.csv", "\n".join(loo_lines) + "\n")
     beta = alpha @ basis.gram_factor().T

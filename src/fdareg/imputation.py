@@ -125,7 +125,8 @@ def fill(kind: str, ks, values: np.ndarray, mask: np.ndarray | None,
     fills from :class:`KnnImputer` (a training row never donates to itself),
     ordering each row's donors once for the whole grid, and each pair is
     C-contiguous; "mean" fills the training rows' column means (a column no
-    training row observes is an :class:`ImputationError`) and "none" passes
+    training row observes is an :class:`ImputationError`, which names the
+    first 10 such columns and their count) and "none" passes
     the rows through, each for the single pass-through k of its grid.
     """
     if kind == "knn":
@@ -135,8 +136,10 @@ def fill(kind: str, ks, values: np.ndarray, mask: np.ndarray | None,
     if kind == "mean":
         counts = mask.sum(axis=0)
         if np.any(counts == 0):
+            unobserved = np.flatnonzero(counts == 0).tolist()
+            more = f" ... ({len(unobserved)} in all)" if len(unobserved) > 10 else ""
             raise ImputationError(
-                f"columns {np.flatnonzero(counts == 0).tolist()} are observed in no sample; "
+                f"columns {unobserved[:10]}{more} are observed in no sample; "
                 "their mean is undefined"
             )
         means = np.where(mask, values, 0.0).sum(axis=0) / counts

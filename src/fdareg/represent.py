@@ -22,16 +22,26 @@ time. They return an ``(n, q)`` coefficient matrix or ``n`` scores; the
 scaled coordinates ``beta = alpha U^T`` make canonical dot products of rows
 equal L2 inner products of the reconstructed functions.
 :func:`select_basis_size` picks the basis size by the summed leave-one-out
-score, every candidate size reusing the one grouping. There is no
-per-function API: one curve is a one-curve grouping, and ``fit`` and
-``loo_score`` are only other names of :func:`fit_dataset` and
-:func:`loo_scores`.
+score, every candidate size reusing the one grouping. It scores a size one
+grid at a time and stops once the size can no longer win. Every size first
+scores the first grid; then the sizes run on in ascending order of
+``(partial total, size)``, and before each further grid a size stops if
+its partial total, ``np.sum`` of its score array with the unscored entries
+at 0, is strictly greater than the best complete total. The stop is exact:
+scores are >= 0, the pairwise summation tree depends only on the array's
+length, and each rounded addition is monotone, so a partial total never
+exceeds the complete one. A stopped size could not have won or tied, and
+the selection is that of scoring every grid of every size. On one grid
+(complete spectra) every size completes in the first pass. The winner's
+coefficients come from its own LOO fits. There is no per-function API: one
+curve is a one-curve grouping, and ``fit`` and ``loo_score`` are only other
+names of :func:`fit_dataset` and :func:`loo_scores`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -174,6 +184,39 @@ def fit_dataset(grids: Grids, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
     return alpha, sse
 
 
+class _LooRun:
+    """One basis size's leave-one-out over a grouping, one grid at a time.
+
+    ``scores`` holds the per-function scores, 0 where a grid is not scored
+    yet, and ``alpha`` the ``(n, q)`` coefficients of the scored grids;
+    ``left`` counts the grids still to score. The basis is evaluated on the
+    union when the first grid is scored (:func:`_group_fits`).
+    """
+
+    def __init__(self, grids: Grids, basis: Basis):
+        self.fits = _group_fits(grids, basis)
+        self.left = len(grids.blocks)
+        self.scores = np.zeros(len(grids))
+        self.alpha = np.empty((len(grids), basis.dimension))
+
+    def step(self) -> None:
+        """Fit and score the next grid."""
+        idx, (alpha, resid, hat) = next(self.fits)
+        if np.any(hat >= 1.0 - 1e-12):
+            raise DegenerateLooError(
+                "hat diagonal reaches 1: leave-one-out undefined (interpolating fit)"
+            )
+        ratio = resid / (1.0 - hat)[:, None]
+        self.scores[idx] = np.add.reduce(ratio**2, axis=0) / len(hat)  # np.mean's steps
+        self.alpha[idx] = alpha.T
+        self.left -= 1
+
+    def total(self) -> float:
+        """The summed score: the total once every grid is scored, and before
+        that a lower bound of it (see :func:`select_basis_size`)."""
+        return float(np.sum(self.scores))
+
+
 def loo_scores(grids: Grids, basis: Basis) -> np.ndarray:
     """Closed-form leave-one-out mean squared reconstruction error of every
     function, shape ``(n,)``.
@@ -190,15 +233,10 @@ def loo_scores(grids: Grids, basis: Basis) -> np.ndarray:
     UnidentifiableCoefficientsError
         As in :func:`fit_dataset`.
     """
-    scores = np.empty(len(grids))
-    for idx, (_, resid, hat) in _group_fits(grids, basis):
-        if np.any(hat >= 1.0 - 1e-12):
-            raise DegenerateLooError(
-                "hat diagonal reaches 1: leave-one-out undefined (interpolating fit)"
-            )
-        ratio = resid / (1.0 - hat)[:, None]
-        scores[idx] = np.add.reduce(ratio**2, axis=0) / len(hat)  # np.mean's steps
-    return scores
+    run = _LooRun(grids, basis)
+    while run.left:
+        run.step()
+    return run.scores
 
 
 # Trace names of the benchmark's ``perfbench/layers.py``: nothing calls them,
@@ -251,8 +289,10 @@ class BasisSelection:
     """Outcome of dimension selection by total leave-one-out score."""
 
     dimension: int
-    scores: dict[int, float]  # candidate dimension -> total LOO
-    skipped: dict[int, str] = field(default_factory=dict)  # dimension -> reason
+    scores: dict[int, float]  # completed dimension -> total LOO, in candidate order
+    skipped: dict[int, str]  # failed dimension -> reason, in candidate order
+    pruned: list[int]  # dimensions stopped once they could no longer win
+    coefficients: np.ndarray  # (n, dimension) coefficients of the winner's LOO fits
 
 
 def select_basis_size(
@@ -264,14 +304,30 @@ def select_basis_size(
 ) -> BasisSelection:
     """Choose the basis dimension minimizing the summed leave-one-out score.
 
-    Every candidate dimension is scored as the total of the per-function
-    LOO scores of :func:`loo_scores`; candidates for which any function
-    fails with a toolkit error (out-of-range dimension, unidentifiable
+    A candidate dimension's score is the total of the per-function LOO
+    scores of :func:`loo_scores`; candidates for which any function fails
+    with a toolkit error (out-of-range dimension, unidentifiable
     coefficients, degenerate LOO) are skipped and reported. Any other
     exception is a bug and propagates. Ties break toward the smaller
-    dimension.
+    dimension. Every candidate reuses the one grouping ``grids``.
 
-    Every candidate reuses the one grouping ``grids``.
+    A candidate stops being scored once it can no longer win. Each
+    candidate first scores the first grid. Then the candidates run on, one
+    at a time, in ascending order of ``(partial total, dimension)``, the
+    partial total being ``np.sum`` of the score array with the unscored
+    functions at 0. Before each further grid, a candidate is stopped
+    (``pruned``) if its partial total is strictly greater than the best
+    complete total so far. This is exact: the scores are >= 0, ``np.sum``'s
+    pairwise tree depends only on the array's length, and a rounded sum
+    never falls when a term grows, so the partial total never exceeds the
+    complete one. A stopped candidate would end strictly above a complete
+    total, and a tied one always completes, so the selection is that of
+    scoring every grid of every candidate. A candidate is complete, and in
+    ``scores``, when every grid is scored; on one grid (complete spectra)
+    every candidate completes in the first pass. A pruned candidate is
+    neither scored nor skipped, even if a later grid would have failed.
+    ``coefficients`` are the winner's fits from its LOO QRs, bit for bit
+    those of :func:`fit_dataset`.
 
     Raises
     ------
@@ -302,19 +358,39 @@ def select_basis_size(
     if not candidates:
         raise SelectionError("empty candidate grid")
 
-    scores: dict[int, float] = {}
-    skipped: dict[int, str] = {}
-    for q in candidates:
+    runs: dict[int, _LooRun] = {}
+    failed: dict[int, str] = {}
+    for q in candidates:  # the first grid of every candidate
         try:
-            b = make_basis(kind, domain, q, order)
-            scores[q] = float(np.sum(loo_scores(grids, b)))
+            run = _LooRun(grids, make_basis(kind, domain, q, order))
+            run.step()
         except FdaregError as exc:  # per-candidate feasibility probe
-            skipped[q] = f"{type(exc).__name__}: {exc}"
-    if not scores:
+            failed[q] = f"{type(exc).__name__}: {exc}"
+            continue
+        runs[q] = run
+    best, totals, alphas, pruned = np.inf, {}, {}, []
+    for q in sorted(runs, key=lambda q: (runs[q].total(), q)):
+        run = runs.pop(q)
+        try:
+            # go on while the partial total, a lower bound of the complete
+            # one, does not exceed the best complete total
+            while run.left and run.total() <= best:
+                run.step()
+        except FdaregError as exc:
+            failed[q] = f"{type(exc).__name__}: {exc}"
+            continue
+        if run.left:
+            pruned.append(q)
+            continue
+        totals[q], alphas[q] = run.total(), run.alpha
+        best = min(best, totals[q])
+    skipped = {q: failed[q] for q in candidates if q in failed}
+    if not totals:
         raise SelectionError(
             f"no feasible candidate among {list(candidates)}; "
             f"first failure: {next(iter(skipped.values()))}"
         )
-    best = min(sorted(scores), key=lambda q: scores[q])
-    return BasisSelection(best, scores, skipped)
-
+    scores = {q: totals[q] for q in candidates if q in totals}
+    dimension = min(sorted(scores), key=lambda q: scores[q])
+    return BasisSelection(dimension, scores, skipped, [q for q in candidates if q in pruned],
+                          alphas[dimension])

@@ -64,8 +64,10 @@ grid route reads the grouping's values on the union of the training
 abscissas, with a mask when an imputer fills the holes and complete
 otherwise, then expert-scales them if asked. Basis-size selection by
 leave-one-out never sees a target and is also done once, on the training
-grouping, with one basis evaluation per candidate size and one QR per grid
-and candidate size.
+grouping, with one basis evaluation per candidate size and at most one QR
+per grid and candidate size: a size stops once the partial sum of its
+scores exceeds the best complete total, which it can then never undercut.
+The training coefficients are the winner's from those QRs.
 """
 
 from __future__ import annotations
@@ -327,20 +329,33 @@ class ExperimentReport:
 class _Stage1:
     """Fold-independent per-sample features for the training set, plus the
     recipe to compute the same features for new functions; ``notes`` names
-    the basis sizes leave-one-out skipped."""
+    the basis sizes leave-one-out skipped.
+
+    A basis size chosen by leave-one-out (:func:`~fdareg.represent.select_basis_size`)
+    stops scoring a size once the partial sum of its per-curve scores, the
+    unscored curves at 0, is strictly greater than the best complete total:
+    scores are >= 0 and a rounded sum never falls when a term grows, so the
+    stopped size could not win or tie. ``info["loo_scores"]`` holds the
+    sizes scored on every curve, ``info["loo_pruned"]`` the stopped ones
+    (when there are any), and the note only the sizes that failed. The
+    training features are the winner's coefficients from its LOO fits, the
+    same QRs of the same design rows as a refit.
+    """
 
     def __init__(self, spec: ExperimentSpec, train: Dataset):
         self.spec = spec
         self.info: dict = {}
         self.notes: list[str] = []
-        self.basis = None
+        self.basis = alpha = None
         grids = Grids(train.functions)
         rep = spec.representation
         if rep.kind != "raw":
             if rep.dimension == "loo":
                 sel = rep_mod.select_basis_size(grids, train.domain, rep.kind, rep.order)
-                dimension = sel.dimension
+                dimension, alpha = sel.dimension, sel.coefficients
                 self.info["loo_scores"] = {int(k): float(v) for k, v in sel.scores.items()}
+                if sel.pruned:
+                    self.info["loo_pruned"] = [int(q) for q in sel.pruned]
                 if sel.skipped:
                     self.notes.append(
                         f"leave-one-out skipped basis sizes {list(sel.skipped)}, the first "
@@ -359,16 +374,19 @@ class _Stage1:
             # the union of the training abscissas (holes only delete points,
             # they never move them)
             self.grid = grids.union
-        self.train_values, self.train_mask = self.features(grids)
+        self.train_values, self.train_mask = self.features(grids, alpha)
         if self.basis is not None:
             self.info["n_coefficients"] = int(self.train_values.shape[1])
 
-    def features(self, grids: Grids):
+    def features(self, grids: Grids, alpha: np.ndarray | None = None):
         """Features ``(values, mask)`` of a dataset's grouping by sampling
         grid, by the recipe fixed on the training set (no refitting);
-        ``mask`` is None unless an imputer is to fill the holes."""
+        ``mask`` is None unless an imputer is to fill the holes. ``alpha``
+        gives the grouping's basis coefficients when they are already
+        fitted."""
         if self.basis is not None:
-            alpha, _ = rep_mod.fit_dataset(grids, self.basis)
+            if alpha is None:
+                alpha, _ = rep_mod.fit_dataset(grids, self.basis)
             alpha, basis = tr_mod.transform_dataset(alpha, self.basis, self.spec.transform.kind)
             return alpha @ basis.gram_factor().T, None
         if self.spec.impute.kind != "none":

@@ -51,15 +51,18 @@ Each oracle is the slow, direct form of a fast path in ``fdareg``:
 - :func:`fold_major_cv`: every training call in every fold, fold by fold,
   with nothing pruned; the reference for the cross-validation of
   ``selection.run_experiment``, which stops a call once it cannot win.
+- :func:`full_select_basis_size`: every grid of every candidate basis size
+  scored, with nothing pruned; the reference for
+  ``represent.select_basis_size``, which stops a size once it cannot win.
 """
 
 import numpy as np
 import scipy.linalg
 from scipy.spatial.distance import cdist
 
-from fdareg import mlp, rbfn, selection
+from fdareg import mlp, rbfn, represent, selection
 from fdareg.cv import derive_seed, make_folds, rmse
-from fdareg.errors import UnidentifiableCoefficientsError, ValidationError
+from fdareg.errors import FdaregError, UnidentifiableCoefficientsError, ValidationError
 from fdareg.fdata import Grids
 from fdareg.represent import COND_THRESHOLD
 
@@ -401,10 +404,12 @@ def fold_major_cv(spec, train, test):
     """Reference for ``selection.run_experiment``'s cross-validation: each
     fold trains every call on every imputation k and PCA size in turn, a
     cell's score is the mean of its fold errors summed in fold order, the
-    lowest score wins with ties broken toward the smallest cell, and the
-    winner is refitted on the whole training set. Returns ``(selected,
-    cv_score, test_rmse)``. For rows whose PCA sizes every fold can fit and
-    whose folds and refit all succeed."""
+    lowest score of a cell scored in every fold wins with ties broken toward
+    the smallest cell, and the winner is refitted on the whole training
+    set. A failed training or a non-finite error leaves the cells unscored
+    in that fold. Returns ``(selected, cv_score, test_rmse)``, or None when
+    no cell is scored in every fold. For rows whose PCA sizes every fold can
+    fit and whose fold preparations and refit succeed."""
     stage = selection._Stage1(spec, train)
     values, mask = stage.train_values, stage.train_mask
     y = train.targets
@@ -419,13 +424,17 @@ def fold_major_cv(spec, train, test):
     for fold_i, (tr, va) in enumerate(plan):
         for cells, P in selection._predict_cells(
                 spec, ks, comp_grid, selection._calls(spec), rows(tr), y[tr], rows(va),
-                f"mlp-cv-f{fold_i}", False, selection._reraise):
+                f"mlp-cv-f{fold_i}", False, _unscored):
             mse = np.sum((P - y[va][:, None]) ** 2, axis=0) / va.size
             for cell, error in zip(cells, mse):
+                if not np.isfinite(error):
+                    continue
                 total, folds = table.get(cell, (0.0, 0))
                 table[cell] = (total + float(error), folds + 1)
     scores = {cell: total / len(plan) for cell, (total, folds) in table.items()
               if folds == len(plan)}
+    if not scores:
+        return None
     best = min(sorted(scores), key=scores.get)
 
     k_imp, n_comp, *params = best
@@ -440,3 +449,27 @@ def fold_major_cv(spec, train, test):
         selected["n_components"] = n_comp
     selected.update(zip(selection._PARAMS[spec.model], cells[-1][2:]))
     return selected, scores[best], rmse(P[:, -1], test.targets)
+
+
+def _unscored(exc, k_imp, n_comp, label):
+    """A failed training call leaves its cells unscored in the fold; a
+    failed preparation is not expected."""
+    if not label:
+        raise exc
+
+
+def full_select_basis_size(grids, domain, kind, order, candidates):
+    """Reference for ``represent.select_basis_size``: every candidate size
+    scores every grid, its total is ``np.sum`` of the per-function scores of
+    ``represent.loo_scores``, a size with a toolkit error is skipped, and
+    the least total wins with ties broken toward the smaller size. Returns
+    ``(dimension, scores, skipped)``, ``dimension`` None when every size is
+    skipped."""
+    scores, skipped = {}, {}
+    for q in candidates:
+        try:
+            b = represent.make_basis(kind, domain, q, order)
+            scores[q] = float(np.sum(represent.loo_scores(grids, b)))
+        except FdaregError as exc:
+            skipped[q] = f"{type(exc).__name__}: {exc}"
+    return min(sorted(scores), key=scores.get, default=None), scores, skipped

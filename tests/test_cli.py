@@ -197,6 +197,25 @@ def test_represent_loo_selection(pairs_file, tmp_path):
     assert len(report) > 1
 
 
+def test_represent_loo_lists_pruned_sizes(tmp_path):
+    # on holed curves leave-one-out stops the sizes that can no longer win:
+    # each is one "q,pruned" line, and every default size is on one line
+    ds = fdata.make_holes(synthetic_dataset(np.random.default_rng(424), n=38, m=24,
+                                            noise=0.005), 0.15, seed=9)
+    data = tmp_path / "holed.pairs"
+    fdata.save_generic_pairs(ds, data)
+    out = tmp_path / "out"
+    assert cli.main(["represent", "--data", str(data), "--format", "generic-pairs",
+                     "--dimension", "loo", "--out", str(out)]) == 0
+    sel = represent.select_basis_size(fdata.Grids(fdata.load_dataset(data, "generic-pairs").functions),
+                                      ds.domain)
+    report = (out / "loo_report.csv").read_text().splitlines()
+    assert sel.pruned and [f"{q},pruned" for q in sel.pruned] == [
+        line for line in report if line.endswith(",pruned")]
+    assert sorted(int(line.split(",")[0]) for line in report[1:]) == sorted(
+        [*sel.scores, *sel.pruned, *sel.skipped])
+
+
 def test_experiment_command(pairs_file, tmp_path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(SMALL_SPEC))

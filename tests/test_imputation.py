@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -75,6 +76,20 @@ class TestMeanImpute:
         V, M = masked([[1.0, 0.0], [2.0, 0.0]], [[True, False], [True, False]])
         with pytest.raises(ImputationError):
             mean_impute(V, M)
+
+    @pytest.mark.parametrize("unobserved, listed", [
+        (2, "columns [1, 2] are"),
+        (10, "columns [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] are"),
+        (25, "columns [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] ... (25 in all) are"),
+    ])
+    def test_unobserved_columns_are_capped_at_ten_in_the_error(self, unobserved, listed):
+        # on irregular curves nearly every column of the union is unobserved;
+        # the message names the first 10 and the count, not all of them
+        M = np.ones((3, 1 + unobserved), dtype=bool)
+        M[:, 1:] = False
+        with pytest.raises(ImputationError, match=re.escape(
+                f"{listed} observed in no sample; their mean is undefined")):
+            mean_impute(np.zeros(M.shape), M)
 
     def test_train_statistics_apply_to_new_rows(self):
         V, M = masked([[2.0, 4.0], [4.0, 8.0]], [[True, True], [True, True]])

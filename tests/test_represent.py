@@ -18,7 +18,7 @@ from fdareg.errors import (
     SelectionError,
     UnidentifiableCoefficientsError,
 )
-from oracles import naive_loo, quadrature_integral, reference_qr_solve
+from oracles import full_select_basis_size, naive_loo, quadrature_integral, reference_qr_solve
 
 
 class TestFit:
@@ -161,12 +161,14 @@ class TestDatasetPath:
 
     def test_uncovered_support_in_one_group_skips_candidate(self, rng):
         # a group whose grid has a gap leaves some fine B-splines without
-        # samples: that candidate is skipped, the coarse one still scored
+        # samples: that candidate is skipped, the coarse one still scored.
+        # The gapped grid comes first, so every candidate reaches it before
+        # it could be pruned.
         gap = np.concatenate([np.linspace(0.0, 0.45, 30), np.linspace(0.6, 1.0, 30)])
-        fns = mixed_grid_functions(rng, n_holed=0, m=60) + [
+        fns = [
             fdata.SampledFunction(gap, np.sin(3 * gap) + 0.01 * rng.normal(size=60))
             for _ in range(2)
-        ]
+        ] + mixed_grid_functions(rng, n_holed=0, m=60)
         sel = represent.select_basis_size(
             fdata.Grids(fns), (0.0, 1.0), "bspline", 4, candidates=[8, 40]
         )
@@ -309,7 +311,8 @@ class TestDirectLapack:
 class TestSelectBasisSize:
     def test_grouped_once_for_all_candidates(self, rng, monkeypatch):
         # every candidate reuses the grouping passed in, builds no other,
-        # and scores as a fresh grouping would
+        # and a completed one scores as a fresh grouping would; the others
+        # are listed as pruned
         fns = mixed_grid_functions(rng)
         candidates = [6, 8, 10, 12]
         fresh = {
@@ -323,7 +326,9 @@ class TestSelectBasisSize:
 
         monkeypatch.setattr(fdata.Grids, "__init__", no_grouping)
         sel = represent.select_basis_size(grids, (0.0, 1.0), "bspline", 4, candidates)
-        assert sel.scores == fresh
+        assert sel.scores == {q: fresh[q] for q in sel.scores}
+        assert sel.pruned == [q for q in candidates if q not in sel.scores]
+        assert sel.pruned and not sel.skipped
 
     def test_empty_function_list_raises(self):
         with pytest.raises(SelectionError, match="no functions"):
@@ -369,10 +374,10 @@ class TestSelectBasisSize:
     def test_unexpected_error_propagates(self, rng, monkeypatch):
         # only toolkit errors mark a candidate infeasible; anything else is
         # a bug and must not be reported as a skipped candidate
-        def broken(functions, b):
+        def broken(design, Y):
             raise RuntimeError("bug in the LOO score")
 
-        monkeypatch.setattr(represent, "loo_scores", broken)
+        monkeypatch.setattr(represent, "_qr_solve", broken)
         ds = synthetic_dataset(rng, n=4, m=20)
         with pytest.raises(RuntimeError, match="bug in the LOO score"):
             represent.select_basis_size(
@@ -417,6 +422,139 @@ class TestSelectBasisSize:
         for kind in ("bspline", "fourier"):
             for m in range(5, 80):
                 assert all(q < m for q in represent._default_candidates(kind, 4, m))
+
+
+def _assert_same_selection(grids, kind, order, candidates):
+    """The pruned selection against the full loop: the same winner, every
+    completed size's total equal by ``float.hex``, completed, pruned and
+    skipped sizes partitioning the candidates, a pruned size never one that
+    could have won or tied, and the winner's coefficients those of a refit.
+    Returns the selection, None when every size fails."""
+    dimension, scores, skipped = full_select_basis_size(
+        grids, (0.0, 1.0), kind, order, candidates)
+    if dimension is None:
+        with pytest.raises(SelectionError, match="no feasible candidate"):
+            represent.select_basis_size(grids, (0.0, 1.0), kind, order, candidates)
+        return None
+    sel = represent.select_basis_size(grids, (0.0, 1.0), kind, order, candidates)
+    assert sel.dimension == dimension
+    assert {q: v.hex() for q, v in sel.scores.items()} == {
+        q: scores[q].hex() for q in sel.scores}
+    done = [*sel.scores, *sel.pruned, *sel.skipped]
+    assert sorted(done) == sorted(candidates)
+    assert list(sel.scores) == [q for q in candidates if q in sel.scores]
+    assert sel.pruned == [q for q in candidates if q in sel.pruned]
+    assert all(sel.skipped[q] == skipped[q] for q in sel.skipped)
+    assert all(q in skipped or scores[q] > scores[dimension] for q in sel.pruned)
+    alpha, _ = represent.fit_dataset(grids, represent.make_basis(kind, (0.0, 1.0), dimension,
+                                                                 order))
+    assert sel.coefficients.tobytes() == alpha.tobytes()
+    return sel
+
+
+class TestPrunedSelection:
+    """``select_basis_size`` stops a size once its partial total, the
+    per-function scores summed with the unscored ones at 0, is strictly
+    above the best complete total. The full loop of
+    ``oracles.full_select_basis_size`` is the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_shared=st.integers(0, 4),
+        n_holed=st.integers(1, 6),
+        m=st.integers(14, 40),
+        gap=st.booleans(),
+        kind=st.sampled_from(["bspline", "fourier"]),
+        zero=st.booleans(),
+        candidates=st.lists(st.integers(2, 44), min_size=1, max_size=8, unique=True),
+    )
+    def test_equals_the_full_loop_property(self, seed, n_shared, n_holed, m, gap, kind,
+                                           zero, candidates):
+        # mixed, holed and gapped grids; sizes below the order, degenerate
+        # ones near the sample count and unidentifiable ones beyond it or
+        # across the gap; all-zero curves make every feasible size tie at 0
+        fns = mixed_grid_functions(np.random.default_rng(seed), n_shared=n_shared,
+                                   n_holed=n_holed, m=m, gap=gap)
+        if zero:
+            fns = [fdata.SampledFunction(f.x, np.zeros_like(f.y), id=f.id) for f in fns]
+        _assert_same_selection(fdata.Grids(fns), kind, 4, candidates)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), grid_sizes=st.lists(st.integers(1, 3), min_size=2, max_size=5),
+           candidates=st.lists(st.integers(3, 9), min_size=1, max_size=6, unique=True))
+    def test_equals_the_full_loop_on_drawn_scores_property(self, data, grid_sizes, candidates):
+        # each (size, grid) draws its curves' scores, 0 or 1 each, so exact
+        # ties abound and a later grid can reverse the order of the first;
+        # one draw in ten is unidentifiable and one degenerate. Size 3 is
+        # below the order. A curve's samples all hold its index, which the
+        # fake least squares reads to return residuals of its drawn root.
+        n = sum(grid_sizes)
+        fns, grid_of = [], []
+        for g, size in enumerate(grid_sizes):
+            x = np.delete(np.linspace(0.0, 1.0, 12), g)
+            for _ in range(size):
+                fns.append(fdata.SampledFunction(x, np.full(x.size, float(len(fns)))))
+                grid_of.append(g)
+        outcome = st.tuples(st.integers(0, 9), st.lists(st.integers(0, 1), min_size=n,
+                                                        max_size=n)).map(
+            lambda draw: {0: "unidentifiable", 1: "degenerate"}.get(draw[0], draw[1]))
+        drawn = {(q, g): data.draw(outcome) for q in candidates for g in range(len(grid_sizes))}
+
+        def fake_qr_solve(design, Y):
+            m, q = design.shape
+            curves = Y[0].astype(int)
+            result = drawn[q, grid_of[curves[0]]]
+            if result == "unidentifiable":
+                raise UnidentifiableCoefficientsError("drawn", indices=[0])
+            alpha = np.zeros((q, curves.size))
+            if result == "degenerate":
+                return alpha, np.zeros((m, curves.size)), np.ones(m)
+            return alpha, np.tile(np.array(result, dtype=float)[curves], (m, 1)), np.zeros(m)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(represent, "_qr_solve", fake_qr_solve)
+            _assert_same_selection(fdata.Grids(fns), "bspline", 4, candidates)
+
+    def test_a_tie_reached_from_behind_still_wins(self, monkeypatch):
+        # size 8 scores 4 then 0 on its two grids, size 10 scores 0 then 4:
+        # size 10 runs first and completes with 4; size 8's partial total 4
+        # equals it, so size 8 is not stopped, ties and wins as the smaller
+        roots = {(8, 0): 2.0, (8, 1): 0.0, (10, 0): 0.0, (10, 1): 2.0}
+
+        def fake_qr_solve(design, Y):
+            m, q = design.shape
+            return np.zeros((q, 1)), np.full((m, 1), roots[q, int(Y[0, 0])]), np.zeros(m)
+
+        fns = [fdata.SampledFunction(np.delete(np.linspace(0.0, 1.0, 12), g), np.full(11, g))
+               for g in (0, 1)]
+        monkeypatch.setattr(represent, "_qr_solve", fake_qr_solve)
+        sel = represent.select_basis_size(fdata.Grids(fns), (0.0, 1.0), "bspline", 4, [8, 10])
+        assert sel.dimension == 8
+        assert sel.scores == {8: 4.0, 10: 4.0}
+        assert sel.pruned == []
+
+    def test_holed_curves_factor_fewer_grids(self, rng, monkeypatch):
+        # a size that cannot win stops early, so fewer QRs run than in the
+        # full loop; equal counts would mean nothing is pruned
+        grids = fdata.Grids(mixed_grid_functions(rng, n_shared=4, n_holed=24))
+        candidates = represent._default_candidates("bspline", 4, 36)
+        real = represent._qr_solve
+        calls = []
+
+        def counted(design, Y):
+            calls.append(design.shape[1])
+            return real(design, Y)
+
+        monkeypatch.setattr(represent, "_qr_solve", counted)
+        full_select_basis_size(grids, (0.0, 1.0), "bspline", 4, candidates)
+        full = len(calls)
+        calls.clear()
+        sel = represent.select_basis_size(grids, (0.0, 1.0), "bspline", 4, candidates)
+        assert sel.pruned
+        assert len(calls) < full
+        monkeypatch.undo()
+        _assert_same_selection(grids, "bspline", 4, candidates)
 
 
 class TestBetaGeometry:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import synthetic_dataset, vector_dataset
@@ -580,12 +580,12 @@ class TestPruning:
         assert report.info["pruned_trainings"] > 0
 
     @staticmethod
-    def run(monkeypatch, errors):
+    def run(monkeypatch, errors, engine=run_experiment):
         """Run a 4-fold MLP row whose targets are all 0 and whose call
         ``hidden=h`` predicts the constant ``sqrt(errors[h][fold])``, so its
-        fold errors are exactly ``errors[h]``. Returns the report and the
-        trainings made in order, ``(hidden, fold)`` each, with the refit's
-        fold ``"final"``."""
+        fold errors are exactly ``errors[h]``, or fails to train where that
+        entry is None. Returns ``engine``'s result and the trainings made in
+        order, ``(hidden, fold)`` each, with the refit's fold ``"final"``."""
         X = np.random.default_rng(8).normal(size=(30, 5))
         train, test = vector_dataset(X[:24], np.zeros(24)), vector_dataset(X[24:], np.zeros(6))
         spec = ExperimentSpec(
@@ -600,6 +600,8 @@ class TestPruning:
 
         def train_call(X, y, hidden, decay, seed, **kwargs):
             trainings.append((hidden, fold_of[seed]))
+            if trainings[-1][1] != "final" and errors[hidden][trainings[-1][1]] is None:
+                raise TrainingError("drawn failure")
             return trainings[-1]
 
         def forward(model, X):
@@ -608,7 +610,31 @@ class TestPruning:
 
         monkeypatch.setattr(mlp_mod, "train", train_call)
         monkeypatch.setattr(mlp_mod, "forward", forward)
-        return run_experiment(spec, train, test), trainings
+        return engine(spec, train, test), trainings
+
+    @settings(max_examples=200, deadline=None)
+    @given(errors=st.lists(
+        st.tuples(*4 * [st.integers(0, 11).map(lambda e: {10: np.nan, 11: None}.get(e, e))]),
+        min_size=1, max_size=4).map(lambda calls: dict(enumerate(calls, 1))))
+    # late folds make hidden 2 the winner although its fold-0 error is the
+    # worse; stopping a call once 1.5 times its partial score exceeds the
+    # best would drop it in the first example
+    @example(errors={1: (1, 1, 1, 1), 2: (3, 0, 0, 0)})
+    @example(errors={1: (1, 4, 4, 4), 2: (4, 0, 0, 0)})
+    def test_pruned_engine_equals_the_fold_major_oracle_on_drawn_errors(self, errors):
+        # per-fold errors among 0-9 (exact ties among the squares), NaN and
+        # failed trainings (None), for up to four calls
+        with pytest.MonkeyPatch.context() as mp:
+            expected, _ = self.run(mp, errors, fold_major_cv)
+            if expected is None:
+                with pytest.raises(ConfigError, match="no grid cell was scored in every fold"):
+                    self.run(mp, errors)
+                return
+            report, _ = self.run(mp, errors)
+        selected, cv_score, test_rmse = expected
+        assert report.selected == selected
+        assert report.cv_score.hex() == cv_score.hex()
+        assert report.test_rmse.hex() == test_rmse.hex()
 
     def test_a_call_is_ruled_out_at_a_later_fold(self, monkeypatch):
         # fold 0 trains every call; then hidden 1 and 2 (fold-0 error 1,
@@ -814,13 +840,16 @@ class TestImputationRoutes:
 
     def test_sizes_leave_one_out_skipped_are_noted(self, holed):
         # on holed curves the larger sizes interpolate some curve, so LOO
-        # skips them, and the report names them
+        # skips them, and the report names them. Sizes 10-14 are stopped
+        # once they can no longer beat size 8, before 12 and 14 reach a
+        # curve they interpolate: they are listed apart, not in the note
         spec = ExperimentSpec("loo-holes", "rbfn", representation=RepresentationSpec("bspline"),
                               rbfn=SMALL_RBFN, seed=5)
         report = run_experiment(spec, *holed)
-        assert sorted(report.info["loo_scores"]) == [8, 10]
+        assert sorted(report.info["loo_scores"]) == [8]
+        assert report.info["loo_pruned"] == [10, 12, 14]
         assert report.notes[0] == (
-            "leave-one-out skipped basis sizes [12, 14, 16, 18], the first with "
+            "leave-one-out skipped basis sizes [16, 18], the first with "
             "DegenerateLooError: hat diagonal reaches 1: leave-one-out undefined "
             "(interpolating fit)"
         )
