@@ -71,10 +71,12 @@ def cmd_represent(args) -> int:
     grids = fdata.Grids(dataset.functions)
     sel, dimension = None, args.dimension
     if dimension == "loo":
+        # the winner's coefficients come from its leave-one-out fits
         sel = represent.select_basis_size(grids, dataset.domain, args.basis, args.order)
-        dimension = sel.dimension
+        dimension, alpha = sel.dimension, sel.coefficients
     basis = represent.make_basis(args.basis, dataset.domain, dimension, args.order)
-    alpha, sse = represent.fit_dataset(grids, basis)
+    if sel is None:
+        alpha, _ = represent.fit_dataset(grids, basis)
     # a failed selection or fit leaves no output directory behind
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -98,6 +100,12 @@ def cmd_represent(args) -> int:
     # design rows of every curve are sliced from one evaluation on the union
     design = basis.evaluate(grids.union)
     fitted = {i: design[rows] @ alpha[i] for idx, rows, _ in grids.blocks for i in idx}
+    # each grid's residuals as the fit forms them, from a C-ordered (q, n)
+    # block, so the SSE has the bits of fit_dataset's
+    sse = np.empty(len(grids))
+    for idx, rows, Y in grids.blocks:
+        resid = Y - design[rows] @ np.ascontiguousarray(alpha[idx].T)
+        sse[idx] = np.einsum("ij,ij->j", resid, resid)
     recon = fdata.Dataset(
         [fdata.SampledFunction(f.x, fitted[i], id=f.id) for i, f in enumerate(dataset.functions)],
         dataset.targets,

@@ -25,24 +25,30 @@ which gives the base width and every width's design, and the new rows' to
 them, which every path of every width slices by its selected centers. The
 final refit is the last split, with the test rows as its new rows.
 
-The engine skips the trainings that can no longer change the selection.
-Each fold's split is prepared once, up front. Fold 0 trains every call on
-every (k, size). Each call on a (k, size) then runs on its own through
-folds 1 to K - 1, in ascending order of their best fold-0 cell error (ties
-in fold-0 order). Before each fold, a call stops if the least partial score
-of its live cells, those scored in every fold so far, is strictly greater
-than the best complete score so far; a partial score is the sum of the
-cell's fold errors so far over the fold count K, and a call with no live
-cell counts as ``inf``. The bound is exact. A fold error is a finite MSE,
-so it is >= 0, and adding a non-negative float never lowers a sum: a
-stopped call's cells would all end strictly above a score some cell already
-has, so none of them can win or tie. The winner's errors are still summed
-in fold order, and MLP seeds are keyed by the fold and the cell, not by the
-order of training, so the selection, its score and the refit are those of
-training every call in every fold (``fold_major_cv`` in
-``tests/oracles.py``). ``info["pruned_trainings"]`` counts the (call, fold)
-trainings skipped; failure notes keep the fold-major order, and a stopped
-call's cells are not counted as excluded.
+The engine skips the path trainings that can no longer change the
+selection. A path is one ridge's OLS path of an RBFN call, with a cell per
+center count; an MLP call is one path with one cell. Each fold's split is
+prepared once, up front. Fold 0 trains every call on every (k, size). Each
+call on a (k, size) then runs on its own through folds 1 to K - 1, in
+ascending order of their best fold-0 cell error (ties in fold-0 order).
+Before each fold, once some cell is complete, a call keeps only the paths
+that hold a live cell: one scored in every fold so far whose partial score,
+the sum of its fold errors so far over the fold count K, is <= the best
+complete score so far. It trains only those paths, in grid order, and a
+call with none left stops. The bound is exact. A fold error is a finite
+MSE, so it is >= 0, and adding a non-negative float never lowers a sum: a
+dropped path's cells would all end strictly above a score some cell
+already has, so none of them can win or tie. A kept path is grown bit for
+bit as in the whole call (in ``train_ols_paths`` no path reads another's
+numbers), so its predictions do not move. The winner's errors are still
+summed in fold order, and MLP seeds are keyed by the fold and the cell,
+not by the order of training, so the selection, its score and the refit
+are those of training every call in every fold (``fold_major_cv`` in
+``tests/oracles.py``). ``info["pruned_trainings"]`` counts the (call,
+fold) trainings skipped, those of the stopped calls, and on RBFN rows
+``info["pruned_paths"]`` the (call, fold, ridge) path trainings skipped,
+the stopped calls' among them; failure notes keep the fold-major order,
+and the cells of a dropped path are not counted as excluded.
 
 Data-dependent preprocessing (imputation, column standardization, PCA and
 whitening statistics) is one chain of plain arrays, refitted inside every
@@ -526,14 +532,18 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     the first.
 
     Fold 0 trains every call; then each call, taken in ascending order of
-    its best fold-0 cell error, runs through the later folds and stops
-    before a fold once the least partial score of its live cells (summed
-    fold errors over ``len(plan)``) is strictly greater than the best
-    complete score. Errors are >= 0 and a float sum never falls when a
-    non-negative term is added, so a stopped call cannot win or tie, and
-    the selection, ``cv_score`` and test RMSE are bit for bit those of
-    training every call in every fold; ``info["pruned_trainings"]``
-    counts the (call, fold) trainings skipped.
+    its best fold-0 cell error, runs through the later folds. Before each
+    of them, once some cell is complete, it trains only the paths (an
+    RBFN ridge, or the MLP call itself) that hold a live cell, one scored
+    in every fold so far whose partial score (summed fold errors over
+    ``len(plan)``) is <= the best complete score, and it stops when none
+    is left. Errors are >= 0 and a float sum never falls when a
+    non-negative term is added, so a dropped path cannot win or tie, and a
+    kept path is grown as in the whole call: the selection, ``cv_score``
+    and test RMSE are bit for bit those of training every call in every
+    fold. ``info["pruned_trainings"]`` counts the (call, fold) trainings
+    skipped, and on RBFN rows ``info["pruned_paths"]`` the (call, fold,
+    ridge) path trainings skipped, whole stopped calls included.
 
     The final refit, the winner's single call on the full training set,
     predicts the test rows through the same two steps as a fold. The test
@@ -596,8 +606,8 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     tables: list[dict[tuple, tuple[float, int]]] = [{} for _ in units]
     nonfinite = set()
 
-    def score(u, fold):
-        k_imp, n_comp, call, label = units[u]
+    def score(u, fold, call):
+        k_imp, n_comp, _, label = units[u]
         if (k_imp, n_comp) not in prepared[fold]:  # its preparation failed, noted
             return
         tr, va = plan[fold]
@@ -619,22 +629,45 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
 
     K = len(plan)
     for u in range(len(units)):
-        score(u, 0)
-    best, pruned = np.inf, 0
+        score(u, 0, units[u][2])
+    rbfn = spec.model == "rbfn"
+
+    def path(cell):  # an RBFN cell lies on its ridge's path; an MLP call is one path
+        return cell[3] if rbfn else ()
+
+    def narrowed(call, held):
+        """``call`` growing only the paths in ``held``, and how many it grows."""
+        if not rbfn:
+            return call, len(held)
+        mult, ridges, cap = call
+        kept = tuple(r for r in ridges if float(r) in held)
+        return (mult, kept, cap), len(kept)
+
+    best, pruned, pruned_paths = np.inf, 0, 0
     for u in sorted(range(len(units)),
                     key=lambda u: (min((t for t, _ in tables[u].values()), default=np.inf), u)):
+        full = call = units[u][2]
+        n_paths = len(full[1]) if rbfn else 1
         for fold in range(1, K):
-            # a live cell was scored in every fold so far; its score can only grow
-            live = [total / K for total, folds in tables[u].values() if folds == fold]
-            if min(live, default=np.inf) > best:
-                pruned += K - fold
-                tables[u] = {}  # no cell of it can win, and none counts as excluded
-                break
-            score(u, fold)
+            if best < np.inf:  # no bound before some cell is complete
+                # a live cell was scored in every fold so far; its score can only grow
+                held = {path(cell) for cell, (total, folds) in tables[u].items()
+                        if folds == fold and total / K <= best}
+                # no cell of a dropped path can win, and none counts as excluded
+                tables[u] = {cell: e for cell, e in tables[u].items() if path(cell) in held}
+                call, kept = narrowed(full, held)
+                if not kept:
+                    pruned += K - fold
+                    pruned_paths += n_paths * (K - fold)
+                    break
+                pruned_paths += n_paths - kept
+            score(u, fold, call)
         best = min([best, *(total / K for total, folds in tables[u].values() if folds == K)])
     fold_failures = [note for _, note in sorted(failures, key=lambda f: f[0])]
     notes.extend(fold_failures)
     stage.info["pruned_trainings"] = pruned
+    if rbfn:
+        stage.info["pruned_paths"] = pruned_paths
 
     table = {cell: entry for t in tables for cell, entry in t.items()}
     scores = {cell: total / K for cell, (total, folds) in table.items() if folds == K}

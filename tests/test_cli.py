@@ -216,6 +216,39 @@ def test_represent_loo_lists_pruned_sizes(tmp_path):
         [*sel.scores, *sel.pruned, *sel.skipped])
 
 
+def test_represent_loo_writes_the_refit_outputs(tmp_path, monkeypatch):
+    # the selected size's coefficients come from its leave-one-out fits, not
+    # a refit, and every output is byte for byte that of representing the
+    # curves at that size, which refits them; the holes give every curve
+    # its own grid
+    ds = fdata.make_holes(synthetic_dataset(np.random.default_rng(424), n=38, m=24,
+                                            noise=0.005), 0.15, seed=9)
+    data = tmp_path / "holed.pairs"
+    fdata.save_generic_pairs(ds, data)
+
+    def run(dimension, out):
+        assert cli.main(["represent", "--data", str(data), "--format", "generic-pairs",
+                         "--dimension", dimension, "--out", str(out), "--emit-curves",
+                         "--curve-functions", "3"]) == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    with monkeypatch.context() as mp:
+        mp.setattr(represent, "fit_dataset", None)  # the loo route must not refit
+        selected = run("loo", tmp_path / "loo")
+    fixed = run(str(selected["dimension"]), tmp_path / "fixed")
+    grids = fdata.Grids(fdata.load_dataset(data, "generic-pairs").functions)
+    basis = represent.make_basis("bspline", ds.domain, selected["dimension"])
+    assert selected["mean_sse"] == float(np.mean(represent.fit_dataset(grids, basis)[1]))
+    assert {k: v for k, v in selected.items() if k != "args"} == {
+        k: v for k, v in fixed.items() if k != "args"}
+    files = sorted(p.name for p in (tmp_path / "fixed").iterdir() if p.name != "manifest.json")
+    assert "alpha.csv" in files and "reconstruction.pairs" in files
+    assert sorted(files + ["loo_report.csv"]) == sorted(
+        p.name for p in (tmp_path / "loo").iterdir() if p.name != "manifest.json")
+    for name in files:
+        assert (tmp_path / "loo" / name).read_bytes() == (tmp_path / "fixed" / name).read_bytes()
+
+
 def test_experiment_command(pairs_file, tmp_path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(SMALL_SPEC))

@@ -280,6 +280,35 @@ class TestTrainOlsPaths:
         width = width_mult * width_of(X)
         self._assert_matches_reference(X, y, width, ridges, max_centers=n)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 40),
+        d=st.integers(1, 4),
+        width_mult=st.sampled_from(rbfn.WIDTH_MULTIPLIERS),
+        kept=st.sets(st.integers(0, len(rbfn.RIDGE_GRID) - 1), min_size=1).map(sorted),
+    )
+    def test_a_subset_of_the_ridges_grows_the_same_paths_property(
+            self, seed, n, d, width_mult, kept):
+        # the premise of pruning by ridge: a cross-validation fold trains
+        # only the ridges that can still win, in grid order, and each of
+        # their paths, and so each of its scores, must be the full grid's
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-3.0, 3.0, size=(n, d))
+        y = rng.uniform(-3.0, 3.0, size=n)
+        D = rbfn.sq_distances(X, X)
+        D_new = rbfn.sq_distances(rng.uniform(-3.0, 3.0, size=(7, d)), X)
+        width = width_mult * rbfn.median_width(D)
+        cap = min(n, rbfn.MAX_CENTERS_CAP)
+        full = rbfn.train_ols_paths(D, y, width, rbfn.RIDGE_GRID, cap)
+        subset = rbfn.train_ols_paths(D, y, width, [rbfn.RIDGE_GRID[i] for i in kept], cap)
+        for i, path in zip(kept, subset):
+            assert path.ridge == full[i].ridge
+            for got, want in [(getattr(path, f), getattr(full[i], f)) for f in
+                              ("selected", "gs_coefs", "ortho_weights", "objective")] + [
+                    (path.predictions(D_new), full[i].predictions(D_new))]:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestPathPredictions:
     """Oracles for scoring every truncation of a path at once: column

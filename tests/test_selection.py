@@ -578,6 +578,11 @@ class TestPruning:
         assert report.cv_score.hex() == cv_score.hex()
         assert report.test_rmse.hex() == test_rmse.hex()
         assert report.info["pruned_trainings"] > 0
+        if rbfn_row:  # single ridges are dropped too, not only whole calls
+            stopped = len(SMALL_RBFN.ridges) * report.info["pruned_trainings"]
+            assert report.info["pruned_paths"] > stopped
+        else:
+            assert "pruned_paths" not in report.info
 
     @staticmethod
     def run(monkeypatch, errors, engine=run_experiment):
@@ -682,6 +687,151 @@ class TestPruning:
             "in it",
             "1 cells not scored in every fold were excluded",
         )
+
+    MULTS, RIDGES = (0.5, 1.0, 2.0), (1e-3, 1e-2, 1e-1)
+
+    class FakePath:
+        """A path whose k-center network predicts ``levels[k - 1]`` on every
+        row, so on zero targets its fold error is exactly that squared."""
+
+        def __init__(self, levels):
+            self.levels = np.array(levels, dtype=float)
+            self.max_size = self.levels.size
+
+        def predictions(self, sq_dists):
+            return np.tile(self.levels, (sq_dists.shape[0], 1))
+
+    @classmethod
+    def run_paths(cls, monkeypatch, levels, n_ridges, engine=run_experiment):
+        """Run a 4-fold RBFN row whose targets are all 0, with the width
+        multipliers ``MULTS[:len(levels)]`` and the ridges
+        ``RIDGES[:n_ridges]``. In fold f, width c's training fails where
+        ``levels[c][f]`` is None; otherwise its ridge r grows a path of
+        ``len(levels[c][f][r])`` centers whose k-center network predicts
+        ``levels[c][f][r][k - 1]``. Returns ``engine``'s result and the
+        trainings made in order, ``(fold, multiplier, ridges)`` each, with
+        the refit's fold ``"final"``."""
+        X = np.random.default_rng(8).normal(size=(30, 3))
+        train, test = vector_dataset(X[:24], np.zeros(24)), vector_dataset(X[24:], np.zeros(6))
+        mults = cls.MULTS[:len(levels)]
+        spec = ExperimentSpec(
+            "ridge-pruning", "rbfn", RepresentationSpec("raw"),
+            rbfn=RbfnSettings(width_multipliers=mults, ridges=cls.RIDGES[:n_ridges],
+                              max_centers=3),
+            seed=1,
+        )
+        plan = make_folds(24, spec.folds, derive_seed(spec.seed, "folds"))
+        fold_of = {rbfn_mod.sq_distances(X[tr], X[tr]).tobytes(): fold
+                   for fold, (tr, _) in enumerate(plan)}
+        trainings = []
+
+        def train_ols_paths(sq_dists, y, width, ridges, max_centers):
+            fold = fold_of.get(sq_dists.tobytes(), "final")
+            c = next(c for c, m in enumerate(mults)
+                     if m * rbfn_mod.median_width(sq_dists) == width)
+            trainings.append((fold, mults[c], tuple(ridges)))
+            if fold == "final":  # a test RMSE that names the width, ridge and size
+                return [cls.FakePath(10 * c + cls.RIDGES.index(r) + np.arange(max_centers))
+                        for r in ridges]
+            if levels[c][fold] is None:
+                raise TrainingError("drawn failure")
+            return [cls.FakePath(levels[c][fold][cls.RIDGES.index(r)]) for r in ridges]
+
+        monkeypatch.setattr(rbfn_mod, "train_ols_paths", train_ols_paths)
+        return engine(spec, train, test), trainings
+
+    @staticmethod
+    def _drawn_levels(n_ridges):
+        # per width and fold: a failed training one time in five, or per
+        # ridge a path of 1-3 centers predicting 0-3 (errors 0, 1, 4, 9) or,
+        # rarely, NaN; a wider range or more NaNs draws too few late winners
+        level = st.integers(0, 12).map(lambda v: np.nan if v == 12 else v % 4)
+        paths = st.tuples(*n_ridges * [st.lists(level, min_size=1, max_size=3).map(tuple)])
+        fold = st.tuples(st.integers(0, 4), paths).map(lambda t: t[1] if t[0] else None)
+        return st.tuples(st.just(n_ridges), st.lists(st.tuples(*4 * [fold]), min_size=1,
+                                                     max_size=3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=st.integers(1, 3).flatmap(_drawn_levels))
+    # width 1's ridge 2 wins on later folds although its fold-0 error (4)
+    # is worse than width 0's best (1), which completes first with 5 / 4;
+    # dropping a ridge once 1.5 times its partial score (1.5 > 5 / 4)
+    # exceeds the best would lose it
+    @example(drawn=(2, [(((1,), (3,)), ((0,), (3,)), ((0,), (3,)), ((2,), (3,))),
+                        (((3,), (2,)), ((0,), (0,)), ((0,), (0,)), ((0,), (0,)))]))
+    # width 0.5's ridge 1e-3 ties width 1's complete score from behind and
+    # wins as the smaller cell; dropping a ridge on a tie would lose it
+    @example(drawn=(2, [(((2,), (3,)), ((0,), (0,)), ((0,), (0,)), ((0,), (0,))),
+                        4 * (((1,), (3,)),)]))
+    def test_ridge_pruned_engine_equals_the_fold_major_oracle_on_drawn_paths(self, drawn):
+        n_ridges, levels = drawn
+        with pytest.MonkeyPatch.context() as mp:
+            expected, _ = self.run_paths(mp, levels, n_ridges, fold_major_cv)
+            if expected is None:
+                with pytest.raises(ConfigError, match="no grid cell was scored in every fold"):
+                    self.run_paths(mp, levels, n_ridges)
+                return
+            report, _ = self.run_paths(mp, levels, n_ridges)
+        selected, cv_score, test_rmse = expected
+        assert report.selected == selected
+        assert report.cv_score.hex() == cv_score.hex()
+        assert report.test_rmse.hex() == test_rmse.hex()
+
+    def test_a_ridge_is_ruled_out_at_a_later_fold(self, monkeypatch):
+        # width 0.5 (fold-0 error 1, first in call order) runs while no
+        # cell is complete, so on both ridges, and completes with 1 on
+        # ridge 1e-3. Width 1's ridge 1e-3 has partial scores 1/4 and 2/4
+        # before folds 1 and 2, then 6/4 > 1: only ridge 1e-2 trains fold
+        # 3, and wins with 1/4. Width 2 (fold-0 error 9) stops before fold 1.
+        report, trainings = self.run_paths(monkeypatch, [
+            4 * [((1,), (3,))],
+            [((1,), (1,)), ((1,), (0,)), ((2,), (0,)), ((0,), (0,))],
+            4 * [((3,), (3,))],
+        ], 2)
+        both = self.RIDGES[:2]
+        assert trainings == [
+            (0, 0.5, both), (0, 1.0, both), (0, 2.0, both),
+            (1, 0.5, both), (2, 0.5, both), (3, 0.5, both),
+            (1, 1.0, both), (2, 1.0, both), (3, 1.0, (1e-2,)),
+            ("final", 1.0, (1e-2,)),
+        ]
+        assert report.info["pruned_trainings"] == 3
+        # one path of width 1, and the two of width 2 in folds 1-3
+        assert report.info["pruned_paths"] == 1 + 2 * 3
+        assert report.selected == {"width_multiplier": 1.0, "ridge": 1e-2, "n_centers": 1}
+        assert report.cv_score == 0.25
+        assert report.notes == ()
+
+    def test_a_ridge_whose_partial_score_equals_the_best_is_kept(self, monkeypatch):
+        # width 1 runs first (fold-0 error 1 < 4) and completes with 1.
+        # Width 0.5's ridge 1e-3 has the partial score 4/4, equal to it, so
+        # it runs on, ties at 1 and wins as the smaller cell; its ridge 1e-2
+        # (9/4) is dropped before fold 1
+        report, trainings = self.run_paths(monkeypatch, [
+            [((2,), (3,)), ((0,), (0,)), ((0,), (0,)), ((0,), (0,))],
+            4 * [((1,), (3,))],
+        ], 2)
+        assert [t for t in trainings if t[1] == 0.5] == [
+            (0, 0.5, self.RIDGES[:2]), (1, 0.5, (1e-3,)), (2, 0.5, (1e-3,)),
+            (3, 0.5, (1e-3,)), ("final", 0.5, (1e-3,)),
+        ]
+        assert report.info["pruned_paths"] == 3
+        assert report.selected == {"width_multiplier": 0.5, "ridge": 1e-3, "n_centers": 1}
+        assert report.cv_score == 1.0
+
+    def test_a_dropped_ridges_cells_are_not_counted_as_excluded(self, monkeypatch):
+        # width 1 completes first with 1. Width 0.5 grows two centers per
+        # ridge in fold 0 and one afterwards: its ridge 1e-3 runs on (the
+        # 1-center partial score 4/4 ties the best), and its 2-center cell,
+        # short of folds 1-3, is excluded; ridge 1e-2 (9/4 and 16/4) is
+        # dropped before fold 1, and its two cells leave the table
+        report, _ = self.run_paths(monkeypatch, [
+            [((2, 3), (3, 4)), ((0,), (0,)), ((0,), (0,)), ((0,), (0,))],
+            4 * [((1,), (3,))],
+        ], 2)
+        assert report.info["pruned_paths"] == 3
+        assert report.selected == {"width_multiplier": 0.5, "ridge": 1e-3, "n_centers": 1}
+        assert report.notes == ("1 cells not scored in every fold were excluded",)
 
 
 class TestFailingTrainingCall:

@@ -17,8 +17,10 @@ with 10 % holes on the holed tables and the fixed 172/43 split of ``fdareg
 suite``, and compares the row JSONs the command writes byte for byte.
 
 Every row that differs is printed with the fields that differ (a suite
-row's JSON is compared by top-level key); the exit status is 1 if any row
-differs.
+row's JSON is compared by top-level key, and ``info`` by its keys, printed
+as ``info.<key>``), and a last line counts the differing rows per field, so
+that "only these keys moved" reads off one line; the exit status is 1 if
+any row differs.
 The benchmark modules are imported without writing bytecode, and BLAS runs
 one thread, as in the benchmark.
 """
@@ -32,6 +34,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -136,26 +139,63 @@ def _fields(group: str, row) -> dict:
     return row if isinstance(row, dict) else {"error": row}
 
 
+def _differing(old: dict, new: dict) -> list[tuple[str, object, object]]:
+    """The fields of two rows that differ, ``(field, base, tree)`` each; when
+    both rows have an ``info`` dict, its keys that differ are fields
+    ``info.<key>`` of their own."""
+    missing = "(missing)"
+    out = []
+    for field in sorted(old.keys() | new.keys()):
+        a, b = old.get(field, missing), new.get(field, missing)
+        if field == "info" and isinstance(a, dict) and isinstance(b, dict):
+            out += _differing({f"info.{k}": v for k, v in a.items()},
+                              {f"info.{k}": v for k, v in b.items()})
+        elif a != b:
+            out.append((field, a, b))
+    return out
+
+
+def differences(base: dict, head: dict) -> dict[str, list | str]:
+    """Per row that is missing on a side or differs, keyed ``"<group>: <row>"``:
+    the side it is missing on, or its differing fields (:func:`_differing`),
+    empty when only the JSON text differs."""
+    rows = {}
+    for group in ("workloads", "suite"):
+        for key in sorted(base[group].keys() | head[group].keys()):
+            if key not in base[group] or key not in head[group]:
+                rows[f"{group}: {key}"] = "base" if key not in base[group] else "working tree"
+            elif base[group][key] != head[group][key]:
+                rows[f"{group}: {key}"] = _differing(_fields(group, base[group][key]),
+                                                     _fields(group, head[group][key]))
+    return rows
+
+
 def compare(base: dict, head: dict) -> list[str]:
     """One entry per row that is missing on a side or differs; a differing
     row lists only the fields that differ, with both sides' values."""
     lines = []
-    for group in ("workloads", "suite"):
-        for key in sorted(base[group].keys() | head[group].keys()):
-            if key not in base[group] or key not in head[group]:
-                side = "base" if key not in base[group] else "working tree"
-                lines.append(f"{group}: {key}: missing on the {side}")
-            elif base[group][key] != head[group][key]:
-                old, new = _fields(group, base[group][key]), _fields(group, head[group][key])
-                fields = [field for field in sorted(old.keys() | new.keys())
-                          if field not in old or field not in new or old[field] != new[field]]
-                if not fields:
-                    lines.append(f"{group}: {key}: equal fields, different JSON text")
-                    continue
-                lines.append(f"{group}: {key}:" + "".join(
-                    f"\n  {field}\n    base: {old.get(field, '(missing)')}"
-                    f"\n    tree: {new.get(field, '(missing)')}" for field in fields))
+    for row, fields in differences(base, head).items():
+        if isinstance(fields, str):
+            lines.append(f"{row}: missing on the {fields}")
+        elif not fields:
+            lines.append(f"{row}: equal fields, different JSON text")
+        else:
+            lines.append(f"{row}:" + "".join(
+                f"\n  {field}\n    base: {old}\n    tree: {new}" for field, old, new in fields))
     return lines
+
+
+def tally(base: dict, head: dict) -> str:
+    """One line counting the rows that differ in each field, most first."""
+    counts = Counter()
+    for fields in differences(base, head).values():
+        if isinstance(fields, str):
+            counts["(missing row)"] += 1
+        else:
+            counts.update([field for field, _, _ in fields] or ["(JSON text)"])
+    return "rows differing per field: " + (", ".join(
+        f"{field} {n}" for field, n in sorted(counts.items(), key=lambda c: (-c[1], c[0])))
+        or "none")
 
 
 def main(argv=None) -> int:
@@ -189,6 +229,7 @@ def main(argv=None) -> int:
         print(line)
     rows = len(head["workloads"]) + len(head["suite"])
     print(f"{len(differ)} of {rows} rows differ from {args.base}")
+    print(tally(base, head))
     return 1 if differ else 0
 
 
