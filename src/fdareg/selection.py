@@ -35,20 +35,27 @@ Before each fold, once some cell is complete, a call keeps only the paths
 that hold a live cell: one scored in every fold so far whose partial score,
 the sum of its fold errors so far over the fold count K, is <= the best
 complete score so far. It trains only those paths, in grid order, and a
-call with none left stops. The bound is exact. A fold error is a finite
-MSE, so it is >= 0, and adding a non-negative float never lowers a sum: a
-dropped path's cells would all end strictly above a score some cell
-already has, so none of them can win or tie. A kept path is grown bit for
-bit as in the whole call (in ``train_ols_paths`` no path reads another's
-numbers), so its predictions do not move. The winner's errors are still
-summed in fold order, and MLP seeds are keyed by the fold and the cell,
-not by the order of training, so the selection, its score and the refit
-are those of training every call in every fold (``fold_major_cv`` in
-``tests/oracles.py``). ``info["pruned_trainings"]`` counts the (call,
-fold) trainings skipped, those of the stopped calls, and on RBFN rows
-``info["pruned_paths"]`` the (call, fold, ridge) path trainings skipped,
-the stopped calls' among them; failure notes keep the fold-major order,
-and the cells of a dropped path are not counted as excluded.
+call with none left stops. A call that starts its later folds with no
+complete cell (in practice the first) first grows its lead path alone
+through folds 1 to K - 1: the path of its best fold-0 cell, ties going to
+the smallest cell. The best of the lead's complete cells sets the bound
+under which the call's other paths then run their later folds; if the
+lead completes none, they run unbounded. The bound is exact. A fold error
+is a finite MSE, so it is >= 0, and adding a non-negative float never
+lowers a sum: a dropped path's cells would all end strictly above a score
+some cell already has, so none of them can win or tie. A kept path is
+grown bit for bit as in the whole call (in ``train_ols_paths`` no path
+reads another's numbers), so its predictions do not move. The winner's
+errors are still summed in fold order, and MLP seeds are keyed by the fold
+and the cell, not by the order of training, so the selection, its score
+and the refit are those of training every call in every fold
+(``fold_major_cv`` in ``tests/oracles.py``). ``info["pruned_trainings"]``
+counts the (call, fold) pairs in which no path of the call trained, those
+of the stopped calls, and on RBFN rows ``info["pruned_paths"]`` the (call,
+fold, ridge) path trainings skipped, the stopped calls' among them. Failure
+notes keep the fold-major order, one per failing (fold, call) even when
+its lead and its other paths both fail, and the cells of a dropped path
+are not counted as excluded.
 
 Data-dependent preprocessing (imputation, column standardization, PCA and
 whitening statistics) is one chain of plain arrays, refitted inside every
@@ -537,13 +544,18 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     RBFN ridge, or the MLP call itself) that hold a live cell, one scored
     in every fold so far whose partial score (summed fold errors over
     ``len(plan)``) is <= the best complete score, and it stops when none
-    is left. Errors are >= 0 and a float sum never falls when a
-    non-negative term is added, so a dropped path cannot win or tie, and a
-    kept path is grown as in the whole call: the selection, ``cv_score``
-    and test RMSE are bit for bit those of training every call in every
-    fold. ``info["pruned_trainings"]`` counts the (call, fold) trainings
-    skipped, and on RBFN rows ``info["pruned_paths"]`` the (call, fold,
-    ridge) path trainings skipped, whole stopped calls included.
+    is left. A call that meets no complete cell first runs its lead path
+    (the one holding its best fold-0 cell, ties to the smallest cell)
+    alone through the later folds, as a one-ridge call on RBFN rows, so
+    that its other paths run under the bound the lead sets. Errors are
+    >= 0 and a float sum never falls when a non-negative term is added, so
+    a dropped path cannot win or tie, and a kept path is grown as in the
+    whole call: the selection, ``cv_score`` and test RMSE are bit for bit
+    those of training every call in every fold.
+    ``info["pruned_trainings"]`` counts the (call, fold) pairs in which no
+    path of the call trained, and on RBFN rows ``info["pruned_paths"]``
+    the (call, fold, ridge) path trainings skipped, whole stopped calls
+    included.
 
     The final refit, the winner's single call on the full training set,
     predicts the test rows through the same two steps as a fold. The test
@@ -588,13 +600,16 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     # a unit: one training call on one (k, size), in fold-major order
     units = [(k_imp, n_comp, call, label) for k_imp in ks for n_comp in comp_grid
              for call, label in calls]
-    failures = []  # ((fold, unit, training?), note), sorted into fold-major order
+    # (fold, unit, training?) -> note, sorted into fold-major order; a call
+    # split into its lead path and the rest keeps its first note of a fold
+    failures = {}
 
     def failed_in(fold):
         def failed(exc, k_imp, n_comp, label):
             u = next(u for u, (k, c, _, name) in enumerate(units)
                      if k == k_imp and n_comp in (0, c) and label in ("", name))
-            failures.append(((fold, u, bool(label)), _fold_note(fold, exc, k_imp, n_comp, label)))
+            failures.setdefault((fold, u, bool(label)),
+                                _fold_note(fold, exc, k_imp, n_comp, label))
         return failed
 
     def rows(idx):
@@ -620,12 +635,12 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
         y_va = y[va]
         for cells, P in trained:
             mse = np.sum((P - y_va[:, None]) ** 2, axis=0) / y_va.size
-            for cell, error in zip(cells, mse):
-                if not np.isfinite(error):
+            for cell, error, finite in zip(cells, mse.tolist(), np.isfinite(mse).tolist()):
+                if not finite:
                     nonfinite.add(cell)
                     continue
                 total, folds = tables[u].get(cell, (0.0, 0))
-                tables[u][cell] = (total + float(error), folds + 1)
+                tables[u][cell] = (total + error, folds + 1)
 
     K = len(plan)
     for u in range(len(units)):
@@ -636,34 +651,42 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
         return cell[3] if rbfn else ()
 
     def narrowed(call, held):
-        """``call`` growing only the paths in ``held``, and how many it grows."""
+        """``call`` growing only the paths in ``held``, in grid order."""
         if not rbfn:
-            return call, len(held)
+            return call
         mult, ridges, cap = call
-        kept = tuple(r for r in ridges if float(r) in held)
-        return (mult, kept, cap), len(kept)
+        return mult, tuple(r for r in ridges if float(r) in held), cap
 
     best, pruned, pruned_paths = np.inf, 0, 0
     for u in sorted(range(len(units)),
                     key=lambda u: (min((t for t, _ in tables[u].values()), default=np.inf), u)):
-        full = call = units[u][2]
-        n_paths = len(full[1]) if rbfn else 1
-        for fold in range(1, K):
-            if best < np.inf:  # no bound before some cell is complete
-                # a live cell was scored in every fold so far; its score can only grow
-                held = {path(cell) for cell, (total, folds) in tables[u].items()
-                        if folds == fold and total / K <= best}
-                # no cell of a dropped path can win, and none counts as excluded
-                tables[u] = {cell: e for cell, e in tables[u].items() if path(cell) in held}
-                call, kept = narrowed(full, held)
-                if not kept:
-                    pruned += K - fold
-                    pruned_paths += n_paths * (K - fold)
-                    break
-                pruned_paths += n_paths - kept
-            score(u, fold, call)
-        best = min([best, *(total / K for total, folds in tables[u].values() if folds == K)])
-    fold_failures = [note for _, note in sorted(failures, key=lambda f: f[0])]
+        full = units[u][2]
+        every = {float(r) for r in full[1]} if rbfn else {()}
+        groups = [every]
+        if best == np.inf and tables[u]:
+            # no bound yet: the path of the best fold-0 cell runs its later
+            # folds alone, and its complete cells bound the other paths'
+            lead = path(min(tables[u], key=lambda c: (tables[u][c][0], c)))
+            groups = [{lead}, every - {lead}]
+        for group in filter(None, groups):
+            held = group
+            for fold in range(1, K):
+                if best < np.inf:  # no bound before some cell is complete
+                    # a live cell was scored in every fold so far; its score can only grow
+                    held = {path(cell) for cell, (total, folds) in tables[u].items()
+                            if path(cell) in group and folds == fold and total / K <= best}
+                    # no cell of a dropped path can win, and none counts as excluded
+                    tables[u] = {cell: e for cell, e in tables[u].items()
+                                 if path(cell) in held or path(cell) not in group}
+                    if not held:
+                        pruned_paths += len(group) * (K - fold)
+                        if group is every:  # else the lead path trained in these folds
+                            pruned += K - fold
+                        break
+                    pruned_paths += len(group) - len(held)
+                score(u, fold, narrowed(full, held))
+            best = min([best, *(total / K for total, folds in tables[u].values() if folds == K)])
+    fold_failures = [note for _, note in sorted(failures.items())]
     notes.extend(fold_failures)
     stage.info["pruned_trainings"] = pruned
     if rbfn:

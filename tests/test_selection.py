@@ -763,6 +763,14 @@ class TestPruning:
     # wins as the smaller cell; dropping a ridge on a tie would lose it
     @example(drawn=(2, [(((2,), (3,)), ((0,), (0,)), ((0,), (0,)), ((0,), (0,))),
                         4 * (((1,), (3,)),)]))
+    # width 0.5's lead ridge 1e-3 (fold-0 error 0) completes with 12 / 4;
+    # its ridge 1e-2 then runs under that bound and wins with 1 / 4
+    @example(drawn=(2, [(((0,), (1,)), ((2,), (0,)), ((2,), (0,)), ((2,), (0,)))]))
+    # the lead ridge 1e-3 (its 2-center cell, fold-0 error 0) stops at one
+    # center in fold 1, so none of its cells completes: ridge 1e-2 runs its
+    # later folds with no bound and wins with 4 / 4
+    @example(drawn=(2, [(((np.nan, 0), (1,)), ((3,), (1,)), ((0, 0), (1,)),
+                         ((0, 0), (1,)))]))
     def test_ridge_pruned_engine_equals_the_fold_major_oracle_on_drawn_paths(self, drawn):
         n_ridges, levels = drawn
         with pytest.MonkeyPatch.context() as mp:
@@ -777,12 +785,91 @@ class TestPruning:
         assert report.cv_score.hex() == cv_score.hex()
         assert report.test_rmse.hex() == test_rmse.hex()
 
+    def test_the_lead_ridge_runs_alone_before_the_others(self, monkeypatch):
+        # no cell is complete when width 0.5 starts its later folds. Its
+        # best fold-0 cells tie at error 1, ridge 1e-3's 2-center cell and
+        # ridge 1e-2's 1-center cell; the smaller cell's ridge 1e-3 leads,
+        # runs folds 1-3 alone and completes with 4 / 4 = 1. Ridges 1e-2
+        # (partial score 1/4) and 1e-1 (4/4, equal to the bound) hold live
+        # cells, so both run folds 1-3, and ridge 1e-2 wins with 1/4
+        report, trainings = self.run_paths(monkeypatch, [
+            [((3, 1), (1,), (2,))] + 3 * [((3, 1), (0,), (0,))],
+        ], 3)
+        rest = self.RIDGES[1:]
+        assert trainings == [
+            (0, 0.5, self.RIDGES),
+            (1, 0.5, (1e-3,)), (2, 0.5, (1e-3,)), (3, 0.5, (1e-3,)),
+            (1, 0.5, rest), (2, 0.5, rest), (3, 0.5, rest),
+            ("final", 0.5, (1e-2,)),
+        ]
+        assert report.info["pruned_trainings"] == 0
+        assert report.info["pruned_paths"] == 0
+        assert report.selected == {"width_multiplier": 0.5, "ridge": 1e-2, "n_centers": 1}
+        assert report.cv_score == 0.25
+        assert report.notes == ()
+
+    def test_a_lead_calls_dropped_ridges_are_pruned_paths_not_trainings(self, monkeypatch):
+        # width 0.5's lead ridge 1e-3 completes with 3/4; its ridges 1e-2
+        # (4/4) and 1e-1 (9/4) are dropped before fold 1, while the lead
+        # trains folds 1-3, so they add 2 x 3 paths and no training. Width
+        # 1 (fold-0 error 9 on every ridge) stops before fold 1: 3 trainings
+        # and 3 x 3 paths
+        report, trainings = self.run_paths(monkeypatch, [
+            [((0,), (2,), (3,))] + 3 * [((1,), (0,), (0,))],
+            4 * [((3,), (3,), (3,))],
+        ], 3)
+        assert trainings == [
+            (0, 0.5, self.RIDGES), (0, 1.0, self.RIDGES),
+            (1, 0.5, (1e-3,)), (2, 0.5, (1e-3,)), (3, 0.5, (1e-3,)),
+            ("final", 0.5, (1e-3,)),
+        ]
+        assert report.info["pruned_trainings"] == 3
+        assert report.info["pruned_paths"] == 2 * 3 + 3 * 3
+        assert report.selected == {"width_multiplier": 0.5, "ridge": 1e-3, "n_centers": 1}
+        assert report.cv_score == 0.75
+
+    def test_a_failure_of_a_split_call_is_noted_once(self, monkeypatch):
+        # width 0.5 (fold-0 error 0) fails in fold 2. Its lead ridge 1e-3
+        # and then its ridge 1e-2 each run folds 1-3, with no bound as the
+        # lead completes nothing: both fail in fold 2, and the call gets
+        # one note. Width 1 then meets no complete cell either: its lead
+        # ridge 1e-3 completes with 1, and its ridge 1e-2 runs fold 1 (4/4)
+        # and is dropped before fold 2 (8/4 > 1)
+        report, trainings = self.run_paths(monkeypatch, [
+            [((0,), (1,)), ((0,), (1,)), None, ((0,), (1,))], 4 * [((1,), (2,))],
+        ], 2)
+        lead, rest = (1e-3,), (1e-2,)
+        assert trainings == [
+            (0, 0.5, self.RIDGES[:2]), (0, 1.0, self.RIDGES[:2]),
+            (1, 0.5, lead), (2, 0.5, lead), (3, 0.5, lead),
+            (1, 0.5, rest), (2, 0.5, rest), (3, 0.5, rest),
+            (1, 1.0, lead), (2, 1.0, lead), (3, 1.0, lead),
+            (1, 1.0, rest), ("final", 1.0, lead),
+        ]
+        assert (report.info["pruned_trainings"], report.info["pruned_paths"]) == (0, 2)
+        assert report.selected == {"width_multiplier": 1.0, "ridge": 1e-3, "n_centers": 1}
+        assert report.notes == (
+            "fold 2, width_multiplier=0.5: drawn failure",
+            "2 cells not scored in every fold were excluded",
+        )
+        # with no cell complete, each failing (fold, call) counts once in
+        # the error although its lead and its other ridge both failed
+        cause = ("no grid cell was scored in every fold; 2 fold failures, first: "
+                 "fold 1, width_multiplier=1: drawn failure")
+        with pytest.raises(ConfigError, match=re.escape(cause)):
+            self.run_paths(monkeypatch, [
+                [((0,), (1,)), ((0,), (1,)), None, ((0,), (1,))],
+                [((1,), (2,)), None, ((1,), (2,)), ((1,), (2,))],
+            ], 2)
+
     def test_a_ridge_is_ruled_out_at_a_later_fold(self, monkeypatch):
-        # width 0.5 (fold-0 error 1, first in call order) runs while no
-        # cell is complete, so on both ridges, and completes with 1 on
-        # ridge 1e-3. Width 1's ridge 1e-3 has partial scores 1/4 and 2/4
-        # before folds 1 and 2, then 6/4 > 1: only ridge 1e-2 trains fold
-        # 3, and wins with 1/4. Width 2 (fold-0 error 9) stops before fold 1.
+        # width 0.5 (fold-0 error 1, first in call order) starts its later
+        # folds with no cell complete, so its lead ridge 1e-3 (the fold-0
+        # error 1 against 9) runs alone through folds 1-3 and completes
+        # with 1; ridge 1e-2 (9/4 > 1) is then dropped before fold 1. Width
+        # 1's ridge 1e-3 has partial scores 1/4 and 2/4 before folds 1 and
+        # 2, then 6/4 > 1: only ridge 1e-2 trains fold 3, and wins with
+        # 1/4. Width 2 (fold-0 error 9) stops before fold 1.
         report, trainings = self.run_paths(monkeypatch, [
             4 * [((1,), (3,))],
             [((1,), (1,)), ((1,), (0,)), ((2,), (0,)), ((0,), (0,))],
@@ -791,22 +878,26 @@ class TestPruning:
         both = self.RIDGES[:2]
         assert trainings == [
             (0, 0.5, both), (0, 1.0, both), (0, 2.0, both),
-            (1, 0.5, both), (2, 0.5, both), (3, 0.5, both),
+            (1, 0.5, (1e-3,)), (2, 0.5, (1e-3,)), (3, 0.5, (1e-3,)),
             (1, 1.0, both), (2, 1.0, both), (3, 1.0, (1e-2,)),
             ("final", 1.0, (1e-2,)),
         ]
+        # width 2's folds 1-3; width 0.5's lead trained in those of its
+        # dropped ridge
         assert report.info["pruned_trainings"] == 3
-        # one path of width 1, and the two of width 2 in folds 1-3
-        assert report.info["pruned_paths"] == 1 + 2 * 3
+        # width 0.5's ridge 1e-2 in folds 1-3, one path of width 1, and the
+        # two of width 2 in folds 1-3
+        assert report.info["pruned_paths"] == 3 + 1 + 2 * 3
         assert report.selected == {"width_multiplier": 1.0, "ridge": 1e-2, "n_centers": 1}
         assert report.cv_score == 0.25
         assert report.notes == ()
 
     def test_a_ridge_whose_partial_score_equals_the_best_is_kept(self, monkeypatch):
-        # width 1 runs first (fold-0 error 1 < 4) and completes with 1.
-        # Width 0.5's ridge 1e-3 has the partial score 4/4, equal to it, so
-        # it runs on, ties at 1 and wins as the smaller cell; its ridge 1e-2
-        # (9/4) is dropped before fold 1
+        # width 1 runs first (fold-0 error 1 < 4): its lead ridge 1e-3
+        # completes alone with 1, and its ridge 1e-2 (9/4) is dropped
+        # before fold 1. Width 0.5's ridge 1e-3 has the partial score 4/4,
+        # equal to the best, so it runs on, ties at 1 and wins as the
+        # smaller cell; its ridge 1e-2 (9/4) is dropped before fold 1
         report, trainings = self.run_paths(monkeypatch, [
             [((2,), (3,)), ((0,), (0,)), ((0,), (0,)), ((0,), (0,))],
             4 * [((1,), (3,))],
@@ -815,21 +906,24 @@ class TestPruning:
             (0, 0.5, self.RIDGES[:2]), (1, 0.5, (1e-3,)), (2, 0.5, (1e-3,)),
             (3, 0.5, (1e-3,)), ("final", 0.5, (1e-3,)),
         ]
-        assert report.info["pruned_paths"] == 3
+        # one ridge of each width in folds 1-3
+        assert report.info["pruned_paths"] == 3 + 3
         assert report.selected == {"width_multiplier": 0.5, "ridge": 1e-3, "n_centers": 1}
         assert report.cv_score == 1.0
 
     def test_a_dropped_ridges_cells_are_not_counted_as_excluded(self, monkeypatch):
-        # width 1 completes first with 1. Width 0.5 grows two centers per
-        # ridge in fold 0 and one afterwards: its ridge 1e-3 runs on (the
-        # 1-center partial score 4/4 ties the best), and its 2-center cell,
-        # short of folds 1-3, is excluded; ridge 1e-2 (9/4 and 16/4) is
-        # dropped before fold 1, and its two cells leave the table
+        # width 1's lead ridge 1e-3 completes first with 1, and its ridge
+        # 1e-2 (9/4) is dropped before fold 1. Width 0.5 grows two centers
+        # per ridge in fold 0 and one afterwards: its ridge 1e-3 runs on
+        # (the 1-center partial score 4/4 ties the best), and its 2-center
+        # cell, short of folds 1-3, is excluded; ridge 1e-2 (9/4 and 16/4)
+        # is dropped before fold 1, and its two cells leave the table, as
+        # does width 1's ridge 1e-2's cell
         report, _ = self.run_paths(monkeypatch, [
             [((2, 3), (3, 4)), ((0,), (0,)), ((0,), (0,)), ((0,), (0,))],
             4 * [((1,), (3,))],
         ], 2)
-        assert report.info["pruned_paths"] == 3
+        assert report.info["pruned_paths"] == 3 + 3
         assert report.selected == {"width_multiplier": 0.5, "ridge": 1e-3, "n_centers": 1}
         assert report.notes == ("1 cells not scored in every fold were excluded",)
 
@@ -896,8 +990,9 @@ class TestFailingTrainingCall:
         calls = []
 
         def fail_first(sq_dists, y, width, ridges, max_centers, **kwargs):
-            # fold 0's first call, width multiplier 0.5, fails
-            calls.append(width)
+            # fold 0's first call, width multiplier 0.5, fails; the
+            # multipliers are powers of 2, so the quotient is exact
+            calls.append((width / rbfn_mod.median_width(sq_dists), tuple(ridges)))
             if len(calls) == 1:
                 raise TrainingError("no center could be added")
             return real_train_ols_paths(sq_dists, y, width, ridges, max_centers, **kwargs)
@@ -909,7 +1004,16 @@ class TestFailingTrainingCall:
         # complete, its folds 1 to 3 are pruned and its cells not counted
         assert report.notes == ("fold 0, width_multiplier=0.5: no center could be added",)
         assert report.info["pruned_trainings"] == 3
-        assert len(calls) == 3 + 2 * 3 + 1  # fold 0, the two other widths, the refit
+        # fold 0; then width 2, the first of the later-fold order on these
+        # data, grows its lead ridge alone through folds 1-3, which drops
+        # its other ridge before fold 1, and width 1 keeps one ridge; the
+        # refit trains the winner's ridge
+        both, lead = SMALL_RBFN.ridges, SMALL_RBFN.ridges[:1]
+        assert calls == [(0.5, both), (1.0, both), (2.0, both)] + 3 * [(2.0, lead)] + \
+            3 * [(1.0, lead)] + [(2.0, lead)]
+        # width 2's and width 1's ridge 1e-1 and width 0.5's two ridges,
+        # in folds 1-3 each
+        assert report.info["pruned_paths"] == 3 + 3 + 2 * 3
 
 
 class TestFinalRefit:
