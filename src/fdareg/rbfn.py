@@ -50,21 +50,12 @@ path leaves the batch at the step where it has no usable column left.
 Every step recomputes the energies and projections from the deflated
 columns; the O(M) recurrences for them change the numbers the selections
 are made on. Cross-validation of the width, ridge and center count is
-done by ``selection.run_experiment``. One training call is one width on
-one fold's inputs: it grows the paths of its ridges, and each path scores
-every center count up to its length. A cell must be scored in every fold,
-so a center count beyond a fold's early stop can never win. Fold 0 trains
-every width on every ridge; before each later fold, a width keeps only the
-ridges whose path still holds a cell that was scored in every fold so far
-and whose partial score is <= the best complete one, and it stops when no
-ridge is left. A width that meets no complete cell (in practice the
-first) grows its lead ridge, that of its best fold-0 cell, alone through
-the later folds, so that its other ridges already run under a bound. The
-bound cannot drop the winner because fold errors are >= 0, and it moves
-no bit: a path grows from the shared design and its own candidate columns
-alone, so a subset of the ridge grid grows each of its paths exactly as
-the whole grid does. There is no one-ridge trainer:
-one ridge is a one-element grid, and ``train_ols`` is only another name of
+done by ``selection.run_experiment``, whose module docstring states which
+ridges of a width each later fold trains. That schedule relies on one
+property of this module: a path grows from the shared design and its own
+candidate columns alone, so a subset of the ridge grid grows each of its
+paths exactly as the whole grid does. There is no one-ridge trainer: one
+ridge is a one-element grid, and ``train_ols`` is only another name of
 :func:`train_ols_paths`.
 """
 

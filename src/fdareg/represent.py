@@ -22,20 +22,12 @@ time. They return an ``(n, q)`` coefficient matrix or ``n`` scores; the
 scaled coordinates ``beta = alpha U^T`` make canonical dot products of rows
 equal L2 inner products of the reconstructed functions.
 :func:`select_basis_size` picks the basis size by the summed leave-one-out
-score, every candidate size reusing the one grouping. It scores a size one
-grid at a time and stops once the size can no longer win. Every size first
-scores the first grid; then the sizes run on in ascending order of
-``(partial total, size)``, and before each further grid a size stops if
-its partial total, ``np.sum`` of its score array with the unscored entries
-at 0, is strictly greater than the best complete total. The stop is exact:
-scores are >= 0, the pairwise summation tree depends only on the array's
-length, and each rounded addition is monotone, so a partial total never
-exceeds the complete one. A stopped size could not have won or tied, and
-the selection is that of scoring every grid of every size. On one grid
-(complete spectra) every size completes in the first pass. The winner's
-coefficients come from its own LOO fits. There is no per-function API: one
-curve is a one-curve grouping, and ``fit`` and ``loo_score`` are only other
-names of :func:`fit_dataset` and :func:`loo_scores`.
+score, every candidate size reusing the one grouping; it stops scoring a
+size once the size can no longer win, by the exact rule its docstring
+states, and the winner's coefficients come from its own LOO fits. There is
+no per-function API: one curve is a one-curve grouping, and ``fit`` and
+``loo_score`` are only other names of :func:`fit_dataset` and
+:func:`loo_scores`.
 """
 
 from __future__ import annotations

@@ -17,13 +17,16 @@ such a cell can never win, and the cells that miss a fold are counted in
 one note on the report. Every split has two steps: :func:`_prepare` fits
 the preprocessing chain on the training rows and prepares the model inputs
 of the training rows and the new rows once per imputation k and PCA size,
-and :func:`_train` trains one call on them. A training call is one RBFN
-width multiplier (an OLS path per ridge) or one MLP ``(hidden, decay)``,
-with one prediction column per grid cell it trains. On RBFN rows the
-prepared inputs are two squared-distance matrices: the training rows' own,
-which gives the base width and every width's design, and the new rows' to
-them, which every path of every width slices by its selected centers. The
-final refit is the last split, with the test rows as its new rows.
+and :func:`_train` trains one call on them. A training call is shaped
+``(head, paths, *tail)`` in both families: an RBFN width multiplier
+``(mult, ridges, cap)``, an OLS path per ridge, or an MLP ``(hidden,
+(decay,))``, one path; it gives one prediction column per grid cell it
+trains. On RBFN rows the prepared inputs are two squared-distance
+matrices: the training rows' own, which gives the base width and every
+width's design, and the new rows' to them, which every path of every width
+slices by its selected centers. The final refit is the last split, with
+the test rows as its new rows: it calls the same two steps, and a failure
+there is raised, not noted.
 
 The engine skips the path trainings that can no longer change the
 selection. A path is one ridge's OLS path of an RBFN call, with a cell per
@@ -49,13 +52,14 @@ reads another's numbers), so its predictions do not move. The winner's
 errors are still summed in fold order, and MLP seeds are keyed by the fold
 and the cell, not by the order of training, so the selection, its score
 and the refit are those of training every call in every fold
-(``fold_major_cv`` in ``tests/oracles.py``). ``info["pruned_trainings"]``
-counts the (call, fold) pairs in which no path of the call trained, those
-of the stopped calls, and on RBFN rows ``info["pruned_paths"]`` the (call,
-fold, ridge) path trainings skipped, the stopped calls' among them. Failure
-notes keep the fold-major order, one per failing (fold, call) even when
-its lead and its other paths both fail, and the cells of a dropped path
-are not counted as excluded.
+(``fold_major_cv`` in ``tests/oracles.py``). Counted against training
+every path of every call in folds 1 to K - 1, ``info["pruned_trainings"]``
+holds the (call, fold) pairs in which the schedule trained no path of the
+call, and on RBFN rows ``info["pruned_paths"]`` the (call, fold, ridge)
+path trainings it skipped; a training that fails, or whose preparation
+failed, counts as made. Failure notes keep the fold-major order, one per
+failing (fold, call) even when its lead and its other paths both fail, and
+the cells of a dropped path are not counted as excluded.
 
 Data-dependent preprocessing (imputation, column standardization, PCA and
 whitening statistics) is one chain of plain arrays, refitted inside every
@@ -77,10 +81,9 @@ grid route reads the grouping's values on the union of the training
 abscissas, with a mask when an imputer fills the holes and complete
 otherwise, then expert-scales them if asked. Basis-size selection by
 leave-one-out never sees a target and is also done once, on the training
-grouping, with one basis evaluation per candidate size and at most one QR
-per grid and candidate size: a size stops once the partial sum of its
-scores exceeds the best complete total, which it can then never undercut.
-The training coefficients are the winner's from those QRs.
+grouping, by :func:`~fdareg.represent.select_basis_size`, whose docstring
+states its stopping rule; the training coefficients are the winner's from
+its QRs.
 """
 
 from __future__ import annotations
@@ -344,15 +347,12 @@ class _Stage1:
     recipe to compute the same features for new functions; ``notes`` names
     the basis sizes leave-one-out skipped.
 
-    A basis size chosen by leave-one-out (:func:`~fdareg.represent.select_basis_size`)
-    stops scoring a size once the partial sum of its per-curve scores, the
-    unscored curves at 0, is strictly greater than the best complete total:
-    scores are >= 0 and a rounded sum never falls when a term grows, so the
-    stopped size could not win or tie. ``info["loo_scores"]`` holds the
-    sizes scored on every curve, ``info["loo_pruned"]`` the stopped ones
-    (when there are any), and the note only the sizes that failed. The
-    training features are the winner's coefficients from its LOO fits, the
-    same QRs of the same design rows as a refit.
+    A basis size chosen by leave-one-out comes from
+    :func:`~fdareg.represent.select_basis_size` (its docstring states when
+    a size stops). ``info["loo_scores"]`` holds the sizes scored on every
+    curve, ``info["loo_pruned"]`` the stopped ones (when there are any),
+    and the note only the sizes that failed. The training features are the
+    winner's coefficients from its LOO fits.
     """
 
     def __init__(self, spec: ExperimentSpec, train: Dataset):
@@ -419,7 +419,7 @@ def _fold_note(fold_i: int, exc, k_imp: int, n_comp: int, call: str) -> str:
     return ", ".join(p for p in parts if p) + f": {exc}"
 
 
-def _prepare(spec, ks, comp_grid, train_rows, new_rows, failed) -> dict:
+def _prepare(spec, ks, comp_grid, train_rows, new_rows):
     """One split's model inputs per ``(k_imp, n_comp)`` of the imputation
     ks and PCA sizes: ``(X, X_new)`` on MLP rows, and on RBFN rows the
     training rows' squared distances ``D``, the new rows' distances
@@ -429,17 +429,17 @@ def _prepare(spec, ks, comp_grid, train_rows, new_rows, failed) -> dict:
     are filled once for the whole k grid (:func:`~fdareg.imputation.fill`).
     Then, per k, the training rows fit one standardizer (classical PCA
     only) and one PCA of ``max(comp_grid)`` components, and every size of
-    the grid slices its scores of both matrices (size 0: no PCA). Each
-    failure goes to ``failed(exc, k_imp, n_comp, "")`` and leaves its pairs
-    out: a fill failure reaches every k, a projection failure its size.
+    the grid slices its scores of both matrices (size 0: no PCA). Returns
+    ``(inputs, failures)``: the inputs keyed by ``(k_imp, n_comp)``, and
+    one ``(k_imp, n_comp, exc)`` per toolkit error, whose pairs are left
+    out. A fill failure reaches every k, with ``n_comp`` 0; a projection
+    failure reaches its size.
     """
     try:
         filled = imp_mod.fill(spec.impute.kind, ks, *train_rows, *new_rows)
     except FdaregError as exc:
-        for k_imp in ks:
-            failed(exc, k_imp, 0, "")
-        return {}
-    inputs = {}
+        return {}, [(k_imp, 0, exc) for k_imp in ks]
+    inputs, failures = {}, []
     for k_imp, (train_k, new_k) in zip(ks, filled):
         if spec.pca.kind == "classical":
             std = fpca_mod.Standardizer().fit(train_k)
@@ -452,7 +452,7 @@ def _prepare(spec, ks, comp_grid, train_rows, new_rows, failed) -> dict:
                             [fpca_mod.scores(pca, Z, n_comp, whiten=spec.pca.whiten)
                              for Z in (train_k, new_k)])
             except FdaregError as exc:
-                failed(exc, k_imp, n_comp, "")
+                failures.append((k_imp, n_comp, exc))
                 continue
             if spec.model == "rbfn":
                 D = rbfn_mod.sq_distances(X, X)
@@ -460,7 +460,7 @@ def _prepare(spec, ks, comp_grid, train_rows, new_rows, failed) -> dict:
                                          rbfn_mod.median_width(D))
             else:
                 inputs[k_imp, n_comp] = (X, X_new)
-    return inputs
+    return inputs, failures
 
 
 def _train(spec, inputs, y, k_imp, n_comp, call, seed_key, final):
@@ -469,10 +469,11 @@ def _train(spec, inputs, y, k_imp, n_comp, call, seed_key, final):
     predictions on the new rows, one column per full grid cell ``(k_imp,
     n_comp, *model_params)``.
 
-    An RBFN call ``(mult, ridges, cap)`` grows one OLS path per ridge, with
-    a cell per center count on it. An MLP call ``(hidden, decay)`` is one
-    cell, trained with the refit's budget if ``final``; ``seed_key`` seeds
-    it, with the (k, size) and the cell appended in cross-validation.
+    Both families' calls are ``(head, paths, *tail)``. An RBFN call
+    ``(mult, ridges, cap)`` grows one OLS path per ridge, with a cell per
+    center count on it. An MLP call ``(hidden, (decay,))`` is one path and
+    one cell, trained with the refit's budget if ``final``; ``seed_key``
+    seeds it, with the (k, size) and the cell appended in cross-validation.
     """
     if spec.model == "rbfn":
         D, D_new, width = inputs
@@ -481,7 +482,7 @@ def _train(spec, inputs, y, k_imp, n_comp, call, seed_key, final):
         return [([(k_imp, n_comp, mult, float(ridge), k) for k in range(1, path.max_size + 1)],
                  path.predictions(D_new)) for ridge, path in zip(ridges, paths)]
     X, X_new = inputs
-    hidden, decay = call
+    hidden, (decay,) = call
     m = spec.mlp
     restarts, max_iter = (m.restarts, m.max_iter) if final else (m.cv_restarts, m.cv_max_iter)
     key = seed_key if final else f"{seed_key}-i{k_imp}-c{n_comp}-h{hidden}-d{decay:g}"
@@ -490,37 +491,16 @@ def _train(spec, inputs, y, k_imp, n_comp, call, seed_key, final):
     return [([(k_imp, n_comp, hidden, float(decay))], mlp_mod.forward(model, X_new)[:, None])]
 
 
-def _predict_cells(spec, ks, comp_grid, calls, train_rows, y, new_rows, seed_key, final,
-                   failed):
-    """Both steps on one split: :func:`_prepare` the inputs, then
-    :func:`_train` every call of ``calls`` on every ``(k_imp, n_comp)`` and
-    yield its ``(cells, P)``. A training failure goes to ``failed(exc,
-    k_imp, n_comp, label)`` and leaves that call's cells out."""
-    for (k_imp, n_comp), inputs in _prepare(spec, ks, comp_grid, train_rows, new_rows,
-                                            failed).items():
-        for call, label in calls:
-            try:
-                trained = _train(spec, inputs, y, k_imp, n_comp, call, seed_key, final)
-            except FdaregError as exc:
-                failed(exc, k_imp, n_comp, label)
-                continue
-            yield from trained
-
-
 def _calls(spec) -> list[tuple[tuple, str]]:
     """The training calls of a row's model grid, ``(call, label)`` each: one
     per RBFN width multiplier (every ridge and center count on its paths)
-    or per MLP ``(hidden, decay)``."""
+    or per MLP ``(hidden, (decay,))``."""
     if spec.model == "rbfn":
         r = spec.rbfn
         return [((m, r.ridges, r.max_centers), f"width_multiplier={m:g}")
                 for m in r.width_multipliers]
-    return [((h, d), f"hidden={h}, decay={d:g}")
+    return [((h, (d,)), f"hidden={h}, decay={d:g}")
             for h in spec.mlp.hidden_grid for d in spec.mlp.decay_grid]
-
-
-def _reraise(exc, *where):
-    raise exc
 
 
 def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> ExperimentReport:
@@ -538,27 +518,15 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     fold, the ``ConfigError`` counts the per-fold failure notes and quotes
     the first.
 
-    Fold 0 trains every call; then each call, taken in ascending order of
-    its best fold-0 cell error, runs through the later folds. Before each
-    of them, once some cell is complete, it trains only the paths (an
-    RBFN ridge, or the MLP call itself) that hold a live cell, one scored
-    in every fold so far whose partial score (summed fold errors over
-    ``len(plan)``) is <= the best complete score, and it stops when none
-    is left. A call that meets no complete cell first runs its lead path
-    (the one holding its best fold-0 cell, ties to the smallest cell)
-    alone through the later folds, as a one-ridge call on RBFN rows, so
-    that its other paths run under the bound the lead sets. Errors are
-    >= 0 and a float sum never falls when a non-negative term is added, so
-    a dropped path cannot win or tie, and a kept path is grown as in the
-    whole call: the selection, ``cv_score`` and test RMSE are bit for bit
-    those of training every call in every fold.
-    ``info["pruned_trainings"]`` counts the (call, fold) pairs in which no
-    path of the call trained, and on RBFN rows ``info["pruned_paths"]``
-    the (call, fold, ridge) path trainings skipped, whole stopped calls
-    included.
+    Fold 0 trains every call, and the later folds skip the path trainings
+    that can no longer change the selection. The module docstring states
+    that exact rule and the counters ``info["pruned_trainings"]`` and
+    ``info["pruned_paths"]``; the selection, ``cv_score`` and test RMSE
+    are bit for bit those of training every call in every fold.
 
     The final refit, the winner's single call on the full training set,
-    predicts the test rows through the same two steps as a fold. The test
+    predicts the test rows through the same two steps as a fold, and a
+    toolkit error in either step propagates. The test
     curves are read once the selection is final, just before the refit,
     and neither the selection nor the refit reads their targets
     (``tests/test_metamorphic.py`` replaces the test set and checks that
@@ -604,19 +572,20 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     # split into its lead path and the rest keeps its first note of a fold
     failures = {}
 
-    def failed_in(fold):
-        def failed(exc, k_imp, n_comp, label):
-            u = next(u for u, (k, c, _, name) in enumerate(units)
-                     if k == k_imp and n_comp in (0, c) and label in ("", name))
-            failures.setdefault((fold, u, bool(label)),
-                                _fold_note(fold, exc, k_imp, n_comp, label))
-        return failed
+    def failed(fold, k_imp, n_comp, exc, label=""):
+        u = next(u for u, (k, c, _, name) in enumerate(units)
+                 if k == k_imp and n_comp in (0, c) and label in ("", name))
+        failures.setdefault((fold, u, bool(label)), _fold_note(fold, exc, k_imp, n_comp, label))
 
     def rows(idx):
         return values[idx], None if mask is None else mask[idx]
 
-    prepared = [_prepare(spec, ks, comp_grid, rows(tr), rows(va), failed_in(fold))
-                for fold, (tr, va) in enumerate(plan)]
+    prepared = []
+    for fold, (tr, va) in enumerate(plan):
+        inputs, prep_failures = _prepare(spec, ks, comp_grid, rows(tr), rows(va))
+        prepared.append(inputs)
+        for failure in prep_failures:
+            failed(fold, *failure)
     # per unit: cell -> (summed fold errors, folds scored)
     tables: list[dict[tuple, tuple[float, int]]] = [{} for _ in units]
     nonfinite = set()
@@ -630,7 +599,7 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
             trained = _train(spec, prepared[fold][k_imp, n_comp], y[tr], k_imp, n_comp, call,
                              f"mlp-cv-f{fold}", False)
         except FdaregError as exc:
-            failed_in(fold)(exc, k_imp, n_comp, label)
+            failed(fold, k_imp, n_comp, exc, label)
             return
         y_va = y[va]
         for cells, P in trained:
@@ -645,23 +614,16 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     K = len(plan)
     for u in range(len(units)):
         score(u, 0, units[u][2])
-    rbfn = spec.model == "rbfn"
 
-    def path(cell):  # an RBFN cell lies on its ridge's path; an MLP call is one path
-        return cell[3] if rbfn else ()
+    def path(cell):  # a cell's path: its RBFN ridge, or its MLP call's one decay
+        return cell[3]
 
-    def narrowed(call, held):
-        """``call`` growing only the paths in ``held``, in grid order."""
-        if not rbfn:
-            return call
-        mult, ridges, cap = call
-        return mult, tuple(r for r in ridges if float(r) in held), cap
-
-    best, pruned, pruned_paths = np.inf, 0, 0
+    # (unit, fold, path) of every path training attempted in folds 1..K-1
+    best, attempted = np.inf, set()
     for u in sorted(range(len(units)),
                     key=lambda u: (min((t for t, _ in tables[u].values()), default=np.inf), u)):
-        full = units[u][2]
-        every = {float(r) for r in full[1]} if rbfn else {()}
+        head, paths, *tail = units[u][2]
+        every = {float(p) for p in paths}
         groups = [every]
         if best == np.inf and tables[u]:
             # no bound yet: the path of the best fold-0 cell runs its later
@@ -679,18 +641,18 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
                     tables[u] = {cell: e for cell, e in tables[u].items()
                                  if path(cell) in held or path(cell) not in group}
                     if not held:
-                        pruned_paths += len(group) * (K - fold)
-                        if group is every:  # else the lead path trained in these folds
-                            pruned += K - fold
                         break
-                    pruned_paths += len(group) - len(held)
-                score(u, fold, narrowed(full, held))
+                attempted.update((u, fold, p) for p in held)
+                score(u, fold, (head, tuple(p for p in paths if float(p) in held), *tail))
             best = min([best, *(total / K for total, folds in tables[u].values() if folds == K)])
     fold_failures = [note for _, note in sorted(failures.items())]
     notes.extend(fold_failures)
-    stage.info["pruned_trainings"] = pruned
-    if rbfn:
-        stage.info["pruned_paths"] = pruned_paths
+    # every later-fold (call, fold) pair, or path, that was not attempted was pruned
+    stage.info["pruned_trainings"] = (len(units) * (K - 1)
+                                      - len({(u, fold) for u, fold, _ in attempted}))
+    if spec.model == "rbfn":
+        stage.info["pruned_paths"] = (sum(len(call[1]) for _, _, call, _ in units) * (K - 1)
+                                      - len(attempted))
 
     table = {cell: entry for t in tables for cell, entry in t.items()}
     scores = {cell: total / K for cell, (total, folds) in table.items() if folds == K}
@@ -709,10 +671,12 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     cv_score = float(scores[best_cell])
 
     k_imp, n_comp, *params = best_cell
-    call = (params[0], (params[1],), params[2]) if spec.model == "rbfn" else tuple(params)
-    test_rows = stage.features(Grids(test.functions))
-    [(cells, P)] = _predict_cells(spec, (k_imp,), (n_comp,), [(call, "")], (values, mask), y,
-                                  test_rows, "mlp-final", True, _reraise)
+    inputs, prep_failures = _prepare(spec, (k_imp,), (n_comp,), (values, mask),
+                                     stage.features(Grids(test.functions)))
+    if prep_failures:
+        raise prep_failures[0][2]
+    [(cells, P)] = _train(spec, inputs[k_imp, n_comp], y, k_imp, n_comp,
+                          (params[0], (params[1],), *params[2:]), "mlp-final", True)
     if cells[-1][-1] != params[-1]:  # only an RBFN path can stop short
         notes.append(f"final refit: the full-data path stopped at {cells[-1][-1]} "
                      f"of the selected {params[-1]} centers")

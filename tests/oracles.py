@@ -422,15 +422,23 @@ def fold_major_cv(spec, train, test):
 
     table = {}  # cell -> (summed fold errors, folds scored)
     for fold_i, (tr, va) in enumerate(plan):
-        for cells, P in selection._predict_cells(
-                spec, ks, comp_grid, selection._calls(spec), rows(tr), y[tr], rows(va),
-                f"mlp-cv-f{fold_i}", False, _unscored):
-            mse = np.sum((P - y[va][:, None]) ** 2, axis=0) / va.size
-            for cell, error in zip(cells, mse):
-                if not np.isfinite(error):
+        inputs, failures = selection._prepare(spec, ks, comp_grid, rows(tr), rows(va))
+        if failures:  # a failed preparation is not expected
+            raise failures[0][2]
+        for (k_imp, n_comp), prepared in inputs.items():
+            for call, _ in selection._calls(spec):
+                try:
+                    trained = selection._train(spec, prepared, y[tr], k_imp, n_comp, call,
+                                               f"mlp-cv-f{fold_i}", False)
+                except FdaregError:  # the call's cells are unscored in this fold
                     continue
-                total, folds = table.get(cell, (0.0, 0))
-                table[cell] = (total + float(error), folds + 1)
+                for cells, P in trained:
+                    mse = np.sum((P - y[va][:, None]) ** 2, axis=0) / va.size
+                    for cell, error in zip(cells, mse):
+                        if not np.isfinite(error):
+                            continue
+                        total, folds = table.get(cell, (0.0, 0))
+                        table[cell] = (total + float(error), folds + 1)
     scores = {cell: total / len(plan) for cell, (total, folds) in table.items()
               if folds == len(plan)}
     if not scores:
@@ -438,10 +446,12 @@ def fold_major_cv(spec, train, test):
     best = min(sorted(scores), key=scores.get)
 
     k_imp, n_comp, *params = best
-    call = (params[0], (params[1],), params[2]) if spec.model == "rbfn" else tuple(params)
-    [(cells, P)] = selection._predict_cells(
-        spec, (k_imp,), (n_comp,), [(call, "")], (values, mask), y,
-        stage.features(Grids(test.functions)), "mlp-final", True, selection._reraise)
+    inputs, failures = selection._prepare(spec, (k_imp,), (n_comp,), (values, mask),
+                                          stage.features(Grids(test.functions)))
+    if failures:
+        raise failures[0][2]
+    [(cells, P)] = selection._train(spec, inputs[k_imp, n_comp], y, k_imp, n_comp,
+                                    (params[0], (params[1],), *params[2:]), "mlp-final", True)
     selected = {}
     if spec.impute.kind == "knn":
         selected["impute_k"] = k_imp
@@ -449,13 +459,6 @@ def fold_major_cv(spec, train, test):
         selected["n_components"] = n_comp
     selected.update(zip(selection._PARAMS[spec.model], cells[-1][2:]))
     return selected, scores[best], rmse(P[:, -1], test.targets)
-
-
-def _unscored(exc, k_imp, n_comp, label):
-    """A failed training call leaves its cells unscored in the fold; a
-    failed preparation is not expected."""
-    if not label:
-        raise exc
 
 
 def full_select_basis_size(grids, domain, kind, order, candidates):

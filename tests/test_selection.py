@@ -15,7 +15,13 @@ from fdareg import mlp as mlp_mod
 from fdareg import rbfn as rbfn_mod
 from fdareg import represent as rep_mod
 from fdareg.cv import derive_seed, make_folds, rmse
-from fdareg.errors import ConfigError, TrainingError, ValidationError
+from fdareg.errors import (
+    ConfigError,
+    DegenerateComponentError,
+    ImputationError,
+    TrainingError,
+    ValidationError,
+)
 from fdareg.selection import (
     ExperimentSpec,
     ImputeSpec,
@@ -635,11 +641,15 @@ class TestPruning:
                 with pytest.raises(ConfigError, match="no grid cell was scored in every fold"):
                     self.run(mp, errors)
                 return
-            report, _ = self.run(mp, errors)
+            report, trainings = self.run(mp, errors)
         selected, cv_score, test_rmse = expected
         assert report.selected == selected
         assert report.cv_score.hex() == cv_score.hex()
         assert report.test_rmse.hex() == test_rmse.hex()
+        # every (call, fold) pair of the 3 later folds not trained was
+        # pruned; a failed training counts as trained
+        later = {(hidden, fold) for hidden, fold in trainings if fold not in (0, "final")}
+        assert report.info["pruned_trainings"] == len(errors) * 3 - len(later)
 
     def test_a_call_is_ruled_out_at_a_later_fold(self, monkeypatch):
         # fold 0 trains every call; then hidden 1 and 2 (fold-0 error 1,
@@ -779,11 +789,18 @@ class TestPruning:
                 with pytest.raises(ConfigError, match="no grid cell was scored in every fold"):
                     self.run_paths(mp, levels, n_ridges)
                 return
-            report, _ = self.run_paths(mp, levels, n_ridges)
+            report, trainings = self.run_paths(mp, levels, n_ridges)
         selected, cv_score, test_rmse = expected
         assert report.selected == selected
         assert report.cv_score.hex() == cv_score.hex()
         assert report.test_rmse.hex() == test_rmse.hex()
+        # every (call, fold) pair and path of the 3 later folds not
+        # trained was pruned; a failed training counts as trained
+        later = [t for t in trainings if t[0] not in (0, "final")]
+        assert report.info["pruned_trainings"] == (
+            len(levels) * 3 - len({(fold, mult) for fold, mult, _ in later}))
+        assert report.info["pruned_paths"] == (
+            len(levels) * n_ridges * 3 - sum(len(ridges) for _, _, ridges in later))
 
     def test_the_lead_ridge_runs_alone_before_the_others(self, monkeypatch):
         # no cell is complete when width 0.5 starts its later folds. Its
@@ -1044,6 +1061,40 @@ class TestFinalRefit:
             f"{chosen} centers",
         )
 
+    # the function, the position of its training rows' matrix, the error
+    @pytest.mark.parametrize("module, name, arg, error", [
+        (imp_mod, "fill", 2, ImputationError),
+        (fpca_mod, "fit_fpca", 0, DegenerateComponentError),
+        (fpca_mod, "scores", 1, DegenerateComponentError),
+        (rbfn_mod, "train_ols_paths", 0, TrainingError),
+    ])
+    def test_a_failure_on_the_full_training_set_alone_is_raised(self, monkeypatch, module,
+                                                                  name, arg, error):
+        # every fold prepares and trains on 18 of the 24 training rows, so
+        # only the refit meets the failure; it reaches the caller as the
+        # toolkit error itself, not as a note or a ConfigError
+        X = np.random.default_rng(9).normal(size=(30, 5))
+        train, test = vector_dataset(X[:24], X[:24, 0]), vector_dataset(X[24:], X[24:, 0])
+        spec = ExperimentSpec(
+            "refit-failure", "rbfn", RepresentationSpec("raw"),
+            pca=PcaSpec("classical", component_grid=(2,)),
+            rbfn=RbfnSettings(width_multipliers=(1.0,), ridges=(1e-3,), max_centers=4),
+            seed=1,
+        )
+        real = getattr(module, name)
+        rows = []
+
+        def fail_on_all_rows(*args, **kwargs):
+            rows.append(args[arg].shape[0])
+            if rows[-1] == len(train):
+                raise error("refit failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, fail_on_all_rows)
+        with pytest.raises(error, match="refit failure"):
+            run_experiment(spec, train, test)
+        assert rows.count(len(train)) == 1 and len(rows) > spec.folds
+
 
 @pytest.fixture(scope="module")
 def holed():
@@ -1161,12 +1212,14 @@ class TestImputationRoutes:
         test_rows = stage.features(fdata.Grids(test.functions))
         ks = impute.grid()
         comp_grid = (2, 4) if pca.kind != "none" else (0,)
-        calls = [((1.0, (1e-3,), 4), "width_multiplier=1")]
+        call = (1.0, (1e-3,), 4)
 
         def chain(ks):
-            return list(selection._predict_cells(
-                spec, ks, comp_grid, calls, train_rows, train.targets, test_rows,
-                "chain", True, selection._reraise))
+            inputs, failures = selection._prepare(spec, ks, comp_grid, train_rows, test_rows)
+            assert failures == []
+            return [trained for (k_imp, n_comp), prepared in inputs.items()
+                    for trained in selection._train(spec, prepared, train.targets, k_imp,
+                                                    n_comp, call, "chain", True)]
 
         grid_fill = imp_mod.fill("knn", ks, *train_rows, *test_rows)
         grid = chain(ks)
@@ -1207,17 +1260,19 @@ class TestImputationRoutes:
         )
         stage = selection._Stage1(spec, train)
         values, mask = stage.train_values, stage.train_mask
-        calls = [((1.0, (1e-3,), 4), "width_multiplier=1")]
+        call = (1.0, (1e-3,), 4)
         notes: list[str] = []
         cells = []
         for fold_i, (tr, va) in enumerate(plan):
-            def failed(exc, *where, fold_i=fold_i):
-                notes.append(selection._fold_note(fold_i, exc, *where))
-
-            cells.append(sorted({cell[:2] for block, _ in selection._predict_cells(
-                spec, (1, 2), (2,), calls, (values[tr], mask[tr]), train.targets[tr],
-                (values[va], mask[va]), f"mlp-cv-f{fold_i}", False, failed)
-                for cell in block}))
+            inputs, failures = selection._prepare(spec, (1, 2), (2,), (values[tr], mask[tr]),
+                                                  (values[va], mask[va]))
+            notes += [selection._fold_note(fold_i, exc, k_imp, n_comp, "")
+                      for k_imp, n_comp, exc in failures]
+            cells.append(sorted({cell[:2] for (k_imp, n_comp), prepared in inputs.items()
+                                 for block, _ in selection._train(
+                                     spec, prepared, train.targets[tr], k_imp, n_comp, call,
+                                     f"mlp-cv-f{fold_i}", False)
+                                 for cell in block}))
         assert cells == [[], *[[(1, 2), (2, 2)]] * 3]
         assert notes == [
             f"fold 0, impute k={k}: no donor observes coordinate 7 for sample 0"
