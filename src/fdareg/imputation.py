@@ -16,8 +16,6 @@ centering/reduction without any function representation.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .errors import ImputationError, IncomparableSampleError, ScalingError, ValidationError
@@ -30,7 +28,8 @@ class KnnImputer:
     Donors come from the fitted data; for each hole the k nearest donors
     observing that coordinate contribute their unweighted mean. Distance
     ties break toward the lower donor index. When fewer than k donors
-    qualify, all qualifying ones are used with a warning.
+    qualify, all qualifying ones are used, and ``short_fills_`` counts the
+    (row, hole, k) fills of the last :meth:`transform` that did so.
 
     A row's donor ordering does not depend on k, so :meth:`transform`
     orders each row's donors once and fills its holes for every k of the
@@ -44,6 +43,7 @@ class KnnImputer:
             raise ValidationError("k must be >= 1")
         self.values_ = None
         self.mask_ = None
+        self.short_fills_ = 0
 
     def fit(self, values: np.ndarray, mask: np.ndarray) -> "KnnImputer":
         self.values_ = np.array(values, dtype=float)
@@ -73,12 +73,15 @@ class KnnImputer:
         Each hole gathers its first ``max(ks)`` observing donors into one
         row of a contiguous block, and the fill for k is ``np.mean`` over
         the first k columns, the same sum in the same order as the mean of
-        those k donors alone.
+        those k donors alone. A hole observed by fewer than k donors is
+        filled from all of them, and ``short_fills_`` becomes the number of
+        such (row, hole, k) fills.
         """
         values = np.asarray(values, dtype=float)
         mask = np.asarray(mask, dtype=bool)
         out = np.repeat(values[:, None, :], len(self.ks), axis=1)
         max_k = max(self.ks)
+        self.short_fills_ = 0
         for i in range(values.shape[0]):
             holes = np.flatnonzero(~mask[i])
             if holes.size == 0:
@@ -107,21 +110,19 @@ class KnnImputer:
                     )
                 for c, k in enumerate(self.ks):
                     if counts[h] < k:
-                        warnings.warn(
-                            f"only {counts[h]} donors observe coordinate {holes[h]} "
-                            f"for sample {i}; using all of them",
-                            stacklevel=2,
-                        )
+                        self.short_fills_ += 1
                         out[i, c, holes[h]] = np.mean(block[h, : counts[h]])
         return out
 
 
 def fill(kind: str, ks, values: np.ndarray, mask: np.ndarray | None,
-         new_values: np.ndarray, new_mask: np.ndarray | None) -> list[tuple]:
+         new_values: np.ndarray, new_mask: np.ndarray | None) -> tuple[list[tuple], int]:
     """Fill the holes of training rows and of new rows with an imputer
     fitted on the training rows, for every neighbor count of ``ks``.
 
-    Returns one ``(train, new)`` pair of matrices per k. ``kind`` "knn"
+    Returns one ``(train, new)`` pair of matrices per k, and the number of
+    (row, hole, k) fills of both matrices that had fewer than k donors and
+    used all of them (always 0 unless ``kind`` is "knn"). ``kind`` "knn"
     fills from :class:`KnnImputer` (a training row never donates to itself),
     ordering each row's donors once for the whole grid, and each pair is
     C-contiguous; "mean" fills the training rows' column means (a column no
@@ -132,7 +133,9 @@ def fill(kind: str, ks, values: np.ndarray, mask: np.ndarray | None,
     if kind == "knn":
         imputer = KnnImputer(ks).fit(values, mask)
         train = _per_k(imputer.transform(values, mask, is_fit_data=True))
-        return list(zip(train, _per_k(imputer.transform(new_values, new_mask))))
+        short = imputer.short_fills_
+        new = _per_k(imputer.transform(new_values, new_mask))
+        return list(zip(train, new)), short + imputer.short_fills_
     if kind == "mean":
         counts = mask.sum(axis=0)
         if np.any(counts == 0):
@@ -143,8 +146,8 @@ def fill(kind: str, ks, values: np.ndarray, mask: np.ndarray | None,
                 "their mean is undefined"
             )
         means = np.where(mask, values, 0.0).sum(axis=0) / counts
-        return [(np.where(mask, values, means), np.where(new_mask, new_values, means))]
-    return [(values, new_values)]
+        return [(np.where(mask, values, means), np.where(new_mask, new_values, means))], 0
+    return [(values, new_values)], 0
 
 
 def _per_k(filled: np.ndarray) -> list[np.ndarray]:

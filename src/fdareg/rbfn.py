@@ -44,9 +44,10 @@ candidate columns with one in-place BLAS rank-1 update (``dger``). Its
 fused multiply-adds round differently from ``W -= outer(w, c)``, so the
 numbers move at float level only. ``dger`` and the ``trtrs`` of
 :meth:`RbfnPath.predictions` come from :mod:`fdareg._lapack`, which loads
-scipy's compiled BLAS and LAPACK modules without importing
-``scipy.linalg``, whose package init would double the start-up time. A
-path leaves the batch at the step where it has no usable column left.
+scipy's compiled BLAS and LAPACK modules from their files and, except on
+Windows, runs no scipy package code (``scipy.linalg``'s init would double
+the start-up time). A path leaves the batch at the step where it has no
+usable column left.
 Every step recomputes the energies and projections from the deflated
 columns; the O(M) recurrences for them change the numbers the selections
 are made on. Cross-validation of the width, ridge and center count is

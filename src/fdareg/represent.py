@@ -16,10 +16,11 @@ solve call LAPACK's ``geqp3``, ``orgqr`` and ``trtrs`` directly, as the
 scipy wrappers do but without their per-call workspace queries and input
 scans, so each grid costs what LAPACK costs and the results are those of
 the wrappers bit for bit (see ``_qr_solve``). The routines come from
-:mod:`fdareg._lapack`, which loads scipy's compiled LAPACK module without
-importing ``scipy.linalg``, whose package init would double the start-up
-time. They return an ``(n, q)`` coefficient matrix or ``n`` scores; the
-scaled coordinates ``beta = alpha U^T`` make canonical dot products of rows
+:mod:`fdareg._lapack`, which loads scipy's compiled LAPACK module from its
+file and, except on Windows, runs no scipy package code (``scipy.linalg``'s
+init would double the start-up time). They return an ``(n, q)``
+coefficient matrix or ``n`` scores; the scaled coordinates
+``beta = alpha U^T`` make canonical dot products of rows
 equal L2 inner products of the reconstructed functions.
 :func:`select_basis_size` picks the basis size by the summed leave-one-out
 score, every candidate size reusing the one grouping; it stops scoring a

@@ -430,15 +430,16 @@ def _prepare(spec, ks, comp_grid, train_rows, new_rows):
     Then, per k, the training rows fit one standardizer (classical PCA
     only) and one PCA of ``max(comp_grid)`` components, and every size of
     the grid slices its scores of both matrices (size 0: no PCA). Returns
-    ``(inputs, failures)``: the inputs keyed by ``(k_imp, n_comp)``, and
+    ``(inputs, failures, short)``: the inputs keyed by ``(k_imp, n_comp)``,
     one ``(k_imp, n_comp, exc)`` per toolkit error, whose pairs are left
-    out. A fill failure reaches every k, with ``n_comp`` 0; a projection
-    failure reaches its size.
+    out, and the fill's count of k-NN fills with fewer than k donors. A
+    fill failure reaches every k, with ``n_comp`` 0; a projection failure
+    reaches its size.
     """
     try:
-        filled = imp_mod.fill(spec.impute.kind, ks, *train_rows, *new_rows)
+        filled, short = imp_mod.fill(spec.impute.kind, ks, *train_rows, *new_rows)
     except FdaregError as exc:
-        return {}, [(k_imp, 0, exc) for k_imp in ks]
+        return {}, [(k_imp, 0, exc) for k_imp in ks], 0
     inputs, failures = {}, []
     for k_imp, (train_k, new_k) in zip(ks, filled):
         if spec.pca.kind == "classical":
@@ -460,7 +461,7 @@ def _prepare(spec, ks, comp_grid, train_rows, new_rows):
                                          rbfn_mod.median_width(D))
             else:
                 inputs[k_imp, n_comp] = (X, X_new)
-    return inputs, failures
+    return inputs, failures, short
 
 
 def _train(spec, inputs, y, k_imp, n_comp, call, seed_key, final):
@@ -516,7 +517,8 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     before the folds run, with one note; when none fits, the largest size
     every fold can fit replaces them. When no cell is scored in every
     fold, the ``ConfigError`` counts the per-fold failure notes and quotes
-    the first.
+    the first. The k-NN fills that had fewer than k donors, in the folds and
+    the final refit together, are counted in one note.
 
     Fold 0 trains every call, and the later folds skip the path trainings
     that can no longer change the selection. The module docstring states
@@ -580,10 +582,11 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     def rows(idx):
         return values[idx], None if mask is None else mask[idx]
 
-    prepared = []
+    prepared, short_fills = [], 0
     for fold, (tr, va) in enumerate(plan):
-        inputs, prep_failures = _prepare(spec, ks, comp_grid, rows(tr), rows(va))
+        inputs, prep_failures, short = _prepare(spec, ks, comp_grid, rows(tr), rows(va))
         prepared.append(inputs)
+        short_fills += short
         for failure in prep_failures:
             failed(fold, *failure)
     # per unit: cell -> (summed fold errors, folds scored)
@@ -671,10 +674,14 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     cv_score = float(scores[best_cell])
 
     k_imp, n_comp, *params = best_cell
-    inputs, prep_failures = _prepare(spec, (k_imp,), (n_comp,), (values, mask),
-                                     stage.features(Grids(test.functions)))
+    inputs, prep_failures, short = _prepare(spec, (k_imp,), (n_comp,), (values, mask),
+                                            stage.features(Grids(test.functions)))
     if prep_failures:
         raise prep_failures[0][2]
+    short_fills += short
+    if short_fills:
+        notes.append(f"{short_fills} k-NN fills in the folds and the final refit had fewer "
+                     f"than k donors observing the coordinate and used all of them")
     [(cells, P)] = _train(spec, inputs[k_imp, n_comp], y, k_imp, n_comp,
                           (params[0], (params[1],), *params[2:]), "mlp-final", True)
     if cells[-1][-1] != params[-1]:  # only an RBFN path can stop short

@@ -294,7 +294,7 @@ def knn_fill_per_hole(imputer, values, mask, k, is_fit_data=False):
     """Reference for ``KnnImputer.transform``: the per-hole loop for one
     ``k``, with the donors of each hole listed and averaged on their own.
     Uses the fitted donors and the distance of ``imputer``; returns the
-    ``(n, p)`` filled matrix and does not warn on short donor lists."""
+    ``(n, p)`` filled matrix and counts no short donor lists."""
     out = np.array(values, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     for i in range(out.shape[0]):
@@ -422,7 +422,7 @@ def fold_major_cv(spec, train, test):
 
     table = {}  # cell -> (summed fold errors, folds scored)
     for fold_i, (tr, va) in enumerate(plan):
-        inputs, failures = selection._prepare(spec, ks, comp_grid, rows(tr), rows(va))
+        inputs, failures, _ = selection._prepare(spec, ks, comp_grid, rows(tr), rows(va))
         if failures:  # a failed preparation is not expected
             raise failures[0][2]
         for (k_imp, n_comp), prepared in inputs.items():
@@ -446,8 +446,8 @@ def fold_major_cv(spec, train, test):
     best = min(sorted(scores), key=scores.get)
 
     k_imp, n_comp, *params = best
-    inputs, failures = selection._prepare(spec, (k_imp,), (n_comp,), (values, mask),
-                                          stage.features(Grids(test.functions)))
+    inputs, failures, _ = selection._prepare(spec, (k_imp,), (n_comp,), (values, mask),
+                                             stage.features(Grids(test.functions)))
     if failures:
         raise failures[0][2]
     [(cells, P)] = selection._train(spec, inputs[k_imp, n_comp], y, k_imp, n_comp,

@@ -260,7 +260,7 @@ class TestInvariantSuites:
                 M[0] = True
                 knn = imputation.KnnImputer((3,)).fit(V, M)
                 for out in (
-                    imputation.fill("mean", (0,), V, M, V, M)[0][0],
+                    imputation.fill("mean", (0,), V, M, V, M)[0][0][0],
                     knn.transform(V, M, is_fit_data=True)[:, 0],
                 ):
                     np.testing.assert_array_equal(out[M], V[M])

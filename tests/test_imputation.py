@@ -20,7 +20,7 @@ def masked(values, mask):
 
 def mean_impute(values, mask):
     """Fill and fit the same data, as one fold's training rows are."""
-    [(train, _)] = imputation.fill("mean", (0,), values, mask, values, mask)
+    [(train, _)], _ = imputation.fill("mean", (0,), values, mask, values, mask)
     return train
 
 
@@ -94,7 +94,7 @@ class TestMeanImpute:
     def test_train_statistics_apply_to_new_rows(self):
         V, M = masked([[2.0, 4.0], [4.0, 8.0]], [[True, True], [True, True]])
         new_v, new_m = masked([[0.0, 5.0]], [[False, True]])
-        [(_, out)] = imputation.fill("mean", (0,), V, M, new_v, new_m)
+        [(_, out)], _ = imputation.fill("mean", (0,), V, M, new_v, new_m)
         assert out[0, 0] == pytest.approx(3.0)
         assert out[0, 1] == pytest.approx(5.0)
 
@@ -137,14 +137,18 @@ class TestKnnImpute:
         out = knn_impute(V, M, k=1)
         assert out[0, 2] == pytest.approx(30.0)
 
-    def test_fewer_donors_than_k_warns(self):
+    def test_fewer_donors_than_k_uses_all_and_counts(self):
         V, M = masked(
             [[1.0, 0.0], [1.0, 5.0], [1.0, 0.0]],
             [[True, False], [True, True], [True, False]],
         )
-        with pytest.warns(UserWarning, match="donors"):
-            out = knn_impute(V, M, k=4)
+        imp = imputation.KnnImputer((4,)).fit(V, M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = imp.transform(V, M, is_fit_data=True)[:, 0]
         assert out[0, 1] == pytest.approx(5.0)
+        assert out[2, 1] == pytest.approx(5.0)
+        assert imp.short_fills_ == 2  # rows 0 and 2, one donor each
 
     def test_incomparable_sample(self):
         V, M = masked(
@@ -219,24 +223,43 @@ class TestKnnGrid:
         M[[3, 11, 17, 29], 5] = True
         imp = imputation.KnnImputer(K_GRID).fit(V, M)
         rows = slice(None) if is_fit_data else slice(0, 8)
-        with pytest.warns(UserWarning, match="donors observe coordinate 5"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert_equals_per_hole_loop(imp, V[rows], M[rows], is_fit_data)
+        # every pair of rows is comparable, so a hole's donors are the fitted
+        # rows that observe its coordinate (a row never observes its own hole)
+        donors = M.sum(axis=0)
+        holes = ~M[rows]
+        assert imp.short_fills_ == sum(int(np.sum(holes & (donors < k))) for k in K_GRID)
+        # the rows with a hole at coordinate 5 have 4 donors: short for 8 and 16
+        assert imp.short_fills_ >= 2 * int(holes[:, 5].sum()) > 0
 
-    def test_short_donor_list_warns_once_per_row_hole_and_k(self):
+    def test_short_donor_list_counts_each_row_hole_and_k(self):
         # coordinate 1 is observed by rows 0 and 1 only, so rows 2-5 each
-        # have 2 donors for it: one warning per row for k = 4 and k = 8
+        # have 2 donors for it: one short fill per row for k = 4 and k = 8
         V = np.arange(12.0).reshape(6, 2)
         M = np.ones_like(V, dtype=bool)
         M[2:, 1] = False
         imp = imputation.KnnImputer((1, 2, 4, 8)).fit(V, M)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            imp.transform(V, M, is_fit_data=True)
-        assert [str(w.message) for w in caught] == [
-            f"only 2 donors observe coordinate 1 for sample {i}; using all of them"
-            for i in range(2, 6)
-            for _ in (4, 8)
-        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = imp.transform(V, M, is_fit_data=True)
+        assert imp.short_fills_ == 4 * 2
+        # k = 2, 4 and 8 all fill from both donors; k = 1 from the nearer
+        np.testing.assert_array_equal(out[2:, 1:, 1], np.full((4, 3), (1.0 + 3.0) / 2))
+        np.testing.assert_array_equal(out[2:, 0, 1], np.full(4, 3.0))
+        imp.transform(V[:2], M[:2])  # the count is the last transform's
+        assert imp.short_fills_ == 0
+
+    def test_fill_counts_the_short_fills_of_both_matrices(self):
+        V = np.arange(12.0).reshape(6, 2)
+        M = np.ones_like(V, dtype=bool)
+        M[2:, 1] = False
+        # rows 2-5 are short for k = 4 and 8 as training rows and as new rows
+        _, short = imputation.fill("knn", (1, 2, 4, 8), V, M, V[2:], M[2:])
+        assert short == 2 * 4 * 2
+        assert imputation.fill("mean", (0,), V, M, V[2:], M[2:])[1] == 0
+        assert imputation.fill("none", (0,), V, None, V[2:], None)[1] == 0
 
     @pytest.mark.parametrize("is_fit_data", [True, False])
     def test_unobserved_coordinate_raises(self, is_fit_data):

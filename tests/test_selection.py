@@ -1215,17 +1215,17 @@ class TestImputationRoutes:
         call = (1.0, (1e-3,), 4)
 
         def chain(ks):
-            inputs, failures = selection._prepare(spec, ks, comp_grid, train_rows, test_rows)
+            inputs, failures, _ = selection._prepare(spec, ks, comp_grid, train_rows, test_rows)
             assert failures == []
             return [trained for (k_imp, n_comp), prepared in inputs.items()
                     for trained in selection._train(spec, prepared, train.targets, k_imp,
                                                     n_comp, call, "chain", True)]
 
-        grid_fill = imp_mod.fill("knn", ks, *train_rows, *test_rows)
+        grid_fill, _ = imp_mod.fill("knn", ks, *train_rows, *test_rows)
         grid = chain(ks)
         assert len(grid_fill) == len(ks) and len(grid) == len(ks) * len(comp_grid)
         for i, k in enumerate(ks):
-            [alone_fill] = imp_mod.fill("knn", (k,), *train_rows, *test_rows)
+            [alone_fill], _ = imp_mod.fill("knn", (k,), *train_rows, *test_rows)
             for got, want in zip(alone_fill, grid_fill[i]):
                 assert got.flags.c_contiguous and want.flags.c_contiguous
                 np.testing.assert_array_equal(got, want)
@@ -1264,8 +1264,8 @@ class TestImputationRoutes:
         notes: list[str] = []
         cells = []
         for fold_i, (tr, va) in enumerate(plan):
-            inputs, failures = selection._prepare(spec, (1, 2), (2,), (values[tr], mask[tr]),
-                                                  (values[va], mask[va]))
+            inputs, failures, _ = selection._prepare(spec, (1, 2), (2,), (values[tr], mask[tr]),
+                                                     (values[va], mask[va]))
             notes += [selection._fold_note(fold_i, exc, k_imp, n_comp, "")
                       for k_imp, n_comp, exc in failures]
             cells.append(sorted({cell[:2] for (k_imp, n_comp), prepared in inputs.items()
@@ -1282,6 +1282,41 @@ class TestImputationRoutes:
                  "fold 0, impute k=1: no donor observes coordinate 7 for sample 0")
         with pytest.raises(ConfigError, match=re.escape(cause)):
             run_experiment(spec, train, full)
+
+    def test_short_donor_fills_are_counted_in_one_note(self):
+        # coordinate 7 is observed by the first two validation curves of each
+        # fold alone: a fold's training rows hold 6 donors for it and the
+        # full training set 8, so with k = 10 every hole at 7 is short, in
+        # the training and the new rows; k = 1 is never short
+        rng = np.random.default_rng(32)
+        full = synthetic_dataset(rng, n=30, m=12)
+        spec = ExperimentSpec(
+            "knn-short", "rbfn",
+            representation=RepresentationSpec("raw"),
+            pca=PcaSpec("classical", component_grid=(2,)),
+            impute=ImputeSpec("knn", k_grid=(1, 10)),
+            rbfn=SMALL_RBFN,
+            seed=5,
+        )
+        n = 24
+        plan = make_folds(n, spec.folds, derive_seed(spec.seed, "folds"))
+        observers = {int(i) for _, va in plan for i in va[:2]}
+        keep = np.arange(12) != 7
+        holed = fdata.Dataset(
+            [f if i in observers else fdata.SampledFunction(f.x[keep], f.y[keep], id=f.id)
+             for i, f in enumerate(full.functions)],
+            full.targets, full.domain,
+        )
+        train, test = fdata.split(holed, len(full) - n, shuffle=False)
+        report = run_experiment(spec, train, test)
+        holes = n - len(observers)
+        refit = holes + len(test) if report.selected["impute_k"] == 10 else 0
+        short = [note for note in report.notes if "fewer than k donors" in note]
+        assert short == [
+            f"{len(plan) * holes + refit} k-NN fills in the folds and the final refit had "
+            "fewer than k donors observing the coordinate and used all of them"
+        ]
+        assert run_experiment(spec, train, test).notes == report.notes
 
 
 class TestDataChecks:
