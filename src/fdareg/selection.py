@@ -17,23 +17,24 @@ such a cell can never win, and the cells that miss a fold are counted in
 one note on the report. Every split has two steps: :func:`_prepare` fits
 the preprocessing chain on the training rows and prepares the model inputs
 of the training rows and the new rows once per imputation k and PCA size,
-and :func:`_train` trains one call on them. A training call is shaped
-``(head, paths, *tail)`` in both families: an RBFN width multiplier
-``(mult, ridges, cap)``, an OLS path per ridge, or an MLP ``(hidden,
-(decay,))``, one path; it gives one prediction column per grid cell it
-trains. On RBFN rows the prepared inputs are two squared-distance
-matrices: the training rows' own, which gives the base width and every
-width's design, and the new rows' to them, which every path of every width
-slices by its selected centers. The final refit is the last split, with
-the test rows as its new rows: it calls the same two steps, and a failure
-there is raised, not noted.
+and :func:`_train` trains one call on them (:func:`_train_stack` several).
+A training call is shaped ``(head, paths, *tail)`` in both families: an
+RBFN width multiplier ``(mult, ridges, cap)``, an OLS path per ridge, or an
+MLP ``(hidden, (decay,))``, one path; it gives one prediction column per
+grid cell it trains. On RBFN rows the prepared inputs are two
+squared-distance matrices: the training rows' own, which gives the base
+width and every width's design, and the new rows' to them, which every path
+of every width slices by its selected centers. The final refit is the last
+split, with the test rows as its new rows: it calls the same two steps, and
+a failure there is raised, not noted.
 
 The engine skips the path trainings that can no longer change the
 selection. A path is one ridge's OLS path of an RBFN call, with a cell per
 center count; an MLP call is one path with one cell. Each fold's split is
-prepared once, up front. Fold 0 trains every call on every (k, size). Each
-call on a (k, size) then runs on its own through folds 1 to K - 1, in
-ascending order of their best fold-0 cell error (ties in fold-0 order).
+prepared once, up front. Fold 0 trains every call on every (k, size), as
+stacks on MLP rows (below). Each call on a (k, size) then runs on its own
+through folds 1 to K - 1, in ascending order of their best fold-0 cell
+error (ties in fold-0 order).
 Before each fold, once some cell is complete, a call keeps only the paths
 that hold a live cell: one scored in every fold so far whose partial score,
 the sum of its fold errors so far over the fold count K, is <= the best
@@ -60,6 +61,15 @@ path trainings it skipped; a training that fails, or whose preparation
 failed, counts as made. Failure notes keep the fold-major order, one per
 failing (fold, call) even when its lead and its other paths both fail, and
 the cells of a dropped path are not counted as excluded.
+
+On MLP rows, the trainings the schedule is committed to before any score
+can prune reach :func:`~fdareg.mlp.train` as stacks, which train in one
+loop, each call bit for bit as if alone: fold 0's calls, one stack per
+(PCA size, hidden) across the ks and the decays, and folds 1 to K - 1 of a
+call that starts them with no bound (the lead), one stack per
+training-row count. No stack holds more restarts than the final refit
+trains (``mlp.restarts``), and a training under a bound runs alone. RBFN
+calls always train one at a time.
 
 Data-dependent preprocessing (imputation, column standardization, PCA and
 whitening statistics) is one chain of plain arrays, refitted inside every
@@ -476,20 +486,52 @@ def _train(spec, inputs, y, k_imp, n_comp, call, seed_key, final):
     one cell, trained with the refit's budget if ``final``; ``seed_key``
     seeds it, with the (k, size) and the cell appended in cross-validation.
     """
+    [trained] = _train_stack(spec, [(inputs, y, k_imp, n_comp, call, seed_key)], final)
+    if isinstance(trained, FdaregError):
+        raise trained
+    return trained
+
+
+def _train_stack(spec, jobs, final):
+    """:func:`_train` on one call per job ``(inputs, y, k_imp, n_comp, call,
+    seed_key)``; return per job what :func:`_train` returns, or the toolkit
+    error it raises. RBFN jobs train one by one. The MLP jobs train as one
+    stack of :func:`~fdareg.mlp.train`, so they must share ``hidden``, the
+    training-row count and the input width; each comes out as if trained
+    alone.
+    """
     if spec.model == "rbfn":
-        D, D_new, width = inputs
-        mult, ridges, cap = call
+        return [_train_rbfn(*job) for job in jobs]
+    m = spec.mlp
+    restarts, max_iter = (m.restarts, m.max_iter) if final else (m.cv_restarts, m.cv_max_iter)
+    Xs, ys, decays, seeds = [], [], [], []
+    for (X, _), y, k_imp, n_comp, (hidden, (decay,)), key in jobs:
+        if not final:
+            key = f"{key}-i{k_imp}-c{n_comp}-h{hidden}-d{decay:g}"
+        Xs.append(X)
+        ys.append(y)
+        decays.append(decay)
+        seeds.append(derive_seed(spec.seed, key))
+    try:
+        models = mlp_mod.train(Xs, ys, hidden, decays, restarts=restarts, seed=seeds,
+                               max_iter=max_iter)
+    except FdaregError as exc:
+        models = [exc] * len(jobs)
+    return [model if isinstance(model, FdaregError) else
+            [([(k_imp, n_comp, hidden, float(decay))], mlp_mod.forward(model, X_new)[:, None])]
+            for model, ((_, X_new), _, k_imp, n_comp, (_, (decay,)), _) in zip(models, jobs)]
+
+
+def _train_rbfn(inputs, y, k_imp, n_comp, call, seed_key):
+    """One RBFN job of :func:`_train`."""
+    D, D_new, width = inputs
+    mult, ridges, cap = call
+    try:
         paths = rbfn_mod.train_ols_paths(D, y, mult * width, ridges, min(cap, D.shape[0]))
         return [([(k_imp, n_comp, mult, float(ridge), k) for k in range(1, path.max_size + 1)],
                  path.predictions(D_new)) for ridge, path in zip(ridges, paths)]
-    X, X_new = inputs
-    hidden, (decay,) = call
-    m = spec.mlp
-    restarts, max_iter = (m.restarts, m.max_iter) if final else (m.cv_restarts, m.cv_max_iter)
-    key = seed_key if final else f"{seed_key}-i{k_imp}-c{n_comp}-h{hidden}-d{decay:g}"
-    model = mlp_mod.train(X, y, hidden, decay, restarts=restarts,
-                          seed=derive_seed(spec.seed, key), max_iter=max_iter)
-    return [([(k_imp, n_comp, hidden, float(decay))], mlp_mod.forward(model, X_new)[:, None])]
+    except FdaregError as exc:
+        return exc
 
 
 def _calls(spec) -> list[tuple[tuple, str]]:
@@ -524,7 +566,9 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     that can no longer change the selection. The module docstring states
     that exact rule and the counters ``info["pruned_trainings"]`` and
     ``info["pruned_paths"]``; the selection, ``cv_score`` and test RMSE
-    are bit for bit those of training every call in every fold.
+    are bit for bit those of training every call in every fold. On MLP
+    rows, fold 0's calls and the lead call's later folds train as stacks
+    of :func:`~fdareg.mlp.train`, as the module docstring states.
 
     The final refit, the winner's single call on the full training set,
     predicts the test rows through the same two steps as a fold, and a
@@ -593,30 +637,46 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     tables: list[dict[tuple, tuple[float, int]]] = [{} for _ in units]
     nonfinite = set()
 
-    def score(u, fold, call):
-        k_imp, n_comp, _, label = units[u]
-        if (k_imp, n_comp) not in prepared[fold]:  # its preparation failed, noted
-            return
-        tr, va = plan[fold]
-        try:
-            trained = _train(spec, prepared[fold][k_imp, n_comp], y[tr], k_imp, n_comp, call,
-                             f"mlp-cv-f{fold}", False)
-        except FdaregError as exc:
-            failed(fold, k_imp, n_comp, exc, label)
-            return
-        y_va = y[va]
-        for cells, P in trained:
-            mse = np.sum((P - y_va[:, None]) ** 2, axis=0) / y_va.size
-            for cell, error, finite in zip(cells, mse.tolist(), np.isfinite(mse).tolist()):
-                if not finite:
-                    nonfinite.add(cell)
-                    continue
-                total, folds = tables[u].get(cell, (0.0, 0))
-                tables[u][cell] = (total + error, folds + 1)
+    # MLP stacks: at most as many CV restarts as the refit trains
+    cap = max(1, spec.mlp.restarts // spec.mlp.cv_restarts) if spec.model == "mlp" else 1
+
+    def score(jobs):
+        """Train the calls ``(u, fold, call)`` and tabulate their cells'
+        fold errors. MLP calls that share the training-row count, the PCA
+        size and ``hidden`` train as stacks of at most ``cap`` calls, in
+        order; RBFN calls train one by one."""
+        groups = {}
+        for u, fold, call in jobs:
+            k_imp, n_comp, _, _ = units[u]
+            if (k_imp, n_comp) in prepared[fold]:  # else its preparation failed, noted
+                key = (plan[fold][0].size, n_comp, call[0]) if spec.model == "mlp" else None
+                groups.setdefault(key, []).append((u, fold, call))
+        for group in groups.values():
+            for i in range(0, len(group), cap):
+                tabulate(group[i:i + cap])
+
+    def tabulate(stack):
+        # one stack's predictions are freed before the next stack trains
+        trained = _train_stack(spec, [(prepared[fold][units[u][:2]], y[plan[fold][0]],
+                                       *units[u][:2], call, f"mlp-cv-f{fold}")
+                                      for u, fold, call in stack], False)
+        for (u, fold, _), result in zip(stack, trained):
+            k_imp, n_comp, _, label = units[u]
+            if isinstance(result, FdaregError):
+                failed(fold, k_imp, n_comp, result, label)
+                continue
+            y_va = y[plan[fold][1]]
+            for cells, P in result:
+                mse = np.sum((P - y_va[:, None]) ** 2, axis=0) / y_va.size
+                for cell, error, finite in zip(cells, mse.tolist(), np.isfinite(mse).tolist()):
+                    if not finite:
+                        nonfinite.add(cell)
+                        continue
+                    total, folds = tables[u].get(cell, (0.0, 0))
+                    tables[u][cell] = (total + error, folds + 1)
 
     K = len(plan)
-    for u in range(len(units)):
-        score(u, 0, units[u][2])
+    score([(u, 0, units[u][2]) for u in range(len(units))])
 
     def path(cell):  # a cell's path: its RBFN ridge, or its MLP call's one decay
         return cell[3]
@@ -634,9 +694,14 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
             lead = path(min(tables[u], key=lambda c: (tables[u][c][0], c)))
             groups = [{lead}, every - {lead}]
         for group in filter(None, groups):
-            held = group
-            for fold in range(1, K):
-                if best < np.inf:  # no bound before some cell is complete
+            if best == np.inf:
+                # no bound before some cell is complete: the group trains in
+                # every later fold, so those trainings are all committed
+                attempted.update((u, fold, p) for fold in range(1, K) for p in group)
+                call = (head, tuple(p for p in paths if float(p) in group), *tail)
+                score([(u, fold, call) for fold in range(1, K)])
+            else:
+                for fold in range(1, K):
                     # a live cell was scored in every fold so far; its score can only grow
                     held = {path(cell) for cell, (total, folds) in tables[u].items()
                             if path(cell) in group and folds == fold and total / K <= best}
@@ -645,8 +710,9 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
                                  if path(cell) in held or path(cell) not in group}
                     if not held:
                         break
-                attempted.update((u, fold, p) for p in held)
-                score(u, fold, (head, tuple(p for p in paths if float(p) in held), *tail))
+                    attempted.update((u, fold, p) for p in held)
+                    call = (head, tuple(p for p in paths if float(p) in held), *tail)
+                    score([(u, fold, call)])
             best = min([best, *(total / K for total, folds in tables[u].values() if folds == K)])
     fold_failures = [note for _, note in sorted(failures.items())]
     notes.extend(fold_failures)

@@ -1,0 +1,56 @@
+"""The A/B tool's verdict on paired runs of one metric, on synthetic times."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
+_spec = importlib.util.spec_from_file_location("ab", TOOL)
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+BASE = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+
+
+def test_a_clear_gain_is_a_gain():
+    change = [v * 0.9 for v in BASE]
+    v = ab.verdict(BASE, change, "lower", 0.25)
+    assert (v["verdict"], v["change_wins"], v["pairs"]) == ("gain", 10, 10)
+    assert v["base_median"] == 1.0
+    assert round(v["relative_change"], 12) == -0.1
+
+
+def test_identical_runs_are_no_gain():
+    v = ab.verdict(BASE, list(BASE), "lower", 0.25)
+    assert (v["verdict"], v["change_wins"]) == ("within bound", 0)
+
+
+def test_eight_wins_of_ten_are_no_gain():
+    change = [v * 0.9 for v in BASE[:8]] + [v * 1.1 for v in BASE[8:]]
+    assert ab.verdict(BASE, change, "lower", 0.25)["verdict"] == "within bound"
+
+
+def test_a_gap_inside_the_base_spread_is_no_gain():
+    # the change wins every pair by less than the base's IQR (0.025)
+    assert ab.verdict(BASE, [v - 0.01 for v in BASE], "lower", 0.25)["verdict"] == "within bound"
+
+
+def test_higher_is_better_metrics_count_wins_upward():
+    rates = [0.5, 0.52, 0.48, 0.51, 0.49, 0.53, 0.47, 0.5, 0.51, 0.49]
+    assert ab.verdict(rates, [r + 0.2 for r in rates], "higher", 0.05)["verdict"] == "gain"
+    assert ab.verdict(rates, [r - 0.2 for r in rates], "higher", 0.05)["verdict"] == (
+        "worse than bound")
+
+
+def test_a_slowdown_beyond_the_bound_is_flagged():
+    assert ab.verdict(BASE, [v * 1.3 for v in BASE], "lower", 0.25)["verdict"] == (
+        "worse than bound")
+    assert ab.verdict(BASE, [v * 1.2 for v in BASE], "lower", 0.25)["verdict"] == (
+        "within bound")
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    wide = [1.0, 2.0, 0.5, 1.5, 0.7, 1.2, 0.9, 1.8, 0.6, 1.1]
+    assert ab.verdict(wide, list(reversed(wide)), "lower", 0.1)["verdict"] == "unresolved"
+    # unless every change run beats every base run
+    assert ab.verdict(wide, [v / 10 for v in wide], "lower", 0.1)["verdict"] == "gain"
+    assert ab.verdict(wide, [0.4] * 9 + [0.45], "lower", 0.1)["verdict"] == "within bound"

@@ -1,7 +1,11 @@
+import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import trainer_gradient, vector_dataset
 from fdareg import fdata, mlp
@@ -239,6 +243,86 @@ class TestTrain:
         y = np.full(10, 1e200)
         with pytest.raises(TrainingError, match="3 of 3 restart"):
             mlp.train(X, y, 2, 1e-3, restarts=3, seed=0)
+
+
+STACK_ROWS, STACK_ITER = 20, 150
+
+
+def count_lstsq(train, *args, **kwargs):
+    """``train(*args, **kwargs)`` and the number of ``np.linalg.lstsq`` calls
+    it made."""
+    with mock.patch.object(np.linalg, "lstsq", side_effect=np.linalg.lstsq) as spy:
+        return train(*args, **kwargs), spy.call_count
+
+
+@functools.cache
+def singular_job(hidden):
+    """A job whose damped system turns exactly singular: a duplicated and an
+    all-zero input column, no decay, and the first seed whose restart 0,
+    trained alone, takes the lstsq fallback. A restart evolves as if alone
+    until its job's first fallback, so the job falls back with any restart
+    count."""
+    x = np.random.default_rng(0).normal(size=STACK_ROWS)
+    X = np.column_stack([1e3 * x, 1e3 * x, np.zeros(STACK_ROWS)])
+    # about one seed in four falls back within the budget
+    seed = next(s for s in range(100)
+                if count_lstsq(mlp.train, X, x, hidden, 0.0, 1, s, STACK_ITER)[1])
+    return X, x, 0.0, seed
+
+
+class TestStack:
+    """A stack of jobs trains in one loop, each job bit for bit as if alone."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        hidden=st.integers(1, 4),
+        restarts=st.integers(1, 8),
+        healthy=st.lists(st.tuples(st.integers(0, 2**32 - 1),
+                                   st.sampled_from((0.0, 1e-5, 1e-3, 1e-1, 1.0))),
+                         min_size=2, max_size=5),
+        order=st.randoms(use_true_random=False),
+        per_loop=st.sampled_from((1, 2, 3, None)),
+    )
+    def test_each_job_equals_the_reference_trained_alone(self, hidden, restarts, healthy,
+                                                         order, per_loop):
+        # healthy jobs, a NaN in X (ValidationError), overflowing targets
+        # (TrainingError) and an exactly singular job, mixed in a drawn order;
+        # the byte budget lets one loop take per_loop jobs (None: all)
+        jobs = []
+        for seed, decay in healthy:
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(STACK_ROWS, 3)) * 10.0 ** rng.uniform(-1, 1, size=3)
+            y = np.tanh(X[:, 0] / np.std(X[:, 0])) + 0.1 * rng.normal(size=STACK_ROWS)
+            jobs.append((X, y, decay, seed))
+        X, y, decay, seed = jobs[0]
+        nan_X = X.copy()
+        nan_X[3, 1] = np.nan
+        jobs += [(nan_X, y, decay, seed), (X, np.full(STACK_ROWS, 1e200), decay, seed),
+                 singular_job(hidden)]
+        order.shuffle(jobs)
+        Xs, ys, decays, seeds = (list(column) for column in zip(*jobs))
+        per_job = restarts * STACK_ROWS * (hidden * 3 + 2 * hidden + 1) * 8
+        with mock.patch.object(mlp, "STACK_BYTES", per_job * (per_loop or len(jobs))):
+            results, calls = count_lstsq(mlp.train, np.array(Xs), np.array(ys), hidden,
+                                         decays, restarts, seeds, STACK_ITER)
+        assert len(results) == len(jobs)
+        expected_calls = 0
+        for (X, y, decay, seed), result in zip(jobs, results):
+            if not np.all(np.isfinite(X)):
+                assert isinstance(result, ValidationError)
+            elif y[0] == 1e200:
+                assert isinstance(result, TrainingError)
+                assert str(result) == (f"{restarts} of {restarts} restart(s) start at a "
+                                       f"non-finite loss")
+            else:
+                (expected, _, _), n = count_lstsq(reference_lm_train, X, y, hidden, decay,
+                                                  restarts, seed, STACK_ITER)
+                expected_calls += n
+                for field in MODEL_FIELDS:
+                    assert ([v.hex() for v in np.ravel(getattr(result, field))]
+                            == [v.hex() for v in np.ravel(getattr(expected, field))]), field
+        # only the singular job solved by lstsq, as often as it does alone
+        assert calls == expected_calls > 0
 
 
 class TestSelectMeta:

@@ -560,6 +560,16 @@ class TestPruning:
     pruned. The winner, its score and the test RMSE are the unpruned
     engine's."""
 
+    # refit restarts 8 over CV restarts 2 cap a stack at 4 calls: one stack
+    # spans both ks and both decays
+    KNN_MLP = ExperimentSpec(
+        "knn-mlp", "mlp", RepresentationSpec("raw"),
+        pca=PcaSpec("classical", component_grid=(2, 3), whiten=True),
+        impute=ImputeSpec("knn", k_grid=(1, 4)),
+        mlp=MlpSettings(hidden_grid=(1, 2), decay_grid=(1e-3, 1e-1), restarts=8,
+                        cv_restarts=2, max_iter=40, cv_max_iter=40),
+        seed=5)
+
     @pytest.mark.parametrize("row", ["raw-rbfn", "pca-rbfn", "knn-mlp"])
     def test_pruned_engine_equals_the_fold_major_oracle(self, request, row):
         rbfn_row = row != "knn-mlp"
@@ -570,13 +580,7 @@ class TestPruning:
             "pca-rbfn": ExperimentSpec("pca-rbfn", "rbfn", RepresentationSpec("raw"),
                                        pca=PcaSpec("classical", component_grid=(2, 4, 6)),
                                        rbfn=SMALL_RBFN, seed=3),
-            "knn-mlp": ExperimentSpec(
-                "knn-mlp", "mlp", RepresentationSpec("raw"),
-                pca=PcaSpec("classical", component_grid=(2, 3), whiten=True),
-                impute=ImputeSpec("knn", k_grid=(1, 4)),
-                mlp=MlpSettings(hidden_grid=(1, 2), decay_grid=(1e-3, 1e-1), restarts=3,
-                                cv_restarts=2, max_iter=40, cv_max_iter=40),
-                seed=5),
+            "knn-mlp": self.KNN_MLP,
         }[row]
         report = run_experiment(spec, train, test)
         selected, cv_score, test_rmse = fold_major_cv(spec, train, test)
@@ -590,13 +594,47 @@ class TestPruning:
         else:
             assert "pruned_paths" not in report.info
 
+    def test_fold_0_and_the_lead_train_in_stacks(self, holed, monkeypatch):
+        # fold 0 trains one stack per (size, hidden), over both ks and both
+        # decays; the unbounded lead call trains its folds 1-3 in one stack
+        # per training-row count (38 rows: folds of 28 and 29), and every
+        # bounded training runs alone
+        spec = self.KNN_MLP
+        train, test = holed
+        plan = make_folds(len(train), spec.folds, derive_seed(spec.seed, "folds"))
+        m = spec.mlp
+        job_of = {derive_seed(spec.seed, f"mlp-cv-f{f}-i{k}-c{c}-h{h}-d{d:g}"): (f, k, c, h, d)
+                  for f in range(spec.folds) for k in spec.impute.k_grid
+                  for c in spec.pca.component_grid for h in m.hidden_grid for d in m.decay_grid}
+        job_of[derive_seed(spec.seed, "mlp-final")] = "final"
+        real_train = mlp_mod.train
+        stacks = []
+
+        def spy(X, y, hidden, decay, restarts, seed, max_iter):
+            stacks.append([job_of[s] for s in seed])
+            return real_train(X, y, hidden, decay, restarts, seed, max_iter)
+
+        monkeypatch.setattr(mlp_mod, "train", spy)
+        run_experiment(spec, train, test)
+        fold0 = [[(0, k, c, h, d) for k in spec.impute.k_grid for d in m.decay_grid]
+                 for c in spec.pca.component_grid for h in m.hidden_grid]
+        assert stacks[:4] == fold0
+        lead = stacks[4][0][1:]
+        sizes = dict.fromkeys(plan[f][0].size for f in range(1, spec.folds))
+        assert len(sizes) == 2
+        assert stacks[4:6] == [[(f, *lead) for f in range(1, spec.folds) if plan[f][0].size == n]
+                               for n in sizes]
+        assert all(len(stack) == 1 for stack in stacks[6:])
+        assert stacks[-1] == ["final"]
+
     @staticmethod
-    def run(monkeypatch, errors, engine=run_experiment):
+    def run(monkeypatch, errors, engine=run_experiment, stacks=None):
         """Run a 4-fold MLP row whose targets are all 0 and whose call
         ``hidden=h`` predicts the constant ``sqrt(errors[h][fold])``, so its
         fold errors are exactly ``errors[h]``, or fails to train where that
         entry is None. Returns ``engine``'s result and the trainings made in
-        order, ``(hidden, fold)`` each, with the refit's fold ``"final"``."""
+        order, ``(hidden, fold)`` each, with the refit's fold ``"final"``;
+        ``stacks``, if given, receives each call's trainings as one list."""
         X = np.random.default_rng(8).normal(size=(30, 5))
         train, test = vector_dataset(X[:24], np.zeros(24)), vector_dataset(X[24:], np.zeros(6))
         spec = ExperimentSpec(
@@ -610,10 +648,14 @@ class TestPruning:
         trainings = []
 
         def train_call(X, y, hidden, decay, seed, **kwargs):
-            trainings.append((hidden, fold_of[seed]))
-            if trainings[-1][1] != "final" and errors[hidden][trainings[-1][1]] is None:
-                raise TrainingError("drawn failure")
-            return trainings[-1]
+            # a stack: one model, or one failure, per job
+            stack = [(hidden, fold_of[s]) for s in seed]
+            trainings.extend(stack)
+            if stacks is not None:
+                stacks.append(stack)
+            return [TrainingError("drawn failure")
+                    if fold != "final" and errors[hidden][fold] is None else (hidden, fold)
+                    for hidden, fold in stack]
 
         def forward(model, X):
             hidden, fold = model
@@ -666,6 +708,17 @@ class TestPruning:
         assert report.selected == {"n_components": 2, "hidden": 1, "decay": 1e-3}
         assert report.cv_score == 1.0
         assert report.notes == ()
+
+    def test_committed_trainings_reach_the_trainer_as_stacks(self, monkeypatch):
+        # the case above: fold 0 trains one stack per (size, hidden), here
+        # one call each, and the unbounded lead hidden 1 its folds 1-3 in
+        # one stack (every fold has 18 training rows); hidden 2's bounded
+        # folds train one at a time
+        stacks = []
+        self.run(monkeypatch, {1: (1, 1, 1, 1), 2: (1, 1, 4, 9), 3: (9, 0, 0, 0)},
+                 stacks=stacks)
+        assert stacks == [[(1, 0)], [(2, 0)], [(3, 0)], [(1, 1), (1, 2), (1, 3)], [(2, 1)],
+                          [(2, 2)], [(1, "final")]]
 
     def test_a_partial_score_equal_to_the_best_is_not_pruned(self, monkeypatch):
         # hidden 2 runs first (fold-0 error 1 < 4) and completes with 1;
