@@ -645,13 +645,13 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
         fold errors. MLP calls that share the training-row count, the PCA
         size and ``hidden`` train as stacks of at most ``cap`` calls, in
         order; RBFN calls train one by one."""
-        groups = {}
+        stackable = {}
         for u, fold, call in jobs:
             k_imp, n_comp, _, _ = units[u]
             if (k_imp, n_comp) in prepared[fold]:  # else its preparation failed, noted
                 key = (plan[fold][0].size, n_comp, call[0]) if spec.model == "mlp" else None
-                groups.setdefault(key, []).append((u, fold, call))
-        for group in groups.values():
+                stackable.setdefault(key, []).append((u, fold, call))
+        for group in stackable.values():
             for i in range(0, len(group), cap):
                 tabulate(group[i:i + cap])
 
