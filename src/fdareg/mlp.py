@@ -13,12 +13,14 @@ random restarts run in parallel (batched linear algebra) and the best final
 loss wins.
 
 One call can train a stack of jobs, each with its own training set,
-decay and seeds, in one loop: every restart of every job is a row of the
-same batched arrays. Small networks spend an iteration in numpy's per-call
-overhead, not in arithmetic, so one loop over five jobs of 8 restarts costs
-far less than five loops. Cross-validation stacks the trainings it has
-already committed to (``selection.run_experiment``). Each job comes out bit
-for bit as if trained alone; :func:`train` states why.
+network size, decay and seeds; the jobs of one shape share training
+loops, in which every restart of every job is a row of the same batched
+arrays. Small networks spend an iteration in numpy's per-call overhead,
+not in arithmetic, so one loop over five jobs of 8 restarts costs far less
+than five loops. Cross-validation hands :func:`train` the trainings it has
+committed to (``selection.run_experiment``), and :func:`train` decides
+which share a loop. Each job comes out bit for bit as if trained alone;
+:func:`train` states why.
 """
 
 from __future__ import annotations
@@ -33,8 +35,12 @@ from .errors import FdaregError, TrainingError, ValidationError
 GRAD_TOL = 1e-8
 MAX_ITER = 500
 
-#: Most bytes the Jacobian of one training loop may hold; a larger stack
-#: trains its jobs in groups of consecutive jobs, one loop each. Stacking
+#: Default restart count of :func:`train`, and the most restarts one training
+#: loop holds: no cross-validation loop outgrows a default final refit.
+RESTARTS = 60
+
+#: Most bytes the Jacobian of one training loop may hold, unless one job
+#: alone needs more; a larger group trains in several loops. Stacking
 #: saves numpy's per-call overhead, which dominates small networks, but
 #: once the batched arrays outgrow the cache a wide network loses more than
 #: that: six 10-restart jobs at n = 129 trained 13-44 % faster stacked than
@@ -156,9 +162,9 @@ def _jacobian(params, X, act, hidden):
 def train(
     X: np.ndarray,
     y: np.ndarray,
-    hidden: int,
+    hidden,
     decay,
-    restarts: int = 60,
+    restarts: int = RESTARTS,
     seed=None,
     max_iter: int = MAX_ITER,
 ):
@@ -184,15 +190,19 @@ def train(
     wall cost is far below ``restarts`` sequential runs.
 
     **A stack.** With ``decay`` a sequence, one call trains a stack of
-    jobs in one loop. ``X`` ``(J, n, d)`` and ``y`` ``(J, n)`` hold one
-    training set per job, and ``decay`` and ``seed`` one value per job;
-    ``restarts`` and ``max_iter`` apply to every job, and all share ``n``,
-    ``d`` and ``hidden``. The call returns one result per job, in order:
-    its trained model, or the :class:`ValidationError` or
-    :class:`TrainingError` that the job would raise alone, which leaves the
-    other jobs untouched. The stack holds C-ordered copies of the ``X``:
-    the summation order of the products with ``X`` follows its memory
-    layout.
+    jobs: ``X``, ``y``, ``hidden``, ``decay`` and ``seed`` hold one value
+    per job, each ``X`` ``(n, d)`` and each ``y`` ``(n,)`` of its own
+    size; ``restarts`` and ``max_iter`` apply to every job. The call
+    returns one result per job, in job order: its trained model, or the
+    :class:`ValidationError` or :class:`TrainingError` that the job would
+    raise alone, which leaves the other jobs untouched. The jobs that
+    share ``(n, d, hidden)`` form a group, and the groups train in the
+    order of their first job. Each group trains in consecutive loops of
+    as many jobs as keep a loop within both limits, :data:`STACK_BYTES`
+    of Jacobian and :data:`RESTARTS` restarts, and at least one job. Every
+    job's ``X`` is copied C-ordered, alone or stacked: the summation order
+    of the products with ``X`` follows its memory layout, so a caller's
+    layout does not move the model.
 
     Each job comes out bit for bit as if trained alone, because no restart
     reads another's numbers. Every batched operation is a per-restart
@@ -201,38 +211,40 @@ def train(
     test, and each job keeps its own seeds and the argmin over its own
     restarts. One case couples restarts: a batched solve raises when any
     of its systems is singular, and a job trained alone then solves all of
-    its live restarts by least squares. So when the stack's solve raises,
+    its live restarts by least squares. So when the loop's solve raises,
     its jobs are solved one by one, and only those whose own systems are
     singular take the least-squares fallback.
-
-    A stack's arrays grow with its restart count. So one loop takes at
-    most as many consecutive jobs as keep its Jacobian within
-    :data:`STACK_BYTES`, and ``selection.run_experiment`` never stacks more
-    cross-validation restarts than its final refit trains.
     """
-    if restarts < 1:
-        raise ValidationError("need at least one restart")
-    if hidden < 1:
-        raise ValidationError("need at least one hidden unit")
-    if np.ndim(decay) == 0:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        [result] = _train_stack(X[None], np.asarray(y, dtype=float)[None], hidden,
-                                np.array([decay], dtype=float), restarts, [seed], max_iter)
-        if isinstance(result, FdaregError):
-            raise result
-        return result
-    X, y, decay = (np.array(a, dtype=float) for a in (X, y, decay))
-    if X.ndim != 3 or y.shape != X.shape[:2] or not len(decay) == len(seed) == len(X):
-        raise ValidationError("a stack needs X (J, n, d), y (J, n), and J decays and seeds")
-    _, n, dim = X.shape
-    size = max(1, STACK_BYTES // (restarts * n * (hidden * dim + 2 * hidden + 1) * 8))
-    return [result for i in range(0, len(X), size)
-            for result in _train_stack(X[i:i + size], y[i:i + size], hidden, decay[i:i + size],
-                                       restarts, seed[i:i + size], max_iter)]
+    solo = np.ndim(decay) == 0
+    if solo:
+        X, y, hidden, decay, seed = [np.atleast_2d(X)], [y], [hidden], [decay], [seed]
+    if restarts < 1 or any(h < 1 for h in hidden):
+        raise ValidationError("need at least one restart and one hidden unit per job")
+    if (not len(X) == len(y) == len(hidden) == len(decay) == len(seed)
+            or any(np.ndim(X_j) != 2 or np.shape(y_j) != np.shape(X_j)[:1]
+                   for X_j, y_j in zip(X, y))):
+        raise ValidationError("a stack needs per job an X (n, d), a y (n,), hidden, decay, seed")
+    groups = {}
+    for j, (X_j, h) in enumerate(zip(X, hidden)):
+        groups.setdefault((*np.shape(X_j), h), []).append(j)
+    by_job = {}
+    for (n, dim, h), group in groups.items():
+        jacobian_bytes = restarts * n * (h * dim + 2 * h + 1) * 8  # one job's
+        size = max(1, min(STACK_BYTES // jacobian_bytes, RESTARTS // restarts))
+        for loop in (group[i:i + size] for i in range(0, len(group), size)):
+            # np.array copies the jobs' X into one C-ordered (J, n, d) array
+            X_l, y_l, decay_l = (np.array([a[j] for j in loop], dtype=float) for a in (X, y, decay))
+            by_job.update(zip(loop, _train_stack(X_l, y_l, h, decay_l, restarts,
+                                                 [seed[j] for j in loop], max_iter)))
+    results = [by_job[j] for j in range(len(X))]
+    if solo and isinstance(results[0], FdaregError):
+        raise results[0]
+    return results[0] if solo else results
 
 
 def _train_stack(X, y, hidden, decay, restarts, seed, max_iter) -> list:
-    """:func:`train` on a stack of ``len(X)`` jobs: the results in job order."""
+    """One training loop of :func:`train` over ``len(X)`` jobs that share
+    ``X.shape[1:]`` and ``hidden``: the results in job order."""
     results = [None if np.all(np.isfinite(X_j)) and np.all(np.isfinite(y_j)) else
                ValidationError("training inputs and targets must be finite")
                for X_j, y_j in zip(X, y)]

@@ -62,14 +62,10 @@ failed, counts as made. Failure notes keep the fold-major order, one per
 failing (fold, call) even when its lead and its other paths both fail, and
 the cells of a dropped path are not counted as excluded.
 
-On MLP rows, the trainings the schedule is committed to before any score
-can prune reach :func:`~fdareg.mlp.train` as stacks, which train in one
-loop, each call bit for bit as if alone: fold 0's calls, one stack per
-(PCA size, hidden) across the ks and the decays, and folds 1 to K - 1 of a
-call that starts them with no bound (the lead), one stack per
-training-row count. No stack holds more restarts than the final refit
-trains (``mlp.restarts``), and a training under a bound runs alone. RBFN
-calls always train one at a time.
+On MLP rows, ``score`` hands :func:`~fdareg.mlp.train` every training the
+schedule has committed to at once (fold 0's calls, then the unbounded lead
+call's folds 1 to K - 1), and :func:`~fdareg.mlp.train` decides what shares
+a loop.
 
 Data-dependent preprocessing (imputation, column standardization, PCA and
 whitening statistics) is one chain of plain arrays, refitted inside every
@@ -169,7 +165,7 @@ class RbfnSettings:
 class MlpSettings:
     hidden_grid: tuple[int, ...] = mlp_mod.HIDDEN_GRID
     decay_grid: tuple[float, ...] = mlp_mod.DECAY_GRID
-    restarts: int = 60  # final refit
+    restarts: int = mlp_mod.RESTARTS  # final refit
     cv_restarts: int = 12  # per grid cell during cross-validation
     max_iter: int = mlp_mod.MAX_ITER  # final refit
     cv_max_iter: int = 150  # optimizer budget per CV cell
@@ -494,32 +490,32 @@ def _train(spec, inputs, y, k_imp, n_comp, call, seed_key, final):
 
 def _train_stack(spec, jobs, final):
     """:func:`_train` on one call per job ``(inputs, y, k_imp, n_comp, call,
-    seed_key)``; return per job what :func:`_train` returns, or the toolkit
-    error it raises. RBFN jobs train one by one. The MLP jobs train as one
-    stack of :func:`~fdareg.mlp.train`, so they must share ``hidden``, the
-    training-row count and the input width; each comes out as if trained
-    alone.
+    seed_key)`` of the iterable ``jobs``: an iterator over what
+    :func:`_train` returns per job, or the toolkit error it raises, in job
+    order. An RBFN job is taken from ``jobs`` and trained only when the
+    iterator reaches it. The MLP jobs all go to one
+    :func:`~fdareg.mlp.train` stack, which decides what shares a loop, and
+    each comes out as if trained alone.
     """
     if spec.model == "rbfn":
-        return [_train_rbfn(*job) for job in jobs]
+        return (_train_rbfn(*job) for job in jobs)
+    jobs = list(jobs)  # read twice: for the stack and for its predictions
     m = spec.mlp
     restarts, max_iter = (m.restarts, m.max_iter) if final else (m.cv_restarts, m.cv_max_iter)
-    Xs, ys, decays, seeds = [], [], [], []
+    Xs, ys, hiddens, decays, seeds = [], [], [], [], []
     for (X, _), y, k_imp, n_comp, (hidden, (decay,)), key in jobs:
         if not final:
             key = f"{key}-i{k_imp}-c{n_comp}-h{hidden}-d{decay:g}"
         Xs.append(X)
         ys.append(y)
+        hiddens.append(hidden)
         decays.append(decay)
         seeds.append(derive_seed(spec.seed, key))
-    try:
-        models = mlp_mod.train(Xs, ys, hidden, decays, restarts=restarts, seed=seeds,
-                               max_iter=max_iter)
-    except FdaregError as exc:
-        models = [exc] * len(jobs)
-    return [model if isinstance(model, FdaregError) else
+    models = mlp_mod.train(Xs, ys, hiddens, decays, restarts=restarts, seed=seeds,
+                           max_iter=max_iter)
+    return (model if isinstance(model, FdaregError) else
             [([(k_imp, n_comp, hidden, float(decay))], mlp_mod.forward(model, X_new)[:, None])]
-            for model, ((_, X_new), _, k_imp, n_comp, (_, (decay,)), _) in zip(models, jobs)]
+            for model, ((_, X_new), _, k_imp, n_comp, (hidden, (decay,)), _) in zip(models, jobs))
 
 
 def _train_rbfn(inputs, y, k_imp, n_comp, call, seed_key):
@@ -567,8 +563,9 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     that exact rule and the counters ``info["pruned_trainings"]`` and
     ``info["pruned_paths"]``; the selection, ``cv_score`` and test RMSE
     are bit for bit those of training every call in every fold. On MLP
-    rows, fold 0's calls and the lead call's later folds train as stacks
-    of :func:`~fdareg.mlp.train`, as the module docstring states.
+    rows, the trainings that schedule has committed to reach
+    :func:`~fdareg.mlp.train` as one stack, as the module docstring
+    states.
 
     The final refit, the winner's single call on the full training set,
     predicts the test rows through the same two steps as a fold, and a
@@ -637,43 +634,32 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     tables: list[dict[tuple, tuple[float, int]]] = [{} for _ in units]
     nonfinite = set()
 
-    # MLP stacks: at most as many CV restarts as the refit trains
-    cap = max(1, spec.mlp.restarts // spec.mlp.cv_restarts) if spec.model == "mlp" else 1
-
     def score(jobs):
-        """Train the calls ``(u, fold, call)`` and tabulate their cells'
-        fold errors. MLP calls that share the training-row count, the PCA
-        size and ``hidden`` train as stacks of at most ``cap`` calls, in
-        order; RBFN calls train one by one."""
-        stackable = {}
-        for u, fold, call in jobs:
-            k_imp, n_comp, _, _ = units[u]
-            if (k_imp, n_comp) in prepared[fold]:  # else its preparation failed, noted
-                key = (plan[fold][0].size, n_comp, call[0]) if spec.model == "mlp" else None
-                stackable.setdefault(key, []).append((u, fold, call))
-        for group in stackable.values():
-            for i in range(0, len(group), cap):
-                tabulate(group[i:i + cap])
-
-    def tabulate(stack):
-        # one stack's predictions are freed before the next stack trains
-        trained = _train_stack(spec, [(prepared[fold][units[u][:2]], y[plan[fold][0]],
+        """Train the calls ``(u, fold, call)`` whose preparation did not fail
+        (a failed one is noted) as one :func:`_train_stack`, and tabulate
+        their cells' fold errors in job order."""
+        jobs = [(u, fold, call) for u, fold, call in jobs if units[u][:2] in prepared[fold]]
+        trained = _train_stack(spec, ((prepared[fold][units[u][:2]], y[plan[fold][0]],
                                        *units[u][:2], call, f"mlp-cv-f{fold}")
-                                      for u, fold, call in stack], False)
-        for (u, fold, _), result in zip(stack, trained):
-            k_imp, n_comp, _, label = units[u]
-            if isinstance(result, FdaregError):
-                failed(fold, k_imp, n_comp, result, label)
-                continue
-            y_va = y[plan[fold][1]]
-            for cells, P in result:
-                mse = np.sum((P - y_va[:, None]) ** 2, axis=0) / y_va.size
-                for cell, error, finite in zip(cells, mse.tolist(), np.isfinite(mse).tolist()):
-                    if not finite:
-                        nonfinite.add(cell)
-                        continue
-                    total, folds = tables[u].get(cell, (0.0, 0))
-                    tables[u][cell] = (total + error, folds + 1)
+                                      for u, fold, call in jobs), False)
+        for u, fold, _ in jobs:
+            # lazy jobs, results taken in the call: one RBFN job alive at a time
+            tabulate(u, fold, next(trained))
+
+    def tabulate(u, fold, result):
+        k_imp, n_comp, _, label = units[u]
+        if isinstance(result, FdaregError):
+            failed(fold, k_imp, n_comp, result, label)
+            return
+        y_va = y[plan[fold][1]]
+        for cells, P in result:
+            mse = np.sum((P - y_va[:, None]) ** 2, axis=0) / y_va.size
+            for cell, error, finite in zip(cells, mse.tolist(), np.isfinite(mse).tolist()):
+                if not finite:
+                    nonfinite.add(cell)
+                    continue
+                total, folds = tables[u].get(cell, (0.0, 0))
+                tables[u][cell] = (total + error, folds + 1)
 
     K = len(plan)
     score([(u, 0, units[u][2]) for u in range(len(units))])

@@ -1,4 +1,5 @@
-"""The A/B tool's verdict on paired runs of one metric, on synthetic times."""
+"""The A/B tool's verdict on paired runs of one metric, on synthetic times,
+and its comparison of counted work, on synthetic counts."""
 
 import importlib.util
 from pathlib import Path
@@ -54,3 +55,35 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     # unless every change run beats every base run
     assert ab.verdict(wide, [v / 10 for v in wide], "lower", 0.1)["verdict"] == "gain"
     assert ab.verdict(wide, [0.4] * 9 + [0.45], "lower", 0.1)["verdict"] == "within bound"
+
+
+def counts(loops, **values):
+    """Synthetic ``count_work`` output: every count 0 unless given."""
+    return {**dict.fromkeys(ab.COUNTS, 0), **values, "loops": loops}
+
+
+LOOPS = [(129, 6, 1, 40), (129, 12, 1, 40), (96, 6, 1, 24)]
+
+
+def test_equal_loop_sequences_with_fewer_train_calls():
+    base = counts(LOOPS, **{"mlp.train calls": 3, "LM loops": 3, "LM jobs": 11})
+    change = counts([list(loop) for loop in LOOPS],  # as read back from JSON
+                    **{"mlp.train calls": 2, "LM loops": 3, "LM jobs": 11})
+    c = ab.compare_counts(base, change)
+    assert (c["loops_equal"], c["first_differing_loop"]) == (True, None)
+    assert c["counts"]["mlp.train calls"] == {"base": 3, "change": 2, "difference": -1}
+    assert c["counts"]["LM jobs"]["difference"] == 0
+
+
+def test_the_first_differing_loop_is_named():
+    change = LOOPS[:1] + [(129, 12, 1, 32), (129, 12, 1, 8)] + LOOPS[2:]
+    c = ab.compare_counts(counts(LOOPS), counts(change, **{"LM loops": 1}))
+    assert (c["loops_equal"], c["first_differing_loop"]) == (False, 1)
+    assert c["counts"]["LM loops"]["difference"] == 1
+
+
+def test_a_sequence_that_ends_early_differs_where_it_ends():
+    c = ab.compare_counts(counts(LOOPS), counts(LOOPS[:2]))
+    assert (c["loops_equal"], c["first_differing_loop"]) == (False, 2)
+    c = ab.compare_counts(counts([]), counts([]))
+    assert c["loops_equal"]

@@ -270,44 +270,89 @@ def singular_job(hidden):
     return X, x, 0.0, seed
 
 
+def hexes(model):
+    return {field: [v.hex() for v in np.ravel(getattr(model, field))] for field in MODEL_FIELDS}
+
+
 class TestStack:
-    """A stack of jobs trains in one loop, each job bit for bit as if alone."""
+    """A stack of jobs trains in loops, one (n, d, hidden) each, every job
+    bit for bit as if alone."""
 
     @settings(max_examples=12, deadline=None)
     @given(
-        hidden=st.integers(1, 4),
         restarts=st.integers(1, 8),
         healthy=st.lists(st.tuples(st.integers(0, 2**32 - 1),
-                                   st.sampled_from((0.0, 1e-5, 1e-3, 1e-1, 1.0))),
-                         min_size=2, max_size=5),
+                                   st.sampled_from((0.0, 1e-5, 1e-3, 1e-1, 1.0)),
+                                   st.sampled_from((STACK_ROWS, STACK_ROWS + 1)),
+                                   st.integers(2, 3), st.integers(1, 3)),
+                         min_size=2, max_size=6),
+        singular_hidden=st.integers(1, 3),
         order=st.randoms(use_true_random=False),
-        per_loop=st.sampled_from((1, 2, 3, None)),
+        stack_bytes=st.sampled_from((1, 4_000, 16_000, 2**20)),
+        most_restarts=st.sampled_from((1, 8, 16, mlp.RESTARTS)),
     )
-    def test_each_job_equals_the_reference_trained_alone(self, hidden, restarts, healthy,
-                                                         order, per_loop):
-        # healthy jobs, a NaN in X (ValidationError), overflowing targets
-        # (TrainingError) and an exactly singular job, mixed in a drawn order;
-        # the byte budget lets one loop take per_loop jobs (None: all)
+    def test_each_job_equals_the_reference_trained_alone(self, restarts, healthy,
+                                                         singular_hidden, order, stack_bytes,
+                                                         most_restarts):
+        # healthy jobs of their own n, d and hidden, a NaN in X
+        # (ValidationError), overflowing targets (TrainingError) and an
+        # exactly singular job, mixed in a drawn order, under drawn limits
         jobs = []
-        for seed, decay in healthy:
+        for seed, decay, n, d, hidden in healthy:
             rng = np.random.default_rng(seed)
-            X = rng.normal(size=(STACK_ROWS, 3)) * 10.0 ** rng.uniform(-1, 1, size=3)
-            y = np.tanh(X[:, 0] / np.std(X[:, 0])) + 0.1 * rng.normal(size=STACK_ROWS)
-            jobs.append((X, y, decay, seed))
-        X, y, decay, seed = jobs[0]
+            X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-1, 1, size=d)
+            y = np.tanh(X[:, 0] / np.std(X[:, 0])) + 0.1 * rng.normal(size=n)
+            jobs.append((X, y, hidden, decay, seed))
+        X, y, hidden, decay, seed = jobs[0]
         nan_X = X.copy()
         nan_X[3, 1] = np.nan
-        jobs += [(nan_X, y, decay, seed), (X, np.full(STACK_ROWS, 1e200), decay, seed),
-                 singular_job(hidden)]
+        X_s, y_s, decay_s, seed_s = singular_job(singular_hidden)
+        jobs += [(nan_X, y, hidden, decay, seed), (X, np.full(y.size, 1e200), hidden, decay, seed),
+                 (X_s, y_s, singular_hidden, decay_s, seed_s)]
         order.shuffle(jobs)
-        Xs, ys, decays, seeds = (list(column) for column in zip(*jobs))
-        per_job = restarts * STACK_ROWS * (hidden * 3 + 2 * hidden + 1) * 8
-        with mock.patch.object(mlp, "STACK_BYTES", per_job * (per_loop or len(jobs))):
-            results, calls = count_lstsq(mlp.train, np.array(Xs), np.array(ys), hidden,
-                                         decays, restarts, seeds, STACK_ITER)
+        loops, real_loop = [], mlp._train_stack
+
+        def spy(X, y, hidden, decay, restarts, seed, max_iter):
+            assert X.flags.c_contiguous
+            loops.append([(X_j, y_j, hidden, d, s) for X_j, y_j, d, s in zip(X, y, decay, seed)])
+            return real_loop(X, y, hidden, decay, restarts, seed, max_iter)
+
+        Xs, ys, hiddens, decays, seeds = (list(column) for column in zip(*jobs))
+        with mock.patch.object(mlp, "STACK_BYTES", stack_bytes), \
+                mock.patch.object(mlp, "RESTARTS", most_restarts), \
+                mock.patch.object(mlp, "_train_stack", spy):
+            results, calls = count_lstsq(mlp.train, Xs, ys, hiddens, decays, restarts, seeds,
+                                         STACK_ITER)
+
+        def key(job):
+            return (*job[0].shape, job[2])
+
+        def over(size, n, d, hidden):
+            """Whether ``size`` jobs of one group break a limit of one loop."""
+            per_job = restarts * n * (hidden * d + 2 * hidden + 1) * 8
+            return size * per_job > stack_bytes or size * restarts > most_restarts
+
+        # the loops train the groups of one (n, d, hidden) in the order of
+        # their first job, each group's jobs in order
+        first_seen = list(dict.fromkeys(map(key, jobs)))
+        grouped = [job for k in first_seen for job in jobs if key(job) == k]
+        looped = [job for loop in loops for job in loop]
+        assert len(looped) == len(grouped)
+        for (X_a, y_a, *rest_a), (X_b, y_b, *rest_b) in zip(looped, grouped):
+            assert np.array_equal(X_a, X_b, equal_nan=True) and np.array_equal(y_a, y_b)
+            assert rest_a == rest_b
+        # no loop of several jobs is over a limit, and a loop that its
+        # group continues is full: one more job would break a limit
+        for loop, after in zip(loops, loops[1:] + [None]):
+            k = key(loop[0])
+            assert all(key(job) == k for job in loop)
+            assert len(loop) == 1 or not over(len(loop), *k)
+            if after is not None and key(after[0]) == k:
+                assert over(len(loop) + 1, *k)
+
         assert len(results) == len(jobs)
         expected_calls = 0
-        for (X, y, decay, seed), result in zip(jobs, results):
+        for (X, y, hidden, decay, seed), result in zip(jobs, results):
             if not np.all(np.isfinite(X)):
                 assert isinstance(result, ValidationError)
             elif y[0] == 1e200:
@@ -318,11 +363,23 @@ class TestStack:
                 (expected, _, _), n = count_lstsq(reference_lm_train, X, y, hidden, decay,
                                                   restarts, seed, STACK_ITER)
                 expected_calls += n
-                for field in MODEL_FIELDS:
-                    assert ([v.hex() for v in np.ravel(getattr(result, field))]
-                            == [v.hex() for v in np.ravel(getattr(expected, field))]), field
+                assert hexes(result) == hexes(expected)
         # only the singular job solved by lstsq, as often as it does alone
         assert calls == expected_calls > 0
+
+    def test_a_fortran_ordered_X_trains_as_its_C_ordered_copy(self):
+        # the summation order of the products with X follows its memory
+        # layout, so every job's X is copied C-ordered, alone or stacked
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(60, 7))
+        y = np.tanh(X[:, 0]) + 0.1 * rng.normal(size=60)
+        F = np.asfortranarray(X)
+        expected = hexes(mlp.train(X, y, 2, 1e-3, 6, 3, 100))
+        assert hexes(mlp.train(F, y, 2, 1e-3, 6, 3, 100)) == expected
+        for stack in ([F], [F, X]):
+            J = len(stack)
+            results = mlp.train(stack, [y] * J, [2] * J, [1e-3] * J, 6, [3] * J, 100)
+            assert [hexes(result) for result in results] == [expected] * J
 
 
 class TestSelectMeta:

@@ -149,8 +149,11 @@ class TestTestSetOrder:
         assert np.isfinite(report.test_rmse)
         assert calls.count("group test") == 1
         grouped = calls.index("group test")
-        # CV: one training and one prediction per fold
-        assert calls[:grouped] == ["group train"] + ["train", "predict"] * spec.folds
+        # CV: one training and one prediction per fold; the MLP trains fold
+        # 0, then folds 1-3 in one stack call, which predicts fold by fold
+        cv = (["train", "predict"] * spec.folds if model == "rbfn" else
+              ["train", "predict", "train"] + ["predict"] * (spec.folds - 1))
+        assert calls[:grouped] == ["group train"] + cv
         assert calls[grouped + 1:] == ["train", "predict"]
 
 
@@ -560,8 +563,7 @@ class TestPruning:
     pruned. The winner, its score and the test RMSE are the unpruned
     engine's."""
 
-    # refit restarts 8 over CV restarts 2 cap a stack at 4 calls: one stack
-    # spans both ks and both decays
+    # fold 0 stacks each (size, hidden) over both ks and both decays
     KNN_MLP = ExperimentSpec(
         "knn-mlp", "mlp", RepresentationSpec("raw"),
         pca=PcaSpec("classical", component_grid=(2, 3), whiten=True),
@@ -595,8 +597,8 @@ class TestPruning:
             assert "pruned_paths" not in report.info
 
     def test_fold_0_and_the_lead_train_in_stacks(self, holed, monkeypatch):
-        # fold 0 trains one stack per (size, hidden), over both ks and both
-        # decays; the unbounded lead call trains its folds 1-3 in one stack
+        # fold 0 trains one loop per (size, hidden), over both ks and both
+        # decays; the unbounded lead call trains its folds 1-3 in one loop
         # per training-row count (38 rows: folds of 28 and 29), and every
         # bounded training runs alone
         spec = self.KNN_MLP
@@ -607,14 +609,14 @@ class TestPruning:
                   for f in range(spec.folds) for k in spec.impute.k_grid
                   for c in spec.pca.component_grid for h in m.hidden_grid for d in m.decay_grid}
         job_of[derive_seed(spec.seed, "mlp-final")] = "final"
-        real_train = mlp_mod.train
+        real_loop = mlp_mod._train_stack
         stacks = []
 
         def spy(X, y, hidden, decay, restarts, seed, max_iter):
             stacks.append([job_of[s] for s in seed])
-            return real_train(X, y, hidden, decay, restarts, seed, max_iter)
+            return real_loop(X, y, hidden, decay, restarts, seed, max_iter)
 
-        monkeypatch.setattr(mlp_mod, "train", spy)
+        monkeypatch.setattr(mlp_mod, "_train_stack", spy)
         run_experiment(spec, train, test)
         fold0 = [[(0, k, c, h, d) for k in spec.impute.k_grid for d in m.decay_grid]
                  for c in spec.pca.component_grid for h in m.hidden_grid]
@@ -649,7 +651,7 @@ class TestPruning:
 
         def train_call(X, y, hidden, decay, seed, **kwargs):
             # a stack: one model, or one failure, per job
-            stack = [(hidden, fold_of[s]) for s in seed]
+            stack = [(h, fold_of[s]) for h, s in zip(hidden, seed)]
             trainings.extend(stack)
             if stacks is not None:
                 stacks.append(stack)
@@ -710,14 +712,13 @@ class TestPruning:
         assert report.notes == ()
 
     def test_committed_trainings_reach_the_trainer_as_stacks(self, monkeypatch):
-        # the case above: fold 0 trains one stack per (size, hidden), here
-        # one call each, and the unbounded lead hidden 1 its folds 1-3 in
-        # one stack (every fold has 18 training rows); hidden 2's bounded
-        # folds train one at a time
+        # the case above: fold 0's calls reach the trainer in one stack, and
+        # the unbounded lead hidden 1's folds 1-3 in another; hidden 2's
+        # bounded folds train one at a time
         stacks = []
         self.run(monkeypatch, {1: (1, 1, 1, 1), 2: (1, 1, 4, 9), 3: (9, 0, 0, 0)},
                  stacks=stacks)
-        assert stacks == [[(1, 0)], [(2, 0)], [(3, 0)], [(1, 1), (1, 2), (1, 3)], [(2, 1)],
+        assert stacks == [[(1, 0), (2, 0), (3, 0)], [(1, 1), (1, 2), (1, 3)], [(2, 1)],
                           [(2, 2)], [(1, "final")]]
 
     def test_a_partial_score_equal_to_the_best_is_not_pruned(self, monkeypatch):
@@ -1033,11 +1034,14 @@ class TestFailingTrainingCall:
         failed = []
 
         def fail_first_hidden_1(X, y, hidden, decay, **kwargs):
-            # hidden = 1 fails in fold 0; a later training would succeed
-            if hidden == 1 and not failed:
-                failed.append(hidden)
-                raise TrainingError("1 of 3 restart(s) start at a non-finite loss")
-            return real_train(X, y, hidden, decay, **kwargs)
+            # the hidden = 1 job of the first stack, fold 0's, fails; a later
+            # training would succeed
+            results = real_train(X, y, hidden, decay, **kwargs)
+            if 1 in hidden and not failed:
+                failed.append(1)
+                results[hidden.index(1)] = TrainingError(
+                    "1 of 3 restart(s) start at a non-finite loss")
+            return results
 
         monkeypatch.setattr(mlp_mod, "train", fail_first_hidden_1)
         report = run_experiment(self.spec(), train, test)

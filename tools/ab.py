@@ -3,6 +3,7 @@
 Usage, from the repository root::
 
     python3 tools/ab.py --base <rev> [--workload W ...] [--seed 1] [--pairs 10] [--seconds 10]
+    python3 tools/ab.py --base <rev> --count [--workload W ...]
 
 The base revision is checked out in a temporary ``git worktree``, removed
 afterwards. The change is the working tree: its ``src`` and ``perfbench``
@@ -26,6 +27,17 @@ The report records what moves the numbers: both revisions,
 them (``perfbench/run.py`` pins BLAS to one thread either way), the core
 count and the Python, numpy and scipy versions. Its last line is one JSON
 object holding all of it.
+
+``--count`` times nothing: it counts the deterministic work instead, which
+needs no pairs. For each workload, each side runs seeds 1-10 once, in a
+fresh interpreter on the same two trees, with counters wrapped around the
+side's own functions (:func:`count_work`): ``mlp.train`` calls, the
+Levenberg-Marquardt loops of ``mlp._train_stack`` and the jobs they train,
+OLS path steps (the ``max_size`` of every path ``rbfn.train_ols_paths``
+returns) and ``represent._qr_solve`` calls. The report gives both sides'
+counts and says whether the two sequences of loops, ``(n, d, hidden,
+restarts)`` each, are equal (:func:`compare_counts`). The base must have
+``mlp._train_stack``.
 """
 
 from __future__ import annotations
@@ -46,6 +58,10 @@ ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 #: The gain rule: the change wins at least this share of the pairs.
 WIN_SHARE = 0.9
+#: What ``--count`` reports per side, in order, and the seeds it runs.
+COUNTS = ("mlp.train calls", "LM loops", "LM jobs", "most jobs in a loop", "OLS path steps",
+          "QR solves", "failed rows")
+COUNT_SEEDS = range(1, 11)
 
 
 def verdict(base: list[float], change: list[float], better: str, bound: float) -> dict:
@@ -86,6 +102,96 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
         "base_iqr": iqr, "change_wins": wins, "pairs": len(base),
         "relative_change": (change_q[1] - base_q[1]) / base_q[1] if base_q[1] else None,
         "verdict": outcome,
+    }
+
+
+def count_work(run) -> dict:
+    """Call ``run()`` with counters around the imported ``fdareg`` functions
+    and return the :data:`COUNTS`, plus ``loops``: per training loop of
+    ``mlp._train_stack``, in order, ``(n, d, hidden, restarts)``, with the
+    restarts of all its jobs."""
+    from fdareg import mlp, rbfn, represent
+
+    counts, loops = dict.fromkeys(COUNTS, 0), []
+    real_train, real_loop = mlp.train, mlp._train_stack
+    real_paths, real_qr = rbfn.train_ols_paths, represent._qr_solve
+
+    def train(*args, **kwargs):
+        counts["mlp.train calls"] += 1
+        return real_train(*args, **kwargs)
+
+    def loop(X, y, hidden, decay, restarts, seed, max_iter):
+        counts["LM loops"] += 1
+        counts["LM jobs"] += len(X)
+        counts["most jobs in a loop"] = max(counts["most jobs in a loop"], len(X))
+        loops.append((*X.shape[1:], hidden, len(X) * restarts))
+        return real_loop(X, y, hidden, decay, restarts, seed, max_iter)
+
+    def paths(*args, **kwargs):
+        result = real_paths(*args, **kwargs)
+        counts["OLS path steps"] += sum(path.max_size for path in result)
+        return result
+
+    def qr(*args, **kwargs):
+        counts["QR solves"] += 1
+        return real_qr(*args, **kwargs)
+
+    mlp.train, mlp._train_stack, rbfn.train_ols_paths, represent._qr_solve = train, loop, paths, qr
+    try:
+        counts["failed rows"] = run()
+    finally:
+        mlp.train, mlp._train_stack = real_train, real_loop
+        rbfn.train_ols_paths, represent._qr_solve = real_paths, real_qr
+    return {**counts, "loops": loops}
+
+
+def _collect_counts(workload: str) -> dict:
+    """:func:`count_work` over seeds 1-10 of ``workload``; a row that ends in
+    a toolkit error counts as failed."""
+    from fdareg.errors import FdaregError
+    from fdareg.selection import run_experiment
+    import workloads
+
+    def run() -> int:
+        failed = 0
+        for seed in COUNT_SEEDS:
+            train, test, specs = workloads.prepare(workloads.WORKLOADS[workload], seed)
+            for spec in specs:
+                try:
+                    run_experiment(spec, train, test)
+                except FdaregError:
+                    failed += 1
+        return failed
+
+    return count_work(run)
+
+
+def count_once(tree: Path, workload: str) -> dict:
+    """:func:`_collect_counts` in a fresh interpreter on ``tree``'s code."""
+    # one BLAS thread, as in the benchmark: a score's last bits, and so what
+    # the pruning skips, may depend on the thread count
+    env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"),
+               PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "perfbench")]))
+    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--collect-counts",
+                           workload], cwd=tree, env=env, stdout=subprocess.PIPE, text=True,
+                          check=True)
+    return json.loads(done.stdout)
+
+
+def compare_counts(base: dict, change: dict) -> dict:
+    """Both sides' :func:`count_work` counts of one workload: per count both
+    values and the change's difference, whether the loop sequences are
+    equal, and the index of the first loop that differs (one side ending
+    early counts as differing), else None."""
+    pairs = list(zip(base["loops"], change["loops"]))
+    first = next((i for i, (a, b) in enumerate(pairs) if list(a) != list(b)), None)
+    if first is None and len(base["loops"]) != len(change["loops"]):
+        first = len(pairs)
+    return {
+        "counts": {name: {"base": base[name], "change": change[name],
+                          "difference": change[name] - base[name]} for name in COUNTS},
+        "loops_equal": first is None,
+        "first_differing_loop": first,
     }
 
 
@@ -154,13 +260,21 @@ def _row(name: str, v: dict) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", required=True, help="revision to compare the working tree to")
+    parser.add_argument("--base", help="revision to compare the working tree to (required)")
     parser.add_argument("--workload", action="append",
                         help="a workload of BENCHMARK.json; repeat for several (default: all)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--count", action="store_true",
+                        help="count the work of seeds 1-10 once per side instead of timing")
+    parser.add_argument("--collect-counts", metavar="W", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.collect_counts:
+        print(json.dumps(_collect_counts(args.collect_counts)))
+        return 0
+    if not args.base:
+        parser.error("--base is required")
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -169,8 +283,9 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown workload {unknown[0]!r}; choose from {', '.join(names)}")
     record = {"conditions": conditions(args.base),
-              "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                         f"--seconds {args.seconds:g} --trace 0",
+              "command": (f"counts of seeds {COUNT_SEEDS[0]}-{COUNT_SEEDS[-1]}" if args.count
+                          else f"python3 perfbench/run.py --workload W --seed {args.seed} "
+                               f"--seconds {args.seconds:g} --trace 0"),
               "workloads": {}}
     print(json.dumps(record["conditions"]), file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
@@ -181,6 +296,18 @@ def main(argv=None) -> int:
         _git("worktree", "add", "--detach", "--quiet", str(worktree), args.base)
         try:
             for workload in args.workload or names:
+                if args.count:
+                    counted = compare_counts(count_once(worktree, workload),
+                                             count_once(copy, workload))
+                    record["workloads"][workload] = counted
+                    print(f"{workload} (seeds {COUNT_SEEDS[0]}-{COUNT_SEEDS[-1]}):")
+                    for name, c in counted["counts"].items():
+                        print(f"  {name:<20} base {c['base']:>8}  change {c['change']:>8}  "
+                              f"{c['difference']:+d}")
+                    first = counted["first_differing_loop"]
+                    print("  loop sequences " + ("equal" if first is None else
+                                                 f"differ from loop {first} on"))
+                    continue
                 runs, first = {"base": [], "change": []}, []
                 for pair in range(args.pairs):
                     order = ("base", "change") if pair % 2 == 0 else ("change", "base")
