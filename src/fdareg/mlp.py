@@ -17,9 +17,9 @@ network size, decay and seeds; the jobs of one shape share training
 loops, in which every restart of every job is a row of the same batched
 arrays. Small networks spend an iteration in numpy's per-call overhead,
 not in arithmetic, so one loop over five jobs of 8 restarts costs far less
-than five loops. Cross-validation hands :func:`train` the trainings it has
-committed to (``selection.run_experiment``), and :func:`train` decides
-which share a loop. Each job comes out bit for bit as if trained alone;
+than five loops. Cross-validation hands :func:`train` its trainings in
+stacks, one call's remaining folds at a time (``selection.run_experiment``),
+and :func:`train` decides which share a loop. Each job comes out bit for bit as if trained alone;
 :func:`train` states why.
 """
 

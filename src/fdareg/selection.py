@@ -31,10 +31,10 @@ a failure there is raised, not noted.
 The engine skips the path trainings that can no longer change the
 selection. A path is one ridge's OLS path of an RBFN call, with a cell per
 center count; an MLP call is one path with one cell. Each fold's split is
-prepared once, up front. Fold 0 trains every call on every (k, size), as
-stacks on MLP rows (below). Each call on a (k, size) then runs on its own
-through folds 1 to K - 1, in ascending order of their best fold-0 cell
-error (ties in fold-0 order).
+prepared once, up front. Fold 0 trains every call on every (k, size).
+The calls on a (k, size) then run their folds 1 to K - 1 one call after
+the other, in ascending order of their best fold-0 cell error (ties in
+fold-0 order).
 Before each fold, once some cell is complete, a call keeps only the paths
 that hold a live cell: one scored in every fold so far whose partial score,
 the sum of its fold errors so far over the fold count K, is <= the best
@@ -62,10 +62,21 @@ failed, counts as made. Failure notes keep the fold-major order, one per
 failing (fold, call) even when its lead and its other paths both fail, and
 the cells of a dropped path are not counted as excluded.
 
-On MLP rows, ``score`` hands :func:`~fdareg.mlp.train` every training the
-schedule has committed to at once (fold 0's calls, then the unbounded lead
-call's folds 1 to K - 1), and :func:`~fdareg.mlp.train` decides what shares
-a loop.
+Trainings are made in stacks (:func:`_train_stack`), whose results are
+taken fold by fold under the rule above. Fold 0's calls form one stack, and
+an unbounded lead's folds 1 to K - 1 another. A bounded call that holds
+live paths before fold f trains folds f to K - 1 in one stack if the
+largest partial sum S of its live cells passes S (K - 1) / f <= K best,
+its mean fold error so far carried to the last check before fold K - 1,
+with ``best`` the best complete score; otherwise it trains fold f alone. A
+new stack starts when the held paths change or the stack is used up. The
+result of a fold the rule prunes is dropped: it is not tabulated, noted or
+counted, so the selection, the counters and the notes are the schedule's.
+An RBFN stack trains a job only when its result is taken, so RBFN rows
+make exactly the schedule's trainings. An MLP stack is one
+:func:`~fdareg.mlp.train` call, which decides what shares a loop: a
+bounded call's remaining folds share one loop where the per-call overhead
+of a small network dominates, at the price of the folds it then drops.
 
 Data-dependent preprocessing (imputation, column standardization, PCA and
 whitening statistics) is one chain of plain arrays, refitted inside every
@@ -562,9 +573,9 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     that can no longer change the selection. The module docstring states
     that exact rule and the counters ``info["pruned_trainings"]`` and
     ``info["pruned_paths"]``; the selection, ``cv_score`` and test RMSE
-    are bit for bit those of training every call in every fold. On MLP
-    rows, the trainings that schedule has committed to reach
-    :func:`~fdareg.mlp.train` as one stack, as the module docstring
+    are bit for bit those of training every call in every fold. A call's
+    later folds train in stacks, whose results are taken fold by fold
+    under that rule and dropped in a pruned fold, as the module docstring
     states.
 
     The final refit, the winner's single call on the full training set,
@@ -634,19 +645,23 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     tables: list[dict[tuple, tuple[float, int]]] = [{} for _ in units]
     nonfinite = set()
 
-    def score(jobs):
-        """Train the calls ``(u, fold, call)`` whose preparation did not fail
-        (a failed one is noted) as one :func:`_train_stack`, and tabulate
-        their cells' fold errors in job order."""
-        jobs = [(u, fold, call) for u, fold, call in jobs if units[u][:2] in prepared[fold]]
+    def train(jobs):
+        """The calls ``(u, fold, call)`` as one :func:`_train_stack`: an
+        iterator over their results in job order, None for a job whose
+        preparation failed (and was noted)."""
+        ready = [(u, fold, call) for u, fold, call in jobs if units[u][:2] in prepared[fold]]
         trained = _train_stack(spec, ((prepared[fold][units[u][:2]], y[plan[fold][0]],
                                        *units[u][:2], call, f"mlp-cv-f{fold}")
-                                      for u, fold, call in jobs), False)
-        for u, fold, _ in jobs:
-            # lazy jobs, results taken in the call: one RBFN job alive at a time
-            tabulate(u, fold, next(trained))
+                                      for u, fold, call in ready), False)
+        # an RBFN job is built and trained only when its result is taken
+        return (next(trained) if units[u][:2] in prepared[fold] else None
+                for u, fold, _ in jobs)
 
     def tabulate(u, fold, result):
+        """Add a result's cells' fold errors to the unit's table; a failed
+        preparation's None, already noted, adds nothing."""
+        if result is None:
+            return
         k_imp, n_comp, _, label = units[u]
         if isinstance(result, FdaregError):
             failed(fold, k_imp, n_comp, result, label)
@@ -661,13 +676,20 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
                 total, folds = tables[u].get(cell, (0.0, 0))
                 tables[u][cell] = (total + error, folds + 1)
 
+    def score(jobs):
+        """Train the calls ``(u, fold, call)`` and tabulate every result."""
+        results = train(jobs)
+        for u, fold, _ in jobs:
+            # taken in the call: no RBFN result is alive while the next trains
+            tabulate(u, fold, next(results))
+
     K = len(plan)
     score([(u, 0, units[u][2]) for u in range(len(units))])
 
     def path(cell):  # a cell's path: its RBFN ridge, or its MLP call's one decay
         return cell[3]
 
-    # (unit, fold, path) of every path training attempted in folds 1..K-1
+    # (unit, fold, path) of every path training the schedule takes in folds 1..K-1
     best, attempted = np.inf, set()
     for u in sorted(range(len(units)),
                     key=lambda u: (min((t for t, _ in tables[u].values()), default=np.inf), u)):
@@ -687,10 +709,12 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
                 call = (head, tuple(p for p in paths if float(p) in group), *tail)
                 score([(u, fold, call) for fold in range(1, K)])
             else:
+                stacked = upto = None  # the call of the current stack, and its end fold
                 for fold in range(1, K):
                     # a live cell was scored in every fold so far; its score can only grow
-                    held = {path(cell) for cell, (total, folds) in tables[u].items()
+                    live = {cell: total for cell, (total, folds) in tables[u].items()
                             if path(cell) in group and folds == fold and total / K <= best}
+                    held = {path(cell) for cell in live}
                     # no cell of a dropped path can win, and none counts as excluded
                     tables[u] = {cell: e for cell, e in tables[u].items()
                                  if path(cell) in held or path(cell) not in group}
@@ -698,7 +722,13 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
                         break
                     attempted.update((u, fold, p) for p in held)
                     call = (head, tuple(p for p in paths if float(p) in held), *tail)
-                    score([(u, fold, call)])
+                    if call != stacked or fold == upto:
+                        # the rest of the folds in one stack while the call's
+                        # mean fold error so far, carried to the last check,
+                        # still passes it; a pruned fold's result is dropped
+                        upto = K if max(live.values()) * (K - 1) / fold <= best * K else fold + 1
+                        stacked, results = call, train([(u, f, call) for f in range(fold, upto)])
+                    tabulate(u, fold, next(results))
             best = min([best, *(total / K for total, folds in tables[u].values() if folds == K)])
     fold_failures = [note for _, note in sorted(failures.items())]
     notes.extend(fold_failures)

@@ -599,8 +599,10 @@ class TestPruning:
     def test_fold_0_and_the_lead_train_in_stacks(self, holed, monkeypatch):
         # fold 0 trains one loop per (size, hidden), over both ks and both
         # decays; the unbounded lead call trains its folds 1-3 in one loop
-        # per training-row count (38 rows: folds of 28 and 29), and every
-        # bounded training runs alone
+        # per training-row count (38 rows: folds of 28 and 29). A bounded
+        # call's loops hold folds of that call alone, in ascending order; the
+        # engine takes the results of the schedule's trainings, and a fold it
+        # trained but did not take lies past the call's pruning
         spec = self.KNN_MLP
         train, test = holed
         plan = make_folds(len(train), spec.folds, derive_seed(spec.seed, "folds"))
@@ -610,14 +612,15 @@ class TestPruning:
                   for c in spec.pca.component_grid for h in m.hidden_grid for d in m.decay_grid}
         job_of[derive_seed(spec.seed, "mlp-final")] = "final"
         real_loop = mlp_mod._train_stack
-        stacks = []
+        stacks, taken = [], []
 
         def spy(X, y, hidden, decay, restarts, seed, max_iter):
             stacks.append([job_of[s] for s in seed])
             return real_loop(X, y, hidden, decay, restarts, seed, max_iter)
 
         monkeypatch.setattr(mlp_mod, "_train_stack", spy)
-        run_experiment(spec, train, test)
+        self.record_taken(monkeypatch, taken)
+        report = run_experiment(spec, train, test)
         fold0 = [[(0, k, c, h, d) for k in spec.impute.k_grid for d in m.decay_grid]
                  for c in spec.pca.component_grid for h in m.hidden_grid]
         assert stacks[:4] == fold0
@@ -626,17 +629,49 @@ class TestPruning:
         assert len(sizes) == 2
         assert stacks[4:6] == [[(f, *lead) for f in range(1, spec.folds) if plan[f][0].size == n]
                                for n in sizes]
-        assert all(len(stack) == 1 for stack in stacks[6:])
+        for stack in stacks[6:-1]:
+            assert len({job[1:] for job in stack}) == 1
+            assert [job[0] for job in stack] == sorted({job[0] for job in stack})
         assert stacks[-1] == ["final"]
+        made = [job for stack in stacks[:-1] for job in stack]
+        tabulated = [(f, k, c, h, d) for f, k, c, (h, (d,)) in taken if f != "final"]
+        assert len(set(made)) == len(made)
+        assert set(tabulated) <= set(made)
+        later = {job for job in tabulated if job[0] > 0}
+        assert report.info["pruned_trainings"] == (
+            len(spec.impute.k_grid) * len(spec.pca.component_grid) * len(m.hidden_grid)
+            * len(m.decay_grid) * 3 - len(later))
+        for f, *unit in set(made) - set(tabulated):
+            done = sorted(job[0] for job in tabulated if list(job[1:]) == unit)
+            assert done == list(range(len(done))) and 1 <= len(done) <= f
+        # some bounded call trains several folds in one loop
+        assert any(len(stack) > 1 for stack in stacks[6:-1])
 
     @staticmethod
-    def run(monkeypatch, errors, engine=run_experiment, stacks=None):
+    def record_taken(monkeypatch, taken):
+        """Append to ``taken`` each training whose result the engine takes,
+        ``(fold, k_imp, n_comp, call)``, with the refit's fold ``"final"``."""
+        real = selection._train_stack
+
+        def spy(spec, jobs, final):
+            jobs = list(jobs)
+            for job, result in zip(jobs, real(spec, jobs, final)):
+                _, _, k_imp, n_comp, call, key = job
+                taken.append(("final" if final else int(key.removeprefix("mlp-cv-f")),
+                              k_imp, n_comp, call))
+                yield result
+
+        monkeypatch.setattr(selection, "_train_stack", spy)
+
+    @staticmethod
+    def run(monkeypatch, errors, engine=run_experiment, stacks=None, tabulated=None):
         """Run a 4-fold MLP row whose targets are all 0 and whose call
         ``hidden=h`` predicts the constant ``sqrt(errors[h][fold])``, so its
         fold errors are exactly ``errors[h]``, or fails to train where that
         entry is None. Returns ``engine``'s result and the trainings made in
         order, ``(hidden, fold)`` each, with the refit's fold ``"final"``;
-        ``stacks``, if given, receives each call's trainings as one list."""
+        ``stacks``, if given, receives each call's trainings as one list,
+        and ``tabulated`` the trainings whose results the engine takes."""
         X = np.random.default_rng(8).normal(size=(30, 5))
         train, test = vector_dataset(X[:24], np.zeros(24)), vector_dataset(X[24:], np.zeros(6))
         spec = ExperimentSpec(
@@ -665,7 +700,29 @@ class TestPruning:
 
         monkeypatch.setattr(mlp_mod, "train", train_call)
         monkeypatch.setattr(mlp_mod, "forward", forward)
-        return engine(spec, train, test), trainings
+        taken = []
+        if tabulated is not None:
+            TestPruning.record_taken(monkeypatch, taken)
+        result = engine(spec, train, test)
+        if tabulated is not None:
+            tabulated.extend((hidden, fold) for fold, _, _, (hidden, _) in taken)
+        return result, trainings
+
+    @staticmethod
+    def check_made(errors, report, trainings, tabulated):
+        """The schedule's contract on a :meth:`run`: the engine takes the
+        results of the trainings it tabulates, ``pruned_trainings`` counts
+        the later-fold trainings it did not take, every training is made
+        once, and a made training it did not take is a later fold past its
+        call's last tabulated fold."""
+        later = [(hidden, fold) for hidden, fold in tabulated if fold not in (0, "final")]
+        assert len(set(later)) == len(later)
+        assert report.info["pruned_trainings"] == len(errors) * 3 - len(later)
+        assert len(set(trainings)) == len(trainings)
+        assert set(tabulated) <= set(trainings)
+        for hidden, fold in set(trainings) - set(tabulated):
+            done = [f for h, f in tabulated if h == hidden and f != "final"]
+            assert done == list(range(len(done))) and 1 <= len(done) <= fold
 
     @settings(max_examples=200, deadline=None)
     @given(errors=st.lists(
@@ -685,15 +742,16 @@ class TestPruning:
                 with pytest.raises(ConfigError, match="no grid cell was scored in every fold"):
                     self.run(mp, errors)
                 return
-            report, trainings = self.run(mp, errors)
+            tabulated = []
+            report, trainings = self.run(mp, errors, tabulated=tabulated)
         selected, cv_score, test_rmse = expected
         assert report.selected == selected
         assert report.cv_score.hex() == cv_score.hex()
         assert report.test_rmse.hex() == test_rmse.hex()
-        # every (call, fold) pair of the 3 later folds not trained was
-        # pruned; a failed training counts as trained
-        later = {(hidden, fold) for hidden, fold in trainings if fold not in (0, "final")}
-        assert report.info["pruned_trainings"] == len(errors) * 3 - len(later)
+        # every (call, fold) pair of the 3 later folds not tabulated was
+        # pruned; a failed training counts as tabulated, and a training made
+        # in a stack but pruned counts as pruned
+        self.check_made(errors, report, trainings, tabulated)
 
     def test_a_call_is_ruled_out_at_a_later_fold(self, monkeypatch):
         # fold 0 trains every call; then hidden 1 and 2 (fold-0 error 1,
@@ -701,25 +759,70 @@ class TestPruning:
         # completes with 4 / 4 = 1. hidden 2's partial scores are 1/4 and
         # 2/4 before folds 1 and 2, then 6/4 > 1: its fold 3 is pruned.
         # hidden 3 is out before fold 1 (9/4 > 1): its folds 1-3 are pruned.
-        report, trainings = self.run(monkeypatch, {
-            1: (1, 1, 1, 1), 2: (1, 1, 4, 9), 3: (9, 0, 0, 0),
-        })
-        assert trainings == [(1, 0), (2, 0), (3, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
+        # hidden 2's mean fold error 1 before fold 1, carried to fold 3
+        # (1 x 3 <= 1 x 4), passes: its folds 1-3 train in one stack, and
+        # the result of its pruned fold 3 is dropped
+        errors = {1: (1, 1, 1, 1), 2: (1, 1, 4, 9), 3: (9, 0, 0, 0)}
+        tabulated = []
+        report, trainings = self.run(monkeypatch, errors, tabulated=tabulated)
+        assert tabulated == [(1, 0), (2, 0), (3, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
                              (1, "final")]
+        assert trainings == [(1, 0), (2, 0), (3, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
+                             (2, 3), (1, "final")]
+        self.check_made(errors, report, trainings, tabulated)
         assert report.info["pruned_trainings"] == 4
         assert report.selected == {"n_components": 2, "hidden": 1, "decay": 1e-3}
         assert report.cv_score == 1.0
         assert report.notes == ()
 
     def test_committed_trainings_reach_the_trainer_as_stacks(self, monkeypatch):
-        # the case above: fold 0's calls reach the trainer in one stack, and
-        # the unbounded lead hidden 1's folds 1-3 in another; hidden 2's
-        # bounded folds train one at a time
-        stacks = []
+        # the case above: fold 0's calls reach the trainer in one stack, the
+        # unbounded lead hidden 1's folds 1-3 in another, and the bounded
+        # hidden 2's folds 1-3 in a third; the engine tabulates hidden 2's
+        # folds 1 and 2 only
+        stacks, tabulated = [], []
         self.run(monkeypatch, {1: (1, 1, 1, 1), 2: (1, 1, 4, 9), 3: (9, 0, 0, 0)},
-                 stacks=stacks)
-        assert stacks == [[(1, 0), (2, 0), (3, 0)], [(1, 1), (1, 2), (1, 3)], [(2, 1)],
-                          [(2, 2)], [(1, "final")]]
+                 stacks=stacks, tabulated=tabulated)
+        assert stacks == [[(1, 0), (2, 0), (3, 0)], [(1, 1), (1, 2), (1, 3)],
+                          [(2, 1), (2, 2), (2, 3)], [(1, "final")]]
+        assert tabulated == [(1, 0), (2, 0), (3, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
+                             (1, "final")]
+
+    @pytest.mark.parametrize("dropped", [None, np.nan])
+    def test_a_dropped_fold_that_fails_or_is_not_finite_leaves_no_note(self, monkeypatch,
+                                                                       dropped):
+        # hidden 2's folds 1-3 train in one stack; its fold 3 fails or
+        # reads NaN, but the schedule prunes it (6/4 > 1), so nothing of it
+        # is noted and the count is that of the case above
+        errors = {1: (1, 1, 1, 1), 2: (1, 1, 4, dropped)}
+        tabulated = []
+        report, trainings = self.run(monkeypatch, errors, tabulated=tabulated)
+        assert (2, 3) in trainings and (2, 3) not in tabulated
+        self.check_made(errors, report, trainings, tabulated)
+        assert report.notes == ()
+        assert report.info["pruned_trainings"] == 1
+        assert report.cv_score == 1.0
+
+    def test_a_call_whose_carried_mean_misses_the_bound_trains_fold_by_fold(self, monkeypatch):
+        # hidden 1 completes with 3 / 4, and K x best = 3. hidden 2 (fold-0
+        # error 1, after hidden 1 in call order) carries its mean fold error
+        # 1 to fold 3 exactly onto that bound (1 x 3 / 1 = 3) and trains
+        # folds 1-3 in one stack. hidden 3 (fold-0 error 2.25) is live
+        # before each later fold (2.25/4, 2.25/4, 2.5/4 <= 3/4), but its
+        # carried mean misses the bound before folds 1 (6.75 > 3) and 2
+        # (3.375 > 3): each of its folds is a stack of its own, and it wins
+        # with 2.5 / 4
+        stacks, tabulated = [], []
+        report, _ = self.run(monkeypatch, {1: (1, 1, 1, 0), 2: (1, 0, 0, 4),
+                                           3: (2.25, 0, 0.25, 0)},
+                             stacks=stacks, tabulated=tabulated)
+        assert stacks == [[(1, 0), (2, 0), (3, 0)], [(1, 1), (1, 2), (1, 3)],
+                          [(2, 1), (2, 2), (2, 3)], [(3, 1)], [(3, 2)], [(3, 3)],
+                          [(3, "final")]]
+        assert tabulated == [job for stack in stacks for job in stack]
+        assert report.info["pruned_trainings"] == 0
+        assert report.selected["hidden"] == 3
+        assert report.cv_score == 0.625
 
     def test_a_partial_score_equal_to_the_best_is_not_pruned(self, monkeypatch):
         # hidden 2 runs first (fold-0 error 1 < 4) and completes with 1;

@@ -5,12 +5,15 @@ Usage, from the repository root::
     python3 tools/ab.py --base <rev> [--workload W ...] [--seed 1] [--pairs 10] [--seconds 10]
     python3 tools/ab.py --base <rev> --count [--workload W ...]
 
-The base revision is checked out in a temporary ``git worktree``, removed
-afterwards. The change is the working tree: its ``src`` and ``perfbench``
-are copied to a second temporary directory, so both sides run from fresh
-directories. (Run from the repository itself, one commit read
+Both sides run from copies made the same way: the ``src`` and ``perfbench``
+directories of the base revision, checked out in a temporary ``git
+worktree`` that is removed before the first run, and those of the working
+tree, each copied to its own temporary directory without bytecode caches or
+bench output. (Run from the repository itself, one commit read
 ``peak_rss_mb`` 50.59–51.18 MB on ``spectra-pca-rbfn``, against 50.45–50.48
-MB from a copy.) For each workload (by default every workload of
+MB from a copy; with the base run from its worktree and the change from a
+copy, an unchanged tree read ``peak_rss_mb`` −1.1 % on that workload, 8 of
+10 "wins".) For each workload (by default every workload of
 ``BENCHMARK.json``), each pair runs ``perfbench/run.py --trace 0`` once in
 each tree, one process at a time: the base first in even pairs, the change
 first in odd ones. Both sides inherit this process's environment. A run's
@@ -30,7 +33,7 @@ object holding all of it.
 
 ``--count`` times nothing: it counts the deterministic work instead, which
 needs no pairs. For each workload, each side runs seeds 1-10 once, in a
-fresh interpreter on the same two trees, with counters wrapped around the
+fresh interpreter on the same two copies, with counters wrapped around the
 side's own functions (:func:`count_work`): ``mlp.train`` calls, the
 Levenberg-Marquardt loops of ``mlp._train_stack`` and the jobs they train,
 OLS path steps (the ``max_size`` of every path ``rbfn.train_ols_paths``
@@ -195,6 +198,14 @@ def compare_counts(base: dict, change: dict) -> dict:
     }
 
 
+def _copy_tree(source: Path, target: Path) -> None:
+    """Copy ``source``'s ``src`` and ``perfbench`` to ``target``, without
+    bytecode caches or bench output."""
+    for part in ("src", "perfbench"):
+        shutil.copytree(source / part, target / part,
+                        ignore=shutil.ignore_patterns("__pycache__", ".bench_out"))
+
+
 def _git(*args) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -289,44 +300,43 @@ def main(argv=None) -> int:
               "workloads": {}}
     print(json.dumps(record["conditions"]), file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
-        worktree, copy = Path(tmp) / "base", Path(tmp) / "change"
-        for part in ("src", "perfbench"):
-            shutil.copytree(ROOT / part, copy / part,
-                            ignore=shutil.ignore_patterns("__pycache__", ".bench_out"))
+        worktree, base, copy = (Path(tmp) / name for name in ("worktree", "base", "change"))
         _git("worktree", "add", "--detach", "--quiet", str(worktree), args.base)
         try:
-            for workload in args.workload or names:
-                if args.count:
-                    counted = compare_counts(count_once(worktree, workload),
-                                             count_once(copy, workload))
-                    record["workloads"][workload] = counted
-                    print(f"{workload} (seeds {COUNT_SEEDS[0]}-{COUNT_SEEDS[-1]}):")
-                    for name, c in counted["counts"].items():
-                        print(f"  {name:<20} base {c['base']:>8}  change {c['change']:>8}  "
-                              f"{c['difference']:+d}")
-                    first = counted["first_differing_loop"]
-                    print("  loop sequences " + ("equal" if first is None else
-                                                 f"differ from loop {first} on"))
-                    continue
-                runs, first = {"base": [], "change": []}, []
-                for pair in range(args.pairs):
-                    order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-                    first.append(order[0])
-                    for side in order:
-                        tree = worktree if side == "base" else copy
-                        runs[side].append(run_once(tree, workload, args.seed, args.seconds))
-                metrics = compare(runs, bench["end_to_end"])
-                record["workloads"][workload] = {
-                    "first": first,
-                    "failed_rows": {s: sum(r["failed"] for r in runs[s]) for s in runs},
-                    "attempted_rows": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
-                    **metrics,
-                }
-                print(f"{workload} (seed {args.seed}, {args.pairs} pairs):")
-                for name, v in metrics.items():
-                    print(_row(name, v))
+            _copy_tree(worktree, base)
         finally:
             _git("worktree", "remove", "--force", str(worktree))
+        _copy_tree(ROOT, copy)
+        for workload in args.workload or names:
+            if args.count:
+                counted = compare_counts(count_once(base, workload),
+                                         count_once(copy, workload))
+                record["workloads"][workload] = counted
+                print(f"{workload} (seeds {COUNT_SEEDS[0]}-{COUNT_SEEDS[-1]}):")
+                for name, c in counted["counts"].items():
+                    print(f"  {name:<20} base {c['base']:>8}  change {c['change']:>8}  "
+                          f"{c['difference']:+d}")
+                first = counted["first_differing_loop"]
+                print("  loop sequences " + ("equal" if first is None else
+                                             f"differ from loop {first} on"))
+                continue
+            runs, first = {"base": [], "change": []}, []
+            for pair in range(args.pairs):
+                order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+                first.append(order[0])
+                for side in order:
+                    tree = base if side == "base" else copy
+                    runs[side].append(run_once(tree, workload, args.seed, args.seconds))
+            metrics = compare(runs, bench["end_to_end"])
+            record["workloads"][workload] = {
+                "first": first,
+                "failed_rows": {s: sum(r["failed"] for r in runs[s]) for s in runs},
+                "attempted_rows": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
+                **metrics,
+            }
+            print(f"{workload} (seed {args.seed}, {args.pairs} pairs):")
+            for name, v in metrics.items():
+                print(_row(name, v))
     print(json.dumps(record))
     return 0
 
