@@ -85,7 +85,14 @@ validation rows once for the whole k grid (k-NN orders each row's donors a
 single time) into one pair of matrices per k; each k's training matrix fits
 one standardizer and one PCA, and every PCA size of the grid slices its
 scores of the pair. The final refit runs the same chain for the winning k
-alone, as a k's fill does not depend on the other ks. Per-function steps
+alone, as a k's fill does not depend on the other ks. The k-NN distance
+between two training rows does not depend on the fold either: the training
+rows' distances are formed once per experiment
+(:func:`~fdareg.imputation.pair_distances`), a fold reads its rows' slices
+of that one matrix and the final refit the whole of it, and the test rows'
+distances to the training rows are formed at the refit, once the selection
+is final. A k-NN failure names its row by its number in the training or
+the test set. Per-function steps
 (basis projection, centering, derivatives, expert scaling) use no
 cross-sample information, so they are computed once up front, on whole
 coefficient or value matrices, from one grouping of each dataset's curves
@@ -436,14 +443,17 @@ def _fold_note(fold_i: int, exc, k_imp: int, n_comp: int, call: str) -> str:
     return ", ".join(p for p in parts if p) + f": {exc}"
 
 
-def _prepare(spec, ks, comp_grid, train_rows, new_rows):
+def _prepare(spec, ks, comp_grid, train_rows, new_rows, distances=None, names=None):
     """One split's model inputs per ``(k_imp, n_comp)`` of the imputation
     ks and PCA sizes: ``(X, X_new)`` on MLP rows, and on RBFN rows the
     training rows' squared distances ``D``, the new rows' distances
     ``D_new`` to them and the base width, which every width shares.
 
     ``train_rows`` and ``new_rows`` are ``(values, mask)`` features. Both
-    are filled once for the whole k grid (:func:`~fdareg.imputation.fill`).
+    are filled once for the whole k grid (:func:`~fdareg.imputation.fill`),
+    on k-NN rows from ``distances``, the pair of the training rows'
+    distances among themselves and the new rows' to them (None forms them
+    in the fill), with errors naming the rows by ``names``.
     Then, per k, the training rows fit one standardizer (classical PCA
     only) and one PCA of ``max(comp_grid)`` components, and every size of
     the grid slices its scores of both matrices (size 0: no PCA). Returns
@@ -454,7 +464,8 @@ def _prepare(spec, ks, comp_grid, train_rows, new_rows):
     reaches its size.
     """
     try:
-        filled, short = imp_mod.fill(spec.impute.kind, ks, *train_rows, *new_rows)
+        filled, short = imp_mod.fill(spec.impute.kind, ks, *train_rows, *new_rows, distances,
+                                     names)
     except FdaregError as exc:
         return {}, [(k_imp, 0, exc) for k_imp in ks], 0
     inputs, failures = {}, []
@@ -634,9 +645,15 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     def rows(idx):
         return values[idx], None if mask is None else mask[idx]
 
+    # the training rows' k-NN distances, formed once: a fold reads its
+    # slices, and the final refit the whole matrix
+    D = imp_mod.pair_distances(values, mask) if spec.impute.kind == "knn" else None
     prepared, short_fills = [], 0
     for fold, (tr, va) in enumerate(plan):
-        inputs, prep_failures, short = _prepare(spec, ks, comp_grid, rows(tr), rows(va))
+        inputs, prep_failures, short = _prepare(
+            spec, ks, comp_grid, rows(tr), rows(va),
+            None if D is None else (D[np.ix_(tr, tr)], D[np.ix_(va, tr)]),
+            (("training row", tr), ("training row", va)))
         prepared.append(inputs)
         short_fills += short
         for failure in prep_failures:
@@ -756,8 +773,11 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     cv_score = float(scores[best_cell])
 
     k_imp, n_comp, *params = best_cell
-    inputs, prep_failures, short = _prepare(spec, (k_imp,), (n_comp,), (values, mask),
-                                            stage.features(Grids(test.functions)))
+    test_rows = stage.features(Grids(test.functions))
+    inputs, prep_failures, short = _prepare(
+        spec, (k_imp,), (n_comp,), (values, mask), test_rows,
+        None if D is None else (D, imp_mod.cross_distances(*test_rows, values, mask)),
+        (("training row", None), ("test row", None)))
     if prep_failures:
         raise prep_failures[0][2]
     short_fills += short

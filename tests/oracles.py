@@ -38,6 +38,16 @@ Each oracle is the slow, direct form of a fast path in ``fdareg``:
   numpy distance matrix and calls LAPACK's ``trtrs`` directly.
 - :func:`central_difference_grad`: central differences of a scalar loss;
   the reference for the gradient ``mlp.train`` steps on.
+- :func:`reference_knn_distances`: one row's missing-aware distances to
+  every donor, formed for that row alone; the reference for the shared
+  matrices of ``imputation.pair_distances`` and
+  ``imputation.cross_distances``, which form each distance once.
+- :func:`reference_knn_transform`: the row-by-row k-grid fill, each row's
+  distances formed by :func:`reference_knn_distances` and its donors ordered
+  by ``lexsort`` of (distance, position); the reference, bit for bit and in
+  its short-fill count and its first error, for
+  ``imputation.KnnImputer.transform``, which fills every hole of every row
+  in array operations.
 - :func:`knn_fill_per_hole`: one k at a time, every hole picking its own
   donors from the row's ordering; the reference for the k-grid fill of
   ``imputation.KnnImputer.transform``.
@@ -62,7 +72,13 @@ from scipy.spatial.distance import cdist
 
 from fdareg import mlp, rbfn, represent, selection
 from fdareg.cv import derive_seed, make_folds, rmse
-from fdareg.errors import FdaregError, UnidentifiableCoefficientsError, ValidationError
+from fdareg.errors import (
+    FdaregError,
+    ImputationError,
+    IncomparableSampleError,
+    UnidentifiableCoefficientsError,
+    ValidationError,
+)
 from fdareg.fdata import Grids
 from fdareg.represent import COND_THRESHOLD
 
@@ -290,18 +306,74 @@ def central_difference_grad(loss, params, eps=1e-5):
     return grad
 
 
+def reference_knn_distances(donors, donor_mask, x, m, skip=None):
+    """One row ``(x, m)``'s missing-aware distances to every donor row, inf
+    to a donor sharing no observed coordinate with it and at position
+    ``skip``."""
+    shared = donor_mask & m[None, :]
+    counts = shared.sum(axis=1)
+    diff = np.where(shared, donors - x[None, :], 0.0)
+    d = np.full(counts.shape, np.inf)
+    np.divide(np.einsum("ij,ij->i", diff, diff), counts, out=d, where=counts > 0)
+    if skip is not None:
+        d[skip] = np.inf
+    return d
+
+
+def reference_knn_transform(imputer, values, mask, is_fit_data=False):
+    """Reference for ``KnnImputer.transform``: a loop over the rows, each
+    forming its own distances and ordering its donors by ``lexsort`` of
+    (distance, position). Returns the ``(n, len(ks), p)`` fill and the count
+    of (row, hole, k) fills with fewer than k donors; raises for the first
+    row that cannot be filled, naming it ``sample i``."""
+    values = np.asarray(values, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    out = np.repeat(values[:, None, :], len(imputer.ks), axis=1)
+    max_k = max(imputer.ks)
+    short_fills = 0
+    for i in range(values.shape[0]):
+        holes = np.flatnonzero(~mask[i])
+        if holes.size == 0:
+            continue
+        d = reference_knn_distances(imputer.values_, imputer.mask_, values[i], mask[i],
+                                    skip=i if is_fit_data else None)
+        if not np.any(np.isfinite(d)):
+            raise IncomparableSampleError(
+                f"sample {i} shares no observed coordinate with any donor"
+            )
+        order = np.lexsort((np.arange(d.size), d))  # distance, then position
+        order = order[np.isfinite(d[order])]
+        observes = imputer.mask_[order[None, :], holes[:, None]]  # (holes, donors)
+        counts = observes.sum(axis=1)
+        first = np.argsort(~observes, axis=1, kind="stable")[:, :max_k]
+        block = np.ascontiguousarray(imputer.values_[order[first], holes[:, None]])
+        for c, k in enumerate(imputer.ks):
+            out[i, c, holes] = np.mean(block[:, :k], axis=-1)
+        for h in np.flatnonzero(counts < max_k):
+            if counts[h] == 0:
+                raise ImputationError(
+                    f"no donor observes coordinate {holes[h]} for sample {i}"
+                )
+            for c, k in enumerate(imputer.ks):
+                if counts[h] < k:
+                    short_fills += 1
+                    out[i, c, holes[h]] = np.mean(block[h, : counts[h]])
+    return out, short_fills
+
+
 def knn_fill_per_hole(imputer, values, mask, k, is_fit_data=False):
     """Reference for ``KnnImputer.transform``: the per-hole loop for one
     ``k``, with the donors of each hole listed and averaged on their own.
-    Uses the fitted donors and the distance of ``imputer``; returns the
-    ``(n, p)`` filled matrix and counts no short donor lists."""
+    Uses the fitted donors of ``imputer`` and :func:`reference_knn_distances`;
+    returns the ``(n, p)`` filled matrix and counts no short donor lists."""
     out = np.array(values, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     for i in range(out.shape[0]):
         holes = np.flatnonzero(~mask[i])
         if holes.size == 0:
             continue
-        d = imputer._distances(out[i], mask[i], skip=i if is_fit_data else None)
+        d = reference_knn_distances(imputer.values_, imputer.mask_, out[i], mask[i],
+                                    skip=i if is_fit_data else None)
         order = np.lexsort((np.arange(d.size), d))  # distance, then index
         for j in holes:
             donors = order[imputer.mask_[order, j] & np.isfinite(d[order])]

@@ -87,3 +87,32 @@ def test_a_sequence_that_ends_early_differs_where_it_ends():
     assert (c["loops_equal"], c["first_differing_loop"]) == (False, 2)
     c = ab.compare_counts(counts([]), counts([]))
     assert c["loops_equal"]
+
+
+def test_distance_pairs_are_counted_on_either_side(monkeypatch):
+    import numpy as np
+
+    from fdareg import imputation
+
+    # the change side: the module's one-row distance function; rows 0 and 2
+    # have a hole, so the training rows form the 3 pairs that hold one (0-1,
+    # 0-2 and 2-1, each once), and the one holed new row its 3
+    V = np.arange(12.0).reshape(3, 4)
+    M = np.ones_like(V, dtype=bool)
+    M[[0, 2], 1] = False
+    new_m = np.ones((2, 4), dtype=bool)
+    new_m[1, 3] = False
+
+    def run():  # returns the failed-row count
+        imputation.fill("knn", (1, 2), V, M, V[:2], new_m)
+        return 0
+
+    assert ab.count_work(run)["k-NN distance pairs"] == 3 + 3
+    # a base whose imputer forms each row's distances in a method of its own
+    monkeypatch.setattr(imputation.KnnImputer, "_distances",
+                        lambda self, x, m, skip: np.zeros(5), raising=False)
+    imp = imputation.KnnImputer((1,))
+    counted = ab.count_work(lambda: len([imp._distances(None, None, None) for _ in range(3)]))
+    assert (counted["k-NN distance pairs"], counted["failed rows"]) == (15, 3)
+    assert imputation._distances.__name__ == "_distances"  # both unwrapped again
+    assert imputation.KnnImputer._distances.__name__ == "<lambda>"

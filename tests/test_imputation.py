@@ -1,8 +1,11 @@
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdareg import imputation
 from fdareg.errors import (
@@ -11,7 +14,7 @@ from fdareg.errors import (
     ScalingError,
     ValidationError,
 )
-from oracles import knn_fill_per_hole
+from oracles import knn_fill_per_hole, reference_knn_distances, reference_knn_transform
 
 
 def masked(values, mask):
@@ -109,8 +112,8 @@ class TestKnnImpute:
         assert out[0, 2] == pytest.approx(7.5)
 
     def test_distance_zero_on_shared(self):
-        imp = imputation.KnnImputer((1,)).fit(*masked([[1.0, 2.0]], [[True, True]]))
-        d = imp._distances(np.array([1.0, 2.0]), np.array([True, True]), skip=None)
+        d = imputation._distances(np.array([1.0, 2.0]), np.array([True, True]),
+                                  *masked([[1.0, 2.0]], [[True, True]]))
         assert d[0] == 0.0
 
     def test_distance_normalized_by_overlap(self):
@@ -118,10 +121,9 @@ class TestKnnImpute:
         donors_v, donors_m = masked(
             [[0.0, 0.0, 0.0, 0.0]], [[True, True, True, False]]
         )
-        imp = imputation.KnnImputer((1,)).fit(donors_v, donors_m)
         x = np.array([2.0, 2.0, 0.0, 1.0])
         m = np.array([True, True, False, True])
-        d = imp._distances(x, m, skip=None)
+        d = imputation._distances(x, m, donors_v, donors_m)
         assert d[0] == pytest.approx((4.0 + 4.0) / 2)
 
     def test_nearest_by_shape_not_level(self):
@@ -274,6 +276,165 @@ class TestKnnGrid:
     def test_k_below_one_rejected(self):
         with pytest.raises(ValidationError):
             imputation.KnnImputer((1, 0))
+
+
+@st.composite
+def lattice_rows(draw, p, min_rows=0, max_rows=12):
+    """Rows of ``p`` values on a coarse lattice, so distances tie often,
+    with a drawn share of holes (0 leaves every row complete) and some rows
+    copied onto others, values and holes alike, so that rows tie exactly."""
+    n = draw(st.integers(min_rows, max_rows))
+    share = draw(st.sampled_from([0.0, 0.15, 0.4, 0.7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(-2, 3, size=(n, p)).astype(float)
+    mask = rng.uniform(size=(n, p)) >= share
+    if n:
+        for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                      max_size=3)):
+            values[dst], mask[dst] = values[src], mask[src]
+    return values, mask
+
+
+KS = st.lists(st.sampled_from([1, 2, 3, 4, 8]), min_size=1, max_size=4, unique=True)
+
+
+def outcome(fill):
+    """What ``fill()`` gives, ``(filled, short_fills)``: the bytes and shape
+    of each filled matrix and the short-fill count, or the error's type and
+    text."""
+    try:
+        filled, short = fill()
+    except (ImputationError, IncomparableSampleError) as exc:
+        return type(exc), str(exc)
+    return [(m.tobytes(), m.shape) for m in filled], short
+
+
+def array_fill(imp, values, mask, is_fit_data, distances=None):
+    out = imp.transform(values, mask, is_fit_data, distances)
+    return [out], imp.short_fills_
+
+
+def reference_fill(imp, values, mask, is_fit_data):
+    out, short = reference_knn_transform(imp, values, mask, is_fit_data)
+    return [out], short
+
+
+#: Runs of (hole, donor) pairs a fill handles at once: one hole at a time,
+#: a few holes, or every hole of these small matrices in one run.
+FILL_PAIRS = st.sampled_from([1, 7, 40, imputation.FILL_PAIRS])
+
+
+class TestSharedDistances:
+    """The shared distance matrices and the array fill against the row-by-row
+    reference of ``oracles.reference_knn_transform``, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 6))
+    @example(data=None, p=3)
+    def test_pair_distances_equal_each_rows_own(self, data, p):
+        if data is None:  # one row: nothing to form but its diagonal
+            V, M = np.array([[1.0, 0.0, 2.0]]), np.array([[True, False, True]])
+        else:
+            V, M = data.draw(lattice_rows(p, min_rows=1))
+        D = imputation.pair_distances(V, M)
+        holed = ~M.all(axis=1)
+        for i in range(V.shape[0]):
+            ref = reference_knn_distances(V, M, V[i], M[i], skip=i)
+            if holed[i]:
+                assert D[i].tobytes() == ref.tobytes()
+            else:  # formed only toward the rows with a hole
+                assert D[i, holed].tobytes() == ref[holed].tobytes()
+                assert np.isnan(np.delete(D[i], i)[np.delete(~holed, i)]).all()
+                assert D[i, i] == np.inf
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 6))
+    def test_cross_distances_equal_each_rows_own(self, data, p):
+        V, M = data.draw(lattice_rows(p))
+        new_v, new_m = data.draw(lattice_rows(p))
+        D = imputation.cross_distances(new_v, new_m, V, M)
+        assert D.shape == (new_v.shape[0], V.shape[0])
+        for i in range(new_v.shape[0]):
+            if new_m[i].all():
+                assert np.isnan(D[i]).all()
+            else:
+                assert D[i].tobytes() == reference_knn_distances(V, M, new_v[i],
+                                                                 new_m[i]).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 6), ks=KS, pairs=FILL_PAIRS)
+    def test_fit_data_fill_equals_the_row_loop(self, data, p, ks, pairs):
+        # a row never donates to itself, and short lists and ties are common
+        V, M = data.draw(lattice_rows(p, min_rows=1))
+        imp = imputation.KnnImputer(ks).fit(V, M)
+        ref = outcome(lambda: reference_fill(imp, V, M, True))
+        with mock.patch.object(imputation, "FILL_PAIRS", pairs):
+            assert outcome(lambda: array_fill(imp, V, M, True)) == ref
+            D = imputation.pair_distances(V, M)
+            assert outcome(lambda: array_fill(imp, V, M, True, D)) == ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 6), ks=KS, pairs=FILL_PAIRS)
+    def test_new_row_fill_equals_the_row_loop(self, data, p, ks, pairs):
+        V, M = data.draw(lattice_rows(p))
+        new_v, new_m = data.draw(lattice_rows(p))
+        imp = imputation.KnnImputer(ks).fit(V, M)
+        ref = outcome(lambda: reference_fill(imp, new_v, new_m, False))
+        with mock.patch.object(imputation, "FILL_PAIRS", pairs):
+            assert outcome(lambda: array_fill(imp, new_v, new_m, False)) == ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 6), ks=KS)
+    def test_fold_slices_equal_a_fold_fitted_alone(self, data, p, ks):
+        # a fold's training and validation rows read slices of the one
+        # matrix of every training row, in the fold's own row order
+        V, M = data.draw(lattice_rows(p, min_rows=2))
+        rows = data.draw(st.permutations(range(V.shape[0])))
+        cut = data.draw(st.integers(1, V.shape[0] - 1))
+        tr, va = np.array(rows[:cut]), np.array(rows[cut:])
+        D = imputation.pair_distances(V, M)
+        imp = imputation.KnnImputer(ks).fit(V[tr], M[tr])
+
+        def sliced():
+            filled, short = imputation.fill("knn", ks, V[tr], M[tr], V[va], M[va],
+                                            (D[np.ix_(tr, tr)], D[np.ix_(va, tr)]))
+            return [m for pair in filled for m in pair], short
+
+        def alone():
+            train, short = reference_knn_transform(imp, V[tr], M[tr], is_fit_data=True)
+            new, new_short = reference_knn_transform(imp, V[va], M[va])
+            return [m[:, c] for c in range(len(ks)) for m in (train, new)], short + new_short
+
+        assert outcome(sliced) == outcome(alone)
+
+    # donors observe coordinates 0-2 and never 3; new rows 0-2 and 4 are
+    # complete, and rows 3 and 5 each fail in their own way
+    DONORS = masked(np.arange(12.0).reshape(4, 3).repeat([1, 1, 2], axis=1),
+                    np.tile([True, True, True, False], (4, 1)))
+    UNOBSERVED_HOLE = [True, True, True, False]  # coordinate 3 has no donor
+    INCOMPARABLE = [False, False, False, True]  # shares no coordinate with a donor
+
+    @pytest.mark.parametrize("row3, row5, error, text", [
+        (UNOBSERVED_HOLE, INCOMPARABLE, ImputationError,
+         "no donor observes coordinate 3 for {row}"),
+        (INCOMPARABLE, UNOBSERVED_HOLE, IncomparableSampleError,
+         "{row} shares no observed coordinate with any donor"),
+    ], ids=["unobserved-hole-first", "incomparable-first"])
+    def test_the_first_failing_row_raises(self, row3, row5, error, text):
+        new_m = np.ones((6, 4), dtype=bool)
+        new_m[3], new_m[5] = row3, row5
+        new_v = np.ones((6, 4))
+        imp = imputation.KnnImputer(K_GRID).fit(*self.DONORS)
+        with pytest.raises(error, match=re.escape(text.format(row="sample 3"))):
+            imp.transform(new_v, new_m)
+        with pytest.raises(error, match=re.escape(text.format(row="sample 3"))):
+            reference_knn_transform(imp, new_v, new_m)
+        # an error names the row as the caller numbers it
+        with pytest.raises(error, match=re.escape(text.format(row="test row 3"))):
+            imp.transform(new_v, new_m, names=("test row", None))
+        numbers = np.array([40, 41, 42, 17, 44, 45])
+        with pytest.raises(error, match=re.escape(text.format(row="training row 17"))):
+            imp.transform(new_v, new_m, names=("training row", numbers))
 
 
 class TestExpertScale:

@@ -1331,24 +1331,45 @@ class TestImputationRoutes:
         )
         real_transform = imp_mod.KnnImputer.transform
         real_fit = fpca_mod.Standardizer.fit
-        calls, fits = [], []
+        real_pair, real_cross = imp_mod.pair_distances, imp_mod.cross_distances
+        real_grids = selection.Grids
+        calls, fits, events = [], [], []
 
-        def counted(self, values, mask, is_fit_data=False):
+        def counted(self, values, mask, is_fit_data=False, *args):
             calls.append(is_fit_data)
-            return real_transform(self, values, mask, is_fit_data)
+            return real_transform(self, values, mask, is_fit_data, *args)
 
         def counted_fit(self, X):
             fits.append(X.shape)
             return real_fit(self, X)
 
+        def pair(values, mask):
+            events.append(("training distances", len(values)))
+            return real_pair(values, mask)
+
+        def cross(new_values, *args):
+            events.append(("test distances", len(new_values)))
+            return real_cross(new_values, *args)
+
+        def grids(functions):
+            events.append(("grouping", len(functions)))
+            return real_grids(functions)
+
         monkeypatch.setattr(imp_mod.KnnImputer, "transform", counted)
         monkeypatch.setattr(fpca_mod.Standardizer, "fit", counted_fit)
+        monkeypatch.setattr(imp_mod, "pair_distances", pair)
+        monkeypatch.setattr(imp_mod, "cross_distances", cross)
+        monkeypatch.setattr(selection, "Grids", grids)
         a = run_experiment(spec, train, test)
         # imputation, per fold: the training rows and the validation rows
         # once each for the whole k grid; the final refit: the training
         # rows, then the test rows
         assert len(calls) == 2 * spec.folds + 2
         assert calls.count(True) == spec.folds + 1
+        # the training rows' distances are formed once, for every fold and
+        # the refit; the test rows' once, after the test curves are grouped
+        assert events == [("grouping", len(train)), ("training distances", len(train)),
+                          ("grouping", len(test)), ("test distances", len(test))]
         # standardization, per (fold, k), then once for the final refit
         assert len(fits) == spec.folds * len(spec.impute.k_grid) + 1
         b = run_experiment(spec, train, test)
@@ -1421,11 +1442,14 @@ class TestImputationRoutes:
         stage = selection._Stage1(spec, train)
         values, mask = stage.train_values, stage.train_mask
         call = (1.0, (1e-3,), 4)
+        D = imp_mod.pair_distances(values, mask)
         notes: list[str] = []
         cells = []
         for fold_i, (tr, va) in enumerate(plan):
-            inputs, failures, _ = selection._prepare(spec, (1, 2), (2,), (values[tr], mask[tr]),
-                                                     (values[va], mask[va]))
+            inputs, failures, _ = selection._prepare(
+                spec, (1, 2), (2,), (values[tr], mask[tr]), (values[va], mask[va]),
+                (D[np.ix_(tr, tr)], D[np.ix_(va, tr)]),
+                (("training row", tr), ("training row", va)))
             notes += [selection._fold_note(fold_i, exc, k_imp, n_comp, "")
                       for k_imp, n_comp, exc in failures]
             cells.append(sorted({cell[:2] for (k_imp, n_comp), prepared in inputs.items()
@@ -1434,12 +1458,15 @@ class TestImputationRoutes:
                                      f"mlp-cv-f{fold_i}", False)
                                  for cell in block}))
         assert cells == [[], *[[(1, 2), (2, 2)]] * 3]
+        # the note names the first row of fold 0's training matrix as the
+        # experiment numbers its training rows, not by its place in the fold
+        assert plan[0][0][0] == 12
         assert notes == [
-            f"fold 0, impute k={k}: no donor observes coordinate 7 for sample 0"
+            f"fold 0, impute k={k}: no donor observes coordinate 7 for training row 12"
             for k in (1, 2)
         ]
         cause = ("no grid cell was scored in every fold; 2 fold failures, first: "
-                 "fold 0, impute k=1: no donor observes coordinate 7 for sample 0")
+                 "fold 0, impute k=1: no donor observes coordinate 7 for training row 12")
         with pytest.raises(ConfigError, match=re.escape(cause)):
             run_experiment(spec, train, full)
 

@@ -37,7 +37,10 @@ fresh interpreter on the same two copies, with counters wrapped around the
 side's own functions (:func:`count_work`): ``mlp.train`` calls, the
 Levenberg-Marquardt loops of ``mlp._train_stack`` and the jobs they train,
 OLS path steps (the ``max_size`` of every path ``rbfn.train_ols_paths``
-returns) and ``represent._qr_solve`` calls. The report gives both sides'
+returns), ``represent._qr_solve`` calls and k-NN distance pairs (the
+distances returned by ``_distances``, the private function that forms one
+row's distances to its donors: ``imputation._distances``, or
+``imputation.KnnImputer._distances`` on a base that has it). The report gives both sides'
 counts and says whether the two sequences of loops, ``(n, d, hidden,
 restarts)`` each, are equal (:func:`compare_counts`). The base must have
 ``mlp._train_stack``.
@@ -63,7 +66,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 WIN_SHARE = 0.9
 #: What ``--count`` reports per side, in order, and the seeds it runs.
 COUNTS = ("mlp.train calls", "LM loops", "LM jobs", "most jobs in a loop", "OLS path steps",
-          "QR solves", "failed rows")
+          "QR solves", "k-NN distance pairs", "failed rows")
 COUNT_SEEDS = range(1, 11)
 
 
@@ -113,11 +116,15 @@ def count_work(run) -> dict:
     and return the :data:`COUNTS`, plus ``loops``: per training loop of
     ``mlp._train_stack``, in order, ``(n, d, hidden, restarts)``, with the
     restarts of all its jobs."""
-    from fdareg import mlp, rbfn, represent
+    from fdareg import imputation, mlp, rbfn, represent
 
     counts, loops = dict.fromkeys(COUNTS, 0), []
     real_train, real_loop = mlp.train, mlp._train_stack
     real_paths, real_qr = rbfn.train_ols_paths, represent._qr_solve
+    # the private function that forms one row's k-NN distances: a method of
+    # KnnImputer before the distances were shared, a module function after
+    knn = imputation.KnnImputer if hasattr(imputation.KnnImputer, "_distances") else imputation
+    real_distances = knn._distances
 
     def train(*args, **kwargs):
         counts["mlp.train calls"] += 1
@@ -139,12 +146,19 @@ def count_work(run) -> dict:
         counts["QR solves"] += 1
         return real_qr(*args, **kwargs)
 
+    def distances(*args, **kwargs):
+        d = real_distances(*args, **kwargs)
+        counts["k-NN distance pairs"] += d.size
+        return d
+
     mlp.train, mlp._train_stack, rbfn.train_ols_paths, represent._qr_solve = train, loop, paths, qr
+    knn._distances = distances
     try:
         counts["failed rows"] = run()
     finally:
         mlp.train, mlp._train_stack = real_train, real_loop
         rbfn.train_ols_paths, represent._qr_solve = real_paths, real_qr
+        knn._distances = real_distances
     return {**counts, "loops": loops}
 
 
