@@ -76,7 +76,7 @@ def cmd_represent(args) -> int:
         dimension, alpha = sel.dimension, sel.coefficients
     basis = represent.make_basis(args.basis, dataset.domain, dimension, args.order)
     if sel is None:
-        alpha, _ = represent.fit_dataset(grids, basis)
+        alpha = represent.fit_dataset(grids, basis)
     # a failed selection or fit leaves no output directory behind
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -101,7 +101,7 @@ def cmd_represent(args) -> int:
     design = basis.evaluate(grids.union)
     fitted = {i: design[rows] @ alpha[i] for idx, rows, _ in grids.blocks for i in idx}
     # each grid's residuals as the fit forms them, from a C-ordered (q, n)
-    # block, so the SSE has the bits of fit_dataset's
+    # block, so the SSE has the bits of the QR fit's own residuals
     sse = np.empty(len(grids))
     for idx, rows, Y in grids.blocks:
         resid = Y - design[rows] @ np.ascontiguousarray(alpha[idx].T)
@@ -157,7 +157,8 @@ def _emit_curves(dataset, alpha, basis, outdir: Path, args) -> dict[str, str]:
             omitted[name] = f"curves {shown[constant[shown]].tolist()} are constant"
             shown = shown[~constant[shown]]
         try:
-            coefs, on = transforms.transform_dataset(alpha[shown], basis, kind)
+            coefs, on = transforms.transform_dataset(
+                alpha[shown], basis, kind, [dataset.functions[i].id for i in shown])
         except FdaregError as exc:  # a derivative the basis lacks
             omitted[name] = f"{type(exc).__name__}: {exc}"
             continue

@@ -10,13 +10,15 @@ distance
 
 (nm(x) = indices observed in x) and fills a hole with the unweighted mean of
 the k nearest donors that observe the coordinate, ties going to the donor
-at the lower position. The distances do not depend on which rows a split
-holds, so :func:`pair_distances` forms the training rows' once, each pair
-once, in an ``(n, n)`` matrix of ``8 n**2`` bytes; a cross-validation fold
-fills from slices of it, and :func:`cross_distances` forms new rows'
-distances to the training rows. Expert scaling centers and
-normalizes each sample over its own observed entries, mirroring functional
-centering/reduction without any function representation.
+at the lower position. The distances are an input of the fill, and
+:func:`pair_distances` and :func:`cross_distances` are the only code that
+forms them. They do not depend on which rows a split holds, so
+:func:`pair_distances` forms the training rows' once, each pair once, in an
+``(n, n)`` matrix of ``8 n**2`` bytes; a cross-validation fold fills from
+slices of it, and :func:`cross_distances` forms new rows' distances to the
+training rows. Expert scaling centers and normalizes each sample over its
+own observed entries, mirroring functional centering/reduction without any
+function representation.
 """
 
 from __future__ import annotations
@@ -116,18 +118,17 @@ class KnnImputer:
         self.mask_ = np.asarray(mask, dtype=bool)
         return self
 
-    def transform(self, values: np.ndarray, mask: np.ndarray, is_fit_data: bool = False,
-                  distances: np.ndarray | None = None, names=("sample", None)) -> np.ndarray:
+    def transform(self, values: np.ndarray, mask: np.ndarray, distances: np.ndarray,
+                  names) -> np.ndarray:
         """Fill every hole of every row, for every k of the grid.
 
         Returns an ``(n, len(ks), p)`` array: ``out[:, c]`` is ``values``
         with its holes filled from the ``ks[c]`` nearest donors.
         ``distances`` holds each row's distances to the fitted donors, inf
-        where a row must not draw from a donor; only the rows with a hole
-        are read. When it is None they are formed here: with
-        ``is_fit_data=True`` (``values`` is the very matrix the imputer was
-        fitted on) by :func:`pair_distances`, so that row i never donates
-        to itself, and otherwise by :func:`cross_distances`.
+        where a row must not draw from a donor, as :func:`pair_distances`
+        (the fitted matrix itself: row i never donates to itself) and
+        :func:`cross_distances` (new rows) form them; only the rows with a
+        hole are read.
 
         Each row's donors are ordered by a stable ``argsort`` of its
         distances, so ties go to the lower position. The (row, hole) pairs
@@ -155,9 +156,6 @@ class KnnImputer:
         holed = np.flatnonzero(~mask.all(axis=1))
         if holed.size == 0:
             return out
-        if distances is None:
-            distances = (pair_distances(values, mask) if is_fit_data else
-                         cross_distances(values, mask, self.values_, self.mask_))
         order = np.argsort(distances[holed], axis=1, kind="stable")  # distance, then position
         finite = np.take_along_axis(np.isfinite(distances)[holed], order, axis=1)
         row, hole = np.nonzero(~mask[holed])  # every (row, hole), in row order
@@ -194,8 +192,8 @@ class KnnImputer:
 
 
 def fill(kind: str, ks, values: np.ndarray, mask: np.ndarray | None,
-         new_values: np.ndarray, new_mask: np.ndarray | None, distances=None,
-         names=None) -> tuple[list[tuple], int]:
+         new_values: np.ndarray, new_mask: np.ndarray | None, distances,
+         names) -> tuple[list[tuple], int]:
     """Fill the holes of training rows and of new rows with an imputer
     fitted on the training rows, for every neighbor count of ``ks``.
 
@@ -207,22 +205,20 @@ def fill(kind: str, ks, values: np.ndarray, mask: np.ndarray | None,
     C-contiguous. Its ``distances`` are the pair ``(D, D_new)``: the
     training rows' distances among themselves, with an inf diagonal, and
     the new rows' to them, as :func:`pair_distances` and
-    :func:`cross_distances` form them or slices of those; None forms both
-    here. ``names`` is the pair of how an error names the rows of each
-    matrix, as :meth:`KnnImputer.transform` states; None calls row i of
-    either ``sample i``. "mean" fills the training rows'
-    column means (a column no training row observes is an
-    :class:`ImputationError`, which names the first 10 such columns and
-    their count) and "none" passes the rows through, each for the single
-    pass-through k of its grid.
+    :func:`cross_distances` form them or slices of those. ``names`` is the
+    pair of how an error names the rows of each matrix, as
+    :meth:`KnnImputer.transform` states. The other kinds read neither.
+    "mean" fills the training rows' column means (a column no training row
+    observes is an :class:`ImputationError`, which names the first 10 such
+    columns and their count) and "none" passes the rows through, each for
+    the single pass-through k of its grid.
     """
     if kind == "knn":
-        D, D_new = (None, None) if distances is None else distances
-        names = (("sample", None),) * 2 if names is None else names
+        D, D_new = distances
         imputer = KnnImputer(ks).fit(values, mask)
-        train = _per_k(imputer.transform(values, mask, True, D, names[0]))
+        train = _per_k(imputer.transform(values, mask, D, names[0]))
         short = imputer.short_fills_
-        new = _per_k(imputer.transform(new_values, new_mask, False, D_new, names[1]))
+        new = _per_k(imputer.transform(new_values, new_mask, D_new, names[1]))
         return list(zip(train, new)), short + imputer.short_fills_
     if kind == "mean":
         counts = mask.sum(axis=0)
@@ -245,21 +241,22 @@ def _per_k(filled: np.ndarray) -> list[np.ndarray]:
     return [np.ascontiguousarray(filled[:, c]) for c in range(filled.shape[1])]
 
 
-def expert_scale_matrix(values: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+def expert_scale_matrix(values: np.ndarray, mask: np.ndarray | None, ids) -> np.ndarray:
     """Center and normalize every row over its own observed entries.
 
     Observed entries of row ``x`` become
     ``(x_i - mean) / sqrt(sum (x_j - mean)^2)`` with both statistics over
     ``nm(x)``; missing entries stay untouched. A ``mask`` of None means
-    every entry is observed. Raises :class:`ScalingError` naming the first
-    row with fewer than 2 observed entries or constant observed values.
+    every entry is observed. Raises :class:`ScalingError` naming, by its
+    entry of ``ids``, the first row with fewer than 2 observed entries or
+    constant observed values.
     """
     mask = np.ones(np.shape(values), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     counts = mask.sum(axis=1)
     short = np.flatnonzero(counts < 2)
     if short.size:
         raise ScalingError(
-            f"row {int(short[0])}: expert scaling needs at least 2 observed entries"
+            f"function {ids[short[0]]}: expert scaling needs at least 2 observed entries"
         )
     observed = np.where(mask, values, 0.0)
     mean = observed.sum(axis=1) / counts
@@ -270,7 +267,7 @@ def expert_scale_matrix(values: np.ndarray, mask: np.ndarray | None) -> np.ndarr
     flat = np.flatnonzero(denom < 1e-12 * scale)
     if flat.size:
         raise ScalingError(
-            f"row {int(flat[0])}: observed values are constant; scaling is undefined"
+            f"function {ids[flat[0]]}: observed values are constant; scaling is undefined"
         )
     out = np.array(values, dtype=float)
     out[mask] = (dev / denom[:, None])[mask]

@@ -12,15 +12,16 @@ after an accepted step; a rejected step only raises the damping. Many
 random restarts run in parallel (batched linear algebra) and the best final
 loss wins.
 
-One call can train a stack of jobs, each with its own training set,
-network size, decay and seeds; the jobs of one shape share training
-loops, in which every restart of every job is a row of the same batched
-arrays. Small networks spend an iteration in numpy's per-call overhead,
-not in arithmetic, so one loop over five jobs of 8 restarts costs far less
-than five loops. Cross-validation hands :func:`train` its trainings in
-stacks, one call's remaining folds at a time (``selection.run_experiment``),
-and :func:`train` decides which share a loop. Each job comes out bit for bit as if trained alone;
-:func:`train` states why.
+A call trains a stack of jobs, each with its own training set, network
+size, decay and seeds, and one network is a one-job stack; the jobs of
+one shape share training loops, in which every restart of every job is a
+row of the same batched arrays. Small networks spend an iteration in
+numpy's per-call overhead, not in arithmetic, so one loop over five jobs
+of 8 restarts costs far less than five loops. Cross-validation hands
+:func:`train` its trainings in stacks, one call's remaining folds at a
+time (``selection.run_experiment``), and the final refit one job;
+:func:`train` decides which share a loop. Each job comes out bit for bit
+as if trained alone; :func:`train` states why.
 """
 
 from __future__ import annotations
@@ -29,14 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FdaregError, TrainingError, ValidationError
+from .errors import TrainingError, ValidationError
 
 #: Gradient-norm convergence tolerance, relative to (1 + loss).
 GRAD_TOL = 1e-8
 MAX_ITER = 500
 
-#: Default restart count of :func:`train`, and the most restarts one training
-#: loop holds: no cross-validation loop outgrows a default final refit.
+#: Default restart count of a final refit (``selection.MlpSettings``), and the
+#: most restarts one training loop holds: no cross-validation loop outgrows a
+#: default final refit.
 RESTARTS = 60
 
 #: Most bytes the Jacobian of one training loop may hold, unless one job
@@ -61,7 +63,6 @@ class MlpModel:
     hidden_biases: np.ndarray  # (H,)
     output_weights: np.ndarray  # (H,)
     output_bias: float
-    decay: float = 0.0
 
     def __post_init__(self):
         self.hidden_weights.setflags(write=False)
@@ -96,14 +97,13 @@ def _shapes(hidden: int, dim: int) -> tuple[slice, slice, slice, int]:
     )
 
 
-def unpack(params: np.ndarray, hidden: int, dim: int, decay: float) -> MlpModel:
+def unpack(params: np.ndarray, hidden: int, dim: int) -> MlpModel:
     sv, sb, sw, ib0 = _shapes(hidden, dim)
     return MlpModel(
         params[sv].reshape(hidden, dim).copy(),
         params[sb].copy(),
         params[sw].copy(),
         float(params[ib0]),
-        decay,
     )
 
 
@@ -164,11 +164,11 @@ def train(
     y: np.ndarray,
     hidden,
     decay,
-    restarts: int = RESTARTS,
-    seed=None,
+    restarts: int,
+    seed,
     max_iter: int = MAX_ITER,
-):
-    """Fit the perceptron from many random initializations.
+) -> list:
+    """Fit a stack of perceptrons, each from many random initializations.
 
     Each restart runs damped Gauss-Newton on the residual vector
     (data residuals plus sqrt(decay)-scaled weight residuals) until the
@@ -181,21 +181,20 @@ def train(
     damping and solves the cached system again. The restart with the best
     final loss wins.
 
-    Raises :class:`ValidationError` for a non-finite ``X`` or ``y``, and
-    :class:`TrainingError` when a restart starts at a non-finite loss (an
-    overflow); no later loss can turn non-finite, because a trial step
-    with a non-finite loss is rejected.
-
     All restarts advance together through batched linear algebra, so the
     wall cost is far below ``restarts`` sequential runs.
 
-    **A stack.** With ``decay`` a sequence, one call trains a stack of
-    jobs: ``X``, ``y``, ``hidden``, ``decay`` and ``seed`` hold one value
-    per job, each ``X`` ``(n, d)`` and each ``y`` ``(n,)`` of its own
-    size; ``restarts`` and ``max_iter`` apply to every job. The call
-    returns one result per job, in job order: its trained model, or the
-    :class:`ValidationError` or :class:`TrainingError` that the job would
-    raise alone, which leaves the other jobs untouched. The jobs that
+    **A stack.** One call trains a stack of jobs: ``X``, ``y``,
+    ``hidden``, ``decay`` and ``seed`` hold one value per job, each ``X``
+    ``(n, d)`` and each ``y`` ``(n,)`` of its own size; ``restarts`` and
+    ``max_iter`` apply to every job, and one network is a one-job stack.
+    A stack of another shape raises :class:`ValidationError`. The call
+    returns one result per job, in job order: its trained model, or its
+    error, which leaves the other jobs untouched: a
+    :class:`ValidationError` for a non-finite ``X`` or ``y``, or a
+    :class:`TrainingError` when a restart starts at a non-finite loss (an
+    overflow); no later loss can turn non-finite, because a trial step
+    with a non-finite loss is rejected. The jobs that
     share ``(n, d, hidden)`` form a group, and the groups train in the
     order of their first job. Each group trains in consecutive loops of
     as many jobs as keep a loop within both limits, :data:`STACK_BYTES`
@@ -215,15 +214,13 @@ def train(
     its jobs are solved one by one, and only those whose own systems are
     singular take the least-squares fallback.
     """
-    solo = np.ndim(decay) == 0
-    if solo:
-        X, y, hidden, decay, seed = [np.atleast_2d(X)], [y], [hidden], [decay], [seed]
-    if restarts < 1 or any(h < 1 for h in hidden):
-        raise ValidationError("need at least one restart and one hidden unit per job")
-    if (not len(X) == len(y) == len(hidden) == len(decay) == len(seed)
+    if (any(np.ndim(a) != 1 for a in (hidden, decay, seed))
+            or not len(X) == len(y) == len(hidden) == len(decay) == len(seed)
             or any(np.ndim(X_j) != 2 or np.shape(y_j) != np.shape(X_j)[:1]
                    for X_j, y_j in zip(X, y))):
         raise ValidationError("a stack needs per job an X (n, d), a y (n,), hidden, decay, seed")
+    if restarts < 1 or any(h < 1 for h in hidden):
+        raise ValidationError("need at least one restart and one hidden unit per job")
     groups = {}
     for j, (X_j, h) in enumerate(zip(X, hidden)):
         groups.setdefault((*np.shape(X_j), h), []).append(j)
@@ -236,10 +233,7 @@ def train(
             X_l, y_l, decay_l = (np.array([a[j] for j in loop], dtype=float) for a in (X, y, decay))
             by_job.update(zip(loop, _train_stack(X_l, y_l, h, decay_l, restarts,
                                                  [seed[j] for j in loop], max_iter)))
-    results = [by_job[j] for j in range(len(X))]
-    if solo and isinstance(results[0], FdaregError):
-        raise results[0]
-    return results[0] if solo else results
+    return [by_job[j] for j in range(len(X))]
 
 
 def _train_stack(X, y, hidden, decay, restarts, seed, max_iter) -> list:
@@ -261,7 +255,10 @@ def _train_stack(X, y, hidden, decay, restarts, seed, max_iter) -> list:
     mask_diag = np.diag(weight_mask)
     job = np.repeat(np.arange(len(jobs)), restarts)  # per restart, its job in the stack
 
-    # in a one-job stack every restart shares the job's data and decay terms
+    # in a one-job stack every restart shares the job's 2-D X, y and decay
+    # terms. Gathering them per restart keeps the bits but cost holed-knn-mlp
+    # (seed 1, 2 vCPUs) 4-14 % a pass: medians 0.819/0.843/0.897 s against
+    # 0.790/0.772/0.790 s, in 3 alternating process pairs of 5 passes each
     one_job = len(jobs) == 1
     shared = X[0], y[0], decay[0]
     shared_terms = decay[0] * mask_diag, decay[0] * weight_mask
@@ -359,5 +356,5 @@ def _train_stack(X, y, hidden, decay, restarts, seed, max_iter) -> list:
     for i, j in enumerate(jobs):
         if results[j] is None:
             own = np.flatnonzero(job == i)
-            results[j] = unpack(params[own[np.argmin(loss[own])]], hidden, dim, float(decay[i]))
+            results[j] = unpack(params[own[np.argmin(loss[own])]], hidden, dim)
     return results

@@ -33,7 +33,8 @@ truncations at once are ``cumsum((D A^-1) * g, axis=1)`` for the design
 ``D`` on the selected centers: one triangular solve scores the whole path.
 :meth:`RbfnPath.predictions` is the one evaluator of a trained network; the
 cross-validation folds and the final test-set evaluation both read their
-center count's column of it.
+center count's column of it, and a path holds only what it reads: the
+selection order, ``A``, ``g`` and the width.
 
 The ridge enters only the criterion and the orthogonal-space weights, so
 :func:`train_ols_paths` grows the paths of a whole ridge grid in lockstep
@@ -117,10 +118,12 @@ class RbfnPath:
     """Forward-selection path; every truncation is a network, and
     :meth:`predictions` evaluates them all at once.
 
-    ``objective`` is the regularized training error after 0, 1, ... steps;
-    it is non-increasing by construction. ``gs_coefs`` holds the
-    Gram-Schmidt factors ``A`` (unit upper triangular over the selection
-    order) and ``ortho_weights`` the orthogonal-space weights ``g``. The
+    A path holds what :meth:`predictions` reads and no more: the size of
+    the candidate pool, the selection order, the width and two factors;
+    its ridge entered only the selection and ``ortho_weights``.
+    ``gs_coefs`` holds the Gram-Schmidt factors ``A`` (unit upper
+    triangular over the selection order) and ``ortho_weights`` the
+    orthogonal-space weights ``g``. The
     design ``D`` on the selected centers factors as ``D = W A`` on the
     training inputs, and since ``A^-1`` is upper triangular too,
     ``D[:, :k] A[:k, :k]^-1 = (D A^-1)[:, :k]``. The k-center weights are
@@ -132,9 +135,7 @@ class RbfnPath:
     selected: np.ndarray  # selection order, indices into the inputs
     gs_coefs: np.ndarray  # (k, k)
     ortho_weights: np.ndarray  # (k,)
-    objective: np.ndarray  # (k + 1,)
     width: float
-    ridge: float
 
     @property
     def max_size(self) -> int:
@@ -230,8 +231,6 @@ def train_ols_paths(
     selected = np.zeros((n_paths, max_centers), dtype=int)
     coef_rows = np.zeros((n_paths, max_centers, n))  # step -> GS coefs
     ortho_weights = np.zeros((n_paths, max_centers))
-    objective = np.empty((n_paths, max_centers + 1))
-    objective[:, 0] = y @ y
 
     for step in range(max_centers):
         energy = np.einsum("rij,rij->rj", W, W)
@@ -258,9 +257,7 @@ def train_ols_paths(
         )
 
         w_best = W[rows, :, best]
-        p_best, d_best = proj[rows, best], denom[rows, best]
-        ortho_weights[live, step] = p_best / d_best
-        objective[live, step + 1] = objective[live, step] - p_best**2 / d_best
+        ortho_weights[live, step] = proj[rows, best] / denom[rows, best]
         selected[live, step] = best
         available[rows, best] = False
 
@@ -283,9 +280,7 @@ def train_ols_paths(
             selected=sel.copy(),
             gs_coefs=gs,
             ortho_weights=ortho_weights[p, :k].copy(),
-            objective=objective[p, : k + 1].copy(),
             width=width,
-            ridge=float(ridges[p]),
         ))
     return paths
 

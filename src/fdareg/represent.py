@@ -19,9 +19,10 @@ the wrappers bit for bit (see ``_qr_solve``). The routines come from
 :mod:`fdareg._lapack`, which loads scipy's compiled LAPACK module from its
 file and, except on Windows, runs no scipy package code (``scipy.linalg``'s
 init would double the start-up time). They return an ``(n, q)``
-coefficient matrix or ``n`` scores; the scaled coordinates
-``beta = alpha U^T`` make canonical dot products of rows
-equal L2 inner products of the reconstructed functions.
+coefficient matrix ``alpha`` (no residuals: a caller that wants them forms
+them from it) or ``n`` scores; the scaled coordinates ``beta = alpha U^T``
+make canonical dot products of rows equal L2 inner products of the
+reconstructed functions.
 :func:`select_basis_size` picks the basis size by the summed leave-one-out
 score, every candidate size reusing the one grouping; it stops scoring a
 size once the size can no longer win, by the exact rule its docstring
@@ -150,7 +151,7 @@ def _group_fits(grids: Grids, basis: Basis):
         yield idx, _qr_solve(design[rows], Y)
 
 
-def fit_dataset(grids: Grids, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+def fit_dataset(grids: Grids, basis: Basis) -> np.ndarray:
     """Project every sampled function onto a basis by least squares.
 
     The basis is evaluated once, on the union of all abscissas; functions
@@ -160,8 +161,6 @@ def fit_dataset(grids: Grids, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
     -------
     alpha : ndarray, shape (n, q)
         Row ``i`` holds the coordinates of the ``i``-th grouped function.
-    sse : ndarray, shape (n,)
-        Residual sums of squares.
 
     Raises
     ------
@@ -170,11 +169,9 @@ def fit_dataset(grids: Grids, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
         B-spline with no samples in its support.
     """
     alpha = np.empty((len(grids), basis.dimension))
-    sse = np.empty(len(grids))
-    for idx, (a, resid, _) in _group_fits(grids, basis):
+    for idx, (a, _, _) in _group_fits(grids, basis):
         alpha[idx] = a.T
-        sse[idx] = np.einsum("ij,ij->j", resid, resid)
-    return alpha, sse
+    return alpha
 
 
 class _LooRun:

@@ -17,16 +17,16 @@ such a cell can never win, and the cells that miss a fold are counted in
 one note on the report. Every split has two steps: :func:`_prepare` fits
 the preprocessing chain on the training rows and prepares the model inputs
 of the training rows and the new rows once per imputation k and PCA size,
-and :func:`_train` trains one call on them (:func:`_train_stack` several).
-A training call is shaped ``(head, paths, *tail)`` in both families: an
-RBFN width multiplier ``(mult, ridges, cap)``, an OLS path per ridge, or an
-MLP ``(hidden, (decay,))``, one path; it gives one prediction column per
-grid cell it trains. On RBFN rows the prepared inputs are two
-squared-distance matrices: the training rows' own, which gives the base
-width and every width's design, and the new rows' to them, which every path
-of every width slices by its selected centers. The final refit is the last
-split, with the test rows as its new rows: it calls the same two steps, and
-a failure there is raised, not noted.
+and :func:`_train_stack` trains a stack of calls on them. A training call
+is shaped ``(head, paths, *tail)`` in both families: an RBFN width
+multiplier ``(mult, ridges, cap)``, an OLS path per ridge, or an MLP
+``(hidden, (decay,))``, one path; it gives one prediction column per grid
+cell it trains. On RBFN rows the prepared inputs are two squared-distance
+matrices: the training rows' own, which gives the base width and every
+width's design, and the new rows' to them, which every path of every width
+slices by its selected centers. The final refit is the last split, with the
+test rows as its new rows: it calls the same two steps, its training a
+one-job stack, and a failure there is raised, not noted.
 
 The engine skips the path trainings that can no longer change the
 selection. A path is one ridge's OLS path of an RBFN call, with a cell per
@@ -47,7 +47,8 @@ under which the call's other paths then run their later folds; if the
 lead completes none, they run unbounded. The bound is exact. A fold error
 is a finite MSE, so it is >= 0, and adding a non-negative float never
 lowers a sum: a dropped path's cells would all end strictly above a score
-some cell already has, so none of them can win or tie. A kept path is
+some cell already has, so none of them can win or tie. With no bound, a
+group of paths runs the same fold loop with every path held. A kept path is
 grown bit for bit as in the whole call (in ``train_ols_paths`` no path
 reads another's numbers), so its predictions do not move. The winner's
 errors are still summed in fold order, and MLP seeds are keyed by the fold
@@ -64,7 +65,7 @@ the cells of a dropped path are not counted as excluded.
 
 Trainings are made in stacks (:func:`_train_stack`), whose results are
 taken fold by fold under the rule above. Fold 0's calls form one stack, and
-an unbounded lead's folds 1 to K - 1 another. A bounded call that holds
+an unbounded group's folds 1 to K - 1 another. A bounded call that holds
 live paths before fold f trains folds f to K - 1 in one stack if the
 largest partial sum S of its live cells passes S (K - 1) / f <= K best,
 its mean fold error so far carried to the last check before fold K - 1,
@@ -423,15 +424,16 @@ class _Stage1:
         fitted."""
         if self.basis is not None:
             if alpha is None:
-                alpha, _ = rep_mod.fit_dataset(grids, self.basis)
-            alpha, basis = tr_mod.transform_dataset(alpha, self.basis, self.spec.transform.kind)
+                alpha = rep_mod.fit_dataset(grids, self.basis)
+            alpha, basis = tr_mod.transform_dataset(alpha, self.basis, self.spec.transform.kind,
+                                                    grids.ids)
             return alpha @ basis.gram_factor().T, None
         if self.spec.impute.kind != "none":
             values, mask = grids.on(self.grid)
         else:
             values, mask = grids.matrix(self.grid), None
         if self.spec.impute.expert_scale:
-            values = imp_mod.expert_scale_matrix(values, mask)
+            values = imp_mod.expert_scale_matrix(values, mask, grids.ids)
         return values, mask
 
 
@@ -443,7 +445,7 @@ def _fold_note(fold_i: int, exc, k_imp: int, n_comp: int, call: str) -> str:
     return ", ".join(p for p in parts if p) + f": {exc}"
 
 
-def _prepare(spec, ks, comp_grid, train_rows, new_rows, distances=None, names=None):
+def _prepare(spec, ks, comp_grid, train_rows, new_rows, distances, names):
     """One split's model inputs per ``(k_imp, n_comp)`` of the imputation
     ks and PCA sizes: ``(X, X_new)`` on MLP rows, and on RBFN rows the
     training rows' squared distances ``D``, the new rows' distances
@@ -452,8 +454,8 @@ def _prepare(spec, ks, comp_grid, train_rows, new_rows, distances=None, names=No
     ``train_rows`` and ``new_rows`` are ``(values, mask)`` features. Both
     are filled once for the whole k grid (:func:`~fdareg.imputation.fill`),
     on k-NN rows from ``distances``, the pair of the training rows'
-    distances among themselves and the new rows' to them (None forms them
-    in the fill), with errors naming the rows by ``names``.
+    distances among themselves and the new rows' to them, with errors
+    naming the rows by ``names``.
     Then, per k, the training rows fit one standardizer (classical PCA
     only) and one PCA of ``max(comp_grid)`` components, and every size of
     the grid slices its scores of both matrices (size 0: no PCA). Returns
@@ -492,32 +494,23 @@ def _prepare(spec, ks, comp_grid, train_rows, new_rows, distances=None, names=No
     return inputs, failures, short
 
 
-def _train(spec, inputs, y, k_imp, n_comp, call, seed_key, final):
-    """Train one call on one ``(k_imp, n_comp)``'s :func:`_prepare` inputs;
-    return one ``(cells, P)`` per trained model, ``P`` holding its
-    predictions on the new rows, one column per full grid cell ``(k_imp,
-    n_comp, *model_params)``.
+def _train_stack(spec, jobs, final):
+    """Train one call per job ``(inputs, y, k_imp, n_comp, call, seed_key)``
+    of the iterable ``jobs``, each on one ``(k_imp, n_comp)``'s
+    :func:`_prepare` inputs: an iterator over the jobs' results in job
+    order. A result is the toolkit error the job met, or one ``(cells, P)``
+    per trained model, ``P`` holding its predictions on the new rows, one
+    column per full grid cell ``(k_imp, n_comp, *model_params)``.
 
     Both families' calls are ``(head, paths, *tail)``. An RBFN call
     ``(mult, ridges, cap)`` grows one OLS path per ridge, with a cell per
     center count on it. An MLP call ``(hidden, (decay,))`` is one path and
     one cell, trained with the refit's budget if ``final``; ``seed_key``
     seeds it, with the (k, size) and the cell appended in cross-validation.
-    """
-    [trained] = _train_stack(spec, [(inputs, y, k_imp, n_comp, call, seed_key)], final)
-    if isinstance(trained, FdaregError):
-        raise trained
-    return trained
-
-
-def _train_stack(spec, jobs, final):
-    """:func:`_train` on one call per job ``(inputs, y, k_imp, n_comp, call,
-    seed_key)`` of the iterable ``jobs``: an iterator over what
-    :func:`_train` returns per job, or the toolkit error it raises, in job
-    order. An RBFN job is taken from ``jobs`` and trained only when the
-    iterator reaches it. The MLP jobs all go to one
-    :func:`~fdareg.mlp.train` stack, which decides what shares a loop, and
-    each comes out as if trained alone.
+    An RBFN job is taken from ``jobs`` and trained only when the iterator
+    reaches it. The MLP jobs all go to one :func:`~fdareg.mlp.train`
+    stack, which decides what shares a loop, and each comes out as if
+    trained alone.
     """
     if spec.model == "rbfn":
         return (_train_rbfn(*job) for job in jobs)
@@ -541,7 +534,7 @@ def _train_stack(spec, jobs, final):
 
 
 def _train_rbfn(inputs, y, k_imp, n_comp, call, seed_key):
-    """One RBFN job of :func:`_train`."""
+    """One RBFN job of :func:`_train_stack`."""
     D, D_new, width = inputs
     mult, ridges, cap = call
     try:
@@ -719,15 +712,12 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
             lead = path(min(tables[u], key=lambda c: (tables[u][c][0], c)))
             groups = [{lead}, every - {lead}]
         for group in filter(None, groups):
-            if best == np.inf:
+            stacked = upto = None  # the call of the current stack, and its end fold
+            for fold in range(1, K):
                 # no bound before some cell is complete: the group trains in
-                # every later fold, so those trainings are all committed
-                attempted.update((u, fold, p) for fold in range(1, K) for p in group)
-                call = (head, tuple(p for p in paths if float(p) in group), *tail)
-                score([(u, fold, call) for fold in range(1, K)])
-            else:
-                stacked = upto = None  # the call of the current stack, and its end fold
-                for fold in range(1, K):
+                # every later fold, in one stack
+                held = group
+                if best < np.inf:
                     # a live cell was scored in every fold so far; its score can only grow
                     live = {cell: total for cell, (total, folds) in tables[u].items()
                             if path(cell) in group and folds == fold and total / K <= best}
@@ -737,15 +727,16 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
                                  if path(cell) in held or path(cell) not in group}
                     if not held:
                         break
-                    attempted.update((u, fold, p) for p in held)
-                    call = (head, tuple(p for p in paths if float(p) in held), *tail)
-                    if call != stacked or fold == upto:
-                        # the rest of the folds in one stack while the call's
-                        # mean fold error so far, carried to the last check,
-                        # still passes it; a pruned fold's result is dropped
-                        upto = K if max(live.values()) * (K - 1) / fold <= best * K else fold + 1
-                        stacked, results = call, train([(u, f, call) for f in range(fold, upto)])
-                    tabulate(u, fold, next(results))
+                attempted.update((u, fold, p) for p in held)
+                call = (head, tuple(p for p in paths if float(p) in held), *tail)
+                if call != stacked or fold == upto:
+                    # under a bound, the rest of the folds in one stack while
+                    # the call's mean fold error so far, carried to the last
+                    # check, still passes it; a pruned fold's result is dropped
+                    upto = (K if best == np.inf or max(live.values()) * (K - 1) / fold <= best * K
+                            else fold + 1)
+                    stacked, results = call, train([(u, f, call) for f in range(fold, upto)])
+                tabulate(u, fold, next(results))
             best = min([best, *(total / K for total, folds in tables[u].values() if folds == K)])
     fold_failures = [note for _, note in sorted(failures.items())]
     notes.extend(fold_failures)
@@ -784,8 +775,11 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     if short_fills:
         notes.append(f"{short_fills} k-NN fills in the folds and the final refit had fewer "
                      f"than k donors observing the coordinate and used all of them")
-    [(cells, P)] = _train(spec, inputs[k_imp, n_comp], y, k_imp, n_comp,
-                          (params[0], (params[1],), *params[2:]), "mlp-final", True)
+    [trained] = _train_stack(spec, [(inputs[k_imp, n_comp], y, k_imp, n_comp,
+                                     (params[0], (params[1],), *params[2:]), "mlp-final")], True)
+    if isinstance(trained, FdaregError):
+        raise trained
+    [(cells, P)] = trained
     if cells[-1][-1] != params[-1]:  # only an RBFN path can stop short
         notes.append(f"final refit: the full-data path stopped at {cells[-1][-1]} "
                      f"of the selected {params[-1]} centers")

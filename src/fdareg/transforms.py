@@ -47,11 +47,13 @@ def row_stats(alpha: np.ndarray, basis: Basis):
     return mu, sigma, constant
 
 
-def transform_dataset(alpha: np.ndarray, basis: Basis, kind: str) -> tuple[np.ndarray, Basis]:
+def transform_dataset(alpha: np.ndarray, basis: Basis, kind: str,
+                      ids) -> tuple[np.ndarray, Basis]:
     """Apply a named per-function transform to a coefficient matrix.
 
     ``alpha`` is ``(n, q)`` on ``basis``; ``kind`` is one of ``none``,
-    ``center-reduce``, ``deriv1``, ``deriv2``. Returns the transformed
+    ``center-reduce``, ``deriv1``, ``deriv2``; ``ids`` names the functions
+    of the rows (``Grids.ids``) in an error. Returns the transformed
     ``(alpha, basis)``. Centering/reduction keeps the basis; the s-th
     derivative lives on the derivative basis.
 
@@ -59,7 +61,8 @@ def transform_dataset(alpha: np.ndarray, basis: Basis, kind: str) -> tuple[np.nd
     ------
     ConstantFunctionError
         ``center-reduce`` of a row whose centered function is numerically
-        zero (no shape left to scale); the message names the first such row.
+        zero (no shape left to scale); the message names the first such
+        function by its id.
     """
     if kind == "none":
         return alpha, basis
@@ -68,7 +71,7 @@ def transform_dataset(alpha: np.ndarray, basis: Basis, kind: str) -> tuple[np.nd
         flat = np.flatnonzero(constant)
         if flat.size:
             raise ConstantFunctionError(
-                f"function in row {int(flat[0])} is constant: reduction is undefined"
+                f"function {ids[flat[0]]} is constant: reduction is undefined"
             )
         ones = basis.constant_coefficients()
         return (alpha - np.outer(mu, ones)) / sigma[:, None], basis

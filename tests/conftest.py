@@ -16,7 +16,8 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
-from fdareg import basis, fdata, mlp, represent  # noqa: E402
+from fdareg import basis, fdata, imputation, mlp, represent  # noqa: E402
+from fdareg.errors import FdaregError  # noqa: E402
 
 # every run draws the same examples and writes no example database
 settings.register_profile("fdareg", derandomize=True, database=None)
@@ -120,6 +121,21 @@ def trainer_gradient(params, X, y, hidden, decay):
     _, resid, act = mlp._batched_loss(params[None], X, y, hidden, decay)
     J = mlp._jacobian(params[None], X, act, hidden)[0]
     return -2.0 * (J.T @ resid[0] - decay * mask * params)
+
+
+def train_one(X, y, hidden, decay, restarts, seed, max_iter=mlp.MAX_ITER):
+    """``mlp.train`` on a one-job stack: the job's model, or its error raised."""
+    [model] = mlp.train([X], [y], [hidden], [decay], restarts, [seed], max_iter)
+    if isinstance(model, FdaregError):
+        raise model
+    return model
+
+
+def knn_distances(values, mask, new_values, new_mask):
+    """The pair of distances a k-NN fill reads, formed as the pipeline forms
+    them: the training rows' own, and the new rows' to the training rows."""
+    return (imputation.pair_distances(values, mask),
+            imputation.cross_distances(new_values, new_mask, values, mask))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -41,7 +41,8 @@ Each oracle is the slow, direct form of a fast path in ``fdareg``:
 - :func:`reference_knn_distances`: one row's missing-aware distances to
   every donor, formed for that row alone; the reference for the shared
   matrices of ``imputation.pair_distances`` and
-  ``imputation.cross_distances``, which form each distance once.
+  ``imputation.cross_distances``, which form each distance once, and the
+  source of the distances :func:`fold_major_cv` hands its k-NN fills.
 - :func:`reference_knn_transform`: the row-by-row k-grid fill, each row's
   distances formed by :func:`reference_knn_distances` and its donors ordered
   by ``lexsort`` of (distance, position); the reference, bit for bit and in
@@ -59,8 +60,10 @@ Each oracle is the slow, direct form of a fast path in ``fdareg``:
   iteration; the reference for ``mlp.train``, which rebuilds them only
   after an accepted step.
 - :func:`fold_major_cv`: every training call in every fold, fold by fold,
-  with nothing pruned; the reference for the cross-validation of
-  ``selection.run_experiment``, which stops a call once it cannot win.
+  with nothing pruned, each a one-job stack, and each split's k-NN
+  distances formed row by row for that split; the reference for the
+  cross-validation of ``selection.run_experiment``, which stops a call once
+  it cannot win and slices one matrix of the training rows' distances.
 - :func:`full_select_basis_size`: every grid of every candidate basis size
   scored, with nothing pruned; the reference for
   ``represent.select_basis_size``, which stops a size once it cannot win.
@@ -225,7 +228,6 @@ def reference_train_ols(X, y, width, ridge, max_centers):
     selected, kept = [], []
     coef_rows = np.zeros((max_centers, n_cand))
     ortho_weights = np.zeros(max_centers)
-    objective = [float(y @ y)]
     for step in range(max_centers):
         energy = np.einsum("ij,ij->j", W, W)
         proj = W.T @ y
@@ -238,7 +240,6 @@ def reference_train_ols(X, y, width, ridge, max_centers):
         w_best = W[:, best].copy()
         e_best = energy[best]
         ortho_weights[step] = proj[best] / (e_best + ridge)
-        objective.append(objective[-1] - proj[best] ** 2 / (e_best + ridge))
         selected.append(best)
         kept.append(e_best / base_energy[best])
         available[best] = False
@@ -253,9 +254,7 @@ def reference_train_ols(X, y, width, ridge, max_centers):
         selected=sel,
         gs_coefs=np.triu(coef_rows[:k][:, sel], 1) + np.eye(k),
         ortho_weights=ortho_weights[:k],
-        objective=np.array(objective),
         width=width,
-        ridge=ridge,
     )
     return path, np.array(kept)
 
@@ -469,7 +468,28 @@ def reference_lm_train(X, y, hidden, decay, restarts=60, seed=None, max_iter=mlp
         mu[down] *= 2.0
         active[idx[mu[idx] > 1e12]] = False
 
-    return mlp.unpack(params[int(np.argmin(loss))], hidden, dim, decay), accepted, jacobian_rows
+    return mlp.unpack(params[int(np.argmin(loss))], hidden, dim), accepted, jacobian_rows
+
+
+def reference_split_distances(values, mask, new_values, new_mask):
+    """The ``(D, D_new)`` pair a k-NN fill reads for one split, every row's
+    distances formed for that row alone by :func:`reference_knn_distances`:
+    the training rows' to each other (a row never donates to itself) and
+    the new rows' to the training rows."""
+    D = [reference_knn_distances(values, mask, x, m, skip=i)
+         for i, (x, m) in enumerate(zip(values, mask))]
+    D_new = [reference_knn_distances(values, mask, x, m) for x, m in zip(new_values, new_mask)]
+    return (np.reshape(D, (len(values), len(values))),
+            np.reshape(D_new, (len(new_values), len(values))))
+
+
+def _train_call(spec, inputs, y, k_imp, n_comp, call, seed_key, final):
+    """``selection._train_stack`` on one job: its models, or its error raised."""
+    [trained] = selection._train_stack(spec, [(inputs, y, k_imp, n_comp, call, seed_key)],
+                                       final)
+    if isinstance(trained, FdaregError):
+        raise trained
+    return trained
 
 
 def fold_major_cv(spec, train, test):
@@ -492,16 +512,22 @@ def fold_major_cv(spec, train, test):
     def rows(idx):
         return values[idx], None if mask is None else mask[idx]
 
+    def distances(train_rows, new_rows):
+        return (reference_split_distances(*train_rows, *new_rows)
+                if spec.impute.kind == "knn" else None)
+
     table = {}  # cell -> (summed fold errors, folds scored)
     for fold_i, (tr, va) in enumerate(plan):
-        inputs, failures, _ = selection._prepare(spec, ks, comp_grid, rows(tr), rows(va))
+        inputs, failures, _ = selection._prepare(
+            spec, ks, comp_grid, rows(tr), rows(va), distances(rows(tr), rows(va)),
+            (("training row", tr), ("training row", va)))
         if failures:  # a failed preparation is not expected
             raise failures[0][2]
         for (k_imp, n_comp), prepared in inputs.items():
             for call, _ in selection._calls(spec):
                 try:
-                    trained = selection._train(spec, prepared, y[tr], k_imp, n_comp, call,
-                                               f"mlp-cv-f{fold_i}", False)
+                    trained = _train_call(spec, prepared, y[tr], k_imp, n_comp, call,
+                                         f"mlp-cv-f{fold_i}", False)
                 except FdaregError:  # the call's cells are unscored in this fold
                     continue
                 for cells, P in trained:
@@ -518,12 +544,14 @@ def fold_major_cv(spec, train, test):
     best = min(sorted(scores), key=scores.get)
 
     k_imp, n_comp, *params = best
-    inputs, failures, _ = selection._prepare(spec, (k_imp,), (n_comp,), (values, mask),
-                                             stage.features(Grids(test.functions)))
+    test_rows = stage.features(Grids(test.functions))
+    inputs, failures, _ = selection._prepare(
+        spec, (k_imp,), (n_comp,), (values, mask), test_rows,
+        distances((values, mask), test_rows), (("training row", None), ("test row", None)))
     if failures:
         raise failures[0][2]
-    [(cells, P)] = selection._train(spec, inputs[k_imp, n_comp], y, k_imp, n_comp,
-                                    (params[0], (params[1],), *params[2:]), "mlp-final", True)
+    [(cells, P)] = _train_call(spec, inputs[k_imp, n_comp], y, k_imp, n_comp,
+                              (params[0], (params[1],), *params[2:]), "mlp-final", True)
     selected = {}
     if spec.impute.kind == "knn":
         selected["impute_k"] = k_imp

@@ -92,6 +92,7 @@ def test_a_sequence_that_ends_early_differs_where_it_ends():
 def test_distance_pairs_are_counted_on_either_side(monkeypatch):
     import numpy as np
 
+    from conftest import knn_distances
     from fdareg import imputation
 
     # the change side: the module's one-row distance function; rows 0 and 2
@@ -104,7 +105,8 @@ def test_distance_pairs_are_counted_on_either_side(monkeypatch):
     new_m[1, 3] = False
 
     def run():  # returns the failed-row count
-        imputation.fill("knn", (1, 2), V, M, V[:2], new_m)
+        imputation.fill("knn", (1, 2), V, M, V[:2], new_m, knn_distances(V, M, V[:2], new_m),
+                        (("sample", None),) * 2)
         return 0
 
     assert ab.count_work(run)["k-NN distance pairs"] == 3 + 3

@@ -85,7 +85,7 @@ class TestOracleEquivalences:
             b = basis.BSplineBasis.uniform(0.0, 2.0, int(rng.integers(3, 9)), order)
             f1, _ = random_spline_function(rng, b, noise=0.05)
             f2, _ = random_spline_function(rng, b, noise=0.05)
-            alpha, _ = represent.fit_dataset(fdata.Grids([f1, f2]), b)
+            alpha = represent.fit_dataset(fdata.Grids([f1, f2]), b)
             beta = alpha @ b.gram_factor().T
             g1 = lambda xs: b.evaluate(xs) @ alpha[0]  # noqa: E731
             g2 = lambda xs: b.evaluate(xs) @ alpha[1]  # noqa: E731
@@ -104,7 +104,7 @@ class TestOracleEquivalences:
             b = basis.BSplineBasis.uniform(0.0, 1.0, int(rng.integers(3, 7)), order)
             n = int(rng.integers(10, 25))
             fns = [random_spline_function(rng, b, noise=0.0)[0] for _ in range(n)]
-            alpha, _ = represent.fit_dataset(fdata.Grids(fns), b)
+            alpha = represent.fit_dataset(fdata.Grids(fns), b)
             betas = alpha @ b.gram_factor().T
             model = fpca.fit_fpca(betas, n_components=3)
             ref_scores, ref_eval = dense_grid_pca(b, alpha, 3)
@@ -129,9 +129,9 @@ class TestOracleEquivalences:
             coefs = rng.normal(size=order)  # degree < order: in span
             poly = np.polynomial.Polynomial(coefs)
             x = np.linspace(0.0, 1.0, 3 * b.dimension)
-            alpha, _ = represent.fit_dataset(fdata.Grids([fdata.SampledFunction(x, poly(x))]), b)
+            alpha = represent.fit_dataset(fdata.Grids([fdata.SampledFunction(x, poly(x))]), b)
             for s in range(1, s_max + 1):
-                d, on = transforms.transform_dataset(alpha, b, f"deriv{s}")
+                d, on = transforms.transform_dataset(alpha, b, f"deriv{s}", range(len(alpha)))
                 np.testing.assert_allclose(
                     on.evaluate(grid) @ d[0], poly.deriv(s)(grid), atol=1e-9
                 )
@@ -203,9 +203,14 @@ class TestInvariantSuites:
             for ridge in (0.0, 1e-4, 1e-1, 1.0):
                 X = rng.normal(size=(40, 3))
                 y = rng.normal(size=40)
-                [path] = rbfn.train_ols_paths(rbfn.sq_distances(X, X), y, 1.0, (ridge,),
-                                              max_centers=35)
-                assert np.all(np.diff(path.objective) <= 1e-10)
+                D = rbfn.sq_distances(X, X)
+                [path] = rbfn.train_ols_paths(D, y, 1.0, (ridge,), max_centers=35)
+                # the regularized error of each truncation on the training
+                # inputs, ||y - prediction||^2 + ridge ||g||^2, from 0 centers
+                resid = y[:, None] - path.predictions(D)
+                error = np.concatenate([[y @ y], np.einsum("nk,nk->k", resid, resid)
+                                        + ridge * np.cumsum(path.ortho_weights**2)])
+                assert np.all(np.diff(error) <= 1e-10)
 
     def test_deriv_metric_level_shift_invariance(self):
         rng = np.random.default_rng(204)
@@ -213,11 +218,11 @@ class TestInvariantSuites:
             b = basis.BSplineBasis.uniform(0.0, 1.0, 8, 5)
 
             def deriv_betas(alpha):
-                d, on = transforms.transform_dataset(alpha, b, "deriv1")
+                d, on = transforms.transform_dataset(alpha, b, "deriv1", range(len(alpha)))
                 return d @ on.gram_factor().T
 
             fns = [random_spline_function(rng, b, noise=0.02)[0] for _ in range(12)]
-            alpha, _ = represent.fit_dataset(fdata.Grids(fns), b)
+            alpha = represent.fit_dataset(fdata.Grids(fns), b)
             X = deriv_betas(alpha)
             y = rng.normal(size=12)
             D = rbfn.sq_distances(X, X)
@@ -260,11 +265,11 @@ class TestInvariantSuites:
                 M[0] = True
                 knn = imputation.KnnImputer((3,)).fit(V, M)
                 for out in (
-                    imputation.fill("mean", (0,), V, M, V, M)[0][0][0],
-                    knn.transform(V, M, is_fit_data=True)[:, 0],
+                    imputation.fill("mean", (0,), V, M, V, M, None, None)[0][0][0],
+                    knn.transform(V, M, imputation.pair_distances(V, M), ("sample", None))[:, 0],
                 ):
                     np.testing.assert_array_equal(out[M], V[M])
-                scaled = imputation.expert_scale_matrix(V, M)
+                scaled = imputation.expert_scale_matrix(V, M, range(len(V)))
                 np.testing.assert_array_equal(scaled[~M], V[~M])
 
     def test_invariant_suite_runtime(self):

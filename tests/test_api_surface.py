@@ -17,7 +17,17 @@ nothing in the pipeline calls, kept only as those trace names. ``layers.py``
 also reads ``max_centers`` of ``rbfn.train_ols`` and ``restarts`` of
 ``mlp.train`` by name, so the guard checks those parameters too.
 
-A third guard keeps scipy's package code out of a fresh process's
+A third guard keeps result fields that nothing reads out of the package:
+every annotated field of a public ``@dataclass`` of ``src/fdareg`` must be
+read as an attribute (an ``ast.Attribute`` in a load) somewhere in the
+package or the benchmark scripts. Unlike above, a string constant does not
+count here: the benchmark's grid keys ``"ridge"`` and ``"decay"`` name
+spec values, not fields. ``FIELDS_ALLOWED`` lists the fields that nothing
+reads but that the benchmark's own tests pass: ``ExperimentReport``'s
+``n_train``, ``n_test`` and ``wall_time``, which ``perfbench/tests`` gives
+the report's constructor, so they go with the next change to the benchmark.
+
+A fourth guard keeps scipy's package code out of a fresh process's
 imports: the pipeline needs four compiled routines of two scipy extension
 modules, which ``fdareg._lapack`` loads from their files, so
 ``scipy.linalg._flapack`` and ``scipy.linalg._fblas`` are the only
@@ -31,10 +41,10 @@ fdareg.selection, fdareg.cli`` takes 0.20 s and 33 MB; importing the bare
 would cost about 0.1 s and 9 MB more, more than the RBFN's own distance
 computations.
 
-A fourth guard keeps failures named: the package has no bare ``except:``,
+A fifth guard keeps failures named: the package has no bare ``except:``,
 no ``except Exception`` or ``except BaseException``, and no
 ``warnings.warn``; a short donor list of k-NN imputation is a count and a
-note on the report. A fifth keeps every toolkit error type
+note on the report. A sixth keeps every toolkit error type
 (``errors.FdaregError`` and its subclasses) in ``errors.py``, so one module
 lists them all.
 """
@@ -56,6 +66,11 @@ BENCH_SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
 
 #: The definitions that may call ``warnings.warn``.
 WARNING_ALLOWED: set[str] = set()
+
+#: Dataclass fields nothing reads, kept because ``perfbench/tests`` builds an
+#: ``ExperimentReport`` with every field; they go with the next benchmark change.
+FIELDS_ALLOWED = {"selection.ExperimentReport.n_train", "selection.ExperimentReport.n_test",
+                  "selection.ExperimentReport.wall_time"}
 
 
 def _public(name: str) -> bool:
@@ -94,6 +109,34 @@ def references() -> set[str]:
             elif strings_count and isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
     return names
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def dataclass_fields() -> dict[str, str]:
+    """Qualified name -> field name of every annotated field of a public
+    dataclass of the package."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and _public(node.name) and _is_dataclass(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        found[f"{path.stem}.{node.name}.{item.target.id}"] = item.target.id
+    return found
+
+
+def attribute_reads() -> set[str]:
+    """Every attribute name the package and the benchmark scripts read."""
+    return {node.attr for path in [*sorted(PACKAGE.glob("*.py")), *BENCH_SCRIPTS]
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 def _catches_everything(handler: ast.ExceptHandler) -> bool:
@@ -162,6 +205,15 @@ def test_every_public_definition_is_used_outside_the_tests():
         if name not in used
     )
     assert not unused, f"public definitions only the tests reach: {unused}"
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    read = attribute_reads()
+    fields = dataclass_fields()
+    assert FIELDS_ALLOWED <= fields.keys(), "an allowed field no longer exists"
+    unread = sorted(q for q, name in fields.items()
+                    if name not in read and q not in FIELDS_ALLOWED)
+    assert not unread, f"dataclass fields nothing reads: {unread}"
 
 
 def test_every_bench_trace_target_is_a_function(monkeypatch):

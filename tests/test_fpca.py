@@ -11,7 +11,7 @@ from oracles import dense_grid_pca, quadrature_integral
 def spline_betas(rng, b, n):
     """Coordinates of n random in-span functions: ``(betas, alpha)``."""
     fns = [random_spline_function(rng, b, noise=0.0)[0] for _ in range(n)]
-    alpha, _ = represent.fit_dataset(fdata.Grids(fns), b)
+    alpha = represent.fit_dataset(fdata.Grids(fns), b)
     return alpha @ b.gram_factor().T, alpha
 
 
@@ -144,7 +144,7 @@ class TestPrincipalFunctions:
             level = rng.normal() * 3.0
             wiggle = 0.05 * rng.normal() * np.sin(2 * np.pi * x)
             fns.append(fdata.SampledFunction(x, level + wiggle))
-        alpha, _ = represent.fit_dataset(fdata.Grids(fns), small_bspline)
+        alpha = represent.fit_dataset(fdata.Grids(fns), small_bspline)
         betas = alpha @ small_bspline.gram_factor().T
         model = fpca.fit_fpca(betas, n_components=2)
         s1 = fpca.scores(model, betas)[:, 0]

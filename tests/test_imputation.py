@@ -14,6 +14,7 @@ from fdareg.errors import (
     ScalingError,
     ValidationError,
 )
+from conftest import knn_distances
 from oracles import knn_fill_per_hole, reference_knn_distances, reference_knn_transform
 
 
@@ -23,15 +24,24 @@ def masked(values, mask):
 
 def mean_impute(values, mask):
     """Fill and fit the same data, as one fold's training rows are."""
-    [(train, _)], _ = imputation.fill("mean", (0,), values, mask, values, mask)
+    [(train, _)], _ = imputation.fill("mean", (0,), values, mask, values, mask, None, None)
     return train
+
+
+def knn_transform(imp, values, mask, is_fit_data, names=("sample", None)):
+    """``imp.transform`` on the distances the pipeline gives it: with
+    ``is_fit_data`` (``values`` is the fitted matrix) the fitted rows' own,
+    else the new rows' to the fitted rows."""
+    D = (imputation.pair_distances(values, mask) if is_fit_data else
+         imputation.cross_distances(values, mask, imp.values_, imp.mask_))
+    return imp.transform(values, mask, D, names)
 
 
 def knn_impute(values, mask, k):
     """Impute a matrix whose own rows are the donors, as one fold's
     training rows are."""
     imp = imputation.KnnImputer((k,)).fit(values, mask)
-    return imp.transform(values, mask, is_fit_data=True)[:, 0]
+    return knn_transform(imp, values, mask, True)[:, 0]
 
 
 K_GRID = (1, 2, 4, 8, 16)
@@ -47,7 +57,7 @@ def holed_matrix(rng, n, p, missing):
 
 
 def assert_equals_per_hole_loop(imp, values, mask, is_fit_data):
-    out = imp.transform(values, mask, is_fit_data)
+    out = knn_transform(imp, values, mask, is_fit_data)
     assert out.shape == (values.shape[0], len(imp.ks), values.shape[1])
     for c, k in enumerate(imp.ks):
         ref = knn_fill_per_hole(imp, values, mask, k, is_fit_data)
@@ -97,7 +107,7 @@ class TestMeanImpute:
     def test_train_statistics_apply_to_new_rows(self):
         V, M = masked([[2.0, 4.0], [4.0, 8.0]], [[True, True], [True, True]])
         new_v, new_m = masked([[0.0, 5.0]], [[False, True]])
-        [(_, out)], _ = imputation.fill("mean", (0,), V, M, new_v, new_m)
+        [(_, out)], _ = imputation.fill("mean", (0,), V, M, new_v, new_m, None, None)
         assert out[0, 0] == pytest.approx(3.0)
         assert out[0, 1] == pytest.approx(5.0)
 
@@ -147,7 +157,7 @@ class TestKnnImpute:
         imp = imputation.KnnImputer((4,)).fit(V, M)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = imp.transform(V, M, is_fit_data=True)[:, 0]
+            out = knn_transform(imp, V, M, True)[:, 0]
         assert out[0, 1] == pytest.approx(5.0)
         assert out[2, 1] == pytest.approx(5.0)
         assert imp.short_fills_ == 2  # rows 0 and 2, one donor each
@@ -211,7 +221,7 @@ class TestKnnGrid:
         imp = imputation.KnnImputer(K_GRID).fit(V, M)
         assert_equals_per_hole_loop(imp, V, M, is_fit_data=True)
         assert_equals_per_hole_loop(imp, V[:5], M[:5], is_fit_data=False)
-        out = imp.transform(V, M, is_fit_data=True)
+        out = knn_transform(imp, V, M, True)
         np.testing.assert_array_equal(out[0, 0, ~M[0]], V[10, ~M[0]])
         np.testing.assert_array_equal(
             out[0, 1, ~M[0]], (V[10, ~M[0]] + V[20, ~M[0]]) / 2
@@ -245,12 +255,12 @@ class TestKnnGrid:
         imp = imputation.KnnImputer((1, 2, 4, 8)).fit(V, M)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = imp.transform(V, M, is_fit_data=True)
+            out = knn_transform(imp, V, M, True)
         assert imp.short_fills_ == 4 * 2
         # k = 2, 4 and 8 all fill from both donors; k = 1 from the nearer
         np.testing.assert_array_equal(out[2:, 1:, 1], np.full((4, 3), (1.0 + 3.0) / 2))
         np.testing.assert_array_equal(out[2:, 0, 1], np.full(4, 3.0))
-        imp.transform(V[:2], M[:2])  # the count is the last transform's
+        knn_transform(imp, V[:2], M[:2], False)  # the count is the last transform's
         assert imp.short_fills_ == 0
 
     def test_fill_counts_the_short_fills_of_both_matrices(self):
@@ -258,10 +268,11 @@ class TestKnnGrid:
         M = np.ones_like(V, dtype=bool)
         M[2:, 1] = False
         # rows 2-5 are short for k = 4 and 8 as training rows and as new rows
-        _, short = imputation.fill("knn", (1, 2, 4, 8), V, M, V[2:], M[2:])
+        _, short = imputation.fill("knn", (1, 2, 4, 8), V, M, V[2:], M[2:],
+                                   knn_distances(V, M, V[2:], M[2:]), (("sample", None),) * 2)
         assert short == 2 * 4 * 2
-        assert imputation.fill("mean", (0,), V, M, V[2:], M[2:])[1] == 0
-        assert imputation.fill("none", (0,), V, None, V[2:], None)[1] == 0
+        assert imputation.fill("mean", (0,), V, M, V[2:], M[2:], None, None)[1] == 0
+        assert imputation.fill("none", (0,), V, None, V[2:], None, None, None)[1] == 0
 
     @pytest.mark.parametrize("is_fit_data", [True, False])
     def test_unobserved_coordinate_raises(self, is_fit_data):
@@ -271,7 +282,7 @@ class TestKnnGrid:
         )
         imp = imputation.KnnImputer(K_GRID).fit(V, M)
         with pytest.raises(ImputationError, match="no donor observes coordinate 1 for sample 0"):
-            imp.transform(V, M, is_fit_data)
+            knn_transform(imp, V, M, is_fit_data)
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValidationError):
@@ -309,8 +320,8 @@ def outcome(fill):
     return [(m.tobytes(), m.shape) for m in filled], short
 
 
-def array_fill(imp, values, mask, is_fit_data, distances=None):
-    out = imp.transform(values, mask, is_fit_data, distances)
+def array_fill(imp, values, mask, is_fit_data):
+    out = knn_transform(imp, values, mask, is_fit_data)
     return [out], imp.short_fills_
 
 
@@ -370,8 +381,6 @@ class TestSharedDistances:
         ref = outcome(lambda: reference_fill(imp, V, M, True))
         with mock.patch.object(imputation, "FILL_PAIRS", pairs):
             assert outcome(lambda: array_fill(imp, V, M, True)) == ref
-            D = imputation.pair_distances(V, M)
-            assert outcome(lambda: array_fill(imp, V, M, True, D)) == ref
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), p=st.integers(1, 6), ks=KS, pairs=FILL_PAIRS)
@@ -397,7 +406,8 @@ class TestSharedDistances:
 
         def sliced():
             filled, short = imputation.fill("knn", ks, V[tr], M[tr], V[va], M[va],
-                                            (D[np.ix_(tr, tr)], D[np.ix_(va, tr)]))
+                                            (D[np.ix_(tr, tr)], D[np.ix_(va, tr)]),
+                                            (("sample", None),) * 2)
             return [m for pair in filled for m in pair], short
 
         def alone():
@@ -426,15 +436,15 @@ class TestSharedDistances:
         new_v = np.ones((6, 4))
         imp = imputation.KnnImputer(K_GRID).fit(*self.DONORS)
         with pytest.raises(error, match=re.escape(text.format(row="sample 3"))):
-            imp.transform(new_v, new_m)
+            knn_transform(imp, new_v, new_m, False)
         with pytest.raises(error, match=re.escape(text.format(row="sample 3"))):
             reference_knn_transform(imp, new_v, new_m)
         # an error names the row as the caller numbers it
         with pytest.raises(error, match=re.escape(text.format(row="test row 3"))):
-            imp.transform(new_v, new_m, names=("test row", None))
+            knn_transform(imp, new_v, new_m, False, ("test row", None))
         numbers = np.array([40, 41, 42, 17, 44, 45])
         with pytest.raises(error, match=re.escape(text.format(row="training row 17"))):
-            imp.transform(new_v, new_m, names=("training row", numbers))
+            knn_transform(imp, new_v, new_m, False, ("training row", numbers))
 
 
 class TestExpertScale:
@@ -442,14 +452,14 @@ class TestExpertScale:
     def test_two_point_example(self):
         values = np.array([[1.0, 7.0, 3.0]])
         mask = np.array([[True, False, True]])
-        out = imputation.expert_scale_matrix(values, mask)
+        out = imputation.expert_scale_matrix(values, mask, range(len(values)))
         np.testing.assert_allclose(out[0, [0, 2]], [-1 / np.sqrt(2), 1 / np.sqrt(2)])
         assert out[0, 1] == 7.0  # the hole is left untouched
 
     def test_zero_mean_unit_deviation(self, rng):
         values = rng.normal(size=(1, 9))
         mask = np.array([[True] * 6 + [False] * 3])
-        out = imputation.expert_scale_matrix(values, mask)
+        out = imputation.expert_scale_matrix(values, mask, range(len(values)))
         obs = out[mask]
         assert np.mean(obs) == pytest.approx(0.0, abs=1e-12)
         assert np.sum(obs**2) == pytest.approx(1.0)
@@ -459,16 +469,16 @@ class TestExpertScale:
         values = rng.normal(size=(1, 8))
         mask = rng.uniform(size=(1, 8)) > 0.3
         mask[0, :2] = True
-        base = imputation.expert_scale_matrix(values, mask)
+        base = imputation.expert_scale_matrix(values, mask, range(len(values)))
         for a, b in ((2.0, 5.0), (-3.0, 1.0)):
-            out = imputation.expert_scale_matrix(a * values + b, mask)
+            out = imputation.expert_scale_matrix(a * values + b, mask, [0])
             np.testing.assert_allclose(out[mask], np.sign(a) * base[mask], atol=1e-12)
 
     def test_rows_match_per_row_reference(self, rng):
         values = rng.normal(size=(12, 7))
         mask = rng.uniform(size=values.shape) > 0.3
         mask[:, :2] = True
-        out = imputation.expert_scale_matrix(values, mask)
+        out = imputation.expert_scale_matrix(values, mask, range(len(values)))
         for i in range(values.shape[0]):
             dev = values[i, mask[i]] - np.mean(values[i, mask[i]])
             np.testing.assert_allclose(
@@ -480,11 +490,12 @@ class TestExpertScale:
         values = rng.normal(size=(3, 3))
         values[1] = [2.0, 2.0, 0.0]
         mask = np.array([[True, True, True], [True, True, False], [True, False, True]])
-        with pytest.raises(ScalingError, match="row 1"):
-            imputation.expert_scale_matrix(values, mask)
+        # the error names the function by its id, not its row
+        with pytest.raises(ScalingError, match="function 101: observed values are constant"):
+            imputation.expert_scale_matrix(values, mask, [100, 101, 102])
 
     def test_single_observation_errors(self):
         values = np.array([[1.0, 3.0], [2.0, 1.0]])
         mask = np.array([[True, True], [True, False]])
-        with pytest.raises(ScalingError, match="row 1"):
-            imputation.expert_scale_matrix(values, mask)
+        with pytest.raises(ScalingError, match="function 201: expert scaling needs"):
+            imputation.expert_scale_matrix(values, mask, [200, 201])

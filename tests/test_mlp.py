@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import trainer_gradient, vector_dataset
+from conftest import train_one, trainer_gradient, vector_dataset
 from fdareg import fdata, mlp
 from fdareg.errors import TrainingError, ValidationError
 from fdareg.selection import (
@@ -28,11 +28,11 @@ def assert_same_model(a, b):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
-def regularized_loss(model, X, y):
+def regularized_loss(model, X, y, decay):
     """The loss ``mlp.train`` minimizes, from the model's outputs."""
     resid = mlp.forward(model, X) - y
     weights = np.concatenate([model.hidden_weights.ravel(), model.output_weights])
-    return float(resid @ resid + model.decay * weights @ weights)
+    return float(resid @ resid + decay * weights @ weights)
 
 
 class TestForward:
@@ -114,14 +114,14 @@ class TestTrain:
     def test_fits_linear_function(self, rng):
         X = rng.normal(size=(40, 2))
         y = 0.7 * X[:, 0] - 0.2 * X[:, 1] + 0.5
-        model = mlp.train(X, y, hidden=2, decay=1e-6, restarts=6, seed=1, max_iter=300)
+        model = train_one(X, y, hidden=2, decay=1e-6, restarts=6, seed=1, max_iter=300)
         resid = mlp.forward(model, X) - y
         assert np.sqrt(np.mean(resid**2)) < 0.05
 
     def test_huge_decay_gives_constant_mean_predictor(self, rng):
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30) + 4.0
-        model = mlp.train(X, y, hidden=2, decay=1e6, restarts=4, seed=2, max_iter=300)
+        model = train_one(X, y, hidden=2, decay=1e6, restarts=4, seed=2, max_iter=300)
         assert np.max(np.abs(model.hidden_weights)) < 1e-3
         assert np.max(np.abs(model.output_weights)) < 1e-3
         preds = mlp.forward(model, X)
@@ -133,18 +133,18 @@ class TestTrain:
         X = rng.normal(size=(25, 2))
         y = np.sin(X[:, 0]) * np.cos(X[:, 1])
 
-        best = mlp.train(X, y, hidden=3, decay=1e-4, restarts=10, seed=7, max_iter=150)
-        best_loss = regularized_loss(best, X, y)
+        best = train_one(X, y, hidden=3, decay=1e-4, restarts=10, seed=7, max_iter=150)
+        best_loss = regularized_loss(best, X, y, 1e-4)
         # pick a few alternative restart counts; the 10-restart winner can
         # never lose to the 1-restart run with the same seed stream
-        single = mlp.train(X, y, hidden=3, decay=1e-4, restarts=1, seed=7, max_iter=150)
-        assert best_loss <= regularized_loss(single, X, y) + 1e-9
+        single = train_one(X, y, hidden=3, decay=1e-4, restarts=1, seed=7, max_iter=150)
+        assert best_loss <= regularized_loss(single, X, y, 1e-4) + 1e-9
 
     def test_deterministic_given_seed(self, rng):
         X = rng.normal(size=(20, 2))
         y = rng.normal(size=20)
-        m1 = mlp.train(X, y, hidden=2, decay=1e-3, restarts=5, seed=11, max_iter=100)
-        m2 = mlp.train(X, y, hidden=2, decay=1e-3, restarts=5, seed=11, max_iter=100)
+        m1 = train_one(X, y, hidden=2, decay=1e-3, restarts=5, seed=11, max_iter=100)
+        m2 = train_one(X, y, hidden=2, decay=1e-3, restarts=5, seed=11, max_iter=100)
         np.testing.assert_array_equal(m1.hidden_weights, m2.hidden_weights)
         np.testing.assert_array_equal(m1.output_weights, m2.output_weights)
 
@@ -155,8 +155,8 @@ class TestTrain:
         y = rng.normal(size=15)
         init = mlp.init_params(3, 2, 2, 4)
         init_losses = mlp._batched_loss(init, X, y, 2, 1e-3)[0]
-        model = mlp.train(X, y, hidden=2, decay=1e-3, restarts=4, seed=3, max_iter=200)
-        final = regularized_loss(model, X, y)
+        model = train_one(X, y, hidden=2, decay=1e-3, restarts=4, seed=3, max_iter=200)
+        final = regularized_loss(model, X, y, 1e-3)
         assert final <= min(init_losses) + 1e-9
 
     def test_equals_reference_trainer(self, rng):
@@ -174,7 +174,7 @@ class TestTrain:
                 X *= 10.0 ** rng.uniform(-3, 3, size=dim)
             y = np.tanh(X[:, 0] / np.std(X[:, 0])) + 0.1 * rng.normal(size=24)
             seed = int(rng.integers(2**31))
-            model = mlp.train(X, y, hidden, decay, restarts, seed, max_iter)
+            model = train_one(X, y, hidden, decay, restarts, seed, max_iter)
             expected, _, _ = reference_lm_train(X, y, hidden, decay, restarts, seed, max_iter)
             assert_same_model(model, expected)
 
@@ -198,7 +198,7 @@ class TestTrain:
                                                 max_iter=150)
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "lstsq", spy)
-                model = mlp.train(X, y, 2, 0.0, restarts=8, seed=seed, max_iter=150)
+                model = train_one(X, y, 2, 0.0, restarts=8, seed=seed, max_iter=150)
             assert_same_model(model, expected)
         assert calls
 
@@ -219,7 +219,7 @@ class TestTrain:
             return jacobian(params, *args)
 
         monkeypatch.setattr(mlp, "_jacobian", spy)
-        model = mlp.train(X, y, 2, 1e-3, restarts=8, seed=5, max_iter=500)
+        model = train_one(X, y, 2, 1e-3, restarts=8, seed=5, max_iter=500)
         assert_same_model(model, expected)
         assert sum(rows) == 8 + accepted
         assert sum(rows) < reference_rows
@@ -232,9 +232,20 @@ class TestTrain:
         y_bad = y.copy()
         y_bad[0] = np.inf
         with pytest.raises(ValidationError, match="finite"):
-            mlp.train(X_bad, y, 2, 1e-3, restarts=2, seed=0)
+            train_one(X_bad, y, 2, 1e-3, restarts=2, seed=0)
         with pytest.raises(ValidationError, match="finite"):
-            mlp.train(X, y_bad, 2, 1e-3, restarts=2, seed=0)
+            train_one(X, y_bad, 2, 1e-3, restarts=2, seed=0)
+
+    def test_only_a_stack_is_trained(self, rng):
+        # one network is a one-job stack: a bare X with scalar settings, a
+        # scalar among the per-job lists, or lists of unequal length are a
+        # named error, not a TypeError from iterating a number
+        X = rng.normal(size=(10, 2))
+        y = rng.normal(size=10)
+        for args in ((X, y, 2, 1e-3, 3, 0), ([X], [y], [2], 1e-3, 3, [0]),
+                     ([X], [y], [2, 3], [1e-3], 3, [0])):
+            with pytest.raises(ValidationError, match="a stack needs per job"):
+                mlp.train(*args)
 
     def test_non_finite_initial_loss_raises(self, rng):
         # finite targets whose squares overflow: every restart starts at an
@@ -242,7 +253,7 @@ class TestTrain:
         X = rng.normal(size=(10, 2))
         y = np.full(10, 1e200)
         with pytest.raises(TrainingError, match="3 of 3 restart"):
-            mlp.train(X, y, 2, 1e-3, restarts=3, seed=0)
+            train_one(X, y, 2, 1e-3, restarts=3, seed=0)
 
 
 STACK_ROWS, STACK_ITER = 20, 150
@@ -266,7 +277,7 @@ def singular_job(hidden):
     X = np.column_stack([1e3 * x, 1e3 * x, np.zeros(STACK_ROWS)])
     # about one seed in four falls back within the budget
     seed = next(s for s in range(100)
-                if count_lstsq(mlp.train, X, x, hidden, 0.0, 1, s, STACK_ITER)[1])
+                if count_lstsq(train_one, X, x, hidden, 0.0, 1, s, STACK_ITER)[1])
     return X, x, 0.0, seed
 
 
@@ -374,8 +385,8 @@ class TestStack:
         X = rng.normal(size=(60, 7))
         y = np.tanh(X[:, 0]) + 0.1 * rng.normal(size=60)
         F = np.asfortranarray(X)
-        expected = hexes(mlp.train(X, y, 2, 1e-3, 6, 3, 100))
-        assert hexes(mlp.train(F, y, 2, 1e-3, 6, 3, 100)) == expected
+        expected = hexes(train_one(X, y, 2, 1e-3, 6, 3, 100))
+        assert hexes(train_one(F, y, 2, 1e-3, 6, 3, 100)) == expected
         for stack in ([F], [F, X]):
             J = len(stack)
             results = mlp.train(stack, [y] * J, [2] * J, [1e-3] * J, 6, [3] * J, 100)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import synthetic_dataset, vector_dataset
+from conftest import knn_distances, synthetic_dataset, vector_dataset
 from fdareg import fdata, selection, suites
 from fdareg import fpca as fpca_mod
 from fdareg import imputation as imp_mod
@@ -17,8 +17,11 @@ from fdareg import represent as rep_mod
 from fdareg.cv import derive_seed, make_folds, rmse
 from fdareg.errors import (
     ConfigError,
+    ConstantFunctionError,
     DegenerateComponentError,
+    FdaregError,
     ImputationError,
+    ScalingError,
     TrainingError,
     ValidationError,
 )
@@ -1335,9 +1338,9 @@ class TestImputationRoutes:
         real_grids = selection.Grids
         calls, fits, events = [], [], []
 
-        def counted(self, values, mask, is_fit_data=False, *args):
-            calls.append(is_fit_data)
-            return real_transform(self, values, mask, is_fit_data, *args)
+        def counted(self, values, mask, distances, names):
+            calls.append(np.array_equal(values, self.values_))  # the fitted rows
+            return real_transform(self, values, mask, distances, names)
 
         def counted_fit(self, X):
             fits.append(X.shape)
@@ -1394,19 +1397,24 @@ class TestImputationRoutes:
         ks = impute.grid()
         comp_grid = (2, 4) if pca.kind != "none" else (0,)
         call = (1.0, (1e-3,), 4)
+        distances = knn_distances(*train_rows, *test_rows)
+        names = (("training row", None), ("test row", None))
 
         def chain(ks):
-            inputs, failures, _ = selection._prepare(spec, ks, comp_grid, train_rows, test_rows)
+            inputs, failures, _ = selection._prepare(spec, ks, comp_grid, train_rows, test_rows,
+                                                     distances, names)
             assert failures == []
-            return [trained for (k_imp, n_comp), prepared in inputs.items()
-                    for trained in selection._train(spec, prepared, train.targets, k_imp,
-                                                    n_comp, call, "chain", True)]
+            results = list(selection._train_stack(
+                spec, [(prepared, train.targets, k_imp, n_comp, call, "chain")
+                       for (k_imp, n_comp), prepared in inputs.items()], True))
+            assert not any(isinstance(result, FdaregError) for result in results)
+            return [trained for result in results for trained in result]
 
-        grid_fill, _ = imp_mod.fill("knn", ks, *train_rows, *test_rows)
+        grid_fill, _ = imp_mod.fill("knn", ks, *train_rows, *test_rows, distances, names)
         grid = chain(ks)
         assert len(grid_fill) == len(ks) and len(grid) == len(ks) * len(comp_grid)
         for i, k in enumerate(ks):
-            [alone_fill], _ = imp_mod.fill("knn", (k,), *train_rows, *test_rows)
+            [alone_fill], _ = imp_mod.fill("knn", (k,), *train_rows, *test_rows, distances, names)
             for got, want in zip(alone_fill, grid_fill[i]):
                 assert got.flags.c_contiguous and want.flags.c_contiguous
                 np.testing.assert_array_equal(got, want)
@@ -1452,10 +1460,10 @@ class TestImputationRoutes:
                 (("training row", tr), ("training row", va)))
             notes += [selection._fold_note(fold_i, exc, k_imp, n_comp, "")
                       for k_imp, n_comp, exc in failures]
-            cells.append(sorted({cell[:2] for (k_imp, n_comp), prepared in inputs.items()
-                                 for block, _ in selection._train(
-                                     spec, prepared, train.targets[tr], k_imp, n_comp, call,
-                                     f"mlp-cv-f{fold_i}", False)
+            results = selection._train_stack(
+                spec, [(prepared, train.targets[tr], k_imp, n_comp, call, f"mlp-cv-f{fold_i}")
+                       for (k_imp, n_comp), prepared in inputs.items()], False)
+            cells.append(sorted({cell[:2] for result in results for block, _ in result
                                  for cell in block}))
         assert cells == [[], *[[(1, 2), (2, 2)]] * 3]
         # the note names the first row of fold 0's training matrix as the
@@ -1519,6 +1527,28 @@ class TestDataChecks:
         with pytest.raises(ConfigError, match="experiment empty-test: the test set is empty"):
             run_experiment(spec, train, empty)
 
+    @pytest.mark.parametrize("spec, error, text", [
+        (ExperimentSpec("constant-test", "rbfn", RepresentationSpec("bspline", order=4,
+                                                                    dimension=8),
+                        TransformSpec("center-reduce"), rbfn=SMALL_RBFN),
+         ConstantFunctionError, "function 777 is constant: reduction is undefined"),
+        (ExperimentSpec("constant-test", "rbfn", RepresentationSpec("raw"),
+                        impute=ImputeSpec(expert_scale=True), rbfn=SMALL_RBFN),
+         ScalingError, "function 777: observed values are constant"),
+    ], ids=["center-reduce", "expert-scale"])
+    def test_a_constant_test_curve_is_named_by_its_id(self, spec, error, text):
+        # the constant curve is row 4 of the test set, and training row 4
+        # is another curve: the stage-1 error names the curve by its id
+        curves = synthetic_dataset(np.random.default_rng(13), n=30, m=20)
+        x = curves.functions[0].x
+        dataset = fdata.Dataset([*curves.functions, fdata.SampledFunction(x, np.full(x.size, 2.0),
+                                                                          id=777)],
+                                np.append(curves.targets, 1.0), curves.domain)
+        train, test = fdata.split(dataset, 5, shuffle=False)
+        assert test.functions[4].id == 777 and train.functions[4].id == 4
+        with pytest.raises(error, match=re.escape(text)):
+            run_experiment(spec, train, test)
+
     @pytest.mark.parametrize("impute", [ImputeSpec(), ImputeSpec("knn", k_grid=(1, 2))],
                              ids=["raw", "knn"])
     def test_test_grid_off_the_training_grid_is_a_named_validation_error(self, impute):
@@ -1578,8 +1608,9 @@ class TestDataChecks:
         spec = ExperimentSpec("expert-raw", "rbfn", RepresentationSpec("raw"),
                               impute=ImputeSpec(expert_scale=True), rbfn=SMALL_RBFN)
         stage = selection._Stage1(spec, train)
-        values, mask = fdata.Grids(train.functions).on(stage.grid)
+        grids = fdata.Grids(train.functions)
+        values, mask = grids.on(stage.grid)
         assert mask.all() and stage.train_mask is None
         np.testing.assert_array_equal(stage.train_values,
-                                      imp_mod.expert_scale_matrix(values, mask))
+                                      imp_mod.expert_scale_matrix(values, mask, grids.ids))
         assert np.isfinite(run_experiment(spec, train, test).test_rmse)
