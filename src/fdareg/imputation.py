@@ -144,9 +144,8 @@ class KnnImputer:
         The first row in row order that cannot be filled raises: an
         :class:`IncomparableSampleError` if it shares no observed coordinate
         with any donor, else an :class:`ImputationError` naming its first
-        hole that no donor observes. ``names`` is ``(noun, numbers)``: the
-        error calls row i ``f"{noun} {numbers[i]}"``, or ``f"{noun} {i}"``
-        when ``numbers`` is None.
+        hole that no donor observes. ``names`` holds the rows' ids: the
+        error calls row i ``f"function {names[i]}"``.
         """
         values = np.asarray(values, dtype=float)
         mask = np.asarray(mask, dtype=bool)
@@ -167,9 +166,7 @@ class KnnImputer:
             counts = observes.sum(axis=1)
             if not counts.all():
                 h = int(np.argmin(counts))  # the first (row, hole) with no donor
-                noun, numbers = names
-                i = holed[r[h]]
-                name = f"{noun} {i if numbers is None else numbers[i]}"
+                name = f"function {names[holed[r[h]]]}"
                 if not finite[r[h]].any():
                     raise IncomparableSampleError(
                         f"{name} shares no observed coordinate with any donor"
@@ -206,8 +203,8 @@ def fill(kind: str, ks, values: np.ndarray, mask: np.ndarray | None,
     training rows' distances among themselves, with an inf diagonal, and
     the new rows' to them, as :func:`pair_distances` and
     :func:`cross_distances` form them or slices of those. ``names`` is the
-    pair of how an error names the rows of each matrix, as
-    :meth:`KnnImputer.transform` states. The other kinds read neither.
+    pair of the ids of each matrix's rows, by which an error names a row,
+    as :meth:`KnnImputer.transform` states. The other kinds read neither.
     "mean" fills the training rows' column means (a column no training row
     observes is an :class:`ImputationError`, which names the first 10 such
     columns and their count) and "none" passes the rows through, each for

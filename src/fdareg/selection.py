@@ -17,16 +17,47 @@ such a cell can never win, and the cells that miss a fold are counted in
 one note on the report. Every split has two steps: :func:`_prepare` fits
 the preprocessing chain on the training rows and prepares the model inputs
 of the training rows and the new rows once per imputation k and PCA size,
-and :func:`_train_stack` trains a stack of calls on them. A training call
-is shaped ``(head, paths, *tail)`` in both families: an RBFN width
-multiplier ``(mult, ridges, cap)``, an OLS path per ridge, or an MLP
-``(hidden, (decay,))``, one path; it gives one prediction column per grid
-cell it trains. On RBFN rows the prepared inputs are two squared-distance
-matrices: the training rows' own, which gives the base width and every
-width's design, and the new rows' to them, which every path of every width
-slices by its selected centers. The final refit is the last split, with the
-test rows as its new rows: it calls the same two steps, its training a
-one-job stack, and a failure there is raised, not noted.
+and the model family's stack trainer trains a stack of calls on them. The
+final refit is the last split, with the test rows as its new rows: it
+calls the same two steps, its training a one-job stack, and a failure there
+is raised, not noted.
+
+The engine names no model family: what differs between the RBFN and the
+MLP is one ``_Family`` record per family in ``_FAMILIES``, and the engine
+reads nothing else about a family. A record holds:
+
+- ``params``, the names of a cell's model parameters, in cell order;
+- ``pca_sizes``, the PCA sizes of a spec that gives none (MLP inputs are
+  capped at 18 principal components);
+- ``rules``, the family's ``(broken(spec), message)`` spec rules, checked
+  after the cross-section rules;
+- ``calls(spec)``, the training calls of the spec's grid, ``(call,
+  label)`` each;
+- ``inputs(X, X_new)``, the model inputs of one (k, size) from its
+  training and new rows' scores;
+- ``train(spec, jobs)``, the stack trainer. It takes an iterable of jobs
+  ``(inputs, y, k_imp, n_comp, call, fold)``, each one call on one
+  ``(k_imp, n_comp)``'s :func:`_prepare` inputs, in fold ``fold`` or, with
+  None, in the final refit, and returns an iterator over the jobs' results
+  in job order. A result is the toolkit error the job met, or one
+  ``(cells, P)`` per path it trained, ``P`` holding its predictions on the
+  new rows, one column per full grid cell ``(k_imp, n_comp, head, path,
+  *tail)``;
+- ``reports_paths``, whether ``info["pruned_paths"]`` counts the skipped
+  path trainings.
+
+The records call the model modules' functions by attribute at call time,
+so a patched function is the one trained. A training call is shaped
+``(head, paths, *tail)`` in every family: an RBFN width multiplier
+``(mult, ridges, cap)``, an OLS path per ridge, or an MLP ``(hidden,
+(decay,))``, one path; it gives one prediction column per grid cell it
+trains, and a cell's fourth entry names its path. On RBFN rows the prepared
+inputs are two squared-distance matrices: the training rows' own, which
+gives the base width and every width's design, and the new rows' to them,
+which every path of every width slices by its selected centers. An RBFN
+job trains only when its result is taken, and an MLP stack is one
+:func:`~fdareg.mlp.train` call whose seeds are keyed by the fold, the (k,
+size) and the cell, or by the refit.
 
 The engine skips the path trainings that can no longer change the
 selection. A path is one ridge's OLS path of an RBFN call, with a cell per
@@ -63,7 +94,7 @@ failed, counts as made. Failure notes keep the fold-major order, one per
 failing (fold, call) even when its lead and its other paths both fail, and
 the cells of a dropped path are not counted as excluded.
 
-Trainings are made in stacks (:func:`_train_stack`), whose results are
+Trainings are made in stacks (the family's ``train``), whose results are
 taken fold by fold under the rule above. Fold 0's calls form one stack, and
 an unbounded group's folds 1 to K - 1 another. A bounded call that holds
 live paths before fold f trains folds f to K - 1 in one stack if the
@@ -92,8 +123,8 @@ rows' distances are formed once per experiment
 (:func:`~fdareg.imputation.pair_distances`), a fold reads its rows' slices
 of that one matrix and the final refit the whole of it, and the test rows'
 distances to the training rows are formed at the refit, once the selection
-is final. A k-NN failure names its row by its number in the training or
-the test set. Per-function steps
+is final. A k-NN failure names its curve by its id, as stage-1 errors do.
+Per-function steps
 (basis projection, centering, derivatives, expert scaling) use no
 cross-sample information, so they are computed once up front, on whole
 coefficient or value matrices, from one grouping of each dataset's curves
@@ -115,6 +146,7 @@ from __future__ import annotations
 
 import re
 import time
+from collections import namedtuple
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -152,15 +184,14 @@ class TransformSpec:
 class PcaSpec:
     kind: str = "none"  # none | classical (z-scored columns) | functional
     # the sizes CV chooses from, a fixed size being a one-entry grid; None:
-    # 1-20, or 1-18 for the MLP
+    # the model family's default sizes
     component_grid: tuple[int, ...] | None = None
     whiten: bool = False
 
     def grid(self, model: str) -> tuple[int, ...]:
         if self.component_grid is not None:
             return tuple(self.component_grid)
-        # MLP inputs are capped at 18 principal components
-        return tuple(range(1, 19)) if model == "mlp" else tuple(range(1, 21))
+        return _FAMILIES[model].pca_sizes
 
 
 @dataclass(frozen=True)
@@ -190,10 +221,6 @@ class MlpSettings:
     cv_max_iter: int = 150  # optimizer budget per CV cell
 
 
-#: Per model family, the names of a grid cell's model parameters, in cell order.
-_PARAMS = {"rbfn": ("width_multiplier", "ridge", "n_centers"), "mlp": ("hidden", "decay")}
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One benchmark row: preprocessing chain, model family and grids."""
@@ -213,16 +240,17 @@ class ExperimentSpec:
         """Raise :class:`ConfigError` at the first value that breaks a rule.
 
         The rules are four tables, checked in turn: the choices among named
-        kinds, the single values, the grids and the rules across sections.
+        kinds, the single values, the grids and the rules across sections,
+        the model family's own rules last (``_FAMILIES``).
         Every grid must be a non-empty list of valid, distinct values (a
         repeated value would score its cells twice in one fold), and a grid
         is checked even when the row does not use it; a
-        ``pca.component_grid`` of None stands for the model's default sizes.
+        ``pca.component_grid`` of None stands for the family's default sizes.
         """
         rep, pca, imp, rbfn, mlp = (self.representation, self.pca, self.impute,
                                     self.rbfn, self.mlp)
         for label, value, choices in (
-            ("model", self.model, _PARAMS),
+            ("model", self.model, _FAMILIES),
             ("representation kind", rep.kind, ("raw", "bspline", "fourier")),
             ("transform", self.transform.kind, ("none", "center-reduce", "deriv1", "deriv2")),
             ("pca kind", pca.kind, ("none", "classical", "functional")),
@@ -281,8 +309,7 @@ class ExperimentSpec:
             ((imp.kind != "none" or imp.expert_scale) and not raw,
              "imputation and expert scaling are non-functional: they need the raw grid "
              "representation"),
-            (self.model == "mlp" and pca.kind == "none", "the MLP pipeline requires a PCA stage"),
-            (self.model == "mlp" and not pca.whiten, "MLP inputs must be whitened PCA scores"),
+            *((rule(self), message) for rule, message in _FAMILIES[self.model].rules),
         ):
             if broken:
                 raise ConfigError(message)
@@ -447,15 +474,14 @@ def _fold_note(fold_i: int, exc, k_imp: int, n_comp: int, call: str) -> str:
 
 def _prepare(spec, ks, comp_grid, train_rows, new_rows, distances, names):
     """One split's model inputs per ``(k_imp, n_comp)`` of the imputation
-    ks and PCA sizes: ``(X, X_new)`` on MLP rows, and on RBFN rows the
-    training rows' squared distances ``D``, the new rows' distances
-    ``D_new`` to them and the base width, which every width shares.
+    ks and PCA sizes, as the model family's record makes them from the
+    training rows' and the new rows' scores (``_FAMILIES``).
 
     ``train_rows`` and ``new_rows`` are ``(values, mask)`` features. Both
     are filled once for the whole k grid (:func:`~fdareg.imputation.fill`),
     on k-NN rows from ``distances``, the pair of the training rows'
     distances among themselves and the new rows' to them, with errors
-    naming the rows by ``names``.
+    naming the rows by ``names``, the pair of their ids.
     Then, per k, the training rows fit one standardizer (classical PCA
     only) and one PCA of ``max(comp_grid)`` components, and every size of
     the grid slices its scores of both matrices (size 0: no PCA). Returns
@@ -485,56 +511,25 @@ def _prepare(spec, ks, comp_grid, train_rows, new_rows, distances, names):
             except FdaregError as exc:
                 failures.append((k_imp, n_comp, exc))
                 continue
-            if spec.model == "rbfn":
-                D = rbfn_mod.sq_distances(X, X)
-                inputs[k_imp, n_comp] = (D, rbfn_mod.sq_distances(X_new, X),
-                                         rbfn_mod.median_width(D))
-            else:
-                inputs[k_imp, n_comp] = (X, X_new)
+            inputs[k_imp, n_comp] = _FAMILIES[spec.model].inputs(X, X_new)
     return inputs, failures, short
 
 
-def _train_stack(spec, jobs, final):
-    """Train one call per job ``(inputs, y, k_imp, n_comp, call, seed_key)``
-    of the iterable ``jobs``, each on one ``(k_imp, n_comp)``'s
-    :func:`_prepare` inputs: an iterator over the jobs' results in job
-    order. A result is the toolkit error the job met, or one ``(cells, P)``
-    per trained model, ``P`` holding its predictions on the new rows, one
-    column per full grid cell ``(k_imp, n_comp, *model_params)``.
-
-    Both families' calls are ``(head, paths, *tail)``. An RBFN call
-    ``(mult, ridges, cap)`` grows one OLS path per ridge, with a cell per
-    center count on it. An MLP call ``(hidden, (decay,))`` is one path and
-    one cell, trained with the refit's budget if ``final``; ``seed_key``
-    seeds it, with the (k, size) and the cell appended in cross-validation.
-    An RBFN job is taken from ``jobs`` and trained only when the iterator
-    reaches it. The MLP jobs all go to one :func:`~fdareg.mlp.train`
-    stack, which decides what shares a loop, and each comes out as if
-    trained alone.
-    """
-    if spec.model == "rbfn":
-        return (_train_rbfn(*job) for job in jobs)
-    jobs = list(jobs)  # read twice: for the stack and for its predictions
-    m = spec.mlp
-    restarts, max_iter = (m.restarts, m.max_iter) if final else (m.cv_restarts, m.cv_max_iter)
-    Xs, ys, hiddens, decays, seeds = [], [], [], [], []
-    for (X, _), y, k_imp, n_comp, (hidden, (decay,)), key in jobs:
-        if not final:
-            key = f"{key}-i{k_imp}-c{n_comp}-h{hidden}-d{decay:g}"
-        Xs.append(X)
-        ys.append(y)
-        hiddens.append(hidden)
-        decays.append(decay)
-        seeds.append(derive_seed(spec.seed, key))
-    models = mlp_mod.train(Xs, ys, hiddens, decays, restarts=restarts, seed=seeds,
-                           max_iter=max_iter)
-    return (model if isinstance(model, FdaregError) else
-            [([(k_imp, n_comp, hidden, float(decay))], mlp_mod.forward(model, X_new)[:, None])]
-            for model, ((_, X_new), _, k_imp, n_comp, (hidden, (decay,)), _) in zip(models, jobs))
+_Family = namedtuple("_Family", "params pca_sizes rules calls inputs train reports_paths")
 
 
-def _train_rbfn(inputs, y, k_imp, n_comp, call, seed_key):
-    """One RBFN job of :func:`_train_stack`."""
+def _rbfn_inputs(X, X_new):
+    """The training rows' squared distances ``D``, which give the base width
+    and every width's design, the new rows' distances to them, which every
+    path of every width slices by its selected centers, and the base width."""
+    D = rbfn_mod.sq_distances(X, X)
+    return D, rbfn_mod.sq_distances(X_new, X), rbfn_mod.median_width(D)
+
+
+def _rbfn_job(inputs, y, k_imp, n_comp, call, fold):
+    """One job of the RBFN stack trainer, which trains a job only when its
+    iterator reaches it: a call ``(mult, ridges, cap)`` grows one OLS path
+    per ridge, with a cell per center count on it."""
     D, D_new, width = inputs
     mult, ridges, cap = call
     try:
@@ -545,16 +540,46 @@ def _train_rbfn(inputs, y, k_imp, n_comp, call, seed_key):
         return exc
 
 
-def _calls(spec) -> list[tuple[tuple, str]]:
-    """The training calls of a row's model grid, ``(call, label)`` each: one
-    per RBFN width multiplier (every ridge and center count on its paths)
-    or per MLP ``(hidden, (decay,))``."""
-    if spec.model == "rbfn":
-        r = spec.rbfn
-        return [((m, r.ridges, r.max_centers), f"width_multiplier={m:g}")
-                for m in r.width_multipliers]
-    return [((h, (d,)), f"hidden={h}, decay={d:g}")
-            for h in spec.mlp.hidden_grid for d in spec.mlp.decay_grid]
+def _train_mlp(spec, jobs):
+    """The MLP stack trainer: a call ``(hidden, (decay,))`` is one path and
+    one cell. Every job goes to one :func:`~fdareg.mlp.train` stack, which
+    decides what shares a loop, and each comes out as if trained alone. A
+    job is seeded by its fold, ``(k_imp, n_comp)`` and cell, the refit's by
+    ``"mlp-final"``, which also trains with the refit's budget."""
+    jobs = list(jobs)  # read twice: for the stack and for its predictions
+    m = spec.mlp
+    final = any(job[-1] is None for job in jobs)
+    restarts, max_iter = (m.restarts, m.max_iter) if final else (m.cv_restarts, m.cv_max_iter)
+    Xs, ys, hiddens, decays, seeds = [], [], [], [], []
+    for (X, _), y, k_imp, n_comp, (hidden, (decay,)), fold in jobs:
+        Xs.append(X)
+        ys.append(y)
+        hiddens.append(hidden)
+        decays.append(decay)
+        seeds.append(derive_seed(spec.seed, "mlp-final" if fold is None else
+                                 f"mlp-cv-f{fold}-i{k_imp}-c{n_comp}-h{hidden}-d{decay:g}"))
+    models = mlp_mod.train(Xs, ys, hiddens, decays, restarts=restarts, seed=seeds,
+                           max_iter=max_iter)
+    return (model if isinstance(model, FdaregError) else
+            [([(k_imp, n_comp, hidden, float(decay))], mlp_mod.forward(model, X_new)[:, None])]
+            for model, ((_, X_new), _, k_imp, n_comp, (hidden, (decay,)), _) in zip(models, jobs))
+
+
+_FAMILIES = {
+    "rbfn": _Family(
+        params=("width_multiplier", "ridge", "n_centers"), pca_sizes=tuple(range(1, 21)),
+        rules=(), inputs=_rbfn_inputs, reports_paths=True,
+        calls=lambda spec: [((m, spec.rbfn.ridges, spec.rbfn.max_centers),
+                             f"width_multiplier={m:g}") for m in spec.rbfn.width_multipliers],
+        train=lambda spec, jobs: (_rbfn_job(*job) for job in jobs)),
+    "mlp": _Family(
+        params=("hidden", "decay"), pca_sizes=tuple(range(1, 19)),
+        rules=((lambda spec: spec.pca.kind == "none", "the MLP pipeline requires a PCA stage"),
+               (lambda spec: not spec.pca.whiten, "MLP inputs must be whitened PCA scores")),
+        calls=lambda spec: [((h, (d,)), f"hidden={h}, decay={d:g}")
+                            for h in spec.mlp.hidden_grid for d in spec.mlp.decay_grid],
+        inputs=lambda X, X_new: (X, X_new), train=_train_mlp, reports_paths=False),
+}
 
 
 def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> ExperimentReport:
@@ -621,11 +646,11 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
         comp_grid = comp_grid or (bound,)
 
     values, mask = stage.train_values, stage.train_mask
+    family = _FAMILIES[spec.model]
     ks = spec.impute.grid()
-    calls = _calls(spec)
     # a unit: one training call on one (k, size), in fold-major order
     units = [(k_imp, n_comp, call, label) for k_imp in ks for n_comp in comp_grid
-             for call, label in calls]
+             for call, label in family.calls(spec)]
     # (fold, unit, training?) -> note, sorted into fold-major order; a call
     # split into its lead path and the rest keeps its first note of a fold
     failures = {}
@@ -646,7 +671,7 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
         inputs, prep_failures, short = _prepare(
             spec, ks, comp_grid, rows(tr), rows(va),
             None if D is None else (D[np.ix_(tr, tr)], D[np.ix_(va, tr)]),
-            (("training row", tr), ("training row", va)))
+            [[train.functions[i].id for i in idx] for idx in (tr, va)])
         prepared.append(inputs)
         short_fills += short
         for failure in prep_failures:
@@ -655,15 +680,14 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     tables: list[dict[tuple, tuple[float, int]]] = [{} for _ in units]
     nonfinite = set()
 
-    def train(jobs):
-        """The calls ``(u, fold, call)`` as one :func:`_train_stack`: an
-        iterator over their results in job order, None for a job whose
-        preparation failed (and was noted)."""
+    def train_jobs(jobs):
+        """The calls ``(u, fold, call)`` as one stack of the family's
+        trainer: an iterator over their results in job order, None for a
+        job whose preparation failed (and was noted)."""
         ready = [(u, fold, call) for u, fold, call in jobs if units[u][:2] in prepared[fold]]
-        trained = _train_stack(spec, ((prepared[fold][units[u][:2]], y[plan[fold][0]],
-                                       *units[u][:2], call, f"mlp-cv-f{fold}")
-                                      for u, fold, call in ready), False)
-        # an RBFN job is built and trained only when its result is taken
+        trained = family.train(spec, ((prepared[fold][units[u][:2]], y[plan[fold][0]],
+                                       *units[u][:2], call, fold) for u, fold, call in ready))
+        # a lazy trainer builds and trains a job only when its result is taken
         return (next(trained) if units[u][:2] in prepared[fold] else None
                 for u, fold, _ in jobs)
 
@@ -688,7 +712,7 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
 
     def score(jobs):
         """Train the calls ``(u, fold, call)`` and tabulate every result."""
-        results = train(jobs)
+        results = train_jobs(jobs)
         for u, fold, _ in jobs:
             # taken in the call: no RBFN result is alive while the next trains
             tabulate(u, fold, next(results))
@@ -735,7 +759,7 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
                     # check, still passes it; a pruned fold's result is dropped
                     upto = (K if best == np.inf or max(live.values()) * (K - 1) / fold <= best * K
                             else fold + 1)
-                    stacked, results = call, train([(u, f, call) for f in range(fold, upto)])
+                    stacked, results = call, train_jobs([(u, f, call) for f in range(fold, upto)])
                 tabulate(u, fold, next(results))
             best = min([best, *(total / K for total, folds in tables[u].values() if folds == K)])
     fold_failures = [note for _, note in sorted(failures.items())]
@@ -743,7 +767,7 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     # every later-fold (call, fold) pair, or path, that was not attempted was pruned
     stage.info["pruned_trainings"] = (len(units) * (K - 1)
                                       - len({(u, fold) for u, fold, _ in attempted}))
-    if spec.model == "rbfn":
+    if family.reports_paths:
         stage.info["pruned_paths"] = (sum(len(call[1]) for _, _, call, _ in units) * (K - 1)
                                       - len(attempted))
 
@@ -768,15 +792,15 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
     inputs, prep_failures, short = _prepare(
         spec, (k_imp,), (n_comp,), (values, mask), test_rows,
         None if D is None else (D, imp_mod.cross_distances(*test_rows, values, mask)),
-        (("training row", None), ("test row", None)))
+        [[f.id for f in dataset.functions] for dataset in (train, test)])
     if prep_failures:
         raise prep_failures[0][2]
     short_fills += short
     if short_fills:
         notes.append(f"{short_fills} k-NN fills in the folds and the final refit had fewer "
                      f"than k donors observing the coordinate and used all of them")
-    [trained] = _train_stack(spec, [(inputs[k_imp, n_comp], y, k_imp, n_comp,
-                                     (params[0], (params[1],), *params[2:]), "mlp-final")], True)
+    [trained] = family.train(spec, [(inputs[k_imp, n_comp], y, k_imp, n_comp,
+                                     (params[0], (params[1],), *params[2:]), None)])
     if isinstance(trained, FdaregError):
         raise trained
     [(cells, P)] = trained
@@ -788,7 +812,7 @@ def run_experiment(spec: ExperimentSpec, train: Dataset, test: Dataset) -> Exper
         selected["impute_k"] = k_imp
     if spec.pca.kind != "none":
         selected["n_components"] = n_comp
-    selected.update(zip(_PARAMS[spec.model], cells[-1][2:]))
+    selected.update(zip(family.params, cells[-1][2:]))
 
     return ExperimentReport(
         name=spec.name,

@@ -60,7 +60,8 @@ Each oracle is the slow, direct form of a fast path in ``fdareg``:
   iteration; the reference for ``mlp.train``, which rebuilds them only
   after an accepted step.
 - :func:`fold_major_cv`: every training call in every fold, fold by fold,
-  with nothing pruned, each a one-job stack, and each split's k-NN
+  with nothing pruned, each a one-job stack of the model family's trainer
+  (``selection._FAMILIES``), and each split's k-NN
   distances formed row by row for that split; the reference for the
   cross-validation of ``selection.run_experiment``, which stops a call once
   it cannot win and slices one matrix of the training rows' distances.
@@ -324,7 +325,8 @@ def reference_knn_transform(imputer, values, mask, is_fit_data=False):
     forming its own distances and ordering its donors by ``lexsort`` of
     (distance, position). Returns the ``(n, len(ks), p)`` fill and the count
     of (row, hole, k) fills with fewer than k donors; raises for the first
-    row that cannot be filled, naming it ``sample i``."""
+    row that cannot be filled, naming it ``function i``: its ids are its
+    positions."""
     values = np.asarray(values, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     out = np.repeat(values[:, None, :], len(imputer.ks), axis=1)
@@ -338,7 +340,7 @@ def reference_knn_transform(imputer, values, mask, is_fit_data=False):
                                     skip=i if is_fit_data else None)
         if not np.any(np.isfinite(d)):
             raise IncomparableSampleError(
-                f"sample {i} shares no observed coordinate with any donor"
+                f"function {i} shares no observed coordinate with any donor"
             )
         order = np.lexsort((np.arange(d.size), d))  # distance, then position
         order = order[np.isfinite(d[order])]
@@ -351,7 +353,7 @@ def reference_knn_transform(imputer, values, mask, is_fit_data=False):
         for h in np.flatnonzero(counts < max_k):
             if counts[h] == 0:
                 raise ImputationError(
-                    f"no donor observes coordinate {holes[h]} for sample {i}"
+                    f"no donor observes coordinate {holes[h]} for function {i}"
                 )
             for c, k in enumerate(imputer.ks):
                 if counts[h] < k:
@@ -483,10 +485,10 @@ def reference_split_distances(values, mask, new_values, new_mask):
             np.reshape(D_new, (len(new_values), len(values))))
 
 
-def _train_call(spec, inputs, y, k_imp, n_comp, call, seed_key, final):
-    """``selection._train_stack`` on one job: its models, or its error raised."""
-    [trained] = selection._train_stack(spec, [(inputs, y, k_imp, n_comp, call, seed_key)],
-                                       final)
+def _train_call(spec, inputs, y, k_imp, n_comp, call, fold):
+    """The family's stack trainer on one job: its models, or its error raised."""
+    [trained] = selection._FAMILIES[spec.model].train(spec, [(inputs, y, k_imp, n_comp, call,
+                                                              fold)])
     if isinstance(trained, FdaregError):
         raise trained
     return trained
@@ -502,8 +504,10 @@ def fold_major_cv(spec, train, test):
     in that fold. Returns ``(selected, cv_score, test_rmse)``, or None when
     no cell is scored in every fold. For rows whose PCA sizes every fold can
     fit and whose fold preparations and refit succeed."""
+    family = selection._FAMILIES[spec.model]
     stage = selection._Stage1(spec, train)
     values, mask = stage.train_values, stage.train_mask
+    ids = np.array([f.id for f in train.functions])
     y = train.targets
     plan = make_folds(len(train), spec.folds, derive_seed(spec.seed, "folds"))
     ks = spec.impute.grid()
@@ -520,14 +524,13 @@ def fold_major_cv(spec, train, test):
     for fold_i, (tr, va) in enumerate(plan):
         inputs, failures, _ = selection._prepare(
             spec, ks, comp_grid, rows(tr), rows(va), distances(rows(tr), rows(va)),
-            (("training row", tr), ("training row", va)))
+            (ids[tr], ids[va]))
         if failures:  # a failed preparation is not expected
             raise failures[0][2]
         for (k_imp, n_comp), prepared in inputs.items():
-            for call, _ in selection._calls(spec):
+            for call, _ in family.calls(spec):
                 try:
-                    trained = _train_call(spec, prepared, y[tr], k_imp, n_comp, call,
-                                         f"mlp-cv-f{fold_i}", False)
+                    trained = _train_call(spec, prepared, y[tr], k_imp, n_comp, call, fold_i)
                 except FdaregError:  # the call's cells are unscored in this fold
                     continue
                 for cells, P in trained:
@@ -547,17 +550,17 @@ def fold_major_cv(spec, train, test):
     test_rows = stage.features(Grids(test.functions))
     inputs, failures, _ = selection._prepare(
         spec, (k_imp,), (n_comp,), (values, mask), test_rows,
-        distances((values, mask), test_rows), (("training row", None), ("test row", None)))
+        distances((values, mask), test_rows), (ids, [f.id for f in test.functions]))
     if failures:
         raise failures[0][2]
     [(cells, P)] = _train_call(spec, inputs[k_imp, n_comp], y, k_imp, n_comp,
-                              (params[0], (params[1],), *params[2:]), "mlp-final", True)
+                              (params[0], (params[1],), *params[2:]), None)
     selected = {}
     if spec.impute.kind == "knn":
         selected["impute_k"] = k_imp
     if spec.pca.kind != "none":
         selected["n_components"] = n_comp
-    selected.update(zip(selection._PARAMS[spec.model], cells[-1][2:]))
+    selected.update(zip(family.params, cells[-1][2:]))
     return selected, scores[best], rmse(P[:, -1], test.targets)
 
 

@@ -106,7 +106,7 @@ def test_distance_pairs_are_counted_on_either_side(monkeypatch):
 
     def run():  # returns the failed-row count
         imputation.fill("knn", (1, 2), V, M, V[:2], new_m, knn_distances(V, M, V[:2], new_m),
-                        (("sample", None),) * 2)
+                        (range(3), range(2)))
         return 0
 
     assert ab.count_work(run)["k-NN distance pairs"] == 3 + 3

@@ -266,7 +266,7 @@ class TestInvariantSuites:
                 knn = imputation.KnnImputer((3,)).fit(V, M)
                 for out in (
                     imputation.fill("mean", (0,), V, M, V, M, None, None)[0][0][0],
-                    knn.transform(V, M, imputation.pair_distances(V, M), ("sample", None))[:, 0],
+                    knn.transform(V, M, imputation.pair_distances(V, M), range(len(V)))[:, 0],
                 ):
                     np.testing.assert_array_equal(out[M], V[M])
                 scaled = imputation.expert_scale_matrix(V, M, range(len(V)))

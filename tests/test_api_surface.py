@@ -47,6 +47,12 @@ no ``except Exception`` or ``except BaseException``, and no
 note on the report. A sixth keeps every toolkit error type
 (``errors.FdaregError`` and its subclasses) in ``errors.py``, so one module
 lists them all.
+
+A seventh guard keeps the model families in one place: no comparison
+(``ast.Compare``) in ``src/fdareg`` involves a family name as a string
+constant. What differs between families is one record each in
+``selection._FAMILIES``, so that the engine names no family and a new
+family is one more record, not one more branch.
 """
 
 import ast
@@ -57,7 +63,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from fdareg import mlp, rbfn
+from fdareg import mlp, rbfn, selection
 from fdareg.errors import FdaregError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,6 +77,9 @@ WARNING_ALLOWED: set[str] = set()
 #: ``ExperimentReport`` with every field; they go with the next benchmark change.
 FIELDS_ALLOWED = {"selection.ExperimentReport.n_train", "selection.ExperimentReport.n_test",
                   "selection.ExperimentReport.wall_time"}
+
+#: The model families' names, which no comparison of the package may hold.
+FAMILY_NAMES = {"rbfn", "mlp"}
 
 
 def _public(name: str) -> bool:
@@ -214,6 +223,23 @@ def test_every_dataclass_field_is_read_outside_the_tests():
     unread = sorted(q for q, name in fields.items()
                     if name not in read and q not in FIELDS_ALLOWED)
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def family_comparisons() -> list[str]:
+    """``"<module>:<line>: <comparison>"`` for every comparison of the
+    package with a family name among its operands."""
+    return [f"{path.stem}:{node.lineno}: {ast.unparse(node)}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(operand, ast.Constant) and operand.value in FAMILY_NAMES
+                    for operand in (node.left, *node.comparators))]
+
+
+def test_no_comparison_names_a_model_family():
+    found = family_comparisons()
+    assert not found, f"comparisons with a family name: {found}"
+    assert set(selection._FAMILIES) == FAMILY_NAMES
 
 
 def test_every_bench_trace_target_is_a_function(monkeypatch):

@@ -28,13 +28,14 @@ def mean_impute(values, mask):
     return train
 
 
-def knn_transform(imp, values, mask, is_fit_data, names=("sample", None)):
+def knn_transform(imp, values, mask, is_fit_data, ids=None):
     """``imp.transform`` on the distances the pipeline gives it: with
     ``is_fit_data`` (``values`` is the fitted matrix) the fitted rows' own,
-    else the new rows' to the fitted rows."""
+    else the new rows' to the fitted rows. The rows' ids are their
+    positions unless ``ids`` is given."""
     D = (imputation.pair_distances(values, mask) if is_fit_data else
          imputation.cross_distances(values, mask, imp.values_, imp.mask_))
-    return imp.transform(values, mask, D, names)
+    return imp.transform(values, mask, D, range(len(values)) if ids is None else ids)
 
 
 def knn_impute(values, mask, k):
@@ -269,7 +270,7 @@ class TestKnnGrid:
         M[2:, 1] = False
         # rows 2-5 are short for k = 4 and 8 as training rows and as new rows
         _, short = imputation.fill("knn", (1, 2, 4, 8), V, M, V[2:], M[2:],
-                                   knn_distances(V, M, V[2:], M[2:]), (("sample", None),) * 2)
+                                   knn_distances(V, M, V[2:], M[2:]), (range(6), range(4)))
         assert short == 2 * 4 * 2
         assert imputation.fill("mean", (0,), V, M, V[2:], M[2:], None, None)[1] == 0
         assert imputation.fill("none", (0,), V, None, V[2:], None, None, None)[1] == 0
@@ -281,7 +282,8 @@ class TestKnnGrid:
             [[True, False, True], [True, False, True], [True, False, True]],
         )
         imp = imputation.KnnImputer(K_GRID).fit(V, M)
-        with pytest.raises(ImputationError, match="no donor observes coordinate 1 for sample 0"):
+        with pytest.raises(ImputationError,
+                           match="no donor observes coordinate 1 for function 0"):
             knn_transform(imp, V, M, is_fit_data)
 
     def test_k_below_one_rejected(self):
@@ -407,7 +409,7 @@ class TestSharedDistances:
         def sliced():
             filled, short = imputation.fill("knn", ks, V[tr], M[tr], V[va], M[va],
                                             (D[np.ix_(tr, tr)], D[np.ix_(va, tr)]),
-                                            (("sample", None),) * 2)
+                                            (range(tr.size), range(va.size)))
             return [m for pair in filled for m in pair], short
 
         def alone():
@@ -435,16 +437,14 @@ class TestSharedDistances:
         new_m[3], new_m[5] = row3, row5
         new_v = np.ones((6, 4))
         imp = imputation.KnnImputer(K_GRID).fit(*self.DONORS)
-        with pytest.raises(error, match=re.escape(text.format(row="sample 3"))):
+        with pytest.raises(error, match=re.escape(text.format(row="function 3"))):
             knn_transform(imp, new_v, new_m, False)
-        with pytest.raises(error, match=re.escape(text.format(row="sample 3"))):
+        with pytest.raises(error, match=re.escape(text.format(row="function 3"))):
             reference_knn_transform(imp, new_v, new_m)
-        # an error names the row as the caller numbers it
-        with pytest.raises(error, match=re.escape(text.format(row="test row 3"))):
-            knn_transform(imp, new_v, new_m, False, ("test row", None))
-        numbers = np.array([40, 41, 42, 17, 44, 45])
-        with pytest.raises(error, match=re.escape(text.format(row="training row 17"))):
-            knn_transform(imp, new_v, new_m, False, ("training row", numbers))
+        # an error names the row by its id, not by its position
+        ids = np.array([40, 41, 42, 17, 44, 45])
+        with pytest.raises(error, match=re.escape(text.format(row="function 17"))):
+            knn_transform(imp, new_v, new_m, False, ids)
 
 
 class TestExpertScale:

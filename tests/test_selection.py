@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -652,19 +653,19 @@ class TestPruning:
 
     @staticmethod
     def record_taken(monkeypatch, taken):
-        """Append to ``taken`` each training whose result the engine takes,
-        ``(fold, k_imp, n_comp, call)``, with the refit's fold ``"final"``."""
-        real = selection._train_stack
+        """Append to ``taken`` each MLP training whose result the engine
+        takes, ``(fold, k_imp, n_comp, call)``, with the refit's fold
+        ``"final"``."""
+        family = selection._FAMILIES["mlp"]
 
-        def spy(spec, jobs, final):
+        def spy(spec, jobs):
             jobs = list(jobs)
-            for job, result in zip(jobs, real(spec, jobs, final)):
-                _, _, k_imp, n_comp, call, key = job
-                taken.append(("final" if final else int(key.removeprefix("mlp-cv-f")),
-                              k_imp, n_comp, call))
+            for job, result in zip(jobs, family.train(spec, jobs)):
+                _, _, k_imp, n_comp, call, fold = job
+                taken.append(("final" if fold is None else fold, k_imp, n_comp, call))
                 yield result
 
-        monkeypatch.setattr(selection, "_train_stack", spy)
+        monkeypatch.setitem(selection._FAMILIES, "mlp", family._replace(train=spy))
 
     @staticmethod
     def run(monkeypatch, errors, engine=run_experiment, stacks=None, tabulated=None):
@@ -1105,6 +1106,62 @@ class TestPruning:
         assert report.notes == ("1 cells not scored in every fold were excluded",)
 
 
+class TestFamilies:
+    """The engine reads what differs between model families from one
+    record per family, ``selection._FAMILIES``, and names none of them."""
+
+    @staticmethod
+    def toy_train(spec, jobs):
+        """A toy family's stack trainer: a call ``(scale, shrinks)`` has one
+        path per shrink factor, whose one cell predicts ``scale * shrink *
+        mean(y)`` on every new row."""
+        for (_, X_new), y, k_imp, n_comp, (scale, shrinks), _ in jobs:
+            yield [([(k_imp, n_comp, scale, shrink)],
+                    np.full((X_new.shape[0], 1), scale * shrink * np.mean(y)))
+                   for shrink in shrinks]
+
+    def test_the_engine_runs_a_family_it_never_names(self, data, monkeypatch):
+        toy = selection._Family(
+            params=("scale", "shrink"), pca_sizes=(1, 3),
+            rules=((lambda spec: spec.pca.kind == "none", "the toy needs a PCA stage"),),
+            calls=lambda spec: [((scale, (0.5, 1.0, 10.0)), f"scale={scale:g}")
+                                for scale in (1.0, 3.0)],
+            inputs=lambda X, X_new: (X, X_new), train=self.toy_train, reports_paths=True)
+        monkeypatch.setitem(selection._FAMILIES, "toy", toy)
+        train, test = data
+        with pytest.raises(ConfigError, match="the toy needs a PCA stage"):
+            run_experiment(ExperimentSpec("toy", "toy", RepresentationSpec("raw")), train, test)
+        spec = ExperimentSpec("toy", "toy", RepresentationSpec("raw"), pca=PcaSpec("classical"))
+        assert spec.pca.grid(spec.model) == (1, 3)
+        report = run_experiment(spec, train, test)
+        selected, cv_score, test_rmse = fold_major_cv(spec, train, test)
+        assert report.selected == selected
+        assert list(selected) == ["n_components", "scale", "shrink"]
+        assert report.cv_score.hex() == cv_score.hex()
+        assert report.test_rmse.hex() == test_rmse.hex()
+        # shrink 10 is far off, so the schedule drops its paths
+        assert report.info["pruned_paths"] > 0
+
+    def test_no_rbfn_path_outlives_its_job(self, data, monkeypatch):
+        # each job's paths die once the engine has tabulated its result:
+        # when the next job starts, none of an earlier job's is alive
+        real = rbfn_mod.train_ols_paths
+        refs, alive_at_start = [], []
+
+        def spy(*args, **kwargs):
+            alive_at_start.append(sum(ref() is not None for ref in refs))
+            paths = real(*args, **kwargs)
+            refs.extend(weakref.ref(path) for path in paths)
+            return paths
+
+        monkeypatch.setattr(rbfn_mod, "train_ols_paths", spy)
+        spec = ExperimentSpec("retention", "rbfn", RepresentationSpec("raw"),
+                              pca=PcaSpec("classical", component_grid=(2, 4)), rbfn=SMALL_RBFN)
+        run_experiment(spec, *data)
+        assert len(alive_at_start) > 2 * len(SMALL_RBFN.width_multipliers)
+        assert alive_at_start == [0] * len(alive_at_start)
+
+
 class TestFailingTrainingCall:
     """A CV training call that raises leaves its cells unscored in that fold
     and is named in a note; the row goes on."""
@@ -1398,15 +1455,15 @@ class TestImputationRoutes:
         comp_grid = (2, 4) if pca.kind != "none" else (0,)
         call = (1.0, (1e-3,), 4)
         distances = knn_distances(*train_rows, *test_rows)
-        names = (("training row", None), ("test row", None))
+        names = ([f.id for f in train.functions], [f.id for f in test.functions])
 
         def chain(ks):
             inputs, failures, _ = selection._prepare(spec, ks, comp_grid, train_rows, test_rows,
                                                      distances, names)
             assert failures == []
-            results = list(selection._train_stack(
-                spec, [(prepared, train.targets, k_imp, n_comp, call, "chain")
-                       for (k_imp, n_comp), prepared in inputs.items()], True))
+            results = list(selection._FAMILIES["rbfn"].train(
+                spec, [(prepared, train.targets, k_imp, n_comp, call, None)
+                       for (k_imp, n_comp), prepared in inputs.items()]))
             assert not any(isinstance(result, FdaregError) for result in results)
             return [trained for result in results for trained in result]
 
@@ -1451,30 +1508,30 @@ class TestImputationRoutes:
         values, mask = stage.train_values, stage.train_mask
         call = (1.0, (1e-3,), 4)
         D = imp_mod.pair_distances(values, mask)
+        ids = np.array([f.id for f in train.functions])
         notes: list[str] = []
         cells = []
         for fold_i, (tr, va) in enumerate(plan):
             inputs, failures, _ = selection._prepare(
                 spec, (1, 2), (2,), (values[tr], mask[tr]), (values[va], mask[va]),
-                (D[np.ix_(tr, tr)], D[np.ix_(va, tr)]),
-                (("training row", tr), ("training row", va)))
+                (D[np.ix_(tr, tr)], D[np.ix_(va, tr)]), (ids[tr], ids[va]))
             notes += [selection._fold_note(fold_i, exc, k_imp, n_comp, "")
                       for k_imp, n_comp, exc in failures]
-            results = selection._train_stack(
-                spec, [(prepared, train.targets[tr], k_imp, n_comp, call, f"mlp-cv-f{fold_i}")
-                       for (k_imp, n_comp), prepared in inputs.items()], False)
+            results = selection._FAMILIES["rbfn"].train(
+                spec, [(prepared, train.targets[tr], k_imp, n_comp, call, fold_i)
+                       for (k_imp, n_comp), prepared in inputs.items()])
             cells.append(sorted({cell[:2] for result in results for block, _ in result
                                  for cell in block}))
         assert cells == [[], *[[(1, 2), (2, 2)]] * 3]
-        # the note names the first row of fold 0's training matrix as the
-        # experiment numbers its training rows, not by its place in the fold
-        assert plan[0][0][0] == 12
+        # the note names the first row of fold 0's training matrix by its
+        # curve's id, not by its place in the fold
+        assert plan[0][0][0] == 12 and train.functions[12].id == 12
         assert notes == [
-            f"fold 0, impute k={k}: no donor observes coordinate 7 for training row 12"
+            f"fold 0, impute k={k}: no donor observes coordinate 7 for function 12"
             for k in (1, 2)
         ]
         cause = ("no grid cell was scored in every fold; 2 fold failures, first: "
-                 "fold 0, impute k=1: no donor observes coordinate 7 for training row 12")
+                 "fold 0, impute k=1: no donor observes coordinate 7 for function 12")
         with pytest.raises(ConfigError, match=re.escape(cause)):
             run_experiment(spec, train, full)
 
@@ -1547,6 +1604,27 @@ class TestDataChecks:
         train, test = fdata.split(dataset, 5, shuffle=False)
         assert test.functions[4].id == 777 and train.functions[4].id == 4
         with pytest.raises(error, match=re.escape(text)):
+            run_experiment(spec, train, test)
+
+    def test_a_test_curve_the_knn_fill_cannot_fill_is_named_by_its_id(self):
+        # the training curves observe grid points 0-12 or 6-19 in turn;
+        # curve 777 observes 0-5 alone, so every curve that observes point
+        # 13 shares no point with it and it has no donor there. It is row 4
+        # of the test set, and training row 4 is another curve: the final
+        # refit's k-NN error names it by its id
+        curves = synthetic_dataset(np.random.default_rng(14), n=31, m=20)
+        blocks = [np.r_[0:13], np.r_[6:20], np.r_[0:6]]
+        functions = [fdata.SampledFunction(f.x[blocks[i % 2]], f.y[blocks[i % 2]], id=f.id)
+                     for i, f in enumerate(curves.functions[:30])]
+        last = curves.functions[30]
+        functions.append(fdata.SampledFunction(last.x[blocks[2]], last.y[blocks[2]], id=777))
+        dataset = fdata.Dataset(functions, curves.targets, curves.domain)
+        train, test = fdata.split(dataset, 5, shuffle=False)
+        assert test.functions[4].id == 777 and train.functions[4].id == 4
+        spec = ExperimentSpec("unfillable-test", "rbfn", RepresentationSpec("raw"),
+                              impute=ImputeSpec("knn", k_grid=(1, 2)), rbfn=SMALL_RBFN)
+        with pytest.raises(ImputationError,
+                           match=re.escape("no donor observes coordinate 13 for function 777")):
             run_experiment(spec, train, test)
 
     @pytest.mark.parametrize("impute", [ImputeSpec(), ImputeSpec("knn", k_grid=(1, 2))],
