@@ -26,15 +26,9 @@ class UnsupportedOrderError(FdaregError):
 
 
 class UnidentifiableCoefficientsError(FdaregError):
-    """The least-squares design is (near-)rank-deficient.
-
-    ``indices`` names the basis functions whose coefficients cannot be
-    estimated from the available samples.
-    """
-
-    def __init__(self, message, indices=()):
-        super().__init__(message)
-        self.indices = tuple(int(i) for i in indices)
+    """The least-squares design is (near-)rank-deficient; the message names
+    the basis functions whose coefficients cannot be estimated from the
+    available samples."""
 
 
 class DegenerateLooError(FdaregError):

@@ -109,14 +109,12 @@ def _qr_solve(design: np.ndarray, Y: np.ndarray):
         raise UnidentifiableCoefficientsError(
             f"design matrix has {m} rows for {q} coefficients; "
             f"unidentifiable basis indices: {sorted(int(i) for i in bad)}",
-            indices=sorted(int(i) for i in bad),
         )
     bad = piv[diag < diag[0] / COND_THRESHOLD]
     if bad.size:
         raise UnidentifiableCoefficientsError(
             "some basis functions have too few samples in their support; "
             f"unidentifiable basis indices: {sorted(int(i) for i in bad)}",
-            indices=sorted(int(i) for i in bad),
         )
     # orgqr overwrites the factorization: copy R out first. trtrs reads
     # only the triangle it is told to, so the reflectors below the diagonal

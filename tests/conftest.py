@@ -4,7 +4,7 @@ file, and the private numerics of the package that several test files check."""
 import os
 from pathlib import Path
 
-# BLAS runs one thread, as in perfbench/run.py and tools/identity.py: these
+# BLAS runs one thread, as in perfbench/run.py and tools/ab.py --identity: these
 # small matrices gain nothing from more, and on a busy host extra threads
 # oversubscribe the cores. OpenBLAS reads the variables when numpy loads it,
 # so they are set before numpy's first import (pytest and hypothesis do not

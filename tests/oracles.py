@@ -103,7 +103,7 @@ def naive_loo(f, basis):
 def reference_qr_solve(design, Y):
     """``(alpha, resid, hat_diag)`` of ``represent._qr_solve`` through the
     scipy wrappers: pivoted economic QR, then a triangular solve. Raises the
-    same :class:`UnidentifiableCoefficientsError`, with the same indices."""
+    same :class:`UnidentifiableCoefficientsError`, with the same message."""
     m, q = design.shape
     qmat, rmat, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
     diag = np.abs(np.diag(rmat))
@@ -112,14 +112,12 @@ def reference_qr_solve(design, Y):
         raise UnidentifiableCoefficientsError(
             f"design matrix has {m} rows for {q} coefficients; "
             f"unidentifiable basis indices: {sorted(int(i) for i in bad)}",
-            indices=sorted(int(i) for i in bad),
         )
     bad = piv[diag < diag[0] / COND_THRESHOLD]
     if bad.size:
         raise UnidentifiableCoefficientsError(
             "some basis functions have too few samples in their support; "
             f"unidentifiable basis indices: {sorted(int(i) for i in bad)}",
-            indices=sorted(int(i) for i in bad),
         )
     alpha = np.empty((q, Y.shape[1]))
     alpha[piv] = scipy.linalg.solve_triangular(rmat, qmat.T @ Y)

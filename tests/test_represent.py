@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -62,7 +63,8 @@ class TestFit:
         f = fdata.SampledFunction(x, np.sin(x))
         with pytest.raises(UnidentifiableCoefficientsError) as exc_info:
             represent.fit_dataset(fdata.Grids([f]), b)
-        assert b.dimension - 1 in exc_info.value.indices
+        named = json.loads(str(exc_info.value).rpartition("indices: ")[2])
+        assert b.dimension - 1 in named
 
     def test_too_few_points(self, small_bspline):
         f = fdata.SampledFunction([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
@@ -252,7 +254,7 @@ def _basis(kind, q):
 class TestDirectLapack:
     """``_qr_solve`` calls geqp3, orgqr and trtrs directly; it equals the
     scipy wrappers it replaced (``oracles.reference_qr_solve``) bit for bit,
-    errors and their indices included."""
+    errors and their messages included."""
 
     @staticmethod
     def _assert_same(design, Y):
@@ -263,7 +265,6 @@ class TestDirectLapack:
         except UnidentifiableCoefficientsError as exc:
             with pytest.raises(UnidentifiableCoefficientsError) as got:
                 represent._qr_solve(design, Y)
-            assert got.value.indices == exc.indices
             assert str(got.value) == str(exc)
             return "error"
         for fast, slow in zip(represent._qr_solve(design, Y), expected):
@@ -504,7 +505,7 @@ class TestPrunedSelection:
             curves = Y[0].astype(int)
             result = drawn[q, grid_of[curves[0]]]
             if result == "unidentifiable":
-                raise UnidentifiableCoefficientsError("drawn", indices=[0])
+                raise UnidentifiableCoefficientsError("drawn")
             alpha = np.zeros((q, curves.size))
             if result == "degenerate":
                 return alpha, np.zeros((m, curves.size)), np.ones(m)
