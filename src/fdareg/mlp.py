@@ -8,9 +8,12 @@ sigmoid). Training minimizes the sum of squared errors plus a weight-decay
 penalty on all non-bias weights, using Levenberg-style damped Gauss-Newton:
 accepted steps never increase the regularized loss. As in textbook
 Levenberg-Marquardt, the Gauss-Newton system of a restart is rebuilt only
-after an accepted step; a rejected step only raises the damping. Many
-random restarts run in parallel (batched linear algebra) and the best final
-loss wins.
+after an accepted step; a rejected step only raises the damping. A restart
+ends at the first of four exits: its gradient is small (``GRAD_TOL``), an
+accepted step's actual and predicted relative reductions are both at most
+``FTOL`` (MINPACK's ``ftol`` test), its damping passes 1e12, or the budget
+``max_iter`` is spent. Many random restarts run in parallel (batched linear
+algebra) and the best final loss wins.
 
 A call trains a stack of jobs, each with its own training set, network
 size, decay and seeds, and one network is a one-job stack; the jobs of
@@ -34,6 +37,9 @@ from .errors import TrainingError, ValidationError
 
 #: Gradient-norm convergence tolerance, relative to (1 + loss).
 GRAD_TOL = 1e-8
+#: Relative-reduction stop (MINPACK's ``ftol``; :func:`train`), 0 for none:
+#: an accepted step that lowers the loss this little ends its restart.
+FTOL = 1e-5
 MAX_ITER = 500
 
 #: Default restart count of a final refit (``selection.MlpSettings``), and the
@@ -171,10 +177,20 @@ def train(
     """Fit a stack of perceptrons, each from many random initializations.
 
     Each restart runs damped Gauss-Newton on the residual vector
-    (data residuals plus sqrt(decay)-scaled weight residuals) until the
-    gradient norm falls below ``GRAD_TOL * (1 + loss)`` or ``max_iter``
-    trial steps were taken; steps are only accepted when they strictly
-    decrease the regularized loss. The Gauss-Newton system of a restart
+    (data residuals plus sqrt(decay)-scaled weight residuals); steps are
+    only accepted when they strictly decrease the regularized loss. It
+    ends at the first of four exits:
+
+    - the gradient norm falls below ``GRAD_TOL * (1 + loss)``;
+    - an accepted step ``h`` reduces the loss by at most ``FTOL`` of its
+      value before the step, and so does the decrease ``h^T g + mu h^T h``
+      that the Gauss-Newton model predicts for it (``-2 g`` the gradient,
+      ``mu`` the damping): the step is kept and the restart ends (Moré
+      1978, MINPACK's ``lmder``); with ``FTOL`` 0 this exit never fires;
+    - the damping passes 1e12, where no step can make progress;
+    - ``max_iter`` trial steps were taken.
+
+    The Gauss-Newton system of a restart
     (``J^T J`` plus the decay, and ``J^T r``) is built at its start and
     rebuilt only after an accepted step: a rejected step leaves the
     parameters where they were, so the next trial only doubles the
@@ -207,7 +223,7 @@ def train(
     reads another's numbers. Every batched operation is a per-restart
     product, sum, tanh or solve whose result does not depend on the batch
     it runs in. Each restart keeps its own damping and its own stopping
-    test, and each job keeps its own seeds and the argmin over its own
+    tests, and each job keeps its own seeds and the argmin over its own
     restarts. One case couples restarts: a batched solve raises when any
     of its systems is singular, and a job trained alone then solves all of
     its live restarts by least squares. So when the loop's solve raises,
@@ -342,6 +358,10 @@ def _train_stack(X, y, hidden, decay, restarts, seed, max_iter) -> list:
         improved = np.isfinite(trial_loss) & (trial_loss < loss[idx])
 
         up = idx[improved]
+        # MINPACK's ftol test on the actual and predicted (h^T g + mu h^T h) reductions
+        h, tol = step[improved], FTOL * loss[up]
+        flat = up[(loss[up] - trial_loss[improved] <= tol)
+                  & (np.einsum("rp,rp->r", h, g[improved] + mu[up][:, None] * h) <= tol)]
         params[up] = trial[improved]
         resid[up] = trial_resid[improved]
         act[up] = trial_act[improved]
@@ -352,6 +372,7 @@ def _train_stack(X, y, hidden, decay, restarts, seed, max_iter) -> list:
         mu[down] *= 2.0
         # damping this large means no further progress is possible
         active[idx[mu[idx] > 1e12]] = False
+        active[flat] = False
 
     for i, j in enumerate(jobs):
         if results[j] is None:

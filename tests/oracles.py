@@ -57,8 +57,9 @@ Each oracle is the slow, direct form of a fast path in ``fdareg``:
   union of all abscissas once.
 - :func:`reference_lm_train`: damped Gauss-Newton that rebuilds the
   Jacobian, ``J^T J`` and ``J^T r`` of every active restart on every
-  iteration; the reference for ``mlp.train``, which rebuilds them only
-  after an accepted step.
+  iteration, with the relative-reduction stop written out on its own; the
+  reference for ``mlp.train``, which rebuilds them only after an accepted
+  step.
 - :func:`fold_major_cv`: every training call in every fold, fold by fold,
   with nothing pruned, each a one-job stack of the model family's trainer
   (``selection._FAMILIES``), and each split's k-NN
@@ -404,9 +405,12 @@ def grid_mapping_per_curve(dataset, grid):
 def reference_lm_train(X, y, hidden, decay, restarts=60, seed=None, max_iter=mlp.MAX_ITER):
     """Reference for ``mlp.train``: the loop that rebuilds the Gauss-Newton
     system of every active restart on every iteration, rejected steps
-    included. Returns ``(model, accepted, jacobian_rows)``: the trained
-    model, the number of accepted steps over all restarts and the number
-    of restart rows passed to ``mlp._jacobian``. For finite inputs with
+    included, and ends a restart at an accepted step whose actual and
+    predicted relative reductions are both at most ``mlp.FTOL``. Returns
+    ``(model, accepted, jacobian_rows)``: the trained model, the number of
+    accepted steps over all restarts that their restart went on from (not
+    the step that ends it by that stop) and the number of restart rows
+    passed to ``mlp._jacobian``. For finite inputs with
     finite initial losses, the only ones ``mlp.train`` accepts."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -458,7 +462,13 @@ def reference_lm_train(X, y, hidden, decay, restarts=60, seed=None, max_iter=mlp
         improved = np.isfinite(trial_loss) & (trial_loss < loss[idx])
 
         up = idx[improved]
-        accepted += up.size
+        # the relative-reduction stop: actual and predicted reduction of
+        # each accepted step, against mlp.FTOL of the loss before it
+        h = step[improved]
+        actual = (loss[up] - trial_loss[improved]) / loss[up]
+        predicted = np.sum(h * grad_half[improved], axis=1) + mu[up] * np.sum(h * h, axis=1)
+        flat = up[(actual <= mlp.FTOL) & (predicted / loss[up] <= mlp.FTOL)]
+        accepted += up.size - flat.size
         params[up] = trial[improved]
         resid[up] = trial_resid[improved]
         act[up] = trial_act[improved]
@@ -467,6 +477,7 @@ def reference_lm_train(X, y, hidden, decay, restarts=60, seed=None, max_iter=mlp
         down = idx[~improved]
         mu[down] *= 2.0
         active[idx[mu[idx] > 1e12]] = False
+        active[flat] = False
 
     return mlp.unpack(params[int(np.argmin(loss))], hidden, dim), accepted, jacobian_rows
 

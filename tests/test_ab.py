@@ -232,3 +232,26 @@ def test_a_failed_timing_run_quotes_its_stderr(monkeypatch, tmp_path):
     assert "the change side's run of holed-knn-mlp in pair 4" in message
     assert "status 3" in message
     assert message.endswith("ValueError: boom")
+
+
+def test_lm_iterations_and_restart_steps_are_counted_exactly(monkeypatch):
+    import numpy as np
+
+    from fdareg import mlp
+
+    # without the relative-reduction stop no restart of a 2-job stack, 3
+    # restarts each, ends within 4 iterations: one loop makes 4 trial
+    # evaluations of all 6 restarts after its initial evaluation
+    monkeypatch.setattr(mlp, "FTOL", 0.0)
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(20, 2))
+    y = np.tanh(X[:, 0])
+
+    def run():  # returns the failed-row count
+        mlp.train([X, X], [y, -y], [2, 2], [1e-3, 1e-2], 3, [0, 1], 4)
+        return 0
+
+    c = ab.count_work(run)
+    assert (c["LM loops"], c["LM jobs"]) == (1, 2)
+    assert (c["LM iterations"], c["LM restart steps"]) == (4, 24)
+    assert mlp._batched_loss.__name__ == "_batched_loss"  # unwrapped again

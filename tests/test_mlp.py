@@ -204,8 +204,9 @@ class TestTrain:
 
     def test_rebuilds_system_only_after_accepted_steps(self, rng, monkeypatch):
         # the Jacobian is built once per restart at the start and once after
-        # each accepted step; every restart converges before max_iter, so
-        # no accepted step is left unbuilt at the end
+        # each accepted step it goes on from; every restart stops before
+        # max_iter, so only the steps that end a restart by the relative-
+        # reduction stop are left unbuilt, and the reference does not count them
         X = rng.normal(size=(30, 3))
         y = np.sin(X[:, 0]) + 0.1 * rng.normal(size=30)
         expected, accepted, reference_rows = reference_lm_train(
@@ -254,6 +255,79 @@ class TestTrain:
         y = np.full(10, 1e200)
         with pytest.raises(TrainingError, match="3 of 3 restart"):
             train_one(X, y, 2, 1e-3, restarts=3, seed=0)
+
+
+
+def easy_problem():
+    """A smooth target with little noise, on which a restart's steps stop
+    paying long before 500 iterations."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(30, 2))
+    return X, np.tanh(X[:, 0]) + 0.05 * rng.normal(size=30)
+
+
+def trial_losses(X, y, hidden, decay, restarts, seed, max_iter):
+    """``train_one`` and, per ``mlp._batched_loss`` call it made, the
+    parameters it evaluated and their losses: the first call is the
+    initial evaluation, every later one a trial step."""
+    calls, real = [], mlp._batched_loss
+
+    def spy(params, *args):
+        loss, resid, act = real(params, *args)
+        calls.append((params.copy(), loss.copy()))
+        return loss, resid, act
+
+    with mock.patch.object(mlp, "_batched_loss", spy):
+        model = train_one(X, y, hidden, decay, restarts, seed, max_iter)
+    return model, calls
+
+
+class TestStop:
+    """A restart ends once an accepted step's actual and predicted relative
+    reductions of the loss are both at most ``mlp.FTOL``."""
+
+    def test_a_loop_ends_before_its_budget(self):
+        # 8 restarts with the stop end in 169 iterations; without it, 462
+        X, y = easy_problem()
+        _, calls = trial_losses(X, y, 2, 1e-3, 8, 0, 500)
+        with mock.patch.object(mlp, "FTOL", 0.0):
+            _, without = trial_losses(X, y, 2, 1e-3, 8, 0, 500)
+        assert len(calls) - 1 < 250 < len(without) - 1 < 500
+
+    def test_the_last_accepted_step_of_a_stopped_restart_stops_paying(self):
+        # one restart a loop, so the trial calls are its trajectory; its
+        # damping follows from the accepted and rejected steps
+        X, y = easy_problem()
+        for hidden, decay, seed in ((1, 1e-5, 0), (2, 1e-3, 1), (3, 1e-2, 2), (2, 0.0, 3)):
+            _, calls = trial_losses(X, y, hidden, decay, 1, seed, 500)
+            (params, (loss,)), trials = calls[0], calls[1:]
+            assert 0 < len(trials) < 500
+            mu, last = 1e-2, None
+            for trial, (trial_loss,) in trials:
+                if trial_loss < loss:
+                    last = params[0], trial[0], loss, trial_loss, mu
+                    params, loss, mu = trial, trial_loss, max(mu / 3.0, 1e-14)
+                else:
+                    mu *= 2.0
+            before, after, loss, trial_loss, mu = last
+            # the last trial was accepted, and the gradient test had not ended the restart
+            assert np.array_equal(after, trials[-1][0][0])
+            g = -0.5 * trainer_gradient(before, X, y, hidden, decay)
+            assert np.linalg.norm(trainer_gradient(after, X, y, hidden, decay)) > (
+                mlp.GRAD_TOL * (1.0 + trial_loss))
+            h = after - before
+            assert (loss - trial_loss) / loss <= mlp.FTOL
+            assert (h @ g + mu * h @ h) / loss <= mlp.FTOL * (1.0 + 1e-6)
+
+    def test_without_the_stop_the_whole_budget_runs_as_the_reference(self, monkeypatch):
+        # FTOL 0 is the trainer before the stop: an accepted step always
+        # lowers the loss, so no restart ends by the stop
+        monkeypatch.setattr(mlp, "FTOL", 0.0)
+        X, y = easy_problem()
+        model, calls = trial_losses(X, y, 2, 1e-3, 8, 0, 150)
+        assert len(calls) - 1 == 150
+        expected, _, _ = reference_lm_train(X, y, 2, 1e-3, 8, 0, 150)
+        assert_same_model(model, expected)
 
 
 STACK_ROWS, STACK_ITER = 20, 150

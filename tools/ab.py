@@ -80,8 +80,8 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 #: The gain rule: the change wins at least this share of the pairs.
 WIN_SHARE = 0.9
 #: What ``--identity`` counts per side and workload, in order.
-COUNTS = ("mlp.train calls", "LM loops", "LM jobs", "most jobs in a loop", "OLS path steps",
-          "QR solves", "k-NN distance pairs", "failed rows")
+COUNTS = ("mlp.train calls", "LM loops", "LM jobs", "most jobs in a loop", "LM iterations",
+          "LM restart steps", "OLS path steps", "QR solves", "k-NN distance pairs", "failed rows")
 #: The seeds of each workload's rows, and of the suite's generator.
 SEEDS = range(11)
 SUITE_SEEDS = range(2)
@@ -138,8 +138,10 @@ def count_work(run) -> dict:
     restarts of all its jobs. ``run()`` returns the number of failed rows.
 
     The counts are ``mlp.train`` calls, the Levenberg-Marquardt loops of
-    ``mlp._train_stack`` and the jobs they train, OLS path steps (the
-    ``max_size`` of every path ``rbfn.train_ols_paths`` returns),
+    ``mlp._train_stack`` and the jobs they train, their iterations (the
+    ``mlp._batched_loss`` calls of each loop after its initial evaluation,
+    one trial step each) and the restart rows of those calls, OLS path
+    steps (the ``max_size`` of every path ``rbfn.train_ols_paths`` returns),
     ``represent._qr_solve`` calls and k-NN distance pairs (the distances
     ``imputation._distances`` returns for one row and its donors)."""
     from fdareg import imputation, mlp, rbfn, represent
@@ -148,6 +150,8 @@ def count_work(run) -> dict:
     real_train, real_loop = mlp.train, mlp._train_stack
     real_paths, real_qr = rbfn.train_ols_paths, represent._qr_solve
     real_distances = imputation._distances
+    real_loss = mlp._batched_loss
+    initial = [False]  # the next loss evaluation is a loop's initial one
 
     def train(*args, **kwargs):
         counts["mlp.train calls"] += 1
@@ -158,7 +162,19 @@ def count_work(run) -> dict:
         counts["LM jobs"] += len(X)
         counts["most jobs in a loop"] = max(counts["most jobs in a loop"], len(X))
         loops.append((*X.shape[1:], hidden, len(X) * restarts))
-        return real_loop(X, y, hidden, decay, restarts, seed, max_iter)
+        initial[0] = True
+        try:
+            return real_loop(X, y, hidden, decay, restarts, seed, max_iter)
+        finally:
+            initial[0] = False
+
+    def loss(params, *args):
+        if initial[0]:
+            initial[0] = False
+        else:
+            counts["LM iterations"] += 1
+            counts["LM restart steps"] += params.shape[0]
+        return real_loss(params, *args)
 
     def paths(*args, **kwargs):
         result = real_paths(*args, **kwargs)
@@ -175,13 +191,13 @@ def count_work(run) -> dict:
         return d
 
     mlp.train, mlp._train_stack, rbfn.train_ols_paths, represent._qr_solve = train, loop, paths, qr
-    imputation._distances = distances
+    imputation._distances, mlp._batched_loss = distances, loss
     try:
         counts["failed rows"] = run()
     finally:
         mlp.train, mlp._train_stack = real_train, real_loop
         rbfn.train_ols_paths, represent._qr_solve = real_paths, real_qr
-        imputation._distances = real_distances
+        imputation._distances, mlp._batched_loss = real_distances, real_loss
     return {**counts, "loops": loops}
 
 
