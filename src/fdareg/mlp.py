@@ -11,9 +11,10 @@ Levenberg-Marquardt, the Gauss-Newton system of a restart is rebuilt only
 after an accepted step; a rejected step only raises the damping. A restart
 ends at the first of four exits: its gradient is small (``GRAD_TOL``), an
 accepted step's actual and predicted relative reductions are both at most
-``FTOL`` (MINPACK's ``ftol`` test), its damping passes 1e12, or the budget
-``max_iter`` is spent. Many random restarts run in parallel (batched linear
-algebra) and the best final loss wins.
+``FTOL`` (a form of MINPACK's ``ftol`` test, without its condition that
+the actual reduction be at most twice the predicted one), its damping
+passes 1e12, or the budget ``max_iter`` is spent. Many random restarts
+run in parallel (batched linear algebra) and the best final loss wins.
 
 A call trains a stack of jobs, each with its own training set, network
 size, decay and seeds, and one network is a one-job stack; the jobs of
@@ -37,7 +38,7 @@ from .errors import TrainingError, ValidationError
 
 #: Gradient-norm convergence tolerance, relative to (1 + loss).
 GRAD_TOL = 1e-8
-#: Relative-reduction stop (MINPACK's ``ftol``; :func:`train`), 0 for none:
+#: Relative-reduction stop (a form of MINPACK's ``ftol``; :func:`train`), 0 for none:
 #: an accepted step that lowers the loss this little ends its restart.
 FTOL = 1e-5
 MAX_ITER = 500
@@ -185,8 +186,10 @@ def train(
     - an accepted step ``h`` reduces the loss by at most ``FTOL`` of its
       value before the step, and so does the decrease ``h^T g + mu h^T h``
       that the Gauss-Newton model predicts for it (``-2 g`` the gradient,
-      ``mu`` the damping): the step is kept and the restart ends (Moré
-      1978, MINPACK's ``lmder``); with ``FTOL`` 0 this exit never fires;
+      ``mu`` the damping): the step is kept and the restart ends. This
+      is the ``ftol`` test of MINPACK's ``lmder`` (Moré 1978) without its
+      third condition, that the actual reduction be at most twice the
+      predicted one. With ``FTOL`` 0 this exit never fires;
     - the damping passes 1e12, where no step can make progress;
     - ``max_iter`` trial steps were taken.
 
@@ -358,7 +361,7 @@ def _train_stack(X, y, hidden, decay, restarts, seed, max_iter) -> list:
         improved = np.isfinite(trial_loss) & (trial_loss < loss[idx])
 
         up = idx[improved]
-        # MINPACK's ftol test on the actual and predicted (h^T g + mu h^T h) reductions
+        # actual and predicted (h^T g + mu h^T h) reductions, no MINPACK ratio <= 2 part
         h, tol = step[improved], FTOL * loss[up]
         flat = up[(loss[up] - trial_loss[improved] <= tol)
                   & (np.einsum("rp,rp->r", h, g[improved] + mu[up][:, None] * h) <= tol)]

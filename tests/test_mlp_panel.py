@@ -11,22 +11,22 @@ _spec = importlib.util.spec_from_file_location("mlp_panel", TOOL)
 panel = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(panel)
 
-ARGS = ["--ftol", "1e-4", "--seeds", "0", "--sizes", "6", "--hidden", "1", "--decay", "1e-3",
-        "--budgets", "5", "10"]
-
 
 def test_one_cell_at_one_seed_prints_its_columns_the_same_twice(monkeypatch, capsys):
+    for name, value in (("SIDES", (0.0, 1e-4)), ("SEEDS", (0,)), ("SIZES", (6,)),
+                        ("HIDDEN", (1,)), ("DECAY", (1e-3,)), ("BUDGETS", (5, 10))):
+        monkeypatch.setattr(panel, name, value)
     real = panel.panel_spec
 
-    def small(*args):  # the row's restarts and budgets cut to keep the test short
-        spec = real(*args)
+    def small(seed):  # the row's restarts and budgets cut to keep the test short
+        spec = real(seed)
         return replace(spec, mlp=replace(spec.mlp, restarts=4, cv_restarts=4, max_iter=30,
                                          cv_max_iter=30))
 
     monkeypatch.setattr(panel, "panel_spec", small)
-    panel.main(ARGS)
+    panel.main()
     out = capsys.readouterr().out
-    panel.main(ARGS)
+    panel.main()
     assert capsys.readouterr().out == out
 
     lines = out.splitlines()

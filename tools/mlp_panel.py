@@ -4,21 +4,20 @@ stop (``mlp.FTOL``).
 
 Usage, from the repository root::
 
-    python3 tools/mlp_panel.py [--ftol F ...] [--seeds 0 1 ...] [--sizes 6 12]
-        [--hidden 1 3 6] [--decay 1e-5 1e-3 1e-1] [--budgets 50 150 500 2000]
+    python3 tools/mlp_panel.py
 
 The row is ``table2-exp2-fpca`` of ``fdareg.suites`` with its grid cut to
-the FPCA ``--sizes``, ``--hidden`` sizes and ``--decay`` values, on the
-``perfbench`` generator's spectra at each of ``--seeds``, split 172/43 in
-fixed order as ``fdareg suite`` splits them. A side is one value of
-``mlp.FTOL``: 0 (no stop, the trainer before the stop) and each ``--ftol``
-(default 1e-3, 1e-4, 1e-5 and 1e-6).
+the FPCA sizes :data:`SIZES`, hidden sizes :data:`HIDDEN` and decays
+:data:`DECAY`, on the ``perfbench`` generator's spectra at each of
+:data:`SEEDS`, split 172/43 in fixed order as ``fdareg suite`` splits them.
+A side is one value of ``mlp.FTOL`` in :data:`SIDES`: 0 (no stop, the
+trainer before the stop) and the candidates 1e-3, 1e-4, 1e-5 and 1e-6.
 
 - **Budgets.** At the first seed, per grid cell (d, H, decay) and side: the
   best regularized loss of one training on the whole training set's
   d-component scores, with the row's CV restart count and the final refit's
-  seed, at each of ``--budgets`` iterations, and the iterations it used (its
-  trial-loss evaluations, not counting the initial one).
+  seed, at each of :data:`BUDGETS` iterations, and the iterations it used
+  (``tools/ab.py``'s "LM iterations").
 - **Selections.** Per side and seed: the row's ``selected`` and test RMSE
   from ``run_experiment``, and its ``selected`` again with the training
   rows permuted (a permutation seeded by the seed), which moves every row
@@ -28,13 +27,12 @@ fixed order as ``fdareg suite`` splits them. A side is one value of
 
 Every line of the output is deterministic: a rerun prints the same text,
 ending in one JSON object that holds all of it. BLAS should run on one
-thread (``OPENBLAS_NUM_THREADS=1``), as in the benchmark. The whole default
-panel took about 10 min on a 2-core host.
+thread (``OPENBLAS_NUM_THREADS=1``), as in the benchmark. The whole panel
+took about 10 min on a 2-core host.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import sys
@@ -42,23 +40,30 @@ from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
 import numpy as np  # noqa: E402
 
+import ab  # noqa: E402
 import tecator_synth  # noqa: E402
 import workloads  # noqa: E402
 from fdareg import fdata, mlp, selection, suites  # noqa: E402
 from fdareg.cv import derive_seed  # noqa: E402
 
 ROW = ("table2", "table2-exp2-fpca")
+SIDES = (0.0, 1e-3, 1e-4, 1e-5, 1e-6)
+SEEDS = tuple(range(10))
+SIZES = (6, 12)
+HIDDEN = (1, 3, 6)
+DECAY = (1e-5, 1e-3, 1e-1)
+BUDGETS = (50, 150, 500, 2000)
 
 
-def panel_spec(seed: int, sizes, hidden, decay):
+def panel_spec(seed: int):
     table, name = ROW
     spec = next(s for s in suites.SUITE_BUILDERS[table](seed=seed) if s.name == name)
-    return replace(spec, pca=replace(spec.pca, component_grid=tuple(sizes)),
-                   mlp=replace(spec.mlp, hidden_grid=tuple(hidden), decay_grid=tuple(decay)))
+    return replace(spec, pca=replace(spec.pca, component_grid=SIZES),
+                   mlp=replace(spec.mlp, hidden_grid=HIDDEN, decay_grid=DECAY))
 
 
 def split(seed: int):
@@ -72,7 +77,19 @@ def regularized_loss(model, X, y, decay) -> float:
     return float(resid @ resid + decay * weights @ weights)
 
 
-def budgets(spec, train, budget_list) -> list[dict]:
+def _fit(X, y, hidden, decay, restarts, seed, budget):
+    """One network and the LM iterations it took."""
+    models = []
+
+    def fit():  # returns the failed-row count
+        models.extend(mlp.train([X], [y], [hidden], [decay], restarts, [seed], budget))
+        return 0
+
+    iterations = ab.count_work(fit)["LM iterations"]
+    return models[0], iterations
+
+
+def budgets(spec, train) -> list[dict]:
     """Per grid cell: at each budget, the best loss and the iterations used."""
     stage = selection._Stage1(spec, train)
     rows = (stage.train_values, stage.train_mask)
@@ -83,37 +100,25 @@ def budgets(spec, train, budget_list) -> list[dict]:
         raise failures[0][2]
     y = train.targets
     seed = derive_seed(spec.seed, "mlp-final")
-    real_loss, evaluations = mlp._batched_loss, []
-
-    def counted(*args):
-        evaluations.append(1)
-        return real_loss(*args)
-
     cells = []
     for (_, d), (X, _) in sorted(inputs.items()):
         for h in spec.mlp.hidden_grid:
             for decay in spec.mlp.decay_grid:
                 cell = {"d": d, "hidden": h, "decay": decay, "loss": [], "iterations": []}
-                for budget in budget_list:
-                    evaluations.clear()
-                    mlp._batched_loss = counted
-                    try:
-                        [model] = mlp.train([X], [y], [h], [decay], spec.mlp.cv_restarts,
-                                            [seed], budget)
-                    finally:
-                        mlp._batched_loss = real_loss
+                for budget in BUDGETS:
+                    model, iterations = _fit(X, y, h, decay, spec.mlp.cv_restarts, seed, budget)
                     cell["loss"].append(regularized_loss(model, X, y, decay))
-                    cell["iterations"].append(len(evaluations) - 1)
+                    cell["iterations"].append(iterations)
                 cells.append(cell)
     return cells
 
 
-def selections(spec_at, seeds) -> list[dict]:
+def selections() -> list[dict]:
     """Per seed: ``selected`` and test RMSE, and ``selected`` with the
     training rows permuted."""
     out = []
-    for seed in seeds:
-        spec = spec_at(seed)
+    for seed in SEEDS:
+        spec = panel_spec(seed)
         train, test = split(seed)
         report = selection.run_experiment(spec, train, test)
         order = np.random.default_rng(derive_seed(seed, "panel-permutation")).permutation(
@@ -140,48 +145,35 @@ def _cell(selected: dict) -> str:
     return f"d={selected['n_components']} H={selected['hidden']} decay={selected['decay']:g}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--ftol", type=float, nargs="+", default=[1e-3, 1e-4, 1e-5, 1e-6])
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(10)))
-    parser.add_argument("--sizes", type=int, nargs="+", default=[6, 12])
-    parser.add_argument("--hidden", type=int, nargs="+", default=[1, 3, 6])
-    parser.add_argument("--decay", type=float, nargs="+", default=[1e-5, 1e-3, 1e-1])
-    parser.add_argument("--budgets", type=int, nargs="+", default=[50, 150, 500, 2000])
-    args = parser.parse_args(argv)
-
-    def spec_at(seed):
-        return panel_spec(seed, args.sizes, args.hidden, args.decay)
-
-    sides = [0.0] + [f for f in args.ftol if f != 0.0]
-    record, real_ftol = {"sides": sides, "budgets": args.budgets, "seeds": args.seeds}, mlp.FTOL
+def main() -> int:
+    record, real_ftol = {"sides": list(SIDES), "budgets": list(BUDGETS),
+                         "seeds": list(SEEDS)}, mlp.FTOL
     try:
-        for ftol in sides:
+        for ftol in SIDES:
             mlp.FTOL = ftol
-            train, _ = split(args.seeds[0])
-            record[f"ftol={ftol:g}"] = {
-                "budgets": budgets(spec_at(args.seeds[0]), train, args.budgets),
-                "selections": selections(spec_at, args.seeds)}
+            train, _ = split(SEEDS[0])
+            record[f"ftol={ftol:g}"] = {"budgets": budgets(panel_spec(SEEDS[0]), train),
+                                        "selections": selections()}
     finally:
         mlp.FTOL = real_ftol
 
-    print(f"budgets at seed {args.seeds[0]}: best loss, iterations used")
+    print(f"budgets at seed {SEEDS[0]}: best loss, iterations used")
     print(f"{'d':>3} {'H':>2} {'decay':>6} {'ftol':>6}  " + "  ".join(
-        f"{'loss@' + str(b):>12}" for b in args.budgets) + "  " + " ".join(
-        f"{'it@' + str(b):>7}" for b in args.budgets))
+        f"{'loss@' + str(b):>12}" for b in BUDGETS) + "  " + " ".join(
+        f"{'it@' + str(b):>7}" for b in BUDGETS))
     for i in range(len(record["ftol=0"]["budgets"])):
-        for ftol in sides:
+        for ftol in SIDES:
             c = record[f"ftol={ftol:g}"]["budgets"][i]
             print(f"{c['d']:>3} {c['hidden']:>2} {c['decay']:>6g} {ftol:>6g}  "
                   + "  ".join(f"{v:>12.6g}" for v in c["loss"]) + "  "
                   + " ".join(f"{v:>7}" for v in c["iterations"]))
     print("selections: selected and test RMSE; selected with the training rows permuted")
-    for ftol in sides:
+    for ftol in SIDES:
         for r in record[f"ftol={ftol:g}"]["selections"]:
             print(f"ftol={ftol:g} seed={r['seed']}: {_cell(r['selected'])} "
                   f"rmse={r['test_rmse']:.6f}; permuted {_cell(r['permuted'])}")
     base = record["ftol=0"]["selections"]
-    for ftol in sides:
+    for ftol in SIDES:
         s = record[f"ftol={ftol:g}"]["summary"] = summary(record[f"ftol={ftol:g}"]["selections"],
                                                           base)
         print(f"ftol={ftol:g}: flip rate {s['flip_rate']:.2f}, median test RMSE "
