@@ -69,14 +69,9 @@ def cmd_make_holes(args) -> int:
 def cmd_represent(args) -> int:
     dataset = _load(args)
     grids = fdata.Grids(dataset.functions)
-    sel, dimension = None, args.dimension
-    if dimension == "loo":
-        # the winner's coefficients come from its leave-one-out fits
-        sel = represent.select_basis_size(grids, dataset.domain, args.basis, args.order)
-        dimension, alpha = sel.dimension, sel.coefficients
-    basis = represent.make_basis(args.basis, dataset.domain, dimension, args.order)
-    if sel is None:
-        alpha = represent.fit_dataset(grids, basis)
+    basis, alpha, sel = represent.represent(grids, dataset.domain, args.basis, args.order,
+                                            args.dimension)
+    dimension = basis.dimension
     # a failed selection or fit leaves no output directory behind
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

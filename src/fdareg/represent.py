@@ -26,9 +26,11 @@ reconstructed functions.
 :func:`select_basis_size` picks the basis size by the summed leave-one-out
 score, every candidate size reusing the one grouping; it stops scoring a
 size once the size can no longer win, by the exact rule its docstring
-states, and the winner's coefficients come from its own LOO fits. There is
-no per-function API: one curve is a one-curve grouping, and ``fit`` and
-``loo_score`` are only other names of :func:`fit_dataset` and
+states, and the winner's coefficients come from its own LOO fits.
+:func:`represent` is the one recipe of a grouping's basis and coefficients,
+for a selected or a fixed size, that stage 1 and ``fdareg represent`` share.
+There is no per-function API: one curve is a one-curve grouping, and
+``fit`` and ``loo_score`` are only other names of :func:`fit_dataset` and
 :func:`loo_scores`.
 """
 
@@ -382,3 +384,19 @@ def select_basis_size(
     dimension = min(sorted(scores), key=lambda q: scores[q])
     return BasisSelection(dimension, scores, skipped, [q for q in candidates if q in pruned],
                           alphas[dimension])
+
+
+def represent(grids: Grids, domain: tuple[float, float], kind: str, order: int,
+              dimension: int | str) -> tuple[Basis, np.ndarray, BasisSelection | None]:
+    """A grouping's basis and coefficients: ``(basis, alpha, selection)``.
+
+    With ``dimension="loo"`` the size comes from :func:`select_basis_size`,
+    ``selection`` is its outcome and ``alpha`` the winner's coefficients
+    from its own LOO fits. With a size, ``alpha`` comes from
+    :func:`fit_dataset` and ``selection`` is None.
+    """
+    if dimension != "loo":
+        basis = make_basis(kind, domain, int(dimension), order)
+        return basis, fit_dataset(grids, basis), None
+    selection = select_basis_size(grids, domain, kind, order)
+    return make_basis(kind, domain, selection.dimension, order), selection.coefficients, selection

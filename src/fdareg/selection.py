@@ -399,12 +399,13 @@ class _Stage1:
     recipe to compute the same features for new functions; ``notes`` names
     the basis sizes leave-one-out skipped.
 
-    A basis size chosen by leave-one-out comes from
-    :func:`~fdareg.represent.select_basis_size` (its docstring states when
-    a size stops). ``info["loo_scores"]`` holds the sizes scored on every
-    curve, ``info["loo_pruned"]`` the stopped ones (when there are any),
-    and the note only the sizes that failed. The training features are the
-    winner's coefficients from its LOO fits.
+    The basis and the training coefficients come from
+    :func:`~fdareg.represent.represent`; a basis size chosen by
+    leave-one-out comes from :func:`~fdareg.represent.select_basis_size`
+    (its docstring states when a size stops). ``info["loo_scores"]`` holds
+    the sizes scored on every curve, ``info["loo_pruned"]`` the stopped
+    ones (when there are any), and the note only the sizes that failed. The
+    training features are the winner's coefficients from its LOO fits.
     """
 
     def __init__(self, spec: ExperimentSpec, train: Dataset):
@@ -415,9 +416,9 @@ class _Stage1:
         grids = Grids(train.functions)
         rep = spec.representation
         if rep.kind != "raw":
-            if rep.dimension == "loo":
-                sel = rep_mod.select_basis_size(grids, train.domain, rep.kind, rep.order)
-                dimension, alpha = sel.dimension, sel.coefficients
+            self.basis, alpha, sel = rep_mod.represent(grids, train.domain, rep.kind, rep.order,
+                                                       rep.dimension)
+            if sel is not None:
                 self.info["loo_scores"] = {int(k): float(v) for k, v in sel.scores.items()}
                 if sel.pruned:
                     self.info["loo_pruned"] = [int(q) for q in sel.pruned]
@@ -426,14 +427,8 @@ class _Stage1:
                         f"leave-one-out skipped basis sizes {list(sel.skipped)}, the first "
                         f"with {next(iter(sel.skipped.values()))}"
                     )
-            else:
-                dimension = int(rep.dimension)
-            self.basis = rep_mod.make_basis(rep.kind, train.domain, dimension, rep.order)
-            self.info["basis"] = {
-                "kind": rep.kind,
-                "order": rep.order,
-                "dimension": dimension,
-            }
+            self.info["basis"] = {"kind": rep.kind, "order": rep.order,
+                                  "dimension": self.basis.dimension}
         else:
             # holed functions share no complete grid; the canonical grid is
             # the union of the training abscissas (holes only delete points,

@@ -121,10 +121,9 @@ def test_distance_pairs_are_counted_on_either_side():
 
 def _sides(notes_base, notes_tree):
     def side(notes):
-        row = {"selected": {"n_components": 3}, "test_rmse": "0x1.8p-1", "notes": notes}
-        suite_row = dict(row, name="t1", seed=0)
-        return {"workloads": {"w seed=0 r": row},
-                "suite": {"seed=0 t1": json.dumps(suite_row, indent=2, sort_keys=True)}}
+        row = {"selected": {"n_components": 3}, "test_rmse": 0.75, "notes": notes}
+        return {"workloads": {"w seed=0 r": ab.row_text(dict(row, name="r", seed=0))},
+                "suite": {"seed=0 t1": ab.row_text(dict(row, name="t1", seed=0))}}
     return side(notes_base), side(notes_tree)
 
 
@@ -149,8 +148,8 @@ def _with_info(info_base, info_tree, notes_tree=("a",)):
     """Both sides' rows with the given ``info``, and ``notes_tree`` on the tree."""
     def side(info, notes):
         row = {"selected": {"n_components": 3}, "notes": list(notes), "info": info}
-        return {"workloads": {"w seed=0 r": row},
-                "suite": {"seed=0 t1": json.dumps(dict(row, name="t1"), indent=2)}}
+        return {"workloads": {"w seed=0 r": ab.row_text(dict(row, name="r"))},
+                "suite": {"seed=0 t1": ab.row_text(dict(row, name="t1"))}}
     return side(info_base, ["a"]), side(info_tree, notes_tree)
 
 
@@ -209,10 +208,13 @@ def test_one_collector_returns_the_rows_and_their_counts(monkeypatch):
     monkeypatch.syspath_prepend(str(ab.ROOT / "perfbench"))
     monkeypatch.setattr(ab, "SEEDS", range(1))
     side = ab.collect(["spectra-pca-rbfn"], suite=False)
-    [(key, row)] = side["workloads"].items()
+    [(key, text)] = side["workloads"].items()
     assert key.startswith("spectra-pca-rbfn seed=0 ")
-    assert sorted(row) == sorted(ab.FIELDS)
-    assert float.fromhex(row["test_rmse"]) > 0
+    row = json.loads(text)
+    assert sorted(row) == ["cv_score", "info", "model", "name", "notes", "seed", "selected",
+                           "test_rmse"]
+    assert text == ab.row_text(row)
+    assert row["test_rmse"] > 0
     [(name, counts)] = side["counts"].items()
     assert name == "spectra-pca-rbfn"
     assert counts["OLS path steps"] > 0

@@ -13,7 +13,7 @@ _spec.loader.exec_module(panel)
 
 
 def test_one_cell_at_one_seed_prints_its_columns_the_same_twice(monkeypatch, capsys):
-    for name, value in (("SIDES", (0.0, 1e-4)), ("SEEDS", (0,)), ("SIZES", (6,)),
+    for name, value in (("SEEDS", (0,)), ("SIZES", (6,)),
                         ("HIDDEN", (1,)), ("DECAY", (1e-3,)), ("BUDGETS", (5, 10))):
         monkeypatch.setattr(panel, name, value)
     real = panel.panel_spec
@@ -30,16 +30,15 @@ def test_one_cell_at_one_seed_prints_its_columns_the_same_twice(monkeypatch, cap
     assert capsys.readouterr().out == out
 
     lines = out.splitlines()
-    assert lines[1].split() == ["d", "H", "decay", "ftol", "loss@5", "loss@10", "it@5", "it@10"]
-    for line, ftol in zip(lines[2:4], ("0", "0.0001")):
-        d, h, decay, side, loss_5, loss_10, it_5, it_10 = line.split()
-        assert (d, h, decay, side) == ("6", "1", "0.001", ftol)
-        assert float(loss_10) <= float(loss_5)
-        assert int(it_5) <= 5 and int(it_10) <= 10
-    assert lines[4].startswith("selections:")
-    assert [line.split(":")[0] for line in lines[5:7]] == ["ftol=0 seed=0", "ftol=0.0001 seed=0"]
-    assert lines[7].startswith("ftol=0: flip rate 0.00,")
-    assert lines[8].startswith("ftol=0.0001: flip rate ")
+    assert lines[1].split() == ["d", "H", "decay", "loss@5", "loss@10", "it@5", "it@10"]
+    d, h, decay, loss_5, loss_10, it_5, it_10 = lines[2].split()
+    assert (d, h, decay) == ("6", "1", "0.001")
+    assert float(loss_10) <= float(loss_5)
+    assert int(it_5) <= 5 and int(it_10) <= 10
+    assert lines[3].startswith("selections:")
+    assert lines[4].split(":")[0] == "seed=0"
+    assert lines[5].startswith("flip rate 0.00,")
     record = json.loads(lines[-1])
-    assert record["sides"] == [0.0, 1e-4] and len(lines) == 10
-    assert record["ftol=0"]["budgets"][0]["iterations"] == [5, 10]
+    assert sorted(record) == ["budgets", "cells", "seeds", "selections", "summary"]
+    assert record["budgets"] == [5, 10] and len(lines) == 7
+    assert record["cells"][0]["iterations"] == [5, 10]

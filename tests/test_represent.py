@@ -556,6 +556,28 @@ class TestPrunedSelection:
         _assert_same_selection(grids, "bspline", 4, candidates)
 
 
+class TestRepresent:
+    """The one recipe of a grouping's basis and coefficients, for a size
+    selected by leave-one-out or a fixed one."""
+
+    @pytest.mark.parametrize("kind", ["bspline", "fourier"])
+    def test_equals_the_selection_and_the_fit_byte_for_byte(self, rng, kind):
+        grids = fdata.Grids(mixed_grid_functions(rng, n_shared=4, n_holed=6))
+        b, alpha, sel = represent.represent(grids, (0.0, 1.0), kind, 4, "loo")
+        ref = represent.select_basis_size(grids, (0.0, 1.0), kind, 4)
+        assert (sel.dimension, sel.scores, sel.skipped, sel.pruned) == (
+            ref.dimension, ref.scores, ref.skipped, ref.pruned)
+        assert b.dimension == ref.dimension
+        assert alpha.tobytes() == ref.coefficients.tobytes()
+        for q in (ref.dimension, 9):
+            b, alpha, sel = represent.represent(grids, (0.0, 1.0), kind, 4, q)
+            fitted = represent.fit_dataset(grids, represent.make_basis(kind, (0.0, 1.0), q, 4))
+            assert (sel, b.dimension) == (None, q)
+            assert alpha.tobytes() == fitted.tobytes()
+            if q == ref.dimension:  # the LOO fits' coefficients are the fit's
+                assert alpha.tobytes() == ref.coefficients.tobytes()
+
+
 class TestBetaGeometry:
     """Canonical dot products of beta rows are L2 inner products."""
 

@@ -15,25 +15,27 @@ MB on ``spectra-pca-rbfn``, against 50.45–50.48 MB from a copy; with the base
 run from a ``git worktree`` and the change from a copy, an unchanged tree
 read ``peak_rss_mb`` −1.1 % on that workload, 8 of 10 "wins".) The oldest
 base supported is ``bb77b79``, the first to form its k-NN distances in
-``imputation._distances``. A workload is one of ``BENCHMARK.json``; by
-default every one runs.
+``imputation._distances``; it already has ``cli._run_row``. A workload is
+one of ``BENCHMARK.json``; by default every one runs.
 
 ``--identity`` times nothing: it compares results and work in one
 deterministic pass per side. Each side runs in a fresh interpreter on its own
 copy, with BLAS on one thread and no bytecode written, and this file as the
 collector (:func:`collect`); the two sides run at once. The pass runs each
 workload's rows once at seeds 0-10, with :func:`count_work` around each
-workload's rows, and records a row's ``selected``, ``test_rmse``,
-``cv_score``, ``notes`` and ``info`` by ``float.hex``, or its error type and
-message when it ends in a toolkit error. ``--suite`` adds the 23 rows of
-``fdareg.suites`` at generator seeds 0-1, on cut grids (PCA sizes (3, 6), MLP
-hidden (1,) and decay (1e-3,)), with 10 % holes on the holed tables and the
-fixed 172/43 split of ``fdareg suite``, and compares the row JSONs the
-command writes byte for byte. The report prints every row that differs with
-the fields that differ (a suite row's JSON by top-level key, ``info`` by its
-keys, printed as ``info.<key>``) and a line that counts the differing rows
-per field. Then, per workload, it gives both sides' counts and says whether
-the two sequences of loops, ``(n, d, hidden, restarts)`` each, are equal
+workload's rows. ``--suite`` adds the 23 rows of ``fdareg.suites`` at
+generator seeds 0-1, on cut grids (PCA sizes (3, 6), MLP hidden (1,) and
+decay (1e-3,)), with 10 % holes on the holed tables and the fixed 172/43
+split of ``fdareg suite``. Every row, of a workload or of the suite, is
+recorded one way: as the text ``fdareg suite`` writes to its
+``row_<name>.json`` (:func:`row_text`), which holds the error type and
+message in place of the results when the row ends in a toolkit error. Rows
+are compared by that text; a float's ``repr`` round-trips, so equal texts
+mean equal bits. The report prints every row that differs with the fields
+that differ (by top-level key, ``info`` by its keys, printed as
+``info.<key>``) and a line that counts the differing rows per field. Then,
+per workload, it gives both sides' counts and says whether the two sequences
+of loops, ``(n, d, hidden, restarts)`` each, are equal
 (:func:`compare_counts`). The exit status is 1 if any row differs.
 
 Otherwise each pair, for each workload, runs ``perfbench/run.py --trace 0``
@@ -58,7 +60,6 @@ is one JSON object holding all of it.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib.metadata
 import io
 import json
@@ -85,7 +86,6 @@ COUNTS = ("mlp.train calls", "LM loops", "LM jobs", "most jobs in a loop", "LM i
 #: The seeds of each workload's rows, and of the suite's generator.
 SEEDS = range(11)
 SUITE_SEEDS = range(2)
-FIELDS = ("selected", "test_rmse", "cv_score", "notes", "info")
 #: The lines of a failed run's stderr that the error quotes.
 STDERR_TAIL = 10
 
@@ -218,23 +218,18 @@ def compare_counts(base: dict, change: dict) -> dict:
     }
 
 
-def _exact(value):
-    """``value`` with every float written by ``float.hex``."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return {str(k): _exact(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [_exact(v) for v in value]
-    return value
-
-
 def _cut(spec):
     if spec.pca.kind != "none":
         spec = replace(spec, pca=replace(spec.pca, component_grid=(3, 6)))
     if spec.model == "mlp":
         spec = replace(spec, mlp=replace(spec.mlp, hidden_grid=(1,), decay_grid=(1e-3,)))
     return spec
+
+
+def row_text(row: dict) -> str:
+    """A row's record (``cli._run_row``) as ``fdareg suite`` writes it to
+    ``row_<name>.json``."""
+    return json.dumps(row, indent=2, sort_keys=True) + "\n"
 
 
 def _suite_rows() -> dict:
@@ -251,24 +246,18 @@ def _suite_rows() -> dict:
                 dataset = fdata.make_holes(dataset, workloads.HOLE_FRACTION,
                                            derive_seed(seed, "holes"))
             train, test = fdata.split(dataset, workloads.TEST_SIZE, shuffle=False)
-            specs = [_cut(spec) for spec in build(seed=seed)]
-            with tempfile.TemporaryDirectory() as out, \
-                    contextlib.redirect_stdout(sys.stderr):
-                cli._run_rows(specs, train, test, Path(out), {}, table)
-                for spec in specs:
-                    path = Path(out) / f"row_{spec.name}.json"
-                    rows[f"seed={seed} {spec.name}"] = path.read_text(encoding="utf-8")
+            for spec in build(seed=seed):
+                rows[f"seed={seed} {spec.name}"] = row_text(cli._run_row(_cut(spec), train,
+                                                                         test)[0])
     return rows
 
 
 def collect(names: list[str], suite: bool) -> dict:
-    """One side's deterministic pass on the imported code: ``workloads``, each
-    row of the workloads ``names`` at :data:`SEEDS`, as its fields by
-    ``float.hex`` or as its error; ``counts``, per workload, the
-    :func:`count_work` of its rows; and ``suite``, the cut suite rows' JSON
-    texts if ``suite``, else nothing."""
-    from fdareg.errors import FdaregError
-    from fdareg.selection import run_experiment
+    """One side's deterministic pass on the imported code: ``workloads``, the
+    :func:`row_text` of each row of the workloads ``names`` at :data:`SEEDS`;
+    ``counts``, per workload, the :func:`count_work` of its rows; and
+    ``suite``, the cut suite rows' texts if ``suite``, else nothing."""
+    from fdareg import cli
     import workloads
 
     rows = {}
@@ -278,27 +267,13 @@ def collect(names: list[str], suite: bool) -> dict:
         for seed in SEEDS:
             train, test, specs = workloads.prepare(workloads.WORKLOADS[name], seed)
             for spec in specs:
-                key = f"{name} seed={seed} {spec.name}"
-                try:
-                    report = run_experiment(spec, train, test)
-                except FdaregError as exc:
-                    rows[key] = f"{type(exc).__name__}: {exc}"
-                    failed += 1
-                    continue
-                rows[key] = {field: _exact(getattr(report, field)) for field in FIELDS}
+                row = cli._run_row(spec, train, test)[0]
+                rows[f"{name} seed={seed} {spec.name}"] = row_text(row)
+                failed += "error" in row
         return failed
 
     counts = {name: count_work(lambda: run_rows(name)) for name in names}
     return {"workloads": rows, "counts": counts, "suite": _suite_rows() if suite else {}}
-
-
-def _fields(group: str, row) -> dict:
-    """A row's top-level fields: a suite row's JSON text parsed, a workload
-    row as collected, and a workload row that ended in an error as its one
-    ``error`` field."""
-    if group == "suite":
-        return json.loads(row)
-    return row if isinstance(row, dict) else {"error": row}
 
 
 def _differing(old: dict, new: dict) -> list[tuple[str, object, object]]:
@@ -327,8 +302,8 @@ def differences(base: dict, head: dict) -> dict[str, list | str]:
             if key not in base[group] or key not in head[group]:
                 rows[f"{group}: {key}"] = "base" if key not in base[group] else "working tree"
             elif base[group][key] != head[group][key]:
-                rows[f"{group}: {key}"] = _differing(_fields(group, base[group][key]),
-                                                     _fields(group, head[group][key]))
+                rows[f"{group}: {key}"] = _differing(json.loads(base[group][key]),
+                                                     json.loads(head[group][key]))
     return rows
 
 

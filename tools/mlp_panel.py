@@ -1,34 +1,35 @@
 """The MLP panel: how far ``mlp.train`` gets within its budgets, and how
-steady the selection it feeds is, with and without the relative-reduction
-stop (``mlp.FTOL``).
+steady the selection it feeds is, for the code of the tree it runs in.
 
 Usage, from the repository root::
 
-    python3 tools/mlp_panel.py
+    OPENBLAS_NUM_THREADS=1 python3 tools/mlp_panel.py
 
 The row is ``table2-exp2-fpca`` of ``fdareg.suites`` with its grid cut to
 the FPCA sizes :data:`SIZES`, hidden sizes :data:`HIDDEN` and decays
 :data:`DECAY`, on the ``perfbench`` generator's spectra at each of
 :data:`SEEDS`, split 172/43 in fixed order as ``fdareg suite`` splits them.
-A side is one value of ``mlp.FTOL`` in :data:`SIDES`: 0 (no stop, the
-trainer before the stop) and the candidates 1e-3, 1e-4, 1e-5 and 1e-6.
 
-- **Budgets.** At the first seed, per grid cell (d, H, decay) and side: the
-  best regularized loss of one training on the whole training set's
-  d-component scores, with the row's CV restart count and the final refit's
-  seed, at each of :data:`BUDGETS` iterations, and the iterations it used
+- **Cells.** At the first seed, per grid cell (d, H, decay): the best
+  regularized loss of one training on the whole training set's d-component
+  scores, with the row's CV restart count and the final refit's seed, at
+  each of :data:`BUDGETS` iterations, and the iterations it used
   (``tools/ab.py``'s "LM iterations").
-- **Selections.** Per side and seed: the row's ``selected`` and test RMSE
-  from ``run_experiment``, and its ``selected`` again with the training
-  rows permuted (a permutation seeded by the seed), which moves every row
-  to another fold. Per side: the share of seeds whose selection flips under
-  the permutation, the median test RMSE, and, against side 0, the rows (both
-  orders) whose ``selected`` moved and the median's relative change.
+- **Selections.** Per seed: the row's ``selected`` and test RMSE from
+  ``run_experiment``, and its ``selected`` again with the training rows
+  permuted (a permutation seeded by the seed), which moves every row to
+  another fold.
+- **Summary.** The share of seeds whose selection flips under the
+  permutation, and the median test RMSE.
 
-Every line of the output is deterministic: a rerun prints the same text,
-ending in one JSON object that holds all of it. BLAS should run on one
-thread (``OPENBLAS_NUM_THREADS=1``), as in the benchmark. The whole panel
-took about 10 min on a 2-core host.
+A trainer change is judged by two runs of the panel, each measuring the
+tree it runs in: one in a copy of the parent commit, extracted from ``git
+archive <parent> src perfbench tools`` as ``tools/ab.py`` makes its base
+side, and one in the working tree. Every line of the output is
+deterministic: a rerun prints the same text, ending in one JSON object that
+holds all of it (``budgets``, ``seeds``, ``cells``, ``selections`` and
+``summary``). BLAS should run on one thread, as in the benchmark. One run
+took about 2 min on a 2-core host.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from fdareg import fdata, mlp, selection, suites  # noqa: E402
 from fdareg.cv import derive_seed  # noqa: E402
 
 ROW = ("table2", "table2-exp2-fpca")
-SIDES = (0.0, 1e-3, 1e-4, 1e-5, 1e-6)
 SEEDS = tuple(range(10))
 SIZES = (6, 12)
 HIDDEN = (1, 3, 6)
@@ -89,7 +89,7 @@ def _fit(X, y, hidden, decay, restarts, seed, budget):
     return models[0], iterations
 
 
-def budgets(spec, train) -> list[dict]:
+def cells(spec, train) -> list[dict]:
     """Per grid cell: at each budget, the best loss and the iterations used."""
     stage = selection._Stage1(spec, train)
     rows = (stage.train_values, stage.train_mask)
@@ -100,7 +100,7 @@ def budgets(spec, train) -> list[dict]:
         raise failures[0][2]
     y = train.targets
     seed = derive_seed(spec.seed, "mlp-final")
-    cells = []
+    out = []
     for (_, d), (X, _) in sorted(inputs.items()):
         for h in spec.mlp.hidden_grid:
             for decay in spec.mlp.decay_grid:
@@ -109,8 +109,8 @@ def budgets(spec, train) -> list[dict]:
                     model, iterations = _fit(X, y, h, decay, spec.mlp.cv_restarts, seed, budget)
                     cell["loss"].append(regularized_loss(model, X, y, decay))
                     cell["iterations"].append(iterations)
-                cells.append(cell)
-    return cells
+                out.append(cell)
+    return out
 
 
 def selections() -> list[dict]:
@@ -129,16 +129,9 @@ def selections() -> list[dict]:
     return out
 
 
-def summary(rows: list[dict], base: list[dict]) -> dict:
-    median = statistics.median(r["test_rmse"] for r in rows)
-    base_median = statistics.median(r["test_rmse"] for r in base)
-    return {
-        "flip_rate": sum(r["selected"] != r["permuted"] for r in rows) / len(rows),
-        "median_test_rmse": median,
-        "median_change": median / base_median - 1.0,
-        "moved": sum((r["selected"] != b["selected"]) + (r["permuted"] != b["permuted"])
-                     for r, b in zip(rows, base)),
-    }
+def summary(rows: list[dict]) -> dict:
+    return {"flip_rate": sum(r["selected"] != r["permuted"] for r in rows) / len(rows),
+            "median_test_rmse": statistics.median(r["test_rmse"] for r in rows)}
 
 
 def _cell(selected: dict) -> str:
@@ -146,39 +139,25 @@ def _cell(selected: dict) -> str:
 
 
 def main() -> int:
-    record, real_ftol = {"sides": list(SIDES), "budgets": list(BUDGETS),
-                         "seeds": list(SEEDS)}, mlp.FTOL
-    try:
-        for ftol in SIDES:
-            mlp.FTOL = ftol
-            train, _ = split(SEEDS[0])
-            record[f"ftol={ftol:g}"] = {"budgets": budgets(panel_spec(SEEDS[0]), train),
-                                        "selections": selections()}
-    finally:
-        mlp.FTOL = real_ftol
+    train, _ = split(SEEDS[0])
+    record = {"budgets": list(BUDGETS), "seeds": list(SEEDS),
+              "cells": cells(panel_spec(SEEDS[0]), train), "selections": selections()}
+    record["summary"] = summary(record["selections"])
 
     print(f"budgets at seed {SEEDS[0]}: best loss, iterations used")
-    print(f"{'d':>3} {'H':>2} {'decay':>6} {'ftol':>6}  " + "  ".join(
+    print(f"{'d':>3} {'H':>2} {'decay':>6}  " + "  ".join(
         f"{'loss@' + str(b):>12}" for b in BUDGETS) + "  " + " ".join(
         f"{'it@' + str(b):>7}" for b in BUDGETS))
-    for i in range(len(record["ftol=0"]["budgets"])):
-        for ftol in SIDES:
-            c = record[f"ftol={ftol:g}"]["budgets"][i]
-            print(f"{c['d']:>3} {c['hidden']:>2} {c['decay']:>6g} {ftol:>6g}  "
-                  + "  ".join(f"{v:>12.6g}" for v in c["loss"]) + "  "
-                  + " ".join(f"{v:>7}" for v in c["iterations"]))
+    for c in record["cells"]:
+        print(f"{c['d']:>3} {c['hidden']:>2} {c['decay']:>6g}  "
+              + "  ".join(f"{v:>12.6g}" for v in c["loss"]) + "  "
+              + " ".join(f"{v:>7}" for v in c["iterations"]))
     print("selections: selected and test RMSE; selected with the training rows permuted")
-    for ftol in SIDES:
-        for r in record[f"ftol={ftol:g}"]["selections"]:
-            print(f"ftol={ftol:g} seed={r['seed']}: {_cell(r['selected'])} "
-                  f"rmse={r['test_rmse']:.6f}; permuted {_cell(r['permuted'])}")
-    base = record["ftol=0"]["selections"]
-    for ftol in SIDES:
-        s = record[f"ftol={ftol:g}"]["summary"] = summary(record[f"ftol={ftol:g}"]["selections"],
-                                                          base)
-        print(f"ftol={ftol:g}: flip rate {s['flip_rate']:.2f}, median test RMSE "
-              f"{s['median_test_rmse']:.6f} ({100 * s['median_change']:+.3f} %), "
-              f"{s['moved']} of {2 * len(base)} selections moved against ftol=0")
+    for r in record["selections"]:
+        print(f"seed={r['seed']}: {_cell(r['selected'])} rmse={r['test_rmse']:.6f}; "
+              f"permuted {_cell(r['permuted'])}")
+    s = record["summary"]
+    print(f"flip rate {s['flip_rate']:.2f}, median test RMSE {s['median_test_rmse']:.6f}")
     print(json.dumps(record))
     return 0
 
